@@ -463,15 +463,16 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
                 "pass": ok,
             }
 
+    # one T-reduction per solution serves both the orthogonality and the
+    # reduction checks
+    reports = [perturbed_reduce(pert, v, sys) for v in solutions] if pert is not None else []
+
     if "orthogonality" in config.checks:
         worst = (mpf(0), mpf(0))
         ok = True
-        for v in solutions:
-            if pert is not None:
-                report = perturbed_reduce(pert, v, sys)
-                orth = check_orthogonality(sys, report.reduced)
-            else:
-                orth = check_orthogonality(sys, v)
+        targets = [r.reduced for r in reports] if pert is not None else solutions
+        for target in targets:
+            orth = check_orthogonality(sys, target)
             if orth.max_residual > worst[0]:
                 worst = (orth.max_residual, orth.scale)
             if orth.max_residual > tol_half * max(orth.scale, mpf(1)):
@@ -489,8 +490,7 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
         # reduction consistency is always reported when a perturbation exists
         worst = (mpf(0), mpf(0))
         ok = True
-        for v in solutions:
-            report = perturbed_reduce(pert, v, sys)
+        for report in reports:
             if report.max_residual > worst[0]:
                 worst = (report.max_residual, report.scale)
             if report.max_residual > tol_half * max(report.scale, mpf(1)):

@@ -3,7 +3,9 @@
 Order conditions at infinity translate into homogeneous moment-shift linear
 systems; the solution is the right singular direction of least singular value
 at working precision, with automatic precision doubling (up to 4096 bits) when
-the achieved vanishing order falls short of the target.  The perturbed problem
+the achieved vanishing order falls short of the target.  The SVD is
+linalg.svd_sv, a Golub-Reinsch kernel that forms only the singular values
+and the right factor, bit-identical to mp.svd_r.  The perturbed problem
 approximates f_j = s-hat_{1,j} + r_j; multiplying its order condition by
 T = prod t_j turns the solution into an incomplete approximant of the plain
 system with order deficit deg T, which perturbed_reduce performs and verifies.
@@ -17,6 +19,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp, mpc, mpf
 
 from .algebra import LaurentTail, Polynomial, RationalFn, laurent_expand_rational, poly_roots
+from .linalg import svd_sv
 from .measures import cauchy_eval, moments
 from .nikishin import NikishinSystem
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
@@ -235,19 +238,17 @@ def assemble_type1_system(tails, n: MultiIndex, M: int = 0):
 
 
 def _nullspace_min_direction(A, expected_rank: int):
-    """Least-singular right direction of A (padded square), plus a nullity flag.
+    """Least-singular right direction of A (rows x cols), plus a nullity flag.
 
-    The flag fires when the smallest structural singular value is within a
-    factor 2^10 of the largest should-be-zero one (rank deficient beyond the
-    guaranteed nullity), or when there are no constraints at all.
+    Returns (vec, flag, svals): vec is the last row of the SVD's right factor,
+    svals all cols singular values in decreasing order (the trailing
+    cols - rows are zero when rows < cols).  The flag fires when the smallest
+    structural singular value is within a factor 2^10 of the largest
+    should-be-zero one (rank deficient beyond the guaranteed nullity), or
+    when there are no constraints at all.
     """
-    rows, cols = A.rows, A.cols
-    S = mp.matrix(cols, cols)
-    for i in range(rows):
-        for j in range(cols):
-            S[i, j] = A[i, j]
-    _, svals, V = mp.svd_r(S)
-    vec = [V[cols - 1, j] for j in range(cols)]
+    svals, V = svd_sv(A.tolist(), A.cols)
+    vec = V[-1]
     if expected_rank <= 0:
         return vec, True, svals
     flag = svals[expected_rank - 1] <= NULLITY_GAP * svals[expected_rank]
@@ -472,7 +473,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     total = n.total
     K = total + n.max_part + 4
     tails = [moments(sys.chain(1, j), K) for j in range(1, len(n) + 1)]
-    A = mp.matrix(total + 1, total + 1)
+    A = mp.matrix(total, total + 1)
     row = 0
     for j in range(len(n)):
         for nu in range(n[j]):

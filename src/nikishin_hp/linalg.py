@@ -1,0 +1,207 @@
+"""Singular values and right singular vectors on plain lists of mpf."""
+
+from __future__ import annotations
+
+from operator import mul
+
+from mpmath import mp
+
+
+def svd_sv(rows, cols: int):
+    """Singular values S and right factor V of a real matrix, with no left factor.
+
+    rows is the matrix as a list of row lists (any number of rows, each of
+    length cols); it is not modified.  Returns (S, V): S is a list of cols
+    values in decreasing order, of which only the first min(rows, cols) can
+    be nonzero, and V is a list of cols row lists, orthogonal, with
+    A = U diag(S) V for some column-orthogonal U that is never formed.
+
+    Householder bidiagonalization followed by the implicitly shifted QR
+    algorithm of G. H. Golub and C. Reinsch, Numer. Math. 14 (1970)
+    403-420, as in the EISPACK routine svd.  This is a transcription of
+    mpmath's svd_r_raw (mpmath/matrices/eigen_symmetric.py, copyright 2013
+    Timo Hartmann, BSD licence) with calc_u false: the same operations in
+    the same order at the ambient precision, so S and V are bit-identical to
+    mp.svd_r's, but without the rotations on U and on lists instead of
+    mp.matrix.  Loops that update many columns or rows at once are written
+    as list comprehensions; each entry still sees the same sequence of
+    roundings, and every sum is accumulated in the original order.
+    """
+    fabs, sqrt, hypot = mp.fabs, mp.sqrt, mp.hypot
+    zero, one = mp.zero, mp.one
+    A = [list(row) for row in rows]
+    m, n = len(A), cols
+    S = [zero] * n
+    work = [zero] * n
+    g = scale = anorm = zero
+    maxits = 3 * mp.dps
+
+    for i in range(n):  # Householder reduction to bidiagonal form
+        work[i] = scale * g
+        g = s = scale = zero
+        if i < m:
+            below = A[i:]  # rows i..m-1, whose column i is reflected
+            for row in below:
+                scale += fabs(row[i])
+            if scale != 0:
+                for row in below:
+                    x = row[i] = row[i] / scale
+                    s += x * x
+                f = A[i][i]
+                g = -sqrt(s)
+                if f < 0:
+                    g = -g
+                h = f * g - s
+                A[i][i] = f - g
+                # s_j = sum_k A[k][i] * A[k][j] for every column j > i at once
+                sums = [0] * (n - i - 1)
+                for row in below:
+                    x = row[i]
+                    sums = [t + x * y for t, y in zip(sums, row[i + 1 :])]
+                fs = [t / h for t in sums]
+                for row in below:
+                    x = row[i]
+                    row[i + 1 :] = [y + f * x for y, f in zip(row[i + 1 :], fs)]
+                for row in below:
+                    row[i] *= scale
+
+        S[i] = scale * g
+        g = s = scale = zero
+
+        if i < m and i != n - 1:
+            Ai = A[i]
+            for k in range(i + 1, n):
+                scale += fabs(Ai[k])
+            if scale:
+                for k in range(i + 1, n):
+                    x = Ai[k] = Ai[k] / scale
+                    s += x * x
+                f = Ai[i + 1]
+                g = -sqrt(s)
+                if f < 0:
+                    g = -g
+                h = f * g - s
+                Ai[i + 1] = f - g
+                for k in range(i + 1, n):
+                    work[k] = Ai[k] / h
+                tail = work[i + 1 :]
+                for Aj in A[i + 1 :]:
+                    s = sum(map(mul, Aj[i + 1 :], Ai[i + 1 :]))
+                    Aj[i + 1 :] = [y + s * w for y, w in zip(Aj[i + 1 :], tail)]
+                for k in range(i + 1, n):
+                    Ai[k] *= scale
+
+        anorm = max(anorm, fabs(S[i]) + fabs(work[i]))
+
+    V = [[zero] * n for _ in range(n)]
+    for i in range(n - 2, -1, -1):  # accumulation of right-hand transformations
+        V[i + 1][i + 1] = one
+        if work[i + 1] != 0:
+            Ai, Vi = A[i], V[i]
+            for j in range(i + 1, n):
+                Vi[j] = (Ai[j] / Ai[i + 1]) / work[i + 1]
+            for Vj in V[i + 1 :]:
+                s = sum(map(mul, Ai[i + 1 :], Vj[i + 1 :]))
+                Vj[i + 1 :] = [y + s * x for y, x in zip(Vj[i + 1 :], Vi[i + 1 :])]
+        for j in range(i + 1, n):
+            V[j][i] = V[i][j] = zero
+    V[0][0] = one
+
+    for k in range(n - 1, -1, -1):
+        # diagonalization of the bidiagonal form: loop over singular values,
+        # and over allowed iterations
+        its = 0
+        while True:
+            its += 1
+            flag = True
+            # work[0] is always zero, so the loop ends at l = 0 at the latest
+            # and never reads S[-1]
+            for l in range(k, -1, -1):
+                nm = l - 1
+                if fabs(work[l]) + anorm == anorm:
+                    flag = False
+                    break
+                if fabs(S[nm]) + anorm == anorm:
+                    break
+
+            if flag:
+                c = 0
+                s = 1
+                for i in range(l, k + 1):
+                    f = s * work[i]
+                    work[i] *= c
+                    if fabs(f) + anorm == anorm:
+                        break
+                    g = S[i]
+                    h = hypot(f, g)
+                    S[i] = h
+                    h = 1 / h
+                    c = g * h
+                    s = -f * h
+
+            z = S[k]
+            if l == k:  # convergence
+                if z < 0:  # singular value is made nonnegative
+                    S[k] = -z
+                    V[k] = [-y for y in V[k]]
+                break
+
+            if its >= maxits:
+                raise RuntimeError(f"svd: no convergence to an eigenvalue after {its} iterations")
+
+            x = S[l]  # shift from bottom 2 by 2 minor
+            nm = k - 1
+            y = S[nm]
+            g = work[nm]
+            h = work[k]
+            f = ((y - z) * (y + z) + (g - h) * (g + h)) / (2 * h * y)
+            g = hypot(f, 1)
+            if f >= 0:
+                f = ((x - z) * (x + z) + h * ((y / (f + g)) - h)) / x
+            else:
+                f = ((x - z) * (x + z) + h * ((y / (f - g)) - h)) / x
+
+            c = s = 1  # next QR transformation
+            for j in range(l, nm + 1):
+                g = work[j + 1]
+                y = S[j + 1]
+                h = s * g
+                g = c * g
+                z = hypot(f, h)
+                work[j] = z
+                c = f / z
+                s = h / z
+                f = x * c + g * s
+                g = g * c - x * s
+                h = y * s
+                y *= c
+                Vj, Vj1 = V[j], V[j + 1]
+                V[j] = [p * c + q * s for p, q in zip(Vj, Vj1)]
+                V[j + 1] = [q * c - p * s for p, q in zip(Vj, Vj1)]
+                z = hypot(f, h)
+                S[j] = z
+                if z != 0:  # rotation can be arbitrary if z = 0
+                    z = 1 / z
+                    c = f * z
+                    s = h * z
+                f = c * g + s * y
+                x = c * y - s * g
+
+            work[l] = zero
+            work[k] = f
+            S[k] = x
+
+    # sort singular values into decreasing order (selection by swaps)
+    for i in range(n):
+        imax = i
+        s = fabs(S[i])
+        for j in range(i + 1, n):
+            c = fabs(S[j])
+            if c > s:
+                s = c
+                imax = j
+        if imax != i:
+            S[i], S[imax] = S[imax], S[i]
+            V[i], V[imax] = V[imax], V[i]
+
+    return S, V

@@ -1,9 +1,11 @@
 """End-to-end CLI runs: config validation, outputs, cache, determinism, exit codes."""
 
 import json
-
+from pathlib import Path
 
 from nikishin_hp.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
 
 
 def base_config(out_dir, sweep=None, checks=None, pert=None):
@@ -31,6 +33,11 @@ def write_config(tmp_path, cfg, name="config.json"):
 def read_body(path):
     """CSV body without the timestamp comment line."""
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def body_bytes(path):
+    """A report's bytes without its timestamp comment line."""
+    return b"".join(l for l in path.read_bytes().splitlines(keepends=True) if not l.startswith(b"#"))
 
 
 class TestArgumentHandling:
@@ -173,6 +180,33 @@ class TestDeterminism:
         assert (tmp_path / "out1" / "identities.json").read_text() == (
             tmp_path / "out2" / "identities.json"
         ).read_text()
+
+
+class TestGoldenBodies:
+    def test_smoke_bodies_match_stored_bytes(self, tmp_path):
+        # the report bodies of a small run over every module, stored as
+        # written before the solver's SVD moved to a V-only kernel: any
+        # change of the output bits shows here
+        out = tmp_path / "out"
+        cfg = {
+            "precision_bits": 128,
+            "system": [
+                {"kind": "legendre-density", "interval": [-1, 0], "node_count": 16},
+                {"kind": "legendre-density", "interval": [1, 3], "node_count": 16},
+            ],
+            "perturbations": [
+                {"num_coeffs": [1], "den_coeffs": [-5, 1]},
+                {"num_coeffs": [1], "den_coeffs": [5, 1]},
+            ],
+            "sweep": {"shape": "diagonal", "k_min": 3, "k_max": 7, "step": 2},
+            "grid": {"radius_factor": 4, "circle_points": 16, "segment_points": 4},
+            "checks": ["chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2"],
+            "pole_eps": 0.25,
+            "output_dir": str(out),
+        }
+        assert main(["run", str(write_config(tmp_path, cfg)), "--no-cache"]) == 0
+        for name in ("convergence.csv", "identities.json", "zeros.csv"):
+            assert body_bytes(out / name) == (GOLDEN / name).read_bytes(), name
 
 
 class TestCache:

@@ -7,12 +7,16 @@ from nikishin_hp import (
     AtomicMeasure,
     Interval,
     LaurentTail,
+    MeasureSpec,
     MultiIndex,
     Polynomial,
     RationalFn,
     RationalPerturbation,
+    SystemSpec,
     assemble_type1_system,
+    build_system,
     check_orthogonality,
+    moments,
     noise_floor,
     perturbed_reduce,
     remainder_eval,
@@ -22,6 +26,8 @@ from nikishin_hp import (
     system_from_generators,
     type2_residual_tail,
 )
+from nikishin_hp.hermite_pade import _nullspace_min_direction, _type1_tails
+from nikishin_hp.linalg import svd_sv
 
 TIGHT = mpf(10) ** -70
 
@@ -71,6 +77,102 @@ class TestAssembly:
     def test_short_tails_rejected(self):
         with pytest.raises(ValueError):
             assemble_type1_system([LaurentTail([1, 2])], MultiIndex((3,)), 0)
+
+
+def padded_svd_r(A):
+    """Oracle: mp.svd_r on A padded with zero rows to a square."""
+    rows, cols = A.rows, A.cols
+    S = mp.matrix(cols, cols)
+    for i in range(rows):
+        for j in range(cols):
+            S[i, j] = A[i, j]
+    _, svals, V = mp.svd_r(S)
+    return [svals[i] for i in range(cols)], [V[cols - 1, j] for j in range(cols)]
+
+
+def bits(values):
+    return [x._mpf_ for x in values]
+
+
+def assert_matches_oracle(A, expected_rank):
+    vec, flag, svals = _nullspace_min_direction(A, expected_rank)
+    oracle_svals, oracle_vec = padded_svd_r(A)
+    assert bits(svals) == bits(oracle_svals)
+    assert bits(vec) == bits(oracle_vec)
+    if expected_rank > 0:
+        gap = oracle_svals[expected_rank - 1] <= 2**10 * oracle_svals[expected_rank]
+        assert flag == gap
+    return flag
+
+
+def type1_matrix(sys, pert, n):
+    return assemble_type1_system(_type1_tails(sys, pert, n, n.total + n.max_part + 4), n, 0)
+
+
+class TestNullspaceKernel:
+    """The V-only SVD reproduces padded mp.svd_r bit for bit."""
+
+    def test_readme_type1_matrix(self, m2_32_system, pert_pm5):
+        n = MultiIndex((8, 8))
+        A = type1_matrix(m2_32_system, pert_pm5, n)
+        assert (A.rows, A.cols) == (15, 16)
+        assert not assert_matches_oracle(A, n.total - 1)
+
+    def test_square_type2_matrix(self, m2_16_system):
+        n = MultiIndex((3, 3))
+        total = n.total
+        tails = [moments(m2_16_system.chain(1, j), total + n.max_part + 4) for j in (1, 2)]
+        rows = [[tails[j][nu + mu] for mu in range(total + 1)] for j in range(2) for nu in range(n[j])]
+        square = mp.matrix(rows + [[0] * (total + 1)])
+        assert_matches_oracle(square, total)
+        # the solver drops the zero row: same bits
+        vec, _, svals = _nullspace_min_direction(mp.matrix(rows), total)
+        oracle_svals, oracle_vec = padded_svd_r(square)
+        assert bits(svals) == bits(oracle_svals) and bits(vec) == bits(oracle_vec)
+
+    def test_rank_deficient_12_atom_matrix(self):
+        # |n| = 28 conditions on 12 atoms per generator: numerical rank <= 24
+        sys = build_system(
+            SystemSpec(
+                [
+                    MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=12)
+                    for a, b in ((-1, 0), (1, 3))
+                ]
+            )
+        )
+        n = MultiIndex((14, 14))
+        A = type1_matrix(sys, None, n)
+        assert (A.rows, A.cols) == (27, 28)
+        assert_matches_oracle(A, n.total - 1)
+
+    def test_no_rows_flags_nullity(self):
+        A = assemble_type1_system([LaurentTail([1, 2, 3])], MultiIndex((1,)), 0)
+        assert (A.rows, A.cols) == (0, 1)
+        vec, flag, svals = _nullspace_min_direction(A, 0)
+        assert flag is True
+        assert vec == [1] and svals == [0]
+        assert_matches_oracle(A, 0)
+
+    def test_tall_matrix_all_of_v(self):
+        rows = [[mpf((3 * i + 5 * j * j) % 11 - 5) / (i + 1) for j in range(4)] for i in range(7)]
+        S, V = svd_sv(rows, 4)
+        _, oracle_S, oracle_V = mp.svd_r(mp.matrix(rows))
+        assert bits(S) == bits(oracle_S)
+        assert [bits(row) for row in V] == [bits(oracle_V[i, :]) for i in range(4)]
+
+    def test_input_rows_untouched(self):
+        rows = [[mpf(1), mpf(2)], [mpf(3), mpf(4)]]
+        svd_sv(rows, 2)
+        assert rows == [[1, 2], [3, 4]]
+
+    def test_iteration_budget_exhausted_raises(self):
+        # at 8 bits mp.dps is 1, so each singular value gets 3 QR sweeps
+        rows = [[mpf((3 * i + 5 * j * j) % 11 - 5) for j in range(6)] for i in range(6)]
+        with mp.workprec(8):
+            with pytest.raises(RuntimeError, match="no convergence"):
+                mp.svd_r(mp.matrix(rows))
+            with pytest.raises(RuntimeError, match="no convergence"):
+                svd_sv(rows, 6)
 
 
 class TestTypeIPlain:

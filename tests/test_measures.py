@@ -156,6 +156,27 @@ class TestCauchy:
         with pytest.raises(ValueError):
             cauchy_eval(two_atom(), 1)
 
+    def test_within_noise_floor_of_atom_rejected(self):
+        tol = noise_floor(0.5)
+        for z in (1 + tol / 2, -1 - tol / 2, mpc(1, tol / 2), mpc(-1 + tol / 4, -tol / 4)):
+            with pytest.raises(ValueError):
+                cauchy_eval(two_atom(), z)
+
+    def test_off_support_value_is_the_bare_sum(self):
+        # the guard only decides whether to raise; the value is the plain sum
+        mu = AtomicMeasure(
+            [mpf("-0.9"), mpf("-0.2"), mpf("0.4"), mpf("0.8")],
+            [mpf("0.1"), mpf("0.4"), mpf("0.3"), mpf("0.2")],
+            -1,
+            Interval(-1, 1),
+        )
+        tol = noise_floor(0.5)
+        # off the interval, between atoms, just beyond an atom's noise floor
+        for z in (mpc(3, 1), mpf(2), mpf("0.1"), mpc("0.4", 4 * tol), mpf("0.8") + 4 * tol):
+            zz = mpc(z) if isinstance(z, mpc) else mpf(z)
+            bare = -mp.fsum(w / (zz - x) for x, w in zip(mu.nodes, mu.weights))
+            assert cauchy_eval(mu, z) == bare
+
     def test_truncated_tail_bound(self):
         # |s-hat(z) - partial sum| <= (r/|z|)^(K+1) * |c_0| / (|z| - r)
         mu = AtomicMeasure(
