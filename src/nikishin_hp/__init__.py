@@ -27,6 +27,7 @@ from .analysis import (
     pole_attraction,
     ratio_error,
     ratio_error_a0,
+    ratio_targets,
     sign_changes,
 )
 from .hermite_pade import (

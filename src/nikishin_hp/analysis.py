@@ -3,10 +3,11 @@
 The solved vectors are compared against their limit targets on a compact
 evaluation grid away from the last interval and from the perturbation's
 poles: a_j/a_m tends to (-1)^(m-j) s-hat_{m,j+1} and a_0/a_m to the reversed
-transform combination carrying the perturbation.  Sup-errors over diagonal
-sweeps feed a least-squares geometric rate estimate, and root censuses verify
-that each pole of multiplicity kappa captures exactly kappa zeros of every
-component while stray zeros vanish.
+transform combination carrying the perturbation.  The targets depend on the
+grid only, so a sweep evaluates them once (ratio_targets) and every row
+reads them.  Sup-errors over diagonal sweeps feed a least-squares geometric
+rate estimate, and root censuses verify that each pole of multiplicity kappa
+captures exactly kappa zeros of every component while stray zeros vanish.
 """
 
 from __future__ import annotations
@@ -94,22 +95,53 @@ class ConvergenceRow:
     precision_bits: int
 
 
+def ratio_targets(
+    sys: NikishinSystem, pert: Optional[RationalPerturbation], grid: EvalGrid
+) -> tuple:
+    """The limits of a_0/a_m, ..., a_{m-1}/a_m at every grid point.
+
+    Entry [i][j] is the target of a_j/a_m at grid.points[i]:
+    (-1)^(m-j) s-hat_{m,j+1} for 1 <= j < m, and for j = 0
+        (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
+    Each transform s-hat_{m,j+1} is evaluated once per point, so a sweep
+    computes the table once and passes it to every convergence_row.
+    """
+    m = sys.m
+    out = []
+    for z in grid.points:
+        s = [cauchy_eval(sys.chain(m, j + 1), z) for j in range(m)]
+        t0 = (-1) ** m * s[0]
+        if pert is not None:
+            for j in range(1, m):
+                f = pert.fractions[j - 1]
+                if not f.is_zero:
+                    t0 -= (-1) ** (m - j) * f(z) * s[j]
+            if not pert.fractions[m - 1].is_zero:
+                t0 -= pert.fractions[m - 1](z)
+        out.append((t0,) + tuple((-1) ** (m - j) * s[j] for j in range(1, m)))
+    return tuple(out)
+
+
 def ratio_error(
     sys: NikishinSystem,
     pert: Optional[RationalPerturbation],
     v: TypeIVector,
     j: int,
     grid: EvalGrid,
+    targets: Optional[tuple] = None,
 ) -> RatioErrorResult:
-    """sup_K |a_j/a_m - (-1)^(m-j) s-hat_{m,j+1}|, skipping near-zeros of a_m."""
+    """sup_K |a_j/a_m - (-1)^(m-j) s-hat_{m,j+1}|, skipping near-zeros of a_m.
+
+    `targets` can pass a precomputed ratio_targets(sys, pert, grid).
+    """
     m = sys.m
     if m < 2:
         raise ValueError("ratio error needs at least two components")
     if not 1 <= j <= m - 1:
         raise IndexError(f"component {j} outside 1..{m - 1}")
-    target = sys.chain(m, j + 1)
-    sign = (-1) ** (m - j)
-    return _sup_ratio_error(v, grid, lambda z: sign * cauchy_eval(target, z), numerator=j)
+    if targets is None:
+        targets = ratio_targets(sys, pert, grid)
+    return _sup_ratio_error(v, grid, targets, numerator=j)
 
 
 def ratio_error_a0(
@@ -117,28 +149,19 @@ def ratio_error_a0(
     pert: Optional[RationalPerturbation],
     v: TypeIVector,
     grid: EvalGrid,
+    targets: Optional[tuple] = None,
 ) -> RatioErrorResult:
     """sup_K |a_0/a_m - target| with the perturbation folded into the target.
 
     target = (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
+    `targets` can pass a precomputed ratio_targets(sys, pert, grid).
     """
-    m = sys.m
-
-    def target(z):
-        acc = (-1) ** m * cauchy_eval(sys.chain(m, 1), z)
-        if pert is not None:
-            for j in range(1, m):
-                f = pert.fractions[j - 1]
-                if not f.is_zero:
-                    acc -= (-1) ** (m - j) * f(z) * cauchy_eval(sys.chain(m, j + 1), z)
-            if not pert.fractions[m - 1].is_zero:
-                acc -= pert.fractions[m - 1](z)
-        return acc
-
-    return _sup_ratio_error(v, grid, target, numerator=0)
+    if targets is None:
+        targets = ratio_targets(sys, pert, grid)
+    return _sup_ratio_error(v, grid, targets, numerator=0)
 
 
-def _sup_ratio_error(v: TypeIVector, grid: EvalGrid, target, numerator: int):
+def _sup_ratio_error(v: TypeIVector, grid: EvalGrid, targets, numerator: int):
     m = v.m
     a_m = v.a[m]
     if a_m.is_zero:
@@ -149,12 +172,12 @@ def _sup_ratio_error(v: TypeIVector, grid: EvalGrid, target, numerator: int):
     target_scale = mpf(0)
     skipped = 0
     evaluated = 0
-    for z in grid.points:
+    for z, row in zip(grid.points, targets):
         den = a_m(z)
         if abs(den) < skip_below:
             skipped += 1
             continue
-        t = target(z)
+        t = row[numerator]
         target_scale = max(target_scale, abs(t))
         sup_err = max(sup_err, abs(a_num(z) / den - t))
         evaluated += 1
@@ -168,19 +191,23 @@ def convergence_row(
     pert: Optional[RationalPerturbation],
     v: TypeIVector,
     grid: EvalGrid,
+    targets: Optional[tuple] = None,
 ) -> ConvergenceRow:
     """Sup-errors for all ratio limits, each normalized by its target's sup.
 
     Normalization makes rows exactly invariant under generator rescaling for
     plain systems (the blockwise nullspace covariance cancels), while leaving
-    monotonicity and rate estimates untouched.
+    monotonicity and rate estimates untouched.  `targets` can pass a
+    precomputed ratio_targets(sys, pert, grid), shared by a sweep's rows.
     """
+    if targets is None:
+        targets = ratio_targets(sys, pert, grid)
     floor = mpf(2) ** (-mp.prec)
     errs = []
     for j in range(1, sys.m):
-        r = ratio_error(sys, pert, v, j, grid)
+        r = ratio_error(sys, pert, v, j, grid, targets)
         errs.append(r.sup_error / max(r.target_scale, floor))
-    r0 = ratio_error_a0(sys, pert, v, grid)
+    r0 = ratio_error_a0(sys, pert, v, grid, targets)
     return ConvergenceRow(
         v.n,
         tuple(errs),

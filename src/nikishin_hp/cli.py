@@ -58,6 +58,7 @@ from .analysis import (
     estimate_rate,
     first_level_remainder_values,
     pole_attraction,
+    ratio_targets,
     sign_changes,
 )
 from .hermite_pade import (
@@ -413,7 +414,8 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
     grid = _build_grid(config, sys, pert)
 
     solutions = _solve_sweep(config, sys, pert, base_tails, jobs)
-    rows = [convergence_row(sys, pert, v, grid) for v in solutions]
+    targets = ratio_targets(sys, pert, grid) if solutions else None
+    rows = [convergence_row(sys, pert, v, grid, targets=targets) for v in solutions]
 
     passes = {}
     identities = {"precision_bits": config.precision_bits, "checks": {}}
@@ -446,11 +448,11 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
             from .measures import inverse_measure
 
             inv = inverse_measure(sys.generators[0])
+            points = grid.points[: min(len(grid.points), 24)]
             worst = (mpf(0), mpf(0))
             ok = True
             for k in range(2, m + 1):
-                for z in grid.points[: min(len(grid.points), 24)]:
-                    r = check_ratio_identity(sys, k, z, inverse=inv)
+                for r in check_ratio_identity(sys, k, points, inverse=inv):
                     if r.residual > worst[0]:
                         worst = (r.residual, r.scale)
                     if r.residual > tol_third * max(r.scale, mpf(1)):

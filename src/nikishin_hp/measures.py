@@ -312,13 +312,27 @@ def inverse_measure(mu: AtomicMeasure):
     return ell, tau
 
 
+GAP_BISECTIONS = 60
+GAP_BISECTIONS_FIRST = 8
+
+
 def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
-    """Unique zero of mu-hat in the open gap (x_i, x_{i+1})."""
+    """Unique zero of mu-hat in the open gap (x_i, x_{i+1}).
+
+    Newton starts after GAP_BISECTIONS_FIRST bisection steps.  Should an
+    iterate leave that bracket, or the iteration not converge, the
+    bisection runs on to GAP_BISECTIONS steps and Newton restarts without
+    a guard, so the worst case computes what a plain GAP_BISECTIONS-step
+    start computes.
+    """
     lo, hi = mu.nodes[i], mu.nodes[i + 1]
     gap = hi - lo
 
     def f(t):
         return mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights))
+
+    def df(t):
+        return -mp.fsum(w / (t - x) ** 2 for x, w in zip(mu.nodes, mu.weights))
 
     # mu-hat (sign stripped) runs from +inf to -inf across the gap; shrink
     # toward the poles until the bracket is sign-definite.
@@ -335,25 +349,41 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
         shrink += 1
         if shrink > mp.prec:
             raise RuntimeError("inverse measure construction failed; raise precision")
-    for _ in range(60):
+    a, b = _bisect(f, a, b, GAP_BISECTIONS_FIRST)
+    x = _newton(f, df, a, b, guarded=True)
+    if x is None:
+        a, b = _bisect(f, a, b, GAP_BISECTIONS - GAP_BISECTIONS_FIRST)
+        x = _newton(f, df, a, b, guarded=False)
+    return x
+
+
+def _bisect(f, a, b, steps: int):
+    """`steps` halvings of a bracket with f(a) > 0 >= f(b)."""
+    for _ in range(steps):
         mid = (a + b) / 2
         if f(mid) > 0:
             a = mid
         else:
             b = mid
-    # Newton from the bisected bracket; f is strictly decreasing on the gap
-    # with derivative bounded away from zero, so the iteration is safe and
-    # quadratic from here.
+    return a, b
+
+
+def _newton(f, df, a, b, guarded: bool):
+    """Newton from the bracket's midpoint; f is strictly decreasing on the gap.
+
+    Guarded, it gives up (returns None) when an iterate leaves [a, b] or 60
+    steps do not converge; unguarded, it returns the last iterate.
+    """
     x = (a + b) / 2
     tol = mpf(2) ** (-mp.prec + 8)
     for _ in range(60):
-        fx = f(x)
-        dfx = -mp.fsum(w / (x - t) ** 2 for t, w in zip(mu.nodes, mu.weights))
-        step = fx / dfx
+        step = f(x) / df(x)
         x = x - step
+        if guarded and not a <= x <= b:
+            return None
         if abs(step) <= tol * (1 + abs(x)):
-            break
-    return x
+            return x
+    return None if guarded else x
 
 
 def carleman_partial_sum(mu: AtomicMeasure, N: int):

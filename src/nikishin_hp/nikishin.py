@@ -10,7 +10,11 @@ targets of the ratio asymptotics and live on the last interval.
 Two residual checks act as the correctness oracles for the tables: the
 alternating cross-product identity linking forward and reversed transforms,
 and the ratio identity expressing s-hat_{1,k}/s-hat_{1,1} through the inverse
-measure of sigma_1.
+measure of sigma_1.  The ratio identity takes a list of points and builds
+its z-independent product measure once for all of them.
+
+Every product first checks that the two node sets stay apart; the smallest
+node gap comes from one merge of the two sorted node lists.
 """
 
 from __future__ import annotations
@@ -107,11 +111,27 @@ def _check_separation(alpha: AtomicMeasure, beta: AtomicMeasure):
     touching = (
         alpha.support.b == beta.support.a or beta.support.b == alpha.support.a
     )
-    min_gap = min(abs(x - y) for x in alpha.nodes for y in beta.nodes)
+    min_gap = min(_cross_gaps(alpha.nodes, beta.nodes))
     if min_gap <= overlap_tol:
         raise ValueError("supports overlap")
     if touching and min_gap <= noise_floor(0.25):
         raise ValueError("node gap across the interval junction is below 2^-P/4")
+
+
+def _cross_gaps(xs, ys):
+    """|x - y| for the pairs a merge of the increasing xs and ys visits.
+
+    The closest pair is adjacent in the merged order and rounding is
+    monotone, so the minimum of these equals the minimum over all pairs
+    bit for bit.
+    """
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        yield abs(xs[i] - ys[j])
+        if xs[i] < ys[j]:
+            i += 1
+        else:
+            j += 1
 
 
 def build_system(spec: SystemSpec) -> NikishinSystem:
@@ -188,27 +208,32 @@ def check_chain_identity(sys: NikishinSystem, j: int, z) -> IdentityResidual:
 
 
 def check_ratio_identity(
-    sys: NikishinSystem, k: int, z, inverse: Optional[tuple] = None
-) -> IdentityResidual:
-    """Residual of s-hat_{1,k}/s-hat_{1,1} = mass ratio - <tau_11, <s_{2,k}, sigma_1>>-hat.
+    sys: NikishinSystem, k: int, points, inverse: Optional[tuple] = None
+) -> list:
+    """Residuals of s-hat_{1,k}/s-hat_{1,1} = mass ratio - <tau_11, <s_{2,k}, sigma_1>>-hat.
 
-    The constant is the signed mass ratio c_0(s_{1,k})/c_0(s_{1,1}).  A
-    single-atom sigma_1 has an empty tau and the bracket term is the zero
-    function.  `inverse` can pass a precomputed inverse_measure(sigma_1).
+    One IdentityResidual per point of `points`, in order.  The constant is
+    the signed mass ratio c_0(s_{1,k})/c_0(s_{1,1}).  The measure
+    <tau_11, <s_{2,k}, sigma_1>> does not depend on z and is built once per
+    call.  A single-atom sigma_1 has an empty tau and the bracket term is
+    the zero function.  `inverse` can pass a precomputed
+    inverse_measure(sigma_1).
     """
     if not 2 <= k <= sys.m:
         raise IndexError(f"ratio identity needs 2 <= k <= m, got {k}")
-    z = mpc(z)
     sigma1 = sys.generators[0]
     _, tau = inverse if inverse is not None else inverse_measure(sigma1)
-    lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
     mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
-    if tau is None:
-        bracket = mpc(0)
-    else:
+    outer = None
+    if tau is not None:
         inner = product_measure(sys.chain(2, k), sigma1)
         outer = product_measure(tau, inner)
-        bracket = cauchy_eval(outer, z)
-    residual = abs(lhs - mass_ratio + bracket)
-    scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
-    return IdentityResidual(residual, scale)
+    out = []
+    for z in points:
+        z = mpc(z)
+        lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
+        bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
+        residual = abs(lhs - mass_ratio + bracket)
+        scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
+        out.append(IdentityResidual(residual, scale))
+    return out

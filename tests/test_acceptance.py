@@ -106,8 +106,8 @@ def test_criterion_2_identity_suite():
     for sys in (m2, m3):
         inv = inverse_measure(sys.generators[0])
         for k in range(2, sys.m + 1):
-            for z in points:
-                worst_ratio = max(worst_ratio, check_ratio_identity(sys, k, z, inverse=inv).residual)
+            for r in check_ratio_identity(sys, k, points, inverse=inv):
+                worst_ratio = max(worst_ratio, r.residual)
     assert worst_ratio <= mpf(10) ** -40
 
     worst_inverse = mpf(0)

@@ -1,7 +1,7 @@
 """Ratio-limit errors, rate estimation, sign counting, pole attraction."""
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from nikishin_hp import (
     ConvergenceRow,
@@ -21,6 +21,7 @@ from nikishin_hp import (
     pole_attraction,
     ratio_error,
     ratio_error_a0,
+    ratio_targets,
     sign_changes,
     solve_type1,
     solve_type1_perturbed,
@@ -152,6 +153,70 @@ class TestConvergenceRow:
         r0 = ratio_error_a0(m2_16_system, None, v, grid)
         assert abs(row.err[0] - r1.sup_error / r1.target_scale) < noise_floor(0.9)
         assert abs(row.err0 - r0.sup_error / r0.target_scale) < noise_floor(0.9)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_shared_targets_match_the_per_row_formula(self, m2_16_system, pert_pm5, perturbed):
+        # a sweep evaluates the targets once and hands them to every row;
+        # each row must equal, bit for bit, the formula that evaluated the
+        # targets inside every ratio error.  a_2 is made to vanish at z0, just
+        # off the last interval, where the targets peak: a skipped point must
+        # not count toward the target scale
+        sys, pert = m2_16_system, (pert_pm5 if perturbed else None)
+        z0 = mpf("3.001")
+        base = EvalGrid.default(sys, pert, circle_points=8, segment_points=2)
+        grid = EvalGrid(list(base.points) + [z0])
+        vs = []
+        for k in (3, 5):
+            n = MultiIndex((k, k))
+            v = solve_type1_perturbed(sys, pert, n) if perturbed else solve_type1(sys, n)
+            a = v.a[:-1] + (v.a[-1] * Polynomial([-z0, 1]),)
+            vs.append(TypeIVector(a, v.n, v.order_target, v.residual_order, False, 256))
+
+        def per_row(v):
+            m = sys.m
+            floor = mpf(2) ** (-mp.prec)
+
+            def sup(numerator, target):
+                err, scale, skipped = mpf(0), mpf(0), 0
+                for z in grid.points:
+                    den = v.a[m](z)
+                    if abs(den) < noise_floor(0.5):
+                        skipped += 1
+                        continue
+                    t = target(z)
+                    scale = max(scale, abs(t))
+                    err = max(err, abs(v.a[numerator](z) / den - t))
+                assert skipped == 1
+                return err / max(scale, floor)
+
+            def t0(z):
+                acc = (-1) ** m * cauchy_eval(sys.chain(m, 1), z)
+                if pert is not None:
+                    for j in range(1, m):
+                        f = pert.fractions[j - 1]
+                        if not f.is_zero:
+                            acc -= (-1) ** (m - j) * f(z) * cauchy_eval(sys.chain(m, j + 1), z)
+                    if not pert.fractions[m - 1].is_zero:
+                        acc -= pert.fractions[m - 1](z)
+                return acc
+
+            errs = tuple(
+                sup(j, lambda z, j=j: (-1) ** (m - j) * cauchy_eval(sys.chain(m, j + 1), z))
+                for j in range(1, m)
+            )
+            return errs, sup(0, t0)
+
+        targets = ratio_targets(sys, pert, grid)
+        assert len(targets) == len(grid.points)
+        for v in vs:
+            errs, err0 = per_row(v)
+            for row in (
+                convergence_row(sys, pert, v, grid, targets=targets),
+                convergence_row(sys, pert, v, grid),
+            ):
+                assert row.err == errs
+                assert row.err0 == err0
+            assert ratio_error(sys, pert, v, 1, grid, targets).skipped == 1
 
 
 class TestEstimateRate:

@@ -6,6 +6,7 @@ from pathlib import Path
 from nikishin_hp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
+GOLDEN_M3 = Path(__file__).parent / "data" / "golden_m3"
 
 
 def base_config(out_dir, sweep=None, checks=None, pert=None):
@@ -207,6 +208,32 @@ class TestGoldenBodies:
         assert main(["run", str(write_config(tmp_path, cfg)), "--no-cache"]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN / name).read_bytes(), name
+
+    def test_m3_bodies_match_stored_bytes(self, tmp_path):
+        # m=3 pins k=2 and k=3 of the ratio identity and the two ratio
+        # limits of every row; stored as written before the ratio identity,
+        # the convergence targets and the gap roots hoisted their invariants
+        out = tmp_path / "out"
+        cfg = {
+            "precision_bits": 128,
+            "system": [
+                {"kind": "legendre-density", "interval": [-1, 0], "node_count": 16},
+                {"kind": "legendre-density", "interval": [1, 3], "node_count": 16},
+                {"kind": "legendre-density", "interval": [4, 6], "node_count": 16},
+            ],
+            "perturbations": [
+                {"num_coeffs": [1], "den_coeffs": [-8, 1]},
+                None,
+                {"num_coeffs": [1], "den_coeffs": [8, 1]},
+            ],
+            "sweep": {"shape": "diagonal", "k_min": 2, "k_max": 4, "step": 1},
+            "grid": {"radius_factor": 4, "circle_points": 16, "segment_points": 4},
+            "checks": ["chile", "ratio44"],
+            "output_dir": str(out),
+        }
+        assert main(["run", str(write_config(tmp_path, cfg)), "--no-cache"]) == 0
+        for name in ("convergence.csv", "identities.json"):
+            assert body_bytes(out / name) == (GOLDEN_M3 / name).read_bytes(), name
 
 
 class TestCache:

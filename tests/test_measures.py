@@ -5,6 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+from nikishin_hp import measures
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
@@ -241,6 +242,112 @@ class TestInverseMeasure:
             assert mu.nodes[i] < y < mu.nodes[i + 1]
         # negative measure: derivative of its transform is positive, residues positive
         assert tau.sign == 1
+
+
+def gap_root_60(mu, i):
+    """The gap root as computed before the early Newton start: 60 bisections."""
+    lo, hi = mu.nodes[i], mu.nodes[i + 1]
+    gap = hi - lo
+
+    def f(t):
+        return mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights))
+
+    a, b = lo + gap / 8, hi - gap / 8
+    fa, fb = f(a), f(b)
+    while not (fa > 0 > fb):
+        if fa <= 0:
+            a = lo + (a - lo) / 2
+            fa = f(a)
+        if fb >= 0:
+            b = hi - (hi - b) / 2
+            fb = f(b)
+    for _ in range(60):
+        mid = (a + b) / 2
+        if f(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    x = (a + b) / 2
+    tol = mpf(2) ** (-mp.prec + 8)
+    for _ in range(60):
+        fx = f(x)
+        dfx = -mp.fsum(w / (x - t) ** 2 for t, w in zip(mu.nodes, mu.weights))
+        step = fx / dfx
+        x = x - step
+        if abs(step) <= tol * (1 + abs(x)):
+            break
+    return x
+
+
+def lopsided_pair(ratio):
+    return AtomicMeasure([0, 1], [ratio, 1], 1, Interval(0, 1))
+
+
+@pytest.fixture
+def bisect_steps(monkeypatch):
+    """The step counts of every measures._bisect call, in order."""
+    steps = []
+    bisect = measures._bisect
+
+    def counting(f, a, b, n):
+        steps.append(n)
+        return bisect(f, a, b, n)
+
+    monkeypatch.setattr(measures, "_bisect", counting)
+    return steps
+
+
+class TestGapRoot:
+    def gap_measures(self):
+        rng = random.Random(41)
+        nodes = sorted(rng.uniform(1, 3) for _ in range(12))
+        weights = [rng.uniform(0.05, 2) for _ in range(12)]
+        return [
+            realize(MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=16)),
+            realize(MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=32)),
+            realize(
+                MeasureSpec(
+                    kind="jacobi-density",
+                    interval=Interval(1, 3),
+                    node_count=32,
+                    alpha=mpf("0.5"),
+                    beta=mpf("-0.5"),
+                )
+            ),
+            AtomicMeasure(nodes, weights, -1, Interval(1, 3)),
+            lopsided_pair(mpf(10) ** 15),
+            AtomicMeasure([0, 1, 2], [1000, 1, 1], 1, Interval(0, 2)),
+        ]
+
+    def test_inverse_measure_matches_sixty_bisections(self, monkeypatch):
+        # compared after tau's nodes and weights are rounded to P bits: at the
+        # P+64 bits the roots are found with, the two Newton starts may end
+        # one unit apart in the last place (the 16-node rule shows it)
+        for mu in self.gap_measures():
+            _, tau = inverse_measure(mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_gap_root", gap_root_60)
+                _, ref = inverse_measure(mu)
+            assert tau.nodes == ref.nodes
+            assert tau.weights == ref.weights
+            assert tau.sign == ref.sign
+
+    @pytest.mark.parametrize("ratio", [mpf(10) ** 15, mpf(10) ** -15])
+    def test_unequal_weights_fall_back_to_sixty_bisections(self, bisect_steps, ratio):
+        # the root sits about 1e-15 from one atom, far inside the 8-step
+        # bracket's end: Newton's first step leaves the bracket, the
+        # bisection runs on to 60 steps, and the root is the reference's
+        mu = lopsided_pair(ratio)
+        with mp.workprec(mp.prec + 64):
+            root = measures._gap_root(mu, 0)
+            assert bisect_steps == [8, 52]
+            assert root == gap_root_60(mu, 0)
+            assert abs(root - ratio / (ratio + 1)) <= noise_floor(0.5)
+
+    def test_well_spread_atoms_skip_the_fallback(self, bisect_steps):
+        mu = realize(MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=16))
+        inverse_measure(mu)
+        assert bisect_steps == [8] * 15
 
 
 class TestCarleman:

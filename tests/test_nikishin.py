@@ -5,12 +5,14 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+from nikishin_hp import nikishin
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
     cauchy_eval,
     check_chain_identity,
     check_ratio_identity,
+    inverse_measure,
     noise_floor,
     product_measure,
     s_hat_eval,
@@ -68,6 +70,32 @@ class TestProductMeasure:
         b = AtomicMeasure([1, 2], [1, 1], 1, Interval("0.5", 3))
         with pytest.raises(ValueError):
             product_measure(a, b)
+
+
+    def test_overlap_message_kept(self):
+        # the merged gap is 0 where both measures share a node
+        a = AtomicMeasure([0, 1], [1, 1], 1, Interval(-1, 1))
+        b = AtomicMeasure([1, 2], [1, 1], 1, Interval(1, 3))
+        with pytest.raises(ValueError, match="supports overlap"):
+            product_measure(a, b)
+
+    def test_junction_gap_message_kept(self):
+        # touching supports, nodes 1e-30 apart: above 2^-P/2, below 2^-P/4
+        a = AtomicMeasure([-1, -(mpf(10) ** -30)], [1, 1], 1, Interval(-1, 0))
+        b = AtomicMeasure([0, 1], [1, 1], 1, Interval(0, 1))
+        with pytest.raises(ValueError, match="junction"):
+            product_measure(a, b)
+
+    def test_merged_gap_equals_all_pairs_minimum(self):
+        # interleaved node lists: the merge must find the all-pairs minimum
+        # of |x - y| bit for bit, in either argument order
+        rng = random.Random(37)
+        for n, k in ((1, 1), (1, 6), (5, 3), (16, 16), (7, 20)):
+            xs = sorted({mpf(rng.uniform(-1, 1)) for _ in range(n)})
+            ys = sorted({mpf(rng.uniform(-1, 1)) for _ in range(k)})
+            expected = min(abs(x - y) for x in xs for y in ys)
+            assert min(nikishin._cross_gaps(xs, ys)) == expected
+            assert min(nikishin._cross_gaps(ys, xs)) == expected
 
 
 class TestBuildSystem:
@@ -164,7 +192,7 @@ class TestRatioIdentity:
         sigma2 = AtomicMeasure([1, 2], [1, 1], 1, Interval(1, 3))
         sys = system_from_generators([sigma1, sigma2])
         z = mpc(5, 5)
-        r = check_ratio_identity(sys, 2, z)
+        (r,) = check_ratio_identity(sys, 2, [z])
         assert r.residual < TIGHT
         ratio = s_hat_eval(sys, 1, 2, z) / s_hat_eval(sys, 1, 1, z)
         mass_ratio = sys.chain(1, 2).total_mass / sigma1.total_mass
@@ -174,7 +202,7 @@ class TestRatioIdentity:
         sigma1 = AtomicMeasure([-1, 1], ["0.5", "0.5"], 1, Interval("-1.2", "1.2"))
         sigma2 = AtomicMeasure([2, 3], [1, 2], 1, Interval(2, 4))
         sys = system_from_generators([sigma1, sigma2])
-        r = check_ratio_identity(sys, 2, mpc(5, 5))
+        (r,) = check_ratio_identity(sys, 2, [mpc(5, 5)])
         assert r.residual <= noise_floor(0.5) * max(r.scale, mpf(1))
 
     def test_limit_at_infinity_signed(self, m2_16_system):
@@ -188,5 +216,45 @@ class TestRatioIdentity:
         rng = random.Random(43)
         for k in (2, 3):
             z = mpc(rng.uniform(5, 8), rng.uniform(2, 4))
-            r = check_ratio_identity(m3_16_system, k, z)
+            (r,) = check_ratio_identity(m3_16_system, k, [z])
             assert r.residual <= noise_floor(0.4) * max(r.scale, mpf(1))
+
+    def test_points_match_the_per_point_formula(self, m3_16_system):
+        # the z-independent measures are built once per k; every residual and
+        # scale must equal, bit for bit, the formula that rebuilt them at
+        # each point
+        sys = m3_16_system
+        sigma1 = sys.generators[0]
+        _, tau = inverse_measure(sigma1)
+        rng = random.Random(47)
+        points = [mpc(rng.uniform(-8, 8), rng.uniform(0.3, 4)) for _ in range(5)]
+        points += [mpc(0, 10), mpc(3, "0.1")]
+        for k in (2, 3):
+            got = check_ratio_identity(sys, k, points, inverse=(None, tau))
+            assert len(got) == len(points)
+            for z, r in zip(points, got):
+                lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
+                mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
+                inner = product_measure(sys.chain(2, k), sigma1)
+                bracket = cauchy_eval(product_measure(tau, inner), z)
+                assert r.residual == abs(lhs - mass_ratio + bracket)
+                assert r.scale == max(abs(lhs), abs(mass_ratio), abs(bracket))
+
+    def test_products_built_twice_per_k(self, m3_16_system, monkeypatch):
+        calls = []
+        real = nikishin.product_measure
+
+        def counting(alpha, beta):
+            calls.append(1)
+            return real(alpha, beta)
+
+        monkeypatch.setattr(nikishin, "product_measure", counting)
+        inv = inverse_measure(m3_16_system.generators[0])
+        points = [mpc(5, 1), mpc(-4, 2), mpc(0, 7), mpc(2, -3)]
+        for k in (2, 3):
+            calls.clear()
+            assert len(check_ratio_identity(m3_16_system, k, points, inverse=inv)) == 4
+            assert len(calls) == 2
+
+    def test_empty_point_list(self, m2_16_system):
+        assert check_ratio_identity(m2_16_system, 2, []) == []
