@@ -50,7 +50,6 @@ from .measures import (
     AtomicMeasure,
     Interval,
     MeasureSpec,
-    carleman_partial_sum,
     cauchy_eval,
     gauss_jacobi_rule,
     inverse_measure,

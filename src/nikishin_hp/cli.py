@@ -1,10 +1,11 @@
 """Batch experiment runner.
 
 Ingests a JSON experiment description, realizes the measures, builds the
-system, runs solver sweeps, and emits CSV/JSON reports plus a content-hashed
-moment cache.  Exit code 0 means every requested check passed its tolerance;
-validation problems exit 2 with a machine-readable JSON error on stderr and
-check failures exit 1.
+system, runs the solver sweep serially, and emits CSV/JSON reports.  Exit
+code 0 means every requested check passed its tolerance; check failures exit
+1; validation problems exit 2 and numerical failures (root refinement, the
+inverse measure or the SVD running out of iterations) exit 3, both with a
+machine-readable JSON error on stderr.
 
 Config schema (numbers may be JSON numbers or decimal strings):
 
@@ -38,20 +39,18 @@ neither the flag nor the config pins it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys as _sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from mpmath import mp, mpc, mpf
 
-from .algebra import LaurentTail, RationalFn
+from .algebra import RationalFn
 from .analysis import (
     EvalGrid,
     convergence_row,
@@ -70,7 +69,8 @@ from .hermite_pade import (
     solve_type1_perturbed,
     solve_type2,
 )
-from .measures import Interval, MeasureSpec, moments
+# moments is unused here; benchmark/spans.py still patches cli.moments
+from .measures import Interval, MeasureSpec, moments  # noqa: F401
 from .nikishin import (
     SystemSpec,
     build_system,
@@ -81,7 +81,6 @@ from .precision import DEFAULT_PRECISION_BITS, noise_floor, set_precision
 
 ENV_PRECISION = "NIKISHIN_HP_PRECISION"
 KNOWN_CHECKS = ("chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2")
-CACHE_FILENAME = "moments.cache.json"
 
 
 class ConfigError(Exception):
@@ -253,95 +252,6 @@ def _parse_sweep(sweep_raw, m: int):
 
 
 # ---------------------------------------------------------------------------
-# moment cache
-# ---------------------------------------------------------------------------
-
-
-def _mpf_triple(x: mpf):
-    sign, man, exp, _ = x._mpf_
-    return [int(sign), hex(man), int(exp)]
-
-
-def _mpf_from_triple(t) -> mpf:
-    from mpmath.libmp import from_man_exp
-
-    sign, man, exp = int(t[0]), int(t[1], 16), int(t[2])
-    x = mp.make_mpf(from_man_exp(man, exp))
-    return -x if sign else x
-
-
-def system_content_hash(sys, precision_bits: int) -> str:
-    """Content hash of the realized system at a given precision."""
-    payload = {"precision_bits": precision_bits, "generators": []}
-    for g in sys.generators:
-        payload["generators"].append(
-            {
-                "nodes": [_mpf_triple(x) for x in g.nodes],
-                "weights": [_mpf_triple(w) for w in g.weights],
-                "sign": g.sign,
-                "support": [_mpf_triple(g.support.a), _mpf_triple(g.support.b)],
-            }
-        )
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _entry_checksum(coeff_triples) -> str:
-    blob = json.dumps(coeff_triples, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def cache_lookup(path: Path, system_hash: str, j: int, K: int):
-    """Cached moment tail of s_{1,j} with at least K+1 entries, or None.
-
-    Corrupt entries (checksum mismatch, undecodable) count as misses and emit
-    a warning on stderr.
-    """
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if data.get("system_hash") != system_hash:
-        return None
-    entry = data.get("entries", {}).get(str(j))
-    if entry is None:
-        return None
-    try:
-        coeffs = entry["coeffs"]
-        if entry.get("checksum") != _entry_checksum(coeffs):
-            print(
-                json.dumps({"warning": f"cache entry {j} failed its checksum; recomputing"}),
-                file=_sys.stderr,
-            )
-            return None
-        if len(coeffs) < K + 1:
-            return None
-        return [_mpf_from_triple(t) for t in coeffs]
-    except (KeyError, TypeError, ValueError, IndexError):
-        print(
-            json.dumps({"warning": f"cache entry {j} is corrupt; recomputing"}),
-            file=_sys.stderr,
-        )
-        return None
-
-
-def cache_store(path: Path, system_hash: str, precision_bits: int, tails: dict):
-    data = {
-        "version": 1,
-        "precision_bits": precision_bits,
-        "system_hash": system_hash,
-        "entries": {},
-    }
-    for j, coeffs in tails.items():
-        triples = [_mpf_triple(c) for c in coeffs]
-        data["entries"][str(j)] = {
-            "coeffs": triples,
-            "checksum": _entry_checksum(triples),
-        }
-    path.write_text(json.dumps(data, sort_keys=True))
-
-
-# ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
 
@@ -351,10 +261,9 @@ class ExperimentResult:
     exit_code: int
     passes: dict
     output_dir: Path
-    cache_hits: int
-    cache_misses: int
     rows: tuple
     elapsed_s: float
+    cache_hits: int = 0  # always 0 (no moment cache); benchmark/run.py asserts it
 
 
 def _fmt(x) -> str:
@@ -368,7 +277,30 @@ def _fmt(x) -> str:
     return mp.nstr(x, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
-def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int = 1) -> ExperimentResult:
+def _residual_entry(pairs, fraction, **extra) -> dict:
+    """identities.json entry gating (residual, scale) pairs.
+
+    A pair fails when residual > noise_floor(fraction) * max(scale, 1); the
+    entry reports the pair with the largest residual.
+    """
+    tol = noise_floor(fraction)
+    worst = (mpf(0), mpf(0))
+    ok = True
+    for residual, scale in pairs:
+        if residual > worst[0]:
+            worst = (residual, scale)
+        if residual > tol * max(scale, mpf(1)):
+            ok = False
+    return {
+        "max_residual": _fmt(worst[0]),
+        "scale": _fmt(worst[1]),
+        "tolerance_fraction": round(fraction, 6),
+        "pass": ok,
+        **extra,
+    }
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t_start = time.monotonic()
     set_precision(config.precision_bits)
     for w in config.warnings:
@@ -387,124 +319,53 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
     if pert is not None:
         pert.validate_against(sys)
 
-    # moment tails through the sweep's largest demand, via the advisory cache
-    k_need = 4
-    for n in config.sweep:
-        k_need = max(k_need, n.total + n.max_part + 4)
-    sys_hash = system_content_hash(sys, config.precision_bits)
-    cache_path = config.output_dir / CACHE_FILENAME
-    hits = misses = 0
-    base_tails = []
-    for j in range(1, m + 1):
-        cached = cache_lookup(cache_path, sys_hash, j, k_need) if use_cache else None
-        if cached is not None:
-            base_tails.append(LaurentTail(cached[: k_need + 1]))
-            hits += 1
-        else:
-            base_tails.append(moments(sys.chain(1, j), k_need))
-            misses += 1
-    if use_cache:
-        cache_store(
-            cache_path,
-            sys_hash,
-            config.precision_bits,
-            {j: base_tails[j - 1].coeffs for j in range(1, m + 1)},
-        )
-
     grid = _build_grid(config, sys, pert)
+    points = grid.points[:24]
 
-    solutions = _solve_sweep(config, sys, pert, base_tails, jobs)
+    if pert is not None:
+        solutions = [solve_type1_perturbed(sys, pert, n) for n in config.sweep]
+    else:
+        solutions = [solve_type1(sys, n, config.order_deficit) for n in config.sweep]
     targets = ratio_targets(sys, pert, grid) if solutions else None
     rows = [convergence_row(sys, pert, v, grid, targets=targets) for v in solutions]
 
-    passes = {}
-    identities = {"precision_bits": config.precision_bits, "checks": {}}
-    tol_half = noise_floor(0.5)
-    tol_third = noise_floor(1.0 / 3.0)
+    checks = {}
+    identities = {"precision_bits": config.precision_bits, "checks": checks}
 
     if "chile" in config.checks:
-        worst = (mpf(0), mpf(0))
-        ok = True
-        for j in range(m):
-            for z in grid.points[: min(len(grid.points), 24)]:
-                r = check_chain_identity(sys, j, z)
-                if r.residual > worst[0]:
-                    worst = (r.residual, r.scale)
-                if r.residual > tol_half * max(r.scale, mpf(1)):
-                    ok = False
-        passes["chile"] = ok
-        identities["checks"]["chile"] = {
-            "max_residual": _fmt(worst[0]),
-            "scale": _fmt(worst[1]),
-            "tolerance_fraction": 0.5,
-            "pass": ok,
-        }
+        results = (check_chain_identity(sys, j, z) for j in range(m) for z in points)
+        checks["chile"] = _residual_entry(((r.residual, r.scale) for r in results), 0.5)
 
     if "ratio44" in config.checks:
         if m < 2:
-            passes["ratio44"] = True
-            identities["checks"]["ratio44"] = {"pass": True, "note": "m=1: no ratios"}
+            checks["ratio44"] = {"pass": True, "note": "m=1: no ratios"}
         else:
             from .measures import inverse_measure
 
             inv = inverse_measure(sys.generators[0])
-            points = grid.points[: min(len(grid.points), 24)]
-            worst = (mpf(0), mpf(0))
-            ok = True
-            for k in range(2, m + 1):
-                for r in check_ratio_identity(sys, k, points, inverse=inv):
-                    if r.residual > worst[0]:
-                        worst = (r.residual, r.scale)
-                    if r.residual > tol_third * max(r.scale, mpf(1)):
-                        ok = False
-            passes["ratio44"] = ok
-            identities["checks"]["ratio44"] = {
-                "max_residual": _fmt(worst[0]),
-                "scale": _fmt(worst[1]),
-                "tolerance_fraction": round(1.0 / 3.0, 6),
-                "pass": ok,
-            }
+            pairs = (
+                (r.residual, r.scale)
+                for k in range(2, m + 1)
+                for r in check_ratio_identity(sys, k, points, inverse=inv)
+            )
+            checks["ratio44"] = _residual_entry(pairs, 1.0 / 3.0)
 
     # one T-reduction per solution serves both the orthogonality and the
     # reduction checks
     reports = [perturbed_reduce(pert, v, sys) for v in solutions] if pert is not None else []
 
     if "orthogonality" in config.checks:
-        worst = (mpf(0), mpf(0))
-        ok = True
-        targets = [r.reduced for r in reports] if pert is not None else solutions
-        for target in targets:
-            orth = check_orthogonality(sys, target)
-            if orth.max_residual > worst[0]:
-                worst = (orth.max_residual, orth.scale)
-            if orth.max_residual > tol_half * max(orth.scale, mpf(1)):
-                ok = False
-        passes["orthogonality"] = ok
-        identities["checks"]["orthogonality"] = {
-            "max_residual": _fmt(worst[0]),
-            "scale": _fmt(worst[1]),
-            "tolerance_fraction": 0.5,
-            "pass": ok,
-            "instances": len(solutions),
-        }
+        reduced = [r.reduced for r in reports] if pert is not None else solutions
+        results = (check_orthogonality(sys, v) for v in reduced)
+        checks["orthogonality"] = _residual_entry(
+            ((o.max_residual, o.scale) for o in results), 0.5, instances=len(solutions)
+        )
 
     if pert is not None:
         # reduction consistency is always reported when a perturbation exists
-        worst = (mpf(0), mpf(0))
-        ok = True
-        for report in reports:
-            if report.max_residual > worst[0]:
-                worst = (report.max_residual, report.scale)
-            if report.max_residual > tol_half * max(report.scale, mpf(1)):
-                ok = False
-        passes["reduction"] = ok
-        identities["checks"]["reduction"] = {
-            "max_residual": _fmt(worst[0]),
-            "scale": _fmt(worst[1]),
-            "tolerance_fraction": 0.5,
-            "pass": ok,
-            "instances": len(solutions),
-        }
+        checks["reduction"] = _residual_entry(
+            ((r.max_residual, r.scale) for r in reports), 0.5, instances=len(solutions)
+        )
 
     if "sign_changes" in config.checks:
         ok = True
@@ -518,19 +379,14 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
             observed.append(count)
             if count < required:
                 ok = False
-        passes["sign_changes"] = ok
-        identities["checks"]["sign_changes"] = {
-            "counts": observed,
-            "pass": ok,
-        }
+        checks["sign_changes"] = {"counts": observed, "pass": ok}
 
     zero_rows = []
     if "pole_attraction" in config.checks:
-        ok = True
         if pert is None:
-            identities["checks"]["pole_attraction"] = {"pass": True, "note": "no perturbation"}
-            passes["pole_attraction"] = True
+            checks["pole_attraction"] = {"pass": True, "note": "no perturbation"}
         else:
+            ok = True
             largest = max(solutions, key=lambda v: v.n.total, default=None)
             for v in solutions:
                 for j in range(1, m + 1):
@@ -542,26 +398,20 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
                     zero_rows.append((v.n, j, None, None, len(rep.strays)))
                     if v is largest and rep.strays:
                         ok = False
-            passes["pole_attraction"] = ok
-            identities["checks"]["pole_attraction"] = {
+            checks["pole_attraction"] = {
                 "pass": ok,
                 "eps": _fmt(config.pole_eps),
                 "judged_at": list(largest.n) if largest is not None else None,
             }
 
     if "type2" in config.checks:
-        ok = True
         worst_order_gap = 0
         for n in config.sweep:
             v2 = solve_type2(sys, n)
             for j in range(m):
-                gap = (n[j] + 1) - v2.residual_orders[j]
-                worst_order_gap = max(worst_order_gap, gap)
-                if gap > 0:
-                    ok = False
-        passes["type2"] = ok
-        identities["checks"]["type2"] = {
-            "pass": ok,
+                worst_order_gap = max(worst_order_gap, (n[j] + 1) - v2.residual_orders[j])
+        checks["type2"] = {
+            "pass": worst_order_gap <= 0,
             "worst_order_gap": worst_order_gap,
             "instances": len(config.sweep),
         }
@@ -573,13 +423,11 @@ def run_experiment(config: ExperimentConfig, use_cache: bool = True, jobs: int =
     if zero_rows:
         _write_zeros_csv(config.output_dir / "zeros.csv", sys, zero_rows)
 
-    exit_code = 0 if all(passes.values()) else 1
+    passes = {name: entry["pass"] for name, entry in checks.items()}
     return ExperimentResult(
-        exit_code=exit_code,
+        exit_code=0 if all(passes.values()) else 1,
         passes=passes,
         output_dir=config.output_dir,
-        cache_hits=hits,
-        cache_misses=misses,
         rows=tuple(rows),
         elapsed_s=time.monotonic() - t_start,
     )
@@ -611,35 +459,6 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
         circle_points=int(g.get("circle_points", 64)),
         segment_points=int(g.get("segment_points", 16)),
     )
-
-
-def _solve_one(payload):
-    """Worker-pool entry: rebuild precision context and solve one index."""
-    (bits, sys, pert, n_parts, M) = payload
-    set_precision(bits)
-    n = MultiIndex(n_parts)
-    if pert is not None:
-        return solve_type1_perturbed(sys, pert, n)
-    return solve_type1(sys, n, M)
-
-
-def _solve_sweep(config, sys, pert, base_tails, jobs):
-    if not config.sweep:
-        return []
-    if jobs > 1:
-        payloads = [
-            (config.precision_bits, sys, pert, tuple(n), config.order_deficit)
-            for n in config.sweep
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_solve_one, payloads))
-    out = []
-    for n in config.sweep:
-        if pert is not None:
-            out.append(solve_type1_perturbed(sys, pert, n, base_tails=base_tails))
-        else:
-            out.append(solve_type1(sys, n, config.order_deficit, base_tails=base_tails))
-    return out
 
 
 def _write_convergence_csv(path: Path, sys, rows):
@@ -710,8 +529,6 @@ def main(argv=None) -> int:
         default=None,
         help="override the config's checks (repeatable)",
     )
-    run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -733,18 +550,19 @@ def main(argv=None) -> int:
                 if c not in KNOWN_CHECKS:
                     raise ConfigError("validate", f"unknown check {c!r}")
             config.checks = tuple(args.checks)
-        result = run_experiment(config, use_cache=not args.no_cache, jobs=args.jobs)
+        result = run_experiment(config)
     except ConfigError as exc:
         _emit_error(exc.code, exc.detail)
         return 2
     except (ValueError, IndexError) as exc:
         _emit_error("validate", str(exc))
         return 2
+    except RuntimeError as exc:
+        _emit_error("numeric", str(exc))
+        return 3
 
     summary = {
         "passes": result.passes,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
         "output_dir": str(result.output_dir),
         "elapsed_s": round(result.elapsed_s, 3),
     }

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from mpmath import mp, mpc, mpf
 
-from .algebra import LaurentTail, Polynomial, RationalFn, laurent_expand_rational, poly_roots
+from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 from .linalg import svd_sv
 from .measures import cauchy_eval, moments
 from .nikishin import NikishinSystem
@@ -260,64 +260,52 @@ def _nullspace_min_direction(A, expected_rank: int):
 # ---------------------------------------------------------------------------
 
 
-def solve_type1(
-    sys: NikishinSystem, n: MultiIndex, M: int = 0, base_tails=None
-) -> TypeIVector:
+def solve_type1(sys: NikishinSystem, n: MultiIndex, M: int = 0) -> TypeIVector:
     """Normalized type I vector for the plain system, order target |n| - M."""
-    return _escalating_type1(sys, None, n, M, base_tails)
+    return _escalating_type1(sys, None, n, M)
 
 
 def solve_type1_perturbed(
-    sys: NikishinSystem, pert: RationalPerturbation, n: MultiIndex, base_tails=None
+    sys: NikishinSystem, pert: RationalPerturbation, n: MultiIndex
 ) -> TypeIVector:
     """Type I vector for f_j = s-hat_{1,j} + r_j, full order |n|."""
     pert.validate_against(sys)
-    return _escalating_type1(sys, pert, n, 0, base_tails)
+    return _escalating_type1(sys, pert, n, 0)
 
 
-def _escalating_type1(sys, pert, n, M, base_tails=None) -> TypeIVector:
+def _escalating_type1(sys, pert, n, M) -> TypeIVector:
     if len(n) != sys.m:
         raise ValueError("multi-index size does not match the system")
     bits = mp.prec
-    first = True
     while True:
         with working_precision(bits):
-            v = _solve_type1_once(sys, pert, n, M, bits, base_tails if first else None)
+            v = _solve_type1_once(sys, pert, n, M, bits)
         if v.residual_order >= v.order_target or bits >= MAX_PRECISION_BITS:
             return v
         bits = min(2 * bits, MAX_PRECISION_BITS)
-        first = False
 
 
-def _type1_tails(sys, pert, n, K, base_tails=None):
-    """Moment tails of s_{1,j} to index K, plus the rational expansions.
-
-    base_tails, when long enough, supplies the measure moments (e.g. from the
-    CLI cache); they are only trusted at the precision they were computed at,
-    so escalated re-solves always recompute.
-    """
+def _type1_tails(sys, pert, n, K):
+    """Moment tails of s_{1,j} to index K, plus the rational expansions."""
     tails = []
     for j in range(1, len(n) + 1):
-        if base_tails is not None and len(base_tails[j - 1]) >= K + 1:
-            tail = LaurentTail(base_tails[j - 1].coeffs[: K + 1])
-        else:
-            tail = moments(sys.chain(1, j), K)
+        tail = moments(sys.chain(1, j), K)
         if pert is not None and not pert.fractions[j - 1].is_zero:
             tail = tail + laurent_expand_rational(pert.fractions[j - 1], K + 1)
         tails.append(tail)
     return tails
 
 
-def _solve_type1_once(sys, pert, n, M, bits, base_tails=None) -> TypeIVector:
+def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     total = n.total
     K = total + n.max_part + 4
-    tails = _type1_tails(sys, pert, n, K, base_tails)
+    tails = _type1_tails(sys, pert, n, K)
     A = assemble_type1_system(tails, n, M)
     vec, flag, _ = _nullspace_min_direction(A, max(0, total - 1 - M))
     blocks = _split_blocks(vec, n)
     blocks = _normalize_blocks(blocks)
     a0 = _polynomial_part(blocks, tails, n)
-    residual_order = _achieved_order(blocks, tails, n, total + 4)
+    residual_order = _achieved_order(list(zip(blocks, tails)), total + 4)
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
     return TypeIVector(a, n, total - M, residual_order, flag, bits)
 
@@ -361,19 +349,30 @@ def _polynomial_part(blocks, tails, n):
     return Polynomial(coeffs)
 
 
-def _achieved_order(blocks, tails, n, upto):
-    """First non-vanishing tail index of the remainder, plus one."""
+def _tail_sum(pairs, k):
+    """Coefficient k of sum_j c_j * tail_j over (coeffs, tail) pairs, and its scale.
+
+    The terms c[l] * tail[l + k] are added in order, (acc, scale) being the
+    sequential sums of the terms and of their absolute values.
+    """
+    acc = mpf(0)
+    scale = mpf(0)
+    for coeffs, tail in pairs:
+        for l, c in enumerate(coeffs):
+            term = c * tail[l + k]
+            acc += term
+            scale += abs(term)
+    return acc, scale
+
+
+def _achieved_order(pairs, upto, known=()):
+    """First non-vanishing tail index of the remainder, plus one.
+
+    known holds the _tail_sum values already formed for the first indices.
+    """
     tol = noise_floor(0.5)
     for k in range(upto):
-        acc = mpf(0)
-        scale = mpf(0)
-        for j in range(len(n)):
-            tail = tails[j]
-            block = blocks[j]
-            for l in range(n[j]):
-                term = block[l] * tail[l + k]
-                acc += term
-                scale += abs(term)
+        acc, scale = known[k] if k < len(known) else _tail_sum(pairs, k)
         if abs(acc) > tol * scale:
             return k + 1
     return upto
@@ -421,22 +420,15 @@ def perturbed_reduce(
     blocks = [list((T * v.a[j]).coeffs) for j in range(1, m + 1)]
     blocks = [b + [mpf(0)] * (reduced_n[j] - len(b)) for j, b in enumerate(blocks)]
     K = reduced_n.total + reduced_n.max_part + 4
-    tails = _type1_tails(sys, None, reduced_n, K)
+    pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n, K)))
 
+    sums = [_tail_sum(pairs, k) for k in range(max(order_checked - 1, 0))]
     max_residual = mpf(0)
     scale = mpf(0)
-    for k in range(max(order_checked - 1, 0)):
-        acc = mpf(0)
-        sc = mpf(0)
-        for j in range(m):
-            tail = tails[j]
-            for l, c in enumerate(blocks[j]):
-                term = c * tail[l + k]
-                acc += term
-                sc += abs(term)
+    for acc, sc in sums:
         max_residual = max(max_residual, abs(acc))
         scale = max(scale, sc)
-    residual_order = _achieved_order(blocks, tails, reduced_n, v.n.total + 4)
+    residual_order = _achieved_order(pairs, v.n.total + 4, sums)
     reduced = TypeIVector(
         (p0,) + tuple(T * v.a[j] for j in range(1, m + 1)),
         reduced_n,
@@ -498,22 +490,8 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
                 acc += q[mu] * tail[mu - p - 1]
             coeffs.append(acc)
         ps.append(Polynomial(coeffs))
-        orders.append(_type2_order(q, tail, n[j] + 4))
+        orders.append(_achieved_order([(q.coeffs, tail)], n[j] + 4))
     return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits)
-
-
-def _type2_order(q, tail, upto):
-    tol = noise_floor(0.5)
-    for k in range(upto):
-        acc = mpf(0)
-        scale = mpf(0)
-        for mu in range(q.degree + 1):
-            term = q[mu] * tail[mu + k]
-            acc += term
-            scale += abs(term)
-        if abs(acc) > tol * scale:
-            return k + 1
-    return upto
 
 
 def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int, extra: int = 4):

@@ -5,8 +5,7 @@ of Legendre/Jacobi densities; after realization every measure is a finite
 point-mass measure treated as exact, so every integral downstream is a finite
 sum evaluated to solver precision.  The module also constructs the inverse
 measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
-= ell + tau-hat for a degree-one ell, and Carleman-type moment partial sums
-used as a determinacy diagnostic.
+= ell + tau-hat for a degree-one ell.
 """
 
 from __future__ import annotations
@@ -385,24 +384,3 @@ def _newton(f, df, a, b, guarded: bool):
             return x
     return None if guarded else x
 
-
-def carleman_partial_sum(mu: AtomicMeasure, N: int):
-    """Partial sum sum_{n=1..N} |c_n|^(-1/2n) after mapping the support into R+.
-
-    The map is the identity when the support already sits in R+, otherwise the
-    shift x -> x - a.  A vanishing moment makes the term infinite and the sum
-    returns the +inf marker; the quantity is a determinacy diagnostic only.
-    """
-    if N < 1:
-        raise ValueError("partial sum needs N >= 1")
-    shift = -mu.support.a if mu.support.a < 0 else mpf(0)
-    nodes = [x + shift for x in mu.nodes]
-    total = mpf(0)
-    powers = list(mu.weights)
-    for n in range(1, N + 1):
-        powers = [p * x for p, x in zip(powers, nodes)]
-        cn = mp.fsum(powers)
-        if cn == 0:
-            return mp.inf
-        total += abs(cn) ** (mpf(-1) / (2 * n))
-    return total

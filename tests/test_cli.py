@@ -1,8 +1,11 @@
-"""End-to-end CLI runs: config validation, outputs, cache, determinism, exit codes."""
+"""End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
 import json
 from pathlib import Path
 
+import pytest
+
+from nikishin_hp import cli
 from nikishin_hp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
@@ -23,6 +26,26 @@ def base_config(out_dir, sweep=None, checks=None, pert=None):
         "output_dir": str(out_dir),
     }
     return cfg
+
+
+def golden_smoke_config(out_dir):
+    """The small run over every module whose report bodies tests/data/golden_smoke holds."""
+    return {
+        "precision_bits": 128,
+        "system": [
+            {"kind": "legendre-density", "interval": [-1, 0], "node_count": 16},
+            {"kind": "legendre-density", "interval": [1, 3], "node_count": 16},
+        ],
+        "perturbations": [
+            {"num_coeffs": [1], "den_coeffs": [-5, 1]},
+            {"num_coeffs": [1], "den_coeffs": [5, 1]},
+        ],
+        "sweep": {"shape": "diagonal", "k_min": 3, "k_max": 7, "step": 2},
+        "grid": {"radius_factor": 4, "circle_points": 16, "segment_points": 4},
+        "checks": ["chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2"],
+        "pole_eps": 0.25,
+        "output_dir": str(out_dir),
+    }
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -65,6 +88,16 @@ class TestArgumentHandling:
         cfg["system"][1]["interval"] = [-0.5, 3]  # overlaps the first interval
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
 
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("svd: no convergence")
+
+        monkeypatch.setattr(cli, "solve_type2", no_convergence)
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=["type2"])
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "numeric", "detail": "svd: no convergence"}
+
 
 class TestEndToEnd:
     def test_small_experiment_passes(self, tmp_path, capsys):
@@ -83,7 +116,7 @@ class TestEndToEnd:
         assert identities["precision_bits"] == 256
         for name in ("chile", "ratio44", "orthogonality", "sign_changes", "type2"):
             assert identities["checks"][name]["pass"] is True
-        assert (out / "moments.cache.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "identities.json"]
 
     def test_diagonal_sweep_emits_expected_rows(self, tmp_path):
         out = tmp_path / "out"
@@ -103,15 +136,6 @@ class TestEndToEnd:
         cfg = base_config(out, sweep=[[2, 2]], checks=["chile"])
         cfg["grid"] = {"points": [[2.0, 0.0]]}  # on the last interval
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-
-    def test_worker_pool_matches_serial(self, tmp_path):
-        cfg1 = base_config(tmp_path / "o1", sweep=[[2, 2], [3, 3]], checks=[])
-        cfg2 = base_config(tmp_path / "o2", sweep=[[2, 2], [3, 3]], checks=[])
-        assert main(["run", str(write_config(tmp_path, cfg1, "s.json"))]) == 0
-        assert main(["run", str(write_config(tmp_path, cfg2, "p.json")), "--jobs", "2"]) == 0
-        assert read_body(tmp_path / "o1" / "convergence.csv") == read_body(
-            tmp_path / "o2" / "convergence.csv"
-        )
 
     def test_perturbed_run_writes_zero_census(self, tmp_path):
         out = tmp_path / "out"
@@ -189,23 +213,8 @@ class TestGoldenBodies:
         # written before the solver's SVD moved to a V-only kernel: any
         # change of the output bits shows here
         out = tmp_path / "out"
-        cfg = {
-            "precision_bits": 128,
-            "system": [
-                {"kind": "legendre-density", "interval": [-1, 0], "node_count": 16},
-                {"kind": "legendre-density", "interval": [1, 3], "node_count": 16},
-            ],
-            "perturbations": [
-                {"num_coeffs": [1], "den_coeffs": [-5, 1]},
-                {"num_coeffs": [1], "den_coeffs": [5, 1]},
-            ],
-            "sweep": {"shape": "diagonal", "k_min": 3, "k_max": 7, "step": 2},
-            "grid": {"radius_factor": 4, "circle_points": 16, "segment_points": 4},
-            "checks": ["chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2"],
-            "pole_eps": 0.25,
-            "output_dir": str(out),
-        }
-        assert main(["run", str(write_config(tmp_path, cfg)), "--no-cache"]) == 0
+        cfg = golden_smoke_config(out)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN / name).read_bytes(), name
 
@@ -231,56 +240,20 @@ class TestGoldenBodies:
             "checks": ["chile", "ratio44"],
             "output_dir": str(out),
         }
-        assert main(["run", str(write_config(tmp_path, cfg)), "--no-cache"]) == 0
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json"):
             assert body_bytes(out / name) == (GOLDEN_M3 / name).read_bytes(), name
 
-
-class TestCache:
-    def test_second_run_hits(self, tmp_path, capsys):
+    @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
+    def test_each_check_alone_matches_the_full_run(self, tmp_path, check):
+        # a check run on its own reports what it reports beside the other
+        # five: no check depends on another having run first
         out = tmp_path / "out"
-        cfg = base_config(out, sweep=[[2, 2]], checks=[])
-        path = write_config(tmp_path, cfg)
-        assert main(["run", str(path)]) == 0
-        first = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert first["cache_hits"] == 0 and first["cache_misses"] == 2
-        assert main(["run", str(path)]) == 0
-        second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert second["cache_hits"] == 2 and second["cache_misses"] == 0
-
-    def test_precision_change_misses(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out, sweep=[[2, 2]], checks=[])
-        path = write_config(tmp_path, cfg)
-        assert main(["run", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["run", str(path), "--precision-bits", "320"]) == 0
-        second = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert second["cache_hits"] == 0
-
-    def test_corrupt_entry_warns_and_misses(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out, sweep=[[2, 2]], checks=[])
-        path = write_config(tmp_path, cfg)
-        assert main(["run", str(path)]) == 0
-        cache_file = out / "moments.cache.json"
-        data = json.loads(cache_file.read_text())
-        key = sorted(data["entries"])[0]
-        data["entries"][key]["coeffs"][0] = [0, "0xdead", 0]
-        cache_file.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["run", str(path)]) == 0
-        captured = capsys.readouterr()
-        summary = json.loads(captured.out.strip().splitlines()[-1])
-        assert summary["cache_misses"] >= 1
-        assert "checksum" in captured.err
-
-    def test_no_cache_flag(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out, sweep=[[2, 2]], checks=[])
-        path = write_config(tmp_path, cfg)
-        assert main(["run", str(path), "--no-cache"]) == 0
-        assert not (out / "moments.cache.json").exists()
+        cfg = golden_smoke_config(out)
+        assert main(["run", str(write_config(tmp_path, cfg)), "--check", check]) == 0
+        got = json.loads((out / "identities.json").read_text())["checks"][check]
+        want = json.loads((GOLDEN / "identities.json").read_text())["checks"][check]
+        assert got == want
 
 
 class TestPrecisionResolution:

@@ -26,7 +26,12 @@ from nikishin_hp import (
     system_from_generators,
     type2_residual_tail,
 )
-from nikishin_hp.hermite_pade import _nullspace_min_direction, _type1_tails
+from nikishin_hp.hermite_pade import (
+    _achieved_order,
+    _nullspace_min_direction,
+    _tail_sum,
+    _type1_tails,
+)
 from nikishin_hp.linalg import svd_sv
 
 TIGHT = mpf(10) ** -70
@@ -303,6 +308,20 @@ class TestPerturbation:
         assert abs(pert_pm5.T[1]) < TIGHT
 
 
+class TestTailSum:
+    def test_sum_and_scale_over_pairs(self):
+        a = LaurentTail([mpf(1), mpf(-2), mpf(4)])
+        b = LaurentTail([mpf(3), mpf(5)])
+        assert _tail_sum([([mpf(2), mpf(-1)], a), ([mpf(7)], b)], 1) == (-4 - 4 + 35, 4 + 4 + 35)
+
+    def test_known_prefix_gives_the_same_order(self):
+        # the first non-vanishing coefficient sits at index 2
+        pairs = [([mpf(1)], LaurentTail([mpf(0), mpf(0), mpf(1), mpf(0), mpf(0)]))]
+        for j in range(5):
+            known = [_tail_sum(pairs, k) for k in range(j)]
+            assert _achieved_order(pairs, 4, known) == 3
+
+
 class TestReduce:
     def test_zero_perturbation_identity(self, m2_16_system):
         pert = RationalPerturbation.zero(2)
@@ -330,6 +349,34 @@ class TestReduce:
         orth = check_orthogonality(m2_16_system, rep.reduced)
         assert orth.conditions == 8 - 2 - 1
         assert orth.max_residual <= noise_floor(0.5) * max(orth.scale, mpf(1))
+
+    def test_shared_tail_sums_match_a_fresh_computation(self, m2_16_system, pert_pm5):
+        # the residual and the reduced vector's achieved order share the tail
+        # sums below order_checked - 1; both must equal sums formed afresh
+        v = solve_type1_perturbed(m2_16_system, pert_pm5, MultiIndex((4, 4)))
+        rep = perturbed_reduce(pert_pm5, v, m2_16_system)
+        n = rep.reduced.n
+        blocks = [list(a.coeffs) for a in rep.reduced.a[1:]]
+        blocks = [b + [mpf(0)] * (n[j] - len(b)) for j, b in enumerate(blocks)]
+        tails = _type1_tails(m2_16_system, None, n, n.total + n.max_part + 4)
+
+        def tail_sum(k):
+            acc = scale = mpf(0)
+            for block, tail in zip(blocks, tails):
+                for l, c in enumerate(block):
+                    acc += c * tail[l + k]
+                    scale += abs(c * tail[l + k])
+            return acc, scale
+
+        sums = [tail_sum(k) for k in range(v.n.total + 4)]
+        checked = sums[: rep.order_checked - 1]
+        assert rep.max_residual == max(abs(acc) for acc, _ in checked)
+        assert rep.scale == max(scale for _, scale in checked)
+        tol = noise_floor(0.5)
+        fails = [k + 1 for k, (acc, scale) in enumerate(sums) if abs(acc) > tol * scale]
+        order = fails[0] if fails else len(sums)
+        assert rep.reduced.residual_order == order
+        assert order > rep.order_checked - 1  # the order read sums past the shared ones
 
 
 class TestTypeII:

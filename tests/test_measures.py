@@ -1,4 +1,4 @@
-"""Measure realization, moments, Cauchy transforms, inverse measures, Carleman sums."""
+"""Measure realization, moments, Cauchy transforms, inverse measures."""
 
 import random
 
@@ -10,7 +10,6 @@ from nikishin_hp import (
     AtomicMeasure,
     Interval,
     MeasureSpec,
-    carleman_partial_sum,
     cauchy_eval,
     gauss_jacobi_rule,
     inverse_measure,
@@ -349,20 +348,3 @@ class TestGapRoot:
         inverse_measure(mu)
         assert bisect_steps == [8] * 15
 
-
-class TestCarleman:
-    def test_unit_mass_at_one(self):
-        assert carleman_partial_sum(unit_at(1, "0.5", "1.5"), 3) == 3
-
-    def test_unit_mass_at_four(self):
-        got = carleman_partial_sum(unit_at(4, 3, 5), 2)
-        assert abs(got - 1) < TIGHT  # 4^(-1/2) + 16^(-1/4)
-
-    def test_vanishing_moment_returns_infinity(self):
-        mu = unit_at(0, 0, 1)  # support already in R+, c_1 = 0
-        assert carleman_partial_sum(mu, 1) == mp.inf
-
-    def test_shift_applied_for_negative_support(self):
-        # node -1 on [-1, 0] shifts to 0, so c_1 of the image vanishes
-        mu = unit_at(-1, -1, 0)
-        assert carleman_partial_sum(mu, 1) == mp.inf
