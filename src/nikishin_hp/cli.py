@@ -317,6 +317,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if pert.is_zero:
             pert = None
     if pert is not None:
+        if config.order_deficit:
+            # solve_type1_perturbed solves at the full order |n|
+            raise ConfigError("validate", "order_deficit applies to unperturbed systems only")
         pert.validate_against(sys)
 
     grid = _build_grid(config, sys, pert)

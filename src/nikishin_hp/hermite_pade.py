@@ -2,13 +2,24 @@
 
 Order conditions at infinity translate into homogeneous moment-shift linear
 systems; the solution is the right singular direction of least singular value
-at working precision, with automatic precision doubling (up to 4096 bits) when
-the achieved vanishing order falls short of the target.  The SVD is
-linalg.svd_sv, a Golub-Reinsch kernel that forms only the singular values
-and the right factor, bit-identical to mp.svd_r.  The perturbed problem
-approximates f_j = s-hat_{1,j} + r_j; multiplying its order condition by
-T = prod t_j turns the solution into an incomplete approximant of the plain
-system with order deficit deg T, which perturbed_reduce performs and verifies.
+at working precision.  The SVD is linalg.svd_sv, a Golub-Reinsch kernel that
+forms only the singular values and the right factor, bit-identical to
+mp.svd_r.  Both solvers form the polynomial part of a tail convolution with
+_head_sum and its coefficients at infinity with _tail_sum.
+
+One escalation driver, _escalate, serves both solvers: it doubles the
+precision (up to 4096 bits) while the achieved vanishing order falls short of
+the target.  That is the only trigger, and the order, read against the
+2^-P/2 noise gate, rarely catches a loss of accuracy: on the m=2, 16+16-atom
+Legendre fixture at 64 bits both solvers reach their targets at every
+k = 3..8, although at k = 8 the type I coefficients (unit max) differ from a
+256-bit solve by 2.  A floor on the singular-value headroom is an open
+ROADMAP item.
+
+The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
+order condition by T = prod t_j turns the solution into an incomplete
+approximant of the plain system with order deficit deg T, which
+perturbed_reduce performs and verifies.
 """
 
 from __future__ import annotations
@@ -273,16 +284,28 @@ def solve_type1_perturbed(
     return _escalating_type1(sys, pert, n, 0)
 
 
-def _escalating_type1(sys, pert, n, M) -> TypeIVector:
-    if len(n) != sys.m:
-        raise ValueError("multi-index size does not match the system")
+def _escalate(solve_once, reached):
+    """solve_once(bits) at mp.prec, 2 mp.prec, ... until reached(result) holds.
+
+    Each attempt runs at its own working precision.  The bits stop at
+    MAX_PRECISION_BITS, whose result is returned whether reached or not.
+    """
     bits = mp.prec
     while True:
         with working_precision(bits):
-            v = _solve_type1_once(sys, pert, n, M, bits)
-        if v.residual_order >= v.order_target or bits >= MAX_PRECISION_BITS:
+            v = solve_once(bits)
+        if reached(v) or bits >= MAX_PRECISION_BITS:
             return v
         bits = min(2 * bits, MAX_PRECISION_BITS)
+
+
+def _escalating_type1(sys, pert, n, M) -> TypeIVector:
+    if len(n) != sys.m:
+        raise ValueError("multi-index size does not match the system")
+    return _escalate(
+        lambda bits: _solve_type1_once(sys, pert, n, M, bits),
+        lambda v: v.residual_order >= v.order_target,
+    )
 
 
 def _type1_tails(sys, pert, n, K):
@@ -304,8 +327,10 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     vec, flag, _ = _nullspace_min_direction(A, max(0, total - 1 - M))
     blocks = _split_blocks(vec, n)
     blocks = _normalize_blocks(blocks)
-    a0 = _polynomial_part(blocks, tails, n)
-    residual_order = _achieved_order(list(zip(blocks, tails)), total + 4)
+    pairs = list(zip(blocks, tails))
+    # -PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2
+    a0 = Polynomial([-_head_sum(pairs, p) for p in range(max(n.max_part - 1, 0))])
+    residual_order = _achieved_order(pairs, total + 4)
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
     return TypeIVector(a, n, total - M, residual_order, flag, bits)
 
@@ -335,18 +360,17 @@ def _normalize_blocks(blocks):
     return blocks
 
 
-def _polynomial_part(blocks, tails, n):
-    """-PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2."""
-    coeffs = []
-    for p in range(max(n.max_part - 1, 0)):
-        acc = mpf(0)
-        for j in range(len(n)):
-            tail = tails[j]
-            block = blocks[j]
-            for l in range(p + 1, n[j]):
-                acc += block[l] * tail[l - p - 1]
-        coeffs.append(-acc)
-    return Polynomial(coeffs)
+def _head_sum(pairs, p):
+    """Coefficient of z^p in the polynomial part of sum_j c_j * f_j.
+
+    pairs holds (coeffs, tail) per component, tail being f_j's Laurent tail;
+    the terms c[l] * tail[l - p - 1], l > p, are added in order.
+    """
+    acc = mpf(0)
+    for coeffs, tail in pairs:
+        for l in range(p + 1, len(coeffs)):
+            acc += coeffs[l] * tail[l - p - 1]
+    return acc
 
 
 def _tail_sum(pairs, k):
@@ -449,48 +473,28 @@ def solve_type2(sys: NikishinSystem, n: MultiIndex) -> TypeIIVector:
     """Monic common denominator Q and numerators P_j, orders n_j + 1 each."""
     if len(n) != sys.m:
         raise ValueError("multi-index size does not match the system")
-    bits = mp.prec
-    while True:
-        with working_precision(bits):
-            v = _solve_type2_once(sys, n, bits)
-        if (
-            all(v.residual_orders[j] >= n[j] + 1 for j in range(sys.m))
-            or bits >= MAX_PRECISION_BITS
-        ):
-            return v
-        bits = min(2 * bits, MAX_PRECISION_BITS)
+    return _escalate(
+        lambda bits: _solve_type2_once(sys, n, bits),
+        lambda v: all(v.residual_orders[j] >= n[j] + 1 for j in range(sys.m)),
+    )
 
 
 def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     total = n.total
     K = total + n.max_part + 4
-    tails = [moments(sys.chain(1, j), K) for j in range(1, len(n) + 1)]
-    A = mp.matrix(total, total + 1)
-    row = 0
-    for j in range(len(n)):
-        for nu in range(n[j]):
-            for mu in range(total + 1):
-                A[row, mu] = tails[j][nu + mu]
-            row += 1
+    tails = _type1_tails(sys, None, n, K)
+    # row (j, nu) imposes a zero coefficient of z^-(nu+1) in Q f_j
+    A = mp.matrix(
+        [tails[j][nu : nu + total + 1] for j in range(len(n)) for nu in range(n[j])]
+    )
     vec, flag, _ = _nullspace_min_direction(A, total)
-    tol = noise_floor(0.5)
-    mx = max(abs(c) for c in vec)
-    deg = max(k for k, c in enumerate(vec) if abs(c) > tol * mx)
-    lead = vec[deg]
-    q = Polynomial([c / lead for c in vec[: deg + 1]])
-
+    q = Polynomial(vec).trimmed().monic()
     ps = []
     orders = []
-    for j in range(len(n)):
-        tail = tails[j]
-        coeffs = []
-        for p in range(total):
-            acc = mpf(0)
-            for mu in range(p + 1, deg + 1):
-                acc += q[mu] * tail[mu - p - 1]
-            coeffs.append(acc)
-        ps.append(Polynomial(coeffs))
-        orders.append(_achieved_order([(q.coeffs, tail)], n[j] + 4))
+    for j, tail in enumerate(tails):
+        pairs = [(q.coeffs, tail)]
+        ps.append(Polynomial([_head_sum(pairs, p) for p in range(total)]))
+        orders.append(_achieved_order(pairs, n[j] + 4))
     return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits)
 
 

@@ -311,18 +311,15 @@ def inverse_measure(mu: AtomicMeasure):
     return ell, tau
 
 
-GAP_BISECTIONS = 60
-GAP_BISECTIONS_FIRST = 8
-
-
 def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     """Unique zero of mu-hat in the open gap (x_i, x_{i+1}).
 
-    Newton starts after GAP_BISECTIONS_FIRST bisection steps.  Should an
-    iterate leave that bracket, or the iteration not converge, the
-    bisection runs on to GAP_BISECTIONS steps and Newton restarts without
-    a guard, so the worst case computes what a plain GAP_BISECTIONS-step
-    start computes.
+    A bracket [a, b] inside the gap is shrunk toward the atoms until mu-hat
+    changes sign across it.  Newton then starts from its midpoint.  Each
+    iterate x replaces a or b by the sign of mu-hat at x, so the bracket keeps
+    the root, and a step that would leave the bracket is replaced by one to
+    its midpoint.  The root may lie far closer to one atom than to the
+    other (lopsided weights); the midpoint steps then close in on it.
     """
     lo, hi = mu.nodes[i], mu.nodes[i + 1]
     gap = hi - lo
@@ -348,39 +345,19 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
         shrink += 1
         if shrink > mp.prec:
             raise RuntimeError("inverse measure construction failed; raise precision")
-    a, b = _bisect(f, a, b, GAP_BISECTIONS_FIRST)
-    x = _newton(f, df, a, b, guarded=True)
-    if x is None:
-        a, b = _bisect(f, a, b, GAP_BISECTIONS - GAP_BISECTIONS_FIRST)
-        x = _newton(f, df, a, b, guarded=False)
-    return x
-
-
-def _bisect(f, a, b, steps: int):
-    """`steps` halvings of a bracket with f(a) > 0 >= f(b)."""
-    for _ in range(steps):
-        mid = (a + b) / 2
-        if f(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
-def _newton(f, df, a, b, guarded: bool):
-    """Newton from the bracket's midpoint; f is strictly decreasing on the gap.
-
-    Guarded, it gives up (returns None) when an iterate leaves [a, b] or 60
-    steps do not converge; unguarded, it returns the last iterate.
-    """
     x = (a + b) / 2
     tol = mpf(2) ** (-mp.prec + 8)
-    for _ in range(60):
-        step = f(x) / df(x)
+    for _ in range(2 * mp.prec):
+        fx = f(x)
+        if fx > 0:
+            a = x
+        else:
+            b = x
+        step = fx / df(x)
+        # inclusive: the last, sub-ulp Newton step may land on a or b
+        if not a <= x - step <= b:
+            step = x - (a + b) / 2
         x = x - step
-        if guarded and not a <= x <= b:
-            return None
         if abs(step) <= tol * (1 + abs(x)):
             return x
-    return None if guarded else x
-
+    raise RuntimeError("inverse measure construction failed; raise precision")

@@ -192,6 +192,20 @@ class TestConfigWarnings:
         cfg = base_config(out, sweep=[[2, 2, 2]], checks=[])
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
 
+    def test_order_deficit_with_perturbation_rejected(self, tmp_path, capsys):
+        # the perturbed solver takes no deficit, so the pair must not run
+        cfg = base_config(
+            tmp_path / "out",
+            sweep=[[4, 4]],
+            checks=["sign_changes"],
+            pert=[{"num_coeffs": [1], "den_coeffs": [-5, 1]}, None],
+        )
+        cfg["order_deficit"] = 3
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert "order_deficit" in err["detail"]
+
 
 class TestDeterminism:
     def test_identical_bodies_across_runs(self, tmp_path):

@@ -1,9 +1,13 @@
 """Order-condition assembly, type I/II solves, reduction, remainders, orthogonality."""
 
+import dataclasses
+
 import pytest
 from mpmath import mp, mpc, mpf
 
+from nikishin_hp import hermite_pade
 from nikishin_hp import (
+    MAX_PRECISION_BITS,
     AtomicMeasure,
     Interval,
     LaurentTail,
@@ -13,6 +17,7 @@ from nikishin_hp import (
     RationalFn,
     RationalPerturbation,
     SystemSpec,
+    TypeIVector,
     assemble_type1_system,
     build_system,
     check_orthogonality,
@@ -25,9 +30,11 @@ from nikishin_hp import (
     solve_type2,
     system_from_generators,
     type2_residual_tail,
+    working_precision,
 )
 from nikishin_hp.hermite_pade import (
     _achieved_order,
+    _escalate,
     _nullspace_min_direction,
     _tail_sum,
     _type1_tails,
@@ -178,6 +185,73 @@ class TestNullspaceKernel:
                 mp.svd_r(mp.matrix(rows))
             with pytest.raises(RuntimeError, match="no convergence"):
                 svd_sv(rows, 6)
+
+
+def recording_solve(calls):
+    """A stand-in solve_once: records (bits, mp.prec) and returns bits."""
+
+    def solve_once(bits):
+        calls.append((bits, mp.prec))
+        if len(calls) > 10:
+            raise AssertionError("the precision never stopped rising")
+        return bits
+
+    return solve_once
+
+
+class TestEscalate:
+    def test_bits_double_until_reached(self):
+        calls = []
+        with working_precision(64):
+            assert _escalate(recording_solve(calls), lambda bits: bits >= 256) == 256
+            assert mp.prec == 64
+        assert calls == [(64, 64), (128, 128), (256, 256)]
+
+    def test_bits_cap_at_the_maximum(self):
+        calls = []
+        with working_precision(96):
+            assert _escalate(recording_solve(calls), lambda bits: False) == MAX_PRECISION_BITS
+            assert mp.prec == 96
+        assert calls == [(b, b) for b in (96, 192, 384, 768, 1536, 3072, 4096)]
+
+
+def short_below_2p(once, short, attempts):
+    """Wrap a once-solver so that its attempts below twice the start fall short."""
+    P = mp.prec
+
+    def solve_once(*args):
+        bits = args[-1]
+        attempts.append(bits)
+        if len(attempts) > 2:
+            raise AssertionError("escalated past 2P")
+        v = once(*args)
+        return v if bits >= 2 * P else dataclasses.replace(v, **short)
+
+    return solve_once
+
+
+class TestSolverEscalation:
+    """Each solver climbs through _escalate: an order shortfall below 2P doubles P."""
+
+    def test_type1(self, m2_16_system, monkeypatch):
+        P, attempts = mp.prec, []
+        once = short_below_2p(hermite_pade._solve_type1_once, {"residual_order": 0}, attempts)
+        monkeypatch.setattr(hermite_pade, "_solve_type1_once", once)
+        v = solve_type1(m2_16_system, MultiIndex((3, 3)))
+        assert attempts == [P, 2 * P]
+        assert v.precision_bits == 2 * P
+        assert v.residual_order >= v.order_target
+        assert mp.prec == P
+
+    def test_type2(self, m2_16_system, monkeypatch):
+        P, attempts = mp.prec, []
+        once = short_below_2p(hermite_pade._solve_type2_once, {"residual_orders": (0, 0)}, attempts)
+        monkeypatch.setattr(hermite_pade, "_solve_type2_once", once)
+        v = solve_type2(m2_16_system, MultiIndex((2, 3)))
+        assert attempts == [P, 2 * P]
+        assert v.precision_bits == 2 * P
+        assert all(o >= k + 1 for o, k in zip(v.residual_orders, v.n))
+        assert mp.prec == P
 
 
 class TestTypeIPlain:
@@ -377,6 +451,19 @@ class TestReduce:
         order = fails[0] if fails else len(sums)
         assert rep.reduced.residual_order == order
         assert order > rep.order_checked - 1  # the order read sums past the shared ones
+
+    def test_residual_and_scale_reach_the_last_checked_index(self):
+        # hand-built vector on one atom at 2: coefficient k of (T a_1) s-hat
+        # is 2^k (T a_1)(2), so the last checked index carries the largest
+        # residual and the largest scale
+        sys = system_from_generators([unit_at(2, 1, 3)])
+        pert = RationalPerturbation([RationalFn([1], [-5, 1])])
+        a = (Polynomial.zero(), Polynomial.one())
+        v = TypeIVector(a, MultiIndex((5,)), 5, 0, False, mp.prec)
+        rep = perturbed_reduce(pert, v, sys)
+        assert rep.order_checked == 4  # indices 0..2
+        assert rep.max_residual == 3 * 2**2  # |T(2)| 2^k
+        assert rep.scale == 7 * 2**2  # (|-5| + |1| 2) 2^k
 
 
 class TestTypeII:

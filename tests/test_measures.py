@@ -282,20 +282,6 @@ def lopsided_pair(ratio):
     return AtomicMeasure([0, 1], [ratio, 1], 1, Interval(0, 1))
 
 
-@pytest.fixture
-def bisect_steps(monkeypatch):
-    """The step counts of every measures._bisect call, in order."""
-    steps = []
-    bisect = measures._bisect
-
-    def counting(f, a, b, n):
-        steps.append(n)
-        return bisect(f, a, b, n)
-
-    monkeypatch.setattr(measures, "_bisect", counting)
-    return steps
-
-
 class TestGapRoot:
     def gap_measures(self):
         rng = random.Random(41)
@@ -331,20 +317,14 @@ class TestGapRoot:
             assert tau.weights == ref.weights
             assert tau.sign == ref.sign
 
-    @pytest.mark.parametrize("ratio", [mpf(10) ** 15, mpf(10) ** -15])
-    def test_unequal_weights_fall_back_to_sixty_bisections(self, bisect_steps, ratio):
-        # the root sits about 1e-15 from one atom, far inside the 8-step
-        # bracket's end: Newton's first step leaves the bracket, the
-        # bisection runs on to 60 steps, and the root is the reference's
-        mu = lopsided_pair(ratio)
-        with mp.workprec(mp.prec + 64):
-            root = measures._gap_root(mu, 0)
-            assert bisect_steps == [8, 52]
-            assert root == gap_root_60(mu, 0)
-            assert abs(root - ratio / (ratio + 1)) <= noise_floor(0.5)
-
-    def test_well_spread_atoms_skip_the_fallback(self, bisect_steps):
-        mu = realize(MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=16))
-        inverse_measure(mu)
-        assert bisect_steps == [8] * 15
-
+    @pytest.mark.parametrize("order", ["heavy_left", "heavy_right"])
+    @pytest.mark.parametrize("e", [15, 20, 25, 30, 40])
+    def test_lopsided_weights_give_the_exact_root(self, e, order):
+        # the root w0/(w0+w1) sits about 10^-e from one atom
+        ratio = mpf(10) ** e if order == "heavy_left" else mpf(10) ** -e
+        _, tau = inverse_measure(lopsided_pair(ratio))
+        (node,) = tau.nodes
+        assert abs(node - ratio / (ratio + 1)) <= noise_floor(0.5)
+        # and its distance to the near atom is right to many digits
+        near = min(ratio, 1) / (ratio + 1)
+        assert abs(min(node, 1 - node) - near) <= noise_floor(0.25) * near
