@@ -19,14 +19,11 @@ from .analysis import (
     EvalGrid,
     PoleAttractionReport,
     RateEstimate,
-    RatioErrorResult,
     convergence_row,
     estimate_rate,
     first_level_remainder_values,
     first_level_sign_grid,
     pole_attraction,
-    ratio_error,
-    ratio_error_a0,
     ratio_targets,
     sign_changes,
 )

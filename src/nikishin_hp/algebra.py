@@ -56,13 +56,9 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def identity(cls) -> "Polynomial":
-        """The polynomial z."""
-        return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots, leading=1) -> "Polynomial":
-        p = cls((leading,))
+    def from_roots(cls, roots) -> "Polynomial":
+        """The monic polynomial with the given roots."""
+        p = cls.one()
         for r in roots:
             p = p * cls((-to_scalar(r), 1))
         return p
@@ -88,19 +84,19 @@ class Polynomial:
     def max_coeff(self) -> mpf:
         return max((abs(c) for c in self.coeffs), default=mpf(0))
 
-    def numeric_degree(self, rel_tol=None) -> int:
-        """Degree ignoring coefficients below rel_tol * max|coeff| (solver noise)."""
+    def numeric_degree(self) -> int:
+        """Degree ignoring coefficients below 2^-P/2 * max|coeff| (solver noise)."""
         if self.is_zero:
             return -1
-        tol = (noise_floor(0.5) if rel_tol is None else mpf(rel_tol)) * self.max_coeff()
+        tol = noise_floor(0.5) * self.max_coeff()
         for k in range(len(self.coeffs) - 1, -1, -1):
             if abs(self.coeffs[k]) > tol:
                 return k
         return -1
 
-    def trimmed(self, rel_tol=None) -> "Polynomial":
+    def trimmed(self) -> "Polynomial":
         """Drop noise coefficients above the numeric degree."""
-        d = self.numeric_degree(rel_tol)
+        d = self.numeric_degree()
         return Polynomial(self.coeffs[: d + 1])
 
     # -- arithmetic --------------------------------------------------------
@@ -116,9 +112,6 @@ class Polynomial:
         other = _as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[k] - other[k] for k in range(n)])
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
 
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs])
@@ -157,17 +150,11 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         lead = self.leading()
         return Polynomial([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, z):
         acc = to_scalar(0) if not isinstance(z, (mpc, complex)) else mpc(0)

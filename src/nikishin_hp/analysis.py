@@ -5,15 +5,17 @@ evaluation grid away from the last interval and from the perturbation's
 poles: a_j/a_m tends to (-1)^(m-j) s-hat_{m,j+1} and a_0/a_m to the reversed
 transform combination carrying the perturbation.  The targets depend on the
 grid only, so a sweep evaluates them once (ratio_targets) and every row
-reads them.  Sup-errors over diagonal sweeps feed a least-squares geometric
-rate estimate, and root censuses verify that each pole of multiplicity kappa
-captures exactly kappa zeros of every component while stray zeros vanish.
+reads them.  convergence_row is the one way to the errors: a single pass
+over the grid per solved vector yields all m sup-errors of its row.  The
+rows of a diagonal sweep feed a least-squares geometric rate estimate, and
+root censuses verify that each pole of multiplicity kappa captures exactly
+kappa zeros of every component while stray zeros vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from mpmath import mp, mpc, mpf
 
@@ -28,11 +30,9 @@ class EvalGrid:
     """Evaluation points in a compact set off the last interval and the poles."""
 
     points: tuple
-    description: str
 
-    def __init__(self, points, description="explicit points"):
+    def __init__(self, points):
         object.__setattr__(self, "points", tuple(mpc(z) for z in points))
-        object.__setattr__(self, "description", str(description))
         if not self.points:
             raise ValueError("empty evaluation grid")
 
@@ -44,11 +44,10 @@ class EvalGrid:
         radius_factor=4,
         circle_points: int = 64,
         segment_points: int = 16,
-        pole_clearance=mpf("0.25"),
     ) -> "EvalGrid":
         """Circle of radius radius_factor * (outer radius of supports and poles),
         plus a short segment in the gap between the first and last intervals,
-        lifted 0.1i off the axis.  Points too close to a pole are dropped.
+        lifted 0.1i off the axis.  Points closer than 1/4 to a pole are dropped.
         """
         outer = sys.outer_radius
         poles = pert.poles if pert is not None else ()
@@ -70,18 +69,8 @@ class EvalGrid:
                 for i in range(segment_points):
                     t = mpf("0.1") + mpf("0.8") * i / (segment_points - 1)
                     pts.append(mpc(lo + t * span, mpf("0.1")))
-        clearance = mpf(pole_clearance)
-        kept = [
-            z for z in pts if all(abs(z - zeta) >= clearance for zeta, _ in poles)
-        ]
-        desc = f"circle r={mp.nstr(radius, 6)} x{circle_points} + gap segment x{segment_points}"
-        return cls(kept, desc)
-
-
-class RatioErrorResult(NamedTuple):
-    sup_error: mpf
-    target_scale: mpf
-    skipped: int
+        clearance = mpf("0.25")
+        return cls(z for z in pts if all(abs(z - zeta) >= clearance for zeta, _ in poles))
 
 
 @dataclass(frozen=True)
@@ -122,70 +111,6 @@ def ratio_targets(
     return tuple(out)
 
 
-def ratio_error(
-    sys: NikishinSystem,
-    pert: Optional[RationalPerturbation],
-    v: TypeIVector,
-    j: int,
-    grid: EvalGrid,
-    targets: Optional[tuple] = None,
-) -> RatioErrorResult:
-    """sup_K |a_j/a_m - (-1)^(m-j) s-hat_{m,j+1}|, skipping near-zeros of a_m.
-
-    `targets` can pass a precomputed ratio_targets(sys, pert, grid).
-    """
-    m = sys.m
-    if m < 2:
-        raise ValueError("ratio error needs at least two components")
-    if not 1 <= j <= m - 1:
-        raise IndexError(f"component {j} outside 1..{m - 1}")
-    if targets is None:
-        targets = ratio_targets(sys, pert, grid)
-    return _sup_ratio_error(v, grid, targets, numerator=j)
-
-
-def ratio_error_a0(
-    sys: NikishinSystem,
-    pert: Optional[RationalPerturbation],
-    v: TypeIVector,
-    grid: EvalGrid,
-    targets: Optional[tuple] = None,
-) -> RatioErrorResult:
-    """sup_K |a_0/a_m - target| with the perturbation folded into the target.
-
-    target = (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
-    `targets` can pass a precomputed ratio_targets(sys, pert, grid).
-    """
-    if targets is None:
-        targets = ratio_targets(sys, pert, grid)
-    return _sup_ratio_error(v, grid, targets, numerator=0)
-
-
-def _sup_ratio_error(v: TypeIVector, grid: EvalGrid, targets, numerator: int):
-    m = v.m
-    a_m = v.a[m]
-    if a_m.is_zero:
-        raise ValueError("degenerate last component")
-    a_num = v.a[numerator]
-    skip_below = noise_floor(0.5)
-    sup_err = mpf(0)
-    target_scale = mpf(0)
-    skipped = 0
-    evaluated = 0
-    for z, row in zip(grid.points, targets):
-        den = a_m(z)
-        if abs(den) < skip_below:
-            skipped += 1
-            continue
-        t = row[numerator]
-        target_scale = max(target_scale, abs(t))
-        sup_err = max(sup_err, abs(a_num(z) / den - t))
-        evaluated += 1
-    if evaluated == 0:
-        raise RuntimeError("every grid point fell on a zero of the last component")
-    return RatioErrorResult(sup_err, target_scale, skipped)
-
-
 def convergence_row(
     sys: NikishinSystem,
     pert: Optional[RationalPerturbation],
@@ -193,28 +118,39 @@ def convergence_row(
     grid: EvalGrid,
     targets: Optional[tuple] = None,
 ) -> ConvergenceRow:
-    """Sup-errors for all ratio limits, each normalized by its target's sup.
+    """Sup-errors of a_j/a_m (1 <= j < m) and a_0/a_m, each over its target's sup.
 
-    Normalization makes rows exactly invariant under generator rescaling for
-    plain systems (the blockwise nullspace covariance cancels), while leaving
-    monotonicity and rate estimates untouched.  `targets` can pass a
-    precomputed ratio_targets(sys, pert, grid), shared by a sweep's rows.
+    One pass over the grid evaluates a_m once per point and skips the points
+    where |a_m| < 2^-P/2; every sup, of errors and of targets alike, runs
+    over the points kept.  Normalization makes rows exactly invariant under
+    generator rescaling for plain systems (the blockwise nullspace covariance
+    cancels), while leaving monotonicity and rate estimates untouched.
+    `targets` can pass a precomputed ratio_targets(sys, pert, grid), shared
+    by a sweep's rows.
     """
     if targets is None:
         targets = ratio_targets(sys, pert, grid)
+    a_m = v.a[v.m]
+    if a_m.is_zero:
+        raise ValueError("degenerate last component")
+    skip_below = noise_floor(0.5)
+    # entry j accumulates a_j/a_m, matching the column order of the targets
+    sup_err = [mpf(0)] * v.m
+    scale = [mpf(0)] * v.m
+    kept = 0
+    for z, row in zip(grid.points, targets):
+        den = a_m(z)
+        if abs(den) < skip_below:
+            continue
+        kept += 1
+        for j, t in enumerate(row):
+            scale[j] = max(scale[j], abs(t))
+            sup_err[j] = max(sup_err[j], abs(v.a[j](z) / den - t))
+    if kept == 0:
+        raise RuntimeError("every grid point fell on a zero of the last component")
     floor = mpf(2) ** (-mp.prec)
-    errs = []
-    for j in range(1, sys.m):
-        r = ratio_error(sys, pert, v, j, grid, targets)
-        errs.append(r.sup_error / max(r.target_scale, floor))
-    r0 = ratio_error_a0(sys, pert, v, grid, targets)
-    return ConvergenceRow(
-        v.n,
-        tuple(errs),
-        r0.sup_error / max(r0.target_scale, floor),
-        v.nullity_flag,
-        v.precision_bits,
-    )
+    errs = [e / max(s, floor) for e, s in zip(sup_err, scale)]
+    return ConvergenceRow(v.n, tuple(errs[1:]), errs[0], v.nullity_flag, v.precision_bits)
 
 
 @dataclass(frozen=True)
@@ -299,16 +235,10 @@ def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector, refine: bo
 
 @dataclass(frozen=True)
 class PoleAttractionReport:
-    """Per-pole zero capture counts and the off-pole, off-interval stray census.
-
-    Zeros beyond far_radius belong to the point at infinity (the limit set of
-    the uncaptured zeros is the last interval together with infinity) and are
-    tallied separately from strays.
-    """
+    """Per-pole zero capture counts and the off-pole, off-interval stray census."""
 
     counts: tuple  # (zeta, kappa, zeros within eps)
     strays: tuple
-    far: int
     total_roots: int
 
 
@@ -318,16 +248,15 @@ def pole_attraction(
     j: int,
     eps,
     last_interval: Interval,
-    far_radius=None,
 ) -> PoleAttractionReport:
     """Count zeros of a_j inside eps-balls at the poles; census the leftovers.
 
     Strays are roots farther than eps from every pole, outside the
-    eps-inflation of the last interval, and within far_radius of the origin
-    (default: 4x the outer radius of the poles and the last interval, the
-    same compact scale as the default grid).  The predicted limit puts kappa
-    zeros at each pole and every other zero on the last interval or out at
-    infinity, so strays should empty as |n| grows.
+    eps-inflation of the last interval, and within 4x the outer radius of the
+    poles and the last interval (the compact scale of the default grid).
+    Zeros beyond that radius belong to the point at infinity: the predicted
+    limit puts kappa zeros at each pole and every other zero on the last
+    interval or out at infinity, so strays should empty as |n| grows.
     """
     from .algebra import poly_roots
 
@@ -344,12 +273,10 @@ def pole_attraction(
     for zeta, _ in poles:
         if eps >= last_interval.distance_to(zeta) / 2:
             raise ValueError("eps exceeds half the pole distance to the last interval")
-    if far_radius is None:
-        outer = max(abs(last_interval.a), abs(last_interval.b), mpf(1))
-        for zeta, _ in poles:
-            outer = max(outer, abs(zeta))
-        far_radius = 4 * outer
-    far_radius = mpf(far_radius)
+    outer = max(abs(last_interval.a), abs(last_interval.b), mpf(1))
+    for zeta, _ in poles:
+        outer = max(outer, abs(zeta))
+    far_radius = 4 * outer
     poly = v.a[j].trimmed()
     if poly.is_zero:
         raise ValueError("component is identically zero")
@@ -357,12 +284,11 @@ def pole_attraction(
     counts = []
     for zeta, kappa in poles:
         counts.append((zeta, kappa, sum(1 for r in roots if abs(r - zeta) < eps)))
-    leftovers = [
+    strays = tuple(
         r
         for r in roots
         if all(abs(r - zeta) >= eps for zeta, _ in poles)
         and last_interval.distance_to(r) > eps
-    ]
-    strays = tuple(r for r in leftovers if abs(r) <= far_radius)
-    far = sum(1 for r in leftovers if abs(r) > far_radius)
-    return PoleAttractionReport(tuple(counts), strays, far, len(roots))
+        and abs(r) <= far_radius
+    )
+    return PoleAttractionReport(tuple(counts), strays, len(roots))

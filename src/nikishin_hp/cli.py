@@ -109,8 +109,15 @@ class ExperimentConfig:
     output_dir: Path
     pole_eps: mpf
     order_deficit: int = 0
-    max_index_spread: Optional[int] = None
     warnings: tuple = field(default_factory=tuple)
+
+
+def _validated(what: str, convert, value):
+    """convert(value), with a malformed value reported as a config error."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ConfigError("validate", f"bad {what}: {exc}") from exc
 
 
 def parse_config(raw: dict, override_precision: Optional[int] = None) -> ExperimentConfig:
@@ -128,53 +135,29 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
         precision = os.environ.get(ENV_PRECISION)
     if precision is None:
         precision = DEFAULT_PRECISION_BITS
-    try:
-        precision = set_precision(int(precision))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("validate", f"bad precision_bits: {exc}") from exc
+    precision = _validated("precision_bits", lambda p: set_precision(int(p)), precision)
 
     warnings = []
-    try:
-        specs = [_parse_measure(d) for d in raw.get("system", [])]
-        system = SystemSpec(specs)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError("validate", f"bad system: {exc}") from exc
+    system = _validated(
+        "system", lambda s: SystemSpec([_parse_measure(d) for d in s]), raw.get("system", [])
+    )
     m = system.m
-
-    pert_raw = raw.get("perturbations", [])
-    pert_coeffs = None
-    if pert_raw:
-        if len(pert_raw) != m:
-            raise ConfigError("validate", "perturbations must list one entry per generator")
-        pert_coeffs = []
-        for entry in pert_raw:
-            if entry is None:
-                pert_coeffs.append(((mpf(0),), (mpf(1),)))
-                continue
-            try:
-                num = tuple(_num(c) for c in entry["num_coeffs"])
-                den = tuple(_num(c) for c in entry["den_coeffs"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigError("validate", f"bad perturbation entry: {exc}") from exc
-            pert_coeffs.append((num, den))
-        pert_coeffs = tuple(pert_coeffs)
-
-    sweep_raw = raw.get("sweep", [])
-    try:
-        sweep = _parse_sweep(sweep_raw, m)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError("validate", f"bad sweep: {exc}") from exc
+    pert_coeffs = _validated(
+        "perturbations", lambda p: _parse_perturbations(p, m), raw.get("perturbations", [])
+    )
+    sweep = _validated("sweep", lambda s: _parse_sweep(s, m), raw.get("sweep", []))
 
     spread_cap = raw.get("max_index_spread")
     if spread_cap is not None:
+        spread_cap = _validated("max_index_spread", int, spread_cap)
         for n in sweep:
-            if n.spread > int(spread_cap):
+            if n.spread > spread_cap:
                 warnings.append(
                     f"multi-index {tuple(n)} exceeds the declared spread bound "
                     f"{spread_cap}; the ratio limits assume a bounded spread"
                 )
 
-    checks = tuple(raw.get("checks", []))
+    checks = _validated("checks", tuple, raw.get("checks", []))
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ConfigError("validate", f"unknown check {c!r}; known: {KNOWN_CHECKS}")
@@ -182,8 +165,6 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
     grid = raw.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("validate", "grid must be an object")
-
-    out_dir = raw.get("output_dir", "out")
 
     # last two intervals touching undermines the bounded-gap hypothesis
     if m >= 2:
@@ -202,12 +183,30 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
         sweep=sweep,
         grid=grid,
         checks=checks,
-        output_dir=Path(out_dir),
+        output_dir=_validated("output_dir", Path, raw.get("output_dir", "out")),
         pole_eps=_num(raw.get("pole_eps", 0.25)),
-        order_deficit=int(raw.get("order_deficit", 0)),
-        max_index_spread=spread_cap,
+        order_deficit=_validated("order_deficit", int, raw.get("order_deficit", 0)),
         warnings=tuple(warnings),
     )
+
+
+def _parse_perturbations(pert_raw, m: int) -> Optional[tuple]:
+    if not pert_raw:
+        return None
+    if len(pert_raw) != m:
+        raise ConfigError("validate", "perturbations must list one entry per generator")
+    coeffs = []
+    for entry in pert_raw:
+        if entry is None:
+            coeffs.append(((mpf(0),), (mpf(1),)))
+        else:
+            coeffs.append(
+                (
+                    tuple(_num(c) for c in entry["num_coeffs"]),
+                    tuple(_num(c) for c in entry["den_coeffs"]),
+                )
+            )
+    return tuple(coeffs)
 
 
 def _parse_measure(d: dict) -> MeasureSpec:
@@ -439,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
     g = config.grid
     if "points" in g:
-        pts = [mpc(_num(p[0]), _num(p[1])) for p in g["points"]]
+        pts = _validated("grid", lambda ps: [mpc(_num(p[0]), _num(p[1])) for p in ps], g["points"])
         last = sys.intervals[-1]
         poles = pert.poles if pert is not None else ()
         kept = [
@@ -455,13 +454,16 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
                 "close to a perturbation pole",
             )
         return EvalGrid(kept)
-    return EvalGrid.default(
-        sys,
-        pert,
-        radius_factor=_num(g.get("radius_factor", 4)),
-        circle_points=int(g.get("circle_points", 64)),
-        segment_points=int(g.get("segment_points", 16)),
+    radius_factor, circle_points, segment_points = _validated(
+        "grid",
+        lambda g: (
+            _num(g.get("radius_factor", 4)),
+            int(g.get("circle_points", 64)),
+            int(g.get("segment_points", 16)),
+        ),
+        g,
     )
+    return EvalGrid.default(sys, pert, radius_factor, circle_points, segment_points)
 
 
 def _write_convergence_csv(path: Path, sys, rows):

@@ -151,9 +151,9 @@ class RationalPerturbation:
                     )
 
 
-def _cluster_roots(roots, rel_tol=None):
-    """Group near-coincident roots into (center, multiplicity) pairs."""
-    tol = noise_floor(0.125) if rel_tol is None else mpf(rel_tol)
+def _cluster_roots(roots):
+    """Group roots within 2^-P/8 relative into (center, multiplicity) pairs."""
+    tol = noise_floor(0.125)
     clusters = []
     for z in roots:
         for idx, (center, count) in enumerate(clusters):
@@ -498,14 +498,14 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits)
 
 
-def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int, extra: int = 4):
-    """Tail coefficients of Q s-hat_{1,j} - P_j, indices 0..n_j+extra."""
+def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
+    """Tail coefficients of Q s-hat_{1,j} - P_j, indices 0..n_j+4."""
     if not 1 <= j <= v.m:
         raise IndexError("component out of range")
-    K = v.q.degree + v.n[j - 1] + extra + 1
+    K = v.q.degree + v.n[j - 1] + 5
     tail = moments(sys.chain(1, j), K)
     out = []
-    for k in range(v.n[j - 1] + extra + 1):
+    for k in range(v.n[j - 1] + 5):
         out.append(mp.fsum(v.q[mu] * tail[mu + k] for mu in range(v.q.degree + 1)))
     return out
 
@@ -540,19 +540,15 @@ def remainder_eval(
     return acc
 
 
-def check_orthogonality(
-    sys: NikishinSystem, v: TypeIVector, level: int = 1, M: Optional[int] = None
-) -> OrthogonalityReport:
+def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> OrthogonalityReport:
     """Moment orthogonality of the first-level remainder on sigma_1's atoms.
 
-    With achieved order N the sums sum_i x_i^nu A_1(x_i) w_i sign vanish for
-    nu = 0..N-2.  N defaults to the vector's order target; pass M to override
-    (N = |n| - M).  Vectors from perturbed_reduce verify the T-weighted form
-    automatically since their remainder is T * A_1.
+    With N the vector's order target, the sums sum_i x_i^nu A_1(x_i) w_i sign
+    vanish for nu = 0..N-2.  Vectors from perturbed_reduce verify the
+    T-weighted form automatically since their remainder is T * A_1.  Deeper
+    remainder levels are not checked.
     """
-    if level != 1:
-        raise ValueError("only the first-level orthogonality is computable here")
-    N = v.order_target if M is None else v.n.total - M
+    N = v.order_target
     if N <= 1:
         return OrthogonalityReport(mpf(0), mpf(0), 0)
     sigma1 = sys.generators[0]

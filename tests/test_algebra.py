@@ -53,9 +53,6 @@ class TestPolynomial:
         z = mpf("1.25")
         assert abs(p(z) - (1 - 3 * z + 2 * z**3)) < noise_floor(0.9)
 
-    def test_derivative(self):
-        assert Polynomial([5, 1, 3]).derivative() == Polynomial([1, 6])
-
 
 class TestLaurentExpansion:
     def test_single_pole_geometric(self):

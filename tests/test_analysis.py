@@ -19,8 +19,6 @@ from nikishin_hp import (
     first_level_sign_grid,
     noise_floor,
     pole_attraction,
-    ratio_error,
-    ratio_error_a0,
     ratio_targets,
     sign_changes,
     solve_type1,
@@ -56,33 +54,43 @@ class TestEvalGrid:
             EvalGrid([])
 
 
+def normalized_sup(v, grid, numerator, target):
+    """Oracle: sup |a_num/a_m - target| over the points with |a_m| >= 2^-P/2,
+    divided by the target's sup over the same points."""
+    m = v.m
+    err, scale = mpf(0), mpf(0)
+    for z in grid.points:
+        den = v.a[m](z)
+        if abs(den) < noise_floor(0.5):
+            continue
+        t = target(z)
+        scale = max(scale, abs(t))
+        err = max(err, abs(v.a[numerator](z) / den - t))
+    return err / max(scale, mpf(2) ** (-mp.prec))
+
+
 class TestRatioError:
     def test_m1_has_no_ratio_components(self, f1_system):
         v = solve_type1(f1_system, MultiIndex((2,)))
         grid = EvalGrid([mpc(0, 2)])
-        with pytest.raises(ValueError):
-            ratio_error(f1_system, None, v, 1, grid)
+        assert convergence_row(f1_system, None, v, grid).err == ()
 
     def test_matches_inline_oracle(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((6, 6)))
         grid = EvalGrid.default(m2_16_system, None, circle_points=16, segment_points=4)
-        got = ratio_error(m2_16_system, None, v, 1, grid)
-        # oracle: direct sup of |a_1/a_2 + sigma_2-hat| (m=2, j=1 target sign is -1)
+        row = convergence_row(m2_16_system, None, v, grid)
+        # a_1/a_2 tends to -sigma_2-hat (m=2, j=1 target sign is -1)
         sigma2 = m2_16_system.generators[1]
-        sup = mpf(0)
-        for z in grid.points:
-            den = v.a[2](z)
-            if abs(den) < noise_floor(0.5):
-                continue
-            sup = max(sup, abs(v.a[1](z) / den + cauchy_eval(sigma2, z)))
-        assert got.sup_error == sup
-        assert got.skipped == 0
+        assert row.err[0] == normalized_sup(v, grid, 1, lambda z: -cauchy_eval(sigma2, z))
+        assert all(abs(v.a[2](z)) >= noise_floor(0.5) for z in grid.points)
 
     def test_error_shrinks_with_order(self, m2_16_system):
         grid = EvalGrid.default(m2_16_system, None, circle_points=16, segment_points=4)
-        e4 = ratio_error(m2_16_system, None, solve_type1(m2_16_system, MultiIndex((4, 4))), 1, grid)
-        e8 = ratio_error(m2_16_system, None, solve_type1(m2_16_system, MultiIndex((8, 8))), 1, grid)
-        assert e8.sup_error < e4.sup_error
+        e4, e8 = (
+            convergence_row(m2_16_system, None, solve_type1(m2_16_system, MultiIndex((k, k))), grid)
+            for k in (4, 8)
+        )
+        assert e8.err[0] < e4.err[0]
 
     def test_normalization_independence(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((4, 4)))
@@ -95,9 +103,9 @@ class TestRatioError:
             v.precision_bits,
         )
         grid = EvalGrid.default(m2_16_system, None, circle_points=8, segment_points=2)
-        a = ratio_error(m2_16_system, None, v, 1, grid)
-        b = ratio_error(m2_16_system, None, scaled, 1, grid)
-        assert abs(a.sup_error - b.sup_error) <= noise_floor(0.5) * (1 + a.sup_error)
+        a = convergence_row(m2_16_system, None, v, grid)
+        b = convergence_row(m2_16_system, None, scaled, grid)
+        assert abs(a.err[0] - b.err[0]) <= noise_floor(0.5) * (1 + a.err[0])
 
     def test_degenerate_last_component(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((4, 4)))
@@ -111,7 +119,7 @@ class TestRatioError:
         )
         grid = EvalGrid([mpc(0, 2)])
         with pytest.raises(ValueError):
-            ratio_error(m2_16_system, None, broken, 1, grid)
+            convergence_row(m2_16_system, None, broken, grid)
 
 
 class TestRatioErrorA0:
@@ -119,28 +127,24 @@ class TestRatioErrorA0:
         # m=1: a_0/a_1 tends to -s-hat_{1,1}
         v = solve_type1(f1_system, MultiIndex((2,)))
         grid = EvalGrid([mpc(0, 3), mpc(4, 1)])
-        r = ratio_error_a0(f1_system, None, v, grid)
+        row = convergence_row(f1_system, None, v, grid)
         sigma = f1_system.generators[0]
-        sup = max(
-            abs(v.a[0](z) / v.a[1](z) + cauchy_eval(sigma, z)) for z in grid.points
-        )
-        assert abs(r.sup_error - sup) < noise_floor(0.5)
+        assert row.err0 == normalized_sup(v, grid, 0, lambda z: -cauchy_eval(sigma, z))
 
     def test_m2_unperturbed_target_is_reversed_chain(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((4, 4)))
         z = mpc(0, 6)
         grid = EvalGrid([z])
-        r = ratio_error_a0(m2_16_system, None, v, grid)
+        row = convergence_row(m2_16_system, None, v, grid)
         target = cauchy_eval(m2_16_system.chain(2, 1), z)
-        direct = abs(v.a[0](z) / v.a[2](z) - target)
-        assert abs(r.sup_error - direct) < noise_floor(0.5)
+        assert row.err0 == abs(v.a[0](z) / v.a[2](z) - target) / abs(target)
 
     def test_perturbed_error_decreases(self, m2_16_system, pert_pm5):
         grid = EvalGrid.default(m2_16_system, pert_pm5, circle_points=16, segment_points=4)
         errs = []
         for k in (3, 5, 7):
             v = solve_type1_perturbed(m2_16_system, pert_pm5, MultiIndex((k, k)))
-            errs.append(ratio_error_a0(m2_16_system, pert_pm5, v, grid).sup_error)
+            errs.append(convergence_row(m2_16_system, pert_pm5, v, grid).err0)
         assert errs[2] < errs[1] < errs[0]
 
 
@@ -149,10 +153,10 @@ class TestConvergenceRow:
         v = solve_type1(m2_16_system, MultiIndex((4, 4)))
         grid = EvalGrid.default(m2_16_system, None, circle_points=8, segment_points=2)
         row = convergence_row(m2_16_system, None, v, grid)
-        r1 = ratio_error(m2_16_system, None, v, 1, grid)
-        r0 = ratio_error_a0(m2_16_system, None, v, grid)
-        assert abs(row.err[0] - r1.sup_error / r1.target_scale) < noise_floor(0.9)
-        assert abs(row.err0 - r0.sup_error / r0.target_scale) < noise_floor(0.9)
+        sigma2 = m2_16_system.generators[1]
+        chain21 = m2_16_system.chain(2, 1)
+        assert row.err[0] == normalized_sup(v, grid, 1, lambda z: -cauchy_eval(sigma2, z))
+        assert row.err0 == normalized_sup(v, grid, 0, lambda z: cauchy_eval(chain21, z))
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_shared_targets_match_the_per_row_formula(self, m2_16_system, pert_pm5, perturbed):
@@ -216,7 +220,6 @@ class TestConvergenceRow:
             ):
                 assert row.err == errs
                 assert row.err0 == err0
-            assert ratio_error(sys, pert, v, 1, grid, targets).skipped == 1
 
 
 class TestEstimateRate:

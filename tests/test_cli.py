@@ -83,6 +83,26 @@ class TestArgumentHandling:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "validate"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid", {"points": [1, 2]}),
+            ("grid", {"circle_points": [3]}),
+            ("checks", 5),
+            ("perturbations", 5),
+            ("order_deficit", [1]),
+            ("output_dir", 5),
+        ],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, value):
+        # a malformed value is a config error, not a failed check
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=[])
+        cfg[key] = value
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        # stderr holds JSON lines only, no traceback
+        err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert err[-1]["error"] == "validate"
+
     def test_system_validation_failure(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
         cfg["system"][1]["interval"] = [-0.5, 3]  # overlaps the first interval

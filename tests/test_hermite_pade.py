@@ -536,8 +536,3 @@ class TestOrthogonality:
         rep = check_orthogonality(m2_16_system, v)
         assert rep.conditions == 6 - 2 - 1
         assert rep.max_residual <= noise_floor(0.5) * max(rep.scale, mpf(1))
-
-    def test_deeper_levels_unsupported(self, m2_16_system):
-        v = solve_type1(m2_16_system, MultiIndex((2, 2)))
-        with pytest.raises(ValueError):
-            check_orthogonality(m2_16_system, v, level=2)
