@@ -6,13 +6,16 @@ Rational fractions are kept irreducible with monic denominator and vanish at
 infinity (deg num < deg den).  A LaurentTail holds the expansion of such a
 function at infinity: entry k is the coefficient of z^-(k+1).
 
-Root localization uses simultaneous Aberth-Ehrlich iteration at working
-precision with seeded random restarts on stagnation, followed by conjugate
+Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
+float64 give the starting points (a circle when the float64 roots are not
+finite and distinct), then sweeps above working precision, with seeded
+random restarts on stagnation, refine them, followed by conjugate
 symmetrization for real input.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 
@@ -314,7 +317,9 @@ def poly_roots(p: Polynomial) -> list:
 
     Each returned root satisfies |p(root)| <= 2^-P/2 * ||p|| * max(1,|root|)^deg
     at the ambient precision P; complex roots of real polynomials are returned
-    in conjugate pairs.
+    in conjugate pairs.  Aberth sweeps in float64 give the starting points
+    of the iteration at P + max(64, 4 deg) bits; when the float64 roots are
+    not finite and distinct it starts from a circle instead.
     """
     if p.degree <= 0:
         raise ValueError("no roots of a constant")
@@ -328,7 +333,11 @@ def poly_roots(p: Polynomial) -> list:
     roots = []
     if n > 0:
         with mp.workprec(prec + max(64, 4 * n)):
-            roots = _aberth(coeffs)
+            c = [mpc(x) for x in coeffs]
+            if n == 1:
+                roots = [-c[0] / c[1]]
+            else:
+                roots = _aberth(c, _float_start(c) or _circle_start(c))
         if all(isinstance(c, mpf) for c in p.coeffs):
             roots = _symmetrize_conjugates(roots, prec)
     roots.extend(mpc(0) for _ in range(zeros_at_origin))
@@ -341,29 +350,93 @@ def poly_roots(p: Polynomial) -> list:
     return roots
 
 
-def _aberth(coeffs) -> list:
-    """Simultaneous Aberth-Ehrlich iteration; coeffs ascending, c0 != 0."""
-    c = [mpc(x) for x in coeffs]
-    n = len(c) - 1
-    if n == 1:
-        return [-c[0] / c[1]]
-    dc = [k * c[k] for k in range(1, n + 1)]
-    norm = max(abs(x) for x in c)
-    rng = random.Random(0xA8E27 ^ n)
+def _horner(cs, x):
+    acc = cs[-1]
+    for a in cs[-2::-1]:
+        acc = acc * x + a
+    return acc
 
+
+def _sweep(c, dc, z, norm, one, bits):
+    """One Aberth-Ehrlich sweep over the approximations z, updated in place.
+
+    Works on Python complex (one = 1.0, bits = 53) and on mpc (one = mpf(1),
+    bits = mp.prec) alike.  Returns (metric, moved): the largest scaled
+    residual |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i
+    steps, and the largest relative step.
+    """
+    n = len(c) - 1
+    metric = moved = 0 * one
+    for i in range(n):
+        pv = _horner(c, z[i])
+        metric = max(metric, abs(pv) / (norm * max(one, abs(z[i])) ** n))
+        if pv == 0:
+            continue
+        dv = _horner(dc, z[i])
+        if dv == 0:
+            z[i] *= 1 + (2 * one) ** (-bits // 3)
+            dv = _horner(dc, z[i])
+            if dv == 0:
+                continue
+        newton = pv / dv
+        s = 0
+        for j in range(n):
+            if j == i:
+                continue
+            diff = z[i] - z[j]
+            if diff == 0:
+                diff = (2 * one) ** (-bits // 2) * (1 + abs(z[i]))
+            s += 1 / diff
+        denom = 1 - newton * s
+        step = newton if denom == 0 else newton / denom
+        z[i] = z[i] - step
+        moved = max(moved, abs(step) / (1 + abs(z[i])))
+    return metric, moved
+
+
+def _circle_start(c) -> list:
+    """n points on the circle of radius |c_0/c_n|^(1/n), rotated off the axes."""
+    n = len(c) - 1
     radius = abs(c[0] / c[n]) ** (mpf(1) / n)
     if radius == 0 or not mp.isfinite(radius):
         radius = mpf(1)
-    z = [
-        radius * mp.expjpi(2 * (mpf(k) + mpf("0.35")) / n)
-        for k in range(n)
-    ]
+    return [radius * mp.expjpi(2 * (mpf(k) + mpf("0.35")) / n) for k in range(n)]
 
-    def horner(cs, x):
-        acc = mpc(0)
-        for a in reversed(cs):
-            acc = acc * x + a
-        return acc
+
+def _float_start(c):
+    """The roots of c from Aberth sweeps in float64, run from the circle start.
+
+    Returns None when they are not finite and pairwise distinct (relative
+    gap above 2^-16), as at a multiple root or when the coefficients leave
+    the float64 range.
+    """
+    n = len(c) - 1
+    try:
+        cf = [complex(x) for x in c]
+        dc = [k * cf[k] for k in range(1, n + 1)]
+        norm = max(abs(x) for x in cf)
+        z = [complex(w) for w in _circle_start(c)]
+        floor_metric = 2.0 ** (-53 + 12 + n.bit_length())
+        for _ in range(100):
+            if _sweep(cf, dc, z, norm, 1.0, 53)[0] <= floor_metric:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not all(cmath.isfinite(w) for w in z):
+        return None
+    for i in range(n):
+        for j in range(i):
+            if abs(z[i] - z[j]) <= 2.0**-16 * (1 + max(abs(z[i]), abs(z[j]))):
+                return None
+    return [mpc(w) for w in z]
+
+
+def _aberth(c, z) -> list:
+    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0."""
+    n = len(c) - 1
+    dc = [k * c[k] for k in range(1, n + 1)]
+    norm = max(abs(x) for x in c)
+    rng = random.Random(0xA8E27 ^ n)
 
     floor_metric = mpf(2) ** (-mp.prec + 12 + n.bit_length())
     accept_metric = mpf(2) ** (-mp.prec // 2 - 8)
@@ -372,33 +445,7 @@ def _aberth(coeffs) -> list:
     restarts = 0
     max_iter = 600
     for _ in range(max_iter):
-        metric = mpf(0)
-        moved = mpf(0)
-        for i in range(n):
-            pv = horner(c, z[i])
-            m_i = abs(pv) / (norm * max(mpf(1), abs(z[i])) ** n)
-            metric = max(metric, m_i)
-            if pv == 0:
-                continue
-            dv = horner(dc, z[i])
-            if dv == 0:
-                z[i] *= 1 + mpf(2) ** (-mp.prec // 3)
-                dv = horner(dc, z[i])
-                if dv == 0:
-                    continue
-            newton = pv / dv
-            s = mpc(0)
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = z[i] - z[j]
-                if diff == 0:
-                    diff = mpf(2) ** (-mp.prec // 2) * (1 + abs(z[i]))
-                s += 1 / diff
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
-            z[i] = z[i] - step
-            moved = max(moved, abs(step) / (1 + abs(z[i])))
+        metric, moved = _sweep(c, dc, z, norm, mpf(1), mp.prec)
         if metric <= floor_metric:
             break
         if moved <= mpf(2) ** (-mp.prec + 16) and metric <= accept_metric:

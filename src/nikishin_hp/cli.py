@@ -120,6 +120,16 @@ def _validated(what: str, convert, value):
         raise ConfigError("validate", f"bad {what}: {exc}") from exc
 
 
+def _integer(key: str, value) -> int:
+    """An integer config value: a JSON integer, an integral JSON number or a
+    decimal string; a fraction, a bool or any other type is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError("validate", f"bad {key}: expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError("validate", f"bad {key}: {value!r} is not an integer")
+    return _validated(key, int, value)
+
+
 def parse_config(raw: dict, override_precision: Optional[int] = None) -> ExperimentConfig:
     """Validate the raw JSON dict into an ExperimentConfig.
 
@@ -135,7 +145,7 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
         precision = os.environ.get(ENV_PRECISION)
     if precision is None:
         precision = DEFAULT_PRECISION_BITS
-    precision = _validated("precision_bits", lambda p: set_precision(int(p)), precision)
+    precision = _validated("precision_bits", set_precision, _integer("precision_bits", precision))
 
     warnings = []
     system = _validated(
@@ -149,7 +159,7 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
 
     spread_cap = raw.get("max_index_spread")
     if spread_cap is not None:
-        spread_cap = _validated("max_index_spread", int, spread_cap)
+        spread_cap = _integer("max_index_spread", spread_cap)
         for n in sweep:
             if n.spread > spread_cap:
                 warnings.append(
@@ -157,7 +167,10 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
                     f"{spread_cap}; the ratio limits assume a bounded spread"
                 )
 
-    checks = _validated("checks", tuple, raw.get("checks", []))
+    checks = raw.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("validate", f"bad checks: expected a list of names, got {checks!r}")
+    checks = tuple(checks)
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ConfigError("validate", f"unknown check {c!r}; known: {KNOWN_CHECKS}")
@@ -185,7 +198,7 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
         checks=checks,
         output_dir=_validated("output_dir", Path, raw.get("output_dir", "out")),
         pole_eps=_num(raw.get("pole_eps", 0.25)),
-        order_deficit=_validated("order_deficit", int, raw.get("order_deficit", 0)),
+        order_deficit=_integer("order_deficit", raw.get("order_deficit", 0)),
         warnings=tuple(warnings),
     )
 
@@ -218,12 +231,12 @@ def _parse_measure(d: dict) -> MeasureSpec:
             interval=interval,
             nodes=tuple(_num(x) for x in d["nodes"]),
             weights=tuple(_num(w) for w in d["weights"]),
-            sign=int(d.get("sign", 1)),
+            sign=_integer("sign", d.get("sign", 1)),
         )
     return MeasureSpec(
         kind=kind,
         interval=interval,
-        node_count=int(d["node_count"]),
+        node_count=_integer("node_count", d["node_count"]),
         alpha=_num(d["alpha"]) if "alpha" in d else None,
         beta=_num(d["beta"]) if "beta" in d else None,
         density_scale=_num(d.get("density_scale", 1)),
@@ -234,16 +247,16 @@ def _parse_sweep(sweep_raw, m: int):
     if isinstance(sweep_raw, dict):
         if sweep_raw.get("shape") != "diagonal":
             raise ValueError(f"unknown sweep shape {sweep_raw.get('shape')!r}")
-        k_min = int(sweep_raw["k_min"])
-        k_max = int(sweep_raw["k_max"])
-        step = int(sweep_raw.get("step", 2))
-        mm = int(sweep_raw.get("m", m))
+        k_min = _integer("k_min", sweep_raw["k_min"])
+        k_max = _integer("k_max", sweep_raw["k_max"])
+        step = _integer("step", sweep_raw.get("step", 2))
+        mm = _integer("m", sweep_raw.get("m", m))
         if mm != m:
             raise ValueError("sweep m does not match the system size")
         if k_min < 1 or step < 1 or k_max < k_min:
             raise ValueError("diagonal sweep requires 1 <= k_min <= k_max and step >= 1")
         return tuple(MultiIndex.diagonal(m, k) for k in range(k_min, k_max + 1, step))
-    sweep = tuple(MultiIndex(entry) for entry in sweep_raw)
+    sweep = tuple(MultiIndex([_integer("sweep", p) for p in entry]) for entry in sweep_raw)
     for n in sweep:
         if len(n) != m:
             raise ValueError(f"multi-index {tuple(n)} does not match the {m}-generator system")
@@ -458,8 +471,8 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
         "grid",
         lambda g: (
             _num(g.get("radius_factor", 4)),
-            int(g.get("circle_points", 64)),
-            int(g.get("segment_points", 16)),
+            _integer("circle_points", g.get("circle_points", 64)),
+            _integer("segment_points", g.get("segment_points", 16)),
         ),
         g,
     )

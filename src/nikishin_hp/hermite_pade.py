@@ -3,9 +3,11 @@
 Order conditions at infinity translate into homogeneous moment-shift linear
 systems; the solution is the right singular direction of least singular value
 at working precision.  The SVD is linalg.svd_sv, a Golub-Reinsch kernel that
-forms only the singular values and the right factor, bit-identical to
-mp.svd_r.  Both solvers form the polynomial part of a tail convolution with
-_head_sum and its coefficients at infinity with _tail_sum.
+forms only the singular values and the one right singular vector the
+solvers read, bit-identical to mp.svd_r's: it rotates the right factor only
+until that vector's singular value has converged.  Both solvers form the
+polynomial part of a tail convolution with _head_sum and its coefficients
+at infinity with _tail_sum.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
@@ -251,15 +253,14 @@ def assemble_type1_system(tails, n: MultiIndex, M: int = 0):
 def _nullspace_min_direction(A, expected_rank: int):
     """Least-singular right direction of A (rows x cols), plus a nullity flag.
 
-    Returns (vec, flag, svals): vec is the last row of the SVD's right factor,
-    svals all cols singular values in decreasing order (the trailing
-    cols - rows are zero when rows < cols).  The flag fires when the smallest
-    structural singular value is within a factor 2^10 of the largest
-    should-be-zero one (rank deficient beyond the guaranteed nullity), or
-    when there are no constraints at all.
+    Returns (vec, flag, svals): vec is the last row of the SVD's right factor
+    (the only row svd_sv returns), svals all cols singular values in
+    decreasing order (the trailing cols - rows are zero when rows < cols).
+    The flag fires when the smallest structural singular value is within a
+    factor 2^10 of the largest should-be-zero one (rank deficient beyond the
+    guaranteed nullity), or when there are no constraints at all.
     """
-    svals, V = svd_sv(A.tolist(), A.cols)
-    vec = V[-1]
+    svals, vec = svd_sv(A.tolist(), A.cols)
     if expected_rank <= 0:
         return vec, True, svals
     flag = svals[expected_rank - 1] <= NULLITY_GAP * svals[expected_rank]

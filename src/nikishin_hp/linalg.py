@@ -8,26 +8,33 @@ from mpmath import mp
 
 
 def svd_sv(rows, cols: int):
-    """Singular values S and right factor V of a real matrix, with no left factor.
+    """Singular values S and the last right singular vector v of a real matrix.
 
     rows is the matrix as a list of row lists (any number of rows, each of
-    length cols); it is not modified.  Returns (S, V): S is a list of cols
+    length cols); it is not modified.  Returns (S, v): S is a list of cols
     values in decreasing order, of which only the first min(rows, cols) can
-    be nonzero, and V is a list of cols row lists, orthogonal, with
-    A = U diag(S) V for some column-orthogonal U that is never formed.
+    be nonzero, and v is the last row of the orthogonal right factor V of
+    A = U diag(S) V, the right singular direction of S[-1].  Neither U nor
+    the final V is formed.
 
     Householder bidiagonalization followed by the implicitly shifted QR
     algorithm of G. H. Golub and C. Reinsch, Numer. Math. 14 (1970)
     403-420, as in the EISPACK routine svd.  This is a transcription of
     mpmath's svd_r_raw (mpmath/matrices/eigen_symmetric.py, copyright 2013
     Timo Hartmann, BSD licence) with calc_u false: the same operations in
-    the same order at the ambient precision, so S and V are bit-identical to
-    mp.svd_r's, but without the rotations on U and on lists instead of
-    mp.matrix.  Loops that update many columns or rows at once are written
-    as list comprehensions; each entry still sees the same sequence of
-    roundings, and every sum is accumulated in the original order.
+    the same order at the ambient precision, so S and v are bit-identical
+    to mp.svd_r's S and last row of V, but on lists instead of mp.matrix.
+    Loops that update many columns or rows at once are written as list
+    comprehensions; each entry still sees the same sequence of roundings,
+    and every sum is accumulated in the original order.
+
+    The QR sweeps run twice.  The first, on copies of the bidiagonal and
+    without V, yields S and the row idx of V that sorting S puts last.  QR
+    phase k (k = n-1 down to 0) rotates only rows with index at most k, so
+    row idx is final once phase idx has converged: the second pass rotates
+    V through phase idx and stops there.
     """
-    fabs, sqrt, hypot = mp.fabs, mp.sqrt, mp.hypot
+    fabs, sqrt = mp.fabs, mp.sqrt
     zero, one = mp.zero, mp.one
     A = [list(row) for row in rows]
     m, n = len(A), cols
@@ -107,9 +114,35 @@ def svd_sv(rows, cols: int):
             V[j][i] = V[i][j] = zero
     V[0][0] = one
 
-    for k in range(n - 1, -1, -1):
-        # diagonalization of the bidiagonal form: loop over singular values,
-        # and over allowed iterations
+    values = S[:]
+    _diagonalize(values, work[:], anorm, maxits, None, 0)
+    order = list(range(n))
+    for i in range(n):  # sort into decreasing order (selection by swaps)
+        imax = i
+        s = fabs(values[i])
+        for j in range(i + 1, n):
+            c = fabs(values[j])
+            if c > s:
+                s = c
+                imax = j
+        if imax != i:
+            values[i], values[imax] = values[imax], values[i]
+            order[i], order[imax] = order[imax], order[i]
+    idx = order[-1]
+    _diagonalize(S, work, anorm, maxits, V, idx)
+    return values, V[idx]
+
+
+def _diagonalize(S, work, anorm, maxits, V, last):
+    """Golub-Reinsch QR sweeps on the bidiagonal (S, work), in place.
+
+    Runs the phases k = n-1 down to last, phase k ending when S[k] has
+    converged and been made nonnegative.  When V is not None its rows take
+    the same rotations and sign flips.
+    """
+    fabs, hypot = mp.fabs, mp.hypot
+    for k in range(len(S) - 1, last - 1, -1):
+        # loop over singular values, and over allowed iterations
         its = 0
         while True:
             its += 1
@@ -143,7 +176,8 @@ def svd_sv(rows, cols: int):
             if l == k:  # convergence
                 if z < 0:  # singular value is made nonnegative
                     S[k] = -z
-                    V[k] = [-y for y in V[k]]
+                    if V is not None:
+                        V[k] = [-y for y in V[k]]
                 break
 
             if its >= maxits:
@@ -175,9 +209,10 @@ def svd_sv(rows, cols: int):
                 g = g * c - x * s
                 h = y * s
                 y *= c
-                Vj, Vj1 = V[j], V[j + 1]
-                V[j] = [p * c + q * s for p, q in zip(Vj, Vj1)]
-                V[j + 1] = [q * c - p * s for p, q in zip(Vj, Vj1)]
+                if V is not None:
+                    Vj, Vj1 = V[j], V[j + 1]
+                    V[j] = [p * c + q * s for p, q in zip(Vj, Vj1)]
+                    V[j + 1] = [q * c - p * s for p, q in zip(Vj, Vj1)]
                 z = hypot(f, h)
                 S[j] = z
                 if z != 0:  # rotation can be arbitrary if z = 0
@@ -187,21 +222,6 @@ def svd_sv(rows, cols: int):
                 f = c * g + s * y
                 x = c * y - s * g
 
-            work[l] = zero
+            work[l] = mp.zero
             work[k] = f
             S[k] = x
-
-    # sort singular values into decreasing order (selection by swaps)
-    for i in range(n):
-        imax = i
-        s = fabs(S[i])
-        for j in range(i + 1, n):
-            c = fabs(S[j])
-            if c > s:
-                s = c
-                imax = j
-        if imax != i:
-            S[i], S[imax] = S[imax], S[i]
-            V[i], V[imax] = V[imax], V[i]
-
-    return S, V

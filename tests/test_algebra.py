@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from nikishin_hp import (
     LaurentTail,
+    algebra,
     Polynomial,
     RationalFn,
     laurent_expand_rational,
@@ -202,6 +203,32 @@ class TestRoots:
             theirs = sorted((mp.mpc(t) for t in theirs), key=lambda z: (z.real, z.imag))
             for a, b in zip(mine, theirs):
                 assert abs(a - b) < mpf(10) ** -25
+
+
+class TestRootStart:
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_float_start_matches_circle_start(self, sweep_solutions, monkeypatch, j):
+        # a_j of the README fixture at k=12: the float64 start is taken and
+        # gives the roots the circle start gives, bit for bit
+        p = sweep_solutions["perturbed"][12].a[j].trimmed()
+        assert p.degree == 11
+        assert algebra._float_start([mpc(c) for c in p.coeffs]) is not None
+        from_float = poly_roots(p)
+        monkeypatch.setattr(algebra, "_float_start", lambda c: None)
+        from_circle = poly_roots(p)
+        assert [(z.real._mpf_, z.imag._mpf_) for z in from_float] == [
+            (z.real._mpf_, z.imag._mpf_) for z in from_circle
+        ]
+
+    def test_double_root_falls_back_to_the_circle(self):
+        # float64 Aberth leaves the two approximations of 1 under 1e-6 apart,
+        # too close to count as distinct
+        p = Polynomial.from_roots([1, 1, 3])
+        assert algebra._float_start([mpc(c) for c in p.coeffs]) is None
+        roots = poly_roots(p)  # raises if a root misses the residual bound
+        assert len(roots) == 3
+        for r, e in zip(roots, [1, 1, 3]):
+            assert abs(r - e) < mpf(10) ** -30
 
 
 class TestLaurentTail:

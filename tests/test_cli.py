@@ -1,6 +1,7 @@
 """End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from nikishin_hp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
 GOLDEN_M3 = Path(__file__).parent / "data" / "golden_m3"
+GOLDEN_README = Path(__file__).parent / "data" / "golden_readme"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_config(out_dir, sweep=None, checks=None, pert=None):
@@ -102,6 +105,45 @@ class TestArgumentHandling:
         # stderr holds JSON lines only, no traceback
         err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert err[-1]["error"] == "validate"
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("order_deficit", lambda cfg: cfg.update(order_deficit=1.5)),
+            ("node_count", lambda cfg: cfg["system"][0].update(node_count=4.9)),
+            ("k_min", lambda cfg: cfg.update(sweep={"shape": "diagonal", "k_min": 2.9, "k_max": 3.9})),
+            ("precision_bits", lambda cfg: cfg.update(precision_bits=256.5)),
+            ("step", lambda cfg: cfg.update(sweep={"shape": "diagonal", "k_min": 2, "k_max": 3, "step": True})),
+        ],
+        ids=["order_deficit", "node_count", "k_min", "precision_bits", "step"],
+    )
+    def test_non_integer_for_an_integer_exits_2(self, tmp_path, capsys, key, edit):
+        # int() would truncate 1.5 to 1 and read true as 1
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=[])
+        edit(cfg)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert err["detail"].startswith(f"bad {key}: ")
+
+    def test_integral_json_numbers_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep={"shape": "diagonal", "k_min": 2.0, "k_max": 2, "step": 1}, checks=[])
+        cfg["precision_bits"] = 128.0
+        cfg["system"][0]["node_count"] = 8.0
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert json.loads((out / "identities.json").read_text())["precision_bits"] == 128
+
+    @pytest.mark.parametrize("value", ["chile", ""])
+    @pytest.mark.parametrize("override", [[], ["--check", "chile"]], ids=["config", "override"])
+    def test_checks_must_be_a_list(self, tmp_path, capsys, value, override):
+        # a string is not read as its characters, with or without --check
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]])
+        cfg["checks"] = value
+        assert main(["run", str(write_config(tmp_path, cfg))] + override) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert err["detail"].startswith("bad checks: ")
 
     def test_system_validation_failure(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")
@@ -277,6 +319,18 @@ class TestGoldenBodies:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json"):
             assert body_bytes(out / name) == (GOLDEN_M3 / name).read_bytes(), name
+
+    def test_readme_bodies_match_stored_bytes(self, tmp_path):
+        # the README example verbatim: type I and type II up to |n| = 24 and
+        # the roots of degree-11 a_j, beyond the smoke run's k <= 7; stored
+        # as written before the SVD stopped rotating V after the returned
+        # row converged and the roots started from float64
+        out = tmp_path / "out"
+        (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        cfg = dict(json.loads(block), output_dir=str(out))
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        for name in ("convergence.csv", "identities.json", "zeros.csv"):
+            assert body_bytes(out / name) == (GOLDEN_README / name).read_bytes(), name
 
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
     def test_each_check_alone_matches_the_full_run(self, tmp_path, check):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from mpmath import mp, mpc, mpf
 
-from nikishin_hp import hermite_pade
+from nikishin_hp import hermite_pade, linalg
 from nikishin_hp import (
     MAX_PRECISION_BITS,
     AtomicMeasure,
@@ -117,12 +117,25 @@ def assert_matches_oracle(A, expected_rank):
     return flag
 
 
+def tall_rows():
+    return [[mpf((3 * i + 5 * j * j) % 11 - 5) / (i + 1) for j in range(4)] for i in range(7)]
+
+
+def assert_kernel_matches_svd_r(rows, cols):
+    """svd_sv's S and v equal mp.svd_r's S and last row of V bit for bit."""
+    rows = [[mpf(x) for x in row] for row in rows]
+    S, v = svd_sv(rows, cols)
+    _, oracle_S, oracle_V = mp.svd_r(mp.matrix(rows))
+    assert bits(S) == bits(oracle_S)
+    assert bits(v) == bits(oracle_V[cols - 1, :])
+
+
 def type1_matrix(sys, pert, n):
     return assemble_type1_system(_type1_tails(sys, pert, n, n.total + n.max_part + 4), n, 0)
 
 
 class TestNullspaceKernel:
-    """The V-only SVD reproduces padded mp.svd_r bit for bit."""
+    """The one-row SVD reproduces padded mp.svd_r's S and last row of V bit for bit."""
 
     def test_readme_type1_matrix(self, m2_32_system, pert_pm5):
         n = MultiIndex((8, 8))
@@ -165,12 +178,41 @@ class TestNullspaceKernel:
         assert vec == [1] and svals == [0]
         assert_matches_oracle(A, 0)
 
-    def test_tall_matrix_all_of_v(self):
-        rows = [[mpf((3 * i + 5 * j * j) % 11 - 5) / (i + 1) for j in range(4)] for i in range(7)]
-        S, V = svd_sv(rows, 4)
-        _, oracle_S, oracle_V = mp.svd_r(mp.matrix(rows))
-        assert bits(S) == bits(oracle_S)
-        assert [bits(row) for row in V] == [bits(oracle_V[i, :]) for i in range(4)]
+    def test_tall_matrix_s_and_last_row(self):
+        # V's row 2 is returned, and phase 3, replayed before it, ends in
+        # a sign flip
+        assert_kernel_matches_svd_r(tall_rows(), 4)
+
+    def test_v_rotated_only_through_the_returned_rows_phase(self, monkeypatch):
+        calls = []
+        diagonalize = linalg._diagonalize
+
+        def recording(S, work, anorm, maxits, V, last):
+            calls.append((V is not None, last))
+            return diagonalize(S, work, anorm, maxits, V, last)
+
+        monkeypatch.setattr(linalg, "_diagonalize", recording)
+        svd_sv(tall_rows(), 4)
+        assert calls == [(False, 0), (True, 2)]
+
+    def test_returned_row_converges_after_the_first(self, m2_32_system, pert_pm5):
+        # the README type I matrix at k=4 returns V's row 6 of 8, so V
+        # takes the rotations of two QR phases
+        n = MultiIndex((4, 4))
+        A = type1_matrix(m2_32_system, pert_pm5, n)
+        assert (A.rows, A.cols) == (7, 8)
+        assert not assert_matches_oracle(A, n.total - 1)
+
+    def test_returned_row_converges_last_after_a_sign_flip(self):
+        # V's row 0 is returned, so every QR phase is replayed, and the
+        # first, phase 3, ends in a sign flip
+        rows = [[-8, -7, -7, 2], [-4, 0, -1, -3], [-8, 9, -4, 4], [3, 7, 2, 8], [5, 7, -1, -8]]
+        assert_kernel_matches_svd_r(rows, 4)
+
+    def test_sign_flip_on_the_returned_row(self):
+        # V's row 3 is returned and its own phase ends in a sign flip
+        rows = [[-5, -1, -6, 1], [9, -4, -9, 4], [4, -7, -6, -5], [1, 6, 9, 5]]
+        assert_kernel_matches_svd_r(rows, 4)
 
     def test_input_rows_untouched(self):
         rows = [[mpf(1), mpf(2)], [mpf(3), mpf(4)]]
