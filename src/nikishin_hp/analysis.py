@@ -242,6 +242,23 @@ class PoleAttractionReport:
     total_roots: int
 
 
+def validate_pole_eps(pert: Optional[RationalPerturbation], eps, last_interval: Interval) -> mpf:
+    """eps as an mpf, once it is positive and below half of every pole
+    separation and of every pole's distance to the last interval."""
+    eps = mpf(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    poles = pert.poles if pert is not None else ()
+    for i in range(len(poles)):
+        for k in range(i + 1, len(poles)):
+            if eps >= abs(poles[i][0] - poles[k][0]) / 2:
+                raise ValueError("eps exceeds half the minimal pole separation")
+    for zeta, _ in poles:
+        if eps >= last_interval.distance_to(zeta) / 2:
+            raise ValueError("eps exceeds half the pole distance to the last interval")
+    return eps
+
+
 def pole_attraction(
     pert: Optional[RationalPerturbation],
     v: TypeIVector,
@@ -262,17 +279,8 @@ def pole_attraction(
 
     if not 1 <= j <= v.m:
         raise IndexError("component out of range")
-    eps = mpf(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = validate_pole_eps(pert, eps, last_interval)
     poles = pert.poles if pert is not None else ()
-    for i in range(len(poles)):
-        for k in range(i + 1, len(poles)):
-            if eps >= abs(poles[i][0] - poles[k][0]) / 2:
-                raise ValueError("eps exceeds half the minimal pole separation")
-    for zeta, _ in poles:
-        if eps >= last_interval.distance_to(zeta) / 2:
-            raise ValueError("eps exceeds half the pole distance to the last interval")
     outer = max(abs(last_interval.a), abs(last_interval.b), mpf(1))
     for zeta, _ in poles:
         outer = max(outer, abs(zeta))

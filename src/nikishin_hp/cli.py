@@ -59,6 +59,7 @@ from .analysis import (
     pole_attraction,
     ratio_targets,
     sign_changes,
+    validate_pole_eps,
 )
 from .hermite_pade import (
     MultiIndex,
@@ -333,6 +334,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # solve_type1_perturbed solves at the full order |n|
             raise ConfigError("validate", "order_deficit applies to unperturbed systems only")
         pert.validate_against(sys)
+        if "pole_attraction" in config.checks:
+            validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
 
     grid = _build_grid(config, sys, pert)
     points = grid.points[:24]

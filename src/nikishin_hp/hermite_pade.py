@@ -47,6 +47,12 @@ class MultiIndex:
     parts: tuple
 
     def __init__(self, parts):
+        parts = tuple(parts)
+        for p in parts:
+            if isinstance(p, bool) or not (
+                isinstance(p, int) or isinstance(p, float) and p.is_integer()
+            ):
+                raise ValueError(f"multi-index entries must be integers, got {p!r}")
         parts = tuple(int(p) for p in parts)
         if not parts:
             raise ValueError("empty multi-index")

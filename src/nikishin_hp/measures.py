@@ -10,16 +10,21 @@ measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
-import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import fp, mp, mpc, mpf
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from .algebra import LaurentTail, Polynomial
 from .precision import noise_floor
 
 VALID_KINDS = ("atoms", "legendre-density", "jacobi-density")
+
+# the attributes tridiag_eigen reads, for float64 (mpmath.fp has no hypot)
+_FLOAT_QL = SimpleNamespace(dps=fp.dps, eps=fp.eps, hypot=math.hypot)
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,9 @@ def realize(spec: MeasureSpec) -> AtomicMeasure:
 def gauss_jacobi_rule(n: int, alpha, beta):
     """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
-    Nodes are Newton-polished at working precision from float64 eigenvalue
-    seeds of the Jacobi matrix; weights are the Christoffel numbers
+    Nodes are Newton-polished at working precision from float64 seeds, the
+    eigenvalues of the Jacobi matrix by mpmath's implicit QL (EISPACK imtql2)
+    run on Python floats; weights are the Christoffel numbers
     1 / sum_k p_k(x_i)^2 over the orthonormal polynomials below degree n.
     """
     if n < 1:
@@ -179,14 +185,8 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     alpha, beta = mpf(alpha), mpf(beta)
     diag, offsq, mu0 = _jacobi_recurrence(n, alpha, beta)
 
-    # float64 seeds via the symmetric tridiagonal Jacobi matrix
-    d = np.array([float(a) for a in diag])
-    e = np.sqrt(np.array([float(b) for b in offsq[1:n]])) if n > 1 else np.array([])
-    if n == 1:
-        seeds = [diag[0]]
-    else:
-        J = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        seeds = [mpf(x) for x in np.linalg.eigvalsh(J)]
+    seeds = [float(a) for a in diag]  # sorted eigenvalues on return
+    tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
 
     with mp.workprec(mp.prec + 64):
         nodes = [_newton_polish(x, n, diag, offsq) for x in seeds]

@@ -230,6 +230,16 @@ class TestRootStart:
         for r, e in zip(roots, [1, 1, 3]):
             assert abs(r - e) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("exponent", [400, -400])
+    def test_coefficients_beyond_float64_fall_back_to_the_circle(self, exponent):
+        # 10^400 overflows a float and 10^-400 underflows to 0.0
+        p = Polynomial([mpf(10) ** exponent * c for c in (2, -3, 1)])  # (x-1)(x-2)
+        assert algebra._float_start([mpc(c) for c in p.coeffs]) is None
+        roots = poly_roots(p)
+        assert len(roots) == 2
+        for r, e in zip(roots, [1, 2]):
+            assert abs(r - e) <= mpf(2) ** (8 - mp.prec) * e
+
 
 class TestLaurentTail:
     def test_addition_requires_equal_length(self):

@@ -1,7 +1,10 @@
 """End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,29 @@ class TestArgumentHandling:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "numeric", "detail": "svd: no convergence"}
+
+    @pytest.mark.parametrize(
+        "eps, detail",
+        [
+            (0, "eps must be positive"),
+            (3, "eps exceeds half the pole distance to the last interval"),
+            (6, "eps exceeds half the minimal pole separation"),
+        ],
+    )
+    def test_bad_pole_eps_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, eps, detail):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved before pole_eps was checked")
+
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        cfg = golden_smoke_config(tmp_path / "out")  # poles at +-5, last interval [1, 3]
+        cfg["pole_eps"] = eps
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "validate", "detail": detail}
+        assert solved == []
 
 
 class TestEndToEnd:
@@ -373,3 +399,22 @@ class TestPrecisionResolution:
         identities = json.loads((out / "identities.json").read_text())
         assert "chile" in identities["checks"]
         assert "ratio44" not in identities["checks"]
+
+
+class TestDependencies:
+    def test_a_full_run_never_imports_numpy(self, tmp_path):
+        # the smoke run reaches every module, the lazy imports of
+        # run_experiment and pole_attraction included
+        path = write_config(tmp_path, golden_smoke_config(tmp_path / "out"))
+        code = (
+            "import sys\n"
+            "from nikishin_hp.cli import main\n"
+            f"assert main(['run', {str(path)!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -57,6 +57,21 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex((1, -1))
 
+    @pytest.mark.parametrize("part", [2.5, True, "2", None])
+    def test_non_integer_part_rejected(self, part):
+        # no silent truncation: int(2.5) and int(True) are 2 and 1
+        with pytest.raises(ValueError, match="must be integers"):
+            MultiIndex((part, 2))
+
+    def test_integral_float_part_accepted(self):
+        n = MultiIndex((2.0, 2))
+        assert n.parts == (2, 2)
+        assert all(type(p) is int for p in n.parts)
+
+    def test_solve_with_fractional_part_rejected(self, m2_16_system):
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_type1(m2_16_system, MultiIndex((2.5, 2)))
+
     def test_accessors(self):
         n = MultiIndex((2, 5))
         assert n.total == 7 and n.max_part == 5 and n.spread == 3

@@ -83,6 +83,40 @@ class TestRealize:
         assert abs(mu.weights[0] - mu.weights[1]) < TIGHT
         assert abs(sum(mu.weights) - mp.pi) < TIGHT
 
+    @pytest.mark.parametrize(
+        "half, n, bits",
+        [
+            # deep-diag-m2's rule: Chebyshev first kind, nodes cos((2i-1)pi/2n), weights pi/n
+            (mpf("-0.5"), 64, 512),
+            # Chebyshev second kind: nodes cos(i pi/(n+1)), weights pi/(n+1) sin^2(i pi/(n+1))
+            (mpf("0.5"), 32, 256),
+        ],
+    )
+    def test_chebyshev_rules_against_closed_form(self, half, n, bits):
+        with mp.workprec(bits):
+            xs, ws = gauss_jacobi_rule(n, half, half)
+            if half < 0:
+                angles = [(2 * i - 1) * mp.pi / (2 * n) for i in range(n, 0, -1)]
+                oracle_ws = [mp.pi / n] * n
+            else:
+                angles = [i * mp.pi / (n + 1) for i in range(n, 0, -1)]
+                oracle_ws = [mp.pi / (n + 1) * mp.sin(t) ** 2 for t in angles]
+            tol = mpf(2) ** (8 - bits)
+            assert len(xs) == n
+            for x, t in zip(xs, angles):
+                assert abs(x - mp.cos(t)) <= tol
+            for w, e in zip(ws, oracle_ws):
+                assert abs(w - e) <= tol * e
+
+    def test_one_node_jacobi_rule(self):
+        # node (beta-alpha)/(alpha+beta+2), weight the total mass 2^(a+b+1) B(a+1, b+1)
+        alpha, beta = mpf("1.5"), mpf("-0.25")
+        (x,), (w,) = gauss_jacobi_rule(1, alpha, beta)
+        tol = mpf(2) ** (8 - mp.prec)
+        assert abs(x - (beta - alpha) / (alpha + beta + 2)) <= tol
+        mass = 2 ** (alpha + beta + 1) * mp.beta(alpha + 1, beta + 1)
+        assert abs(w - mass) <= tol * mass
+
     def test_quadrature_exactness_against_integral_oracle(self):
         # n-point rule integrates x^k exactly through degree 2n-1
         for n in (3, 8):
