@@ -7,7 +7,6 @@ the solution polynomials' zeros.
 """
 
 from .algebra import (
-    LaurentTail,
     Polynomial,
     RationalFn,
     laurent_expand_rational,

@@ -1,10 +1,10 @@
-"""Polynomial, rational-fraction and Laurent-tail arithmetic at working precision.
+"""Polynomial and rational-fraction arithmetic at working precision.
 
 Polynomials are dense coefficient tuples in ascending degree; the zero
 polynomial has degree -1 and the empty tuple is its unique representation.
 Rational fractions are kept irreducible with monic denominator and vanish at
-infinity (deg num < deg den).  A LaurentTail holds the expansion of such a
-function at infinity: entry k is the coefficient of z^-(k+1).
+infinity (deg num < deg den).  The expansion of such a function at infinity
+is a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
 
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
@@ -190,39 +189,6 @@ def _as_poly(x) -> Polynomial:
     return x if isinstance(x, Polynomial) else Polynomial((x,))
 
 
-@dataclass(frozen=True)
-class LaurentTail:
-    """Expansion coefficients at infinity: entry k is the coefficient of z^-(k+1)."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(mpf(c) for c in coeffs))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, k: int) -> mpf:
-        return self.coeffs[k]
-
-    def __add__(self, other: "LaurentTail") -> "LaurentTail":
-        if len(other) != len(self):
-            raise ValueError("tail lengths differ")
-        return LaurentTail([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def partial_sum(self, z):
-        """Evaluate the truncated expansion at z."""
-        acc = mpc(0)
-        zk = 1 / mpc(z)
-        for c in self.coeffs:
-            acc += c * zk
-            zk /= z
-        return acc
-
-
 class RationalFn:
     """Irreducible rational fraction vanishing at infinity (deg num < deg den).
 
@@ -265,8 +231,8 @@ class RationalFn:
         return f"RationalFn({self.num!r} / {self.den!r})"
 
 
-def laurent_expand_rational(r: RationalFn, K: int) -> LaurentTail:
-    """First K coefficients of the expansion of r at infinity.
+def laurent_expand_rational(r: RationalFn, K: int) -> tuple:
+    """The tail of r: a tuple of K mpf whose entry k is the coefficient of z^-(k+1).
 
     With t monic of degree d the coefficients satisfy the recurrence induced
     by v = t * tail:  h_k = v_{d-1-k} - sum_{i=max(0,d-k)}^{d-1} t_i h_{i-d+k}.
@@ -276,11 +242,11 @@ def laurent_expand_rational(r: RationalFn, K: int) -> LaurentTail:
     d = r.den.degree
     h = []
     for k in range(K):
-        s = r.num[d - 1 - k] if d - 1 - k >= 0 else mpf(0)
+        s = r.num[d - 1 - k]  # 0 below degree 0
         for i in range(max(0, d - k), d):
             s -= r.den[i] * h[i - d + k]
         h.append(s)
-    return LaurentTail(h)
+    return tuple(mpf(c) for c in h)  # rounded to the working precision
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -48,7 +48,13 @@ class EvalGrid:
         """Circle of radius radius_factor * (outer radius of supports and poles),
         plus a short segment in the gap between the first and last intervals,
         lifted 0.1i off the axis.  Points closer than 1/4 to a pole are dropped.
+        A radius_factor of 1 or less lets the circle reach the supports, so it
+        raises ValueError, as does a negative point count.
         """
+        if not mpf(radius_factor) > 1:
+            raise ValueError(f"radius_factor must exceed 1, got {radius_factor}")
+        if circle_points < 0 or segment_points < 0:
+            raise ValueError("circle_points and segment_points must be nonnegative")
         outer = sys.outer_radius
         poles = pert.poles if pert is not None else ()
         for zeta, _ in poles:

@@ -319,7 +319,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for w in config.warnings:
         print(json.dumps({"warning": w}), file=_sys.stderr)
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     sys = build_system(config.system)
     m = sys.m
     pert = None
@@ -434,6 +433,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "instances": len(config.sweep),
         }
 
+    # made only now, so a rejected config or a numerical failure leaves none
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_convergence_csv(config.output_dir / "convergence.csv", sys, rows)
     (config.output_dir / "identities.json").write_text(
         json.dumps(identities, indent=2, sort_keys=True) + "\n"
@@ -470,16 +471,17 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
                 "close to a perturbation pole",
             )
         return EvalGrid(kept)
-    radius_factor, circle_points, segment_points = _validated(
+    return _validated(
         "grid",
-        lambda g: (
+        lambda g: EvalGrid.default(
+            sys,
+            pert,
             _num(g.get("radius_factor", 4)),
             _integer("circle_points", g.get("circle_points", 64)),
             _integer("segment_points", g.get("segment_points", 16)),
         ),
         g,
     )
-    return EvalGrid.default(sys, pert, radius_factor, circle_points, segment_points)
 
 
 def _write_convergence_csv(path: Path, sys, rows):

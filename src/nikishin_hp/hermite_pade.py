@@ -1,13 +1,14 @@
 """Type I and type II simultaneous rational approximation of Cauchy transforms.
 
 Order conditions at infinity translate into homogeneous moment-shift linear
-systems; the solution is the right singular direction of least singular value
-at working precision.  The SVD is linalg.svd_sv, a Golub-Reinsch kernel that
-forms only the singular values and the one right singular vector the
-solvers read, bit-identical to mp.svd_r's: it rotates the right factor only
-until that vector's singular value has converged.  Both solvers form the
-polynomial part of a tail convolution with _head_sum and its coefficients
-at infinity with _tail_sum.
+systems, kept as plain row lists built from the tails (tuples whose entry k
+is the coefficient of z^-(k+1)); the solution is the right singular direction
+of least singular value at working precision.  The SVD is linalg.svd_sv, a
+Golub-Reinsch kernel that forms only the singular values and the one right
+singular vector the solvers read, bit-identical to mp.svd_r's: it rotates
+the right factor only until that vector's singular value has converged.
+Both solvers form the polynomial part of a tail convolution with _head_sum
+and its coefficients at infinity with _tail_sum.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
@@ -213,13 +214,11 @@ class OrthogonalityReport(NamedTuple):
 
 @dataclass(frozen=True)
 class ReduceReport:
-    """Outcome of the T-multiplication reduction of a perturbed solution."""
+    """Outcome of the T-multiplication reduction of a perturbed solution; p_0 is reduced.a[0]."""
 
-    p0: Polynomial
     reduced: TypeIVector
     max_residual: mpf
     scale: mpf
-    order_checked: int
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,8 @@ class ReduceReport:
 # ---------------------------------------------------------------------------
 
 
-def assemble_type1_system(tails, n: MultiIndex, M: int = 0):
-    """Moment-shift matrix whose nullspace is the admissible (a_1..a_m) set.
+def assemble_type1_system(tails, n: MultiIndex, M: int = 0) -> list:
+    """Moment-shift matrix, as row lists, whose nullspace is the admissible (a_1..a_m) set.
 
     Row t (t = 0..|n|-2-M) imposes a zero coefficient of z^-(t+1) in
     sum_j a_j f_j; the column block for component j has width n_j with entry
@@ -239,25 +238,14 @@ def assemble_type1_system(tails, n: MultiIndex, M: int = 0):
     if len(tails) != len(n):
         raise ValueError("one tail per component required")
     rows = max(0, n.total - 1 - M)
-    cols = n.total
     for j, tail in enumerate(tails):
-        need = n[j] - 1 + max(rows - 1, 0) + 1
-        if n[j] > 0 and len(tail) < need:
+        if n[j] > 0 and len(tail) < n[j] + max(rows - 1, 0):
             raise ValueError("tails too short for the requested order conditions")
-    if rows == 0:
-        return mp.matrix(0, cols)
-    A = mp.matrix(rows, cols)
-    for t in range(rows):
-        col = 0
-        for j in range(len(n)):
-            for l in range(n[j]):
-                A[t, col] = tails[j][l + t]
-                col += 1
-    return A
+    return [[tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)] for t in range(rows)]
 
 
-def _nullspace_min_direction(A, expected_rank: int):
-    """Least-singular right direction of A (rows x cols), plus a nullity flag.
+def _nullspace_min_direction(rows, cols: int, expected_rank: int):
+    """Least-singular right direction of rows (a cols-column matrix), plus a nullity flag.
 
     Returns (vec, flag, svals): vec is the last row of the SVD's right factor
     (the only row svd_sv returns), svals all cols singular values in
@@ -266,7 +254,7 @@ def _nullspace_min_direction(A, expected_rank: int):
     factor 2^10 of the largest should-be-zero one (rank deficient beyond the
     guaranteed nullity), or when there are no constraints at all.
     """
-    svals, vec = svd_sv(A.tolist(), A.cols)
+    svals, vec = svd_sv(rows, cols)
     if expected_rank <= 0:
         return vec, True, svals
     flag = svals[expected_rank - 1] <= NULLITY_GAP * svals[expected_rank]
@@ -315,23 +303,24 @@ def _escalating_type1(sys, pert, n, M) -> TypeIVector:
     )
 
 
-def _type1_tails(sys, pert, n, K):
-    """Moment tails of s_{1,j} to index K, plus the rational expansions."""
+def _type1_tails(sys, pert, n):
+    """Tails of s-hat_{1,j} + r_j: tuples of K + 1 entries, K = |n| + max n_j + 4."""
+    K = n.total + n.max_part + 4
     tails = []
     for j in range(1, len(n) + 1):
         tail = moments(sys.chain(1, j), K)
         if pert is not None and not pert.fractions[j - 1].is_zero:
-            tail = tail + laurent_expand_rational(pert.fractions[j - 1], K + 1)
+            rational = laurent_expand_rational(pert.fractions[j - 1], K + 1)
+            tail = tuple(a + b for a, b in zip(tail, rational, strict=True))
         tails.append(tail)
     return tails
 
 
 def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     total = n.total
-    K = total + n.max_part + 4
-    tails = _type1_tails(sys, pert, n, K)
-    A = assemble_type1_system(tails, n, M)
-    vec, flag, _ = _nullspace_min_direction(A, max(0, total - 1 - M))
+    tails = _type1_tails(sys, pert, n)
+    rows = assemble_type1_system(tails, n, M)
+    vec, flag, _ = _nullspace_min_direction(rows, total, max(0, total - 1 - M))
     blocks = _split_blocks(vec, n)
     blocks = _normalize_blocks(blocks)
     pairs = list(zip(blocks, tails))
@@ -447,13 +436,12 @@ def perturbed_reduce(
         p0 = p0 + cofactor * f.num * v.a[j]
 
     reduced_n = MultiIndex([p + D for p in v.n])
-    order_checked = v.n.total - D
+    order_target = v.n.total - D
     blocks = [list((T * v.a[j]).coeffs) for j in range(1, m + 1)]
     blocks = [b + [mpf(0)] * (reduced_n[j] - len(b)) for j, b in enumerate(blocks)]
-    K = reduced_n.total + reduced_n.max_part + 4
-    pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n, K)))
+    pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
 
-    sums = [_tail_sum(pairs, k) for k in range(max(order_checked - 1, 0))]
+    sums = [_tail_sum(pairs, k) for k in range(max(order_target - 1, 0))]
     max_residual = mpf(0)
     scale = mpf(0)
     for acc, sc in sums:
@@ -463,12 +451,12 @@ def perturbed_reduce(
     reduced = TypeIVector(
         (p0,) + tuple(T * v.a[j] for j in range(1, m + 1)),
         reduced_n,
-        order_checked,
+        order_target,
         residual_order,
         v.nullity_flag,
         v.precision_bits,
     )
-    return ReduceReport(p0, reduced, max_residual, scale, order_checked)
+    return ReduceReport(reduced, max_residual, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +476,10 @@ def solve_type2(sys: NikishinSystem, n: MultiIndex) -> TypeIIVector:
 
 def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     total = n.total
-    K = total + n.max_part + 4
-    tails = _type1_tails(sys, None, n, K)
+    tails = _type1_tails(sys, None, n)
     # row (j, nu) imposes a zero coefficient of z^-(nu+1) in Q f_j
-    A = mp.matrix(
-        [tails[j][nu : nu + total + 1] for j in range(len(n)) for nu in range(n[j])]
-    )
-    vec, flag, _ = _nullspace_min_direction(A, total)
+    rows = [tail[nu : nu + total + 1] for tail, nj in zip(tails, n) for nu in range(nj)]
+    vec, flag, _ = _nullspace_min_direction(rows, total + 1, total)
     q = Polynomial(vec).trimmed().monic()
     ps = []
     orders = []

@@ -23,7 +23,7 @@ def svd_sv(rows, cols: int):
     mpmath's svd_r_raw (mpmath/matrices/eigen_symmetric.py, copyright 2013
     Timo Hartmann, BSD licence) with calc_u false: the same operations in
     the same order at the ambient precision, so S and v are bit-identical
-    to mp.svd_r's S and last row of V, but on lists instead of mp.matrix.
+    to mp.svd_r's S and last row of V, but on lists instead of matrices.
     Loops that update many columns or rows at once are written as list
     comprehensions; each entry still sees the same sequence of roundings,
     and every sum is accumulated in the original order.

@@ -18,7 +18,7 @@ from typing import Optional
 from mpmath import fp, mp, mpc, mpf
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .algebra import LaurentTail, Polynomial
+from .algebra import Polynomial
 from .precision import noise_floor
 
 VALID_KINDS = ("atoms", "legendre-density", "jacobi-density")
@@ -251,8 +251,8 @@ def _newton_polish(x0, n, diag, offsq):
     return x
 
 
-def moments(mu: AtomicMeasure, K: int) -> LaurentTail:
-    """Power moments c_0..c_K; exactly the Laurent tail of the Cauchy transform."""
+def moments(mu: AtomicMeasure, K: int) -> tuple:
+    """Moments c_0..c_K, mu-hat's tail: a tuple whose entry k is the coefficient of z^-(k+1)."""
     if K < 0:
         raise ValueError("moment order must be nonnegative")
     out = []
@@ -260,7 +260,7 @@ def moments(mu: AtomicMeasure, K: int) -> LaurentTail:
     for _ in range(K + 1):
         out.append(mu.sign * mp.fsum(powers))
         powers = [p * x for p, x in zip(powers, mu.nodes)]
-    return LaurentTail(out)
+    return tuple(out)
 
 
 def cauchy_eval(mu: AtomicMeasure, z):

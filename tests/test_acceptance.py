@@ -193,7 +193,7 @@ def test_criterion_7_reduction_consistency(m2_32_system, pert_pm5, sweep_solutio
     worst = mpf(0)
     for k in range(4, 13, 2):
         rep = perturbed_reduce(pert_pm5, sweep_solutions["perturbed"][k], m2_32_system)
-        assert rep.order_checked == 2 * k - 2
+        assert rep.reduced.order_target == 2 * k - 2
         worst = max(worst, rep.max_residual)
     print(f"criterion 7: worst reduction residual {mp.nstr(worst, 3)}")
     assert worst <= mpf(10) ** -40

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import re
@@ -15,7 +16,9 @@ from nikishin_hp.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
 GOLDEN_M3 = Path(__file__).parent / "data" / "golden_m3"
 GOLDEN_README = Path(__file__).parent / "data" / "golden_readme"
+GOLDEN_DEEP = Path(__file__).parent / "data" / "golden_deep"
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 
 def base_config(out_dir, sweep=None, checks=None, pert=None):
@@ -162,6 +165,7 @@ class TestArgumentHandling:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "numeric", "detail": "svd: no convergence"}
+        assert not (tmp_path / "out").exists()  # no empty output directory
 
     @pytest.mark.parametrize(
         "eps, detail",
@@ -185,6 +189,36 @@ class TestArgumentHandling:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "validate", "detail": detail}
         assert solved == []
+        assert not (tmp_path / "out").exists()  # no empty output directory
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            # the radius-2.5 circle crosses the support [1, 3]
+            ("radius_factor", 0.5, "radius_factor must exceed 1"),
+            ("radius_factor", 0, "radius_factor must exceed 1"),
+            ("circle_points", -16, "must be nonnegative"),
+            ("segment_points", -4, "must be nonnegative"),
+        ],
+    )
+    def test_default_grid_reaching_the_supports_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, key, value, detail
+    ):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        cfg = golden_smoke_config(tmp_path / "out")
+        cfg["grid"][key] = value
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert err["detail"].startswith("bad grid: ") and detail in err["detail"]
+        assert solved == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestEndToEnd:
@@ -357,6 +391,22 @@ class TestGoldenBodies:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN_README / name).read_bytes(), name
+
+    def test_deep_diag_bodies_match_stored_bytes(self, tmp_path):
+        # the benchmark's deep-diag-m2 config at seed 0 with its sweep cut
+        # to k = 4..8: the unperturbed solve_type1 on 64+64 Chebyshev atoms
+        # at 512 bits, which no other golden run reaches; stored as written
+        # before the tails became plain tuples and the rows plain lists
+        spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        out = tmp_path / "out"
+        cfg = dict(workloads.make_config("deep-diag-m2", 0), output_dir=str(out))
+        cfg["sweep"] = dict(cfg["sweep"], k_min=4, k_max=8, step=2)
+        assert "perturbations" not in cfg
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        for name in ("convergence.csv", "identities.json"):
+            assert body_bytes(out / name) == (GOLDEN_DEEP / name).read_bytes(), name
 
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
     def test_each_check_alone_matches_the_full_run(self, tmp_path, check):

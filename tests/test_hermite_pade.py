@@ -10,7 +10,6 @@ from nikishin_hp import (
     MAX_PRECISION_BITS,
     AtomicMeasure,
     Interval,
-    LaurentTail,
     MeasureSpec,
     MultiIndex,
     Polynomial,
@@ -21,6 +20,7 @@ from nikishin_hp import (
     assemble_type1_system,
     build_system,
     check_orthogonality,
+    laurent_expand_rational,
     moments,
     noise_floor,
     perturbed_reduce,
@@ -79,40 +79,66 @@ class TestMultiIndex:
         assert MultiIndex.diagonal(3, 4).parts == (4, 4, 4)
 
 
+def tail(*coeffs):
+    return tuple(mpf(c) for c in coeffs)
+
+
 class TestAssembly:
     def test_hand_assembled_row(self):
-        tails = [LaurentTail([1, 0, 1, 0, 1])]
-        A = assemble_type1_system(tails, MultiIndex((2,)), 0)
-        assert (A.rows, A.cols) == (1, 2)
-        assert A[0, 0] == 1 and A[0, 1] == 0
+        rows = assemble_type1_system([tail(1, 0, 1, 0, 1)], MultiIndex((2,)), 0)
+        assert rows == [[1, 0]]
 
     def test_no_conditions_for_total_one(self):
-        A = assemble_type1_system([LaurentTail([1])], MultiIndex((1,)), 0)
-        assert (A.rows, A.cols) == (0, 1)
+        assert assemble_type1_system([tail(1)], MultiIndex((1,)), 0) == []
 
     def test_full_deficit_empty_matrix(self):
-        tails = [LaurentTail([1, 2, 3]), LaurentTail([1, 2, 3])]
-        A = assemble_type1_system(tails, MultiIndex((2, 1)), 2)
-        assert (A.rows, A.cols) == (0, 3)
+        tails = [tail(1, 2, 3), tail(1, 2, 3)]
+        assert assemble_type1_system(tails, MultiIndex((2, 1)), 2) == []
 
     def test_one_more_column_than_rows_when_complete(self):
-        tails = [LaurentTail(range(1, 12)), LaurentTail(range(2, 13))]
+        tails = [tail(*range(1, 12)), tail(*range(2, 13))]
         n = MultiIndex((3, 2))
-        A = assemble_type1_system(tails, n, 0)
-        assert A.cols == A.rows + 1 == n.total
+        rows = assemble_type1_system(tails, n, 0)
+        assert len(rows) + 1 == n.total
+        assert all(len(row) == n.total for row in rows)
+        # row t holds tails[j][l + t] in block j, position l
+        assert rows[1] == [2, 3, 4, 3, 4]
 
     def test_short_tails_rejected(self):
         with pytest.raises(ValueError):
-            assemble_type1_system([LaurentTail([1, 2])], MultiIndex((3,)), 0)
+            assemble_type1_system([tail(1, 2)], MultiIndex((3,)), 0)
 
 
-def padded_svd_r(A):
-    """Oracle: mp.svd_r on A padded with zero rows to a square."""
-    rows, cols = A.rows, A.cols
+class TestType1Tails:
+    @pytest.mark.parametrize("parts", [(4, 4), (3, 5)])
+    def test_moments_plus_rational_expansion(self, m2_16_system, pert_pm5, parts):
+        # each tail is a tuple of K + 1 entries, K = |n| + max n_j + 4, and
+        # entry k is the sum of the moment and the expansion coefficient
+        n = MultiIndex(parts)
+        K = n.total + n.max_part + 4
+        tails = _type1_tails(m2_16_system, pert_pm5, n)
+        assert len(tails) == 2
+        for j, got in enumerate(tails, start=1):
+            assert type(got) is tuple and len(got) == n.total + n.max_part + 5
+            c = moments(m2_16_system.chain(1, j), K)
+            h = laurent_expand_rational(pert_pm5.fractions[j - 1], K + 1)
+            assert bits(got) == bits([c[k] + h[k] for k in range(K + 1)])
+
+    def test_short_rational_expansion_rejected(self, m2_16_system, pert_pm5, monkeypatch):
+        expand = hermite_pade.laurent_expand_rational
+        monkeypatch.setattr(
+            hermite_pade, "laurent_expand_rational", lambda r, K: expand(r, K)[:-1]
+        )
+        with pytest.raises(ValueError):
+            _type1_tails(m2_16_system, pert_pm5, MultiIndex((4, 4)))
+
+
+def padded_svd_r(rows, cols):
+    """Oracle: mp.svd_r on the rows padded with zero rows to a square."""
     S = mp.matrix(cols, cols)
-    for i in range(rows):
+    for i, row in enumerate(rows):
         for j in range(cols):
-            S[i, j] = A[i, j]
+            S[i, j] = row[j]
     _, svals, V = mp.svd_r(S)
     return [svals[i] for i in range(cols)], [V[cols - 1, j] for j in range(cols)]
 
@@ -121,9 +147,9 @@ def bits(values):
     return [x._mpf_ for x in values]
 
 
-def assert_matches_oracle(A, expected_rank):
-    vec, flag, svals = _nullspace_min_direction(A, expected_rank)
-    oracle_svals, oracle_vec = padded_svd_r(A)
+def assert_matches_oracle(rows, cols, expected_rank):
+    vec, flag, svals = _nullspace_min_direction(rows, cols, expected_rank)
+    oracle_svals, oracle_vec = padded_svd_r(rows, cols)
     assert bits(svals) == bits(oracle_svals)
     assert bits(vec) == bits(oracle_vec)
     if expected_rank > 0:
@@ -145,8 +171,8 @@ def assert_kernel_matches_svd_r(rows, cols):
     assert bits(v) == bits(oracle_V[cols - 1, :])
 
 
-def type1_matrix(sys, pert, n):
-    return assemble_type1_system(_type1_tails(sys, pert, n, n.total + n.max_part + 4), n, 0)
+def type1_rows(sys, pert, n):
+    return assemble_type1_system(_type1_tails(sys, pert, n), n, 0)
 
 
 class TestNullspaceKernel:
@@ -154,20 +180,20 @@ class TestNullspaceKernel:
 
     def test_readme_type1_matrix(self, m2_32_system, pert_pm5):
         n = MultiIndex((8, 8))
-        A = type1_matrix(m2_32_system, pert_pm5, n)
-        assert (A.rows, A.cols) == (15, 16)
-        assert not assert_matches_oracle(A, n.total - 1)
+        rows = type1_rows(m2_32_system, pert_pm5, n)
+        assert len(rows) == 15
+        assert not assert_matches_oracle(rows, 16, n.total - 1)
 
     def test_square_type2_matrix(self, m2_16_system):
         n = MultiIndex((3, 3))
         total = n.total
         tails = [moments(m2_16_system.chain(1, j), total + n.max_part + 4) for j in (1, 2)]
         rows = [[tails[j][nu + mu] for mu in range(total + 1)] for j in range(2) for nu in range(n[j])]
-        square = mp.matrix(rows + [[0] * (total + 1)])
-        assert_matches_oracle(square, total)
+        square = rows + [[mpf(0)] * (total + 1)]
+        assert_matches_oracle(square, total + 1, total)
         # the solver drops the zero row: same bits
-        vec, _, svals = _nullspace_min_direction(mp.matrix(rows), total)
-        oracle_svals, oracle_vec = padded_svd_r(square)
+        vec, _, svals = _nullspace_min_direction(rows, total + 1, total)
+        oracle_svals, oracle_vec = padded_svd_r(square, total + 1)
         assert bits(svals) == bits(oracle_svals) and bits(vec) == bits(oracle_vec)
 
     def test_rank_deficient_12_atom_matrix(self):
@@ -181,17 +207,17 @@ class TestNullspaceKernel:
             )
         )
         n = MultiIndex((14, 14))
-        A = type1_matrix(sys, None, n)
-        assert (A.rows, A.cols) == (27, 28)
-        assert_matches_oracle(A, n.total - 1)
+        rows = type1_rows(sys, None, n)
+        assert len(rows) == 27
+        assert_matches_oracle(rows, 28, n.total - 1)
 
     def test_no_rows_flags_nullity(self):
-        A = assemble_type1_system([LaurentTail([1, 2, 3])], MultiIndex((1,)), 0)
-        assert (A.rows, A.cols) == (0, 1)
-        vec, flag, svals = _nullspace_min_direction(A, 0)
+        rows = assemble_type1_system([tail(1, 2, 3)], MultiIndex((1,)), 0)
+        assert rows == []
+        vec, flag, svals = _nullspace_min_direction(rows, 1, 0)
         assert flag is True
         assert vec == [1] and svals == [0]
-        assert_matches_oracle(A, 0)
+        assert_matches_oracle(rows, 1, 0)
 
     def test_tall_matrix_s_and_last_row(self):
         # V's row 2 is returned, and phase 3, replayed before it, ends in
@@ -214,9 +240,9 @@ class TestNullspaceKernel:
         # the README type I matrix at k=4 returns V's row 6 of 8, so V
         # takes the rotations of two QR phases
         n = MultiIndex((4, 4))
-        A = type1_matrix(m2_32_system, pert_pm5, n)
-        assert (A.rows, A.cols) == (7, 8)
-        assert not assert_matches_oracle(A, n.total - 1)
+        rows = type1_rows(m2_32_system, pert_pm5, n)
+        assert len(rows) == 7
+        assert not assert_matches_oracle(rows, 8, n.total - 1)
 
     def test_returned_row_converges_last_after_a_sign_flip(self):
         # V's row 0 is returned, so every QR phase is replayed, and the
@@ -441,13 +467,13 @@ class TestPerturbation:
 
 class TestTailSum:
     def test_sum_and_scale_over_pairs(self):
-        a = LaurentTail([mpf(1), mpf(-2), mpf(4)])
-        b = LaurentTail([mpf(3), mpf(5)])
+        a = tail(1, -2, 4)
+        b = tail(3, 5)
         assert _tail_sum([([mpf(2), mpf(-1)], a), ([mpf(7)], b)], 1) == (-4 - 4 + 35, 4 + 4 + 35)
 
     def test_known_prefix_gives_the_same_order(self):
         # the first non-vanishing coefficient sits at index 2
-        pairs = [([mpf(1)], LaurentTail([mpf(0), mpf(0), mpf(1), mpf(0), mpf(0)]))]
+        pairs = [([mpf(1)], tail(0, 0, 1, 0, 0))]
         for j in range(5):
             known = [_tail_sum(pairs, k) for k in range(j)]
             assert _achieved_order(pairs, 4, known) == 3
@@ -458,7 +484,7 @@ class TestReduce:
         pert = RationalPerturbation.zero(2)
         v = solve_type1(m2_16_system, MultiIndex((3, 3)))
         rep = perturbed_reduce(pert, v, m2_16_system)
-        assert rep.p0 == v.a[0]
+        assert rep.reduced.a[0] == v.a[0]
         assert rep.max_residual <= noise_floor(0.5) * max(rep.scale, mpf(1))
 
     def test_single_pole_polynomial_identity(self):
@@ -467,15 +493,16 @@ class TestReduce:
         v = solve_type1_perturbed(sys, pert, MultiIndex((2,)))
         rep = perturbed_reduce(pert, v, sys)
         expected = Polynomial([-3, 1]) * v.a[0] + v.a[1]
-        for k in range(max(rep.p0.degree, expected.degree) + 1):
-            assert abs(rep.p0[k] - expected[k]) < noise_floor(0.5)
+        p0 = rep.reduced.a[0]
+        for k in range(max(p0.degree, expected.degree) + 1):
+            assert abs(p0[k] - expected[k]) < noise_floor(0.5)
 
     def test_fixture_residual_through_reduced_order(self, m2_16_system, pert_pm5):
         v = solve_type1_perturbed(m2_16_system, pert_pm5, MultiIndex((4, 4)))
         rep = perturbed_reduce(pert_pm5, v, m2_16_system)
-        assert rep.order_checked == 8 - 2
+        assert rep.reduced.order_target == 8 - 2
         assert rep.max_residual <= noise_floor(0.5) * max(rep.scale, mpf(1))
-        assert rep.reduced.residual_order >= rep.order_checked
+        assert rep.reduced.residual_order >= rep.reduced.order_target
         # the reduced remainder is T * A_1: its orthogonality runs to |n|-D-2
         orth = check_orthogonality(m2_16_system, rep.reduced)
         assert orth.conditions == 8 - 2 - 1
@@ -483,13 +510,13 @@ class TestReduce:
 
     def test_shared_tail_sums_match_a_fresh_computation(self, m2_16_system, pert_pm5):
         # the residual and the reduced vector's achieved order share the tail
-        # sums below order_checked - 1; both must equal sums formed afresh
+        # sums below order_target - 1; both must equal sums formed afresh
         v = solve_type1_perturbed(m2_16_system, pert_pm5, MultiIndex((4, 4)))
         rep = perturbed_reduce(pert_pm5, v, m2_16_system)
         n = rep.reduced.n
         blocks = [list(a.coeffs) for a in rep.reduced.a[1:]]
         blocks = [b + [mpf(0)] * (n[j] - len(b)) for j, b in enumerate(blocks)]
-        tails = _type1_tails(m2_16_system, None, n, n.total + n.max_part + 4)
+        tails = _type1_tails(m2_16_system, None, n)
 
         def tail_sum(k):
             acc = scale = mpf(0)
@@ -500,14 +527,14 @@ class TestReduce:
             return acc, scale
 
         sums = [tail_sum(k) for k in range(v.n.total + 4)]
-        checked = sums[: rep.order_checked - 1]
+        checked = sums[: rep.reduced.order_target - 1]
         assert rep.max_residual == max(abs(acc) for acc, _ in checked)
         assert rep.scale == max(scale for _, scale in checked)
         tol = noise_floor(0.5)
         fails = [k + 1 for k, (acc, scale) in enumerate(sums) if abs(acc) > tol * scale]
         order = fails[0] if fails else len(sums)
         assert rep.reduced.residual_order == order
-        assert order > rep.order_checked - 1  # the order read sums past the shared ones
+        assert order > rep.reduced.order_target - 1  # the order read sums past the shared ones
 
     def test_residual_and_scale_reach_the_last_checked_index(self):
         # hand-built vector on one atom at 2: coefficient k of (T a_1) s-hat
@@ -518,7 +545,7 @@ class TestReduce:
         a = (Polynomial.zero(), Polynomial.one())
         v = TypeIVector(a, MultiIndex((5,)), 5, 0, False, mp.prec)
         rep = perturbed_reduce(pert, v, sys)
-        assert rep.order_checked == 4  # indices 0..2
+        assert rep.reduced.order_target == 4  # indices 0..2
         assert rep.max_residual == 3 * 2**2  # |T(2)| 2^k
         assert rep.scale == 7 * 2**2  # (|-5| + |1| 2) 2^k
 
