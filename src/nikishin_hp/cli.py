@@ -3,9 +3,10 @@
 Ingests a JSON experiment description, realizes the measures, builds the
 system, runs the solver sweep serially, and emits CSV/JSON reports.  Exit
 code 0 means every requested check passed its tolerance; check failures exit
-1; validation problems exit 2 and numerical failures (root refinement, the
-inverse measure or the SVD running out of iterations) exit 3, both with a
-machine-readable JSON error on stderr.
+1.  The exit status of a failure follows the phase of the run: anything that
+fails before the first solve (reading, parsing, validating, building the
+system, the perturbation and the grid) exits 2, and any failure after it
+exits 3 as numerical, both with a machine-readable JSON error on stderr.
 
 Config schema (numbers may be JSON numbers or decimal strings):
 
@@ -85,17 +86,14 @@ KNOWN_CHECKS = ("chile", "ratio44", "orthogonality", "sign_changes", "pole_attra
 
 
 class ConfigError(Exception):
-    def __init__(self, code: str, detail: str):
-        super().__init__(detail)
-        self.code = code
-        self.detail = detail
+    """A config the run rejects before its first solve (exit 2)."""
 
 
 def _num(x) -> mpf:
     if isinstance(x, str):
         return mpf(x)
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError("validate", f"expected a number, got {x!r}")
+        raise ValueError(f"expected a number, got {x!r}")
     return mpf(x)
 
 
@@ -118,30 +116,38 @@ def _validated(what: str, convert, value):
     try:
         return convert(value)
     except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise ConfigError("validate", f"bad {what}: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _integer(key: str, value) -> int:
     """An integer config value: a JSON integer, an integral JSON number or a
     decimal string; a fraction, a bool or any other type is a config error."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError("validate", f"bad {key}: expected an integer, got {value!r}")
+        raise ConfigError(f"bad {key}: expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
-        raise ConfigError("validate", f"bad {key}: {value!r} is not an integer")
+        raise ConfigError(f"bad {key}: {value!r} is not an integer")
     return _validated(key, int, value)
 
 
-def parse_config(raw: dict, override_precision: Optional[int] = None) -> ExperimentConfig:
+def _checks(value) -> tuple:
+    """A list of check names, each one of KNOWN_CHECKS."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise ConfigError(f"bad checks: expected a list of names, got {value!r}")
+    for c in value:
+        if c not in KNOWN_CHECKS:
+            raise ConfigError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
+    return tuple(value)
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
     """Validate the raw JSON dict into an ExperimentConfig.
 
-    Precision resolution: explicit override > config > NIKISHIN_HP_PRECISION >
-    default.  The ambient precision is set before any numeric parsing.
+    Precision resolution: config (where `main` puts --precision-bits) >
+    NIKISHIN_HP_PRECISION > default, set before any numeric parsing.
     """
     if not isinstance(raw, dict):
-        raise ConfigError("validate", "config root must be an object")
-    precision = override_precision
-    if precision is None:
-        precision = raw.get("precision_bits")
+        raise ConfigError("config root must be an object")
+    precision = raw.get("precision_bits")
     if precision is None:
         precision = os.environ.get(ENV_PRECISION)
     if precision is None:
@@ -168,17 +174,9 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
                     f"{spread_cap}; the ratio limits assume a bounded spread"
                 )
 
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ConfigError("validate", f"bad checks: expected a list of names, got {checks!r}")
-    checks = tuple(checks)
-    for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise ConfigError("validate", f"unknown check {c!r}; known: {KNOWN_CHECKS}")
-
     grid = raw.get("grid", {})
     if not isinstance(grid, dict):
-        raise ConfigError("validate", "grid must be an object")
+        raise ConfigError("grid must be an object")
 
     # last two intervals touching undermines the bounded-gap hypothesis
     if m >= 2:
@@ -196,9 +194,9 @@ def parse_config(raw: dict, override_precision: Optional[int] = None) -> Experim
         perturbation_coeffs=pert_coeffs,
         sweep=sweep,
         grid=grid,
-        checks=checks,
+        checks=_checks(raw.get("checks", [])),
         output_dir=_validated("output_dir", Path, raw.get("output_dir", "out")),
-        pole_eps=_num(raw.get("pole_eps", 0.25)),
+        pole_eps=_validated("pole_eps", _num, raw.get("pole_eps", 0.25)),
         order_deficit=_integer("order_deficit", raw.get("order_deficit", 0)),
         warnings=tuple(warnings),
     )
@@ -208,18 +206,12 @@ def _parse_perturbations(pert_raw, m: int) -> Optional[tuple]:
     if not pert_raw:
         return None
     if len(pert_raw) != m:
-        raise ConfigError("validate", "perturbations must list one entry per generator")
+        raise ConfigError("perturbations must list one entry per generator")
     coeffs = []
     for entry in pert_raw:
-        if entry is None:
-            coeffs.append(((mpf(0),), (mpf(1),)))
-        else:
-            coeffs.append(
-                (
-                    tuple(_num(c) for c in entry["num_coeffs"]),
-                    tuple(_num(c) for c in entry["den_coeffs"]),
-                )
-            )
+        if entry is None:  # this component is unperturbed
+            entry = {"num_coeffs": [0], "den_coeffs": [1]}
+        coeffs.append((tuple(map(_num, entry["num_coeffs"])), tuple(map(_num, entry["den_coeffs"]))))
     return tuple(coeffs)
 
 
@@ -319,24 +311,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for w in config.warnings:
         print(json.dumps({"warning": w}), file=_sys.stderr)
 
-    sys = build_system(config.system)
+    # setup: whatever fails here is a config error, raised before any solve
+    try:
+        if config.order_deficit < 0:
+            raise ValueError("order_deficit must be nonnegative")
+        sys = build_system(config.system)
+        pert = None
+        if config.perturbation_coeffs is not None:
+            pert = RationalPerturbation(
+                [RationalFn(num, den) for num, den in config.perturbation_coeffs]
+            )
+            if pert.is_zero:
+                pert = None
+        if pert is not None:
+            if config.order_deficit:
+                # solve_type1_perturbed solves at the full order |n|
+                raise ValueError("order_deficit applies to unperturbed systems only")
+            pert.validate_against(sys)
+            if "pole_attraction" in config.checks:
+                validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
+        grid = _build_grid(config, sys, pert)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(str(exc)) from exc
     m = sys.m
-    pert = None
-    if config.perturbation_coeffs is not None:
-        pert = RationalPerturbation(
-            [RationalFn(num, den) for num, den in config.perturbation_coeffs]
-        )
-        if pert.is_zero:
-            pert = None
-    if pert is not None:
-        if config.order_deficit:
-            # solve_type1_perturbed solves at the full order |n|
-            raise ConfigError("validate", "order_deficit applies to unperturbed systems only")
-        pert.validate_against(sys)
-        if "pole_attraction" in config.checks:
-            validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
-
-    grid = _build_grid(config, sys, pert)
     points = grid.points[:24]
 
     if pert is not None:
@@ -457,18 +454,20 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
     if "points" in g:
         pts = _validated("grid", lambda ps: [mpc(_num(p[0]), _num(p[1])) for p in ps], g["points"])
         last = sys.intervals[-1]
+        atoms = [x for mu in sys.generators for x in mu.nodes]
+        tol = noise_floor(0.5)  # cauchy_eval's on-support gate
         poles = pert.poles if pert is not None else ()
         kept = [
             z
             for z in pts
             if last.distance_to(z) > 0
+            and all(abs(z - x) > tol for x in atoms)
             and all(abs(z - zeta) >= config.pole_eps for zeta, _ in poles)
         ]
         if not kept:
-            raise ConfigError(
-                "validate",
-                "every explicit grid point sits on the last interval or too "
-                "close to a perturbation pole",
+            raise ValueError(
+                "every explicit grid point sits on the last interval, on an "
+                "atom or too close to a perturbation pole"
             )
         return EvalGrid(kept)
     return _validated(
@@ -484,49 +483,53 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
     )
 
 
+def _write_csv(path: Path, header, rows):
+    """A timestamp comment line, then the header and rows as comma-joined cells."""
+    lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S%z')} (timestamp only; body is deterministic)"]
+    lines += [",".join(cells) for cells in [header, *rows]]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_convergence_csv(path: Path, sys, rows):
     m = sys.m
-    lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S%z')} (timestamp only; body is deterministic)"]
     header = (
         ["abs_n"]
         + [f"n_{j}" for j in range(1, m + 1)]
         + [f"err_{j}" for j in range(1, m)]
         + ["err_0", "nullity_flag", "precision_used"]
     )
-    lines.append(",".join(header))
+    lines = []
     for row in rows:
         cells = [str(row.n.total)]
         cells += [str(p) for p in row.n]
         cells += [_fmt(e) for e in row.err]
         cells += [_fmt(row.err0), "1" if row.nullity_flag else "0", str(row.precision_bits)]
-        lines.append(",".join(cells))
+        lines.append(cells)
     totals = [r.n.total for r in rows]
     if len(rows) >= 3 and all(a < b for a, b in zip(totals, totals[1:])):
         rate = estimate_rate(rows)
         cells = ["delta"] + [""] * m
         cells += [_fmt(rate.deltas.get(f"err_{j}")) for j in range(1, m)]
         cells += [_fmt(rate.deltas.get("err_0")), "", ""]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(cells)
+    _write_csv(path, header, lines)
 
 
 def _write_zeros_csv(path: Path, sys, zero_rows):
-    m = sys.m
-    lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S%z')} (timestamp only; body is deterministic)"]
     header = (
         ["abs_n"]
-        + [f"n_{j}" for j in range(1, m + 1)]
+        + [f"n_{j}" for j in range(1, sys.m + 1)]
         + ["component", "kind", "zeta_re", "zeta_im", "kappa", "count"]
     )
-    lines.append(",".join(header))
+    lines = []
     for n, j, zeta, kappa, count in zero_rows:
         cells = [str(n.total)] + [str(p) for p in n] + [str(j)]
         if zeta is None:
             cells += ["census", "", "", "", str(count)]
         else:
             cells += ["pole", _fmt(zeta.real), _fmt(zeta.imag), str(kappa), str(count)]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(cells)
+    _write_csv(path, header, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -564,23 +567,20 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit_error("parse", str(exc))
         return 2
+    if args.precision_bits is not None and isinstance(raw, dict):
+        raw["precision_bits"] = args.precision_bits
     try:
-        config = parse_config(raw, override_precision=args.precision_bits)
+        config = parse_config(raw)
         if args.output_dir is not None:
             config.output_dir = args.output_dir
         if args.checks is not None:
-            for c in args.checks:
-                if c not in KNOWN_CHECKS:
-                    raise ConfigError("validate", f"unknown check {c!r}")
-            config.checks = tuple(args.checks)
+            config.checks = _checks(args.checks)
         result = run_experiment(config)
     except ConfigError as exc:
-        _emit_error(exc.code, exc.detail)
-        return 2
-    except (ValueError, IndexError) as exc:
         _emit_error("validate", str(exc))
         return 2
-    except RuntimeError as exc:
+    except (ValueError, IndexError, RuntimeError) as exc:
+        # the config was accepted: a failure now is numerical
         _emit_error("numeric", str(exc))
         return 3
 

@@ -17,6 +17,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
 GOLDEN_M3 = Path(__file__).parent / "data" / "golden_m3"
 GOLDEN_README = Path(__file__).parent / "data" / "golden_readme"
 GOLDEN_DEEP = Path(__file__).parent / "data" / "golden_deep"
+GOLDEN_CLASS = Path(__file__).parent / "data" / "golden_class"
 README = Path(__file__).resolve().parent.parent / "README.md"
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
@@ -101,6 +102,8 @@ class TestArgumentHandling:
             ("perturbations", 5),
             ("order_deficit", [1]),
             ("output_dir", 5),
+            ("pole_eps", "abc"),
+            ("pole_eps", [1]),
         ],
     )
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, value):
@@ -111,6 +114,8 @@ class TestArgumentHandling:
         # stderr holds JSON lines only, no traceback
         err = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert err[-1]["error"] == "validate"
+        if key == "pole_eps":
+            assert err[-1]["detail"].startswith("bad pole_eps: ")
 
     @pytest.mark.parametrize(
         "key, edit",
@@ -166,6 +171,59 @@ class TestArgumentHandling:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "numeric", "detail": "svd: no convergence"}
         assert not (tmp_path / "out").exists()  # no empty output directory
+
+    def test_value_error_after_the_solves_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the config was accepted: a ValueError from a check is numerical
+        def vanishing(*args, **kwargs):
+            raise ValueError("function vanishes on grid")
+
+        monkeypatch.setattr(cli, "sign_changes", vanishing)
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=["sign_changes"])
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "numeric", "detail": "function vanishes on grid"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            (
+                "system",
+                [
+                    {"kind": "legendre-density", "interval": [-1, 0], "node_count": 16},
+                    {"kind": "legendre-density", "interval": [-0.5, 3], "node_count": 16},
+                ],
+                "overlap",
+            ),
+            (
+                "perturbations",
+                [
+                    {"num_coeffs": [-5, 1], "den_coeffs": [25, -10, 1]},  # (z-5)/(z-5)^2
+                    {"num_coeffs": [1], "den_coeffs": [5, 1]},
+                ],
+                "reducible",
+            ),
+            ("order_deficit", 1, "order_deficit applies to unperturbed systems only"),
+            ("order_deficit", -1, "order_deficit must be nonnegative"),
+        ],
+        ids=["overlapping-supports", "reducible-perturbation", "deficit-with-perturbation", "negative-deficit"],
+    )
+    def test_setup_failure_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, key, value, detail):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved before the setup was checked")
+
+        monkeypatch.setattr(cli, "solve_type1", recording_solve)
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        cfg = golden_smoke_config(tmp_path / "out")
+        cfg[key] = value
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate" and detail in err["detail"]
+        assert solved == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "eps, detail",
@@ -258,6 +316,19 @@ class TestEndToEnd:
         cfg = base_config(out, sweep=[[2, 2]], checks=["chile"])
         cfg["grid"] = {"points": [[2.0, 0.0]]}  # on the last interval
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+
+    def test_explicit_grid_points_on_an_atom_are_dropped(self, tmp_path, capsys):
+        # the 7-node Legendre rule on [-1, 0] has an atom at -0.5, where no
+        # Cauchy transform of the system can be evaluated
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=["chile", "ratio44"])
+        cfg["system"][0]["node_count"] = 7
+        cfg["grid"] = {"points": [[-0.5, 0], [10, 1], [5, 5]]}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        cfg["grid"] = {"points": [[-0.5, 0]]}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate" and "atom" in err["detail"]
 
     def test_perturbed_run_writes_zero_census(self, tmp_path):
         out = tmp_path / "out"
@@ -407,6 +478,23 @@ class TestGoldenBodies:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json"):
             assert body_bytes(out / name) == (GOLDEN_DEEP / name).read_bytes(), name
+
+    def test_class_bodies_match_stored_bytes(self, tmp_path):
+        # the rest of the paper's class: r_1 = 1/(z^2 + 4) has the conjugate
+        # poles +-2i and r_2 = 1/(z - 0.5) a pole in the gap between the
+        # supports; at k = 7 each pole has captured one zero of a_1 and one
+        # of a_2 with no strays.  Stored as written before the exit status
+        # followed the phase of the run
+        out = tmp_path / "out"
+        cfg = golden_smoke_config(out)
+        cfg["perturbations"] = [
+            {"num_coeffs": [1], "den_coeffs": [4, 0, 1]},
+            {"num_coeffs": [1], "den_coeffs": [-0.5, 1]},
+        ]
+        cfg["pole_eps"] = 0.1
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        for name in ("convergence.csv", "identities.json", "zeros.csv"):
+            assert body_bytes(out / name) == (GOLDEN_CLASS / name).read_bytes(), name
 
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
     def test_each_check_alone_matches_the_full_run(self, tmp_path, check):

@@ -1,6 +1,7 @@
 """Order-condition assembly, type I/II solves, reduction, remainders, orthogonality."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -40,6 +41,8 @@ from nikishin_hp.hermite_pade import (
     _type1_tails,
 )
 from nikishin_hp.linalg import svd_sv
+
+import exact_oracle
 
 TIGHT = mpf(10) ** -70
 
@@ -620,3 +623,38 @@ class TestOrthogonality:
         rep = check_orthogonality(m2_16_system, v)
         assert rep.conditions == 6 - 2 - 1
         assert rep.max_residual <= noise_floor(0.5) * max(rep.scale, mpf(1))
+
+
+class TestExactOracle:
+    @staticmethod
+    def dyadic_system():
+        def floats(values):
+            return [mpf(q.numerator) / q.denominator for q in values]  # exact: dyadic
+
+        weights = floats([exact_oracle.WEIGHT] * exact_oracle.ATOMS)
+        return system_from_generators(
+            [
+                AtomicMeasure(floats(exact_oracle.X), weights, 1, Interval(-1, 0)),
+                AtomicMeasure(floats(exact_oracle.Y), weights, 1, Interval(1, 3)),
+            ]
+        )
+
+    @pytest.mark.parametrize("k, digits", [(3, 65), (5, 55), (7, 45)])
+    def test_type1_vector_matches_the_exact_kernel(self, k, digits):
+        # the dyadic atoms are exact in binary, so every digit lost is the
+        # solver's: at 256 bits 70.4, 61.0 and 50.8 digits were measured,
+        # the monomial moments costing about 5 digits per unit of k
+        v = solve_type1(self.dyadic_system(), MultiIndex.diagonal(2, k))
+        assert v.precision_bits == 256
+
+        def as_fraction(x):
+            sign, man, exp, _ = mpf(x)._mpf_
+            return (-1) ** sign * man * Fraction(2) ** exp
+
+        exact = exact_oracle.type1_blocks((k, k))
+        err = max(
+            abs(as_fraction(c) - e)
+            for j in (1, 2)
+            for c, e in zip(v.a[j].coeffs, exact[j - 1], strict=True)
+        )
+        assert err < Fraction(1, 10**digits)
