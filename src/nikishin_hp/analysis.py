@@ -252,7 +252,7 @@ def validate_pole_eps(pert: Optional[RationalPerturbation], eps, last_interval: 
     """eps as an mpf, once it is positive and below half of every pole
     separation and of every pole's distance to the last interval."""
     eps = mpf(eps)
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError("eps must be positive")
     poles = pert.poles if pert is not None else ()
     for i in range(len(poles)):

@@ -97,6 +97,13 @@ def _num(x) -> mpf:
     return mpf(x)
 
 
+def _finite(x) -> mpf:
+    x = _num(x)
+    if not mp.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
 @dataclass
 class ExperimentConfig:
     precision_bits: int
@@ -196,7 +203,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         checks=_checks(raw.get("checks", [])),
         output_dir=_validated("output_dir", Path, raw.get("output_dir", "out")),
-        pole_eps=_validated("pole_eps", _num, raw.get("pole_eps", 0.25)),
+        pole_eps=_validated("pole_eps", _finite, raw.get("pole_eps", 0.25)),
         order_deficit=_integer("order_deficit", raw.get("order_deficit", 0)),
         warnings=tuple(warnings),
     )
@@ -454,15 +461,15 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
     if "points" in g:
         pts = _validated("grid", lambda ps: [mpc(_num(p[0]), _num(p[1])) for p in ps], g["points"])
         last = sys.intervals[-1]
-        atoms = [x for mu in sys.generators for x in mu.nodes]
+        poles = [zeta for zeta, _ in pert.poles] if pert is not None else []
+        singular = [x for mu in sys.generators for x in mu.nodes] + poles
         tol = noise_floor(0.5)  # cauchy_eval's on-support gate
-        poles = pert.poles if pert is not None else ()
         kept = [
             z
             for z in pts
             if last.distance_to(z) > 0
-            and all(abs(z - x) > tol for x in atoms)
-            and all(abs(z - zeta) >= config.pole_eps for zeta, _ in poles)
+            and all(abs(z - x) > tol for x in singular)
+            and all(abs(z - zeta) >= config.pole_eps for zeta in poles)
         ]
         if not kept:
             raise ValueError(

@@ -179,6 +179,16 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     eigenvalues of the Jacobi matrix by mpmath's implicit QL (EISPACK imtql2)
     run on Python floats; weights are the Christoffel numbers
     1 / sum_k p_k(x_i)^2 over the orthonormal polynomials below degree n.
+
+    Newton runs at prec = P+64 bits and stops after applying a step s with
+    |s| <= 2^(-floor(prec/2)-8) / n^2 * (1+|x|).  Its next error would be
+    about C s^2 with C = |p_n''/2p_n'| = |sum_{j!=i} 1/(x_i-x_j)|; node gaps
+    are of order 1/n^2 or wider, so C < n^4 and that error is below
+    2^(-prec-16).  Under a symmetric weight (alpha == beta) every diag[k] is
+    exactly 0 and round-to-nearest is symmetric, so p_k(-x) = (-1)^k p_k(x)
+    exactly: only the lower n // 2 seeds are polished, an odd rule's middle
+    node is exactly 0, and the upper half is the lower one negated in
+    reverse order, with equal weights.
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
@@ -188,8 +198,12 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     seeds = [float(a) for a in diag]  # sorted eigenvalues on return
     tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
 
+    symmetric = alpha == beta
+    half = n // 2 if symmetric else n
     with mp.workprec(mp.prec + 64):
-        nodes = [_newton_polish(x, n, diag, offsq) for x in seeds]
+        nodes = [_newton_polish(x, n, diag, offsq) for x in seeds[:half]]
+        if symmetric and n % 2:
+            nodes.append(mpf(0))
         weights = []
         for x in nodes:
             # orthonormal p_k(x)^2 accumulated through the monic recurrence
@@ -203,6 +217,9 @@ def gauss_jacobi_rule(n: int, alpha, beta):
             weights.append(1 / total)
     nodes = [mpf(x) for x in nodes]
     weights = [mpf(w) for w in weights]
+    if symmetric:
+        nodes += [-x for x in nodes[:half][::-1]]
+        weights += weights[:half][::-1]
     if any(nodes[i] >= nodes[i + 1] for i in range(n - 1)):
         raise RuntimeError("quadrature nodes failed to separate; raise precision")
     return nodes, weights
@@ -233,7 +250,7 @@ def _jacobi_recurrence(n: int, alpha, beta):
 
 def _newton_polish(x0, n, diag, offsq):
     x = mpf(x0)
-    tol = mpf(2) ** (-mp.prec + 8)
+    tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
     for _ in range(80):
         p_prev, p = mpf(0), mpf(1)
         dp_prev, dp = mpf(0), mpf(0)
@@ -247,8 +264,8 @@ def _newton_polish(x0, n, diag, offsq):
         step = p / dp
         x -= step
         if abs(step) <= tol * (1 + abs(x)):
-            break
-    return x
+            return x
+    raise RuntimeError("quadrature node failed to converge; raise precision")
 
 
 def moments(mu: AtomicMeasure, K: int) -> tuple:

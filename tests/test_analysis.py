@@ -316,6 +316,13 @@ class TestPoleAttraction:
         with pytest.raises(ValueError):
             pole_attraction(pert2, v, 1, mpf("1.5"), Interval(1, 3))  # too close to support
 
+    def test_nan_eps_rejected(self):
+        # every comparison with NaN is false, so no zero would ever count as captured
+        pert = RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn.zero()])
+        v = self.synthetic_vector([5.1], [2])
+        with pytest.raises(ValueError, match="eps must be positive"):
+            pole_attraction(pert, v, 1, mp.nan, Interval(1, 3))
+
     def test_zero_component_rejected(self):
         pert = RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn.zero()])
         v = TypeIVector(

@@ -249,6 +249,25 @@ class TestArgumentHandling:
         assert solved == []
         assert not (tmp_path / "out").exists()  # no empty output directory
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_pole_eps_that_is_not_finite_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, eps
+    ):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved before pole_eps was checked")
+
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        cfg = golden_smoke_config(tmp_path / "out")
+        cfg["pole_eps"] = eps
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate" and err["detail"].startswith("bad pole_eps: ")
+        assert solved == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value, detail",
         [
@@ -329,6 +348,20 @@ class TestEndToEnd:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "validate" and "atom" in err["detail"]
+
+    def test_explicit_grid_points_on_a_pole_are_dropped(self, tmp_path, capsys):
+        # pole_eps 0 keeps points near the pole at 5, but not the one on it,
+        # where the ratio targets divide by zero
+        out = tmp_path / "out"
+        pert = [{"num_coeffs": [1], "den_coeffs": [-5, 1]}, None]
+        cfg = base_config(out, sweep=[[2, 2]], checks=["chile"], pert=pert)
+        cfg["pole_eps"] = 0
+        cfg["grid"] = {"points": [[5, 0], [10, 1]]}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        cfg["grid"] = {"points": [[5, 0]]}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate" and "pole" in err["detail"]
 
     def test_perturbed_run_writes_zero_census(self, tmp_path):
         out = tmp_path / "out"

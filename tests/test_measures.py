@@ -1,9 +1,11 @@
 """Measure realization, moments, Cauchy transforms, inverse measures."""
 
+import math
 import random
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp import measures
 from nikishin_hp import (
@@ -126,6 +128,20 @@ class TestRealize:
                 got = mp.fsum(w * x**k for x, w in zip(xs, ws))
                 assert abs(got - exact) < TIGHT
 
+    @pytest.mark.parametrize("n, alpha, beta", [(7, "1.5", "-0.25"), (9, "0.5", "0.5")])
+    def test_jacobi_exactness_against_beta_moments(self, n, alpha, beta):
+        # int x^k (1-x)^a (1+x)^b dx over [-1, 1], with x = 2t - 1:
+        # 2^(a+b+1) sum_j C(k, j) 2^j (-1)^(k-j) B(j+b+1, a+1)
+        alpha, beta = mpf(alpha), mpf(beta)
+        xs, ws = gauss_jacobi_rule(n, alpha, beta)
+        for k in range(2 * n):
+            exact = 2 ** (alpha + beta + 1) * mp.fsum(
+                math.comb(k, j) * 2**j * (-1) ** (k - j) * mp.beta(j + beta + 1, alpha + 1)
+                for j in range(k + 1)
+            )
+            got = mp.fsum(w * x**k for x, w in zip(xs, ws))
+            assert abs(got - exact) < TIGHT
+
     def test_negative_density_scale_flips_sign(self):
         spec = MeasureSpec(
             kind="legendre-density",
@@ -154,6 +170,93 @@ class TestRealize:
                 alpha=mpf(-1),
                 beta=mpf(0),
             )
+
+
+def reference_rule(n, alpha, beta):
+    """The Gauss-Jacobi rule as computed before mirroring and the quadratic stop.
+
+    Every float64 seed is Newton-polished at P+64 bits until a step is at most
+    2^(8-prec)(1+|x|), one step past quadratic convergence, and every weight
+    comes from the Christoffel loop; nodes and weights are then rounded to P.
+    """
+    alpha, beta = mpf(alpha), mpf(beta)
+    diag, offsq, mu0 = measures._jacobi_recurrence(n, alpha, beta)
+    seeds = [float(a) for a in diag]
+    tridiag_eigen(measures._FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
+    with mp.workprec(mp.prec + 64):
+        nodes = []
+        tol = mpf(2) ** (-mp.prec + 8)
+        for x0 in seeds:
+            x = mpf(x0)
+            for _ in range(80):
+                p_prev, p, dp_prev, dp = mpf(0), mpf(1), mpf(0), mpf(0)
+                for k in range(n):
+                    p_prev, p, dp_prev, dp = (
+                        p,
+                        (x - diag[k]) * p - offsq[k] * p_prev,
+                        dp,
+                        p + (x - diag[k]) * dp - offsq[k] * dp_prev,
+                    )
+                step = p / dp
+                x -= step
+                if abs(step) <= tol * (1 + abs(x)):
+                    break
+            nodes.append(x)
+        weights = []
+        for x in nodes:
+            total, prev, cur, norm = 1 / mu0, mpf(0), mpf(1), mu0
+            for k in range(1, n):
+                prev, cur = cur, (x - diag[k - 1]) * cur - offsq[k - 1] * prev
+                norm *= offsq[k]
+                total += cur * cur / norm
+            weights.append(1 / total)
+    return [mpf(x) for x in nodes], [mpf(w) for w in weights]
+
+
+# (alpha, beta) of the Legendre, Chebyshev and Jacobi(+-1/2, -+1/2) rules the
+# benchmark workloads and the golden report sets realize
+RULE_FAMILIES = {
+    "legendre": (0, 0),
+    "chebyshev": ("-0.5", "-0.5"),
+    "jacobi+-": ("0.5", "-0.5"),
+    "jacobi-+": ("-0.5", "0.5"),
+}
+
+
+def mpf_bits(xs):
+    return [x._mpf_ for x in xs]
+
+
+class TestGaussRuleOracle:
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    @pytest.mark.parametrize("n", [7, 16, 32, 33, 64])
+    @pytest.mark.parametrize("family", sorted(RULE_FAMILIES))
+    def test_rule_bits_match_the_reference(self, family, n, bits):
+        alpha, beta = RULE_FAMILIES[family]
+        with mp.workprec(bits):
+            xs, ws = gauss_jacobi_rule(n, mpf(alpha), mpf(beta))
+            ref_xs, ref_ws = reference_rule(n, alpha, beta)
+        if n % 2 and alpha == beta:
+            # the middle node is exactly 0, where the reference may leave a
+            # residue below 2^-P
+            mid = n // 2
+            assert xs[mid] == 0 and abs(ref_xs[mid]) < mpf(2) ** -bits
+            xs, ref_xs = xs[:mid] + xs[mid + 1 :], ref_xs[:mid] + ref_xs[mid + 1 :]
+        assert mpf_bits(xs) == mpf_bits(ref_xs)
+        assert mpf_bits(ws) == mpf_bits(ref_ws)
+
+    def test_symmetric_rule_is_mirrored(self):
+        xs, ws = gauss_jacobi_rule(9, 0, 0)
+        assert xs[4] == 0
+        assert [-x for x in xs[::-1]] == xs and ws[::-1] == ws
+
+    def test_newton_polish_that_does_not_converge_raises(self):
+        # from 1e30 a degree-16 Newton step shrinks x by 1/16 only, so 80
+        # steps end near 5.7e27
+        with mp.workprec(128):
+            diag, offsq, _ = measures._jacobi_recurrence(16, mpf(0), mpf(0))
+            with pytest.raises(RuntimeError, match="quadrature node failed to converge"):
+                measures._newton_polish(1e30, 16, diag, offsq)
 
 
 class TestMoments:

@@ -8,8 +8,11 @@ workloads smoke, readme-m2, deep-diag-m2 and identities-m4 at seeds 0 and
 3 (configs from this repository's benchmark/workloads.py, which is only
 read), and writes OUT_DIR/<workload>-s<seed>/ with convergence.csv,
 identities.json and zeros.csv (when the run writes one), their timestamp
-comment lines removed.  Two checkouts give the same output exactly when
-`diff -r OUT_A OUT_B` prints nothing.  The runs take about 30 s in all.
+comment lines removed, and atoms.txt: the nodes and weights of every
+generator the config realizes, one `node weight` line per atom as mpmath
+`_mpf_` tuples, so an atom that moves by one bit shows directly.  Two
+checkouts give the same output exactly when `diff -r OUT_A OUT_B` prints
+nothing.  The runs take about 30 s in all.
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ def load_cli(checkout: Path):
     return cli
 
 
+def atoms_text(cli, config: dict) -> str:
+    """Every generator's sign, then its (node, weight) pairs as _mpf_ tuples."""
+    from nikishin_hp.measures import realize  # the checkout's, as load_cli put it first
+
+    specs = cli.parse_config(config).system.measures
+    lines = []
+    for j, mu in enumerate(map(realize, specs), start=1):
+        lines.append(f"generator {j} sign {mu.sign}")
+        lines += [f"{x._mpf_} {w._mpf_}" for x, w in zip(mu.nodes, mu.weights)]
+    return "\n".join(lines) + "\n"
+
+
 def strip_timestamps(data: bytes) -> bytes:
     return b"".join(l for l in data.splitlines(keepends=True) if not l.startswith(b"#"))
 
@@ -71,6 +86,7 @@ def main(argv=None) -> int:
                     if (run_dir / report).exists():
                         body = strip_timestamps((run_dir / report).read_bytes())
                         (dest / report).write_bytes(body)
+                (dest / "atoms.txt").write_text(atoms_text(cli, config))
                 print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
     return status
 
