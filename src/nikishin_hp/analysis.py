@@ -234,9 +234,7 @@ def first_level_sign_grid(sys: NikishinSystem, refine: bool = False):
 
 
 def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector, refine: bool = False):
-    return [
-        remainder_eval(sys, None, v, 1, x) for x in first_level_sign_grid(sys, refine)
-    ]
+    return [remainder_eval(sys, v, 1, x) for x in first_level_sign_grid(sys, refine)]
 
 
 @dataclass(frozen=True)

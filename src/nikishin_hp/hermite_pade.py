@@ -28,7 +28,7 @@ perturbed_reduce performs and verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -244,20 +244,23 @@ def assemble_type1_system(tails, n: MultiIndex, M: int = 0) -> list:
     return [[tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)] for t in range(rows)]
 
 
-def _nullspace_min_direction(rows, cols: int, expected_rank: int):
+def _nullspace_min_direction(rows, cols: int):
     """Least-singular right direction of rows (a cols-column matrix), plus a nullity flag.
 
     Returns (vec, flag, svals): vec is the last row of the SVD's right factor
     (the only row svd_sv returns), svals all cols singular values in
-    decreasing order (the trailing cols - rows are zero when rows < cols).
-    The flag fires when the smallest structural singular value is within a
-    factor 2^10 of the largest should-be-zero one (rank deficient beyond the
-    guaranteed nullity), or when there are no constraints at all.
+    decreasing order.  Both solvers pass fewer rows than columns, so the
+    structural rank is len(rows); the trailing cols - rows values are 0 or
+    rounding-level.  The flag fires when the smallest structural singular
+    value is within a factor 2^10 of the largest should-be-zero one (rank
+    deficient beyond the guaranteed nullity), or when there are no
+    constraints at all.
     """
     svals, vec = svd_sv(rows, cols)
-    if expected_rank <= 0:
+    rank = len(rows)
+    if rank == 0:
         return vec, True, svals
-    flag = svals[expected_rank - 1] <= NULLITY_GAP * svals[expected_rank]
+    flag = svals[rank - 1] <= NULLITY_GAP * svals[rank]
     return vec, bool(flag), svals
 
 
@@ -320,7 +323,7 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     total = n.total
     tails = _type1_tails(sys, pert, n)
     rows = assemble_type1_system(tails, n, M)
-    vec, flag, _ = _nullspace_min_direction(rows, total, max(0, total - 1 - M))
+    vec, flag, _ = _nullspace_min_direction(rows, total)
     blocks = _split_blocks(vec, n)
     blocks = _normalize_blocks(blocks)
     pairs = list(zip(blocks, tails))
@@ -479,7 +482,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     tails = _type1_tails(sys, None, n)
     # row (j, nu) imposes a zero coefficient of z^-(nu+1) in Q f_j
     rows = [tail[nu : nu + total + 1] for tail, nj in zip(tails, n) for nu in range(nj)]
-    vec, flag, _ = _nullspace_min_direction(rows, total + 1, total)
+    vec, flag, _ = _nullspace_min_direction(rows, total + 1)
     q = Polynomial(vec).trimmed().monic()
     ps = []
     orders = []
@@ -507,14 +510,8 @@ def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
 # ---------------------------------------------------------------------------
 
 
-def remainder_eval(
-    sys: NikishinSystem,
-    pert: Optional[RationalPerturbation],
-    v: TypeIVector,
-    j: int,
-    z,
-):
-    """A_j(z) = a_j(z) + sum_{k>j} a_k(z) s-hat_{j+1,k}(z); perturbed at j = 0.
+def remainder_eval(sys: NikishinSystem, v: TypeIVector, j: int, z):
+    """A_j(z) = a_j(z) + sum_{k>j} a_k(z) s-hat_{j+1,k}(z) of the plain system.
 
     j = m degenerates to the plain polynomial value a_m(z).
     """
@@ -524,11 +521,6 @@ def remainder_eval(
     acc = v.a[j](z)
     for k in range(j + 1, m + 1):
         acc = acc + v.a[k](z) * cauchy_eval(sys.chain(j + 1, k), z)
-    if j == 0 and pert is not None:
-        for k in range(1, m + 1):
-            f = pert.fractions[k - 1]
-            if not f.is_zero:
-                acc = acc + v.a[k](z) * f(z)
     return acc
 
 
@@ -544,7 +536,7 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> OrthogonalityRep
     if N <= 1:
         return OrthogonalityReport(mpf(0), mpf(0), 0)
     sigma1 = sys.generators[0]
-    vals = [remainder_eval(sys, None, v, 1, x) for x in sigma1.nodes]
+    vals = [remainder_eval(sys, v, 1, x) for x in sigma1.nodes]
     signed = [val * w * sigma1.sign for val, w in zip(vals, sigma1.weights)]
     max_residual = mpf(0)
     max_scale = mpf(0)

@@ -1,11 +1,11 @@
 """Nikishin systems: nested products of measures on alternating intervals.
 
 The product <alpha, beta> reweights alpha's atoms by the Cauchy transform of
-beta, so every chain s_{j,k} = <sigma_j, ..., sigma_k> keeps sigma_j's nodes
-and only changes weights and sign.  Both the forward chains s_{j,k} (j <= k)
-and the reversed chains s_{k,j} (built from the reversed generator list) are
-materialized eagerly at build time; the reversed transforms are the limit
-targets of the ratio asymptotics and live on the last interval.
+beta, so every chain s_{a,b} = <sigma_a, ..., sigma_b> keeps sigma_a's nodes
+and only changes weights and sign.  One table holds every chain, run in
+either direction, and is filled eagerly at build time: the forward chains
+s_{1,j} give the system's functions, and the reversed chains s_{m,j} are
+the limit targets of the ratio asymptotics and live on the last interval.
 
 Two residual checks act as the correctness oracles for the tables: the
 alternating cross-product identity linking forward and reversed transforms,
@@ -55,31 +55,27 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class NikishinSystem:
-    """Generators plus the eagerly built forward and reversed product tables.
+    """Generators plus the eagerly built chain table.
 
-    forward[(j, k)] = <sigma_j, ..., sigma_k> for 1 <= j <= k <= m (nodes of
-    sigma_j); reversed_chains[(k, j)] = <sigma_k, ..., sigma_j> for j <= k
-    (nodes of sigma_k).
+    chains[(a, b)] = s_{a,b} = <sigma_a, ..., sigma_b> on sigma_a's nodes,
+    for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
+    sigma_a itself when a == b.
     """
 
     generators: tuple
     intervals: tuple
-    forward: dict
-    reversed_chains: dict
+    chains: dict
 
     @property
     def m(self) -> int:
         return len(self.generators)
 
     def chain(self, a: int, b: int) -> AtomicMeasure:
-        """The measure s_{a,b}: forward when a <= b, reversed when a > b."""
-        self._check_index(a)
-        self._check_index(b)
-        return self.forward[(a, b)] if a <= b else self.reversed_chains[(a, b)]
-
-    def _check_index(self, j: int):
-        if not 1 <= j <= self.m:
-            raise IndexError(f"chain index {j} outside 1..{self.m}")
+        """The measure s_{a,b}."""
+        for j in (a, b):
+            if not 1 <= j <= self.m:
+                raise IndexError(f"chain index {j} outside 1..{self.m}")
+        return self.chains[(a, b)]
 
     @property
     def outer_radius(self) -> mpf:
@@ -135,7 +131,7 @@ def _cross_gaps(xs, ys):
 
 
 def build_system(spec: SystemSpec) -> NikishinSystem:
-    """Realize the generators and fill both product tables."""
+    """Realize the generators and fill the chain table."""
     return system_from_generators([realize(s) for s in spec.measures])
 
 
@@ -158,19 +154,16 @@ def system_from_generators(generators) -> NikishinSystem:
             ):
                 raise ValueError("shared interval endpoint must be node-free")
 
-    forward = {}
-    for j in range(m, 0, -1):
-        forward[(j, j)] = generators[j - 1]
-        for k in range(j + 1, m + 1):
-            forward[(j, k)] = product_measure(generators[j - 1], forward[(j + 1, k)])
-    reversed_chains = {}
-    for k in range(1, m + 1):
-        reversed_chains[(k, k)] = generators[k - 1]
-        for j in range(k - 1, 0, -1):
-            reversed_chains[(k, j)] = product_measure(
-                generators[k - 1], reversed_chains[(k - 1, j)]
-            )
-    return NikishinSystem(generators, intervals, forward, reversed_chains)
+    # s_{a,b} = <sigma_a, s_{c,b}>, c being one step from a toward b: every
+    # chain of length d + 1 from the chains of length d
+    chains = {(a, a): g for a, g in enumerate(generators, start=1)}
+    for d in range(1, m):
+        for a in range(1, m + 1):
+            for b in (a - d, a + d):
+                if 1 <= b <= m:
+                    c = a + (1 if b > a else -1)
+                    chains[(a, b)] = product_measure(generators[a - 1], chains[(c, b)])
+    return NikishinSystem(generators, intervals, chains)
 
 
 def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):

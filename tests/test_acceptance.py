@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 criterion; each test also prints its measured quantities.
 """
 
+import csv
 import random
 import time
 
@@ -37,6 +38,8 @@ from nikishin_hp import (
     system_from_generators,
     type2_residual_tail,
 )
+from nikishin_hp.cli import parse_config, run_experiment
+from test_cli import golden_class_config
 
 PREC = 256
 
@@ -232,3 +235,30 @@ def test_criterion_9_scaling_invariance():
         assert scaled_row.precision_bits == row.precision_bits
     print(f"criterion 9: worst row drift under 7x generator rescaling {mp.nstr(worst, 3)}")
     assert worst <= mpf(10) ** -50
+
+
+def test_criterion_10_class_config(tmp_path):
+    # the rest of the paper's class through run_experiment: r_1 = 1/(z^2 + 4)
+    # has the conjugate poles +-2i and r_2 = 1/(z - 0.5) a pole in the gap
+    # between the supports
+    result = run_experiment(parse_config(golden_class_config(tmp_path / "out")))
+    assert result.passes and all(result.passes.values()), result.passes
+    deltas = estimate_rate(result.rows).deltas
+    assert deltas["err_1"] < 1 and deltas["err_0"] < 1, deltas
+    with open(result.output_dir / "zeros.csv", newline="") as f:
+        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+    largest = max(int(r["abs_n"]) for r in rows)
+    last = [r for r in rows if int(r["abs_n"]) == largest]
+    for j in ("1", "2"):
+        captured = {
+            complex(float(r["zeta_re"]), float(r["zeta_im"])): int(r["count"])
+            for r in last
+            if r["component"] == j and r["kind"] == "pole"
+        }
+        assert captured == {-2j: 1, 2j: 1, 0.5: 1}, (j, captured)
+        (census,) = [r for r in last if r["component"] == j and r["kind"] == "census"]
+        assert census["count"] == "0", (j, census)
+    print(
+        f"criterion 10: at |n| = {largest} each of +-2i and 0.5 captures one zero of a_1 "
+        f"and of a_2, no strays; delta {mp.nstr(deltas['err_1'], 3)}, {mp.nstr(deltas['err_0'], 3)}"
+    )

@@ -18,6 +18,8 @@ GOLDEN_M3 = Path(__file__).parent / "data" / "golden_m3"
 GOLDEN_README = Path(__file__).parent / "data" / "golden_readme"
 GOLDEN_DEEP = Path(__file__).parent / "data" / "golden_deep"
 GOLDEN_CLASS = Path(__file__).parent / "data" / "golden_class"
+GOLDEN_OFFDIAG = Path(__file__).parent / "data" / "golden_offdiag"
+GOLDEN_M3_CLASS = Path(__file__).parent / "data" / "golden_m3_class"
 README = Path(__file__).resolve().parent.parent / "README.md"
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
@@ -56,6 +58,17 @@ def golden_smoke_config(out_dir):
         "pole_eps": 0.25,
         "output_dir": str(out_dir),
     }
+
+
+def golden_class_config(out_dir):
+    """The smoke run with r_1 = 1/(z^2 + 4) and r_2 = 1/(z - 0.5); tests/data/golden_class."""
+    cfg = golden_smoke_config(out_dir)
+    cfg["perturbations"] = [
+        {"num_coeffs": [1], "den_coeffs": [4, 0, 1]},
+        {"num_coeffs": [1], "den_coeffs": [-0.5, 1]},
+    ]
+    cfg["pole_eps"] = 0.1
+    return cfg
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -519,15 +532,42 @@ class TestGoldenBodies:
         # of a_2 with no strays.  Stored as written before the exit status
         # followed the phase of the run
         out = tmp_path / "out"
-        cfg = golden_smoke_config(out)
-        cfg["perturbations"] = [
-            {"num_coeffs": [1], "den_coeffs": [4, 0, 1]},
-            {"num_coeffs": [1], "den_coeffs": [-0.5, 1]},
-        ]
-        cfg["pole_eps"] = 0.1
+        cfg = golden_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN_CLASS / name).read_bytes(), name
+
+    def test_offdiag_bodies_match_stored_bytes(self, tmp_path):
+        # the nested indices (k+1, k), k = 2..6, at 256 bits: every check
+        # passes, and delta is 0.442 (err_1) and 0.515 (err_0).  Every
+        # printed error agrees with a 512-bit run to 50 digits
+        out = tmp_path / "out"
+        cfg = dict(golden_smoke_config(out), precision_bits=256)
+        cfg["sweep"] = [[k + 1, k] for k in range(2, 7)]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        for name in ("convergence.csv", "identities.json", "zeros.csv"):
+            assert body_bytes(out / name) == (GOLDEN_OFFDIAG / name).read_bytes(), name
+
+    def test_m3_class_bodies_match_stored_bytes(self, tmp_path):
+        # m=3 with every component perturbed, r = (1/(z+3), 1/(z-3.5),
+        # 1/(z-8)), the pole at 3.5 in the gap beside [1, 3]: at k = 6 every
+        # pole captures one zero of each a_j with no strays, and every
+        # printed error agrees with a 512-bit run to 26 digits
+        out = tmp_path / "out"
+        cfg = dict(golden_smoke_config(out), precision_bits=256, pole_eps=0.1875)
+        cfg["system"] = [
+            {"kind": "legendre-density", "interval": [a, b], "node_count": 24}
+            for a, b in ((-1, 0), (1, 3), (4, 6))
+        ]
+        cfg["perturbations"] = [
+            {"num_coeffs": [1], "den_coeffs": [3, 1]},
+            {"num_coeffs": [1], "den_coeffs": [-3.5, 1]},
+            {"num_coeffs": [1], "den_coeffs": [-8, 1]},
+        ]
+        cfg["sweep"] = {"shape": "diagonal", "k_min": 3, "k_max": 6, "step": 1}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        for name in ("convergence.csv", "identities.json", "zeros.csv"):
+            assert body_bytes(out / name) == (GOLDEN_M3_CLASS / name).read_bytes(), name
 
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
     def test_each_check_alone_matches_the_full_run(self, tmp_path, check):

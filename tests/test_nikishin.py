@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from nikishin_hp import nikishin
@@ -109,10 +111,45 @@ class TestBuildSystem:
         assert sys.chain(2, 1).nodes == sys.generators[1].nodes
 
     def test_all_entries_keep_constant_sign(self, m3_16_system):
-        for table in (m3_16_system.forward, m3_16_system.reversed_chains):
-            for mu in table.values():
-                assert all(w > 0 for w in mu.weights)
-                assert mu.sign in (1, -1)
+        for mu in m3_16_system.chains.values():
+            assert all(w > 0 for w in mu.weights)
+            assert mu.sign in (1, -1)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_table_holds_every_nested_product(self, data):
+        # 1-4 dyadic atoms of dyadic weight and random sign per generator on
+        # [3j, 3j + 1]: every s_{a,b} is <sigma_a, <sigma_{a+-1}, ..., sigma_b>>
+        # folded from sigma_b outward, bit for bit
+        m = data.draw(st.integers(1, 4))
+        generators = []
+        for j in range(m):
+            count = data.draw(st.integers(1, 4))
+            offsets = data.draw(
+                st.lists(st.integers(1, 15), min_size=count, max_size=count, unique=True)
+            )
+            weights = data.draw(st.lists(st.integers(1, 64), min_size=count, max_size=count))
+            sign = data.draw(st.sampled_from((1, -1)))
+            generators.append(
+                AtomicMeasure(
+                    [3 * j + mpf(o) / 16 for o in sorted(offsets)],
+                    [mpf(w) / 8 for w in weights],
+                    sign,
+                    Interval(3 * j, 3 * j + 1),
+                )
+            )
+        sys = system_from_generators(generators)
+        pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1)]
+        assert sorted(sys.chains) == pairs
+        for a, b in pairs:
+            step = 1 if b >= a else -1
+            want = generators[b - 1]
+            for c in range(b - step, a - step, -step):
+                want = product_measure(generators[c - 1], want)
+            got = sys.chain(a, b)
+            assert [x._mpf_ for x in got.nodes] == [x._mpf_ for x in want.nodes]
+            assert [w._mpf_ for w in got.weights] == [w._mpf_ for w in want.weights]
+            assert got.sign == want.sign
 
     def test_nested_product_against_double_sum(self, m3_16_system):
         # s_{1,3} weights w_i * |sum_j w2_j sigma3-hat(y_j) / (x_i - y_j)|
