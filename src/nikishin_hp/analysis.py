@@ -3,13 +3,14 @@
 The solved vectors are compared against their limit targets on a compact
 evaluation grid away from the last interval and from the perturbation's
 poles: a_j/a_m tends to (-1)^(m-j) s-hat_{m,j+1} and a_0/a_m to the reversed
-transform combination carrying the perturbation.  The targets depend on the
-grid only, so a sweep evaluates them once (ratio_targets) and every row
-reads them.  convergence_row is the one way to the errors: a single pass
-over the grid per solved vector yields all m sup-errors of its row.  The
-rows of a diagonal sweep feed a least-squares geometric rate estimate, and
-root censuses verify that each pole of multiplicity kappa captures exactly
-kappa zeros of every component while stray zeros vanish.
+transform combination carrying the perturbation.  convergence_row is the
+one way to the errors: each row builds its targets with ratio_targets, whose
+transforms come from the system's table (nikishin.s_hat_eval), so a sweep
+evaluates each s-hat_{m,j+1}(z) once and only recombines them per row; a
+single pass over the grid per solved vector then yields all m sup-errors of
+its row.  The rows of a diagonal sweep feed a least-squares geometric rate
+estimate, and root censuses verify that each pole of multiplicity kappa
+captures exactly kappa zeros of every component while stray zeros vanish.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Optional
 from mpmath import mp, mpc, mpf
 
 from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector, remainder_eval
-from .measures import Interval, cauchy_eval
-from .nikishin import NikishinSystem
+# cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
+from .measures import Interval, cauchy_eval  # noqa: F401
+from .nikishin import NikishinSystem, s_hat_eval
 from .precision import noise_floor
 
 
@@ -98,13 +100,13 @@ def ratio_targets(
     Entry [i][j] is the target of a_j/a_m at grid.points[i]:
     (-1)^(m-j) s-hat_{m,j+1} for 1 <= j < m, and for j = 0
         (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
-    Each transform s-hat_{m,j+1} is evaluated once per point, so a sweep
-    computes the table once and passes it to every convergence_row.
+    The transforms s-hat_{m,j+1} come from the system's table, so they are
+    evaluated once per point however many rows ask.
     """
     m = sys.m
     out = []
     for z in grid.points:
-        s = [cauchy_eval(sys.chain(m, j + 1), z) for j in range(m)]
+        s = [s_hat_eval(sys, m, j + 1, z) for j in range(m)]
         t0 = (-1) ** m * s[0]
         if pert is not None:
             for j in range(1, m):
@@ -122,7 +124,6 @@ def convergence_row(
     pert: Optional[RationalPerturbation],
     v: TypeIVector,
     grid: EvalGrid,
-    targets: Optional[tuple] = None,
 ) -> ConvergenceRow:
     """Sup-errors of a_j/a_m (1 <= j < m) and a_0/a_m, each over its target's sup.
 
@@ -131,11 +132,8 @@ def convergence_row(
     over the points kept.  Normalization makes rows exactly invariant under
     generator rescaling for plain systems (the blockwise nullspace covariance
     cancels), while leaving monotonicity and rate estimates untouched.
-    `targets` can pass a precomputed ratio_targets(sys, pert, grid), shared
-    by a sweep's rows.
     """
-    if targets is None:
-        targets = ratio_targets(sys, pert, grid)
+    targets = ratio_targets(sys, pert, grid)
     a_m = v.a[v.m]
     if a_m.is_zero:
         raise ValueError("degenerate last component")

@@ -58,7 +58,6 @@ from .analysis import (
     estimate_rate,
     first_level_remainder_values,
     pole_attraction,
-    ratio_targets,
     sign_changes,
     validate_pole_eps,
 )
@@ -347,8 +346,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         solutions = [solve_type1_perturbed(sys, pert, n) for n in config.sweep]
     else:
         solutions = [solve_type1(sys, n, config.order_deficit) for n in config.sweep]
-    targets = ratio_targets(sys, pert, grid) if solutions else None
-    rows = [convergence_row(sys, pert, v, grid, targets=targets) for v in solutions]
+    rows = [convergence_row(sys, pert, v, grid) for v in solutions]
 
     checks = {}
     identities = {"precision_bits": config.precision_bits, "checks": checks}

@@ -34,8 +34,9 @@ from mpmath import mp, mpc, mpf
 
 from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 from .linalg import svd_sv
-from .measures import cauchy_eval, moments
-from .nikishin import NikishinSystem
+# cauchy_eval is unused here; benchmark/spans.py still patches hermite_pade.cauchy_eval
+from .measures import cauchy_eval, moments  # noqa: F401
+from .nikishin import NikishinSystem, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
 NULLITY_GAP = mpf(2) ** 10  # sigma_min2/sigma_min at or below this flags nullity > 1
@@ -513,14 +514,16 @@ def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
 def remainder_eval(sys: NikishinSystem, v: TypeIVector, j: int, z):
     """A_j(z) = a_j(z) + sum_{k>j} a_k(z) s-hat_{j+1,k}(z) of the plain system.
 
-    j = m degenerates to the plain polynomial value a_m(z).
+    j = m degenerates to the plain polynomial value a_m(z).  The transforms
+    come from the system's table, so every solution's remainder at a point
+    shares them.
     """
     m = v.m
     if not 0 <= j <= m:
         raise IndexError("remainder level out of range")
     acc = v.a[j](z)
     for k in range(j + 1, m + 1):
-        acc = acc + v.a[k](z) * cauchy_eval(sys.chain(j + 1, k), z)
+        acc = acc + v.a[k](z) * s_hat_eval(sys, j + 1, k, z)
     return acc
 
 

@@ -283,13 +283,23 @@ def moments(mu: AtomicMeasure, K: int) -> tuple:
 def cauchy_eval(mu: AtomicMeasure, z):
     """Cauchy transform sign * sum_i w_i / (z - x_i); errors on the support.
 
-    "On the support" means within the noise floor of an atom.  The atoms lie
-    in mu.support, so the per-atom test only runs when z is within twice
-    the noise floor of that interval (the factor 2 absorbs rounding).
+    "On the support" means within the noise floor tol of an atom.  The atoms
+    lie in mu.support = [a, b], so the per-atom test only runs when
+    |Im z| <= 2 tol and Re z is at most 2 tol outside [a, b] (the factor 2
+    absorbs rounding): a point outside that box is farther than tol from
+    every atom, so real comparisons rule it out before any complex
+    arithmetic.
     """
     z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
+    re, im = (z.real, abs(z.imag)) if isinstance(z, mpc) else (z, 0)
     tol = noise_floor(0.5)
-    if mu.support.distance_to(z) <= 2 * tol and any(abs(z - x) <= tol for x in mu.nodes):
+    gate = 2 * tol
+    if (
+        im <= gate
+        and mu.support.a - re <= gate
+        and re - mu.support.b <= gate
+        and any(abs(z - x) <= tol for x in mu.nodes)
+    ):
         raise ValueError("evaluation on support")
     return mu.sign * mp.fsum(w / (z - x) for x, w in zip(mu.nodes, mu.weights))
 
@@ -332,11 +342,15 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     """Unique zero of mu-hat in the open gap (x_i, x_{i+1}).
 
     A bracket [a, b] inside the gap is shrunk toward the atoms until mu-hat
-    changes sign across it.  Newton then starts from its midpoint.  Each
-    iterate x replaces a or b by the sign of mu-hat at x, so the bracket keeps
-    the root, and a step that would leave the bracket is replaced by one to
-    its midpoint.  The root may lie far closer to one atom than to the
-    other (lopsided weights); the midpoint steps then close in on it.
+    changes sign across it.  Newton then starts from the float64 root of
+    _float_gap_root when that lies strictly inside the bracket, and from
+    the bracket's midpoint otherwise (float64 cannot place a root that sits
+    closer to an atom than its rounding, nor weights beyond its range).
+    Each iterate x replaces a or b by the sign of mu-hat at x, so the
+    bracket keeps the root, and a step that would leave the bracket is
+    replaced by one to its midpoint.  The root may lie far closer to one
+    atom than to the other (lopsided weights); the midpoint steps then close
+    in on it.
     """
     lo, hi = mu.nodes[i], mu.nodes[i + 1]
     gap = hi - lo
@@ -362,7 +376,8 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
         shrink += 1
         if shrink > mp.prec:
             raise RuntimeError("inverse measure construction failed; raise precision")
-    x = (a + b) / 2
+    start = _float_gap_root(mu, i)
+    x = mpf(start) if start is not None and a < start < b else (a + b) / 2
     tol = mpf(2) ** (-mp.prec + 8)
     for _ in range(2 * mp.prec):
         fx = f(x)
@@ -378,3 +393,41 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
         if abs(step) <= tol * (1 + abs(x)):
             return x
     raise RuntimeError("inverse measure construction failed; raise precision")
+
+
+def _float_gap_root(mu: AtomicMeasure, i: int) -> Optional[float]:
+    """A float64 zero of mu-hat in the gap (x_i, x_{i+1}), or None.
+
+    The same safeguarded Newton as _gap_root, in Python floats, on the
+    bracket of the float gap itself, where the sign-stripped mu-hat runs
+    from +inf to -inf.  Only a Newton step, not a midpoint one, can meet
+    the stop rule.  Returns None when a value leaves the float range, an
+    iterate hits an atom, or no Newton step settles: so when the root lies
+    closer to an atom than float64 resolves, the midpoint steps shrink the
+    bracket onto that atom and the caller falls back to its own start.
+    """
+    xs = [float(x) for x in mu.nodes]
+    ws = [float(w) for w in mu.weights]
+    a, b = xs[i], xs[i + 1]
+    x = (a + b) / 2
+    try:
+        for _ in range(200):
+            fx = math.fsum(w / (x - t) for t, w in zip(xs, ws))
+            if not math.isfinite(fx):
+                return None
+            if fx > 0:
+                a = x
+            else:
+                b = x
+            step = fx / -math.fsum(w / (x - t) ** 2 for t, w in zip(xs, ws))
+            if x - step == x:
+                return x
+            if not a < x - step < b:
+                x = (a + b) / 2
+                continue
+            x = x - step
+            if abs(step) <= 2.0**-50 * (1 + abs(x)):
+                return x
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return None

@@ -15,11 +15,21 @@ its z-independent product measure once for all of them.
 
 Every product first checks that the two node sets stay apart; the smallest
 node gap comes from one merge of the two sorted node lists.
+
+Every package evaluation of a chain transform goes through s_hat_eval, which
+fills the system's table s_hat of transform values.  A value is keyed by
+the chain (a, b), the point as cauchy_eval converts it (`_mpf_` of a real
+point, `_mpc_` of a complex one) and mp.prec, and is exactly what
+cauchy_eval returns, so the identity checks, the ratio targets and the
+remainders of every solution share each s-hat_{a,b}(z).  The table lives
+on the system, so it goes when the system does, at the end of a run; a
+module-level memo would outlive the run and keep every value of every run
+alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpc, mpf
@@ -59,12 +69,14 @@ class NikishinSystem:
 
     chains[(a, b)] = s_{a,b} = <sigma_a, ..., sigma_b> on sigma_a's nodes,
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
-    sigma_a itself when a == b.
+    sigma_a itself when a == b.  s_hat is s_hat_eval's table of transform
+    values, left out of equality and repr.
     """
 
     generators: tuple
     intervals: tuple
     chains: dict
+    s_hat: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -167,8 +179,20 @@ def system_from_generators(generators) -> NikishinSystem:
 
 
 def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
-    """Cauchy transform of the chain s_{j,k} at z."""
-    return cauchy_eval(sys.chain(j, k), z)
+    """Cauchy transform of the chain s_{j,k} at z, evaluated once per key.
+
+    The value is stored in sys.s_hat under (j, k, point, mp.prec), the point
+    being z as cauchy_eval converts it: `_mpf_` for a real point, `_mpc_`
+    for a complex one, so x and mpc(x, 0) are separate entries.  A stored
+    value is the one cauchy_eval returned, so a lookup changes no bit.  A
+    point on the chain's support raises and stores nothing.
+    """
+    z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
+    key = (j, k, z._mpc_ if isinstance(z, mpc) else z._mpf_, mp.prec)
+    value = sys.s_hat.get(key)
+    if value is None:
+        value = sys.s_hat[key] = cauchy_eval(sys.chain(j, k), z)
+    return value
 
 
 class IdentityResidual(NamedTuple):
@@ -210,7 +234,8 @@ def check_ratio_identity(
     <tau_11, <s_{2,k}, sigma_1>> does not depend on z and is built once per
     call.  A single-atom sigma_1 has an empty tau and the bracket term is
     the zero function.  `inverse` can pass a precomputed
-    inverse_measure(sigma_1).
+    inverse_measure(sigma_1).  The chain transforms come from the system's
+    table; the bracket's measure is not a chain and is evaluated directly.
     """
     if not 2 <= k <= sys.m:
         raise IndexError(f"ratio identity needs 2 <= k <= m, got {k}")

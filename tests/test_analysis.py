@@ -8,6 +8,7 @@ from nikishin_hp import (
     EvalGrid,
     Interval,
     MultiIndex,
+    NikishinSystem,
     Polynomial,
     RationalFn,
     RationalPerturbation,
@@ -160,11 +161,12 @@ class TestConvergenceRow:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_shared_targets_match_the_per_row_formula(self, m2_16_system, pert_pm5, perturbed):
-        # a sweep evaluates the targets once and hands them to every row;
-        # each row must equal, bit for bit, the formula that evaluated the
-        # targets inside every ratio error.  a_2 is made to vanish at z0, just
-        # off the last interval, where the targets peak: a skipped point must
-        # not count toward the target scale
+        # a sweep's rows share the target transforms through the system's
+        # table; each row, from a cold table or a warm one, must equal, bit
+        # for bit, the formula that evaluated the targets inside every ratio
+        # error.  a_2 is made to vanish at z0, just off the last interval,
+        # where the targets peak: a skipped point must not count toward the
+        # target scale
         sys, pert = m2_16_system, (pert_pm5 if perturbed else None)
         z0 = mpf("3.001")
         base = EvalGrid.default(sys, pert, circle_points=8, segment_points=2)
@@ -210,12 +212,12 @@ class TestConvergenceRow:
             )
             return errs, sup(0, t0)
 
-        targets = ratio_targets(sys, pert, grid)
-        assert len(targets) == len(grid.points)
+        assert len(ratio_targets(sys, pert, grid)) == len(grid.points)
         for v in vs:
             errs, err0 = per_row(v)
+            cold = NikishinSystem(sys.generators, sys.intervals, sys.chains)
             for row in (
-                convergence_row(sys, pert, v, grid, targets=targets),
+                convergence_row(cold, pert, v, grid),
                 convergence_row(sys, pert, v, grid),
             ):
                 assert row.err == errs

@@ -299,6 +299,35 @@ class TestCauchy:
             with pytest.raises(ValueError):
                 cauchy_eval(two_atom(), z)
 
+    def test_support_guard_raises_as_the_distance_guard_did(self):
+        # raised_before is the guard the box test replaced: the complex
+        # distance to the interval gated the per-atom test.  Both must raise
+        # on exactly the same points
+        def raised_before(mu, z):
+            tol = noise_floor(0.5)
+            z = mpc(z) if isinstance(z, mpc) else mpf(z)
+            near = mu.support.distance_to(z) <= 2 * tol
+            return near and any(abs(z - x) <= tol for x in mu.nodes)
+
+        tol = noise_floor(0.5)
+        # atoms at both ends of the support, and atoms inside it
+        inside = two_atom()
+        ends = AtomicMeasure([-1, 1], ["0.5", "0.5"], 1, Interval(-1, 1))
+        for mu in (inside, ends):
+            atom, end = mu.nodes[-1], mu.support.b
+            cases = []
+            for d, raises in ((tol / 2, True), (3 * tol / 2, False)):
+                cases += [(atom + d, raises), (mpc(atom, d), raises)]
+            d = 3 * tol / 2
+            cases += [(end + d, False), (mpc(end, d), False)]
+            for z, raises in cases:
+                assert raised_before(mu, z) == raises
+                if raises:
+                    with pytest.raises(ValueError, match="evaluation on support"):
+                        cauchy_eval(mu, z)
+                else:
+                    cauchy_eval(mu, z)
+
     def test_off_support_value_is_the_bare_sum(self):
         # the guard only decides whether to raise; the value is the plain sum
         mu = AtomicMeasure(
@@ -442,18 +471,51 @@ class TestGapRoot:
             AtomicMeasure([0, 1, 2], [1000, 1, 1], 1, Interval(0, 2)),
         ]
 
+    def identities_m4_generators(self):
+        """The four generators of the identities-m4 benchmark workload at seed 0."""
+
+        def spec(lo, hi, alpha=None, beta=None):
+            kind = "legendre-density" if alpha is None else "jacobi-density"
+            return MeasureSpec(
+                kind=kind, interval=Interval(lo, hi), node_count=32, alpha=alpha, beta=beta
+            )
+
+        half = mpf("0.5")
+        return [
+            realize(spec(-1, 0)),
+            realize(spec(1, 3, half, -half)),
+            realize(spec(4, 6)),
+            realize(spec(7, 9, -half, half)),
+        ]
+
     def test_inverse_measure_matches_sixty_bisections(self, monkeypatch):
         # compared after tau's nodes and weights are rounded to P bits: at the
-        # P+64 bits the roots are found with, the two Newton starts may end
-        # one unit apart in the last place (the 16-node rule shows it)
-        for mu in self.gap_measures():
+        # P+64 bits the roots are found with, the Newton starts may end one
+        # unit apart in the last place (the 16-node rule shows it).  The
+        # float64 start serves every gap of the identities-m4 generators, and
+        # must give the tau of the midpoint start too.  In lopsided_pair(10^40)
+        # float64 cannot tell the root from its atom, so the midpoint start
+        # runs; sixty unguarded bisection-then-Newton steps leave that gap
+        generators = self.identities_m4_generators()
+        for mu in generators:
+            for i in range(mu.node_count - 1):
+                assert measures._float_gap_root(mu, i) is not None
+        extreme = lopsided_pair(mpf(10) ** 40)
+        assert measures._float_gap_root(extreme, 0) is None
+
+        def same_tau(mu, patch_name, replacement):
             _, tau = inverse_measure(mu)
             with monkeypatch.context() as patch:
-                patch.setattr(measures, "_gap_root", gap_root_60)
+                patch.setattr(measures, patch_name, replacement)
                 _, ref = inverse_measure(mu)
             assert tau.nodes == ref.nodes
             assert tau.weights == ref.weights
             assert tau.sign == ref.sign
+
+        for mu in self.gap_measures() + generators:
+            same_tau(mu, "_gap_root", gap_root_60)
+        for mu in self.gap_measures() + generators + [extreme]:
+            same_tau(mu, "_float_gap_root", lambda mu, i: None)
 
     @pytest.mark.parametrize("order", ["heavy_left", "heavy_right"])
     @pytest.mark.parametrize("e", [15, 20, 25, 30, 40])

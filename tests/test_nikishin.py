@@ -1,6 +1,8 @@
 """Product measures, chain tables, and the two identity oracles."""
 
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from nikishin_hp import nikishin
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
+    NikishinSystem,
     cauchy_eval,
     check_chain_identity,
     check_ratio_identity,
@@ -199,6 +202,95 @@ class TestTransformEval:
     def test_forward_and_reversed_differ(self, m2_16_system):
         z = mpc(1, 2)
         assert s_hat_eval(m2_16_system, 1, 2, z) != s_hat_eval(m2_16_system, 2, 1, z)
+
+
+def cold(sys):
+    """The same system with an empty transform table."""
+    return NikishinSystem(sys.generators, sys.intervals, sys.chains)
+
+
+class TestTransformTable:
+    def test_stored_value_is_the_fresh_transform(self, m2_16_system):
+        sys = cold(m2_16_system)
+        z, x = mpc(2, 3), mpf("-7.25")
+        assert s_hat_eval(sys, 1, 2, z)._mpc_ == cauchy_eval(sys.chain(1, 2), z)._mpc_
+        assert s_hat_eval(sys, 2, 1, x)._mpf_ == cauchy_eval(sys.chain(2, 1), x)._mpf_
+        assert sys.s_hat == {
+            (1, 2, z._mpc_, mp.prec): cauchy_eval(sys.chain(1, 2), z),
+            (2, 1, x._mpf_, mp.prec): cauchy_eval(sys.chain(2, 1), x),
+        }
+        # a lookup returns the stored object itself
+        assert s_hat_eval(sys, 1, 2, z) is sys.s_hat[(1, 2, z._mpc_, mp.prec)]
+
+    def test_table_is_left_out_of_equality_and_repr(self, m2_16_system):
+        sys = cold(m2_16_system)
+        s_hat_eval(sys, 1, 1, mpc(0, 1))
+        assert sys == cold(m2_16_system)
+        assert "s_hat" not in repr(sys)
+
+    def test_each_precision_gets_its_own_entry(self, m2_16_system):
+        sys = cold(m2_16_system)
+        z = mpc(1, 2)
+        at_256 = s_hat_eval(sys, 1, 2, z)
+        with mp.workprec(320):
+            at_320 = s_hat_eval(sys, 1, 2, z)
+            assert at_320._mpc_ == cauchy_eval(sys.chain(1, 2), z)._mpc_
+        assert at_256._mpc_ != at_320._mpc_
+        assert sorted(key[3] for key in sys.s_hat) == [256, 320]
+
+    def test_real_and_complex_points_are_separate_entries(self, m2_16_system):
+        sys = cold(m2_16_system)
+        x = mpf(5)
+        real, cplx = s_hat_eval(sys, 2, 2, x), s_hat_eval(sys, 2, 2, mpc(x, 0))
+        assert isinstance(real, mpf) and isinstance(cplx, mpc)
+        assert len(sys.s_hat) == 2
+
+    def test_point_on_an_atom_raises_and_stores_nothing(self, m2_16_system):
+        sys = cold(m2_16_system)
+        atom = sys.generators[0].nodes[3]
+        for z in (atom, mpc(atom, 0)):
+            with pytest.raises(ValueError, match="evaluation on support"):
+                s_hat_eval(sys, 1, 2, z)
+        assert sys.s_hat == {}
+
+    def test_a_run_evaluates_each_chain_point_and_precision_once(self, tmp_path, monkeypatch):
+        # outside product_measure, which builds the chains and the ratio
+        # identity's measures from Cauchy transforms at atoms, no
+        # (measure, point, precision) is evaluated twice in a whole run; the
+        # other modules evaluate every transform through the table
+        from test_cli import golden_smoke_config
+
+        from nikishin_hp import analysis, cli, hermite_pade
+
+        seen, measures_kept, depth = Counter(), [], [0]
+        real_eval, real_product = nikishin.cauchy_eval, nikishin.product_measure
+
+        def counting_eval(mu, z):
+            if not depth[0]:
+                measures_kept.append(mu)  # keeps id(mu) unique for the run
+                point = z._mpc_ if isinstance(z, mpc) else mpf(z)._mpf_
+                seen[(id(mu), point, mp.prec)] += 1
+            return real_eval(mu, z)
+
+        def counting_product(alpha, beta):
+            depth[0] += 1
+            try:
+                return real_product(alpha, beta)
+            finally:
+                depth[0] -= 1
+
+        def unused(mu, z):
+            raise AssertionError("a chain transform bypassed the table")
+
+        monkeypatch.setattr(nikishin, "cauchy_eval", counting_eval)
+        monkeypatch.setattr(nikishin, "product_measure", counting_product)
+        monkeypatch.setattr(hermite_pade, "cauchy_eval", unused)
+        monkeypatch.setattr(analysis, "cauchy_eval", unused)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(golden_smoke_config(tmp_path / "out")))
+        assert cli.main(["run", str(config)]) == 0
+        assert seen
+        assert max(seen.values()) == 1
 
 
 class TestChainIdentity:

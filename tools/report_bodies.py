@@ -9,8 +9,9 @@ workloads smoke, readme-m2, deep-diag-m2 and identities-m4 at seeds 0 and
 read), and writes OUT_DIR/<workload>-s<seed>/ with convergence.csv,
 identities.json and zeros.csv (when the run writes one), their timestamp
 comment lines removed, and atoms.txt: the nodes and weights of every
-generator the config realizes, one `node weight` line per atom as mpmath
-`_mpf_` tuples, so an atom that moves by one bit shows directly.  Two
+generator the config realizes, then those of the inverse measure tau of
+sigma_1, one `node weight` line per atom as mpmath `_mpf_` tuples, so an
+atom or a gap root that moves by one bit shows directly.  Two
 checkouts give the same output exactly when `diff -r OUT_A OUT_B` prints
 nothing.  The runs take about 30 s in all.
 """
@@ -47,14 +48,24 @@ def load_cli(checkout: Path):
 
 
 def atoms_text(cli, config: dict) -> str:
-    """Every generator's sign, then its (node, weight) pairs as _mpf_ tuples."""
-    from nikishin_hp.measures import realize  # the checkout's, as load_cli put it first
+    """Every generator's sign and (node, weight) pairs as _mpf_ tuples, then tau's of sigma_1."""
+    from mpmath import mp
 
-    specs = cli.parse_config(config).system.measures
+    # the checkout's, as load_cli put it first
+    from nikishin_hp.measures import inverse_measure, realize
+
+    parsed = cli.parse_config(config)
     lines = []
-    for j, mu in enumerate(map(realize, specs), start=1):
-        lines.append(f"generator {j} sign {mu.sign}")
-        lines += [f"{x._mpf_} {w._mpf_}" for x, w in zip(mu.nodes, mu.weights)]
+    with mp.workprec(parsed.precision_bits):
+        generators = [realize(spec) for spec in parsed.system.measures]
+        _, tau = inverse_measure(generators[0])
+        named = [(f"generator {j}", mu) for j, mu in enumerate(generators, start=1)]
+        for name, mu in named + [("tau of generator 1", tau)]:
+            if mu is None:
+                lines.append(f"{name} empty")
+                continue
+            lines.append(f"{name} sign {mu.sign}")
+            lines += [f"{x._mpf_} {w._mpf_}" for x, w in zip(mu.nodes, mu.weights)]
     return "\n".join(lines) + "\n"
 
 
