@@ -22,7 +22,10 @@ the chain (a, b), the point as cauchy_eval converts it (`_mpf_` of a real
 point, `_mpc_` of a complex one) and mp.prec, and is exactly what
 cauchy_eval returns, so the identity checks, the ratio targets and the
 remainders of every solution share each s-hat_{a,b}(z).  The table lives
-on the system, so it goes when the system does, at the end of a run; a
+as long as the system object and grows by one entry per new (chain, point,
+precision), with no limit: the system run_experiment builds goes at the end
+of the run, and so does its table, but a caller that keeps a system from
+build_system and evaluates it on ever new points keeps every value.  A
 module-level memo would outlive the run and keep every value of every run
 alive.
 """
@@ -70,13 +73,13 @@ class NikishinSystem:
     chains[(a, b)] = s_{a,b} = <sigma_a, ..., sigma_b> on sigma_a's nodes,
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
     sigma_a itself when a == b.  s_hat is s_hat_eval's table of transform
-    values, left out of equality and repr.
+    values: not a constructor argument, and left out of equality and repr.
     """
 
     generators: tuple
     intervals: tuple
     chains: dict
-    s_hat: dict = field(default_factory=dict, compare=False, repr=False)
+    s_hat: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -185,7 +188,9 @@ def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
     being z as cauchy_eval converts it: `_mpf_` for a real point, `_mpc_`
     for a complex one, so x and mpc(x, 0) are separate entries.  A stored
     value is the one cauchy_eval returned, so a lookup changes no bit.  A
-    point on the chain's support raises and stores nothing.
+    point on the chain's support raises and stores nothing.  Nothing is
+    ever dropped: the table grows with each new point and lives as long as
+    sys does.
     """
     z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
     key = (j, k, z._mpc_ if isinstance(z, mpc) else z._mpf_, mp.prec)

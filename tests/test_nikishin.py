@@ -222,11 +222,13 @@ class TestTransformTable:
         # a lookup returns the stored object itself
         assert s_hat_eval(sys, 1, 2, z) is sys.s_hat[(1, 2, z._mpc_, mp.prec)]
 
-    def test_table_is_left_out_of_equality_and_repr(self, m2_16_system):
+    def test_table_is_left_out_of_init_equality_and_repr(self, m2_16_system):
         sys = cold(m2_16_system)
         s_hat_eval(sys, 1, 1, mpc(0, 1))
         assert sys == cold(m2_16_system)
         assert "s_hat" not in repr(sys)
+        with pytest.raises(TypeError):
+            NikishinSystem(sys.generators, sys.intervals, sys.chains, {})
 
     def test_each_precision_gets_its_own_entry(self, m2_16_system):
         sys = cold(m2_16_system)
