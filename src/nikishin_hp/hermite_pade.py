@@ -2,13 +2,16 @@
 
 Order conditions at infinity translate into homogeneous moment-shift linear
 systems, kept as plain row lists built from the tails (tuples whose entry k
-is the coefficient of z^-(k+1)); the solution is the right singular direction
-of least singular value at working precision.  The SVD is linalg.svd_sv, a
-Golub-Reinsch kernel that forms only the singular values and the one right
-singular vector the solvers read, bit-identical to mp.svd_r's: it rotates
-the right factor only until that vector's singular value has converged.
-Both solvers form the polynomial part of a tail convolution with _head_sum
-and its coefficients at infinity with _tail_sum.
+is the coefficient of z^-(k+1)).  The type I solution is the right singular
+direction of least singular value at working precision.  The SVD is
+linalg.svd_sv, a Golub-Reinsch kernel that forms only the singular values
+and the one right singular vector the solver reads, bit-identical to
+mp.svd_r's: it rotates the right factor only until that vector's singular
+value has converged.  The type II denominator comes from an order basis
+instead (_order_basis, the sigma-basis of Beckermann and Labahn), which
+solves the simultaneous Pade form in O(|n|^2) operations against the SVD's
+O(|n|^3).  Both solvers form the polynomial part of a tail convolution with
+_head_sum and its coefficients at infinity with _tail_sum.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
@@ -40,6 +43,14 @@ from .nikishin import NikishinSystem, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
 NULLITY_GAP = mpf(2) ** 10  # sigma_min2/sigma_min at or below this flags nullity > 1
+# An order-basis residual at most ORDER_BASIS_GUARD 2^-P times the sum of its
+# terms' moduli is zero.  On the 32+32 README fixture at 256 bits the
+# residuals that vanish in exact arithmetic read 2^-256 to 2^-263 of that sum
+# (and exactly 0 at atomic degree with dyadic atoms), while the genuine
+# pivots fall to 2^-163 at k=12 and 2^-209 at k=16; a gate at 2^-P/2 drops
+# genuine conditions from k=10 on, and Q then loses every digit.  The factor
+# 2^8 covers the rounding of sums of up to 256 terms.
+ORDER_BASIS_GUARD = 2**8
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,15 @@ class TypeIVector:
 
 @dataclass(frozen=True)
 class TypeIIVector:
-    """Type II solution (Q, P_1, ..., P_m) with per-component achieved orders."""
+    """Type II solution (Q, P_1, ..., P_m) with per-component achieved orders.
+
+    nullity_flag is read from the order basis that gave Q, N being |n|.  A
+    basis row of shifted degree d <= N and its multiples by x^e, e <= N - d,
+    solve the order conditions within the degree bounds, so the flag is True
+    when these do not span exactly one solution: when no row, or more than
+    one row, has shifted degree <= N, or when the one such row has degree
+    below N (at atomic degree, for instance).
+    """
 
     q: Polynomial
     p: tuple
@@ -223,7 +242,7 @@ class ReduceReport:
 
 
 # ---------------------------------------------------------------------------
-# assembly and nullspace extraction
+# assembly, nullspace extraction and order bases
 # ---------------------------------------------------------------------------
 
 
@@ -250,8 +269,8 @@ def _nullspace_min_direction(rows, cols: int):
 
     Returns (vec, flag, svals): vec is the last row of the SVD's right factor
     (the only row svd_sv returns), svals all cols singular values in
-    decreasing order.  Both solvers pass fewer rows than columns, so the
-    structural rank is len(rows); the trailing cols - rows values are 0 or
+    decreasing order.  The type I solver passes fewer rows than columns, so
+    the structural rank is len(rows); the trailing cols - rows values are 0 or
     rounding-level.  The flag fires when the smallest structural singular
     value is within a factor 2^10 of the largest should-be-zero one (rank
     deficient beyond the guaranteed nullity), or when there are no
@@ -263,6 +282,64 @@ def _nullspace_min_direction(rows, cols: int):
         return vec, True, svals
     flag = svals[rank - 1] <= NULLITY_GAP * svals[rank]
     return vec, bool(flag), svals
+
+
+def _order_basis(series, shifts, orders):
+    """Order basis of the polynomial row vectors p with p F = O(x^orders[j]) in column j.
+
+    series[r][j] is the power series of F's entry (r, j), a tuple of its
+    coefficients in ascending powers of x, () for zero.  This is the
+    iterative sigma-basis of B. Beckermann and G. Labahn, SIAM J. Matrix
+    Anal. Appl. 15 (1994) 804-823.  The basis starts as the identity with
+    the shifted degrees `shifts` and takes the conditions (k, j),
+    coefficient k of column j, in increasing k.  At each one it pivots on
+    the live row of least shifted degree, ties going to the largest
+    |residual|, eliminates the residual from the other live rows and
+    multiplies the pivot row by x, whose shifted degree rises by one.  A
+    row is live when its residual exceeds ORDER_BASIS_GUARD 2^-P times the
+    sum of the absolute values of its terms; the others already meet the
+    condition and are left alone.  Returns (basis, degrees): basis[i][r]
+    lists the coefficients of component r of row i, and degrees[i] bounds
+    the shifted degree of row i.  Each condition costs O(rows^2 K) for
+    polynomials of degree K, so K conditions per column cost O(K^2).
+    """
+    rows = len(series)
+    basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
+    degrees = list(shifts)
+    gate = ORDER_BASIS_GUARD * mpf(2) ** -mp.prec
+    for k in range(max(orders)):
+        for j, order in enumerate(orders):
+            if k >= order:
+                continue
+            column = [entry[j] for entry in series]
+            residuals = []
+            for row in basis:
+                terms = [
+                    coeffs[l] * f[k - l]
+                    for coeffs, f in zip(row, column)
+                    for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
+                ]
+                acc = mp.fsum(terms)
+                residuals.append(acc if abs(acc) > gate * mp.fsum(terms, absolute=True) else None)
+            live = [i for i, res in enumerate(residuals) if res is not None]
+            if not live:
+                continue
+            piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i])))
+            pivot = basis[piv]
+            for i in live:
+                if i != piv:
+                    c = -residuals[i] / residuals[piv]
+                    basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
+            basis[piv] = [[mpf(0)] + coeffs if coeffs else coeffs for coeffs in pivot]
+            degrees[piv] += 1
+    return basis, degrees
+
+
+def _axpy(a, c, b):
+    """The coefficient list of a + c b."""
+    if len(a) < len(b):
+        a = a + [mpf(0)] * (len(b) - len(a))
+    return [x + c * y for x, y in zip(a, b)] + a[len(b) :]
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +558,19 @@ def solve_type2(sys: NikishinSystem, n: MultiIndex) -> TypeIIVector:
 def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     total = n.total
     tails = _type1_tails(sys, None, n)
-    # row (j, nu) imposes a zero coefficient of z^-(nu+1) in Q f_j
-    rows = [tail[nu : nu + total + 1] for tail, nj in zip(tails, n) for nu in range(nj)]
-    vec, flag, _ = _nullspace_min_direction(rows, total + 1)
-    q = Polynomial(vec).trimmed().monic()
+    # with x = 1/z and g_j = sum_k tail_j[k] x^k, the reversed
+    # Q~(x) = x^N Q(1/x) solves Q~ g_j - P~_j = O(x^(N + n_j)) with
+    # deg Q~ <= N and deg P~_j <= N - 1, N = |n|: the coefficient of
+    # x^(N + nu) in Q~ g_j is that of z^-(nu+1) in Q f_j
+    m = len(n)
+    minus_one = (mpf(-1),)
+    series = [tails] + [[minus_one if i == j else () for j in range(m)] for i in range(m)]
+    basis, degrees = _order_basis(series, (0,) + (1,) * m, [total + nj for nj in n])
+    # the solutions of degree <= N are the combinations of x^e row_i, e <= N - d_i
+    flag = sum(max(0, total + 1 - d) for d in degrees) != 1
+    row = basis[min(range(m + 1), key=degrees.__getitem__)]
+    qt = row[0] + [mpf(0)] * (total + 1 - len(row[0]))
+    q = Polynomial(qt[::-1]).trimmed().monic()
     ps = []
     orders = []
     for j, tail in enumerate(tails):

@@ -1,4 +1,4 @@
-"""Exact type I vectors of a two-generator system of dyadic atoms, over QQ.
+"""Exact type I and type II vectors of a two-generator system of dyadic atoms, over QQ.
 
 Stdlib `fractions` only: nothing here shares code or rounding with the
 package.  sigma_1 has 16 atoms at x_i = -1 + (2i+1)/32 on [-1, 0] and sigma_2
@@ -16,7 +16,12 @@ the kernel of the |n| - 1 order conditions
 
 and is normalized as the solver normalizes it: the largest coefficient of
 a_1, a_2 has modulus 1 and the leading coefficient of the last nonzero
-block is positive.
+block is positive.  The type II denominator Q, of degree |n|, spans the
+kernel of the |n| order conditions
+
+    sum_mu q_mu c_{mu+nu}(s_{1,j}) = 0,   nu = 0, ..., n_j - 1,
+
+and is monic.
 """
 
 from __future__ import annotations
@@ -80,3 +85,12 @@ def type1_blocks(n):
     blocks = [[c / mx for c in vec[: n[0]]], [c / mx for c in vec[n[0] :]]]
     lead = next(c for b in reversed(blocks) for c in reversed(b) if c != 0)
     return [[-c for c in b] for b in blocks] if lead < 0 else blocks
+
+
+def type2_q(n):
+    """The exact monic type II denominator Q, ascending coefficients."""
+    total = sum(n)
+    tails = [moments(sign, w, total + max(n)) for sign, w in chains()]
+    rows = [tail[nu : nu + total + 1] for tail, nj in zip(tails, n) for nu in range(nj)]
+    vec = kernel_vector(rows, total + 1)
+    return [c / vec[-1] for c in vec]

@@ -37,6 +37,7 @@ from nikishin_hp.hermite_pade import (
     _achieved_order,
     _escalate,
     _nullspace_min_direction,
+    _order_basis,
     _tail_sum,
     _type1_tails,
 )
@@ -573,6 +574,61 @@ class TestTypeII:
         assert v.q.coeffs == (mpf(0), mpf(1))  # Q = z
         assert abs(v.p[0][0] - 1) < TIGHT  # P = 1
 
+    def test_readme_fixture_orders_match_the_svd(self, m2_32_system):
+        # the orders the SVD kernel reached on the 32+32 fixture at 256
+        # bits; a pivot gate as high as 2^-P/2 drops genuine conditions at
+        # k = 10 and 12, whose pivots fall to 2^-134 and 2^-163 of their scale
+        expected = {4: (5, 5), 6: (7, 7), 8: (9, 9), 10: (11, 12), 12: (13, 14)}
+        for k, orders in expected.items():
+            v = solve_type2(m2_32_system, MultiIndex((k, k)))
+            assert (v.residual_orders, v.precision_bits) == (orders, 256), k
+            assert v.q.degree == 2 * k and not v.nullity_flag
+
+    @pytest.mark.parametrize("nodes", [None, 2])
+    def test_atomic_degree_sets_the_nullity_flag(self, f1_system, nodes):
+        # two atoms and |n| = 3: every Q = (z^2 - 1)(a z + b) solves, so the
+        # order basis has one row of degree 2 < |n|; the residuals that
+        # vanish are exactly 0 on the dyadic atoms +-1 and rounding-level on
+        # a 2-node Legendre rule, and neither is divided by
+        if nodes is None:
+            sys = f1_system
+        else:
+            spec = MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=2)
+            sys = build_system(SystemSpec([spec]))
+        v = solve_type2(sys, MultiIndex((3,)))
+        assert v.nullity_flag
+        assert v.q.degree == 3 and v.precision_bits == 256
+        assert v.residual_orders[0] >= 4
+        tail = type2_residual_tail(sys, v, 1)
+        assert max(abs(c) for c in tail[:4]) < mpf(10) ** -60
+
+    def test_svd_is_never_called(self, m2_16_system, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("type II solved by an SVD")
+
+        monkeypatch.setattr(hermite_pade, "svd_sv", refuse)
+        monkeypatch.setattr(linalg, "svd_sv", refuse)
+        v = solve_type2(m2_16_system, MultiIndex((3, 2)))
+        assert v.residual_orders[0] >= 4 and v.residual_orders[1] >= 3
+
+    def test_order_basis_rows_meet_every_condition(self, m2_16_system):
+        n = MultiIndex((3, 2))
+        tails = _type1_tails(m2_16_system, None, n)
+        series = [tails, [(mpf(-1),), ()], [(), (mpf(-1),)]]
+        orders = [n.total + nj for nj in n]
+        basis, degrees = _order_basis(series, (0, 1, 1), orders)
+        # one degree step per condition, the solution row alone at degree |n|
+        assert sum(degrees) == 2 + sum(orders)
+        assert sorted(degrees) == [5, 6, 6]
+        for row, d in zip(basis, degrees):
+            q, *ps = row
+            assert len(q) <= d + 1 and all(len(p) <= d for p in ps)
+            for j, order in enumerate(orders):
+                for k in range(order):
+                    terms = [c * tails[j][k - l] for l, c in enumerate(q[: k + 1])]
+                    terms.append(-ps[j][k] if k < len(ps[j]) else mpf(0))
+                    assert abs(mp.fsum(terms)) <= noise_floor(0.9) * mp.fsum(terms, absolute=True)
+
     def test_m2_orthogonal_to_constants(self, m2_16_system):
         v = solve_type2(m2_16_system, MultiIndex((1, 1)))
         assert v.q.degree == 2
@@ -630,6 +686,11 @@ class TestOrthogonality:
         assert rep.max_residual <= noise_floor(0.5) * max(rep.scale, mpf(1))
 
 
+def as_fraction(x):
+    sign, man, exp, _ = mpf(x)._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
 class TestExactOracle:
     @staticmethod
     def dyadic_system():
@@ -651,11 +712,6 @@ class TestExactOracle:
         # the monomial moments costing about 5 digits per unit of k
         v = solve_type1(self.dyadic_system(), MultiIndex.diagonal(2, k))
         assert v.precision_bits == 256
-
-        def as_fraction(x):
-            sign, man, exp, _ = mpf(x)._mpf_
-            return (-1) ** sign * man * Fraction(2) ** exp
-
         exact = exact_oracle.type1_blocks((k, k))
         err = max(
             abs(as_fraction(c) - e)
@@ -663,3 +719,13 @@ class TestExactOracle:
             for c, e in zip(v.a[j].coeffs, exact[j - 1], strict=True)
         )
         assert err < Fraction(1, 10**digits)
+
+    @pytest.mark.parametrize("k, digits", [(3, 66), (5, 56), (7, 45)])
+    def test_type2_q_matches_the_exact_kernel(self, k, digits):
+        # digits relative to Q's largest coefficient: at 256 bits the SVD
+        # kernel had 67.7, 57.7 and 46.6, the order basis 67.6, 58.0 and 47.4
+        v = solve_type2(self.dyadic_system(), MultiIndex.diagonal(2, k))
+        assert v.precision_bits == 256
+        exact = exact_oracle.type2_q((k, k))
+        err = max(abs(as_fraction(c) - e) for c, e in zip(v.q.coeffs, exact, strict=True))
+        assert err < max(abs(e) for e in exact) / 10**digits
