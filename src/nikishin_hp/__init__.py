@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .hermite_pade import (
     MultiIndex,
-    OrthogonalityReport,
     RationalPerturbation,
     ReduceReport,
     TypeIIVector,
@@ -54,6 +53,7 @@ from .measures import (
 )
 from .nikishin import (
     NikishinSystem,
+    Residual,
     SystemSpec,
     build_system,
     check_chain_identity,

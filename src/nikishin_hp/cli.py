@@ -73,6 +73,7 @@ from .hermite_pade import (
 # moments is unused here; benchmark/spans.py still patches cli.moments
 from .measures import Interval, MeasureSpec, moments  # noqa: F401
 from .nikishin import (
+    Residual,
     SystemSpec,
     build_system,
     check_chain_identity,
@@ -288,23 +289,23 @@ def _fmt(x) -> str:
     return mp.nstr(x, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
-def _residual_entry(pairs, fraction, **extra) -> dict:
-    """identities.json entry gating (residual, scale) pairs.
+def _residual_entry(results, fraction, **extra) -> dict:
+    """identities.json entry gating results with .max_residual and .scale.
 
-    A pair fails when residual > noise_floor(fraction) * max(scale, 1); the
-    entry reports the pair with the largest residual.
+    A result fails when max_residual > noise_floor(fraction) * max(scale, 1);
+    the entry reports the result with the largest residual.
     """
     tol = noise_floor(fraction)
-    worst = (mpf(0), mpf(0))
+    worst = Residual(mpf(0), mpf(0))
     ok = True
-    for residual, scale in pairs:
-        if residual > worst[0]:
-            worst = (residual, scale)
-        if residual > tol * max(scale, mpf(1)):
+    for r in results:
+        if r.max_residual > worst.max_residual:
+            worst = r
+        if r.max_residual > tol * max(r.scale, mpf(1)):
             ok = False
     return {
-        "max_residual": _fmt(worst[0]),
-        "scale": _fmt(worst[1]),
+        "max_residual": _fmt(worst.max_residual),
+        "scale": _fmt(worst.scale),
         "tolerance_fraction": round(fraction, 6),
         "pass": ok,
         **extra,
@@ -353,7 +354,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if "chile" in config.checks:
         results = (check_chain_identity(sys, j, z) for j in range(m) for z in points)
-        checks["chile"] = _residual_entry(((r.residual, r.scale) for r in results), 0.5)
+        checks["chile"] = _residual_entry(results, 0.5)
 
     if "ratio44" in config.checks:
         if m < 2:
@@ -362,12 +363,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             from .measures import inverse_measure
 
             inv = inverse_measure(sys.generators[0])
-            pairs = (
-                (r.residual, r.scale)
+            results = (
+                r
                 for k in range(2, m + 1)
                 for r in check_ratio_identity(sys, k, points, inverse=inv)
             )
-            checks["ratio44"] = _residual_entry(pairs, 1.0 / 3.0)
+            checks["ratio44"] = _residual_entry(results, 1.0 / 3.0)
 
     # one T-reduction per solution serves both the orthogonality and the
     # reduction checks
@@ -376,15 +377,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if "orthogonality" in config.checks:
         reduced = [r.reduced for r in reports] if pert is not None else solutions
         results = (check_orthogonality(sys, v) for v in reduced)
-        checks["orthogonality"] = _residual_entry(
-            ((o.max_residual, o.scale) for o in results), 0.5, instances=len(solutions)
-        )
+        checks["orthogonality"] = _residual_entry(results, 0.5, instances=len(solutions))
 
     if pert is not None:
         # reduction consistency is always reported when a perturbation exists
-        checks["reduction"] = _residual_entry(
-            ((r.max_residual, r.scale) for r in reports), 0.5, instances=len(solutions)
-        )
+        checks["reduction"] = _residual_entry(reports, 0.5, instances=len(solutions))
 
     if "sign_changes" in config.checks:
         ok = True
@@ -425,15 +422,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     if "type2" in config.checks:
         worst_order_gap = 0
+        flagged = []
         for n in config.sweep:
             v2 = solve_type2(sys, n)
             for j in range(m):
                 worst_order_gap = max(worst_order_gap, (n[j] + 1) - v2.residual_orders[j])
+            if v2.nullity_flag:
+                flagged.append(list(n))
         checks["type2"] = {
-            "pass": worst_order_gap <= 0,
+            "pass": worst_order_gap <= 0 and not flagged,
             "worst_order_gap": worst_order_gap,
             "instances": len(config.sweep),
         }
+        if flagged:
+            checks["type2"]["flagged"] = flagged
 
     # made only now, so a rejected config or a numerical failure leaves none
     config.output_dir.mkdir(parents=True, exist_ok=True)

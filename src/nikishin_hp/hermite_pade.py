@@ -10,8 +10,10 @@ mp.svd_r's: it rotates the right factor only until that vector's singular
 value has converged.  The type II denominator comes from an order basis
 instead (_order_basis, the sigma-basis of Beckermann and Labahn), which
 solves the simultaneous Pade form in O(|n|^2) operations against the SVD's
-O(|n|^3).  Both solvers form the polynomial part of a tail convolution with
-_head_sum and its coefficients at infinity with _tail_sum.
+O(|n|^3).  Every coefficient of a tail convolution sum_j c_j f_j, in its
+polynomial part (a_0, the P_j) or at infinity (the achieved orders, the
+reduction residual, type2_residual_tail), comes from one helper,
+_laurent_coeff.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
@@ -31,7 +33,6 @@ perturbed_reduce performs and verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -39,7 +40,7 @@ from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 from .linalg import svd_sv
 # cauchy_eval is unused here; benchmark/spans.py still patches hermite_pade.cauchy_eval
 from .measures import cauchy_eval, moments  # noqa: F401
-from .nikishin import NikishinSystem, s_hat_eval
+from .nikishin import NikishinSystem, Residual, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
 NULLITY_GAP = mpf(2) ** 10  # sigma_min2/sigma_min at or below this flags nullity > 1
@@ -112,7 +113,6 @@ class RationalPerturbation:
 
     fractions: tuple
     T: Polynomial
-    degree: int
     poles: tuple
 
     def __init__(self, fractions):
@@ -144,7 +144,6 @@ class RationalPerturbation:
         poles = tuple(p for comp in per_component for p in comp)
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "degree", T.degree)
         object.__setattr__(self, "poles", poles)
 
     @classmethod
@@ -154,6 +153,10 @@ class RationalPerturbation:
     @property
     def m(self) -> int:
         return len(self.fractions)
+
+    @property
+    def degree(self) -> int:
+        return self.T.degree
 
     @property
     def is_zero(self) -> bool:
@@ -224,12 +227,6 @@ class TypeIIVector:
     @property
     def m(self) -> int:
         return len(self.p)
-
-
-class OrthogonalityReport(NamedTuple):
-    max_residual: mpf
-    scale: mpf
-    conditions: int
 
 
 @dataclass(frozen=True)
@@ -406,7 +403,7 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     blocks = _normalize_blocks(blocks)
     pairs = list(zip(blocks, tails))
     # -PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2
-    a0 = Polynomial([-_head_sum(pairs, p) for p in range(max(n.max_part - 1, 0))])
+    a0 = Polynomial([-_laurent_coeff(pairs, p)[0] for p in range(max(n.max_part - 1, 0))])
     residual_order = _achieved_order(pairs, total + 4)
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
     return TypeIVector(a, n, total - M, residual_order, flag, bits)
@@ -437,30 +434,20 @@ def _normalize_blocks(blocks):
     return blocks
 
 
-def _head_sum(pairs, p):
-    """Coefficient of z^p in the polynomial part of sum_j c_j * f_j.
+def _laurent_coeff(pairs, e):
+    """Coefficient of z^e in sum_j c_j f_j, and its scale.
 
-    pairs holds (coeffs, tail) per component, tail being f_j's Laurent tail;
-    the terms c[l] * tail[l - p - 1], l > p, are added in order.
-    """
-    acc = mpf(0)
-    for coeffs, tail in pairs:
-        for l in range(p + 1, len(coeffs)):
-            acc += coeffs[l] * tail[l - p - 1]
-    return acc
-
-
-def _tail_sum(pairs, k):
-    """Coefficient k of sum_j c_j * tail_j over (coeffs, tail) pairs, and its scale.
-
-    The terms c[l] * tail[l + k] are added in order, (acc, scale) being the
-    sequential sums of the terms and of their absolute values.
+    pairs holds (coeffs, tail) per component, tail being f_j's Laurent tail
+    (entry k the coefficient of z^-(k+1)), so the coefficient gathers the
+    terms c[l] * tail[l - e - 1], l > e: e >= 0 reads the polynomial part,
+    e = -(k+1) tail entry k.  The terms are added in order, (acc, scale)
+    being the sequential sums of the terms and of their absolute values.
     """
     acc = mpf(0)
     scale = mpf(0)
     for coeffs, tail in pairs:
-        for l, c in enumerate(coeffs):
-            term = c * tail[l + k]
+        for l in range(max(e + 1, 0), len(coeffs)):
+            term = coeffs[l] * tail[l - e - 1]
             acc += term
             scale += abs(term)
     return acc, scale
@@ -469,11 +456,12 @@ def _tail_sum(pairs, k):
 def _achieved_order(pairs, upto, known=()):
     """First non-vanishing tail index of the remainder, plus one.
 
-    known holds the _tail_sum values already formed for the first indices.
+    known holds the _laurent_coeff values already formed for the first
+    indices.
     """
     tol = noise_floor(0.5)
     for k in range(upto):
-        acc, scale = known[k] if k < len(known) else _tail_sum(pairs, k)
+        acc, scale = known[k] if k < len(known) else _laurent_coeff(pairs, -(k + 1))
         if abs(acc) > tol * scale:
             return k + 1
     return upto
@@ -522,7 +510,7 @@ def perturbed_reduce(
     blocks = [b + [mpf(0)] * (reduced_n[j] - len(b)) for j, b in enumerate(blocks)]
     pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
 
-    sums = [_tail_sum(pairs, k) for k in range(max(order_target - 1, 0))]
+    sums = [_laurent_coeff(pairs, -(k + 1)) for k in range(max(order_target - 1, 0))]
     max_residual = mpf(0)
     scale = mpf(0)
     for acc, sc in sums:
@@ -575,7 +563,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     orders = []
     for j, tail in enumerate(tails):
         pairs = [(q.coeffs, tail)]
-        ps.append(Polynomial([_head_sum(pairs, p) for p in range(total)]))
+        ps.append(Polynomial([_laurent_coeff(pairs, p)[0] for p in range(total)]))
         orders.append(_achieved_order(pairs, n[j] + 4))
     return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits)
 
@@ -584,12 +572,8 @@ def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
     """Tail coefficients of Q s-hat_{1,j} - P_j, indices 0..n_j+4."""
     if not 1 <= j <= v.m:
         raise IndexError("component out of range")
-    K = v.q.degree + v.n[j - 1] + 5
-    tail = moments(sys.chain(1, j), K)
-    out = []
-    for k in range(v.n[j - 1] + 5):
-        out.append(mp.fsum(v.q[mu] * tail[mu + k] for mu in range(v.q.degree + 1)))
-    return out
+    pairs = [(v.q.coeffs, _type1_tails(sys, None, v.n)[j - 1])]
+    return [_laurent_coeff(pairs, -(k + 1))[0] for k in range(v.n[j - 1] + 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +597,7 @@ def remainder_eval(sys: NikishinSystem, v: TypeIVector, j: int, z):
     return acc
 
 
-def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> OrthogonalityReport:
+def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
     """Moment orthogonality of the first-level remainder on sigma_1's atoms.
 
     With N the vector's order target, the sums sum_i x_i^nu A_1(x_i) w_i sign
@@ -623,7 +607,7 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> OrthogonalityRep
     """
     N = v.order_target
     if N <= 1:
-        return OrthogonalityReport(mpf(0), mpf(0), 0)
+        return Residual(mpf(0), mpf(0))
     sigma1 = sys.generators[0]
     vals = [remainder_eval(sys, v, 1, x) for x in sigma1.nodes]
     signed = [val * w * sigma1.sign for val, w in zip(vals, sigma1.weights)]
@@ -634,4 +618,4 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> OrthogonalityRep
         max_residual = max(max_residual, abs(mp.fsum(powers)))
         max_scale = max(max_scale, mp.fsum(abs(t) for t in powers))
         powers = [t * x for t, x in zip(powers, sigma1.nodes)]
-    return OrthogonalityReport(max_residual, max_scale, N - 1)
+    return Residual(max_residual, max_scale)

@@ -358,9 +358,6 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     def f(t):
         return mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights))
 
-    def df(t):
-        return -mp.fsum(w / (t - x) ** 2 for x, w in zip(mu.nodes, mu.weights))
-
     # mu-hat (sign stripped) runs from +inf to -inf across the gap; shrink
     # toward the poles until the bracket is sign-definite.
     a, b = lo + gap / 8, hi - gap / 8
@@ -385,7 +382,7 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
             a = x
         else:
             b = x
-        step = fx / df(x)
+        step = fx / (mu.sign * cauchy_derivative(mu, x))
         # inclusive: the last, sub-ulp Newton step may land on a or b
         if not a <= x - step <= b:
             step = x - (a + b) / 2

@@ -72,18 +72,22 @@ class NikishinSystem:
 
     chains[(a, b)] = s_{a,b} = <sigma_a, ..., sigma_b> on sigma_a's nodes,
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
-    sigma_a itself when a == b.  s_hat is s_hat_eval's table of transform
+    sigma_a itself when a == b.  intervals are the generators' supports,
+    derived on each access.  s_hat is s_hat_eval's table of transform
     values: not a constructor argument, and left out of equality and repr.
     """
 
     generators: tuple
-    intervals: tuple
     chains: dict
     s_hat: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.generators)
+
+    @property
+    def intervals(self) -> tuple:
+        return tuple(g.support for g in self.generators)
 
     def chain(self, a: int, b: int) -> AtomicMeasure:
         """The measure s_{a,b}."""
@@ -152,10 +156,9 @@ def build_system(spec: SystemSpec) -> NikishinSystem:
 
 def system_from_generators(generators) -> NikishinSystem:
     generators = tuple(generators)
-    intervals = tuple(g.support for g in generators)
     m = len(generators)
     for j in range(m - 1):
-        a, b = intervals[j], intervals[j + 1]
+        a, b = generators[j].support, generators[j + 1].support
         lo, hi = (a, b) if a.a <= b.a else (b, a)
         if hi.a < lo.b:
             raise ValueError(
@@ -178,7 +181,7 @@ def system_from_generators(generators) -> NikishinSystem:
                 if 1 <= b <= m:
                     c = a + (1 if b > a else -1)
                     chains[(a, b)] = product_measure(generators[a - 1], chains[(c, b)])
-    return NikishinSystem(generators, intervals, chains)
+    return NikishinSystem(generators, chains)
 
 
 def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
@@ -200,12 +203,18 @@ def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
     return value
 
 
-class IdentityResidual(NamedTuple):
-    residual: mpf
+class Residual(NamedTuple):
+    """A check's largest residual and the scale it is judged against.
+
+    The identity checks return one per point, check_orthogonality one per
+    vector; ReduceReport carries the same two fields.
+    """
+
+    max_residual: mpf
     scale: mpf
 
 
-def check_chain_identity(sys: NikishinSystem, j: int, z) -> IdentityResidual:
+def check_chain_identity(sys: NikishinSystem, j: int, z) -> Residual:
     """Residual of the alternating identity tying reversed to forward chains.
 
     For j in 0..m-1 the combination
@@ -226,7 +235,7 @@ def check_chain_identity(sys: NikishinSystem, j: int, z) -> IdentityResidual:
     terms.append(s_hat_eval(sys, j + 1, m, z))
     residual = abs(mp.fsum(terms))
     scale = max(abs(t) for t in terms)
-    return IdentityResidual(residual, scale)
+    return Residual(residual, scale)
 
 
 def check_ratio_identity(
@@ -234,7 +243,7 @@ def check_ratio_identity(
 ) -> list:
     """Residuals of s-hat_{1,k}/s-hat_{1,1} = mass ratio - <tau_11, <s_{2,k}, sigma_1>>-hat.
 
-    One IdentityResidual per point of `points`, in order.  The constant is
+    One Residual per point of `points`, in order.  The constant is
     the signed mass ratio c_0(s_{1,k})/c_0(s_{1,1}).  The measure
     <tau_11, <s_{2,k}, sigma_1>> does not depend on z and is built once per
     call.  A single-atom sigma_1 has an empty tau and the bracket term is
@@ -258,5 +267,5 @@ def check_ratio_identity(
         bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
         residual = abs(lhs - mass_ratio + bracket)
         scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
-        out.append(IdentityResidual(residual, scale))
+        out.append(Residual(residual, scale))
     return out

@@ -102,7 +102,7 @@ def test_criterion_2_identity_suite():
     for sys in (m2, m3):
         for j in range(sys.m):
             for z in points:
-                worst_chain = max(worst_chain, check_chain_identity(sys, j, z).residual)
+                worst_chain = max(worst_chain, check_chain_identity(sys, j, z).max_residual)
     assert worst_chain <= mpf(10) ** -50
 
     worst_ratio = mpf(0)
@@ -110,7 +110,7 @@ def test_criterion_2_identity_suite():
         inv = inverse_measure(sys.generators[0])
         for k in range(2, sys.m + 1):
             for r in check_ratio_identity(sys, k, points, inverse=inv):
-                worst_ratio = max(worst_ratio, r.residual)
+                worst_ratio = max(worst_ratio, r.max_residual)
     assert worst_ratio <= mpf(10) ** -40
 
     worst_inverse = mpf(0)

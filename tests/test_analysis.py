@@ -215,7 +215,7 @@ class TestConvergenceRow:
         assert len(ratio_targets(sys, pert, grid)) == len(grid.points)
         for v in vs:
             errs, err0 = per_row(v)
-            cold = NikishinSystem(sys.generators, sys.intervals, sys.chains)
+            cold = NikishinSystem(sys.generators, sys.chains)
             for row in (
                 convergence_row(cold, pert, v, grid),
                 convergence_row(sys, pert, v, grid),

@@ -410,6 +410,21 @@ class TestEndToEnd:
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
 
+    def test_type2_fails_on_a_nullity_flag(self, tmp_path):
+        # on 4+4 atoms the order conditions at (3,3), (5,5) and (7,7)
+        # outnumber the atoms, so every type II solve sets its nullity flag
+        # although it meets its orders
+        out = tmp_path / "out"
+        cfg = golden_smoke_config(out)
+        for spec in cfg["system"]:
+            spec["node_count"] = 4
+        cfg["checks"] = ["type2"]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        entry = json.loads((out / "identities.json").read_text())["checks"]["type2"]
+        assert entry["worst_order_gap"] == 0
+        assert entry["flagged"] == [[3, 3], [5, 5], [7, 7]]
+        assert entry["pass"] is False
+
 
 class TestConfigWarnings:
     def test_index_spread_warning(self, tmp_path, capsys):
