@@ -275,7 +275,7 @@ class ExperimentResult:
     output_dir: Path
     rows: tuple
     elapsed_s: float
-    cache_hits: int = 0  # always 0 (no moment cache); benchmark/run.py asserts it
+    cache_hits: int = 0  # always 0: each run builds a fresh system; benchmark/run.py asserts it
 
 
 def _fmt(x) -> str:

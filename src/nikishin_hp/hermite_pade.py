@@ -386,12 +386,27 @@ def _type1_tails(sys, pert, n):
     K = n.total + n.max_part + 4
     tails = []
     for j in range(1, len(n) + 1):
-        tail = moments(sys.chain(1, j), K)
+        tail = _chain_tail(sys, j, K)
         if pert is not None and not pert.fractions[j - 1].is_zero:
             rational = laurent_expand_rational(pert.fractions[j - 1], K + 1)
             tail = tuple(a + b for a, b in zip(tail, rational, strict=True))
         tails.append(tail)
     return tails
+
+
+def _chain_tail(sys, j, K):
+    """moments(sys.chain(1, j), K), read from the system's table of tails.
+
+    sys.tails holds one tuple per (j, mp.prec).  A K beyond the stored one
+    recomputes it through moments; any other K reads a prefix.  Entry k of
+    a moment tuple does not depend on K, so a prefix has the bits a direct
+    moments call would give.
+    """
+    key = (j, mp.prec)
+    tail = sys.tails.get(key, ())
+    if len(tail) <= K:
+        tail = sys.tails[key] = moments(sys.chain(1, j), K)
+    return tail[: K + 1]
 
 
 def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:

@@ -151,15 +151,37 @@ class MeasureSpec:
             raise ValueError("density_scale must be nonzero")
 
 
-def realize(spec: MeasureSpec) -> AtomicMeasure:
-    """Materialize a MeasureSpec as an exact atomic measure."""
+def realize(spec: MeasureSpec, rules: Optional[dict] = None) -> AtomicMeasure:
+    """Materialize a MeasureSpec as an exact atomic measure.
+
+    A density kind maps the n-point Gauss rule of its family on [-1, 1]
+    affinely onto spec.interval and scales its weights.  That reference
+    rule does not depend on the interval, so a caller realizing several
+    specs can pass one dict `rules`, which holds each rule under
+    (n, alpha, beta, mp.prec) and computes it once; build_system keeps one
+    for the length of a call.  A spec with beta < alpha takes the
+    (beta, alpha) rule reflected, nodes negated in reverse order and
+    weights reversed, by P_k^(alpha,beta)(-x) = (-1)^k P_k^(beta,alpha)(x)
+    (Szegő, Orthogonal Polynomials, eq. 4.1.3).  _jacobi_recurrence forms
+    its coefficients in an order that does not depend on which parameter
+    is which, so the reflection has the bits of the direct
+    gauss_jacobi_rule(n, alpha, beta).
+    """
     if spec.kind == "atoms":
         return AtomicMeasure(spec.nodes, spec.weights, spec.sign, spec.interval)
     if spec.kind == "legendre-density":
         alpha = beta = mpf(0)
     else:
         alpha, beta = mpf(spec.alpha), mpf(spec.beta)
-    xs, ws = gauss_jacobi_rule(spec.node_count, alpha, beta)
+    reflect = beta < alpha
+    a, b = (beta, alpha) if reflect else (alpha, beta)
+    key = (spec.node_count, a, b, mp.prec)
+    rules = {} if rules is None else rules
+    if key not in rules:
+        rules[key] = gauss_jacobi_rule(spec.node_count, a, b)
+    xs, ws = rules[key]
+    if reflect:
+        xs, ws = [-x for x in reversed(xs)], ws[::-1]
     half = spec.interval.length / 2
     center = (spec.interval.a + spec.interval.b) / 2
     scale = abs(mpf(spec.density_scale)) * half ** (alpha + beta + 1)
@@ -226,11 +248,17 @@ def gauss_jacobi_rule(n: int, alpha, beta):
 
 
 def _jacobi_recurrence(n: int, alpha, beta):
-    """Monic three-term recurrence data: diag a_k, offdiag b_k (b_0 := mu0)."""
+    """Monic three-term recurrence data: diag a_k, offdiag b_k (b_0 := mu0).
+
+    The products that hold both parameters take the smaller one first, so
+    swapping alpha and beta negates diag and keeps offsq and mu0, bit for
+    bit; realize's reflection relies on that.
+    """
     ab = alpha + beta
+    lo, hi = min(alpha, beta), max(alpha, beta)
     diag = []
     offsq = [mpf(0)] * (n + 1)
-    mu0 = 2 ** (ab + 1) * mp.gamma(alpha + 1) * mp.gamma(beta + 1) / mp.gamma(ab + 2)
+    mu0 = 2 ** (ab + 1) * mp.gamma(lo + 1) * mp.gamma(hi + 1) / mp.gamma(ab + 2)
     offsq[0] = mu0
     for k in range(n):
         if k == 0:
@@ -238,11 +266,11 @@ def _jacobi_recurrence(n: int, alpha, beta):
         else:
             diag.append((beta**2 - alpha**2) / ((2 * k + ab) * (2 * k + ab + 2)))
         if k + 1 == 1:
-            offsq[1] = 4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))
+            offsq[1] = 4 * (1 + lo) * (1 + hi) / ((2 + ab) ** 2 * (3 + ab))
         else:
             kk = mpf(k + 1)
             offsq[k + 1] = (
-                4 * kk * (kk + alpha) * (kk + beta) * (kk + ab)
+                4 * kk * (kk + lo) * (kk + hi) * (kk + ab)
                 / ((2 * kk + ab) ** 2 * (2 * kk + ab + 1) * (2 * kk + ab - 1))
             )
     return diag, offsq, mu0

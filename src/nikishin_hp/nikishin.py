@@ -1,5 +1,11 @@
 """Nikishin systems: nested products of measures on alternating intervals.
 
+build_system realizes the generators with one table of reference Gauss
+rules on [-1, 1], local to the call: generators that share a family and a
+node count, or whose Jacobi parameters are swapped (a reflection), compute
+their rule once.  A config built again computes its rules again, so no
+rule outlives the call that made it.
+
 The product <alpha, beta> reweights alpha's atoms by the Cauchy transform of
 beta, so every chain s_{a,b} = <sigma_a, ..., sigma_b> keeps sigma_a's nodes
 and only changes weights and sign.  One table holds every chain, run in
@@ -28,6 +34,13 @@ of the run, and so does its table, but a caller that keeps a system from
 build_system and evaluates it on ever new points keeps every value.  A
 module-level memo would outlive the run and keep every value of every run
 alive.
+
+The solvers read the moments of each forward chain s_{1,j} from a second
+table on the system, tails, which hermite_pade fills: one tuple per
+(j, mp.prec), recomputed to the larger order when a solve asks for more
+entries than it holds and read as a prefix otherwise.  Entry k of a moment
+tuple does not depend on its length, so every solve gets the bits a fresh
+moments call would give.  Like s_hat it lives as long as the system.
 """
 
 from __future__ import annotations
@@ -74,12 +87,14 @@ class NikishinSystem:
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
     sigma_a itself when a == b.  intervals are the generators' supports,
     derived on each access.  s_hat is s_hat_eval's table of transform
-    values: not a constructor argument, and left out of equality and repr.
+    values and tails the solvers' table of chain moments: neither is a
+    constructor argument, and both are left out of equality and repr.
     """
 
     generators: tuple
     chains: dict
     s_hat: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -150,8 +165,13 @@ def _cross_gaps(xs, ys):
 
 
 def build_system(spec: SystemSpec) -> NikishinSystem:
-    """Realize the generators and fill the chain table."""
-    return system_from_generators([realize(s) for s in spec.measures])
+    """Realize the generators and fill the chain table.
+
+    The generators share one table of reference Gauss rules (see realize),
+    local to this call: a config parsed again builds its rules again.
+    """
+    rules = {}
+    return system_from_generators([realize(s, rules) for s in spec.measures])
 
 
 def system_from_generators(generators) -> NikishinSystem:

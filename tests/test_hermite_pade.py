@@ -35,6 +35,7 @@ from nikishin_hp import (
 )
 from nikishin_hp.hermite_pade import (
     _achieved_order,
+    _chain_tail,
     _escalate,
     _laurent_coeff,
     _nullspace_min_direction,
@@ -747,3 +748,60 @@ class TestExactOracle:
         exact = exact_oracle.type2_q((k, k))
         err = max(abs(as_fraction(c) - e) for c, e in zip(v.q.coeffs, exact, strict=True))
         assert err < max(abs(e) for e in exact) / 10**digits
+
+
+class TestTailTable:
+    KS = (8, 21, 36)
+
+    @pytest.mark.parametrize("order", [KS, KS[::-1]])
+    def test_tails_are_the_moments_in_either_order(self, order):
+        sys = TestExactOracle.dyadic_system()
+        P = mp.prec
+        for K in order:
+            for j in (1, 2):
+                assert bits(_chain_tail(sys, j, K)) == bits(moments(sys.chain(1, j), K))
+        # one tuple per chain, as long as the largest K asked for
+        assert {key: len(t) for key, t in sys.tails.items()} == {(1, P): 37, (2, P): 37}
+
+    def test_each_precision_gets_its_own_tail(self):
+        sys = TestExactOracle.dyadic_system()
+        P = mp.prec
+        at_p = _chain_tail(sys, 2, 21)
+        with mp.workprec(2 * P):
+            for K in self.KS:
+                assert bits(_chain_tail(sys, 2, K)) == bits(moments(sys.chain(1, 2), K))
+        assert sorted(sys.tails) == [(2, P), (2, 2 * P)]
+        assert bits(sys.tails[(2, P)]) == bits(at_p)
+
+    def test_table_is_left_out_of_equality_and_repr(self):
+        sys = TestExactOracle.dyadic_system()
+        _chain_tail(sys, 1, 8)
+        assert sys == TestExactOracle.dyadic_system()
+        assert "tails" not in repr(sys)
+
+    def test_tails_match_the_exact_moments(self):
+        # P-bit powers and the rounded weights of s_{1,2} cost a few ulps
+        sys = TestExactOracle.dyadic_system()
+        K = max(self.KS)
+        for j, (sign, weights) in enumerate(exact_oracle.chains(), start=1):
+            exact = exact_oracle.moments(sign, weights, K + 1)
+            for c, e in zip(_chain_tail(sys, j, K), exact, strict=True):
+                assert abs(as_fraction(c) - e) <= abs(e) / 2 ** (mp.prec - 8)
+
+    def test_solves_share_the_tails_of_their_system(self, monkeypatch):
+        # type I and type II at one index, then type I at a smaller one:
+        # moments runs once per chain
+        calls = []
+        real = hermite_pade.moments
+
+        def counting(mu, K):
+            calls.append(K)
+            return real(mu, K)
+
+        monkeypatch.setattr(hermite_pade, "moments", counting)
+        sys = TestExactOracle.dyadic_system()
+        n = MultiIndex.diagonal(2, 5)
+        solve_type1(sys, n)
+        solve_type2(sys, n)
+        solve_type1(sys, MultiIndex.diagonal(2, 3))
+        assert calls == [n.total + n.max_part + 4] * 2

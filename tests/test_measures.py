@@ -12,6 +12,8 @@ from nikishin_hp import (
     AtomicMeasure,
     Interval,
     MeasureSpec,
+    SystemSpec,
+    build_system,
     cauchy_eval,
     gauss_jacobi_rule,
     inverse_measure,
@@ -257,6 +259,97 @@ class TestGaussRuleOracle:
             diag, offsq, _ = measures._jacobi_recurrence(16, mpf(0), mpf(0))
             with pytest.raises(RuntimeError, match="quadrature node failed to converge"):
                 measures._newton_polish(1e30, 16, diag, offsq)
+
+
+def jacobi_spec(a, b, n, alpha, beta):
+    return MeasureSpec(
+        kind="jacobi-density",
+        interval=Interval(a, b),
+        node_count=n,
+        alpha=mpf(alpha),
+        beta=mpf(beta),
+    )
+
+
+class TestRuleTable:
+    def test_build_system_computes_each_rule_once_per_call(self, monkeypatch):
+        # the identities-m4 generators: two equal Legendre rules, and
+        # Jacobi(1/2, -1/2) and Jacobi(-1/2, 1/2), reflections of each other
+        calls = []
+        real = measures.gauss_jacobi_rule
+
+        def counting(n, alpha, beta):
+            calls.append((n, alpha, beta))
+            return real(n, alpha, beta)
+
+        monkeypatch.setattr(measures, "gauss_jacobi_rule", counting)
+        spec = SystemSpec(
+            [
+                MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=32),
+                jacobi_spec(1, 3, 32, "0.5", "-0.5"),
+                MeasureSpec(kind="legendre-density", interval=Interval(4, 6), node_count=32),
+                jacobi_spec(7, 9, 32, "-0.5", "0.5"),
+            ]
+        )
+        first = build_system(spec)
+        assert calls == [(32, 0, 0), (32, mpf("-0.5"), mpf("0.5"))]
+        # the table lives for one call: a second build computes both again
+        second = build_system(spec)
+        assert calls == 2 * [(32, 0, 0), (32, mpf("-0.5"), mpf("0.5"))]
+        for g, h in zip(first.generators, second.generators):
+            assert mpf_bits(g.nodes) == mpf_bits(h.nodes)
+            assert mpf_bits(g.weights) == mpf_bits(h.weights)
+
+    def test_table_is_keyed_by_precision(self):
+        rules = {}
+        spec = MeasureSpec(kind="legendre-density", interval=Interval(1, 3), node_count=5)
+        at_256 = realize(spec, rules)
+        with mp.workprec(320):
+            at_320 = realize(spec, rules)
+            fresh = realize(spec)
+        assert sorted(rules) == [(5, 0, 0, 256), (5, 0, 0, 320)]
+        assert mpf_bits(at_320.nodes) == mpf_bits(fresh.nodes)
+        assert mpf_bits(at_256.nodes) != mpf_bits(at_320.nodes)
+
+    @staticmethod
+    def assert_reflection_is_direct(n, alpha, beta):
+        # orient the pair so that realize reflects: beta < alpha takes the
+        # (beta, alpha) rule; on [-1, 1] at unit scale the atoms are the
+        # rule's own
+        alpha, beta = max(mpf(alpha), mpf(beta)), min(mpf(alpha), mpf(beta))
+        rules = {}
+        mu = realize(jacobi_spec(-1, 1, n, alpha, beta), rules)
+        assert list(rules) == [(n, beta, alpha, mp.prec)]
+        xs, ws = gauss_jacobi_rule(n, alpha, beta)
+        assert mpf_bits(mu.nodes) == mpf_bits(xs)
+        assert mpf_bits(mu.weights) == mpf_bits(ws)
+
+    @pytest.mark.parametrize("bits", [128, 256, 512])
+    @pytest.mark.parametrize(
+        "alpha, beta", [("0.5", "-0.5"), ("0.25", "0.75"), ("1.5", "0"), ("-0.5", "2")]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 64])
+    def test_reflected_rule_has_the_direct_bits(self, n, alpha, beta, bits):
+        with mp.workprec(bits):
+            self.assert_reflection_is_direct(n, alpha, beta)
+
+    def test_reflection_is_exact_where_the_recurrence_rounds(self):
+        # parameters that are not short dyadics round the recurrence's
+        # products; only their fixed order, smaller parameter first, keeps
+        # the reflection exact
+        for alpha, beta in (("0.3", "-0.7"), ("0.1", "0.45")):
+            for n in (7, 33):
+                self.assert_reflection_is_direct(n, alpha, beta)
+
+    def test_recurrence_is_symmetric_in_the_parameters(self):
+        # swapping alpha and beta negates diag and keeps offsq and mu0, bit
+        # for bit, also where the products round
+        alpha, beta = mpf("0.3"), mpf("-0.7")
+        diag, offsq, mu0 = measures._jacobi_recurrence(12, alpha, beta)
+        swapped_diag, swapped_offsq, swapped_mu0 = measures._jacobi_recurrence(12, beta, alpha)
+        assert mpf_bits(swapped_diag) == mpf_bits([-d for d in diag])
+        assert mpf_bits(swapped_offsq) == mpf_bits(offsq)
+        assert swapped_mu0._mpf_ == mu0._mpf_
 
 
 class TestMoments:
