@@ -79,7 +79,7 @@ from .nikishin import (
     check_chain_identity,
     check_ratio_identity,
 )
-from .precision import DEFAULT_PRECISION_BITS, noise_floor, set_precision
+from .precision import DEFAULT_PRECISION_BITS, checked_bits, noise_floor, working_precision
 
 ENV_PRECISION = "NIKISHIN_HP_PRECISION"
 KNOWN_CHECKS = ("chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2")
@@ -90,9 +90,7 @@ class ConfigError(Exception):
 
 
 def _num(x) -> mpf:
-    if isinstance(x, str):
-        return mpf(x)
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ValueError(f"expected a number, got {x!r}")
     return mpf(x)
 
@@ -106,8 +104,7 @@ def _finite(x) -> mpf:
 
 @dataclass
 class ExperimentConfig:
-    precision_bits: int
-    system: SystemSpec
+    system: SystemSpec  # carries the working precision
     perturbation_coeffs: Optional[tuple]  # ((num, den) ascending-degree, ...) or None
     sweep: tuple
     grid: dict
@@ -116,6 +113,10 @@ class ExperimentConfig:
     pole_eps: mpf
     order_deficit: int = 0
     warnings: tuple = field(default_factory=tuple)
+
+    @property
+    def precision_bits(self) -> int:
+        return self.system.precision_bits
 
 
 def _validated(what: str, convert, value):
@@ -150,7 +151,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate the raw JSON dict into an ExperimentConfig.
 
     Precision resolution: config (where `main` puts --precision-bits) >
-    NIKISHIN_HP_PRECISION > default, set before any numeric parsing.
+    NIKISHIN_HP_PRECISION > default.  The numbers are converted at that
+    precision, which the SystemSpec carries; mp.prec is left as it was.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -159,16 +161,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         precision = os.environ.get(ENV_PRECISION)
     if precision is None:
         precision = DEFAULT_PRECISION_BITS
-    precision = _validated("precision_bits", set_precision, _integer("precision_bits", precision))
+    precision = _validated("precision_bits", checked_bits, _integer("precision_bits", precision))
 
     warnings = []
-    system = _validated(
-        "system", lambda s: SystemSpec([_parse_measure(d) for d in s]), raw.get("system", [])
-    )
-    m = system.m
-    pert_coeffs = _validated(
-        "perturbations", lambda p: _parse_perturbations(p, m), raw.get("perturbations", [])
-    )
+    with working_precision(precision):
+        system = _validated(
+            "system", lambda s: SystemSpec(map(_parse_measure, s), precision), raw.get("system", [])
+        )
+        m = system.m
+        pert_coeffs = _validated(
+            "perturbations", lambda p: _parse_perturbations(p, m), raw.get("perturbations", [])
+        )
+        pole_eps = _validated("pole_eps", _finite, raw.get("pole_eps", 0.25))
     sweep = _validated("sweep", lambda s: _parse_sweep(s, m), raw.get("sweep", []))
 
     spread_cap = raw.get("max_index_spread")
@@ -196,14 +200,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             )
 
     return ExperimentConfig(
-        precision_bits=precision,
         system=system,
         perturbation_coeffs=pert_coeffs,
         sweep=sweep,
         grid=grid,
         checks=_checks(raw.get("checks", [])),
         output_dir=_validated("output_dir", Path, raw.get("output_dir", "out")),
-        pole_eps=_validated("pole_eps", _finite, raw.get("pole_eps", 0.25)),
+        pole_eps=pole_eps,
         order_deficit=_integer("order_deficit", raw.get("order_deficit", 0)),
         warnings=tuple(warnings),
     )
@@ -314,146 +317,138 @@ def _residual_entry(results, fraction, **extra) -> dict:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t_start = time.monotonic()
-    set_precision(config.precision_bits)
-    for w in config.warnings:
-        print(json.dumps({"warning": w}), file=_sys.stderr)
+    with working_precision(config.precision_bits):
+        for w in config.warnings:
+            print(json.dumps({"warning": w}), file=_sys.stderr)
 
-    # setup: whatever fails here is a config error, raised before any solve
-    try:
-        if config.order_deficit < 0:
-            raise ValueError("order_deficit must be nonnegative")
-        sys = build_system(config.system)
-        pert = None
-        if config.perturbation_coeffs is not None:
-            pert = RationalPerturbation(
-                [RationalFn(num, den) for num, den in config.perturbation_coeffs]
-            )
-            if pert.is_zero:
-                pert = None
+        # setup: whatever fails here is a config error, raised before any solve
+        try:
+            if config.order_deficit < 0:
+                raise ValueError("order_deficit must be nonnegative")
+            sys = build_system(config.system)
+            pert = None
+            if config.perturbation_coeffs is not None:
+                pert = RationalPerturbation(
+                    [RationalFn(num, den) for num, den in config.perturbation_coeffs]
+                )
+                if pert.is_zero:
+                    pert = None
+            if pert is not None:
+                if config.order_deficit:
+                    # solve_type1_perturbed solves at the full order |n|
+                    raise ValueError("order_deficit applies to unperturbed systems only")
+                pert.validate_against(sys)
+                if "pole_attraction" in config.checks:
+                    validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
+            grid = _build_grid(config, sys, pert)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(str(exc)) from exc
+        m = sys.m
+        points = grid.points[:24]
+
         if pert is not None:
-            if config.order_deficit:
-                # solve_type1_perturbed solves at the full order |n|
-                raise ValueError("order_deficit applies to unperturbed systems only")
-            pert.validate_against(sys)
-            if "pole_attraction" in config.checks:
-                validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
-        grid = _build_grid(config, sys, pert)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(str(exc)) from exc
-    m = sys.m
-    points = grid.points[:24]
-
-    if pert is not None:
-        solutions = [solve_type1_perturbed(sys, pert, n) for n in config.sweep]
-    else:
-        solutions = [solve_type1(sys, n, config.order_deficit) for n in config.sweep]
-    rows = [convergence_row(sys, pert, v, grid) for v in solutions]
-
-    checks = {}
-    identities = {"precision_bits": config.precision_bits, "checks": checks}
-
-    if "chile" in config.checks:
-        results = (check_chain_identity(sys, j, z) for j in range(m) for z in points)
-        checks["chile"] = _residual_entry(results, 0.5)
-
-    if "ratio44" in config.checks:
-        if m < 2:
-            checks["ratio44"] = {"pass": True, "note": "m=1: no ratios"}
+            solutions = [solve_type1_perturbed(sys, pert, n) for n in config.sweep]
         else:
-            from .measures import inverse_measure
+            solutions = [solve_type1(sys, n, config.order_deficit) for n in config.sweep]
+        rows = [convergence_row(sys, pert, v, grid) for v in solutions]
 
-            inv = inverse_measure(sys.generators[0])
-            results = (
-                r
-                for k in range(2, m + 1)
-                for r in check_ratio_identity(sys, k, points, inverse=inv)
-            )
-            checks["ratio44"] = _residual_entry(results, 1.0 / 3.0)
+        checks = {}
+        identities = {"precision_bits": config.precision_bits, "checks": checks}
 
-    # one T-reduction per solution serves both the orthogonality and the
-    # reduction checks
-    reports = [perturbed_reduce(pert, v, sys) for v in solutions] if pert is not None else []
+        if "chile" in config.checks:
+            results = (check_chain_identity(sys, j, z) for j in range(m) for z in points)
+            checks["chile"] = _residual_entry(results, 0.5)
 
-    if "orthogonality" in config.checks:
-        reduced = [r.reduced for r in reports] if pert is not None else solutions
-        results = (check_orthogonality(sys, v) for v in reduced)
-        checks["orthogonality"] = _residual_entry(results, 0.5, instances=len(solutions))
+        if "ratio44" in config.checks:
+            if m < 2:
+                checks["ratio44"] = {"pass": True, "note": "m=1: no ratios"}
+            else:
+                checks["ratio44"] = _residual_entry(check_ratio_identity(sys, points), 1.0 / 3.0)
 
-    if pert is not None:
-        # reduction consistency is always reported when a perturbation exists
-        checks["reduction"] = _residual_entry(reports, 0.5, instances=len(solutions))
+        # one T-reduction per solution serves both the orthogonality and the
+        # reduction checks
+        reports = [perturbed_reduce(pert, v, sys) for v in solutions] if pert is not None else []
 
-    if "sign_changes" in config.checks:
-        ok = True
-        observed = []
-        for v in solutions:
-            required = v.n.total - config.order_deficit - (pert.degree if pert else 0) - 1
-            values = first_level_remainder_values(sys, v)
-            count = sign_changes(values)
-            if count < required:
-                count = sign_changes(first_level_remainder_values(sys, v, refine=True))
-            observed.append(count)
-            if count < required:
-                ok = False
-        checks["sign_changes"] = {"counts": observed, "pass": ok}
+        if "orthogonality" in config.checks:
+            reduced = [r.reduced for r in reports] if pert is not None else solutions
+            results = (check_orthogonality(sys, v) for v in reduced)
+            checks["orthogonality"] = _residual_entry(results, 0.5, instances=len(solutions))
 
-    zero_rows = []
-    if "pole_attraction" in config.checks:
-        if pert is None:
-            checks["pole_attraction"] = {"pass": True, "note": "no perturbation"}
-        else:
+        if pert is not None:
+            # reduction consistency is always reported when a perturbation exists
+            checks["reduction"] = _residual_entry(reports, 0.5, instances=len(solutions))
+
+        if "sign_changes" in config.checks:
             ok = True
-            largest = max(solutions, key=lambda v: v.n.total, default=None)
+            observed = []
             for v in solutions:
-                for j in range(1, m + 1):
-                    rep = pole_attraction(pert, v, j, config.pole_eps, sys.intervals[-1])
-                    for zeta, kappa, count in rep.counts:
-                        zero_rows.append((v.n, j, zeta, kappa, count))
-                        if v is largest and count != kappa:
+                required = v.n.total - config.order_deficit - (pert.degree if pert else 0) - 1
+                values = first_level_remainder_values(sys, v)
+                count = sign_changes(values)
+                if count < required:
+                    count = sign_changes(first_level_remainder_values(sys, v, refine=True))
+                observed.append(count)
+                if count < required:
+                    ok = False
+            checks["sign_changes"] = {"counts": observed, "pass": ok}
+
+        zero_rows = []
+        if "pole_attraction" in config.checks:
+            if pert is None:
+                checks["pole_attraction"] = {"pass": True, "note": "no perturbation"}
+            else:
+                ok = True
+                largest = max(solutions, key=lambda v: v.n.total, default=None)
+                for v in solutions:
+                    for j in range(1, m + 1):
+                        rep = pole_attraction(pert, v, j, config.pole_eps, sys.intervals[-1])
+                        for zeta, kappa, count in rep.counts:
+                            zero_rows.append((v.n, j, zeta, kappa, count))
+                            if v is largest and count != kappa:
+                                ok = False
+                        zero_rows.append((v.n, j, None, None, len(rep.strays)))
+                        if v is largest and rep.strays:
                             ok = False
-                    zero_rows.append((v.n, j, None, None, len(rep.strays)))
-                    if v is largest and rep.strays:
-                        ok = False
-            checks["pole_attraction"] = {
-                "pass": ok,
-                "eps": _fmt(config.pole_eps),
-                "judged_at": list(largest.n) if largest is not None else None,
+                checks["pole_attraction"] = {
+                    "pass": ok,
+                    "eps": _fmt(config.pole_eps),
+                    "judged_at": list(largest.n) if largest is not None else None,
+                }
+
+        if "type2" in config.checks:
+            worst_order_gap = 0
+            flagged = []
+            for n in config.sweep:
+                v2 = solve_type2(sys, n)
+                for j in range(m):
+                    worst_order_gap = max(worst_order_gap, (n[j] + 1) - v2.residual_orders[j])
+                if v2.nullity_flag:
+                    flagged.append(list(n))
+            checks["type2"] = {
+                "pass": worst_order_gap <= 0 and not flagged,
+                "worst_order_gap": worst_order_gap,
+                "instances": len(config.sweep),
             }
+            if flagged:
+                checks["type2"]["flagged"] = flagged
 
-    if "type2" in config.checks:
-        worst_order_gap = 0
-        flagged = []
-        for n in config.sweep:
-            v2 = solve_type2(sys, n)
-            for j in range(m):
-                worst_order_gap = max(worst_order_gap, (n[j] + 1) - v2.residual_orders[j])
-            if v2.nullity_flag:
-                flagged.append(list(n))
-        checks["type2"] = {
-            "pass": worst_order_gap <= 0 and not flagged,
-            "worst_order_gap": worst_order_gap,
-            "instances": len(config.sweep),
-        }
-        if flagged:
-            checks["type2"]["flagged"] = flagged
+        # made only now, so a rejected config or a numerical failure leaves none
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        _write_convergence_csv(config.output_dir / "convergence.csv", sys, rows)
+        (config.output_dir / "identities.json").write_text(
+            json.dumps(identities, indent=2, sort_keys=True) + "\n"
+        )
+        if zero_rows:
+            _write_zeros_csv(config.output_dir / "zeros.csv", sys, zero_rows)
 
-    # made only now, so a rejected config or a numerical failure leaves none
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_convergence_csv(config.output_dir / "convergence.csv", sys, rows)
-    (config.output_dir / "identities.json").write_text(
-        json.dumps(identities, indent=2, sort_keys=True) + "\n"
-    )
-    if zero_rows:
-        _write_zeros_csv(config.output_dir / "zeros.csv", sys, zero_rows)
-
-    passes = {name: entry["pass"] for name, entry in checks.items()}
-    return ExperimentResult(
-        exit_code=0 if all(passes.values()) else 1,
-        passes=passes,
-        output_dir=config.output_dir,
-        rows=tuple(rows),
-        elapsed_s=time.monotonic() - t_start,
-    )
+        passes = {name: entry["pass"] for name, entry in checks.items()}
+        return ExperimentResult(
+            exit_code=0 if all(passes.values()) else 1,
+            passes=passes,
+            output_dir=config.output_dir,
+            rows=tuple(rows),
+            elapsed_s=time.monotonic() - t_start,
+        )
 
 
 def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:

@@ -16,8 +16,8 @@ the limit targets of the ratio asymptotics and live on the last interval.
 Two residual checks act as the correctness oracles for the tables: the
 alternating cross-product identity linking forward and reversed transforms,
 and the ratio identity expressing s-hat_{1,k}/s-hat_{1,1} through the inverse
-measure of sigma_1.  The ratio identity takes a list of points and builds
-its z-independent product measure once for all of them.
+measure of sigma_1, which it computes once per call; each k's z-independent
+product measure is built once for all the points.
 
 Every product first checks that the two node sets stay apart; the smallest
 node gap comes from one merge of the two sorted node lists.
@@ -46,7 +46,7 @@ moments call would give.  Like s_hat it lives as long as the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -57,22 +57,25 @@ from .measures import (
     inverse_measure,
     realize,
 )
-from .precision import noise_floor
+from .precision import checked_bits, noise_floor, working_precision
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Generator descriptions, first interval to last."""
+    """Generator descriptions, first interval to last, and the working
+    precision in bits (>= 64) that build_system realizes them at."""
 
     measures: tuple
+    precision_bits: int
 
-    def __init__(self, measures):
+    def __init__(self, measures, precision_bits):
         measures = tuple(measures)
         if not measures:
             raise ValueError("a system needs at least one generator")
         if not all(isinstance(s, MeasureSpec) for s in measures):
             raise TypeError("SystemSpec takes MeasureSpec entries")
         object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "precision_bits", checked_bits(precision_bits))
 
     @property
     def m(self) -> int:
@@ -165,13 +168,14 @@ def _cross_gaps(xs, ys):
 
 
 def build_system(spec: SystemSpec) -> NikishinSystem:
-    """Realize the generators and fill the chain table.
+    """Realize the generators and fill the chain table at spec.precision_bits.
 
     The generators share one table of reference Gauss rules (see realize),
     local to this call: a config parsed again builds its rules again.
     """
     rules = {}
-    return system_from_generators([realize(s, rules) for s in spec.measures])
+    with working_precision(spec.precision_bits):
+        return system_from_generators([realize(s, rules) for s in spec.measures])
 
 
 def system_from_generators(generators) -> NikishinSystem:
@@ -258,34 +262,30 @@ def check_chain_identity(sys: NikishinSystem, j: int, z) -> Residual:
     return Residual(residual, scale)
 
 
-def check_ratio_identity(
-    sys: NikishinSystem, k: int, points, inverse: Optional[tuple] = None
-) -> list:
+def check_ratio_identity(sys: NikishinSystem, points) -> list:
     """Residuals of s-hat_{1,k}/s-hat_{1,1} = mass ratio - <tau_11, <s_{2,k}, sigma_1>>-hat.
 
-    One Residual per point of `points`, in order.  The constant is
-    the signed mass ratio c_0(s_{1,k})/c_0(s_{1,1}).  The measure
-    <tau_11, <s_{2,k}, sigma_1>> does not depend on z and is built once per
-    call.  A single-atom sigma_1 has an empty tau and the bracket term is
-    the zero function.  `inverse` can pass a precomputed
-    inverse_measure(sigma_1).  The chain transforms come from the system's
-    table; the bracket's measure is not a chain and is evaluated directly.
+    One Residual per (k, point), k = 2..m outer and `points` inner (none
+    when m = 1).  The constant is the signed mass ratio
+    c_0(s_{1,k})/c_0(s_{1,1}).  tau = inverse_measure(sigma_1) is computed
+    once per call and the z-independent <tau_11, <s_{2,k}, sigma_1>> once
+    per k; a single-atom sigma_1 has an empty tau and a zero bracket.  The
+    chain transforms come from the system's table; the bracket's measure is
+    not a chain and is evaluated directly.
     """
-    if not 2 <= k <= sys.m:
-        raise IndexError(f"ratio identity needs 2 <= k <= m, got {k}")
     sigma1 = sys.generators[0]
-    _, tau = inverse if inverse is not None else inverse_measure(sigma1)
-    mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
-    outer = None
-    if tau is not None:
-        inner = product_measure(sys.chain(2, k), sigma1)
-        outer = product_measure(tau, inner)
+    _, tau = inverse_measure(sigma1)
+    points = [mpc(z) for z in points]
     out = []
-    for z in points:
-        z = mpc(z)
-        lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
-        bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
-        residual = abs(lhs - mass_ratio + bracket)
-        scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
-        out.append(Residual(residual, scale))
+    for k in range(2, sys.m + 1):
+        mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
+        outer = None
+        if tau is not None:
+            outer = product_measure(tau, product_measure(sys.chain(2, k), sigma1))
+        for z in points:
+            lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
+            bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
+            residual = abs(lhs - mass_ratio + bracket)
+            scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
+            out.append(Residual(residual, scale))
     return out

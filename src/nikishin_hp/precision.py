@@ -1,10 +1,13 @@
 """Working-precision context shared by every numeric kernel in the package.
 
-All scalars are mpmath floats; the binary working precision P is a property of
-the ambient mpmath context, set once per computation and read by every
-operation.  Solver noise thresholds are expressed as fixed fractions of P
-(2^-P/2 separates signal from roundoff, 2^-P/3 and 2^-P/4 are the looser
-gates used where error accumulates through products and root finding).
+All scalars are mpmath floats at the binary working precision P of the
+ambient mpmath context.  P is an argument, not process state: a SystemSpec
+carries its P, build_system and run_experiment run under working_precision
+of it, and no package call leaves mp.prec changed.  Library calls (solvers,
+checks, analysis) read the ambient mp.prec, so one system can be evaluated
+at several precisions.  Noise gates are fixed fractions of P (2^-P/2
+separates signal from roundoff; 2^-P/3 and 2^-P/4 are the looser gates
+where error accumulates through products and root finding).
 """
 
 from __future__ import annotations
@@ -18,22 +21,24 @@ MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
 
 
-def set_precision(bits: int) -> int:
-    """Set the ambient working precision (bits, >= 64). Returns the value set."""
+def checked_bits(bits) -> int:
+    """int(bits), rejected with a ValueError below 64."""
     bits = int(bits)
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"working precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
-    mp.prec = bits
+    return bits
+
+
+def set_precision(bits: int) -> int:
+    """Set the ambient working precision (bits, >= 64). Returns the value set."""
+    mp.prec = bits = checked_bits(bits)
     return bits
 
 
 @contextmanager
 def working_precision(bits: int):
-    """Temporarily run at a different working precision."""
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"working precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
-    old = mp.prec
-    mp.prec = int(bits)
+    """Temporarily run at a different working precision (bits, >= 64)."""
+    old, mp.prec = mp.prec, checked_bits(bits)
     try:
         yield mp
     finally:

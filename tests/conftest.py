@@ -52,7 +52,7 @@ def f1_system():
 def m2_16_system():
     """m=2 identity fixture: 16-node discretizations on [-1,0] and [1,3]."""
     set_precision(PREC)
-    return build_system(SystemSpec([legendre_spec(-1, 0, 16), legendre_spec(1, 3, 16)]))
+    return build_system(SystemSpec([legendre_spec(-1, 0, 16), legendre_spec(1, 3, 16)], PREC))
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +61,7 @@ def m3_16_system():
     set_precision(PREC)
     return build_system(
         SystemSpec(
-            [legendre_spec(-1, 0, 16), legendre_spec(1, 3, 16), legendre_spec(4, 6, 16)]
+            [legendre_spec(-1, 0, 16), legendre_spec(1, 3, 16), legendre_spec(4, 6, 16)], PREC
         )
     )
 
@@ -70,7 +70,7 @@ def m3_16_system():
 def m2_32_system():
     """The solver fixture: 32-node generators on [-1,0] and [1,3]."""
     set_precision(PREC)
-    return build_system(SystemSpec([legendre_spec(-1, 0, 32), legendre_spec(1, 3, 32)]))
+    return build_system(SystemSpec([legendre_spec(-1, 0, 32), legendre_spec(1, 3, 32)], PREC))
 
 
 @pytest.fixture(scope="session")

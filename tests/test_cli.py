@@ -1,5 +1,6 @@
 """End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from nikishin_hp import cli
 from nikishin_hp.cli import main
@@ -476,6 +478,15 @@ class TestDeterminism:
 
 
 class TestGoldenBodies:
+    @pytest.fixture(autouse=True)
+    def mpmath_default_precision(self):
+        # each run starts from mpmath's default 53 bits: the bytes must not
+        # depend on the precision the caller left set, and the run must
+        # leave it as it was
+        mp.prec = 53
+        yield
+        assert mp.prec == 53
+
     def test_smoke_bodies_match_stored_bytes(self, tmp_path):
         # the report bodies of a small run over every module, stored as
         # written before the solver's SVD moved to a V-only kernel: any
@@ -617,6 +628,41 @@ class TestPrecisionResolution:
         identities = json.loads((out / "identities.json").read_text())
         assert identities["precision_bits"] == 192
 
+    def test_the_bits_live_on_the_system_spec(self, tmp_path):
+        config = cli.parse_config(base_config(tmp_path / "out"))
+        assert "precision_bits" not in {f.name for f in dataclasses.fields(config)}
+        assert config.precision_bits == config.system.precision_bits == 256
+
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    def test_below_64_bits_exits_2_before_any_solve(self, tmp_path, monkeypatch, capsys, source):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved at a rejected precision")
+
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        out = tmp_path / "out"
+        cfg = golden_smoke_config(out)  # perturbed, at 128 bits
+        flag = []
+        if source == "config":
+            cfg["precision_bits"] = 32
+        elif source == "flag":
+            flag = ["--precision-bits", "32"]  # overrides the config's 128
+        else:
+            del cfg["precision_bits"]
+            monkeypatch.setenv("NIKISHIN_HP_PRECISION", "32")
+        mp.prec = 53
+        assert main(["run", str(write_config(tmp_path, cfg))] + flag) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {
+            "error": "validate",
+            "detail": "bad precision_bits: working precision must be >= 64 bits, got 32",
+        }
+        assert solved == []
+        assert not out.exists()
+        assert mp.prec == 53
+
     def test_check_flag_overrides_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, sweep=[[2, 2]], checks=["chile", "ratio44"])
@@ -625,6 +671,74 @@ class TestPrecisionResolution:
         identities = json.loads((out / "identities.json").read_text())
         assert "chile" in identities["checks"]
         assert "ratio44" not in identities["checks"]
+
+
+def _exit_0(out, monkeypatch):
+    return base_config(out, sweep=[[2, 2]], checks=["chile"])
+
+
+def _exit_1(out, monkeypatch):
+    # at n=(1,1) the poles cannot have captured zeros yet
+    pert = [{"num_coeffs": [1], "den_coeffs": [-5, 1]}, {"num_coeffs": [1], "den_coeffs": [5, 1]}]
+    return base_config(out, sweep=[[1, 1]], checks=["pole_attraction"], pert=pert)
+
+
+def _exit_2_parsing(out, monkeypatch):
+    cfg = base_config(out, sweep=[[2, 2]], checks=[])
+    cfg["system"][0]["interval"] = [0, -1]  # reversed endpoints
+    return cfg
+
+
+def _exit_2_building(out, monkeypatch):
+    cfg = base_config(out, sweep=[[2, 2]], checks=[])
+    cfg["system"][1]["interval"] = [-0.5, 3]  # overlaps the first interval
+    return cfg
+
+
+def _exit_3(out, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("svd: no convergence")
+
+    monkeypatch.setattr(cli, "solve_type1", no_convergence)
+    return base_config(out, sweep=[[2, 2]], checks=[])
+
+
+EXITS = [(_exit_0, 0), (_exit_1, 1), (_exit_2_parsing, 2), (_exit_2_building, 2), (_exit_3, 3)]
+EXIT_IDS = ["exit-0", "exit-1", "exit-2-parsing", "exit-2-building", "exit-3"]
+
+
+class TestAmbientPrecisionUnchanged:
+    """No entry point leaves mp.prec changed, whatever the exit."""
+
+    @pytest.mark.parametrize("make, code", EXITS, ids=EXIT_IDS)
+    def test_main(self, tmp_path, monkeypatch, capsys, make, code):
+        path = write_config(tmp_path, make(tmp_path / "out", monkeypatch))
+        mp.prec = 53
+        assert main(["run", str(path)]) == code
+        assert mp.prec == 53
+
+    @pytest.mark.parametrize("make, code", EXITS, ids=EXIT_IDS)
+    def test_parse_build_and_run(self, tmp_path, monkeypatch, make, code):
+        cfg = make(tmp_path / "out", monkeypatch)
+        mp.prec = 53
+        try:
+            config = cli.parse_config(cfg)
+        except cli.ConfigError:
+            assert (mp.prec, code) == (53, 2)
+            return
+        assert mp.prec == 53
+        try:
+            cli.build_system(config.system)
+        except ValueError:
+            assert code == 2
+        assert mp.prec == 53
+        try:
+            got = cli.run_experiment(config).exit_code
+        except cli.ConfigError:
+            got = 2
+        except RuntimeError:
+            got = 3
+        assert (mp.prec, got) == (53, code)
 
 
 class TestDependencies:

@@ -209,7 +209,8 @@ class TestNullspaceKernel:
                 [
                     MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=12)
                     for a, b in ((-1, 0), (1, 3))
-                ]
+                ],
+                256,
             )
         )
         n = MultiIndex((14, 14))
@@ -595,7 +596,7 @@ class TestTypeII:
             sys = f1_system
         else:
             spec = MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=2)
-            sys = build_system(SystemSpec([spec]))
+            sys = build_system(SystemSpec([spec], 256))
         v = solve_type2(sys, MultiIndex((3,)))
         assert v.nullity_flag
         assert v.q.degree == 3 and v.precision_bits == 256
@@ -691,7 +692,7 @@ class TestOrthogonality:
         # is 2^(d+1) d!^2 / (2d+1)!.  With N = 5 the check must see P_3's
         # moment at nu = N - 2 = 3 and must not see P_4's at nu = N - 1 = 4
         spec = MeasureSpec(kind="legendre-density", interval=Interval(-1, 1), node_count=8)
-        sys = build_system(SystemSpec([spec]))
+        sys = build_system(SystemSpec([spec], 256))
         p3 = Polynomial([0, mpf(-3) / 2, 0, mpf(5) / 2])
         p4 = Polynomial([mpf(3) / 8, 0, mpf(-30) / 8, 0, mpf(35) / 8])
 

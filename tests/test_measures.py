@@ -289,7 +289,8 @@ class TestRuleTable:
                 jacobi_spec(1, 3, 32, "0.5", "-0.5"),
                 MeasureSpec(kind="legendre-density", interval=Interval(4, 6), node_count=32),
                 jacobi_spec(7, 9, 32, "-0.5", "0.5"),
-            ]
+            ],
+            256,
         )
         first = build_system(spec)
         assert calls == [(32, 0, 0), (32, mpf("-0.5"), mpf("0.5"))]

@@ -323,7 +323,7 @@ class TestRatioIdentity:
         sigma2 = AtomicMeasure([1, 2], [1, 1], 1, Interval(1, 3))
         sys = system_from_generators([sigma1, sigma2])
         z = mpc(5, 5)
-        (r,) = check_ratio_identity(sys, 2, [z])
+        (r,) = check_ratio_identity(sys, [z])
         assert r.max_residual < TIGHT
         ratio = s_hat_eval(sys, 1, 2, z) / s_hat_eval(sys, 1, 1, z)
         mass_ratio = sys.chain(1, 2).total_mass / sigma1.total_mass
@@ -333,7 +333,7 @@ class TestRatioIdentity:
         sigma1 = AtomicMeasure([-1, 1], ["0.5", "0.5"], 1, Interval("-1.2", "1.2"))
         sigma2 = AtomicMeasure([2, 3], [1, 2], 1, Interval(2, 4))
         sys = system_from_generators([sigma1, sigma2])
-        (r,) = check_ratio_identity(sys, 2, [mpc(5, 5)])
+        (r,) = check_ratio_identity(sys, [mpc(5, 5)])
         assert r.max_residual <= noise_floor(0.5) * max(r.scale, mpf(1))
 
     def test_limit_at_infinity_signed(self, m2_16_system):
@@ -345,25 +345,26 @@ class TestRatioIdentity:
 
     def test_residual_across_levels(self, m3_16_system):
         rng = random.Random(43)
-        for k in (2, 3):
-            z = mpc(rng.uniform(5, 8), rng.uniform(2, 4))
-            (r,) = check_ratio_identity(m3_16_system, k, [z])
+        points = [mpc(rng.uniform(5, 8), rng.uniform(2, 4)) for _ in range(2)]
+        results = check_ratio_identity(m3_16_system, points)
+        assert len(results) == 4  # k = 2, 3 at each point
+        for r in results:
             assert r.max_residual <= noise_floor(0.4) * max(r.scale, mpf(1))
 
     def test_points_match_the_per_point_formula(self, m3_16_system):
-        # the z-independent measures are built once per k; every residual and
-        # scale must equal, bit for bit, the formula that rebuilt them at
-        # each point
+        # tau once per call and the z-independent measures once per k; every
+        # residual and scale must equal, bit for bit, the formula that
+        # rebuilt them at each (k, point), in k-major order
         sys = m3_16_system
         sigma1 = sys.generators[0]
         _, tau = inverse_measure(sigma1)
         rng = random.Random(47)
         points = [mpc(rng.uniform(-8, 8), rng.uniform(0.3, 4)) for _ in range(5)]
         points += [mpc(0, 10), mpc(3, "0.1")]
-        for k in (2, 3):
-            got = check_ratio_identity(sys, k, points, inverse=(None, tau))
-            assert len(got) == len(points)
-            for z, r in zip(points, got):
+        got = check_ratio_identity(sys, points)
+        assert len(got) == 2 * len(points)
+        for i, k in enumerate((2, 3)):
+            for z, r in zip(points, got[i * len(points) : (i + 1) * len(points)]):
                 lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
                 mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
                 inner = product_measure(sys.chain(2, k), sigma1)
@@ -372,20 +373,28 @@ class TestRatioIdentity:
                 assert r.scale == max(abs(lhs), abs(mass_ratio), abs(bracket))
 
     def test_products_built_twice_per_k(self, m3_16_system, monkeypatch):
-        calls = []
-        real = nikishin.product_measure
+        products, inverses = [], []
 
-        def counting(alpha, beta):
-            calls.append(1)
-            return real(alpha, beta)
+        def counting(calls, real):
+            def wrapped(*args):
+                calls.append(1)
+                return real(*args)
 
-        monkeypatch.setattr(nikishin, "product_measure", counting)
-        inv = inverse_measure(m3_16_system.generators[0])
+            return wrapped
+
+        monkeypatch.setattr(
+            nikishin, "product_measure", counting(products, nikishin.product_measure)
+        )
+        monkeypatch.setattr(
+            nikishin, "inverse_measure", counting(inverses, nikishin.inverse_measure)
+        )
         points = [mpc(5, 1), mpc(-4, 2), mpc(0, 7), mpc(2, -3)]
-        for k in (2, 3):
-            calls.clear()
-            assert len(check_ratio_identity(m3_16_system, k, points, inverse=inv)) == 4
-            assert len(calls) == 2
+        assert len(check_ratio_identity(m3_16_system, points)) == 2 * 4
+        assert len(products) == 2 * (m3_16_system.m - 1)
+        assert len(inverses) == 1
 
     def test_empty_point_list(self, m2_16_system):
-        assert check_ratio_identity(m2_16_system, 2, []) == []
+        assert check_ratio_identity(m2_16_system, []) == []
+
+    def test_single_generator_gives_no_residuals(self, f1_system):
+        assert check_ratio_identity(f1_system, [mpc(5, 5)]) == []

@@ -1,0 +1,138 @@
+"""Who owns the working precision: the 64-bit floor, SystemSpec's bits, and
+a static check that no module but `precision` changes mp.prec."""
+
+import ast
+from pathlib import Path
+
+import pytest
+from mpmath import mp
+
+from nikishin_hp import (
+    Interval,
+    MeasureSpec,
+    SystemSpec,
+    build_system,
+    set_precision,
+    working_precision,
+)
+from nikishin_hp.precision import checked_bits
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nikishin_hp"
+FLOOR_MESSAGE = "working precision must be >= 64 bits, got 32"
+
+
+def legendre(a, b, n):
+    return MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=n)
+
+
+def precision_writes(source: str) -> list:
+    """Line numbers at which `source` assigns mp.prec or mp.dps (also through
+    setattr) or calls set_precision."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(t, ast.Attribute)
+                and t.attr in ("prec", "dps")
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "mp"
+                for target in targets
+                for t in ast.walk(target)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "set_precision" or (
+                name == "setattr"
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "mp"
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestOneOwner:
+    def test_no_other_module_changes_mp_prec(self):
+        found = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.name != "precision.py":
+                lines = precision_writes(path.read_text())
+                if lines:
+                    found[path.name] = lines
+        assert found == {}
+
+    def test_the_guard_sees_each_form(self):
+        source = (
+            "mp.prec = 64\n"
+            "mp.prec += 1\n"
+            "mp.dps = 30\n"
+            "old, mp.prec = mp.prec, 64\n"
+            "set_precision(64)\n"
+            "precision.set_precision(64)\n"
+            "setattr(mp, 'prec', 64)\n"
+            "with mp.workprec(64):\n"
+            "    x = mp.prec\n"
+        )
+        assert precision_writes(source) == [1, 2, 3, 4, 5, 6, 7]
+        assert precision_writes((PACKAGE / "precision.py").read_text())
+
+
+class TestFloor:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            checked_bits,
+            set_precision,
+            lambda bits: working_precision(bits).__enter__(),
+            lambda bits: SystemSpec([legendre(-1, 0, 4)], bits),
+        ],
+        ids=["checked_bits", "set_precision", "working_precision", "SystemSpec"],
+    )
+    def test_one_message_below_64_bits(self, call):
+        before = mp.prec
+        with pytest.raises(ValueError) as info:
+            call(32)
+        assert str(info.value) == FLOOR_MESSAGE
+        assert mp.prec == before
+
+    def test_64_bits_accepted(self):
+        assert checked_bits(64) == 64
+        assert SystemSpec([legendre(-1, 0, 4)], 64).precision_bits == 64
+
+
+class TestSystemSpecBits:
+    def test_bits_are_required(self):
+        with pytest.raises(TypeError):
+            SystemSpec([legendre(-1, 0, 4)])
+
+    def test_bits_take_part_in_equality(self):
+        specs = [legendre(-1, 0, 4), legendre(1, 3, 4)]
+        assert SystemSpec(specs, 128) == SystemSpec(specs, 128)
+        assert SystemSpec(specs, 128) != SystemSpec(specs, 256)
+
+    @pytest.mark.parametrize("ambient", [53, 256])
+    def test_build_system_realizes_at_the_spec_bits(self, ambient):
+        # the same atoms whatever mp.prec the caller has set, and mp.prec
+        # left as it was
+        spec = SystemSpec([legendre(-1, 0, 6), legendre(1, 3, 6)], 128)
+        with mp.workprec(128):
+            want = build_system(spec)
+        mp.prec = ambient
+        got = build_system(spec)
+        assert mp.prec == ambient
+        for g, h in zip(got.generators, want.generators, strict=True):
+            assert [x._mpf_ for x in g.nodes] == [x._mpf_ for x in h.nodes]
+            assert [w._mpf_ for w in g.weights] == [w._mpf_ for w in h.weights]
+        for key in got.chains:
+            assert [w._mpf_ for w in got.chains[key].weights] == [
+                w._mpf_ for w in want.chains[key].weights
+            ]
+
+    def test_a_failed_build_leaves_mp_prec(self):
+        spec = SystemSpec([legendre(-1, 0, 4), legendre("-0.5", 3, 4)], 128)
+        mp.prec = 53
+        with pytest.raises(ValueError, match="overlap"):
+            build_system(spec)
+        assert mp.prec == 53
