@@ -32,7 +32,6 @@ from .hermite_pade import (
     ReduceReport,
     TypeIIVector,
     TypeIVector,
-    assemble_type1_system,
     check_orthogonality,
     perturbed_reduce,
     remainder_eval,

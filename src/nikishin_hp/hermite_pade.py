@@ -1,28 +1,26 @@
 """Type I and type II simultaneous rational approximation of Cauchy transforms.
 
-Order conditions at infinity translate into homogeneous moment-shift linear
-systems, kept as plain row lists built from the tails (tuples whose entry k
-is the coefficient of z^-(k+1)).  The type I solution is the right singular
-direction of least singular value at working precision.  The SVD is
-linalg.svd_sv, a Golub-Reinsch kernel that forms only the singular values
-and the one right singular vector the solver reads, bit-identical to
-mp.svd_r's: it rotates the right factor only until that vector's singular
-value has converged.  The type II denominator comes from an order basis
-instead (_order_basis, the sigma-basis of Beckermann and Labahn), which
-solves the simultaneous Pade form in O(|n|^2) operations against the SVD's
-O(|n|^3).  Every coefficient of a tail convolution sum_j c_j f_j, in its
-polynomial part (a_0, the P_j) or at infinity (the achieved orders, the
-reduction residual, type2_residual_tail), comes from one helper,
-_laurent_coeff.
+Order conditions at infinity are read from the tails (tuples whose entry k
+is the coefficient of z^-(k+1)).  Both solvers solve them with one kernel,
+_order_basis, the sigma-basis of Beckermann and Labahn, in O(|n|^2)
+operations per index: with x = 1/z each problem becomes a Pade form in
+power series of x, and the solution is the basis row of least shifted
+degree.  The basis eliminates at P + 64 bits and is rounded back to P;
+eliminating at P instead costs about 3 digits at m=3 (16 Legendre atoms
+per generator, 128 bits, k = 2..4: 30.9, 22.4 and 11.8 correct digits
+against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
+sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (the
+achieved orders, the reduction residual, type2_residual_tail), comes from
+one helper, _laurent_coeff.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
 the target.  That is the only trigger, and the order, read against the
 2^-P/2 noise gate, rarely catches a loss of accuracy: on the m=2, 16+16-atom
 Legendre fixture at 64 bits both solvers reach their targets at every
-k = 3..8, although at k = 8 the type I coefficients (unit max) differ from a
-256-bit solve by 2.  A floor on the singular-value headroom is an open
-ROADMAP item.
+k = 3..8 and stay at 64 bits; the type I vector is flagged at k = 6 only,
+and at k = 7 and 8 its coefficients (unit max) differ from a 256-bit solve
+by 2.0 and 1.65.  A floor on the correct digits is an open ROADMAP item.
 
 The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
 order condition by T = prod t_j turns the solution into an incomplete
@@ -37,20 +35,24 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
-from .linalg import svd_sv
 # cauchy_eval is unused here; benchmark/spans.py still patches hermite_pade.cauchy_eval
 from .measures import cauchy_eval, moments  # noqa: F401
 from .nikishin import NikishinSystem, Residual, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
-NULLITY_GAP = mpf(2) ** 10  # sigma_min2/sigma_min at or below this flags nullity > 1
 # An order-basis residual at most ORDER_BASIS_GUARD 2^-P times the sum of its
-# terms' moduli is zero.  On the 32+32 README fixture at 256 bits the
-# residuals that vanish in exact arithmetic read 2^-256 to 2^-263 of that sum
-# (and exactly 0 at atomic degree with dyadic atoms), while the genuine
-# pivots fall to 2^-163 at k=12 and 2^-209 at k=16; a gate at 2^-P/2 drops
-# genuine conditions from k=10 on, and Q then loses every digit.  The factor
-# 2^8 covers the rounding of sums of up to 256 terms.
+# terms' moduli is zero, P being the caller's precision: the elimination runs
+# at P + 64 bits, but the tails carry P-bit rounding.  Measured against that
+# sum on the 32+32 README fixture at 256 bits:
+# - type II: the residuals that vanish in exact arithmetic read 2^-320 or
+#   less, and the genuine pivots fall to 2^-163 at k=12 and 2^-221 at k=16;
+#   a gate at 2^-P/2 drops genuine conditions from k=10 on, and Q then
+#   loses every digit;
+# - type I: the least genuine residual at k=12 reads 2^-154 (plain) and
+#   2^-199 (perturbed).  At k=16, perturbed, they reach the gate, and the
+#   nullity flag is set.  At atomic degree (4+4 atoms at 128 bits,
+#   |n| = 6..10) the vanishing residuals read at most 2^3.2 2^-P.
+# The factor 2^8 covers the rounding of sums of up to 256 terms.
 ORDER_BASIS_GUARD = 2**8
 
 
@@ -191,7 +193,15 @@ def _cluster_roots(roots):
 
 @dataclass(frozen=True)
 class TypeIVector:
-    """Type I solution (a_0, ..., a_m) with its achieved vanishing order."""
+    """Type I solution (a_0, ..., a_m) with its achieved vanishing order.
+
+    nullity_flag is read from the order basis that gave the vector, D being
+    max n_j.  A basis row of shifted degree d <= D and its multiples by x^e,
+    e <= D - d, solve the order conditions within the degree bounds.  The
+    flag is True when these do not span exactly the M + 1 dimensions that
+    the order deficit M leaves (at atomic degree, for instance), or when
+    there are no order conditions at all.
+    """
 
     a: tuple
     n: MultiIndex
@@ -239,46 +249,8 @@ class ReduceReport:
 
 
 # ---------------------------------------------------------------------------
-# assembly, nullspace extraction and order bases
+# order bases
 # ---------------------------------------------------------------------------
-
-
-def assemble_type1_system(tails, n: MultiIndex, M: int = 0) -> list:
-    """Moment-shift matrix, as row lists, whose nullspace is the admissible (a_1..a_m) set.
-
-    Row t (t = 0..|n|-2-M) imposes a zero coefficient of z^-(t+1) in
-    sum_j a_j f_j; the column block for component j has width n_j with entry
-    tails[j][l + t] in column position l.
-    """
-    if M < 0:
-        raise ValueError("order deficit M must be nonnegative")
-    if len(tails) != len(n):
-        raise ValueError("one tail per component required")
-    rows = max(0, n.total - 1 - M)
-    for j, tail in enumerate(tails):
-        if n[j] > 0 and len(tail) < n[j] + max(rows - 1, 0):
-            raise ValueError("tails too short for the requested order conditions")
-    return [[tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)] for t in range(rows)]
-
-
-def _nullspace_min_direction(rows, cols: int):
-    """Least-singular right direction of rows (a cols-column matrix), plus a nullity flag.
-
-    Returns (vec, flag, svals): vec is the last row of the SVD's right factor
-    (the only row svd_sv returns), svals all cols singular values in
-    decreasing order.  The type I solver passes fewer rows than columns, so
-    the structural rank is len(rows); the trailing cols - rows values are 0 or
-    rounding-level.  The flag fires when the smallest structural singular
-    value is within a factor 2^10 of the largest should-be-zero one (rank
-    deficient beyond the guaranteed nullity), or when there are no
-    constraints at all.
-    """
-    svals, vec = svd_sv(rows, cols)
-    rank = len(rows)
-    if rank == 0:
-        return vec, True, svals
-    flag = svals[rank - 1] <= NULLITY_GAP * svals[rank]
-    return vec, bool(flag), svals
 
 
 def _order_basis(series, shifts, orders):
@@ -294,42 +266,47 @@ def _order_basis(series, shifts, orders):
     |residual|, eliminates the residual from the other live rows and
     multiplies the pivot row by x, whose shifted degree rises by one.  A
     row is live when its residual exceeds ORDER_BASIS_GUARD 2^-P times the
-    sum of the absolute values of its terms; the others already meet the
-    condition and are left alone.  Returns (basis, degrees): basis[i][r]
-    lists the coefficients of component r of row i, and degrees[i] bounds
-    the shifted degree of row i.  Each condition costs O(rows^2 K) for
-    polynomials of degree K, so K conditions per column cost O(K^2).
+    sum of the absolute values of its terms, P being the caller's
+    precision; the others already meet the condition and are left alone.
+    The elimination runs at P + 64 bits and the basis is rounded back to P,
+    so that the rounding of the elimination stays below that of the data.
+    Returns (basis, degrees): basis[i][r] lists the coefficients of
+    component r of row i, and degrees[i] bounds the shifted degree of row
+    i.  Each condition costs O(rows^2 K) for polynomials of degree K, so K
+    conditions per column cost O(K^2).
     """
     rows = len(series)
     basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
     degrees = list(shifts)
     gate = ORDER_BASIS_GUARD * mpf(2) ** -mp.prec
-    for k in range(max(orders)):
-        for j, order in enumerate(orders):
-            if k >= order:
-                continue
-            column = [entry[j] for entry in series]
-            residuals = []
-            for row in basis:
-                terms = [
-                    coeffs[l] * f[k - l]
-                    for coeffs, f in zip(row, column)
-                    for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
-                ]
-                acc = mp.fsum(terms)
-                residuals.append(acc if abs(acc) > gate * mp.fsum(terms, absolute=True) else None)
-            live = [i for i, res in enumerate(residuals) if res is not None]
-            if not live:
-                continue
-            piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i])))
-            pivot = basis[piv]
-            for i in live:
-                if i != piv:
-                    c = -residuals[i] / residuals[piv]
-                    basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
-            basis[piv] = [[mpf(0)] + coeffs if coeffs else coeffs for coeffs in pivot]
-            degrees[piv] += 1
-    return basis, degrees
+    with mp.workprec(mp.prec + 64):
+        for k in range(max(orders)):
+            for j, order in enumerate(orders):
+                if k >= order:
+                    continue
+                column = [entry[j] for entry in series]
+                residuals = []
+                for row in basis:
+                    terms = [
+                        coeffs[l] * f[k - l]
+                        for coeffs, f in zip(row, column)
+                        for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
+                    ]
+                    acc = mp.fsum(terms)
+                    nonzero = abs(acc) > gate * mp.fsum(terms, absolute=True)
+                    residuals.append(acc if nonzero else None)
+                live = [i for i, res in enumerate(residuals) if res is not None]
+                if not live:
+                    continue
+                piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i])))
+                pivot = basis[piv]
+                for i in live:
+                    if i != piv:
+                        c = -residuals[i] / residuals[piv]
+                        basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
+                basis[piv] = [[mpf(0)] + coeffs if coeffs else coeffs for coeffs in pivot]
+                degrees[piv] += 1
+    return [[[+c for c in coeffs] for coeffs in row] for row in basis], degrees
 
 
 def _axpy(a, c, b):
@@ -412,25 +389,29 @@ def _chain_tail(sys, j, K):
 def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     total = n.total
     tails = _type1_tails(sys, pert, n)
-    rows = assemble_type1_system(tails, n, M)
-    vec, flag, _ = _nullspace_min_direction(rows, total)
-    blocks = _split_blocks(vec, n)
+    # with x = 1/z, D = max n_j and g_j = sum_k tail_j[k] x^k, so that
+    # f_j = x g_j, the reversals a~_0 = x^(D-2) a_0(1/x) and
+    # a~_j = x^(n_j-1) a_j(1/x) turn x^(D-1) (a_0 + sum_j a_j f_j) into
+    # x a~_0 + sum_j x^(D-n_j+1) a~_j g_j, which must be O(x^(|n|-M+D-1)):
+    # a row vector of shifted degree <= D against one column
+    D = n.max_part
+    series = [((mpf(0), mpf(1)),)] + [
+        ((mpf(0),) * (D - nj + 1) + tail,) for nj, tail in zip(n, tails)
+    ]
+    shifts = (2,) + tuple(D - nj + 1 for nj in n)
+    basis, degrees = _order_basis(series, shifts, [total - M + D - 1])
+    # the solutions are the combinations of x^e row_i, e <= D - d_i
+    flag = total - 1 - M <= 0 or sum(max(0, D + 1 - d) for d in degrees) != M + 1
+    # a_j reverses component j of the row of least shifted degree, padded to n_j
+    row = basis[min(range(len(degrees)), key=degrees.__getitem__)]
+    blocks = [(c + [mpf(0)] * (nj - len(c)))[::-1] for c, nj in zip(row[1:], n)]
     blocks = _normalize_blocks(blocks)
     pairs = list(zip(blocks, tails))
     # -PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2
-    a0 = Polynomial([-_laurent_coeff(pairs, p)[0] for p in range(max(n.max_part - 1, 0))])
+    a0 = Polynomial([-_laurent_coeff(pairs, p)[0] for p in range(max(D - 1, 0))])
     residual_order = _achieved_order(pairs, total + 4)
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
     return TypeIVector(a, n, total - M, residual_order, flag, bits)
-
-
-def _split_blocks(vec, n):
-    blocks = []
-    pos = 0
-    for j in range(len(n)):
-        blocks.append(list(vec[pos : pos + n[j]]))
-        pos += n[j]
-    return blocks
 
 
 def _normalize_blocks(blocks):

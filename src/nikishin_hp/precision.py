@@ -22,7 +22,15 @@ MAX_PRECISION_BITS = 4096
 
 
 def checked_bits(bits) -> int:
-    """int(bits), rejected with a ValueError below 64."""
+    """bits as an int; a ValueError unless it is an integer of at least 64.
+
+    An integral float such as 128.0 is accepted.  A fraction, a bool, a
+    string or any other type is rejected, never truncated.
+    """
+    if isinstance(bits, bool) or not (
+        isinstance(bits, int) or isinstance(bits, float) and bits.is_integer()
+    ):
+        raise ValueError(f"working precision must be an integer number of bits, got {bits!r}")
     bits = int(bits)
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"working precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")

@@ -16,7 +16,10 @@ the kernel of the |n| - 1 order conditions
 
 and is normalized as the solver normalizes it: the largest coefficient of
 a_1, a_2 has modulus 1 and the leading coefficient of the last nonzero
-block is positive.  The type II denominator Q, of degree |n|, spans the
+block is positive.  With an order deficit M > 0 only the first
+|n| - 1 - M conditions are imposed and the kernel has dimension M + 1, so
+any member of it solves the problem; type1_kernel_distance measures how far
+a vector lies from it.  The type II denominator Q, of degree |n|, spans the
 kernel of the |n| order conditions
 
     sum_mu q_mu c_{mu+nu}(s_{1,j}) = 0,   nu = 0, ..., n_j - 1,
@@ -46,9 +49,10 @@ def moments(sign, weights, count):
     return [sign * sum(w * x**k for x, w in zip(X, weights)) for k in range(count)]
 
 
-def kernel_vector(rows, cols):
-    """The kernel vector of a rational matrix with one-dimensional kernel, by
-    Gauss-Jordan elimination; the free entry is 1."""
+def kernel_basis(rows, cols):
+    """A basis of the kernel of a rational matrix, by Gauss-Jordan elimination:
+    one vector per free column, which is 1 there and 0 at the other free
+    columns."""
     rows = [list(r) for r in rows]
     pivots = []
     for c in range(cols):
@@ -63,28 +67,59 @@ def kernel_vector(rows, cols):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-    free = [c for c in range(cols) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"kernel has dimension {len(free)}, not 1")
-    vec = [Fraction(0)] * cols
-    vec[free[0]] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -rows[r][free[0]]
-    return vec
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+def kernel_vector(rows, cols):
+    """The kernel vector of a rational matrix with one-dimensional kernel."""
+    basis = kernel_basis(rows, cols)
+    if len(basis) != 1:
+        raise ValueError(f"kernel has dimension {len(basis)}, not 1")
+    return basis[0]
+
+
+def type1_rows(n, M=0):
+    """The |n| - 1 - M order conditions on the concatenated (a_1, a_2)."""
+    total = sum(n)
+    tails = [moments(sign, w, total + max(n)) for sign, w in chains()]
+    return [
+        [tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)]
+        for t in range(total - 1 - M)
+    ]
 
 
 def type1_blocks(n):
     """The exact normalized coefficient lists (a_1, a_2), ascending degree."""
-    total = sum(n)
-    tails = [moments(sign, w, total + max(n)) for sign, w in chains()]
-    rows = [
-        [tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)] for t in range(total - 1)
-    ]
-    vec = kernel_vector(rows, total)
+    vec = kernel_vector(type1_rows(n), sum(n))
     mx = max(abs(c) for c in vec)
     blocks = [[c / mx for c in vec[: n[0]]], [c / mx for c in vec[n[0] :]]]
     lead = next(c for b in reversed(blocks) for c in reversed(b) if c != 0)
     return [[-c for c in b] for b in blocks] if lead < 0 else blocks
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def type1_kernel_distance(vec, n, M):
+    """Largest entry of vec minus its least-squares projection on the exact
+    kernel of the order conditions at order deficit M, which has dimension
+    M + 1; vec is the concatenated (a_1, a_2)."""
+    basis = kernel_basis(type1_rows(n, M), sum(n))
+    if len(basis) != M + 1:
+        raise ValueError(f"kernel has dimension {len(basis)}, not {M + 1}")
+    # normal equations G c = B vec, solved as the kernel of [G | -B vec]
+    gram = [[dot(b, c) for c in basis] + [-dot(b, vec)] for b in basis]
+    coeffs = kernel_vector(gram, M + 2)
+    coeffs = [c / coeffs[-1] for c in coeffs[:-1]]
+    return max(abs(v - sum(c * b[i] for c, b in zip(coeffs, basis))) for i, v in enumerate(vec))
 
 
 def type2_q(n):

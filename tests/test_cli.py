@@ -177,14 +177,14 @@ class TestArgumentHandling:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("svd: no convergence")
+        def zero_vector(*args, **kwargs):
+            raise RuntimeError("nullspace produced the zero vector")
 
-        monkeypatch.setattr(cli, "solve_type2", no_convergence)
+        monkeypatch.setattr(cli, "solve_type2", zero_vector)
         cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=["type2"])
         assert main(["run", str(write_config(tmp_path, cfg))]) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "numeric", "detail": "svd: no convergence"}
+        assert err == {"error": "numeric", "detail": "nullspace produced the zero vector"}
         assert not (tmp_path / "out").exists()  # no empty output directory
 
     def test_value_error_after_the_solves_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -489,8 +489,8 @@ class TestGoldenBodies:
 
     def test_smoke_bodies_match_stored_bytes(self, tmp_path):
         # the report bodies of a small run over every module, stored as
-        # written before the solver's SVD moved to a V-only kernel: any
-        # change of the output bits shows here
+        # written when the type I solve moved from the SVD to the order
+        # basis: any change of the output bits shows here
         out = tmp_path / "out"
         cfg = golden_smoke_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
@@ -499,8 +499,8 @@ class TestGoldenBodies:
 
     def test_m3_bodies_match_stored_bytes(self, tmp_path):
         # m=3 pins k=2 and k=3 of the ratio identity and the two ratio
-        # limits of every row; stored as written before the ratio identity,
-        # the convergence targets and the gap roots hoisted their invariants
+        # limits of every row; stored as written when the type I solve moved
+        # from the SVD to the order basis
         out = tmp_path / "out"
         cfg = {
             "precision_bits": 128,
@@ -526,8 +526,8 @@ class TestGoldenBodies:
     def test_readme_bodies_match_stored_bytes(self, tmp_path):
         # the README example verbatim: type I and type II up to |n| = 24 and
         # the roots of degree-11 a_j, beyond the smoke run's k <= 7; stored
-        # as written before the SVD stopped rotating V after the returned
-        # row converged and the roots started from float64
+        # as written when the type I solve moved from the SVD to the order
+        # basis
         out = tmp_path / "out"
         (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         cfg = dict(json.loads(block), output_dir=str(out))
@@ -539,7 +539,7 @@ class TestGoldenBodies:
         # the benchmark's deep-diag-m2 config at seed 0 with its sweep cut
         # to k = 4..8: the unperturbed solve_type1 on 64+64 Chebyshev atoms
         # at 512 bits, which no other golden run reaches; stored as written
-        # before the tails became plain tuples and the rows plain lists
+        # when the type I solve moved from the SVD to the order basis
         spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
@@ -555,8 +555,8 @@ class TestGoldenBodies:
         # the rest of the paper's class: r_1 = 1/(z^2 + 4) has the conjugate
         # poles +-2i and r_2 = 1/(z - 0.5) a pole in the gap between the
         # supports; at k = 7 each pole has captured one zero of a_1 and one
-        # of a_2 with no strays.  Stored as written before the exit status
-        # followed the phase of the run
+        # of a_2 with no strays.  Stored as written when the type I solve
+        # moved from the SVD to the order basis
         out = tmp_path / "out"
         cfg = golden_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
@@ -566,7 +566,7 @@ class TestGoldenBodies:
     def test_offdiag_bodies_match_stored_bytes(self, tmp_path):
         # the nested indices (k+1, k), k = 2..6, at 256 bits: every check
         # passes, and delta is 0.442 (err_1) and 0.515 (err_0).  Every
-        # printed error agrees with a 512-bit run to 50 digits
+        # printed error agrees with a 512-bit run to 52 digits
         out = tmp_path / "out"
         cfg = dict(golden_smoke_config(out), precision_bits=256)
         cfg["sweep"] = [[k + 1, k] for k in range(2, 7)]
@@ -578,7 +578,7 @@ class TestGoldenBodies:
         # m=3 with every component perturbed, r = (1/(z+3), 1/(z-3.5),
         # 1/(z-8)), the pole at 3.5 in the gap beside [1, 3]: at k = 6 every
         # pole captures one zero of each a_j with no strays, and every
-        # printed error agrees with a 512-bit run to 26 digits
+        # printed error agrees with a 512-bit run to 29 digits
         out = tmp_path / "out"
         cfg = dict(golden_smoke_config(out), precision_bits=256, pole_eps=0.1875)
         cfg["system"] = [
@@ -696,10 +696,10 @@ def _exit_2_building(out, monkeypatch):
 
 
 def _exit_3(out, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise RuntimeError("svd: no convergence")
+    def zero_vector(*args, **kwargs):
+        raise RuntimeError("nullspace produced the zero vector")
 
-    monkeypatch.setattr(cli, "solve_type1", no_convergence)
+    monkeypatch.setattr(cli, "solve_type1", zero_vector)
     return base_config(out, sweep=[[2, 2]], checks=[])
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from nikishin_hp import hermite_pade, linalg
+from nikishin_hp import hermite_pade
 from nikishin_hp import (
     MAX_PRECISION_BITS,
     AtomicMeasure,
@@ -18,7 +18,6 @@ from nikishin_hp import (
     RationalPerturbation,
     SystemSpec,
     TypeIVector,
-    assemble_type1_system,
     build_system,
     check_orthogonality,
     laurent_expand_rational,
@@ -38,11 +37,9 @@ from nikishin_hp.hermite_pade import (
     _chain_tail,
     _escalate,
     _laurent_coeff,
-    _nullspace_min_direction,
     _order_basis,
     _type1_tails,
 )
-from nikishin_hp.linalg import svd_sv
 
 import exact_oracle
 
@@ -88,32 +85,6 @@ def tail(*coeffs):
     return tuple(mpf(c) for c in coeffs)
 
 
-class TestAssembly:
-    def test_hand_assembled_row(self):
-        rows = assemble_type1_system([tail(1, 0, 1, 0, 1)], MultiIndex((2,)), 0)
-        assert rows == [[1, 0]]
-
-    def test_no_conditions_for_total_one(self):
-        assert assemble_type1_system([tail(1)], MultiIndex((1,)), 0) == []
-
-    def test_full_deficit_empty_matrix(self):
-        tails = [tail(1, 2, 3), tail(1, 2, 3)]
-        assert assemble_type1_system(tails, MultiIndex((2, 1)), 2) == []
-
-    def test_one_more_column_than_rows_when_complete(self):
-        tails = [tail(*range(1, 12)), tail(*range(2, 13))]
-        n = MultiIndex((3, 2))
-        rows = assemble_type1_system(tails, n, 0)
-        assert len(rows) + 1 == n.total
-        assert all(len(row) == n.total for row in rows)
-        # row t holds tails[j][l + t] in block j, position l
-        assert rows[1] == [2, 3, 4, 3, 4]
-
-    def test_short_tails_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_type1_system([tail(1, 2)], MultiIndex((3,)), 0)
-
-
 class TestType1Tails:
     @pytest.mark.parametrize("parts", [(4, 4), (3, 5)])
     def test_moments_plus_rational_expansion(self, m2_16_system, pert_pm5, parts):
@@ -138,147 +109,116 @@ class TestType1Tails:
             _type1_tails(m2_16_system, pert_pm5, MultiIndex((4, 4)))
 
 
-def padded_svd_r(rows, cols):
-    """Oracle: mp.svd_r on the rows padded with zero rows to a square."""
+def moment_matrix(tails, n, M=0):
+    """The type I order conditions as row lists: row t (t = 0..|n|-2-M) is the
+    coefficient of z^-(t+1) in sum_j a_j f_j, with tails[j][l + t] in block
+    j, column l."""
+    rows = max(0, n.total - 1 - M)
+    return [[tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)] for t in range(rows)]
+
+
+def svd_null_space(rows, cols, dim):
+    """Oracle: the last dim rows of mp.svd_r's right factor of the rows padded
+    with zero rows to a square, an orthonormal basis of their null space."""
     S = mp.matrix(cols, cols)
     for i, row in enumerate(rows):
         for j in range(cols):
             S[i, j] = row[j]
-    _, svals, V = mp.svd_r(S)
-    return [svals[i] for i in range(cols)], [V[cols - 1, j] for j in range(cols)]
+    _, _, V = mp.svd_r(S)
+    return [[V[i, j] for j in range(cols)] for i in range(cols - dim, cols)]
+
+
+def concatenated(v):
+    """(a_1, ..., a_m) of a type I vector, each padded to n_j coefficients."""
+    return [
+        c
+        for a, nj in zip(v.a[1:], v.n)
+        for c in list(a.coeffs) + [mpf(0)] * (nj - len(a.coeffs))
+    ]
+
+
+def legendre_system(bits, count, intervals=((-1, 0), (1, 3))):
+    specs = [
+        MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=count)
+        for a, b in intervals
+    ]
+    with working_precision(bits):
+        return build_system(SystemSpec(specs, bits))
+
+
+class TestType1Kernel:
+    """The order basis against mp.svd_r, at atomic degree and in its guard bits."""
+
+    @pytest.mark.parametrize(
+        "system, parts, M, perturbed",
+        [
+            ("m2_16_system", (3, 3), 0, False),
+            ("m2_16_system", (4, 3), 0, False),
+            ("m2_16_system", (3, 4), 0, False),
+            ("m2_16_system", (2, 5), 0, False),
+            ("m2_16_system", (4, 4), 2, False),
+            ("m2_16_system", (5, 4), 1, False),
+            ("m2_16_system", (3, 4), 0, True),
+            ("m3_16_system", (2, 2, 2), 0, False),
+            ("m3_16_system", (3, 3, 2), 1, False),
+        ],
+    )
+    def test_vector_lies_in_the_svd_null_space(self, request, pert_pm5, system, parts, M, perturbed):
+        # the null space has dimension M + 1; the unit-max vector is within
+        # 10^-66 to 10^-72 of it at 256 bits
+        sys = request.getfixturevalue(system)
+        n = MultiIndex(parts)
+        pert = pert_pm5 if perturbed else None
+        v = solve_type1_perturbed(sys, pert, n) if perturbed else solve_type1(sys, n, M)
+        assert v.precision_bits == 256 and not v.nullity_flag
+        null = svd_null_space(moment_matrix(_type1_tails(sys, pert, n), n, M), n.total, M + 1)
+        x = concatenated(v)
+        proj = [mp.fsum(a * b for a, b in zip(row, x)) for row in null]
+        off = [xi - mp.fsum(c * row[i] for c, row in zip(proj, null)) for i, xi in enumerate(x)]
+        assert max(abs(c) for c in off) < mpf(10) ** -60
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_atomic_degree_sets_the_nullity_flag(self, k):
+        # 4 atoms per generator: from |n| = 6 on, the order conditions
+        # outnumber what the atoms can tell apart, and the residuals that
+        # vanish in exact arithmetic read at most 2^3.2 2^-P of their terms
+        sys = legendre_system(128, 4)
+        with working_precision(128):
+            assert not solve_type1(sys, MultiIndex((2, 2))).nullity_flag
+            v = solve_type1(sys, MultiIndex((k, k)))
+        assert v.nullity_flag and v.precision_bits == 128
+
+    def test_n_28_on_12_atoms_sets_the_nullity_flag(self):
+        # 27 conditions on 12 atoms per generator
+        sys = legendre_system(256, 12)
+        v = solve_type1(sys, MultiIndex((14, 14)))
+        assert v.nullity_flag and v.precision_bits == 256
+
+    def test_guard_bits_keep_the_digits(self):
+        # the m=3 fixture at 128 bits, k=3: against a 384-bit solve the
+        # vector has 22.4 digits when the basis eliminates at P + 64 bits
+        # and 18.5 when it eliminates at P (the SVD had 21.4)
+        intervals = ((-1, 0), (1, 3), (4, 6))
+        n = MultiIndex((3, 3, 3))
+        with working_precision(128):
+            v = solve_type1(legendre_system(128, 16, intervals), n)
+        with working_precision(384):
+            w = solve_type1(legendre_system(384, 16, intervals), n)
+        assert v.precision_bits == 128 and not v.nullity_flag
+        err = max(abs(a - b) for a, b in zip(concatenated(v), concatenated(w), strict=True))
+        assert err < mpf(10) ** -21
+
+    def test_basis_is_rounded_to_the_callers_precision(self, m2_16_system):
+        n = MultiIndex((3, 2))
+        tails = _type1_tails(m2_16_system, None, n)
+        series = [tails, [(mpf(-1),), ()], [(), (mpf(-1),)]]
+        basis, _ = _order_basis(series, (0, 1, 1), [n.total + nj for nj in n])
+        assert mp.prec == 256
+        assert max(c._mpf_[3] for row in basis for comp in row for c in comp) <= 256
 
 
 def bits(values):
     return [x._mpf_ for x in values]
-
-
-def assert_matches_oracle(rows, cols):
-    vec, flag, svals = _nullspace_min_direction(rows, cols)
-    oracle_svals, oracle_vec = padded_svd_r(rows, cols)
-    assert bits(svals) == bits(oracle_svals)
-    assert bits(vec) == bits(oracle_vec)
-    rank = len(rows)
-    if rank > 0:
-        gap = oracle_svals[rank - 1] <= 2**10 * oracle_svals[rank]
-        assert flag == gap
-    return flag
-
-
-def tall_rows():
-    return [[mpf((3 * i + 5 * j * j) % 11 - 5) / (i + 1) for j in range(4)] for i in range(7)]
-
-
-def assert_kernel_matches_svd_r(rows, cols):
-    """svd_sv's S and v equal mp.svd_r's S and last row of V bit for bit."""
-    rows = [[mpf(x) for x in row] for row in rows]
-    S, v = svd_sv(rows, cols)
-    _, oracle_S, oracle_V = mp.svd_r(mp.matrix(rows))
-    assert bits(S) == bits(oracle_S)
-    assert bits(v) == bits(oracle_V[cols - 1, :])
-
-
-def type1_rows(sys, pert, n):
-    return assemble_type1_system(_type1_tails(sys, pert, n), n, 0)
-
-
-class TestNullspaceKernel:
-    """The one-row SVD reproduces padded mp.svd_r's S and last row of V bit for bit."""
-
-    def test_readme_type1_matrix(self, m2_32_system, pert_pm5):
-        n = MultiIndex((8, 8))
-        rows = type1_rows(m2_32_system, pert_pm5, n)
-        assert len(rows) == 15
-        assert not assert_matches_oracle(rows, 16)
-
-    def test_square_type2_matrix(self, m2_16_system):
-        n = MultiIndex((3, 3))
-        total = n.total
-        tails = [moments(m2_16_system.chain(1, j), total + n.max_part + 4) for j in (1, 2)]
-        rows = [[tails[j][nu + mu] for mu in range(total + 1)] for j in range(2) for nu in range(n[j])]
-        square = rows + [[mpf(0)] * (total + 1)]
-        assert_kernel_matches_svd_r(square, total + 1)
-        # the solver drops the zero row: same bits
-        vec, _, svals = _nullspace_min_direction(rows, total + 1)
-        oracle_svals, oracle_vec = padded_svd_r(square, total + 1)
-        assert bits(svals) == bits(oracle_svals) and bits(vec) == bits(oracle_vec)
-
-    def test_rank_deficient_12_atom_matrix(self):
-        # |n| = 28 conditions on 12 atoms per generator: numerical rank <= 24
-        sys = build_system(
-            SystemSpec(
-                [
-                    MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=12)
-                    for a, b in ((-1, 0), (1, 3))
-                ],
-                256,
-            )
-        )
-        n = MultiIndex((14, 14))
-        rows = type1_rows(sys, None, n)
-        assert len(rows) == 27
-        assert_matches_oracle(rows, 28)
-
-    def test_no_rows_flags_nullity(self):
-        rows = assemble_type1_system([tail(1, 2, 3)], MultiIndex((1,)), 0)
-        assert rows == []
-        vec, flag, svals = _nullspace_min_direction(rows, 1)
-        assert flag is True
-        assert vec == [1] and svals == [0]
-        assert_matches_oracle(rows, 1)
-
-    def test_tall_matrix_s_and_last_row(self):
-        # V's row 2 is returned, and phase 3, replayed before it, ends in
-        # a sign flip
-        assert_kernel_matches_svd_r(tall_rows(), 4)
-
-    def test_v_rotated_only_through_the_returned_rows_phase(self, monkeypatch):
-        calls = []
-        diagonalize = linalg._diagonalize
-
-        def recording(S, work, anorm, maxits, V, last):
-            calls.append((V is not None, last))
-            return diagonalize(S, work, anorm, maxits, V, last)
-
-        monkeypatch.setattr(linalg, "_diagonalize", recording)
-        svd_sv(tall_rows(), 4)
-        assert calls == [(False, 0), (True, 2)]
-
-    def test_returned_row_converges_after_the_first(self, m2_32_system, pert_pm5):
-        # the README type I matrix at k=4 returns V's row 6 of 8, so V
-        # takes the rotations of two QR phases
-        n = MultiIndex((4, 4))
-        rows = type1_rows(m2_32_system, pert_pm5, n)
-        assert len(rows) == 7
-        assert not assert_matches_oracle(rows, 8)
-        # the should-be-zero singular value is at rounding level, not 0,
-        # so the nullity comparison is live at small k
-        _, _, svals = _nullspace_min_direction(rows, 8)
-        assert svals[7] > 0
-
-    def test_returned_row_converges_last_after_a_sign_flip(self):
-        # V's row 0 is returned, so every QR phase is replayed, and the
-        # first, phase 3, ends in a sign flip
-        rows = [[-8, -7, -7, 2], [-4, 0, -1, -3], [-8, 9, -4, 4], [3, 7, 2, 8], [5, 7, -1, -8]]
-        assert_kernel_matches_svd_r(rows, 4)
-
-    def test_sign_flip_on_the_returned_row(self):
-        # V's row 3 is returned and its own phase ends in a sign flip
-        rows = [[-5, -1, -6, 1], [9, -4, -9, 4], [4, -7, -6, -5], [1, 6, 9, 5]]
-        assert_kernel_matches_svd_r(rows, 4)
-
-    def test_input_rows_untouched(self):
-        rows = [[mpf(1), mpf(2)], [mpf(3), mpf(4)]]
-        svd_sv(rows, 2)
-        assert rows == [[1, 2], [3, 4]]
-
-    def test_iteration_budget_exhausted_raises(self):
-        # at 8 bits mp.dps is 1, so each singular value gets 3 QR sweeps
-        rows = [[mpf((3 * i + 5 * j * j) % 11 - 5) for j in range(6)] for i in range(6)]
-        with mp.workprec(8):
-            with pytest.raises(RuntimeError, match="no convergence"):
-                mp.svd_r(mp.matrix(rows))
-            with pytest.raises(RuntimeError, match="no convergence"):
-                svd_sv(rows, 6)
 
 
 def recording_solve(calls):
@@ -604,15 +544,6 @@ class TestTypeII:
         tail = type2_residual_tail(sys, v, 1)
         assert max(abs(c) for c in tail[:4]) < mpf(10) ** -60
 
-    def test_svd_is_never_called(self, m2_16_system, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("type II solved by an SVD")
-
-        monkeypatch.setattr(hermite_pade, "svd_sv", refuse)
-        monkeypatch.setattr(linalg, "svd_sv", refuse)
-        v = solve_type2(m2_16_system, MultiIndex((3, 2)))
-        assert v.residual_orders[0] >= 4 and v.residual_orders[1] >= 3
-
     def test_order_basis_rows_meet_every_condition(self, m2_16_system):
         n = MultiIndex((3, 2))
         tails = _type1_tails(m2_16_system, None, n)
@@ -725,14 +656,10 @@ class TestExactOracle:
             ]
         )
 
-    @pytest.mark.parametrize("k, digits", [(3, 65), (5, 55), (7, 45)])
-    def test_type1_vector_matches_the_exact_kernel(self, k, digits):
-        # the dyadic atoms are exact in binary, so every digit lost is the
-        # solver's: at 256 bits 70.4, 61.0 and 50.8 digits were measured,
-        # the monomial moments costing about 5 digits per unit of k
-        v = solve_type1(self.dyadic_system(), MultiIndex.diagonal(2, k))
-        assert v.precision_bits == 256
-        exact = exact_oracle.type1_blocks((k, k))
+    def assert_type1_matches_the_exact_kernel(self, n, digits):
+        v = solve_type1(self.dyadic_system(), MultiIndex(n))
+        assert v.precision_bits == 256 and not v.nullity_flag
+        exact = exact_oracle.type1_blocks(n)
         err = max(
             abs(as_fraction(c) - e)
             for j in (1, 2)
@@ -740,10 +667,38 @@ class TestExactOracle:
         )
         assert err < Fraction(1, 10**digits)
 
+    @pytest.mark.parametrize("k, digits", [(3, 65), (5, 55), (7, 45)])
+    def test_type1_vector_matches_the_exact_kernel(self, k, digits):
+        # the dyadic atoms are exact in binary, so every digit lost is the
+        # solver's: at 256 bits the order basis has 71.5, 63.1 and 53.3
+        # digits (the SVD had 70.4, 61.0 and 50.8), the monomial moments
+        # costing about 5 digits per unit of k
+        self.assert_type1_matches_the_exact_kernel((k, k), digits)
+
+    @pytest.mark.parametrize(
+        "n, digits",
+        [((4, 3), 64), ((3, 4), 63), ((6, 5), 55), ((5, 6), 54), ((8, 7), 44), ((7, 8), 43)],
+    )
+    def test_offdiagonal_type1_vector_matches_the_exact_kernel(self, n, digits):
+        # off the diagonal the two components have different shifts; at 256
+        # bits these have 70.5, 69.2, 61.2, 60.4, 50.3 and 49.2 digits
+        self.assert_type1_matches_the_exact_kernel(n, digits)
+
+    @pytest.mark.parametrize("n, M", [((4, 4), 1), ((5, 5), 2), ((4, 3), 1), ((3, 4), 2), ((6, 6), 3)])
+    def test_incomplete_type1_vector_lies_in_the_exact_kernel(self, n, M):
+        # the kernel has dimension M + 1 and any member solves; the solver's
+        # unit-max vector lies within 10^-69 to 10^-75 of it at 256 bits
+        v = solve_type1(self.dyadic_system(), MultiIndex(n), M)
+        assert v.precision_bits == 256 and not v.nullity_flag
+        vec = [as_fraction(c) for c in concatenated(v)]
+        assert max(abs(c) for c in vec) == 1
+        assert exact_oracle.type1_kernel_distance(vec, n, M) < Fraction(1, 10**65)
+
     @pytest.mark.parametrize("k, digits", [(3, 66), (5, 56), (7, 45)])
     def test_type2_q_matches_the_exact_kernel(self, k, digits):
         # digits relative to Q's largest coefficient: at 256 bits the SVD
-        # kernel had 67.7, 57.7 and 46.6, the order basis 67.6, 58.0 and 47.4
+        # kernel had 67.7, 57.7 and 46.6; the order basis has 68.6, 59.3 and
+        # 48.1, and had 67.8, 58.4 and 46.9 when it eliminated at P bits
         v = solve_type2(self.dyadic_system(), MultiIndex.diagonal(2, k))
         assert v.precision_bits == 256
         exact = exact_oracle.type2_q((k, k))

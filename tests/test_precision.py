@@ -102,6 +102,34 @@ class TestFloor:
         assert SystemSpec([legendre(-1, 0, 4)], 64).precision_bits == 64
 
 
+CALLERS = {
+    "checked_bits": checked_bits,
+    "set_precision": set_precision,
+    "working_precision": lambda bits: working_precision(bits).__enter__(),
+    "SystemSpec": lambda bits: SystemSpec([legendre(-1, 0, 4)], bits).precision_bits,
+}
+
+
+class TestIntegerBits:
+    # no silent truncation: int(100.9) and int(127.9) are 100 and 127
+    @pytest.mark.parametrize("bits", [100.9, 127.9, "128", True, None])
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_non_integer_rejected(self, caller, bits):
+        before = mp.prec
+        with pytest.raises(ValueError, match="must be an integer number of bits"):
+            CALLERS[caller](bits)
+        assert mp.prec == before
+
+    @pytest.mark.parametrize("caller", ["checked_bits", "set_precision", "SystemSpec"])
+    def test_integral_float_accepted_as_int(self, caller):
+        got = CALLERS[caller](128.0)
+        assert got == 128 and type(got) is int
+
+    def test_working_precision_at_an_integral_float(self):
+        with working_precision(96.0):
+            assert mp.prec == 96
+
+
 class TestSystemSpecBits:
     def test_bits_are_required(self):
         with pytest.raises(TypeError):
