@@ -45,6 +45,7 @@ from .measures import (
     Interval,
     MeasureSpec,
     cauchy_eval,
+    cauchy_evals,
     gauss_jacobi_rule,
     inverse_measure,
     moments,
@@ -59,6 +60,7 @@ from .nikishin import (
     check_ratio_identity,
     product_measure,
     s_hat_eval,
+    s_hat_evals,
     system_from_generators,
 )
 from .precision import (

@@ -5,10 +5,27 @@ evaluation grid away from the last interval and from the perturbation's
 poles: a_j/a_m tends to (-1)^(m-j) s-hat_{m,j+1} and a_0/a_m to the reversed
 transform combination carrying the perturbation.  convergence_row is the
 one way to the errors: each row builds its targets with ratio_targets, whose
-transforms come from the system's table (nikishin.s_hat_eval), so a sweep
-evaluates each s-hat_{m,j+1}(z) once and only recombines them per row; a
-single pass over the grid per solved vector then yields all m sup-errors of
-its row.  The rows of a diagonal sweep feed a least-squares geometric rate
+transforms come from the system's table (nikishin.s_hat_evals), so a sweep
+evaluates each s-hat_{m,j+1}(z) once, all m of a point in one pass over
+sigma_m's atoms, and only recombines them per row; a single pass over the
+grid per solved vector then yields all m sup-errors of its row.
+
+At each grid point a row builds one power row z^0..z^D, D being the
+largest degree among a_0..a_m, by repeated multiplication at P + 64 bits,
+and each a_j(z) is the exact sum of the exact products c_k z^k, rounded
+once to P: m + 1 Horner passes cost m + 1 complex multiply-adds per
+degree, the power row one complex product per degree.  The guard bits make
+each value the correctly rounded one, and so at least as close to the
+exact value as Horner's, unless the sum cancels by some 50 bits.  With the
+powers rounded to P instead, the row errors of the smoke, readme-m2 and
+deep-diag-m2 workloads (seeds 0 and 3) lay farther than Horner's from a 3P
+evaluation, by more than one ulp of the target scale, in 12 of 44
+columns; with the guard, in none.  The power row is dropped after its
+point: a table of them over the grid (80 points x 25 powers at 512 bits)
+would cost more memory than it saves time, and the next row's vector has
+other coefficients anyway.
+
+The rows of a diagonal sweep feed a least-squares geometric rate
 estimate, and root censuses verify that each pole of multiplicity kappa
 captures exactly kappa zeros of every component while stray zeros vanish.
 """
@@ -19,11 +36,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fone, fzero, mpc_mul, mpf_mul, mpf_pos, mpf_sum, round_nearest
 
 from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector, remainder_eval
 # cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
 from .measures import Interval, cauchy_eval  # noqa: F401
-from .nikishin import NikishinSystem, s_hat_eval
+from .nikishin import NikishinSystem, s_hat_evals
 from .precision import noise_floor
 
 
@@ -101,12 +119,13 @@ def ratio_targets(
     (-1)^(m-j) s-hat_{m,j+1} for 1 <= j < m, and for j = 0
         (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
     The transforms s-hat_{m,j+1} come from the system's table, so they are
-    evaluated once per point however many rows ask.
+    evaluated once per point however many rows ask, the missing ones of a
+    point in one pass over sigma_m's atoms.
     """
     m = sys.m
     out = []
     for z in grid.points:
-        s = [s_hat_eval(sys, m, j + 1, z) for j in range(m)]
+        s = s_hat_evals(sys, m, range(1, m + 1), z)
         t0 = (-1) ** m * s[0]
         if pert is not None:
             for j in range(1, m):
@@ -127,34 +146,57 @@ def convergence_row(
 ) -> ConvergenceRow:
     """Sup-errors of a_j/a_m (1 <= j < m) and a_0/a_m, each over its target's sup.
 
-    One pass over the grid evaluates a_m once per point and skips the points
-    where |a_m| < 2^-P/2; every sup, of errors and of targets alike, runs
-    over the points kept.  Normalization makes rows exactly invariant under
-    generator rescaling for plain systems (the blockwise nullspace covariance
+    One pass over the grid evaluates a_0..a_m once per point from one power
+    row (see the module docstring) and skips the points where
+    |a_m| < 2^-P/2; every sup, of errors and of targets alike, runs over the
+    points kept.  Normalization makes rows exactly invariant under generator
+    rescaling for plain systems (the blockwise nullspace covariance
     cancels), while leaving monotonicity and rate estimates untouched.
     """
     targets = ratio_targets(sys, pert, grid)
-    a_m = v.a[v.m]
-    if a_m.is_zero:
+    if v.a[v.m].is_zero:
         raise ValueError("degenerate last component")
     skip_below = noise_floor(0.5)
     # entry j accumulates a_j/a_m, matching the column order of the targets
     sup_err = [mpf(0)] * v.m
     scale = [mpf(0)] * v.m
     kept = 0
+    coeffs = [[c._mpf_ for c in p.coeffs] for p in v.a]
     for z, row in zip(grid.points, targets):
-        den = a_m(z)
+        values = _values_at(coeffs, z)
+        den = values[-1]
         if abs(den) < skip_below:
             continue
         kept += 1
         for j, t in enumerate(row):
             scale[j] = max(scale[j], abs(t))
-            sup_err[j] = max(sup_err[j], abs(v.a[j](z) / den - t))
+            sup_err[j] = max(sup_err[j], abs(values[j] / den - t))
     if kept == 0:
         raise RuntimeError("every grid point fell on a zero of the last component")
     floor = mpf(2) ** (-mp.prec)
     errs = [e / max(s, floor) for e, s in zip(sup_err, scale)]
     return ConvergenceRow(v.n, tuple(errs[1:]), errs[0], v.nullity_flag, v.precision_bits)
+
+
+def _values_at(coeffs, z) -> list:
+    """The values at a complex z of the real polynomials with raw coefficients coeffs, as mpc.
+
+    The powers z^0..z^D, D the largest degree, are formed by repeated
+    multiplication rounded to P + 64 bits; each value is the exact sum of
+    the exact products c_k z^k, real and imaginary parts apart, rounded
+    once to P.
+    """
+    prec, rnd = mp.prec, round_nearest
+    zz = mpc(z)._mpc_
+    powers = [(fone, fzero)]
+    for _ in range(max(len(c) for c in coeffs) - 1):
+        powers.append(mpc_mul(powers[-1], zz, prec + 64, rnd))
+    out = []
+    for cs in coeffs:
+        re = mpf_sum([mpf_mul(c, p[0]) for c, p in zip(cs, powers)])
+        im = mpf_sum([mpf_mul(c, p[1]) for c, p in zip(cs, powers)])
+        out.append(mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))))
+    return out
 
 
 @dataclass(frozen=True)

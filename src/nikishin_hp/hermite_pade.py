@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
-# cauchy_eval is unused here; benchmark/spans.py still patches hermite_pade.cauchy_eval
-from .measures import cauchy_eval, moments  # noqa: F401
+# cauchy_eval and moments are unused here; benchmark/spans.py still patches
+# hermite_pade.cauchy_eval and hermite_pade.moments
+from .measures import _moment_rows, cauchy_eval, moments  # noqa: F401
 from .nikishin import NikishinSystem, Residual, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
@@ -374,15 +375,21 @@ def _type1_tails(sys, pert, n):
 def _chain_tail(sys, j, K):
     """moments(sys.chain(1, j), K), read from the system's table of tails.
 
-    sys.tails holds one tuple per (j, mp.prec).  A K beyond the stored one
-    recomputes it through moments; any other K reads a prefix.  Entry k of
-    a moment tuple does not depend on K, so a prefix has the bits a direct
-    moments call would give.
+    sys.tails holds, per (j, mp.prec), the moments computed so far and the
+    power row that continues them.  A K beyond the stored moments computes
+    only the new ones, from that row, through the moment loop of moments
+    itself; any other K reads a prefix.  Entry k of a moment tuple does not
+    depend on K, so either way the bits are those of a direct moments call.
     """
-    key = (j, mp.prec)
-    tail = sys.tails.get(key, ())
+    prec = mp.prec
+    chain = sys.chain(1, j)
+    tail, row = sys.tails.get((j, prec), ((), None))
     if len(tail) <= K:
-        tail = sys.tails[key] = moments(sys.chain(1, j), K)
+        if row is None:
+            row = [w._mpf_ for w in chain.weights]
+        more, row = _moment_rows(chain, row, K + 1 - len(tail))
+        tail += more
+        sys.tails[(j, prec)] = (tail, row)
     return tail[: K + 1]
 
 

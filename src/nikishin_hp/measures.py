@@ -6,6 +6,20 @@ point-mass measure treated as exact, so every integral downstream is a finite
 sum evaluated to solver precision.  The module also constructs the inverse
 measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
 = ell + tau-hat for a degree-one ell.
+
+Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
+tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
+w / (z - x)**2 for the derivative) gives at the working precision P: the
+same operations with the same roundings, without the mpf and mpc objects.
+A real z costs one subtraction per atom and one division per atom and
+measure.  A complex z costs, per atom, a = Re z - x and m = a^2 + (Im z)^2,
+rounded to P + 10 bits as mpmath's mpc_mpf_div rounds it, then two
+divisions at P per measure.  Measures on one node set (the chains s_{a,b}
+of one a) share a and m: cauchy_evals evaluates them at a point in one
+pass, cauchy_eval is its one-measure case, and _gap_root takes mu-hat and
+its derivative at one point from one pass.  The moments come from one loop
+as well, _moment_rows, which also hands back the power row w_i x_i^k that
+continues them.
 """
 
 from __future__ import annotations
@@ -16,6 +30,18 @@ from types import SimpleNamespace
 from typing import Optional
 
 from mpmath import fp, mp, mpc, mpf
+from mpmath.libmp import (
+    mpc_pow_int,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sub,
+    mpf_sum,
+    round_nearest,
+)
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from .algebra import Polynomial
@@ -300,25 +326,99 @@ def moments(mu: AtomicMeasure, K: int) -> tuple:
     """Moments c_0..c_K, mu-hat's tail: a tuple whose entry k is the coefficient of z^-(k+1)."""
     if K < 0:
         raise ValueError("moment order must be nonnegative")
+    return _moment_rows(mu, [w._mpf_ for w in mu.weights], K + 1)[0]
+
+
+def _moment_rows(mu: AtomicMeasure, row, count: int):
+    """The moment loop: `count` moments from the power row, and the row after them.
+
+    row holds w_i x_i^k as raw mpf, the row of moment c_k; each moment is
+    sign * mp.fsum(row) and each next row the products row_i * x_i, both
+    rounded to P as mpmath rounds them.  Returns (moments c_k..c_{k+count-1}
+    as a tuple of mpf, the raw row of c_{k+count}), so a caller that keeps
+    the row continues the moments with the bits of one longer moments call.
+    """
+    prec, rnd = mp.prec, round_nearest
+    xs = [x._mpf_ for x in mu.nodes]
     out = []
-    powers = list(mu.weights)
-    for _ in range(K + 1):
-        out.append(mu.sign * mp.fsum(powers))
-        powers = [p * x for p, x in zip(powers, mu.nodes)]
-    return tuple(out)
+    for _ in range(count):
+        out.append(mp.make_mpf(mpf_mul_int(mpf_sum(row, prec, rnd), mu.sign, prec, rnd)))
+        row = [mpf_mul(p, x, prec, rnd) for p, x in zip(row, xs)]
+    return tuple(out), row
 
 
-def cauchy_eval(mu: AtomicMeasure, z):
-    """Cauchy transform sign * sum_i w_i / (z - x_i); errors on the support.
+def _point(z):
+    """z as the Cauchy sums take it: mpc for a complex point, mpf otherwise, at P."""
+    return mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
 
-    "On the support" means within the noise floor tol of an atom.  The atoms
-    lie in mu.support = [a, b], so the per-atom test only runs when
-    |Im z| <= 2 tol and Re z is at most 2 tol outside [a, b] (the factor 2
-    absorbs rounding): a point outside that box is farther than tol from
-    every atom, so real comparisons rule it out before any complex
+
+def _cauchy_pass(nodes, rows, z, exponents=(1,)):
+    """Raw mp.fsum(w / (z - x)**e for x, w in zip(nodes, row)), per exponent and row.
+
+    One pass over the atoms serves every weight row in rows (measures on
+    one node set) and every exponent e in exponents (1 or 2); z is an mpf
+    or an mpc at P.  Returns sums[e][r]: a raw mpf for a real z and a raw
+    (re, im) pair for a complex one.  The operations are mpmath's own: for
+    a real z, d = z - x rounded to P and, for e = 2, d**2 rounded to P, then
+    w / d at P.  For a complex z, the divisor (c, s) is (Re z - x, Im z) or
+    its square by mpc_pow_int, m = c^2 + s^2 is rounded to P + 10 bits by
+    libmp's default rounding, and the term is (c w / m, -s w / m), each
+    quotient rounded to P, as mpc_mpf_div forms it.  m does not depend on
+    the weights, so the measures share it.  The terms are summed as
+    mp.fsum sums them: each part by mpf_sum at P.
+    """
+    prec, rnd = mp.prec, round_nearest
+    rows = [[w._mpf_ for w in row] for row in rows]
+    if isinstance(z, mpc):
+        re, im = z._mpc_
+        im2 = mpf_mul(im, im)
+        wide = prec + 10
+        parts = [[([], []) for _ in rows] for _ in exponents]
+        for i, x in enumerate(nodes):
+            a = mpf_sub(re, x._mpf_, prec, rnd)
+            for e, terms in zip(exponents, parts):
+                if e == 1:
+                    c, s, m = a, im, mpf_add(mpf_mul(a, a), im2, wide)
+                else:
+                    c, s = mpc_pow_int((a, im), e, prec, rnd)
+                    m = mpf_add(mpf_mul(c, c), mpf_mul(s, s), wide)
+                for row, (res, ims) in zip(rows, terms):
+                    w = row[i]
+                    res.append(mpf_div(mpf_mul(c, w), m, prec, rnd))
+                    ims.append(mpf_div(mpf_neg(mpf_mul(s, w)), m, prec, rnd))
+        return [
+            [(mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)) for res, ims in terms]
+            for terms in parts
+        ]
+    t = z._mpf_
+    parts = [[[] for _ in rows] for _ in exponents]
+    for i, x in enumerate(nodes):
+        d = mpf_sub(t, x._mpf_, prec, rnd)
+        for e, terms in zip(exponents, parts):
+            divisor = d if e == 1 else mpf_pow_int(d, e, prec, rnd)
+            for row, out in zip(rows, terms):
+                out.append(mpf_div(row[i], divisor, prec, rnd))
+    return [[mpf_sum(out, prec, rnd) for out in terms] for terms in parts]
+
+
+def _signed(raw, sign: int):
+    """sign * value for a raw sum of _cauchy_pass, as mpmath multiplies by an int."""
+    prec, rnd = mp.prec, round_nearest
+    if isinstance(raw[0], tuple):
+        re, im = raw
+        return mp.make_mpc((mpf_mul_int(re, sign, prec, rnd), mpf_mul_int(im, sign, prec, rnd)))
+    return mp.make_mpf(mpf_mul_int(raw, sign, prec, rnd))
+
+
+def _support_guard(mu: AtomicMeasure, z):
+    """Raise when z lies within the noise floor tol of an atom of mu.
+
+    The atoms lie in mu.support = [a, b], so the per-atom test only runs
+    when |Im z| <= 2 tol and Re z is at most 2 tol outside [a, b] (the
+    factor 2 absorbs rounding): a point outside that box is farther than
+    tol from every atom, so real comparisons rule it out before any complex
     arithmetic.
     """
-    z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
     re, im = (z.real, abs(z.imag)) if isinstance(z, mpc) else (z, 0)
     tol = noise_floor(0.5)
     gate = 2 * tol
@@ -329,13 +429,38 @@ def cauchy_eval(mu: AtomicMeasure, z):
         and any(abs(z - x) <= tol for x in mu.nodes)
     ):
         raise ValueError("evaluation on support")
-    return mu.sign * mp.fsum(w / (z - x) for x, w in zip(mu.nodes, mu.weights))
+
+
+def cauchy_evals(mus, z) -> list:
+    """Cauchy transforms sign * sum_i w_i / (z - x_i) of measures on one node set, from one pass.
+
+    The measures must share their nodes and support (the chains s_{a,b} of
+    one a do); each value has the bits cauchy_eval gives.  Errors on the
+    support, like cauchy_eval.
+    """
+    z = _point(z)
+    first = mus[0]
+    if any(mu.nodes != first.nodes or mu.support != first.support for mu in mus[1:]):
+        raise ValueError("cauchy_evals needs measures on one node set")
+    _support_guard(first, z)
+    (sums,) = _cauchy_pass(first.nodes, [mu.weights for mu in mus], z)
+    return [_signed(raw, mu.sign) for raw, mu in zip(sums, mus)]
+
+
+def cauchy_eval(mu: AtomicMeasure, z):
+    """Cauchy transform sign * sum_i w_i / (z - x_i); errors on the support.
+
+    "On the support" means within the noise floor of an atom (see
+    _support_guard).  The one-measure case of cauchy_evals.
+    """
+    return cauchy_evals((mu,), z)[0]
 
 
 def cauchy_derivative(mu: AtomicMeasure, z):
     """d/dz of the Cauchy transform: -sign * sum_i w_i / (z - x_i)^2."""
-    z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
-    return -mu.sign * mp.fsum(w / (z - x) ** 2 for x, w in zip(mu.nodes, mu.weights))
+    z = _point(z)
+    ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], z, (2,))
+    return _signed(raw, -mu.sign)
 
 
 def inverse_measure(mu: AtomicMeasure):
@@ -384,7 +509,13 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     gap = hi - lo
 
     def f(t):
-        return mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights))
+        ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], mpf(t))
+        return mp.make_mpf(raw)
+
+    def f_and_slope(t):
+        """f(t) and mu.sign * cauchy_derivative(mu, t), from one pass."""
+        (raw,), (raw2,) = _cauchy_pass(mu.nodes, [mu.weights], mpf(t), (1, 2))
+        return mp.make_mpf(raw), mu.sign * _signed(raw2, -mu.sign)
 
     # mu-hat (sign stripped) runs from +inf to -inf across the gap; shrink
     # toward the poles until the bracket is sign-definite.
@@ -405,12 +536,12 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     x = mpf(start) if start is not None and a < start < b else (a + b) / 2
     tol = mpf(2) ** (-mp.prec + 8)
     for _ in range(2 * mp.prec):
-        fx = f(x)
+        fx, slope = f_and_slope(x)
         if fx > 0:
             a = x
         else:
             b = x
-        step = fx / (mu.sign * cauchy_derivative(mu, x))
+        step = fx / slope
         # inclusive: the last, sub-ulp Newton step may land on a or b
         if not a <= x - step <= b:
             step = x - (a + b) / 2

@@ -12,6 +12,9 @@ and only changes weights and sign.  One table holds every chain, run in
 either direction, and is filled eagerly at build time: the forward chains
 s_{1,j} give the system's functions, and the reversed chains s_{m,j} are
 the limit targets of the ratio asymptotics and live on the last interval.
+Building s_{a,b} = <sigma_a, s_{c,b}> evaluates s-hat_{c,b} at sigma_a's
+atoms; the chains s_{c,b} of one c share sigma_c's atoms, so one
+measures.cauchy_evals pass per atom of sigma_a serves all of them.
 
 Two residual checks act as the correctness oracles for the tables: the
 alternating cross-product identity linking forward and reversed transforms,
@@ -22,25 +25,27 @@ product measure is built once for all the points.
 Every product first checks that the two node sets stay apart; the smallest
 node gap comes from one merge of the two sorted node lists.
 
-Every package evaluation of a chain transform goes through s_hat_eval, which
-fills the system's table s_hat of transform values.  A value is keyed by
-the chain (a, b), the point as cauchy_eval converts it (`_mpf_` of a real
-point, `_mpc_` of a complex one) and mp.prec, and is exactly what
-cauchy_eval returns, so the identity checks, the ratio targets and the
-remainders of every solution share each s-hat_{a,b}(z).  The table lives
-as long as the system object and grows by one entry per new (chain, point,
-precision), with no limit: the system run_experiment builds goes at the end
-of the run, and so does its table, but a caller that keeps a system from
-build_system and evaluates it on ever new points keeps every value.  A
-module-level memo would outlive the run and keep every value of every run
-alive.
+Every chain transform value enters the system's table s_hat once,
+whatever asks for it first.  A value is keyed by the chain (a, b), the
+point as cauchy_eval converts it (`_mpf_` of a real point, `_mpc_` of a
+complex one) and mp.prec, and is exactly what cauchy_eval returns.  The
+build stores every s-hat_{c,b}(x) it evaluates at an atom x of sigma_a, at
+the build's precision; s_hat_eval adds one value, and s_hat_evals the
+missing values of several chains s_{a,b} of one a at a point, from one
+pass over sigma_a's atoms.  So the identity checks, the ratio targets and
+the remainders of every solution share each s-hat_{a,b}(z), and the
+orthogonality and sign-change remainders at sigma_1's atoms read the values
+the build computed.  The table lives as long as the system object: it
+starts with the build's values, one per atom of each of the m(m-1)
+products, and grows by one entry per new (chain, point, precision), with
+no limit.  The system run_experiment builds goes at the end of the run,
+and so does its table, but a caller that keeps a system from build_system
+and evaluates it on ever new points keeps every value.  A module-level
+memo would outlive the run and keep every value of every run alive.
 
 The solvers read the moments of each forward chain s_{1,j} from a second
-table on the system, tails, which hermite_pade fills: one tuple per
-(j, mp.prec), recomputed to the larger order when a solve asks for more
-entries than it holds and read as a prefix otherwise.  Entry k of a moment
-tuple does not depend on its length, so every solve gets the bits a fresh
-moments call would give.  Like s_hat it lives as long as the system.
+table on the system, tails, which hermite_pade fills (see NikishinSystem).
+Like s_hat it lives as long as the system.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .measures import (
     AtomicMeasure,
     MeasureSpec,
     cauchy_eval,
+    cauchy_evals,
     inverse_measure,
     realize,
 )
@@ -89,9 +95,13 @@ class NikishinSystem:
     chains[(a, b)] = s_{a,b} = <sigma_a, ..., sigma_b> on sigma_a's nodes,
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
     sigma_a itself when a == b.  intervals are the generators' supports,
-    derived on each access.  s_hat is s_hat_eval's table of transform
-    values and tails the solvers' table of chain moments: neither is a
-    constructor argument, and both are left out of equality and repr.
+    derived on each access.  s_hat is the table of transform values (see
+    the module docstring).  tails holds, per (j, mp.prec), the moments of
+    s_{1,j} computed so far and the raw power row w_i x_i^K that continues
+    them, K being their count: a solve that asks for more moments computes
+    only the new ones from that row, with the bits a direct moments call
+    gives, and a solve that asks for fewer reads a prefix.  Neither table is
+    a constructor argument, and both are left out of equality and repr.
     """
 
     generators: tuple
@@ -126,7 +136,11 @@ def product_measure(alpha: AtomicMeasure, beta: AtomicMeasure) -> AtomicMeasure:
     or touch at a single point), so the result keeps constant sign.
     """
     _check_separation(alpha, beta)
-    values = [cauchy_eval(beta, x) for x in alpha.nodes]
+    return _reweighted(alpha, [cauchy_eval(beta, x) for x in alpha.nodes])
+
+
+def _reweighted(alpha: AtomicMeasure, values) -> AtomicMeasure:
+    """alpha's atoms with each weight times |value|: <alpha, beta> from beta-hat at alpha's atoms."""
     first_positive = values[0] > 0
     if any((v > 0) != first_positive for v in values) or any(v == 0 for v in values):
         raise ValueError("supports overlap")
@@ -196,16 +210,31 @@ def system_from_generators(generators) -> NikishinSystem:
             ):
                 raise ValueError("shared interval endpoint must be node-free")
 
-    # s_{a,b} = <sigma_a, s_{c,b}>, c being one step from a toward b: every
-    # chain of length d + 1 from the chains of length d
+    # s_{a,b} = <sigma_a, s_{c,b}>, c being one step from a toward b.  The
+    # chains s_{c,b} of one c share sigma_c's atoms, so one pass per atom of
+    # sigma_a evaluates them all; the forward chains are filled from the
+    # last a down, the reversed ones from the first a up
     chains = {(a, a): g for a, g in enumerate(generators, start=1)}
-    for d in range(1, m):
-        for a in range(1, m + 1):
-            for b in (a - d, a + d):
-                if 1 <= b <= m:
-                    c = a + (1 if b > a else -1)
-                    chains[(a, b)] = product_measure(generators[a - 1], chains[(c, b)])
-    return NikishinSystem(generators, chains)
+    values = {}
+    prec = mp.prec
+
+    def fill(a, c, bs):
+        alpha = generators[a - 1]
+        betas = [chains[(c, b)] for b in bs]
+        _check_separation(alpha, betas[0])  # every s_{c,b} has sigma_c's atoms
+        points = [mpf(x) for x in alpha.nodes]
+        columns = list(zip(*(cauchy_evals(betas, x) for x in points)))
+        for b, column in zip(bs, columns):
+            chains[(a, b)] = _reweighted(alpha, column)
+            values.update(((c, b, x._mpf_, prec), v) for x, v in zip(points, column))
+
+    for a in range(m - 1, 0, -1):
+        fill(a, a + 1, range(a + 1, m + 1))
+    for a in range(2, m + 1):
+        fill(a, a - 1, range(1, a))
+    sys = NikishinSystem(generators, chains)
+    sys.s_hat.update(values)
+    return sys
 
 
 def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
@@ -219,12 +248,24 @@ def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
     ever dropped: the table grows with each new point and lives as long as
     sys does.
     """
+    return s_hat_evals(sys, j, (k,), z)[0]
+
+
+def s_hat_evals(sys: NikishinSystem, a: int, bs, z) -> list:
+    """[s_hat_eval(sys, a, b, z) for b in bs], the missing values from one pass.
+
+    The chains s_{a,b} all live on sigma_a's atoms, so the values the table
+    lacks come from one cauchy_evals pass, with the bits cauchy_eval gives.
+    """
     z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
-    key = (j, k, z._mpc_ if isinstance(z, mpc) else z._mpf_, mp.prec)
-    value = sys.s_hat.get(key)
-    if value is None:
-        value = sys.s_hat[key] = cauchy_eval(sys.chain(j, k), z)
-    return value
+    point = z._mpc_ if isinstance(z, mpc) else z._mpf_
+    prec = mp.prec
+    keys = [(a, b, point, prec) for b in bs]
+    missing = [key for key in keys if key not in sys.s_hat]
+    if missing:
+        found = cauchy_evals([sys.chain(a, key[1]) for key in missing], z)
+        sys.s_hat.update(zip(missing, found))
+    return [sys.s_hat[key] for key in keys]
 
 
 class Residual(NamedTuple):
@@ -251,12 +292,13 @@ def check_chain_identity(sys: NikishinSystem, j: int, z) -> Residual:
     if not 0 <= j <= m - 1:
         raise IndexError(f"level {j} outside 0..{m - 1}")
     z = mpc(z)
-    terms = [(-1) ** (m - j) * s_hat_eval(sys, m, j + 1, z)]
+    # from_m[i] = s-hat_{m,j+1+i} and from_j[i] = s-hat_{j+1,j+1+i}, one pass each
+    from_m = s_hat_evals(sys, m, range(j + 1, m + 1), z)
+    from_j = s_hat_evals(sys, j + 1, range(j + 1, m + 1), z)
+    terms = [(-1) ** (m - j) * from_m[0]]
     for k in range(j + 1, m):
-        terms.append(
-            (-1) ** (m - k) * s_hat_eval(sys, m, k + 1, z) * s_hat_eval(sys, j + 1, k, z)
-        )
-    terms.append(s_hat_eval(sys, j + 1, m, z))
+        terms.append((-1) ** (m - k) * from_m[k - j] * from_j[k - j - 1])
+    terms.append(from_j[-1])
     residual = abs(mp.fsum(terms))
     scale = max(abs(t) for t in terms)
     return Residual(residual, scale)
@@ -276,14 +318,16 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
     sigma1 = sys.generators[0]
     _, tau = inverse_measure(sigma1)
     points = [mpc(z) for z in points]
+    # s-hat_{1,1..m} at each point, from one pass over sigma_1's atoms
+    forward = [s_hat_evals(sys, 1, range(1, sys.m + 1), z) for z in points] if sys.m > 1 else []
     out = []
     for k in range(2, sys.m + 1):
         mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
         outer = None
         if tau is not None:
             outer = product_measure(tau, product_measure(sys.chain(2, k), sigma1))
-        for z in points:
-            lhs = s_hat_eval(sys, 1, k, z) / s_hat_eval(sys, 1, 1, z)
+        for z, s in zip(points, forward):
+            lhs = s[k - 1] / s[0]
             bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
             residual = abs(lhs - mass_ratio + bracket)
             scale = max(abs(lhs), abs(mass_ratio), abs(bracket))

@@ -55,19 +55,52 @@ class TestEvalGrid:
             EvalGrid([])
 
 
-def normalized_sup(v, grid, numerator, target):
-    """Oracle: sup |a_num/a_m - target| over the points with |a_m| >= 2^-P/2,
-    divided by the target's sup over the same points."""
+def normalized_sup(v, grid, numerator, target, skip_below):
+    """Oracle: sup |a_num/a_m - target| over the points with |a_m| >= skip_below,
+    divided by the target's sup over the same points.  The polynomials are
+    evaluated by Horner at the ambient precision."""
     m = v.m
     err, scale = mpf(0), mpf(0)
     for z in grid.points:
         den = v.a[m](z)
-        if abs(den) < noise_floor(0.5):
+        if abs(den) < skip_below:
             continue
         t = target(z)
         scale = max(scale, abs(t))
         err = max(err, abs(v.a[numerator](z) / den - t))
     return err / max(scale, mpf(2) ** (-mp.prec))
+
+
+def at_p(target):
+    """target with its values taken at the ambient precision whatever the
+    precision it is later called at, so that an oracle run at 3P differs
+    from a row at P only in how it evaluates the polynomials."""
+    values = {}
+
+    def cached(z):
+        key = mpc(z)._mpc_
+        if key not in values:
+            values[key] = target(z)
+        return values[key]
+
+    return cached
+
+
+def assert_no_farther_than_horner(value, oracle):
+    """A row's error, from power rows, lies no farther from `oracle` run at 3P
+    than `oracle` run at P (Horner) does, plus one ulp at P.
+
+    The error is |a_j/a_m - t| over the target scale, so a P-bit rounding of
+    a_j/a_m or t moves it by 2^-P in those units however small it is: the
+    ulp is that of max(1, error), 2^(1-P) for an error below 1.  `oracle`
+    is called without arguments; it must take its targets and its skip
+    threshold at P (see at_p)."""
+    P = mp.prec
+    horner = oracle()
+    with mp.workprec(3 * P):
+        exact = oracle()
+        ulp = max(1, abs(exact)) * mpf(2) ** (1 - P)
+        assert abs(value - exact) <= abs(horner - exact) + ulp
 
 
 class TestRatioError:
@@ -82,7 +115,10 @@ class TestRatioError:
         row = convergence_row(m2_16_system, None, v, grid)
         # a_1/a_2 tends to -sigma_2-hat (m=2, j=1 target sign is -1)
         sigma2 = m2_16_system.generators[1]
-        assert row.err[0] == normalized_sup(v, grid, 1, lambda z: -cauchy_eval(sigma2, z))
+        target, skip = at_p(lambda z: -cauchy_eval(sigma2, z)), noise_floor(0.5)
+        assert_no_farther_than_horner(
+            row.err[0], lambda: normalized_sup(v, grid, 1, target, skip)
+        )
         assert all(abs(v.a[2](z)) >= noise_floor(0.5) for z in grid.points)
 
     def test_error_shrinks_with_order(self, m2_16_system):
@@ -130,7 +166,8 @@ class TestRatioErrorA0:
         grid = EvalGrid([mpc(0, 3), mpc(4, 1)])
         row = convergence_row(f1_system, None, v, grid)
         sigma = f1_system.generators[0]
-        assert row.err0 == normalized_sup(v, grid, 0, lambda z: -cauchy_eval(sigma, z))
+        target, skip = at_p(lambda z: -cauchy_eval(sigma, z)), noise_floor(0.5)
+        assert_no_farther_than_horner(row.err0, lambda: normalized_sup(v, grid, 0, target, skip))
 
     def test_m2_unperturbed_target_is_reversed_chain(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((4, 4)))
@@ -138,7 +175,9 @@ class TestRatioErrorA0:
         grid = EvalGrid([z])
         row = convergence_row(m2_16_system, None, v, grid)
         target = cauchy_eval(m2_16_system.chain(2, 1), z)
-        assert row.err0 == abs(v.a[0](z) / v.a[2](z) - target) / abs(target)
+        assert_no_farther_than_horner(
+            row.err0, lambda: abs(v.a[0](z) / v.a[2](z) - target) / abs(target)
+        )
 
     def test_perturbed_error_decreases(self, m2_16_system, pert_pm5):
         grid = EvalGrid.default(m2_16_system, pert_pm5, circle_points=16, segment_points=4)
@@ -156,15 +195,19 @@ class TestConvergenceRow:
         row = convergence_row(m2_16_system, None, v, grid)
         sigma2 = m2_16_system.generators[1]
         chain21 = m2_16_system.chain(2, 1)
-        assert row.err[0] == normalized_sup(v, grid, 1, lambda z: -cauchy_eval(sigma2, z))
-        assert row.err0 == normalized_sup(v, grid, 0, lambda z: cauchy_eval(chain21, z))
+        skip = noise_floor(0.5)
+        t1 = at_p(lambda z: -cauchy_eval(sigma2, z))
+        t0 = at_p(lambda z: cauchy_eval(chain21, z))
+        assert_no_farther_than_horner(row.err[0], lambda: normalized_sup(v, grid, 1, t1, skip))
+        assert_no_farther_than_horner(row.err0, lambda: normalized_sup(v, grid, 0, t0, skip))
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_shared_targets_match_the_per_row_formula(self, m2_16_system, pert_pm5, perturbed):
         # a sweep's rows share the target transforms through the system's
-        # table; each row, from a cold table or a warm one, must equal, bit
-        # for bit, the formula that evaluated the targets inside every ratio
-        # error.  a_2 is made to vanish at z0, just off the last interval,
+        # table; a row from a cold table must equal one from a warm table bit
+        # for bit, and both must match the formula that evaluated the
+        # targets inside every ratio error, as close to it at 3P as Horner
+        # at P is.  a_2 is made to vanish at z0, just off the last interval,
         # where the targets peak: a skipped point must not count toward the
         # target scale
         sys, pert = m2_16_system, (pert_pm5 if perturbed else None)
@@ -178,50 +221,48 @@ class TestConvergenceRow:
             a = v.a[:-1] + (v.a[-1] * Polynomial([-z0, 1]),)
             vs.append(TypeIVector(a, v.n, v.order_target, v.residual_order, False, 256))
 
-        def per_row(v):
-            m = sys.m
-            floor = mpf(2) ** (-mp.prec)
+        m = sys.m
+        skip_below = noise_floor(0.5)
 
-            def sup(numerator, target):
-                err, scale, skipped = mpf(0), mpf(0), 0
-                for z in grid.points:
-                    den = v.a[m](z)
-                    if abs(den) < noise_floor(0.5):
-                        skipped += 1
-                        continue
-                    t = target(z)
-                    scale = max(scale, abs(t))
-                    err = max(err, abs(v.a[numerator](z) / den - t))
-                assert skipped == 1
-                return err / max(scale, floor)
+        def t0(z):
+            acc = (-1) ** m * cauchy_eval(sys.chain(m, 1), z)
+            if pert is not None:
+                for j in range(1, m):
+                    f = pert.fractions[j - 1]
+                    if not f.is_zero:
+                        acc -= (-1) ** (m - j) * f(z) * cauchy_eval(sys.chain(m, j + 1), z)
+                if not pert.fractions[m - 1].is_zero:
+                    acc -= pert.fractions[m - 1](z)
+            return acc
 
-            def t0(z):
-                acc = (-1) ** m * cauchy_eval(sys.chain(m, 1), z)
-                if pert is not None:
-                    for j in range(1, m):
-                        f = pert.fractions[j - 1]
-                        if not f.is_zero:
-                            acc -= (-1) ** (m - j) * f(z) * cauchy_eval(sys.chain(m, j + 1), z)
-                    if not pert.fractions[m - 1].is_zero:
-                        acc -= pert.fractions[m - 1](z)
-                return acc
+        targets = [at_p(t0)] + [
+            at_p(lambda z, j=j: (-1) ** (m - j) * cauchy_eval(sys.chain(m, j + 1), z))
+            for j in range(1, m)
+        ]
 
-            errs = tuple(
-                sup(j, lambda z, j=j: (-1) ** (m - j) * cauchy_eval(sys.chain(m, j + 1), z))
-                for j in range(1, m)
-            )
-            return errs, sup(0, t0)
+        def per_row(v, j):
+            """The per-row formula for a_j/a_m at the ambient precision."""
+            err, scale, skipped = mpf(0), mpf(0), 0
+            for z in grid.points:
+                den = v.a[m](z)
+                if abs(den) < skip_below:
+                    skipped += 1
+                    continue
+                t = targets[j](z)
+                scale = max(scale, abs(t))
+                err = max(err, abs(v.a[j](z) / den - t))
+            assert skipped == 1
+            return err / max(scale, mpf(2) ** (-mp.prec))
 
         assert len(ratio_targets(sys, pert, grid)) == len(grid.points)
         for v in vs:
-            errs, err0 = per_row(v)
             cold = NikishinSystem(sys.generators, sys.chains)
-            for row in (
-                convergence_row(cold, pert, v, grid),
-                convergence_row(sys, pert, v, grid),
-            ):
-                assert row.err == errs
-                assert row.err0 == err0
+            row = convergence_row(cold, pert, v, grid)
+            warm = convergence_row(sys, pert, v, grid)
+            assert (warm.err, warm.err0) == (row.err, row.err0)
+            assert_no_farther_than_horner(row.err0, lambda: per_row(v, 0))
+            for j in range(1, m):
+                assert_no_farther_than_horner(row.err[j - 1], lambda: per_row(v, j))
 
 
 class TestEstimateRate:

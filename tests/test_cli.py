@@ -490,7 +490,8 @@ class TestGoldenBodies:
     def test_smoke_bodies_match_stored_bytes(self, tmp_path):
         # the report bodies of a small run over every module, stored as
         # written when the type I solve moved from the SVD to the order
-        # basis: any change of the output bits shows here
+        # basis, and convergence.csv again when the convergence rows moved
+        # from Horner to power rows: any change of the output bits shows here
         out = tmp_path / "out"
         cfg = golden_smoke_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
@@ -500,7 +501,8 @@ class TestGoldenBodies:
     def test_m3_bodies_match_stored_bytes(self, tmp_path):
         # m=3 pins k=2 and k=3 of the ratio identity and the two ratio
         # limits of every row; stored as written when the type I solve moved
-        # from the SVD to the order basis
+        # from the SVD to the order basis, convergence.csv again when the
+        # rows moved to power rows
         out = tmp_path / "out"
         cfg = {
             "precision_bits": 128,
@@ -527,7 +529,7 @@ class TestGoldenBodies:
         # the README example verbatim: type I and type II up to |n| = 24 and
         # the roots of degree-11 a_j, beyond the smoke run's k <= 7; stored
         # as written when the type I solve moved from the SVD to the order
-        # basis
+        # basis, convergence.csv again when the rows moved to power rows
         out = tmp_path / "out"
         (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         cfg = dict(json.loads(block), output_dir=str(out))
@@ -539,7 +541,8 @@ class TestGoldenBodies:
         # the benchmark's deep-diag-m2 config at seed 0 with its sweep cut
         # to k = 4..8: the unperturbed solve_type1 on 64+64 Chebyshev atoms
         # at 512 bits, which no other golden run reaches; stored as written
-        # when the type I solve moved from the SVD to the order basis
+        # when the type I solve moved from the SVD to the order basis,
+        # convergence.csv again when the rows moved to power rows
         spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
@@ -556,7 +559,8 @@ class TestGoldenBodies:
         # poles +-2i and r_2 = 1/(z - 0.5) a pole in the gap between the
         # supports; at k = 7 each pole has captured one zero of a_1 and one
         # of a_2 with no strays.  Stored as written when the type I solve
-        # moved from the SVD to the order basis
+        # moved from the SVD to the order basis, convergence.csv again when
+        # the rows moved to power rows
         out = tmp_path / "out"
         cfg = golden_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0

@@ -716,8 +716,43 @@ class TestTailTable:
         for K in order:
             for j in (1, 2):
                 assert bits(_chain_tail(sys, j, K)) == bits(moments(sys.chain(1, j), K))
-        # one tuple per chain, as long as the largest K asked for
-        assert {key: len(t) for key, t in sys.tails.items()} == {(1, P): 37, (2, P): 37}
+        # per chain, the moments up to the largest K asked for, and the power
+        # row w_i x_i^37 that continues them, rounded as moments rounds it
+        assert {key: len(t) for key, (t, _) in sys.tails.items()} == {(1, P): 37, (2, P): 37}
+        for j in (1, 2):
+            chain = sys.chain(1, j)
+            row = list(chain.weights)
+            for _ in range(37):
+                row = [w * x for w, x in zip(row, chain.nodes)]
+            assert sys.tails[(j, P)][1] == bits(row)
+
+    def test_an_ascending_sweep_computes_each_moment_row_once(self, monkeypatch):
+        # per chain and precision the rows computed add up to the largest K
+        # plus one, and each K's tail keeps the bits of a direct moments call
+        rows = []
+        real = hermite_pade._moment_rows
+
+        def counting(mu, row, count):
+            rows.append((mu.weights, mp.prec, count))
+            return real(mu, row, count)
+
+        monkeypatch.setattr(hermite_pade, "_moment_rows", counting)
+        sys = TestExactOracle.dyadic_system()
+        P = mp.prec
+        for bits_ in (P, 2 * P):
+            with mp.workprec(bits_):
+                for K in self.KS:
+                    for j in (1, 2):
+                        tail = _chain_tail(sys, j, K)
+                        assert bits(tail) == bits(moments(sys.chain(1, j), K))
+        for j in (1, 2):
+            for bits_ in (P, 2 * P):
+                counts = [
+                    count
+                    for weights, prec, count in rows
+                    if weights == sys.chain(1, j).weights and prec == bits_
+                ]
+                assert counts == [self.KS[0] + 1, self.KS[1] - self.KS[0], self.KS[2] - self.KS[1]]
 
     def test_each_precision_gets_its_own_tail(self):
         sys = TestExactOracle.dyadic_system()
@@ -727,7 +762,7 @@ class TestTailTable:
             for K in self.KS:
                 assert bits(_chain_tail(sys, 2, K)) == bits(moments(sys.chain(1, 2), K))
         assert sorted(sys.tails) == [(2, P), (2, 2 * P)]
-        assert bits(sys.tails[(2, P)]) == bits(at_p)
+        assert bits(sys.tails[(2, P)][0]) == bits(at_p)
 
     def test_table_is_left_out_of_equality_and_repr(self):
         sys = TestExactOracle.dyadic_system()
@@ -746,18 +781,18 @@ class TestTailTable:
 
     def test_solves_share_the_tails_of_their_system(self, monkeypatch):
         # type I and type II at one index, then type I at a smaller one:
-        # moments runs once per chain
+        # the moment loop runs once per chain
         calls = []
-        real = hermite_pade.moments
+        real = hermite_pade._moment_rows
 
-        def counting(mu, K):
-            calls.append(K)
-            return real(mu, K)
+        def counting(mu, row, count):
+            calls.append(count)
+            return real(mu, row, count)
 
-        monkeypatch.setattr(hermite_pade, "moments", counting)
+        monkeypatch.setattr(hermite_pade, "_moment_rows", counting)
         sys = TestExactOracle.dyadic_system()
         n = MultiIndex.diagonal(2, 5)
         solve_type1(sys, n)
         solve_type2(sys, n)
         solve_type1(sys, MultiIndex.diagonal(2, 3))
-        assert calls == [n.total + n.max_part + 4] * 2
+        assert calls == [n.total + n.max_part + 5] * 2

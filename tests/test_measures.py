@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
@@ -15,6 +17,7 @@ from nikishin_hp import (
     SystemSpec,
     build_system,
     cauchy_eval,
+    cauchy_evals,
     gauss_jacobi_rule,
     inverse_measure,
     moments,
@@ -453,6 +456,141 @@ class TestCauchy:
             err = abs(cauchy_eval(mu, z) - partial_sum)
             bound = (r / abs(z)) ** (K + 1) * abs(tail[0]) / (abs(z) - r)
             assert err <= bound
+
+
+def raw(x):
+    """The bits of an mpf or an mpc."""
+    return x._mpc_ if isinstance(x, mpc) else x._mpf_
+
+
+def fsum_transform(mu, z, power=1):
+    """The mpmath expressions the Cauchy kernel replaces."""
+    z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
+    if power == 1:
+        return mu.sign * mp.fsum(w / (z - x) for x, w in zip(mu.nodes, mu.weights))
+    return -mu.sign * mp.fsum(w / (z - x) ** 2 for x, w in zip(mu.nodes, mu.weights))
+
+
+def on_one_node_set(nodes, support, weight_rows, signs):
+    return [AtomicMeasure(nodes, ws, sign, support) for ws, sign in zip(weight_rows, signs)]
+
+
+def kernel_cases():
+    """(measures on one node set, point): both signs; real points on either
+    side of the support and in a gap between atoms; complex points off the
+    support, and with tiny |Im z| above a gap and beside an atom."""
+    rng = random.Random(20)
+    nodes = sorted(mpf(rng.uniform(-1, 0)) for _ in range(11))
+    support = Interval(-1, 0)
+    rows = [[mpf(rng.uniform(0.1, 2)) * mpf(2) ** rng.randint(-30, 30) for _ in nodes] for _ in range(3)]
+    mus = on_one_node_set(nodes, support, rows, (1, -1, 1))
+    gap = (nodes[4] + nodes[5]) / 2
+    tiny = mpf(2) ** -(mp.prec // 2)
+    points = [
+        mpf(-3), mpf("0.25"), mpf("1e-30"), mpf(-1) - mpf("1e-20"), gap,
+        mpc(2, 3), mpc(-5, "-0.5"), mpc(gap, tiny), mpc(gap, -tiny), mpc(nodes[2], 4 * noise_floor(0.5)),
+        mpc(mpf("0.5"), tiny), mpc(100, 0),
+    ]
+    return mus, points
+
+
+class TestCauchyKernel:
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_values_are_the_mpmath_expressions(self, bits):
+        with mp.workprec(bits):
+            mus, points = kernel_cases()
+            for z in points:
+                many = cauchy_evals(mus, z)
+                for mu, value in zip(mus, many):
+                    expected = fsum_transform(mu, z)
+                    assert type(value) is type(expected)
+                    assert raw(value) == raw(expected) == raw(cauchy_eval(mu, z))
+                    assert raw(measures.cauchy_derivative(mu, z)) == raw(fsum_transform(mu, z, 2))
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_one_pass_gives_value_and_slope_at_real_points(self, bits):
+        with mp.workprec(bits):
+            mus, points = kernel_cases()
+            for t in (z for z in points if not isinstance(z, mpc)):
+                (values, slopes) = measures._cauchy_pass(
+                    mus[0].nodes, [mu.weights for mu in mus], t, (1, 2)
+                )
+                for mu, v, d in zip(mus, values, slopes):
+                    assert v == raw(mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights)))
+                    assert d == raw(mp.fsum(w / (t - x) ** 2 for x, w in zip(mu.nodes, mu.weights)))
+
+    # no shrink phase: a failing example at 512 bits shrinks for minutes
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=60,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        data=st.data(),
+        count=st.integers(1, 16),
+        bits=st.sampled_from([64, 256, 512]),
+        rows=st.integers(1, 3),
+    )
+    def test_property_against_the_mpmath_expressions(self, data, count, bits, rows):
+        with mp.workprec(bits):
+            numerators = data.draw(
+                st.lists(st.integers(-2**20, 2**20), min_size=count, max_size=count, unique=True)
+            )
+            nodes = sorted(mpf(k) / 2**20 for k in numerators)
+            weight = st.tuples(st.integers(1, 2**30), st.integers(-40, 40))
+            weight_rows = [
+                [mpf(man) * mpf(2) ** e for man, e in data.draw(st.lists(weight, min_size=count, max_size=count))]
+                for _ in range(rows)
+            ]
+            signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=rows, max_size=rows))
+            mus = on_one_node_set(nodes, Interval(-1, 1), weight_rows, signs)
+            re = data.draw(st.floats(-4, 4, allow_nan=False))
+            im = data.draw(st.sampled_from([0.0, 1e-12, -1e-30, 0.5, 3.0]))
+            z = mpc(re, im) if data.draw(st.booleans()) else mpf(re)
+            try:
+                expected = [fsum_transform(mu, z) for mu in mus]
+            except ZeroDivisionError:
+                return  # z on an atom
+            if any(abs(z - x) <= noise_floor(0.5) for x in nodes):
+                with pytest.raises(ValueError, match="evaluation on support"):
+                    cauchy_evals(mus, z)
+                return
+            assert [raw(v) for v in cauchy_evals(mus, z)] == [raw(v) for v in expected]
+            for mu in mus:
+                assert raw(measures.cauchy_derivative(mu, z)) == raw(fsum_transform(mu, z, 2))
+
+    def test_on_support_guard_still_raises(self):
+        mus, _ = kernel_cases()
+        tol = noise_floor(0.5)
+        atom = mus[0].nodes[3]
+        for z in (atom, atom + tol / 2, mpc(atom, tol / 2), mpc(atom - tol / 4, -tol / 4)):
+            with pytest.raises(ValueError, match="evaluation on support"):
+                cauchy_eval(mus[1], z)
+            with pytest.raises(ValueError, match="evaluation on support"):
+                cauchy_evals(mus, z)
+
+    def test_measures_on_other_nodes_rejected(self):
+        mus, _ = kernel_cases()
+        other = AtomicMeasure([mpf("-0.5")], [1], 1, Interval(-1, 0))
+        with pytest.raises(ValueError, match="one node set"):
+            cauchy_evals([mus[0], other], mpc(2, 1))
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_moment_loop_continues_from_its_row(self, bits):
+        with mp.workprec(bits):
+            mus, _ = kernel_cases()
+            for mu in mus:
+                first, row = measures._moment_rows(mu, [w._mpf_ for w in mu.weights], 7)
+                more, _ = measures._moment_rows(mu, row, 13)
+                assert [raw(c) for c in first + more] == [raw(c) for c in moments(mu, 19)]
+                powers = list(mu.weights)
+                old = []
+                for _ in range(20):
+                    old.append(mu.sign * mp.fsum(powers))
+                    powers = [p * x for p, x in zip(powers, mu.nodes)]
+                assert [raw(c) for c in moments(mu, 19)] == [raw(c) for c in old]
 
 
 class TestInverseMeasure:

@@ -21,6 +21,7 @@ from nikishin_hp import (
     noise_floor,
     product_measure,
     s_hat_eval,
+    s_hat_evals,
     system_from_generators,
 )
 
@@ -255,24 +256,108 @@ class TestTransformTable:
                 s_hat_eval(sys, 1, 2, z)
         assert sys.s_hat == {}
 
+    def test_build_time_values_are_stored_as_fresh_transforms(self, m3_16_system):
+        # building s_{a,b} = <sigma_a, s_{c,b}> evaluates s-hat_{c,b} at
+        # sigma_a's atoms; each value is stored under s_hat_eval's key
+        sys = system_from_generators(m3_16_system.generators)
+        P, m = mp.prec, sys.m
+        expected = set()
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if b != a:
+                    c = a + (1 if b > a else -1)
+                    expected |= {(c, b, x._mpf_, P) for x in sys.generators[a - 1].nodes}
+        assert set(sys.s_hat) == expected
+        for (c, b, point, prec), value in sys.s_hat.items():
+            assert value._mpf_ == cauchy_eval(sys.chain(c, b), mp.make_mpf(point))._mpf_
+            assert s_hat_eval(sys, c, b, mp.make_mpf(point)) is value
+
+    @pytest.mark.parametrize("system", ["m2_16_system", "m3_16_system"])
+    def test_ratio_targets_fill_the_table_as_s_hat_eval_does(self, system, request):
+        from nikishin_hp import EvalGrid, ratio_targets
+
+        base = request.getfixturevalue(system)
+        grid = EvalGrid.default(base, None, circle_points=8, segment_points=4)
+        one_pass, one_by_one = cold(base), cold(base)
+        ratio_targets(one_pass, None, grid)
+        m = base.m
+        for z in grid.points:
+            for b in range(1, m + 1):
+                s_hat_eval(one_by_one, m, b, z)
+        assert len(one_pass.s_hat) == m * len(grid.points)
+        assert {k: v._mpc_ for k, v in one_pass.s_hat.items()} == {
+            k: v._mpc_ for k, v in one_by_one.s_hat.items()
+        }
+
+    def test_s_hat_evals_computes_only_the_missing_values(self, m3_16_system, monkeypatch):
+        sys = cold(m3_16_system)
+        z = mpc(7, 2)
+        first = s_hat_eval(sys, 3, 2, z)
+        passes = []
+        real = nikishin.cauchy_evals
+
+        def recording(mus, z):
+            passes.append(len(mus))
+            return real(mus, z)
+
+        monkeypatch.setattr(nikishin, "cauchy_evals", recording)
+        values = s_hat_evals(sys, 3, (1, 2, 3), z)
+        assert passes == [2]
+        assert values[1] is first
+        assert s_hat_evals(sys, 3, (3, 1), z) == [values[2], values[0]]
+        assert passes == [2]
+
+    def test_remainders_at_the_first_atoms_read_the_build_time_values(self, monkeypatch):
+        # orthogonality and the sign-change grid evaluate A_1 at sigma_1's
+        # atoms, whose transforms s-hat_{2,k} the build already computed
+        from nikishin_hp import MultiIndex, check_orthogonality, remainder_eval, solve_type1
+
+        sys = system_from_generators(
+            [
+                AtomicMeasure([-0.75, -0.5, -0.25], [1, 2, 1], 1, Interval(-1, 0)),
+                AtomicMeasure([1.5, 2, 2.5], [1, 1, 3], 1, Interval(1, 3)),
+                AtomicMeasure([4.5, 5, 5.5], [2, 1, 1], 1, Interval(4, 6)),
+            ]
+        )
+        v = solve_type1(sys, MultiIndex((2, 2, 2)))
+
+        def unused(*args):
+            raise AssertionError("a transform at sigma_1's atoms was evaluated again")
+
+        monkeypatch.setattr(nikishin, "cauchy_eval", unused)
+        monkeypatch.setattr(nikishin, "cauchy_evals", unused)
+        check_orthogonality(sys, v)
+        for x in sys.generators[0].nodes:
+            remainder_eval(sys, v, 1, x)
+
     def test_a_run_evaluates_each_chain_point_and_precision_once(self, tmp_path, monkeypatch):
-        # outside product_measure, which builds the chains and the ratio
-        # identity's measures from Cauchy transforms at atoms, no
-        # (measure, point, precision) is evaluated twice in a whole run; the
-        # other modules evaluate every transform through the table
+        # outside product_measure, which builds the ratio identity's
+        # measures from Cauchy transforms at atoms, no (measure, point,
+        # precision) is evaluated twice in a whole run, the build's passes
+        # included; the other modules evaluate every transform through the
+        # table
         from test_cli import golden_smoke_config
 
         from nikishin_hp import analysis, cli, hermite_pade
 
         seen, measures_kept, depth = Counter(), [], [0]
         real_eval, real_product = nikishin.cauchy_eval, nikishin.product_measure
+        real_evals = nikishin.cauchy_evals
 
-        def counting_eval(mu, z):
+        def count(mu, z):
             if not depth[0]:
                 measures_kept.append(mu)  # keeps id(mu) unique for the run
                 point = z._mpc_ if isinstance(z, mpc) else mpf(z)._mpf_
                 seen[(id(mu), point, mp.prec)] += 1
+
+        def counting_eval(mu, z):
+            count(mu, z)
             return real_eval(mu, z)
+
+        def counting_evals(mus, z):
+            for mu in mus:
+                count(mu, z)
+            return real_evals(mus, z)
 
         def counting_product(alpha, beta):
             depth[0] += 1
@@ -285,6 +370,7 @@ class TestTransformTable:
             raise AssertionError("a chain transform bypassed the table")
 
         monkeypatch.setattr(nikishin, "cauchy_eval", counting_eval)
+        monkeypatch.setattr(nikishin, "cauchy_evals", counting_evals)
         monkeypatch.setattr(nikishin, "product_measure", counting_product)
         monkeypatch.setattr(hermite_pade, "cauchy_eval", unused)
         monkeypatch.setattr(analysis, "cauchy_eval", unused)
