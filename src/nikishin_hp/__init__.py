@@ -45,7 +45,6 @@ from .measures import (
     Interval,
     MeasureSpec,
     cauchy_eval,
-    cauchy_evals,
     gauss_jacobi_rule,
     inverse_measure,
     moments,
@@ -60,7 +59,6 @@ from .nikishin import (
     check_ratio_identity,
     product_measure,
     s_hat_eval,
-    s_hat_evals,
     system_from_generators,
 )
 from .precision import (

@@ -133,10 +133,22 @@ def product_measure(alpha: AtomicMeasure, beta: AtomicMeasure) -> AtomicMeasure:
     """<alpha, beta>: alpha's atoms reweighted by |beta-hat|, sign adjusted.
 
     beta-hat has one sign on all of alpha's support (the supports are disjoint
-    or touch at a single point), so the result keeps constant sign.
+    or touch at a single point), so the result keeps constant sign.  The
+    one-beta case of _products.
     """
-    _check_separation(alpha, beta)
-    return _reweighted(alpha, [cauchy_eval(beta, x) for x in alpha.nodes])
+    return _products(alpha, (beta,))[0][0]
+
+
+def _products(alpha: AtomicMeasure, betas) -> tuple:
+    """([<alpha, beta> for beta in betas], [beta-hat at alpha's atoms for beta in betas]).
+
+    The betas share one node set and support (the chains s_{c,b} of one c
+    do), so one separation check and one cauchy_evals pass per atom of
+    alpha serve them all; each value has the bits cauchy_eval gives.
+    """
+    _check_separation(alpha, betas[0])
+    columns = [list(c) for c in zip(*(cauchy_evals(betas, x) for x in alpha.nodes))]
+    return [_reweighted(alpha, column) for column in columns], columns
 
 
 def _reweighted(alpha: AtomicMeasure, values) -> AtomicMeasure:
@@ -220,13 +232,10 @@ def system_from_generators(generators) -> NikishinSystem:
 
     def fill(a, c, bs):
         alpha = generators[a - 1]
-        betas = [chains[(c, b)] for b in bs]
-        _check_separation(alpha, betas[0])  # every s_{c,b} has sigma_c's atoms
-        points = [mpf(x) for x in alpha.nodes]
-        columns = list(zip(*(cauchy_evals(betas, x) for x in points)))
-        for b, column in zip(bs, columns):
-            chains[(a, b)] = _reweighted(alpha, column)
-            values.update(((c, b, x._mpf_, prec), v) for x, v in zip(points, column))
+        products, columns = _products(alpha, [chains[(c, b)] for b in bs])
+        for b, product, column in zip(bs, products, columns):
+            chains[(a, b)] = product
+            values.update(((c, b, mpf(x)._mpf_, prec), v) for x, v in zip(alpha.nodes, column))
 
     for a in range(m - 1, 0, -1):
         fill(a, a + 1, range(a + 1, m + 1))

@@ -10,6 +10,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp import measures
+from nikishin_hp.measures import cauchy_evals
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
@@ -17,7 +18,6 @@ from nikishin_hp import (
     SystemSpec,
     build_system,
     cauchy_eval,
-    cauchy_evals,
     gauss_jacobi_rule,
     inverse_measure,
     moments,

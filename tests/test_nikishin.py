@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from nikishin_hp import nikishin
+from nikishin_hp.nikishin import s_hat_evals
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
@@ -21,7 +22,6 @@ from nikishin_hp import (
     noise_floor,
     product_measure,
     s_hat_eval,
-    s_hat_evals,
     system_from_generators,
 )
 
