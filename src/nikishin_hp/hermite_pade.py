@@ -11,7 +11,8 @@ per generator, 128 bits, k = 2..4: 30.9, 22.4 and 11.8 correct digits
 against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
 sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (the
 achieved orders, the reduction residual, type2_residual_tail), comes from
-one helper, _laurent_coeff.
+one helper, _laurent_coeff.  The tails of the chains s_{1,j} come from the
+system's table through nikishin.chain_tail.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
@@ -37,8 +38,8 @@ from mpmath import mp, mpc, mpf
 from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 # cauchy_eval and moments are unused here; benchmark/spans.py still patches
 # hermite_pade.cauchy_eval and hermite_pade.moments
-from .measures import _moment_rows, cauchy_eval, moments  # noqa: F401
-from .nikishin import NikishinSystem, Residual, s_hat_eval
+from .measures import cauchy_eval, moments  # noqa: F401
+from .nikishin import NikishinSystem, Residual, chain_tail, s_hat_eval
 from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
 
 # An order-basis residual at most ORDER_BASIS_GUARD 2^-P times the sum of its
@@ -364,33 +365,12 @@ def _type1_tails(sys, pert, n):
     K = n.total + n.max_part + 4
     tails = []
     for j in range(1, len(n) + 1):
-        tail = _chain_tail(sys, j, K)
+        tail = chain_tail(sys, j, K)
         if pert is not None and not pert.fractions[j - 1].is_zero:
             rational = laurent_expand_rational(pert.fractions[j - 1], K + 1)
             tail = tuple(a + b for a, b in zip(tail, rational, strict=True))
         tails.append(tail)
     return tails
-
-
-def _chain_tail(sys, j, K):
-    """moments(sys.chain(1, j), K), read from the system's table of tails.
-
-    sys.tails holds, per (j, mp.prec), the moments computed so far and the
-    power row that continues them.  A K beyond the stored moments computes
-    only the new ones, from that row, through the moment loop of moments
-    itself; any other K reads a prefix.  Entry k of a moment tuple does not
-    depend on K, so either way the bits are those of a direct moments call.
-    """
-    prec = mp.prec
-    chain = sys.chain(1, j)
-    tail, row = sys.tails.get((j, prec), ((), None))
-    if len(tail) <= K:
-        if row is None:
-            row = [w._mpf_ for w in chain.weights]
-        more, row = _moment_rows(chain, row, K + 1 - len(tail))
-        tail += more
-        sys.tails[(j, prec)] = (tail, row)
-    return tail[: K + 1]
 
 
 def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:

@@ -9,8 +9,9 @@ measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
 
 Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
 tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
-w / (z - x)**2 for the derivative) gives at the working precision P: the
-same operations with the same roundings, without the mpf and mpc objects.
+w / (z - x)**2 for the derivative, at a real z only) gives at the working
+precision P: the same operations with the same roundings, without the mpf
+and mpc objects.
 A real z costs one subtraction per atom and one division per atom and
 measure.  A complex z costs, per atom, a = Re z - x and m = a^2 + (Im z)^2,
 rounded to P + 10 bits as mpmath's mpc_mpf_div rounds it, then two
@@ -31,7 +32,6 @@ from typing import Optional
 
 from mpmath import fp, mp, mpc, mpf
 from mpmath.libmp import (
-    mpc_pow_int,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -404,39 +404,33 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
 
     One pass over the atoms serves every weight row in rows (measures on
     one node set) and every exponent e in exponents (1 or 2); z is an mpf
-    or an mpc at P.  Returns sums[e][r]: a raw mpf for a real z and a raw
-    (re, im) pair for a complex one.  The operations are mpmath's own: for
-    a real z, d = z - x rounded to P and, for e = 2, d**2 rounded to P, then
-    w / d at P.  For a complex z, the divisor (c, s) is (Re z - x, Im z) or
-    its square by mpc_pow_int, m = c^2 + s^2 is rounded to P + 10 bits by
-    libmp's default rounding, and the term is (c w / m, -s w / m), each
-    quotient rounded to P, as mpc_mpf_div forms it.  m does not depend on
-    the weights, so the measures share it.  The terms are summed as
-    mp.fsum sums them: each part by mpf_sum at P.
+    or an mpc at P, and an mpc takes exponents (1,) only.  Returns
+    sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
+    complex one.  The operations are mpmath's own: for a real z, d = z - x
+    rounded to P and, for e = 2, d**2 rounded to P, then w / d at P.  For
+    a complex z, with a = Re z - x and s = Im z, m = a^2 + s^2 is rounded
+    to P + 10 bits by libmp's default rounding, and the term is
+    (a w / m, -s w / m), each quotient rounded to P, as mpc_mpf_div forms
+    it.  m does not depend on the weights, so the measures share it.  The
+    terms are summed as mp.fsum sums them: each part by mpf_sum at P.
     """
     prec, rnd = mp.prec, round_nearest
     rows = [[w._mpf_ for w in row] for row in rows]
     if isinstance(z, mpc):
+        if exponents != (1,):
+            raise ValueError("a complex point takes exponent 1 only")
         re, im = z._mpc_
         im2 = mpf_mul(im, im)
         wide = prec + 10
-        parts = [[([], []) for _ in rows] for _ in exponents]
+        terms = [([], []) for _ in rows]
         for i, x in enumerate(nodes):
             a = mpf_sub(re, x._mpf_, prec, rnd)
-            for e, terms in zip(exponents, parts):
-                if e == 1:
-                    c, s, m = a, im, mpf_add(mpf_mul(a, a), im2, wide)
-                else:
-                    c, s = mpc_pow_int((a, im), e, prec, rnd)
-                    m = mpf_add(mpf_mul(c, c), mpf_mul(s, s), wide)
-                for row, (res, ims) in zip(rows, terms):
-                    w = row[i]
-                    res.append(mpf_div(mpf_mul(c, w), m, prec, rnd))
-                    ims.append(mpf_div(mpf_neg(mpf_mul(s, w)), m, prec, rnd))
-        return [
-            [(mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)) for res, ims in terms]
-            for terms in parts
-        ]
+            m = mpf_add(mpf_mul(a, a), im2, wide)
+            for row, (res, ims) in zip(rows, terms):
+                w = row[i]
+                res.append(mpf_div(mpf_mul(a, w), m, prec, rnd))
+                ims.append(mpf_div(mpf_neg(mpf_mul(im, w)), m, prec, rnd))
+        return [[(mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)) for res, ims in terms]]
     t = z._mpf_
     parts = [[[] for _ in rows] for _ in exponents]
     for i, x in enumerate(nodes):
@@ -504,7 +498,10 @@ def cauchy_eval(mu: AtomicMeasure, z):
 
 
 def cauchy_derivative(mu: AtomicMeasure, z):
-    """d/dz of the Cauchy transform: -sign * sum_i w_i / (z - x_i)^2."""
+    """d/dz of the Cauchy transform at a real point z: -sign * sum_i w_i / (z - x_i)^2.
+
+    A complex z raises ValueError.
+    """
     z = _point(z)
     ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], z, (2,))
     return _signed(raw, -mu.sign)

@@ -20,32 +20,35 @@ Two residual checks act as the correctness oracles for the tables: the
 alternating cross-product identity linking forward and reversed transforms,
 and the ratio identity expressing s-hat_{1,k}/s-hat_{1,1} through the inverse
 measure of sigma_1, which it computes once per call; each k's z-independent
-product measure is built once for all the points.
+product measure is built once for all the points, from the sigma_1-hat
+values at sigma_2's atoms that the build stored.
 
 Every product first checks that the two node sets stay apart; the smallest
 node gap comes from one merge of the two sorted node lists.
 
 Every chain transform value enters the system's table s_hat once,
-whatever asks for it first.  A value is keyed by the chain (a, b), the
+whatever asks for it first.  _key keys a value by the chain (a, b), the
 point as cauchy_eval converts it (`_mpf_` of a real point, `_mpc_` of a
-complex one) and mp.prec, and is exactly what cauchy_eval returns.  The
-build stores every s-hat_{c,b}(x) it evaluates at an atom x of sigma_a, at
-the build's precision; s_hat_eval adds one value, and s_hat_evals the
-missing values of several chains s_{a,b} of one a at a point, from one
-pass over sigma_a's atoms.  So the identity checks, the ratio targets and
-the remainders of every solution share each s-hat_{a,b}(z), and the
-orthogonality and sign-change remainders at sigma_1's atoms read the values
-the build computed.  The table lives as long as the system object: it
-starts with the build's values, one per atom of each of the m(m-1)
-products, and grows by one entry per new (chain, point, precision), with
-no limit.  The system run_experiment builds goes at the end of the run,
-and so does its table, but a caller that keeps a system from build_system
-and evaluates it on ever new points keeps every value.  A module-level
-memo would outlive the run and keep every value of every run alive.
+complex one) and mp.prec, and the value is exactly what cauchy_eval
+returns.  The build stores every s-hat_{c,b}(x) it evaluates at an atom
+x of sigma_a, at the build's precision; s_hat_eval adds one value, and
+s_hat_evals the missing values of several chains s_{a,b} of one a at a
+point, from one pass over sigma_a's atoms.  So the identity checks, the
+ratio targets and the remainders of every solution share each
+s-hat_{a,b}(z), and the orthogonality and sign-change remainders at
+sigma_1's atoms read the values the build computed.  The table lives as
+long as the system object: it starts with the build's values, one per
+atom of each of the m(m-1) products, and grows by one entry per new
+(chain, point, precision), with no limit.  The system run_experiment
+builds goes at the end of the run, and so does its table, but a caller
+that keeps a system from build_system and evaluates it on ever new
+points keeps every value.  A module-level memo would outlive the run and
+keep every value of every run alive.
 
 The solvers read the moments of each forward chain s_{1,j} from a second
-table on the system, tails, which hermite_pade fills (see NikishinSystem).
-Like s_hat it lives as long as the system.
+table on the system, tails, through chain_tail (see NikishinSystem).  Like
+s_hat it lives as long as the system, and this module is the only one that
+reads or writes either table.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from mpmath import mp, mpc, mpf
 from .measures import (
     AtomicMeasure,
     MeasureSpec,
+    _moment_rows,
+    _point,
     cauchy_eval,
     cauchy_evals,
     inverse_measure,
@@ -96,12 +101,11 @@ class NikishinSystem:
     for 1 <= a, b <= m: forward when a < b, reversed when a > b, and
     sigma_a itself when a == b.  intervals are the generators' supports,
     derived on each access.  s_hat is the table of transform values (see
-    the module docstring).  tails holds, per (j, mp.prec), the moments of
-    s_{1,j} computed so far and the raw power row w_i x_i^K that continues
-    them, K being their count: a solve that asks for more moments computes
-    only the new ones from that row, with the bits a direct moments call
-    gives, and a solve that asks for fewer reads a prefix.  Neither table is
-    a constructor argument, and both are left out of equality and repr.
+    the module docstring), filled by system_from_generators and
+    s_hat_evals.  tails holds, per (j, mp.prec), the moments of s_{1,j}
+    computed so far and the raw power row w_i x_i^K that continues them, K
+    being their count; chain_tail fills and reads it.  Neither table is a
+    constructor argument, and both are left out of equality and repr.
     """
 
     generators: tuple
@@ -227,23 +231,26 @@ def system_from_generators(generators) -> NikishinSystem:
     # sigma_a evaluates them all; the forward chains are filled from the
     # last a down, the reversed ones from the first a up
     chains = {(a, a): g for a, g in enumerate(generators, start=1)}
-    values = {}
-    prec = mp.prec
+    sys = NikishinSystem(generators, chains)
 
     def fill(a, c, bs):
         alpha = generators[a - 1]
         products, columns = _products(alpha, [chains[(c, b)] for b in bs])
         for b, product, column in zip(bs, products, columns):
             chains[(a, b)] = product
-            values.update(((c, b, mpf(x)._mpf_, prec), v) for x, v in zip(alpha.nodes, column))
+            sys.s_hat.update((_key(c, b, x), v) for x, v in zip(alpha.nodes, column))
 
     for a in range(m - 1, 0, -1):
         fill(a, a + 1, range(a + 1, m + 1))
     for a in range(2, m + 1):
         fill(a, a - 1, range(1, a))
-    sys = NikishinSystem(generators, chains)
-    sys.s_hat.update(values)
     return sys
+
+
+def _key(a: int, b: int, z) -> tuple:
+    """The s_hat key of s-hat_{a,b}(z): the chain, z as cauchy_eval converts it, and mp.prec."""
+    z = _point(z)
+    return (a, b, z._mpc_ if isinstance(z, mpc) else z._mpf_, mp.prec)
 
 
 def s_hat_eval(sys: NikishinSystem, j: int, k: int, z):
@@ -266,15 +273,33 @@ def s_hat_evals(sys: NikishinSystem, a: int, bs, z) -> list:
     The chains s_{a,b} all live on sigma_a's atoms, so the values the table
     lacks come from one cauchy_evals pass, with the bits cauchy_eval gives.
     """
-    z = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
-    point = z._mpc_ if isinstance(z, mpc) else z._mpf_
-    prec = mp.prec
-    keys = [(a, b, point, prec) for b in bs]
+    keys = [_key(a, b, z) for b in bs]
     missing = [key for key in keys if key not in sys.s_hat]
     if missing:
         found = cauchy_evals([sys.chain(a, key[1]) for key in missing], z)
         sys.s_hat.update(zip(missing, found))
     return [sys.s_hat[key] for key in keys]
+
+
+def chain_tail(sys: NikishinSystem, j: int, K: int) -> tuple:
+    """moments(sys.chain(1, j), K), read from the system's table of tails.
+
+    sys.tails holds, per (j, mp.prec), the moments computed so far and the
+    power row that continues them.  A K beyond the stored moments computes
+    only the new ones, from that row, through the moment loop of moments
+    itself; any other K reads a prefix.  Entry k of a moment tuple does not
+    depend on K, so either way the bits are those of a direct moments call.
+    """
+    prec = mp.prec
+    chain = sys.chain(1, j)
+    tail, row = sys.tails.get((j, prec), ((), None))
+    if len(tail) <= K:
+        if row is None:
+            row = [w._mpf_ for w in chain.weights]
+        more, row = _moment_rows(chain, row, K + 1 - len(tail))
+        tail += more
+        sys.tails[(j, prec)] = (tail, row)
+    return tail[: K + 1]
 
 
 class Residual(NamedTuple):
@@ -321,8 +346,10 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
     c_0(s_{1,k})/c_0(s_{1,1}).  tau = inverse_measure(sigma_1) is computed
     once per call and the z-independent <tau_11, <s_{2,k}, sigma_1>> once
     per k; a single-atom sigma_1 has an empty tau and a zero bracket.  The
-    chain transforms come from the system's table; the bracket's measure is
-    not a chain and is evaluated directly.
+    chain transforms come from the system's table, and <s_{2,k}, sigma_1>
+    reweights s_{2,k} by the sigma_1-hat values at sigma_2's atoms that the
+    build stored when it formed s_{2,1}; the bracket's measure is not a
+    chain and is evaluated directly.
     """
     sigma1 = sys.generators[0]
     _, tau = inverse_measure(sigma1)
@@ -334,7 +361,8 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
         mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
         outer = None
         if tau is not None:
-            outer = product_measure(tau, product_measure(sys.chain(2, k), sigma1))
+            at_sigma2 = [s_hat_eval(sys, 1, 1, x) for x in sys.generators[1].nodes]
+            outer = product_measure(tau, _reweighted(sys.chain(2, k), at_sigma2))
         for z, s in zip(points, forward):
             lhs = s[k - 1] / s[0]
             bracket = mpc(0) if outer is None else cauchy_eval(outer, z)

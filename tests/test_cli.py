@@ -10,9 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
-from nikishin_hp import cli
+from nikishin_hp import Residual, cli, noise_floor
 from nikishin_hp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
@@ -96,6 +96,16 @@ class TestArgumentHandling:
         assert main(["run", str(path)]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "parse"
+
+    def test_output_dir_flag_overrides_the_config(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "from_config", sweep=[[2, 2]], checks=[])
+        path = write_config(tmp_path, cfg)
+        flagged = tmp_path / "from_flag"
+        assert main(["run", str(path), "--output-dir", str(flagged)]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["output_dir"] == str(flagged)
+        assert sorted(p.name for p in flagged.iterdir()) == ["convergence.csv", "identities.json"]
+        assert not (tmp_path / "from_config").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -412,6 +422,48 @@ class TestEndToEnd:
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
 
+    @pytest.mark.parametrize("above", [True, False])
+    def test_residual_gate_is_strict(self, tmp_path, monkeypatch, above):
+        # a residual above noise_floor(0.5) * max(scale, 1) fails the run;
+        # one equal to it passes
+        def fixed_residual(sys, j, z):
+            return Residual(mpf(1) if above else noise_floor(0.5), mpf(1))
+
+        monkeypatch.setattr(cli, "check_chain_identity", fixed_residual)
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=["chile"])
+        assert main(["run", str(write_config(tmp_path, cfg))]) == (1 if above else 0)
+        entry = json.loads((out / "identities.json").read_text())["checks"]["chile"]
+        assert entry["pass"] is not above
+
+    def test_ratio_identity_at_m1_has_no_ratios(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[3]], checks=["ratio44"])
+        cfg["system"] = cfg["system"][:1]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        checks = json.loads((out / "identities.json").read_text())["checks"]
+        assert checks == {"ratio44": {"pass": True, "note": "m=1: no ratios"}}
+
+    def test_all_null_perturbations_run_the_plain_system(self, tmp_path):
+        checks = ["chile", "ratio44", "orthogonality", "sign_changes", "type2"]
+        plain = base_config(tmp_path / "plain", sweep=[[2, 2], [3, 3]], checks=checks)
+        null = base_config(tmp_path / "null", sweep=[[2, 2], [3, 3]], checks=checks, pert=[None, None])
+        assert main(["run", str(write_config(tmp_path, plain, "plain.json"))]) == 0
+        assert main(["run", str(write_config(tmp_path, null, "null.json"))]) == 0
+        for name in ("convergence.csv", "identities.json"):
+            assert body_bytes(tmp_path / "null" / name) == body_bytes(tmp_path / "plain" / name), name
+        identities = json.loads((tmp_path / "null" / "identities.json").read_text())
+        assert "reduction" not in identities["checks"]
+        assert not (tmp_path / "null" / "zeros.csv").exists()
+
+    def test_pole_attraction_without_a_perturbation(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=["pole_attraction"])
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        checks = json.loads((out / "identities.json").read_text())["checks"]
+        assert checks == {"pole_attraction": {"pass": True, "note": "no perturbation"}}
+        assert not (out / "zeros.csv").exists()
+
     def test_type2_fails_on_a_nullity_flag(self, tmp_path):
         # on 4+4 atoms the order conditions at (3,3), (5,5) and (7,7)
         # outnumber the atoms, so every type II solve sets its nullity flag
@@ -621,6 +673,15 @@ class TestPrecisionResolution:
         assert main(["run", str(path)]) == 0
         identities = json.loads((out / "identities.json").read_text())
         assert identities["precision_bits"] == 128
+
+    def test_default_without_config_or_env(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        del cfg["precision_bits"]
+        monkeypatch.delenv("NIKISHIN_HP_PRECISION", raising=False)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        identities = json.loads((out / "identities.json").read_text())
+        assert identities["precision_bits"] == cli.DEFAULT_PRECISION_BITS == 256
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -34,7 +34,6 @@ from nikishin_hp import (
 )
 from nikishin_hp.hermite_pade import (
     _achieved_order,
-    _chain_tail,
     _escalate,
     _laurent_coeff,
     _order_basis,
@@ -642,22 +641,24 @@ def as_fraction(x):
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
+def dyadic_system():
+    """A fresh system on exact_oracle's dyadic atoms, held exactly in binary."""
+
+    def floats(values):
+        return [mpf(q.numerator) / q.denominator for q in values]  # exact: dyadic
+
+    weights = floats([exact_oracle.WEIGHT] * exact_oracle.ATOMS)
+    return system_from_generators(
+        [
+            AtomicMeasure(floats(exact_oracle.X), weights, 1, Interval(-1, 0)),
+            AtomicMeasure(floats(exact_oracle.Y), weights, 1, Interval(1, 3)),
+        ]
+    )
+
+
 class TestExactOracle:
-    @staticmethod
-    def dyadic_system():
-        def floats(values):
-            return [mpf(q.numerator) / q.denominator for q in values]  # exact: dyadic
-
-        weights = floats([exact_oracle.WEIGHT] * exact_oracle.ATOMS)
-        return system_from_generators(
-            [
-                AtomicMeasure(floats(exact_oracle.X), weights, 1, Interval(-1, 0)),
-                AtomicMeasure(floats(exact_oracle.Y), weights, 1, Interval(1, 3)),
-            ]
-        )
-
     def assert_type1_matches_the_exact_kernel(self, n, digits):
-        v = solve_type1(self.dyadic_system(), MultiIndex(n))
+        v = solve_type1(dyadic_system(), MultiIndex(n))
         assert v.precision_bits == 256 and not v.nullity_flag
         exact = exact_oracle.type1_blocks(n)
         err = max(
@@ -688,7 +689,7 @@ class TestExactOracle:
     def test_incomplete_type1_vector_lies_in_the_exact_kernel(self, n, M):
         # the kernel has dimension M + 1 and any member solves; the solver's
         # unit-max vector lies within 10^-69 to 10^-75 of it at 256 bits
-        v = solve_type1(self.dyadic_system(), MultiIndex(n), M)
+        v = solve_type1(dyadic_system(), MultiIndex(n), M)
         assert v.precision_bits == 256 and not v.nullity_flag
         vec = [as_fraction(c) for c in concatenated(v)]
         assert max(abs(c) for c in vec) == 1
@@ -699,100 +700,8 @@ class TestExactOracle:
         # digits relative to Q's largest coefficient: at 256 bits the SVD
         # kernel had 67.7, 57.7 and 46.6; the order basis has 68.6, 59.3 and
         # 48.1, and had 67.8, 58.4 and 46.9 when it eliminated at P bits
-        v = solve_type2(self.dyadic_system(), MultiIndex.diagonal(2, k))
+        v = solve_type2(dyadic_system(), MultiIndex.diagonal(2, k))
         assert v.precision_bits == 256
         exact = exact_oracle.type2_q((k, k))
         err = max(abs(as_fraction(c) - e) for c, e in zip(v.q.coeffs, exact, strict=True))
         assert err < max(abs(e) for e in exact) / 10**digits
-
-
-class TestTailTable:
-    KS = (8, 21, 36)
-
-    @pytest.mark.parametrize("order", [KS, KS[::-1]])
-    def test_tails_are_the_moments_in_either_order(self, order):
-        sys = TestExactOracle.dyadic_system()
-        P = mp.prec
-        for K in order:
-            for j in (1, 2):
-                assert bits(_chain_tail(sys, j, K)) == bits(moments(sys.chain(1, j), K))
-        # per chain, the moments up to the largest K asked for, and the power
-        # row w_i x_i^37 that continues them, rounded as moments rounds it
-        assert {key: len(t) for key, (t, _) in sys.tails.items()} == {(1, P): 37, (2, P): 37}
-        for j in (1, 2):
-            chain = sys.chain(1, j)
-            row = list(chain.weights)
-            for _ in range(37):
-                row = [w * x for w, x in zip(row, chain.nodes)]
-            assert sys.tails[(j, P)][1] == bits(row)
-
-    def test_an_ascending_sweep_computes_each_moment_row_once(self, monkeypatch):
-        # per chain and precision the rows computed add up to the largest K
-        # plus one, and each K's tail keeps the bits of a direct moments call
-        rows = []
-        real = hermite_pade._moment_rows
-
-        def counting(mu, row, count):
-            rows.append((mu.weights, mp.prec, count))
-            return real(mu, row, count)
-
-        monkeypatch.setattr(hermite_pade, "_moment_rows", counting)
-        sys = TestExactOracle.dyadic_system()
-        P = mp.prec
-        for bits_ in (P, 2 * P):
-            with mp.workprec(bits_):
-                for K in self.KS:
-                    for j in (1, 2):
-                        tail = _chain_tail(sys, j, K)
-                        assert bits(tail) == bits(moments(sys.chain(1, j), K))
-        for j in (1, 2):
-            for bits_ in (P, 2 * P):
-                counts = [
-                    count
-                    for weights, prec, count in rows
-                    if weights == sys.chain(1, j).weights and prec == bits_
-                ]
-                assert counts == [self.KS[0] + 1, self.KS[1] - self.KS[0], self.KS[2] - self.KS[1]]
-
-    def test_each_precision_gets_its_own_tail(self):
-        sys = TestExactOracle.dyadic_system()
-        P = mp.prec
-        at_p = _chain_tail(sys, 2, 21)
-        with mp.workprec(2 * P):
-            for K in self.KS:
-                assert bits(_chain_tail(sys, 2, K)) == bits(moments(sys.chain(1, 2), K))
-        assert sorted(sys.tails) == [(2, P), (2, 2 * P)]
-        assert bits(sys.tails[(2, P)][0]) == bits(at_p)
-
-    def test_table_is_left_out_of_equality_and_repr(self):
-        sys = TestExactOracle.dyadic_system()
-        _chain_tail(sys, 1, 8)
-        assert sys == TestExactOracle.dyadic_system()
-        assert "tails" not in repr(sys)
-
-    def test_tails_match_the_exact_moments(self):
-        # P-bit powers and the rounded weights of s_{1,2} cost a few ulps
-        sys = TestExactOracle.dyadic_system()
-        K = max(self.KS)
-        for j, (sign, weights) in enumerate(exact_oracle.chains(), start=1):
-            exact = exact_oracle.moments(sign, weights, K + 1)
-            for c, e in zip(_chain_tail(sys, j, K), exact, strict=True):
-                assert abs(as_fraction(c) - e) <= abs(e) / 2 ** (mp.prec - 8)
-
-    def test_solves_share_the_tails_of_their_system(self, monkeypatch):
-        # type I and type II at one index, then type I at a smaller one:
-        # the moment loop runs once per chain
-        calls = []
-        real = hermite_pade._moment_rows
-
-        def counting(mu, row, count):
-            calls.append(count)
-            return real(mu, row, count)
-
-        monkeypatch.setattr(hermite_pade, "_moment_rows", counting)
-        sys = TestExactOracle.dyadic_system()
-        n = MultiIndex.diagonal(2, 5)
-        solve_type1(sys, n)
-        solve_type2(sys, n)
-        solve_type1(sys, MultiIndex.diagonal(2, 3))
-        assert calls == [n.total + n.max_part + 5] * 2

@@ -1,8 +1,10 @@
 """Product measures, chain tables, and the two identity oracles."""
 
+import ast
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +12,39 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from nikishin_hp import nikishin
-from nikishin_hp.nikishin import s_hat_evals
+from nikishin_hp.nikishin import chain_tail, s_hat_evals
 from nikishin_hp import (
     AtomicMeasure,
     Interval,
+    MultiIndex,
     NikishinSystem,
     cauchy_eval,
     check_chain_identity,
     check_ratio_identity,
     inverse_measure,
+    moments,
     noise_floor,
     product_measure,
     s_hat_eval,
+    solve_type1,
+    solve_type2,
     system_from_generators,
 )
+
+import exact_oracle
+from test_hermite_pade import as_fraction, bits, dyadic_system
+
+
+PACKAGE = Path(nikishin.__file__).resolve().parent
+
+
+def table_attributes(source: str) -> list:
+    """Line numbers at which `source` names an attribute s_hat or tails."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("s_hat", "tails")
+    )
 
 
 def unit_at(x, lo, hi):
@@ -458,7 +479,9 @@ class TestRatioIdentity:
                 assert r.max_residual == abs(lhs - mass_ratio + bracket)
                 assert r.scale == max(abs(lhs), abs(mass_ratio), abs(bracket))
 
-    def test_products_built_twice_per_k(self, m3_16_system, monkeypatch):
+    def test_one_product_per_k(self, m3_16_system, monkeypatch):
+        # <s_{2,k}, sigma_1> reweights s_{2,k} by the build's sigma_1-hat
+        # values, so only the outer product with tau is formed
         products, inverses = [], []
 
         def counting(calls, real):
@@ -476,7 +499,7 @@ class TestRatioIdentity:
         )
         points = [mpc(5, 1), mpc(-4, 2), mpc(0, 7), mpc(2, -3)]
         assert len(check_ratio_identity(m3_16_system, points)) == 2 * 4
-        assert len(products) == 2 * (m3_16_system.m - 1)
+        assert len(products) == m3_16_system.m - 1
         assert len(inverses) == 1
 
     def test_empty_point_list(self, m2_16_system):
@@ -484,3 +507,120 @@ class TestRatioIdentity:
 
     def test_single_generator_gives_no_residuals(self, f1_system):
         assert check_ratio_identity(f1_system, [mpc(5, 5)]) == []
+
+
+class TestTailTable:
+    KS = (8, 21, 36)
+
+    @pytest.mark.parametrize("order", [KS, KS[::-1]])
+    def test_tails_are_the_moments_in_either_order(self, order):
+        sys = dyadic_system()
+        P = mp.prec
+        for K in order:
+            for j in (1, 2):
+                assert bits(chain_tail(sys, j, K)) == bits(moments(sys.chain(1, j), K))
+        # per chain, the moments up to the largest K asked for, and the power
+        # row w_i x_i^37 that continues them, rounded as moments rounds it
+        assert {key: len(t) for key, (t, _) in sys.tails.items()} == {(1, P): 37, (2, P): 37}
+        for j in (1, 2):
+            chain = sys.chain(1, j)
+            row = list(chain.weights)
+            for _ in range(37):
+                row = [w * x for w, x in zip(row, chain.nodes)]
+            assert sys.tails[(j, P)][1] == bits(row)
+
+    def test_an_ascending_sweep_computes_each_moment_row_once(self, monkeypatch):
+        # per chain and precision the rows computed add up to the largest K
+        # plus one, and each K's tail keeps the bits of a direct moments call
+        rows = []
+        real = nikishin._moment_rows
+
+        def counting(mu, row, count):
+            rows.append((mu.weights, mp.prec, count))
+            return real(mu, row, count)
+
+        monkeypatch.setattr(nikishin, "_moment_rows", counting)
+        sys = dyadic_system()
+        P = mp.prec
+        for bits_ in (P, 2 * P):
+            with mp.workprec(bits_):
+                for K in self.KS:
+                    for j in (1, 2):
+                        tail = chain_tail(sys, j, K)
+                        assert bits(tail) == bits(moments(sys.chain(1, j), K))
+        for j in (1, 2):
+            for bits_ in (P, 2 * P):
+                counts = [
+                    count
+                    for weights, prec, count in rows
+                    if weights == sys.chain(1, j).weights and prec == bits_
+                ]
+                assert counts == [self.KS[0] + 1, self.KS[1] - self.KS[0], self.KS[2] - self.KS[1]]
+
+    def test_each_precision_gets_its_own_tail(self):
+        sys = dyadic_system()
+        P = mp.prec
+        at_p = chain_tail(sys, 2, 21)
+        with mp.workprec(2 * P):
+            for K in self.KS:
+                assert bits(chain_tail(sys, 2, K)) == bits(moments(sys.chain(1, 2), K))
+        assert sorted(sys.tails) == [(2, P), (2, 2 * P)]
+        assert bits(sys.tails[(2, P)][0]) == bits(at_p)
+
+    def test_table_is_left_out_of_equality_and_repr(self):
+        sys = dyadic_system()
+        chain_tail(sys, 1, 8)
+        assert sys == dyadic_system()
+        assert "tails" not in repr(sys)
+
+    def test_tails_match_the_exact_moments(self):
+        # P-bit powers and the rounded weights of s_{1,2} cost a few ulps
+        sys = dyadic_system()
+        K = max(self.KS)
+        for j, (sign, weights) in enumerate(exact_oracle.chains(), start=1):
+            exact = exact_oracle.moments(sign, weights, K + 1)
+            for c, e in zip(chain_tail(sys, j, K), exact, strict=True):
+                assert abs(as_fraction(c) - e) <= abs(e) / 2 ** (mp.prec - 8)
+
+    def test_solves_share_the_tails_of_their_system(self, monkeypatch):
+        # type I and type II at one index, then type I at a smaller one:
+        # the moment loop runs once per chain
+        calls = []
+        real = nikishin._moment_rows
+
+        def counting(mu, row, count):
+            calls.append(count)
+            return real(mu, row, count)
+
+        monkeypatch.setattr(nikishin, "_moment_rows", counting)
+        sys = dyadic_system()
+        n = MultiIndex.diagonal(2, 5)
+        solve_type1(sys, n)
+        solve_type2(sys, n)
+        solve_type1(sys, MultiIndex.diagonal(2, 3))
+        assert calls == [n.total + n.max_part + 5] * 2
+
+
+class TestTableOwner:
+    """nikishin is the only module that reads or writes a system's tables."""
+
+    def test_no_other_module_names_the_tables(self):
+        found = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.name != "nikishin.py":
+                lines = table_attributes(path.read_text())
+                if lines:
+                    found[path.name] = lines
+        assert found == {}
+
+    def test_the_guard_sees_each_form(self):
+        source = (
+            "sys.s_hat[key] = value\n"
+            "tail, row = sys.tails.get(key)\n"
+            "update(system.s_hat)\n"
+            "s_hat = {}\n"
+            "values = s_hat_evals(sys, 1, (1,), z)\n"
+            "nikishin.s_hat_evals\n"
+        )
+        assert table_attributes(source) == [1, 2, 3]
+        assert table_attributes((PACKAGE / "nikishin.py").read_text())
