@@ -159,10 +159,9 @@ class Polynomial:
         return Polynomial([c / lead for c in self.coeffs])
 
     def __call__(self, z):
-        acc = to_scalar(0) if not isinstance(z, (mpc, complex)) else mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        if self.is_zero:
+            return mpc(0) if isinstance(z, (mpc, complex)) else mpf(0)
+        return _horner(self.coeffs, z)
 
     # -- misc ----------------------------------------------------------------
 
@@ -317,7 +316,8 @@ def poly_roots(p: Polynomial) -> list:
 
 
 def _horner(cs, x):
-    acc = cs[-1]
+    """cs[0] + cs[1] x + ... by Horner's rule; the leading coefficient is rounded first (+c)."""
+    acc = +cs[-1]
     for a in cs[-2::-1]:
         acc = acc * x + a
     return acc

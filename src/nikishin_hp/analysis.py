@@ -340,8 +340,11 @@ def pole_attraction(
     """Count zeros of a_j inside eps-balls at the poles; census the leftovers.
 
     Strays are roots farther than eps from every pole, outside the
-    eps-inflation of the last interval, and within 4x the outer radius of the
-    poles and the last interval (the compact scale of the default grid).
+    eps-inflation of the last interval, and within the far radius
+    4 max(|a|, |b|, 1, |poles|) of the last interval [a, b] and the poles.
+    That radius reads only the last interval, with a floor of 1, so it is
+    not EvalGrid.default's circle, which takes radius_factor times the
+    outer radius of every support and pole.
     Zeros beyond that radius belong to the point at infinity: the predicted
     limit puts kappa zeros at each pole and every other zero on the last
     interval or out at infinity, so strays should empty as |n| grows.

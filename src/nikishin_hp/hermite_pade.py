@@ -203,6 +203,13 @@ class TypeIVector:
     flag is True when these do not span exactly the M + 1 dimensions that
     the order deficit M leaves (at atomic degree, for instance), or when
     there are no order conditions at all.
+
+    For M > 0 the solutions form an (M+1)-dimensional space, and the solve
+    returns its member of least shifted degree in x = 1/z, which is the
+    member with the most factors of z.  On the README system (32+32
+    Legendre atoms, unperturbed, 256 bits), a_2(0) = 0 for M = 1..3, and
+    at M = 3 the vector is z times the complete (k-1, k-1) vector, bit for
+    bit but for the rounding in a_0(0).
     """
 
     a: tuple

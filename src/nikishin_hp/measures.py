@@ -5,7 +5,10 @@ of Legendre/Jacobi densities; after realization every measure is a finite
 point-mass measure treated as exact, so every integral downstream is a finite
 sum evaluated to solver precision.  The module also constructs the inverse
 measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
-= ell + tau-hat for a degree-one ell.
+= ell + tau-hat for a degree-one ell.  tau's atoms, the zeros of sigma-hat
+in the gaps between sigma's atoms, come from one safeguarded Newton on the
+open gap, _newton_in_bracket, run in Python floats for the start and then
+at P+64 bits.
 
 Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
 tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
@@ -538,48 +541,71 @@ def inverse_measure(mu: AtomicMeasure):
 def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
     """Unique zero of mu-hat in the open gap (x_i, x_{i+1}).
 
-    A bracket [a, b] inside the gap is shrunk toward the atoms until mu-hat
-    changes sign across it.  Newton then starts from the float64 root of
-    _float_gap_root when that lies strictly inside the bracket, and from
-    the bracket's midpoint otherwise (float64 cannot place a root that sits
-    closer to an atom than its rounding, nor weights beyond its range).
-    Each iterate x replaces a or b by the sign of mu-hat at x, so the
-    bracket keeps the root, and a step that would leave the bracket is
-    replaced by one to its midpoint.  The root may lie far closer to one
-    atom than to the other (lopsided weights); the midpoint steps then close
-    in on it.
+    _newton_in_bracket on the gap itself, where the sign-stripped mu-hat
+    runs from +inf to -inf.  It starts from the float64 root of
+    _float_gap_root when that lies strictly inside the gap, and from the
+    gap's midpoint otherwise (float64 cannot place a root that sits closer
+    to an atom than its rounding, nor weights beyond its range).  The root
+    may lie far closer to one atom than to the other (lopsided weights);
+    the midpoint steps then close in on it.  A root the loop cannot
+    resolve raises RuntimeError: an iterate that lands on an atom, no
+    convergence, or a root within tol (1 + |x|) of an atom.
     """
     lo, hi = mu.nodes[i], mu.nodes[i + 1]
-    gap = hi - lo
-
-    def f(t):
-        ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], mpf(t))
-        return mp.make_mpf(raw)
 
     def f_and_slope(t):
-        """f(t) and mu.sign * cauchy_derivative(mu, t), from one pass."""
-        (raw,), (raw2,) = _cauchy_pass(mu.nodes, [mu.weights], mpf(t), (1, 2))
-        return mp.make_mpf(raw), mu.sign * _signed(raw2, -mu.sign)
+        """mu-hat and its derivative at t, sign stripped, from one pass."""
+        (raw,), (raw2,) = _cauchy_pass(mu.nodes, [mu.weights], t, (1, 2))
+        return mp.make_mpf(raw), -mp.make_mpf(raw2)
 
-    # mu-hat (sign stripped) runs from +inf to -inf across the gap; shrink
-    # toward the poles until the bracket is sign-definite.
-    a, b = lo + gap / 8, hi - gap / 8
-    fa, fb = f(a), f(b)
-    shrink = 0
-    while not (fa > 0 > fb):
-        if fa <= 0:
-            a = lo + (a - lo) / 2
-            fa = f(a)
-        if fb >= 0:
-            b = hi - (hi - b) / 2
-            fb = f(b)
-        shrink += 1
-        if shrink > mp.prec:
-            raise RuntimeError("inverse measure construction failed; raise precision")
     start = _float_gap_root(mu, i)
-    x = mpf(start) if start is not None and a < start < b else (a + b) / 2
+    x = mpf(start) if start is not None and lo < start < hi else (lo + hi) / 2
     tol = mpf(2) ** (-mp.prec + 8)
-    for _ in range(2 * mp.prec):
+    try:
+        x = _newton_in_bracket(f_and_slope, lo, hi, x, tol, 2 * mp.prec)
+    except ZeroDivisionError:
+        x = None
+    if x is None or min(x - lo, hi - x) <= tol * (1 + abs(x)):
+        raise RuntimeError("inverse measure construction failed; raise precision")
+    return x
+
+
+def _float_gap_root(mu: AtomicMeasure, i: int) -> Optional[float]:
+    """A float64 zero of mu-hat in the gap (x_i, x_{i+1}), or None.
+
+    _newton_in_bracket in Python floats on the float gap, from its
+    midpoint.  Returns None when a value leaves the float range, an
+    iterate hits an atom, no step settles, or the result does not lie
+    strictly inside the float gap (so a root it returns is finite): when
+    the root lies closer to an atom than float64 resolves, the midpoint
+    steps shrink the bracket onto that atom and the caller falls back to
+    its own start.
+    """
+    xs = [float(x) for x in mu.nodes]
+    ws = [float(w) for w in mu.weights]
+    a, b = xs[i], xs[i + 1]
+
+    def f_and_slope(t):
+        fx = math.fsum(w / (t - x) for x, w in zip(xs, ws))
+        return fx, -math.fsum(w / (t - x) ** 2 for x, w in zip(xs, ws))
+
+    try:
+        x = _newton_in_bracket(f_and_slope, a, b, (a + b) / 2, 2.0**-50, 200)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    return x if x is not None and a < x < b else None
+
+
+def _newton_in_bracket(f_and_slope, a, b, x, tol, steps):
+    """Safeguarded Newton for the zero of f in [a, b], where f runs from + to -.
+
+    Works on Python floats and on mpf alike.  f_and_slope(x) gives f(x) and
+    f'(x).  Each iterate x replaces a or b by the sign of f(x), so the
+    bracket keeps the root, and a step that would leave the bracket is
+    replaced by one to its midpoint.  Returns x after a step s with
+    |s| <= tol (1 + |x|), or None after `steps` iterations.
+    """
+    for _ in range(steps):
         fx, slope = f_and_slope(x)
         if fx > 0:
             a = x
@@ -592,42 +618,4 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
         x = x - step
         if abs(step) <= tol * (1 + abs(x)):
             return x
-    raise RuntimeError("inverse measure construction failed; raise precision")
-
-
-def _float_gap_root(mu: AtomicMeasure, i: int) -> Optional[float]:
-    """A float64 zero of mu-hat in the gap (x_i, x_{i+1}), or None.
-
-    The same safeguarded Newton as _gap_root, in Python floats, on the
-    bracket of the float gap itself, where the sign-stripped mu-hat runs
-    from +inf to -inf.  Only a Newton step, not a midpoint one, can meet
-    the stop rule.  Returns None when a value leaves the float range, an
-    iterate hits an atom, or no Newton step settles: so when the root lies
-    closer to an atom than float64 resolves, the midpoint steps shrink the
-    bracket onto that atom and the caller falls back to its own start.
-    """
-    xs = [float(x) for x in mu.nodes]
-    ws = [float(w) for w in mu.weights]
-    a, b = xs[i], xs[i + 1]
-    x = (a + b) / 2
-    try:
-        for _ in range(200):
-            fx = math.fsum(w / (x - t) for t, w in zip(xs, ws))
-            if not math.isfinite(fx):
-                return None
-            if fx > 0:
-                a = x
-            else:
-                b = x
-            step = fx / -math.fsum(w / (x - t) ** 2 for t, w in zip(xs, ws))
-            if x - step == x:
-                return x
-            if not a < x - step < b:
-                x = (a + b) / 2
-                continue
-            x = x - step
-            if abs(step) <= 2.0**-50 * (1 + abs(x)):
-                return x
-    except (OverflowError, ZeroDivisionError):
-        return None
     return None

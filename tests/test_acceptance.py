@@ -39,7 +39,7 @@ from nikishin_hp import (
     type2_residual_tail,
 )
 from nikishin_hp.cli import parse_config, run_experiment
-from test_cli import golden_class_config
+from test_cli import golden_class_config, golden_m3_class_config, golden_offdiag_config
 
 PREC = 256
 
@@ -259,4 +259,34 @@ def test_criterion_10_class_config(tmp_path):
     print(
         f"criterion 10: at |n| = {largest} each of +-2i and 0.5 captures one zero of a_1 "
         f"and of a_2, no strays; delta {mp.nstr(deltas['err_1'], 3)}, {mp.nstr(deltas['err_0'], 3)}"
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [golden_m3_class_config, golden_offdiag_config], ids=["m3-class", "offdiag"]
+)
+def test_criterion_10_rest_of_class(tmp_path, config):
+    # m=3 with every component perturbed (poles -3, 3.5 in the gap beside
+    # [1, 3], and 8) and the nested indices (k+1, k) at poles +-5.  The
+    # errors need not fall at every step: offdiag's err_1 rises from 0.368
+    # to 0.378 between |n| = 7 and 9, and m3-class's err_2 from 1.54 to
+    # 1.64 between |n| = 9 and 12
+    result = run_experiment(parse_config(config(tmp_path / "out")))
+    assert result.passes and all(result.passes.values()), result.passes
+    deltas = estimate_rate(result.rows).deltas
+    assert all(d < 1 for d in deltas.values()), deltas
+    with open(result.output_dir / "zeros.csv", newline="") as f:
+        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+    largest = max(int(r["abs_n"]) for r in rows)
+    last = [r for r in rows if int(r["abs_n"]) == largest]
+    components = {r["component"] for r in last}
+    assert len(components) == len(result.rows[0].n.parts)
+    for j in sorted(components):
+        poles = [r for r in last if r["component"] == j and r["kind"] == "pole"]
+        assert poles and all(r["count"] == r["kappa"] for r in poles), (j, poles)
+        (census,) = [r for r in last if r["component"] == j and r["kind"] == "census"]
+        assert census["count"] == "0", (j, census)
+    print(
+        f"criterion 10: at |n| = {largest} each pole captures kappa zeros of every a_j, "
+        f"no strays; delta {({k: mp.nstr(d, 3) for k, d in deltas.items()})}"
     )

@@ -73,6 +73,29 @@ def golden_class_config(out_dir):
     return cfg
 
 
+def golden_offdiag_config(out_dir):
+    """The smoke run at 256 bits on the indices (k+1, k), k = 2..6; tests/data/golden_offdiag."""
+    cfg = dict(golden_smoke_config(out_dir), precision_bits=256)
+    cfg["sweep"] = [[k + 1, k] for k in range(2, 7)]
+    return cfg
+
+
+def golden_m3_class_config(out_dir):
+    """m=3 at 256 bits with every component perturbed; tests/data/golden_m3_class."""
+    cfg = dict(golden_smoke_config(out_dir), precision_bits=256, pole_eps=0.1875)
+    cfg["system"] = [
+        {"kind": "legendre-density", "interval": [a, b], "node_count": 24}
+        for a, b in ((-1, 0), (1, 3), (4, 6))
+    ]
+    cfg["perturbations"] = [
+        {"num_coeffs": [1], "den_coeffs": [3, 1]},
+        {"num_coeffs": [1], "den_coeffs": [-3.5, 1]},
+        {"num_coeffs": [1], "den_coeffs": [-8, 1]},
+    ]
+    cfg["sweep"] = {"shape": "diagonal", "k_min": 3, "k_max": 6, "step": 1}
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -196,6 +219,22 @@ class TestArgumentHandling:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "numeric", "detail": "nullspace produced the zero vector"}
         assert not (tmp_path / "out").exists()  # no empty output directory
+
+    def test_unresolvable_gap_root_exits_3(self, tmp_path, capsys):
+        # sigma_1-hat's zero sits 10^-100 from the atom 1, closer than the
+        # inverse measure's P+64 bits resolve
+        cfg = base_config(tmp_path / "out", sweep=[], checks=["ratio44"])
+        cfg["system"] = [
+            {"kind": "atoms", "interval": [0, 1], "nodes": [0, 1], "weights": ["1e100", 1]},
+            {"kind": "legendre-density", "interval": [2, 3], "node_count": 4},
+        ]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {
+            "error": "numeric",
+            "detail": "inverse measure construction failed; raise precision",
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_value_error_after_the_solves_exits_3(self, tmp_path, capsys, monkeypatch):
         # the config was accepted: a ValueError from a check is numerical

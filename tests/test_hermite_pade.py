@@ -353,6 +353,33 @@ class TestTypeIPlain:
                 assert v.residual_order == v.n.total + 4  # never left zero
 
 
+class TestIncompleteMember:
+    """Which of the M + 1 dimensions of solutions an order deficit M > 0 returns.
+
+    The solve takes the basis row of least shifted degree in x = 1/z: the
+    member with the most factors of z.  On the README fixture (32+32
+    Legendre atoms, plain, 256 bits).
+    """
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_last_component_has_a_factor_z(self, m2_32_system, k, M):
+        v = solve_type1(m2_32_system, MultiIndex((k, k)), M=M)
+        assert v.a[2].coeffs[0] == 0
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_deficit_three_is_z_times_the_complete_vector(self, m2_32_system, k):
+        # both normalized to unit max over a_1, a_2; a_0, formed from the
+        # polynomial part of sum_j a_j f_j, carries its rounding in the
+        # constant term, which z times a_0 would have exactly 0
+        v = solve_type1(m2_32_system, MultiIndex((k, k)), M=3)
+        c = solve_type1(m2_32_system, MultiIndex((k - 1, k - 1)))
+        for j in (1, 2):
+            assert v.a[j].coeffs == (mpf(0),) + c.a[j].coeffs
+        assert v.a[0].coeffs[1:] == c.a[0].coeffs
+        assert abs(v.a[0].coeffs[0]) <= noise_floor(0.5)
+
+
 class TestTypeIPerturbed:
     def test_zero_perturbation_reduces_to_plain(self, m2_16_system):
         n = MultiIndex((3, 3))

@@ -827,6 +827,15 @@ class TestGapRoot:
         for mu in self.gap_measures() + generators + [extreme]:
             same_tau(mu, "_float_gap_root", lambda mu, i: None)
 
+    @pytest.mark.parametrize("e", [100, -100])
+    def test_root_beyond_the_precision_raises(self, e):
+        # at 256 bits the root sits 10^-100 from an atom, closer than the
+        # P+64-bit Newton can separate from it: with the heavy atom at 0,
+        # an iterate lands on the atom 1; with it at 1, the root is within
+        # tol of the atom 0
+        with pytest.raises(RuntimeError, match="raise precision"):
+            inverse_measure(lopsided_pair(mpf(10) ** e))
+
     @pytest.mark.parametrize("order", ["heavy_left", "heavy_right"])
     @pytest.mark.parametrize("e", [15, 20, 25, 30, 40])
     def test_lopsided_weights_give_the_exact_root(self, e, order):
