@@ -20,8 +20,6 @@ from .analysis import (
     RateEstimate,
     convergence_row,
     estimate_rate,
-    first_level_remainder_values,
-    first_level_sign_grid,
     pole_attraction,
     ratio_targets,
     sign_changes,
@@ -33,6 +31,7 @@ from .hermite_pade import (
     TypeIIVector,
     TypeIVector,
     check_orthogonality,
+    first_level_remainder_values,
     perturbed_reduce,
     remainder_eval,
     solve_type1,

@@ -38,6 +38,9 @@ pairs; on the default grid, 31 of 80 points.
 The rows of a diagonal sweep feed a least-squares geometric rate
 estimate, and root censuses verify that each pole of multiplicity kappa
 captures exactly kappa zeros of every component while stray zeros vanish.
+sign_changes counts the alternations of a list of values; the sign-change
+check gives it hermite_pade.first_level_remainder_values, the remainder at
+sigma_1's atoms, where orthogonality puts the sign changes.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Optional
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fone, fzero, mpc_mul, mpf_mul, mpf_neg, mpf_pos, mpf_sum, round_nearest
 
-from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector, remainder_eval
+from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector
 # cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
 from .measures import Interval, cauchy_eval  # noqa: F401
 from .nikishin import NikishinSystem, s_hat_evals
@@ -281,27 +284,6 @@ def sign_changes(values) -> int:
         if (a > 0) != (b > 0):
             count += 1
     return count
-
-
-def first_level_sign_grid(sys: NikishinSystem, refine: bool = False):
-    """Ordered interior points where A_1's alternations are counted.
-
-    Atoms of sigma_1 and the midpoints between them; refine adds the quarter
-    points flanking each atom.  The transforms inside A_1 live on later
-    intervals, so values at the atoms themselves are finite.
-    """
-    nodes = sys.generators[0].nodes
-    pts = list(nodes)
-    for x, y in zip(nodes, nodes[1:]):
-        pts.append((x + y) / 2)
-        if refine:
-            pts.append(x + (y - x) / 4)
-            pts.append(x + 3 * (y - x) / 4)
-    return sorted(pts)
-
-
-def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector, refine: bool = False):
-    return [remainder_eval(sys, v, 1, x) for x in first_level_sign_grid(sys, refine)]
 
 
 @dataclass(frozen=True)

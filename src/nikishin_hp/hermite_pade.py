@@ -27,6 +27,11 @@ The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
 order condition by T = prod t_j turns the solution into an incomplete
 approximant of the plain system with order deficit deg T, which
 perturbed_reduce performs and verifies.
+
+remainder_eval gives the remainders A_j of the plain system.  Both
+remainder checks, orthogonality and sign changes, read A_1 only at sigma_1's
+atoms, from first_level_remainder_values: orthogonality to the polynomials
+of degree N - 2 there forces N - 1 sign changes among those values.
 """
 
 from __future__ import annotations
@@ -587,11 +592,32 @@ def remainder_eval(sys: NikishinSystem, v: TypeIVector, j: int, z):
     return acc
 
 
+def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
+    """A_1(x_i) = remainder_eval(sys, v, 1, x_i) at sigma_1's atoms, in order.
+
+    These are the only values of A_1 that either remainder check reads, and
+    they alone carry its sign changes on Delta_1.  With N the vector's order
+    target, sum_i p(x_i) A_1(x_i) w_i vanishes for every p of degree at most
+    N - 2 (check_orthogonality tests it).  Were there k <= N - 2 sign changes
+    among the A_1(x_i), the polynomial p with one zero between each pair of
+    neighbouring atoms where the sign changes would have degree k and give
+    every nonzero term of that sum the same sign, so A_1 changes sign at
+    least N - 1 times along the atoms, and no point between them is needed
+    to see it.  A perturbed solve's vector v reduces to T a_1, ..., T a_m,
+    whose remainder T * A_1 obeys the argument; T has no zero on Delta_1,
+    where validate_against keeps the poles off, so A_1 changes sign as
+    often.  The transforms at the atoms are in the system's table from the
+    build, so the values add no entry to it.
+    """
+    return [remainder_eval(sys, v, 1, x) for x in sys.generators[0].nodes]
+
+
 def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
     """Moment orthogonality of the first-level remainder on sigma_1's atoms.
 
     With N the vector's order target, the sums sum_i x_i^nu A_1(x_i) w_i sign
-    vanish for nu = 0..N-2.  Vectors from perturbed_reduce verify the
+    vanish for nu = 0..N-2, the A_1(x_i) read from
+    first_level_remainder_values.  Vectors from perturbed_reduce verify the
     T-weighted form automatically since their remainder is T * A_1.  Deeper
     remainder levels are not checked.
     """
@@ -599,7 +625,7 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
     if N <= 1:
         return Residual(mpf(0), mpf(0))
     sigma1 = sys.generators[0]
-    vals = [remainder_eval(sys, v, 1, x) for x in sigma1.nodes]
+    vals = first_level_remainder_values(sys, v)
     signed = [val * w * sigma1.sign for val, w in zip(vals, sigma1.weights)]
     max_residual = mpf(0)
     max_scale = mpf(0)

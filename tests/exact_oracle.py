@@ -16,7 +16,8 @@ the kernel of the |n| - 1 order conditions
 
 and is normalized as the solver normalizes it: the largest coefficient of
 a_1, a_2 has modulus 1 and the leading coefficient of the last nonzero
-block is positive.  With an order deficit M > 0 only the first
+block is positive.  first_level_remainder gives its first-level remainder
+A_1 = a_1 + a_2 sigma_2-hat at the atoms X.  With an order deficit M > 0 only the first
 |n| - 1 - M conditions are imposed and the kernel has dimension M + 1, so
 any member of it solves the problem; type1_kernel_distance measures how far
 a vector lies from it.  The type II denominator Q, of degree |n|, spans the
@@ -37,11 +38,16 @@ X = tuple(-1 + Fraction(2 * i + 1, 32) for i in range(ATOMS))
 Y = tuple(1 + Fraction(2 * i + 1, 16) for i in range(ATOMS))
 
 
+def sigma2_hat():
+    """sigma_2-hat(x_i) = sum_l WEIGHT / (x_i - y_l) at the atoms X."""
+    return [sum(WEIGHT / (x - y) for y in Y) for x in X]
+
+
 def chains():
     """(sign, weights) of s_{1,1} and s_{1,2}; both have the atoms X."""
-    sigma2_hat = [sum(WEIGHT / (x - y) for y in Y) for x in X]
-    assert all(v < 0 for v in sigma2_hat)
-    return [(1, (WEIGHT,) * ATOMS), (-1, tuple(-WEIGHT * v for v in sigma2_hat))]
+    values = sigma2_hat()
+    assert all(v < 0 for v in values)
+    return [(1, (WEIGHT,) * ATOMS), (-1, tuple(-WEIGHT * v for v in values))]
 
 
 def moments(sign, weights, count):
@@ -102,6 +108,17 @@ def type1_blocks(n):
     blocks = [[c / mx for c in vec[: n[0]]], [c / mx for c in vec[n[0] :]]]
     lead = next(c for b in reversed(blocks) for c in reversed(b) if c != 0)
     return [[-c for c in b] for b in blocks] if lead < 0 else blocks
+
+
+def first_level_remainder(n):
+    """A_1(x_i) = a_1(x_i) + a_2(x_i) sigma_2-hat(x_i) at the atoms X, from
+    type1_blocks(n)."""
+
+    def value(coeffs, x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    a1, a2 = type1_blocks(n)
+    return [value(a1, x) + value(a2, x) * s for x, s in zip(X, sigma2_hat())]
 
 
 def dot(u, v):

@@ -139,10 +139,6 @@ def test_criterion_3_order_and_orthogonality(m2_32_system, sweep_solutions):
         orth = check_orthogonality(m2_32_system, v)
         worst_orth = max(worst_orth, orth.max_residual)
         count = sign_changes(first_level_remainder_values(m2_32_system, v))
-        if count < v.n.total - 1:
-            count = sign_changes(
-                first_level_remainder_values(m2_32_system, v, refine=True)
-            )
         assert count >= v.n.total - 1, f"sign changes {count} < {v.n.total - 1} at k={k}"
     print(f"criterion 3: worst orthogonality residual {mp.nstr(worst_orth, 3)}")
     assert worst_orth <= mpf(10) ** -40

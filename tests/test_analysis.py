@@ -21,7 +21,6 @@ from nikishin_hp import (
     convergence_row,
     estimate_rate,
     first_level_remainder_values,
-    first_level_sign_grid,
     noise_floor,
     pole_attraction,
     ratio_targets,
@@ -322,12 +321,6 @@ class TestSignChanges:
             v = solve_type1(m2_16_system, MultiIndex((k, k)))
             count = sign_changes(first_level_remainder_values(m2_16_system, v))
             assert count >= 2 * k - 1
-
-    def test_refined_grid_is_denser(self, m2_16_system):
-        base = first_level_sign_grid(m2_16_system)
-        fine = first_level_sign_grid(m2_16_system, refine=True)
-        assert len(fine) > len(base)
-        assert base == sorted(base) and fine == sorted(fine)
 
 
 class TestPoleAttraction:

@@ -767,6 +767,17 @@ class TestPrecisionResolution:
         assert not out.exists()
         assert mp.prec == 53
 
+    @pytest.mark.parametrize("value", ["abc", "128.5"])
+    def test_non_integer_flag_exits_2_with_json(self, tmp_path, capsys, value):
+        # the flag goes through the config's integer rule, not argparse's
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        assert main(["run", str(write_config(tmp_path, cfg)), "--precision-bits", value]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert err["detail"].startswith("bad precision_bits: ")
+        assert not out.exists()
+
     def test_check_flag_overrides_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, sweep=[[2, 2]], checks=["chile", "ratio44"])

@@ -20,11 +20,13 @@ from nikishin_hp import (
     TypeIVector,
     build_system,
     check_orthogonality,
+    first_level_remainder_values,
     laurent_expand_rational,
     moments,
     noise_floor,
     perturbed_reduce,
     remainder_eval,
+    sign_changes,
     solve_type1,
     solve_type1_perturbed,
     solve_type2,
@@ -624,6 +626,16 @@ class TestRemainder:
         with pytest.raises(IndexError):
             remainder_eval(m2_16_system, v, 3, mpc(0, 1))
 
+    def test_first_level_values_add_no_table_entries(self):
+        # the build stores every transform at sigma_1's atoms, so the values
+        # both remainder checks read evaluate no transform
+        sys = legendre_system(256, 32)
+        v = solve_type1(sys, MultiIndex((6, 6)))
+        before = len(sys.s_hat)
+        values = first_level_remainder_values(sys, v)
+        assert len(sys.s_hat) == before
+        assert len(values) == len(sys.generators[0].nodes)
+
 
 class TestOrthogonality:
     def test_f1_two_term_cancellation(self, f1_system):
@@ -721,6 +733,20 @@ class TestExactOracle:
         vec = [as_fraction(c) for c in concatenated(v)]
         assert max(abs(c) for c in vec) == 1
         assert exact_oracle.type1_kernel_distance(vec, n, M) < Fraction(1, 10**65)
+
+    @pytest.mark.parametrize("n", [(k, k) for k in range(2, 8)] + [(4, 3), (5, 4)])
+    def test_remainder_sign_changes_match_the_exact_count(self, n):
+        # orthogonality to degree |n| - 2 forces |n| - 1 sign changes of A_1
+        # at the atoms; the exact remainder has exactly that many, and no
+        # exact value is 0 for the count to skip
+        exact = exact_oracle.first_level_remainder(n)
+        assert all(value != 0 for value in exact)
+        count = sum((a > 0) != (b > 0) for a, b in zip(exact, exact[1:]))
+        assert count == sum(n) - 1
+        sys = dyadic_system()
+        v = solve_type1(sys, MultiIndex(n))
+        assert v.precision_bits == 256
+        assert sign_changes(first_level_remainder_values(sys, v)) == count
 
     @pytest.mark.parametrize("k, digits", [(3, 66), (5, 56), (7, 45)])
     def test_type2_q_matches_the_exact_kernel(self, k, digits):
