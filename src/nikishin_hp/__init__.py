@@ -10,7 +10,6 @@ from .algebra import (
     Polynomial,
     RationalFn,
     laurent_expand_rational,
-    poly_gcd,
     poly_roots,
 )
 from .analysis import (

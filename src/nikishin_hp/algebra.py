@@ -2,9 +2,11 @@
 
 Polynomials are dense coefficient tuples in ascending degree; the zero
 polynomial has degree -1 and the empty tuple is its unique representation.
-Rational fractions are kept irreducible with monic denominator and vanish at
-infinity (deg num < deg den).  The expansion of such a function at infinity
-is a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
+Rational fractions have a monic denominator and vanish at infinity
+(deg num < deg den); they are not reduced, and whether a root of the
+denominator is a pole is decided by hermite_pade.RationalPerturbation,
+which finds those roots.  The expansion of such a function at infinity is
+a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
 
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
@@ -149,9 +151,6 @@ class Polynomial:
                 rem[i + k] -= q * c
         return Polynomial(quo), Polynomial(rem[: other.degree])
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
@@ -189,10 +188,11 @@ def _as_poly(x) -> Polynomial:
 
 
 class RationalFn:
-    """Irreducible rational fraction vanishing at infinity (deg num < deg den).
+    """Rational fraction vanishing at infinity (deg num < deg den).
 
     The denominator is normalized monic at construction; a zero numerator
-    collapses to 0/1.
+    collapses to 0/1.  Irreducibility is not checked here:
+    RationalPerturbation rejects a numerator that vanishes at a pole.
     """
 
     __slots__ = ("num", "den")
@@ -208,9 +208,6 @@ class RationalFn:
             return
         if num.degree >= den.degree:
             raise ValueError("rational fraction must vanish at infinity (deg num < deg den)")
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            raise ValueError("rational fraction must be irreducible")
         lead = den.leading()
         self.num = Polynomial([c / lead for c in num.coeffs])
         self.den = den.monic()
@@ -246,30 +243,6 @@ def laurent_expand_rational(r: RationalFn, K: int) -> tuple:
             s -= r.den[i] * h[i - d + k]
         h.append(s)
     return tuple(mpf(c) for c in h)  # rounded to the working precision
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd by a normalized Euclid remainder sequence.
-
-    Remainders are rescaled to unit max-coefficient each step; a remainder is
-    treated as zero once its max coefficient drops below 2^-P/2 relative to
-    the normalized operands.
-    """
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    tol = noise_floor(0.5)
-    a, b = (p, q) if p.degree >= q.degree else (q, p)
-    if not a.is_zero:
-        a = Polynomial([c / a.max_coeff() for c in a.coeffs])
-    if not b.is_zero:
-        b = Polynomial([c / b.max_coeff() for c in b.coeffs])
-    while True:
-        if b.is_zero or b.max_coeff() <= tol:
-            return a.monic()
-        _, rem = divmod(a, b)
-        if rem.is_zero or rem.max_coeff() <= tol:
-            return b.monic()
-        a, b = b, Polynomial([c / rem.max_coeff() for c in rem.coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,16 @@ by 2.0 and 1.65.  A floor on the correct digits is an open ROADMAP item.
 The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
 order condition by T = prod t_j turns the solution into an incomplete
 approximant of the plain system with order deficit deg T, which
-perturbed_reduce performs and verifies.
+perturbed_reduce performs and verifies.  RationalPerturbation alone
+decides which roots of the t_j are poles, and perturbed_reduce alone forms
+the cofactors T/t_j.
 
 remainder_eval gives the remainders A_j of the plain system.  Both
 remainder checks, orthogonality and sign changes, read A_1 only at sigma_1's
-atoms, from first_level_remainder_values: orthogonality to the polynomials
-of degree N - 2 there forces N - 1 sign changes among those values.
+atoms, from first_level_remainder_values, and only for plain-system
+vectors: a perturbed solve is checked through its T-reduced vector.
+Orthogonality to the polynomials of degree N - 2 there forces N - 1 sign
+changes among those values.
 """
 
 from __future__ import annotations
@@ -118,6 +122,13 @@ class RationalPerturbation:
     poles holds the distinct zeros of T with multiplicities; components may be
     identically zero (they contribute no pole factors).  Pole sets of distinct
     nonzero components must be disjoint.
+
+    Every root zeta of t_j must be a pole of v_j/t_j: the fraction is
+    rejected as reducible when |v_j(zeta)| <= 2^-P/4 max|coeff v_j|
+    max(1, |zeta|)^deg v_j.  The gate is 2^-P/4 and not the 2^-P/2 of
+    poly_roots because a kappa-fold root's cluster centre has far fewer
+    than P correct bits: for (z-5)/(z-5)^3 at 256 bits |v(zeta)| reads
+    6e-33 relative, above 2^-128 = 3e-39.
     """
 
     fractions: tuple
@@ -135,11 +146,15 @@ class RationalPerturbation:
                 raise ValueError("perturbation coefficients must be real")
         T = Polynomial.one()
         per_component = []
+        gate = noise_floor(0.25)
         for f in fractions:
             T = T * f.den
-            per_component.append(
-                _cluster_roots(poly_roots(f.den)) if f.den.degree >= 1 else ()
-            )
+            roots = _cluster_roots(poly_roots(f.den)) if f.den.degree >= 1 else ()
+            for zeta, _ in roots:
+                bound = gate * f.num.max_coeff() * max(mpf(1), abs(zeta)) ** f.num.degree
+                if abs(f.num(zeta)) <= bound:
+                    raise ValueError("rational fraction must be irreducible")
+            per_component.append(roots)
         # poles of distinct components must not collide
         tol = noise_floor(0.125)
         for i in range(len(per_component)):
@@ -480,24 +495,15 @@ def perturbed_reduce(
     if v.m != m or pert.m != m:
         raise ValueError("component count mismatch")
     T, D = pert.T, pert.degree
-    tol = noise_floor(0.5)
-    for f in pert.fractions:
-        if f.is_zero:
-            continue
-        rem = T % f.den
-        if not rem.is_zero and rem.max_coeff() > tol * T.max_coeff():
-            raise ValueError("pole cancellation failed; perturbation input corrupted")
-
+    tol = noise_floor(0.5) * T.max_coeff()
     p0 = T * v.a[0]
-    for j in range(1, m + 1):
-        f = pert.fractions[j - 1]
+    for f, a in zip(pert.fractions, v.a[1:]):
         if f.is_zero:
             continue
-        cofactor = Polynomial.one()
-        for k in range(1, m + 1):
-            if k != j:
-                cofactor = cofactor * pert.fractions[k - 1].den
-        p0 = p0 + cofactor * f.num * v.a[j]
+        cofactor, rem = divmod(T, f.den)
+        if rem.max_coeff() > tol:
+            raise ValueError("pole cancellation failed; perturbation input corrupted")
+        p0 = p0 + cofactor * f.num * a
 
     reduced_n = MultiIndex([p + D for p in v.n])
     order_target = v.n.total - D
@@ -603,11 +609,10 @@ def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
     neighbouring atoms where the sign changes would have degree k and give
     every nonzero term of that sum the same sign, so A_1 changes sign at
     least N - 1 times along the atoms, and no point between them is needed
-    to see it.  A perturbed solve's vector v reduces to T a_1, ..., T a_m,
-    whose remainder T * A_1 obeys the argument; T has no zero on Delta_1,
-    where validate_against keeps the poles off, so A_1 changes sign as
-    often.  The transforms at the atoms are in the system's table from the
-    build, so the values add no entry to it.
+    to see it.  A perturbed solve is read through its T-reduced vector,
+    a plain-system vector whose remainder is T A_1 and whose order target
+    already drops deg T.  The transforms at the atoms are in the system's
+    table from the build, so the values add no entry to it.
     """
     return [remainder_eval(sys, v, 1, x) for x in sys.generators[0].nodes]
 
@@ -617,9 +622,9 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
 
     With N the vector's order target, the sums sum_i x_i^nu A_1(x_i) w_i sign
     vanish for nu = 0..N-2, the A_1(x_i) read from
-    first_level_remainder_values.  Vectors from perturbed_reduce verify the
-    T-weighted form automatically since their remainder is T * A_1.  Deeper
-    remainder levels are not checked.
+    first_level_remainder_values.  A perturbed solve is checked through its
+    T-reduced vector, whose remainder is T A_1.  Deeper remainder levels are
+    not checked.
     """
     N = v.order_target
     if N <= 1:

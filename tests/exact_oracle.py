@@ -26,6 +26,13 @@ kernel of the |n| order conditions
     sum_mu q_mu c_{mu+nu}(s_{1,j}) = 0,   nu = 0, ..., n_j - 1,
 
 and is monic.
+
+The perturbed system adds r_j = 1/(z - p_j) with the dyadic poles
+POLES = (5, -5), so the tail of f_j = s-hat_{1,j} + r_j has the entries
+c_k(s_{1,j}) + p_j^k and the same conditions give the perturbed (a_1, a_2);
+perturbed_type1 adds a_0, minus the polynomial part of a_1 f_1 + a_2 f_2,
+and reduced_type1 multiplies by T = (z - 5)(z + 5) as the T-reduction does:
+(p_0, T a_1, T a_2) with p_0 = T a_0 + (z + 5) a_1 + (z - 5) a_2.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ ATOMS = 16
 WEIGHT = Fraction(1, 16)
 X = tuple(-1 + Fraction(2 * i + 1, 32) for i in range(ATOMS))
 Y = tuple(1 + Fraction(2 * i + 1, 16) for i in range(ATOMS))
+POLES = (5, -5)
 
 
 def sigma2_hat():
@@ -91,23 +99,67 @@ def kernel_vector(rows, cols):
     return basis[0]
 
 
-def type1_rows(n, M=0):
+def type1_tails(n, poles=None):
+    """Tail entries 0..|n| + max n_j - 1 of f_1, f_2: the moments of s_{1,j},
+    plus p_j^k when poles = (p_1, p_2) adds 1/(z - p_j)."""
+    count = sum(n) + max(n)
+    tails = [moments(sign, w, count) for sign, w in chains()]
+    if poles is not None:
+        tails = [[c + Fraction(p) ** k for k, c in enumerate(t)] for t, p in zip(tails, poles)]
+    return tails
+
+
+def type1_rows(n, M=0, poles=None):
     """The |n| - 1 - M order conditions on the concatenated (a_1, a_2)."""
-    total = sum(n)
-    tails = [moments(sign, w, total + max(n)) for sign, w in chains()]
+    tails = type1_tails(n, poles)
     return [
         [tail[l + t] for tail, nj in zip(tails, n) for l in range(nj)]
-        for t in range(total - 1 - M)
+        for t in range(sum(n) - 1 - M)
     ]
 
 
-def type1_blocks(n):
+def type1_blocks(n, poles=None):
     """The exact normalized coefficient lists (a_1, a_2), ascending degree."""
-    vec = kernel_vector(type1_rows(n), sum(n))
+    vec = kernel_vector(type1_rows(n, poles=poles), sum(n))
     mx = max(abs(c) for c in vec)
     blocks = [[c / mx for c in vec[: n[0]]], [c / mx for c in vec[n[0] :]]]
     lead = next(c for b in reversed(blocks) for c in reversed(b) if c != 0)
     return [[-c for c in b] for b in blocks] if lead < 0 else blocks
+
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_add(*ps):
+    width = max(len(p) for p in ps)
+    return [sum(p[k] for p in ps if k < len(p)) for k in range(width)]
+
+
+def perturbed_type1(n):
+    """The exact perturbed (a_0, a_1, a_2) for f_j = s-hat_{1,j} + 1/(z - POLES[j]),
+    ascending degree; a_0 has max n_j - 1 coefficients."""
+    blocks = type1_blocks(n, POLES)
+    tails = type1_tails(n, POLES)
+    # coefficient of z^e in a_j f_j gathers a_{j,l} tail_j[l - e - 1], l > e
+    a0 = [
+        -sum(c * t[l - e - 1] for b, t in zip(blocks, tails) for l, c in enumerate(b) if l > e)
+        for e in range(max(n) - 1)
+    ]
+    return [a0] + blocks
+
+
+def reduced_type1(n):
+    """The exact T-reduction (p_0, T a_1, T a_2) of perturbed_type1(n)."""
+    a0, a1, a2 = perturbed_type1(n)
+    t1, t2 = ([-Fraction(p), Fraction(1)] for p in POLES)
+    T = poly_mul(t1, t2)
+    p0 = poly_add(poly_mul(T, a0), poly_mul(t2, a1), poly_mul(t1, a2))
+    return [p0, poly_mul(T, a1), poly_mul(T, a2)]
 
 
 def first_level_remainder(n):
@@ -142,7 +194,6 @@ def type1_kernel_distance(vec, n, M):
 def type2_q(n):
     """The exact monic type II denominator Q, ascending coefficients."""
     total = sum(n)
-    tails = [moments(sign, w, total + max(n)) for sign, w in chains()]
-    rows = [tail[nu : nu + total + 1] for tail, nj in zip(tails, n) for nu in range(nj)]
+    rows = [tail[nu : nu + total + 1] for tail, nj in zip(type1_tails(n), n) for nu in range(nj)]
     vec = kernel_vector(rows, total + 1)
     return [c / vec[-1] for c in vec]

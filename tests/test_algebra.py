@@ -1,4 +1,4 @@
-"""Polynomial/rational arithmetic, Laurent expansion, gcd, and root finding."""
+"""Polynomial/rational arithmetic, Laurent expansion, and root finding."""
 
 import random
 
@@ -9,9 +9,9 @@ from nikishin_hp import (
     algebra,
     Polynomial,
     RationalFn,
+    RationalPerturbation,
     laurent_expand_rational,
     noise_floor,
-    poly_gcd,
     poly_roots,
 )
 
@@ -81,8 +81,11 @@ class TestLaurentExpansion:
             RationalFn([1, 2, 3], [0, 1])
 
     def test_reducible_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            RationalFn([-1, 1], [1, 0, -2, 0, 1])  # (z-1) | (z^2-1)^2... shares a root
+        # (z-1)/(z^2-1)^2: the numerator vanishes at the pole 1; RationalFn
+        # keeps it, and the perturbation, which finds the poles, rejects it
+        r = RationalFn([-1, 1], [1, 0, -2, 0, 1])
+        with pytest.raises(ValueError, match="irreducible"):
+            RationalPerturbation([r])
 
     def test_identity_num_equals_den_times_tail(self):
         # coefficientwise: num * z^K - den * tail-as-polynomial has degree < deg den
@@ -93,10 +96,7 @@ class TestLaurentExpansion:
             num = Polynomial([rng.uniform(-2, 2) for _ in range(d)])
             if num.is_zero:
                 continue
-            try:
-                r = RationalFn(num, den)
-            except ValueError:
-                continue  # randomly reducible
+            r = RationalFn(num, den)
             K = 8
             tail = laurent_expand_rational(r, K)
             tail_poly = Polynomial([tail[K - 1 - k] for k in range(K)])
@@ -115,27 +115,6 @@ class TestLaurentExpansion:
         z = mpf(500)
         partial_sum = sum(c * z ** -(k + 1) for k, c in enumerate(tail))
         assert abs(partial_sum - r(z)) < mpf(10) ** -55
-
-
-class TestGcd:
-    def test_simple_factor(self):
-        g = poly_gcd(Polynomial([-1, 0, 1]), Polynomial([-1, 1]))
-        assert g.degree == 1
-        assert abs(g[0] + 1) < noise_floor(0.5) and abs(g[1] - 1) < noise_floor(0.5)
-
-    def test_coprime(self):
-        g = poly_gcd(Polynomial([-3, 1]), Polynomial([-4, 1]))
-        assert g.degree == 0
-
-    def test_double_root_pair(self):
-        # gcd(z^2-2z+1, z^2-1) = z-1 by Euclid
-        g = poly_gcd(Polynomial([1, -2, 1]), Polynomial([-1, 0, 1]))
-        assert g.degree == 1
-        assert abs(g[0] + 1) < noise_floor(0.4)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            poly_gcd(Polynomial.zero(), Polynomial.zero())
 
 
 class TestRoots:

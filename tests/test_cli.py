@@ -663,8 +663,7 @@ class TestGoldenBodies:
         # passes, and delta is 0.442 (err_1) and 0.515 (err_0).  Every
         # printed error agrees with a 512-bit run to 52 digits
         out = tmp_path / "out"
-        cfg = dict(golden_smoke_config(out), precision_bits=256)
-        cfg["sweep"] = [[k + 1, k] for k in range(2, 7)]
+        cfg = golden_offdiag_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN_OFFDIAG / name).read_bytes(), name
@@ -675,17 +674,7 @@ class TestGoldenBodies:
         # pole captures one zero of each a_j with no strays, and every
         # printed error agrees with a 512-bit run to 29 digits
         out = tmp_path / "out"
-        cfg = dict(golden_smoke_config(out), precision_bits=256, pole_eps=0.1875)
-        cfg["system"] = [
-            {"kind": "legendre-density", "interval": [a, b], "node_count": 24}
-            for a, b in ((-1, 0), (1, 3), (4, 6))
-        ]
-        cfg["perturbations"] = [
-            {"num_coeffs": [1], "den_coeffs": [3, 1]},
-            {"num_coeffs": [1], "den_coeffs": [-3.5, 1]},
-            {"num_coeffs": [1], "den_coeffs": [-8, 1]},
-        ]
-        cfg["sweep"] = {"shape": "diagonal", "k_min": 3, "k_max": 6, "step": 1}
+        cfg = golden_m3_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         for name in ("convergence.csv", "identities.json", "zeros.csv"):
             assert body_bytes(out / name) == (GOLDEN_M3_CLASS / name).read_bytes(), name

@@ -443,6 +443,39 @@ class TestPerturbation:
         assert abs(pert_pm5.T[1]) < TIGHT
 
 
+# (name, numerator, denominator, the precisions at which the pole rule
+# accepts the fraction); near misses put the numerator's root at 5 + eps
+POLE_RULE_VERDICTS = [
+    ("(z-5)/(z-5)^2", [-5, 1], [25, -10, 1], ()),
+    ("(z-5)/(z-5)^3", [-5, 1], [-125, 75, -15, 1], ()),
+    ("(z-5)^2/(z-5)^3", [25, -10, 1], [-125, 75, -15, 1], ()),
+    ("(z-1)/(z^2-1)^2", [-1, 1], [1, 0, -2, 0, 1], ()),
+    ("(z^2+4)/(z^2+4)^2", [4, 0, 1], [16, 0, 8, 0, 1], ()),
+    ("(z^2+1)/(z^2+4)^2", [1, 0, 1], [16, 0, 8, 0, 1], (64, 128, 256)),
+    ("eps=2^-20", [-(5 + 2.0**-20), 1], [25, -10, 1], (128, 256)),
+    ("eps=2^-40", [-(5 + 2.0**-40), 1], [25, -10, 1], (256,)),
+    ("eps=10^-30", ["-5." + "0" * 29 + "1", 1], [25, -10, 1], ()),
+]
+
+
+class TestPoleRule:
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize(
+        "num, den, accepted", [v[1:] for v in POLE_RULE_VERDICTS], ids=[v[0] for v in POLE_RULE_VERDICTS]
+    )
+    def test_numerator_vanishing_at_a_pole_is_rejected(self, num, den, accepted, bits):
+        # v_j vanishes at a root zeta of t_j when |v_j(zeta)| <= 2^-P/4 of
+        # its scale; a numerator root at 5 + eps escapes a double pole at 5
+        # once eps is above the cluster centre's error at P bits
+        with working_precision(bits):
+            fraction = RationalFn(num, den)
+            if bits in accepted:
+                RationalPerturbation([fraction])
+            else:
+                with pytest.raises(ValueError, match="irreducible"):
+                    RationalPerturbation([fraction])
+
+
 class TestLaurentCoeff:
     def test_sum_and_scale_over_pairs(self):
         # (2 - z)(1/z - 2/z^2 + 4/z^3) + 7 (3/z + 5/z^2)
@@ -747,6 +780,32 @@ class TestExactOracle:
         v = solve_type1(sys, MultiIndex(n))
         assert v.precision_bits == 256
         assert sign_changes(first_level_remainder_values(sys, v)) == count
+
+    @pytest.mark.parametrize(
+        "k, digits, reduced_digits",
+        [(2, 76, 74), (3, 71, 70), (4, 66, 65), (5, 61, 59), (6, 55, 53), (7, 47, 46)],
+    )
+    def test_perturbed_vector_and_reduction_match_the_exact_ones(self, pert_pm5, k, digits, reduced_digits):
+        # r_j = 1/(z -+ 5) on the dyadic atoms: every coefficient of
+        # (a_0, a_1, a_2) and of the T-reduced (p_0, T a_1, T a_2), exact
+        # over QQ, against the package at 256 bits, which has 77.3, 72.4,
+        # 67.8, 62.3, 56.1 and 48.8 digits for the vector and 75.9, 71.0,
+        # 66.4, 60.9, 54.7 and 47.4 for the reduced vector
+        n = (k, k)
+        sys = dyadic_system()
+        v = solve_type1_perturbed(sys, pert_pm5, MultiIndex(n))
+        assert v.precision_bits == 256 and not v.nullity_flag
+        reduced = perturbed_reduce(pert_pm5, v, sys).reduced
+
+        def error(polys, exact):
+            return max(
+                abs(as_fraction(p[i]) - (e[i] if i < len(e) else 0))
+                for p, e in zip(polys, exact, strict=True)
+                for i in range(max(p.degree + 1, len(e)))
+            )
+
+        assert error(v.a, exact_oracle.perturbed_type1(n)) < Fraction(1, 10**digits)
+        assert error(reduced.a, exact_oracle.reduced_type1(n)) < Fraction(1, 10**reduced_digits)
 
     @pytest.mark.parametrize("k, digits", [(3, 66), (5, 56), (7, 45)])
     def test_type2_q_matches_the_exact_kernel(self, k, digits):

@@ -329,8 +329,9 @@ class TestTransformTable:
         assert passes == [2]
 
     def test_remainders_at_the_first_atoms_read_the_build_time_values(self, monkeypatch):
-        # orthogonality and the sign-change grid evaluate A_1 at sigma_1's
-        # atoms, whose transforms s-hat_{2,k} the build already computed
+        # both remainder checks, orthogonality and sign changes, evaluate A_1
+        # at sigma_1's atoms, whose transforms s-hat_{2,k} the build already
+        # computed
         from nikishin_hp import MultiIndex, check_orthogonality, remainder_eval, solve_type1
 
         sys = system_from_generators(
