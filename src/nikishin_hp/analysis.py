@@ -82,7 +82,8 @@ class EvalGrid:
         plus a short segment in the gap between the first and last intervals,
         lifted 0.1i off the axis.  Points closer than 1/4 to a pole are dropped.
         A radius_factor of 1 or less lets the circle reach the supports, so it
-        raises ValueError, as does a negative point count.
+        raises ValueError, as do a negative point count and a radius of 0,
+        which puts every circle point on the atom at 0.
         """
         if not mpf(radius_factor) > 1:
             raise ValueError(f"radius_factor must exceed 1, got {radius_factor}")
@@ -93,6 +94,8 @@ class EvalGrid:
         for zeta, _ in poles:
             outer = max(outer, abs(zeta))
         radius = mpf(radius_factor) * outer
+        if not radius > 0:
+            raise ValueError("the default grid needs a positive radius; every atom and pole is at 0")
         pts = [radius * mp.expjpi(2 * mpf(k) / circle_points) for k in range(circle_points)]
         first, last = sys.intervals[0], sys.intervals[-1]
         lo = hi = None

@@ -78,6 +78,7 @@ from .nikishin import (
     build_system,
     check_chain_identity,
     check_ratio_identity,
+    s_hat_eval,
 )
 from .precision import DEFAULT_PRECISION_BITS, checked_bits, noise_floor, working_precision
 
@@ -462,6 +463,18 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
                 "every explicit grid point sits on the last interval, on an "
                 "atom or too close to a perturbation pole"
             )
+        if "ratio44" in config.checks and sys.m > 1:
+            # the ratio identity divides by sigma_1-hat, whose zeros lie
+            # between sigma_1's atoms (at 0, by symmetry, for a rule on
+            # [-1, 1]); a point where it vanishes against its terms is refused
+            sigma1 = sys.generators[0]
+            for z in kept:
+                scale = mp.fsum(w / abs(z - x) for x, w in zip(sigma1.nodes, sigma1.weights))
+                if abs(s_hat_eval(sys, 1, 1, z)) <= tol * scale:
+                    raise ValueError(
+                        f"sigma_1-hat vanishes at grid point {mp.nstr(z, 8)}, "
+                        "where ratio44 divides by it"
+                    )
         return EvalGrid(kept)
     return _validated(
         "grid",

@@ -14,6 +14,21 @@ achieved orders, the reduction residual, type2_residual_tail), comes from
 one helper, _laurent_coeff.  The tails of the chains s_{1,j} come from the
 system's table through nikishin.chain_tail.
 
+A sweep repeats its predecessors' order conditions, so each solve keeps the
+basis it reaches in a third table on the system, sys.bases, which only this
+module names.  The key fixes the series and the gate: (perturbation or
+None, shifts (2, D - n_j + 1, ...), mp.prec) for type I and (shifts
+(0, 1, ..., 1), mp.prec) for type II.  The value is the basis at P + 64
+bits, unrounded, with its degrees and the level L = min(orders) it reached;
+a solve whose min(orders) is at least L continues from it (_order_basis
+states the prefix rule), and each key holds one state.  chain_tail and
+laurent_expand_rational give every request the same bits on the
+coefficients both read, and the basis is rounded to P after the P + 64
+block, so a solve on a shared system equals one on a fresh system bit for
+bit, escalated attempts included: each runs at its own mp.prec, which the
+key holds.  An ascending diagonal sweep then eliminates each order
+condition once, as its largest index alone would.
+
 One escalation driver, _escalate, serves both solvers: it doubles the
 precision (up to 4096 bits) while the achieved vanishing order falls short of
 the target.  That is the only trigger, and the order, read against the
@@ -282,7 +297,7 @@ class ReduceReport:
 # ---------------------------------------------------------------------------
 
 
-def _order_basis(series, shifts, orders):
+def _order_basis(series, shifts, orders, stored=None, key=None):
     """Order basis of the polynomial row vectors p with p F = O(x^orders[j]) in column j.
 
     series[r][j] is the power series of F's entry (r, j), a tuple of its
@@ -303,13 +318,33 @@ def _order_basis(series, shifts, orders):
     component r of row i, and degrees[i] bounds the shifted degree of row
     i.  Each condition costs O(rows^2 K) for polynomials of degree K, so K
     conditions per column cost O(K^2).
+
+    With a dict `stored`, the basis carries over from one call to the next
+    under `key`, which must fix the shifts, P and every series coefficient
+    the calls read.  Any orders with min(orders) >= L take the conditions
+    with k < L first, so the state after them does not depend on the
+    orders.  stored[key] holds one such state, (L, basis, degrees), the
+    basis at P + 64 bits and unrounded; a call whose min(orders) is at least
+    L continues from it, and any other call starts from the identity.  The
+    loop stores its state on reaching k = min(orders), which is its final
+    state when the orders are equal.  The basis is rounded to P only after
+    the P + 64 block is left: rounding it inside moves the result by one
+    ulp.
     """
     rows = len(series)
-    basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
-    degrees = list(shifts)
+    level = min(orders)
+    if stored is not None and key in stored and stored[key][0] <= level:
+        start, basis, degrees = stored[key]
+    else:
+        start, degrees = 0, shifts
+        basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
+    basis, degrees = list(basis), list(degrees)
     gate = ORDER_BASIS_GUARD * mpf(2) ** -mp.prec
     with mp.workprec(mp.prec + 64):
-        for k in range(max(orders)):
+        # one step past the last condition, so that k = min(orders) is reached
+        for k in range(start, max(orders) + 1):
+            if k == level and stored is not None:
+                stored[key] = (level, tuple(basis), tuple(degrees))
             for j, order in enumerate(orders):
                 if k >= order:
                     continue
@@ -413,7 +448,8 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
         ((mpf(0),) * (D - nj + 1) + tail,) for nj, tail in zip(n, tails)
     ]
     shifts = (2,) + tuple(D - nj + 1 for nj in n)
-    basis, degrees = _order_basis(series, shifts, [total - M + D - 1])
+    key = (pert, shifts, mp.prec)
+    basis, degrees = _order_basis(series, shifts, [total - M + D - 1], sys.bases, key)
     # the solutions are the combinations of x^e row_i, e <= D - d_i
     flag = total - 1 - M <= 0 or sum(max(0, D + 1 - d) for d in degrees) != M + 1
     # a_j reverses component j of the row of least shifted degree, padded to n_j
@@ -554,7 +590,9 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     m = len(n)
     minus_one = (mpf(-1),)
     series = [tails] + [[minus_one if i == j else () for j in range(m)] for i in range(m)]
-    basis, degrees = _order_basis(series, (0,) + (1,) * m, [total + nj for nj in n])
+    shifts = (0,) + (1,) * m
+    orders = [total + nj for nj in n]
+    basis, degrees = _order_basis(series, shifts, orders, sys.bases, (shifts, mp.prec))
     # the solutions of degree <= N are the combinations of x^e row_i, e <= N - d_i
     flag = sum(max(0, total + 1 - d) for d in degrees) != 1
     row = basis[min(range(m + 1), key=degrees.__getitem__)]

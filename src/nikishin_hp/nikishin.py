@@ -48,7 +48,8 @@ keep every value of every run alive.
 The solvers read the moments of each forward chain s_{1,j} from a second
 table on the system, tails, through chain_tail (see NikishinSystem).  Like
 s_hat it lives as long as the system, and this module is the only one that
-reads or writes either table.
+reads or writes either table.  The third table, bases, holds the solvers'
+order bases; hermite_pade alone reads and writes it.
 """
 
 from __future__ import annotations
@@ -104,14 +105,18 @@ class NikishinSystem:
     the module docstring), filled by system_from_generators and
     s_hat_evals.  tails holds, per (j, mp.prec), the moments of s_{1,j}
     computed so far and the raw power row w_i x_i^K that continues them, K
-    being their count; chain_tail fills and reads it.  Neither table is a
-    constructor argument, and both are left out of equality and repr.
+    being their count; chain_tail fills and reads it.  bases holds, per
+    series and precision, the last order basis a solve reached, which the
+    next solve continues (see hermite_pade); one state per key, so it does
+    not grow with a sweep.  No table is a constructor argument, and all
+    three are left out of equality and repr.
     """
 
     generators: tuple
     chains: dict
     s_hat: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -361,6 +361,46 @@ class TestArgumentHandling:
         assert solved == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("point", [[0, 0], ["1e-50", 0], [0, "1e-60"]])
+    def test_grid_point_where_sigma1_hat_vanishes_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, point
+    ):
+        # sigma_1-hat of a Legendre rule on [-1, 1] is 0 at z = 0 by symmetry,
+        # and check_ratio_identity divides by it
+        solved = []
+        monkeypatch.setattr(cli, "solve_type1", lambda *args: solved.append(args))
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=["ratio44"])
+        cfg["system"][0]["interval"] = [-1, 1]
+        cfg["system"][1]["interval"] = [2, 3]
+        cfg["grid"] = {"points": [point, [5, 1]]}
+        prec = mp.prec
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validate" and "sigma_1-hat vanishes" in err["detail"]
+        assert solved == [] and mp.prec == prec
+        assert not (tmp_path / "out").exists()
+        # the other checks never divide by it
+        monkeypatch.undo()
+        cfg["checks"] = ["chile"]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+
+    def test_default_grid_of_radius_zero_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # one atom at 0: the circle of radius 4 * 0 is the atom itself
+        solved = []
+        monkeypatch.setattr(cli, "solve_type1", lambda *args: solved.append(args))
+        cfg = base_config(tmp_path / "out", sweep=[[1]], checks=[])
+        cfg["system"] = [{"kind": "atoms", "interval": [-1, 1], "nodes": [0], "weights": [1]}]
+        prec = mp.prec
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validate" and "positive radius" in err["detail"]
+        assert solved == [] and mp.prec == prec
+        assert not (tmp_path / "out").exists()
+
 
 class TestEndToEnd:
     def test_small_experiment_passes(self, tmp_path, capsys):

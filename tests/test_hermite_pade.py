@@ -289,6 +289,129 @@ class TestSolverEscalation:
         assert mp.prec == P
 
 
+def solved_bits(v):
+    """Every field of a type I or type II vector, coefficients as `_mpf_`."""
+    polys = v.a if isinstance(v, TypeIVector) else (v.q,) + v.p
+    orders = (v.order_target, v.residual_order) if isinstance(v, TypeIVector) else v.residual_orders
+    return [bits(p.coeffs) for p in polys], orders, v.n, v.nullity_flag, v.precision_bits
+
+
+def pm5(bits_):
+    with working_precision(bits_):
+        return RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn([1], [5, 1])])
+
+
+# kind -> solve(sys, n, pert), giving the vectors of one index: the plain
+# solves at M = 0..2, the perturbed one and type II, then all of them on one
+# system, with M changing from index to index
+SOLVERS = {
+    "plain": lambda sys, n, pert: [solve_type1(sys, n)],
+    "deficit-1": lambda sys, n, pert: [solve_type1(sys, n, 1)],
+    "deficit-2": lambda sys, n, pert: [solve_type1(sys, n, 2)],
+    "perturbed": lambda sys, n, pert: [solve_type1_perturbed(sys, pert, n)],
+    "type2": lambda sys, n, pert: [solve_type2(sys, n)],
+    "interleaved": lambda sys, n, pert: [
+        solve_type1(sys, n, n.total % 3),
+        solve_type1_perturbed(sys, pert, n),
+        solve_type2(sys, n),
+    ],
+}
+
+SWEEPS = {
+    "ascending": [(k, k) for k in range(2, 8)],
+    "descending": [(k, k) for k in range(7, 1, -1)],
+    "repeated": [(4, 4), (5, 5), (4, 4), (5, 5), (5, 5)],
+    "off-diagonal": [(k + 1, k) for k in range(2, 7)],
+    "mixed": [(3, 3), (4, 3), (5, 5), (2, 5), (6, 6), (4, 4), (6, 5)],
+}
+
+
+class TestBasisTable:
+    """A system's stored order bases change no bit of any solve, and an
+    ascending sweep eliminates each order condition once."""
+
+    def sweep_against_fresh(self, kind, sweep, bits_):
+        pert = pm5(bits_)
+        solve = SOLVERS[kind]
+        shared = legendre_system(bits_, 16)
+        with working_precision(bits_):
+            for parts in sweep:
+                n = MultiIndex(parts)
+                fresh = solve(legendre_system(bits_, 16), n, pert)
+                got = solve(shared, n, pert)
+                assert list(map(solved_bits, got)) == list(map(solved_bits, fresh)), parts
+        return shared
+
+    @pytest.mark.parametrize(
+        "sweep, bits_", [(sweep, 128) for sweep in SWEEPS] + [("mixed", 64)]
+    )
+    @pytest.mark.parametrize("kind", list(SOLVERS))
+    def test_a_shared_system_solves_as_fresh_ones_do(self, kind, sweep, bits_):
+        self.sweep_against_fresh(kind, SWEEPS[sweep], bits_)
+
+    def test_m3_and_m1_sweeps_solve_as_fresh_ones_do(self):
+        for intervals, sweep in (
+            (((-1, 0), (1, 3), (4, 6)), [(2, 2, 2), (3, 3, 2), (3, 3, 3), (2, 2, 2)]),
+            (((-1, 0),), [(3,), (6,), (9,), (4,)]),
+        ):
+            shared = legendre_system(128, 12, intervals)
+            with working_precision(128):
+                for parts in sweep:
+                    n = MultiIndex(parts)
+                    fresh = legendre_system(128, 12, intervals)
+                    for solve in (solve_type1, solve_type2):
+                        assert solved_bits(solve(shared, n)) == solved_bits(solve(fresh, n))
+
+    def test_escalated_solves_continue_from_the_2p_bases(self, monkeypatch):
+        # no fixture is known on which the order falls short at P, so every
+        # attempt below 2P is made to: each solve then climbs to 2P, and the
+        # 2P attempts of a sweep share the 2P bases
+        P = 128
+        for name, short in (
+            ("_solve_type1_once", {"residual_order": 0}),
+            ("_solve_type2_once", {"residual_orders": (0, 0)}),
+        ):
+            once = getattr(hermite_pade, name)
+            monkeypatch.setattr(
+                hermite_pade,
+                name,
+                lambda *args, once=once, short=short: (
+                    once(*args) if args[-1] >= 2 * P else dataclasses.replace(once(*args), **short)
+                ),
+            )
+        for kind in ("plain", "perturbed", "type2"):
+            shared = self.sweep_against_fresh(kind, SWEEPS["mixed"], P)
+            assert {key[-1] for key in shared.bases} == {P, 2 * P}
+        with working_precision(P):
+            assert solve_type1(shared, MultiIndex((6, 6))).precision_bits == 2 * P
+
+    @pytest.mark.parametrize("solve", [solve_type1, solve_type2])
+    def test_an_ascending_sweep_eliminates_each_condition_once(self, monkeypatch, solve):
+        calls = []
+        real = hermite_pade._axpy
+
+        def counting(a, c, b):
+            calls.append(len(b))
+            return real(a, c, b)
+
+        monkeypatch.setattr(hermite_pade, "_axpy", counting)
+        sys = legendre_system(256, 16)
+        for k in range(2, 9):
+            solve(sys, MultiIndex((k, k)))
+        swept = list(calls)
+        calls.clear()
+        solve(legendre_system(256, 16), MultiIndex((8, 8)))
+        assert swept == calls and calls
+        # one state per key, whatever the sweep's length
+        assert len(sys.bases) == 1
+        # a descending sweep starts each index from the identity
+        calls.clear()
+        sys = legendre_system(256, 16)
+        for k in range(8, 1, -1):
+            solve(sys, MultiIndex((k, k)))
+        assert len(calls) > len(swept)
+
+
 class TestTypeIPlain:
     def test_f1_hand_solution(self, f1_system):
         v = solve_type1(f1_system, MultiIndex((2,)))

@@ -38,12 +38,12 @@ from test_hermite_pade import as_fraction, bits, dyadic_system
 PACKAGE = Path(nikishin.__file__).resolve().parent
 
 
-def table_attributes(source: str) -> list:
-    """Line numbers at which `source` names an attribute s_hat or tails."""
+def table_attributes(source: str, names=("s_hat", "tails")) -> list:
+    """Line numbers at which `source` names an attribute in names."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in ("s_hat", "tails")
+        if isinstance(node, ast.Attribute) and node.attr in names
     )
 
 
@@ -603,7 +603,8 @@ class TestTailTable:
 
 
 class TestTableOwner:
-    """nikishin is the only module that reads or writes a system's tables."""
+    """nikishin is the only module that reads or writes a system's transform
+    and tail tables, and hermite_pade the only one that names its order bases."""
 
     def test_no_other_module_names_the_tables(self):
         found = {}
@@ -613,6 +614,16 @@ class TestTableOwner:
                 if lines:
                     found[path.name] = lines
         assert found == {}
+
+    def test_only_hermite_pade_names_the_order_bases(self):
+        # the solvers own the third table: nikishin declares it, and no other
+        # module reads or writes it
+        found = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            lines = table_attributes(path.read_text(), ("bases",))
+            if lines:
+                found[path.name] = lines
+        assert list(found) == ["hermite_pade.py"]
 
     def test_the_guard_sees_each_form(self):
         source = (
