@@ -110,15 +110,10 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[k] + other[k] for k in range(n)])
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[k] - other[k] for k in range(n)])
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -131,8 +126,6 @@ class Polynomial:
             return Polynomial(out)
         s = to_scalar(other)
         return Polynomial([c * s for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         other = _as_poly(other)

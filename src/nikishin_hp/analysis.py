@@ -55,7 +55,7 @@ from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector
 # cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
 from .measures import Interval, cauchy_eval  # noqa: F401
 from .nikishin import NikishinSystem, s_hat_evals
-from .precision import noise_floor
+from .precision import checked_int, noise_floor
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,14 @@ class EvalGrid:
         plus a short segment in the gap between the first and last intervals,
         lifted 0.1i off the axis.  Points closer than 1/4 to a pole are dropped.
         A radius_factor of 1 or less lets the circle reach the supports, so it
-        raises ValueError, as do a negative point count and a radius of 0,
-        which puts every circle point on the atom at 0.
+        raises ValueError, as do a point count that is negative or not an
+        integer (an integral float is converted) and a radius of 0, which
+        puts every circle point on the atom at 0.
         """
         if not mpf(radius_factor) > 1:
             raise ValueError(f"radius_factor must exceed 1, got {radius_factor}")
+        circle_points = checked_int(circle_points, "circle_points")
+        segment_points = checked_int(segment_points, "segment_points")
         if circle_points < 0 or segment_points < 0:
             raise ValueError("circle_points and segment_points must be nonnegative")
         outer = sys.outer_radius
@@ -97,13 +100,9 @@ class EvalGrid:
         if not radius > 0:
             raise ValueError("the default grid needs a positive radius; every atom and pole is at 0")
         pts = [radius * mp.expjpi(2 * mpf(k) / circle_points) for k in range(circle_points)]
-        first, last = sys.intervals[0], sys.intervals[-1]
-        lo = hi = None
-        if first.b < last.a:
-            lo, hi = first.b, last.a
-        elif last.b < first.a:
-            lo, hi = last.b, first.a
-        if lo is not None and segment_points > 0:
+        # m = 1 has first == last, which gap reports as an overlap: no segment
+        lo, hi = sys.intervals[0].gap(sys.intervals[-1])
+        if lo < hi and segment_points > 0:
             span = hi - lo
             if segment_points == 1:
                 pts.append(mpc(lo + span / 2, mpf("0.1")))

@@ -33,8 +33,9 @@ Config schema (numbers may be JSON numbers or decimal strings):
 
 "sweep" may also be an explicit list of multi-indices ([[4,4],[6,6]]) or [];
 "grid" may be {"points": [[re, im], ...]}.  Poles and coefficient lists are
-ascending-degree.  NIKISHIN_HP_PRECISION overrides the default precision when
-neither the flag nor the config pins it.
+ascending-degree.  The precision is the first of --precision-bits, the
+config's precision_bits and NIKISHIN_HP_PRECISION that is set, else the
+default; main alone reads the flag and the environment.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .nikishin import (
     check_ratio_identity,
     s_hat_eval,
 )
-from .precision import DEFAULT_PRECISION_BITS, checked_bits, noise_floor, working_precision
+from .precision import DEFAULT_PRECISION_BITS, checked_bits, is_integer, noise_floor, working_precision
 
 ENV_PRECISION = "NIKISHIN_HP_PRECISION"
 KNOWN_CHECKS = ("chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2")
@@ -129,13 +130,14 @@ def _validated(what: str, convert, value):
 
 
 def _integer(key: str, value) -> int:
-    """An integer config value: a JSON integer, an integral JSON number or a
-    decimal string; a fraction, a bool or any other type is a config error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """An integer config value: a decimal string, parsed by int(), or a
+    number that precision.is_integer accepts; a fraction, a bool or any
+    other type is a config error."""
+    if isinstance(value, str):
+        return _validated(key, int, value)
+    if not is_integer(value):
         raise ConfigError(f"bad {key}: expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"bad {key}: {value!r} is not an integer")
-    return _validated(key, int, value)
+    return int(value)
 
 
 def _checks(value) -> tuple:
@@ -151,15 +153,14 @@ def _checks(value) -> tuple:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate the raw JSON dict into an ExperimentConfig.
 
-    Precision resolution: config (where `main` puts --precision-bits) >
-    NIKISHIN_HP_PRECISION > default.  The numbers are converted at that
+    The result depends on raw alone: a missing or null precision_bits is
+    DEFAULT_PRECISION_BITS (main resolves the flag and NIKISHIN_HP_PRECISION
+    into raw before it calls this).  The numbers are converted at that
     precision, which the SystemSpec carries; mp.prec is left as it was.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     precision = raw.get("precision_bits")
-    if precision is None:
-        precision = os.environ.get(ENV_PRECISION)
     if precision is None:
         precision = DEFAULT_PRECISION_BITS
     precision = _validated("precision_bits", checked_bits, _integer("precision_bits", precision))
@@ -192,9 +193,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     # last two intervals touching undermines the bounded-gap hypothesis
     if m >= 2:
-        a, b = system.measures[-2].interval, system.measures[-1].interval
-        lo, hi = (a, b) if a.a <= b.a else (b, a)
-        if hi.a == lo.b:
+        lo, hi = system.measures[-2].interval.gap(system.measures[-1].interval)
+        if lo == hi:
             warnings.append(
                 "the last two intervals touch; the ratio limits then require a "
                 "moment-growth (determinacy) condition on the last generator"
@@ -574,8 +574,13 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit_error("parse", str(exc))
         return 2
-    if args.precision_bits is not None and isinstance(raw, dict):
-        raw["precision_bits"] = args.precision_bits
+    if isinstance(raw, dict):
+        # the precision's sources, first to last: the flag, the config,
+        # NIKISHIN_HP_PRECISION, and parse_config's default for None
+        if args.precision_bits is not None:
+            raw["precision_bits"] = args.precision_bits
+        elif raw.get("precision_bits") is None:
+            raw["precision_bits"] = os.environ.get(ENV_PRECISION)
     try:
         config = parse_config(raw)
         if args.output_dir is not None:

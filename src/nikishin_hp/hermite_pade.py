@@ -64,7 +64,7 @@ from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 # hermite_pade.cauchy_eval and hermite_pade.moments
 from .measures import cauchy_eval, moments  # noqa: F401
 from .nikishin import NikishinSystem, Residual, chain_tail, s_hat_eval
-from .precision import MAX_PRECISION_BITS, noise_floor, working_precision
+from .precision import MAX_PRECISION_BITS, checked_int, is_integer, noise_floor, working_precision
 
 # An order-basis residual at most ORDER_BASIS_GUARD 2^-P times the sum of its
 # terms' moduli is zero, P being the caller's precision: the elimination runs
@@ -91,9 +91,7 @@ class MultiIndex:
     def __init__(self, parts):
         parts = tuple(parts)
         for p in parts:
-            if isinstance(p, bool) or not (
-                isinstance(p, int) or isinstance(p, float) and p.is_integer()
-            ):
+            if not is_integer(p):
                 raise ValueError(f"multi-index entries must be integers, got {p!r}")
         parts = tuple(int(p) for p in parts)
         if not parts:
@@ -386,7 +384,14 @@ def _axpy(a, c, b):
 
 
 def solve_type1(sys: NikishinSystem, n: MultiIndex, M: int = 0) -> TypeIVector:
-    """Normalized type I vector for the plain system, order target |n| - M."""
+    """Normalized type I vector for the plain system, order target |n| - M.
+
+    The order deficit M is an integer (an integral float is converted) of
+    at least 0; anything else raises ValueError.
+    """
+    M = checked_int(M, "M")
+    if M < 0:
+        raise ValueError(f"M must be nonnegative, got {M}")
     return _escalating_type1(sys, None, n, M)
 
 
@@ -414,8 +419,6 @@ def _escalate(solve_once, reached):
 
 
 def _escalating_type1(sys, pert, n, M) -> TypeIVector:
-    if len(n) != sys.m:
-        raise ValueError("multi-index size does not match the system")
     return _escalate(
         lambda bits: _solve_type1_once(sys, pert, n, M, bits),
         lambda v: v.residual_order >= v.order_target,
@@ -423,7 +426,13 @@ def _escalating_type1(sys, pert, n, M) -> TypeIVector:
 
 
 def _type1_tails(sys, pert, n):
-    """Tails of s-hat_{1,j} + r_j: tuples of K + 1 entries, K = |n| + max n_j + 4."""
+    """Tails of s-hat_{1,j} + r_j: tuples of K + 1 entries, K = |n| + max n_j + 4.
+
+    Every solve, reduction and residual tail reads its tails here, so this
+    is where a multi-index of the wrong size is refused.
+    """
+    if len(n) != sys.m:
+        raise ValueError("multi-index size does not match the system")
     K = n.total + n.max_part + 4
     tails = []
     for j in range(1, len(n) + 1):
@@ -543,8 +552,8 @@ def perturbed_reduce(
 
     reduced_n = MultiIndex([p + D for p in v.n])
     order_target = v.n.total - D
-    blocks = [list((T * v.a[j]).coeffs) for j in range(1, m + 1)]
-    blocks = [b + [mpf(0)] * (reduced_n[j] - len(b)) for j, b in enumerate(blocks)]
+    products = [T * a for a in v.a[1:]]
+    blocks = [list(p.coeffs) + [mpf(0)] * (nj - len(p.coeffs)) for p, nj in zip(products, reduced_n)]
     pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
 
     sums = [_laurent_coeff(pairs, -(k + 1)) for k in range(max(order_target - 1, 0))]
@@ -555,7 +564,7 @@ def perturbed_reduce(
         scale = max(scale, sc)
     residual_order = _achieved_order(pairs, v.n.total + 4, sums)
     reduced = TypeIVector(
-        (p0,) + tuple(T * v.a[j] for j in range(1, m + 1)),
+        (p0, *products),
         reduced_n,
         order_target,
         residual_order,
@@ -572,8 +581,6 @@ def perturbed_reduce(
 
 def solve_type2(sys: NikishinSystem, n: MultiIndex) -> TypeIIVector:
     """Monic common denominator Q and numerators P_j, orders n_j + 1 each."""
-    if len(n) != sys.m:
-        raise ValueError("multi-index size does not match the system")
     return _escalate(
         lambda bits: _solve_type2_once(sys, n, bits),
         lambda v: all(v.residual_orders[j] >= n[j] + 1 for j in range(sys.m)),

@@ -48,7 +48,7 @@ from mpmath.libmp import (
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from .algebra import Polynomial
-from .precision import noise_floor
+from .precision import checked_int, noise_floor
 
 VALID_KINDS = ("atoms", "legendre-density", "jacobi-density")
 
@@ -58,7 +58,12 @@ _FLOAT_QL = SimpleNamespace(dps=fp.dps, eps=fp.eps, hypot=math.hypot)
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed bounded interval [a, b], a < b strictly."""
+    """Closed bounded interval [a, b], a < b strictly.
+
+    gap is the one place that orders two intervals: every check of the
+    Nikishin hypothesis (consecutive supports disjoint or sharing one
+    endpoint) and the default grid's gap segment read it.
+    """
 
     a: mpf
     b: mpf
@@ -77,6 +82,17 @@ class Interval:
     @property
     def length(self) -> mpf:
         return self.b - self.a
+
+    def gap(self, other: "Interval") -> tuple:
+        """(end of the left interval, start of the right one), the left one
+        being the one with the smaller left endpoint (self on a tie).
+
+        For (lo, hi) = a.gap(b): lo < hi when the intervals are apart,
+        lo == hi when they share one point, and hi < lo when they overlap
+        (a.gap(a) included).
+        """
+        left, right = (self, other) if self.a <= other.a else (other, self)
+        return left.b, right.a
 
     def distance_to(self, z) -> mpf:
         """Distance from a complex point to the interval (as a subset of R)."""
@@ -149,7 +165,9 @@ class MeasureSpec:
 
     kind "atoms" carries explicit node/weight lists; the density kinds are
     discretized by an n-point Gauss rule of the family at realization time,
-    scaled by density_scale (whose sign becomes the measure's sign).
+    scaled by density_scale (whose sign becomes the measure's sign).  Their
+    node_count is an integer of at least 1 (an integral float is converted);
+    anything else raises ValueError.
     """
 
     kind: str
@@ -169,6 +187,7 @@ class MeasureSpec:
             if not self.nodes:
                 raise ValueError("atoms kind requires explicit nodes")
         else:
+            self.node_count = checked_int(self.node_count, "node_count")
             if self.node_count < 1:
                 raise ValueError("node_count must be >= 1")
         if self.kind == "jacobi-density":

@@ -176,13 +176,11 @@ def _reweighted(alpha: AtomicMeasure, values) -> AtomicMeasure:
 
 def _check_separation(alpha: AtomicMeasure, beta: AtomicMeasure):
     overlap_tol = noise_floor(0.5)
-    touching = (
-        alpha.support.b == beta.support.a or beta.support.b == alpha.support.a
-    )
+    lo, hi = alpha.support.gap(beta.support)
     min_gap = min(_cross_gaps(alpha.nodes, beta.nodes))
     if min_gap <= overlap_tol:
         raise ValueError("supports overlap")
-    if touching and min_gap <= noise_floor(0.25):
+    if lo == hi and min_gap <= noise_floor(0.25):
         raise ValueError("node gap across the interval junction is below 2^-P/4")
 
 
@@ -217,17 +215,15 @@ def system_from_generators(generators) -> NikishinSystem:
     generators = tuple(generators)
     m = len(generators)
     for j in range(m - 1):
-        a, b = generators[j].support, generators[j + 1].support
-        lo, hi = (a, b) if a.a <= b.a else (b, a)
-        if hi.a < lo.b:
+        lo, hi = generators[j].support.gap(generators[j + 1].support)
+        if hi < lo:
             raise ValueError(
                 f"intervals {j + 1} and {j + 2} overlap; consecutive supports "
                 "must be disjoint or share a single endpoint"
             )
-        if hi.a == lo.b:
-            junction = hi.a
-            if any(x == junction for x in generators[j].nodes) or any(
-                x == junction for x in generators[j + 1].nodes
+        if lo == hi:
+            if any(x == hi for x in generators[j].nodes) or any(
+                x == hi for x in generators[j + 1].nodes
             ):
                 raise ValueError("shared interval endpoint must be node-free")
 

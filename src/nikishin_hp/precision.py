@@ -8,6 +8,10 @@ checks, analysis) read the ambient mp.prec, so one system can be evaluated
 at several precisions.  Noise gates are fixed fractions of P (2^-P/2
 separates signal from roundoff; 2^-P/3 and 2^-P/4 are the looser gates
 where error accumulates through products and root finding).
+
+The module also holds the package's one integer rule, is_integer, which
+precisions, multi-index entries, counts and the CLI's integer config values
+all follow.
 """
 
 from __future__ import annotations
@@ -21,15 +25,27 @@ MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
 
 
-def checked_bits(bits) -> int:
-    """bits as an int; a ValueError unless it is an integer of at least 64.
-
-    An integral float such as 128.0 is accepted.  A fraction, a bool, a
-    string or any other type is rejected, never truncated.
+def is_integer(x) -> bool:
+    """Whether x counts as an integer: an int or an integral float such as
+    128.0, never a bool.  A fraction, a string or any other type does not.
     """
-    if isinstance(bits, bool) or not (
-        isinstance(bits, int) or isinstance(bits, float) and bits.is_integer()
-    ):
+    return isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
+
+
+def checked_int(x, name: str) -> int:
+    """x as an int; a ValueError naming `name` unless is_integer(x)."""
+    if not is_integer(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def checked_bits(bits) -> int:
+    """bits as an int; a ValueError unless is_integer(bits) and bits >= 64.
+
+    An integral float such as 128.0 is accepted and converted.  A fraction,
+    a bool, a string or any other type is rejected, never truncated.
+    """
+    if not is_integer(bits):
         raise ValueError(f"working precision must be an integer number of bits, got {bits!r}")
     bits = int(bits)
     if bits < MIN_PRECISION_BITS:

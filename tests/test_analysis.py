@@ -8,6 +8,7 @@ from nikishin_hp import analysis
 from nikishin_hp.analysis import _one_per_conjugate_pair, _values_at
 from nikishin_hp.nikishin import s_hat_evals
 from nikishin_hp import (
+    AtomicMeasure,
     ConvergenceRow,
     EvalGrid,
     Interval,
@@ -56,6 +57,38 @@ class TestEvalGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             EvalGrid([])
+
+    @pytest.mark.parametrize("key", ["circle_points", "segment_points"])
+    @pytest.mark.parametrize("count", [8.5, True, "8", None])
+    def test_non_integer_point_count_rejected(self, m2_16_system, key, count):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            EvalGrid.default(m2_16_system, None, **{key: count})
+
+    def test_integral_float_point_counts_give_the_integer_grid(self, m2_16_system):
+        got = EvalGrid.default(m2_16_system, None, circle_points=8.0, segment_points=3.0)
+        want = EvalGrid.default(m2_16_system, None, circle_points=8, segment_points=3)
+        assert got == want and len(got.points) == 11
+
+    @pytest.mark.parametrize(
+        "intervals, segment",
+        [
+            ([(-1, 0)], False),  # m = 1: the first interval is the last
+            ([(-1, 0), (1, 3)], True),
+            ([(1, 3), (-1, 0)], True),
+            ([(-1, 0), (0, 2)], False),  # touching: no gap to sample
+            ([(-1, 0), (1, 3), (-3, -2)], True),  # first and last apart
+            ([(-1, 0), (1, 3), (-0.5, 0.5)], False),  # first and last overlap
+        ],
+    )
+    def test_segment_only_in_a_gap(self, intervals, segment):
+        # atoms away from a shared endpoint; only the supports decide
+        gens = [
+            AtomicMeasure([a + (b - a) / 4, b - (b - a) / 4], [1, 1], 1, Interval(a, b))
+            for a, b in intervals
+        ]
+        sys = NikishinSystem(tuple(gens), {})
+        grid = EvalGrid.default(sys, None, circle_points=4, segment_points=3)
+        assert len(grid.points) == 4 + (3 if segment else 0)
 
 
 def normalized_sup(v, grid, numerator, target, skip_below):

@@ -185,6 +185,22 @@ class TestArgumentHandling:
         assert err["error"] == "validate"
         assert err["detail"].startswith(f"bad {key}: ")
 
+    @pytest.mark.parametrize(
+        "value, detail",
+        [
+            (2.9, "bad k_min: expected an integer, got 2.9"),
+            (True, "bad k_min: expected an integer, got True"),
+            ([2], "bad k_min: expected an integer, got [2]"),
+            ("2.9", "bad k_min: invalid literal for int() with base 10: '2.9'"),
+        ],
+    )
+    def test_non_integer_message(self, tmp_path, capsys, value, detail):
+        cfg = base_config(tmp_path / "out", checks=[])
+        cfg["sweep"] = {"shape": "diagonal", "k_min": value, "k_max": 3}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "validate", "detail": detail}
+
     def test_integral_json_numbers_accepted(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, sweep={"shape": "diagonal", "k_min": 2.0, "k_max": 2, "step": 1}, checks=[])
@@ -574,6 +590,18 @@ class TestConfigWarnings:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         assert "touch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, last, warned",
+        [([0, 2], [-1, 0], True), ([-1, 0], [1, 3], False), ([1, 3], [-1, 0], False)],
+    )
+    def test_touching_warning_either_way_round(self, tmp_path, capsys, first, last, warned):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        cfg["system"][0]["interval"] = first
+        cfg["system"][1]["interval"] = last
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert ("touch" in capsys.readouterr().err) == warned
+
     def test_wrong_length_sweep_entry_rejected(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, sweep=[[2, 2, 2]], checks=[])
@@ -761,6 +789,50 @@ class TestPrecisionResolution:
         identities = json.loads((out / "identities.json").read_text())
         assert identities["precision_bits"] == 192
 
+    def test_config_overrides_env(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        cfg["precision_bits"] = 192
+        monkeypatch.setenv("NIKISHIN_HP_PRECISION", "128")
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert json.loads((out / "identities.json").read_text())["precision_bits"] == 192
+
+    def test_null_config_bits_take_the_env(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        cfg["precision_bits"] = None
+        monkeypatch.setenv("NIKISHIN_HP_PRECISION", "128")
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert json.loads((out / "identities.json").read_text())["precision_bits"] == 128
+
+    def test_parse_config_reads_no_environment(self, tmp_path, monkeypatch):
+        # main alone resolves the environment; parse_config depends on its
+        # argument alone
+        cfg = base_config(tmp_path / "out")
+        del cfg["precision_bits"]
+        monkeypatch.setenv("NIKISHIN_HP_PRECISION", "128")
+        assert cli.parse_config(cfg).precision_bits == cli.DEFAULT_PRECISION_BITS
+        monkeypatch.setenv("NIKISHIN_HP_PRECISION", "")
+        assert cli.parse_config(cfg).precision_bits == cli.DEFAULT_PRECISION_BITS
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_empty_bits_exit_2(self, tmp_path, monkeypatch, capsys, source):
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[2, 2]], checks=[])
+        del cfg["precision_bits"]
+        flag = []
+        if source == "flag":
+            flag = ["--precision-bits", ""]
+        else:
+            monkeypatch.setenv("NIKISHIN_HP_PRECISION", "")
+        assert main(["run", str(write_config(tmp_path, cfg))] + flag) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {
+            "error": "validate",
+            "detail": "bad precision_bits: invalid literal for int() with base 10: ''",
+        }
+        assert not out.exists()
+
     def test_the_bits_live_on_the_system_spec(self, tmp_path):
         config = cli.parse_config(base_config(tmp_path / "out"))
         assert "precision_bits" not in {f.name for f in dataclasses.fields(config)}
@@ -796,7 +868,7 @@ class TestPrecisionResolution:
         assert not out.exists()
         assert mp.prec == 53
 
-    @pytest.mark.parametrize("value", ["abc", "128.5"])
+    @pytest.mark.parametrize("value", ["abc", "128.5", ""])
     def test_non_integer_flag_exits_2_with_json(self, tmp_path, capsys, value):
         # the flag goes through the config's integer rule, not argparse's
         out = tmp_path / "out"

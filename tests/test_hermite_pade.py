@@ -1,6 +1,8 @@
 """Order-condition assembly, type I/II solves, reduction, remainders, orthogonality."""
 
+import ast
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -80,6 +82,64 @@ class TestMultiIndex:
         assert n.total == 7 and n.max_part == 5 and n.spread == 3
         assert list(n) == [2, 5]
         assert MultiIndex.diagonal(3, 4).parts == (4, 4, 4)
+
+
+SIZE_MESSAGE = "multi-index size does not match the system"
+
+
+class TestIndexSize:
+    """_type1_tails, which every solve reads, is the one place that checks
+    the multi-index size."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda sys, pert, n: solve_type1(sys, n),
+            lambda sys, pert, n: solve_type1(sys, n, 1),
+            lambda sys, pert, n: solve_type1_perturbed(sys, pert, n),
+            lambda sys, pert, n: solve_type2(sys, n),
+        ],
+        ids=["type1", "type1-deficit", "type1-perturbed", "type2"],
+    )
+    @pytest.mark.parametrize("parts", [(3,), (3, 3, 3)])
+    def test_each_solve_rejects_a_wrong_size(self, m2_16_system, pert_pm5, solve, parts):
+        with pytest.raises(ValueError, match=f"^{SIZE_MESSAGE}$"):
+            solve(m2_16_system, pert_pm5, MultiIndex(parts))
+
+    def test_type2_residual_tail_rejects_a_wrong_size(self, m2_16_system, f1_system):
+        v = solve_type2(m2_16_system, MultiIndex((2, 2)))
+        with pytest.raises(ValueError, match=f"^{SIZE_MESSAGE}$"):
+            type2_residual_tail(f1_system, v, 1)
+
+    def test_only_type1_tails_holds_the_check(self):
+        tree = ast.parse(inspect.getsource(hermite_pade))
+        owners = [
+            f.name
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Constant) and node.value == SIZE_MESSAGE
+        ]
+        assert owners == ["_type1_tails"]
+
+
+class TestDeficitArgument:
+    """solve_type1's M follows the package's one integer rule and is >= 0."""
+
+    @pytest.mark.parametrize("M", [1.5, True, "1", None])
+    def test_non_integer_rejected(self, m2_16_system, M):
+        with pytest.raises(ValueError, match=r"^M must be an integer, got "):
+            solve_type1(m2_16_system, MultiIndex((3, 3)), M)
+
+    def test_negative_rejected(self, m2_16_system):
+        # M = -1 used to solve with order target |n| + 1
+        with pytest.raises(ValueError, match=r"^M must be nonnegative, got -1$"):
+            solve_type1(m2_16_system, MultiIndex((3, 3)), -1)
+
+    def test_integral_float_solves_as_the_integer(self, m2_16_system):
+        got = solve_type1(m2_16_system, MultiIndex((3, 3)), 1.0)
+        want = solve_type1(m2_16_system, MultiIndex((3, 3)), 1)
+        assert got == want and got.order_target == 5
 
 
 def tail(*coeffs):
@@ -829,6 +889,68 @@ class TestOrthogonality:
         assert abs(seen.max_residual - mpf(4) / 35) < TIGHT
         unseen = check(p4)
         assert unseen.max_residual <= noise_floor(0.5) * unseen.scale
+
+
+class TestCrossRoute:
+    """Orthogonality and the reduction residual compute the same numbers by
+    two routes: sum_i x_i^nu A_1(x_i) w_i over sigma_1's atoms, and the
+    Laurent coefficients of sum_j c_j s-hat_{1,j} read from the moments, for
+    nu = 0..N-2.  On the README sweep the two maxima differ by at most
+    2^-0.8 2^-P times the reduction's scale."""
+
+    @pytest.mark.parametrize("kind", ["plain", "perturbed"])
+    def test_the_two_routes_agree(self, sweep_solutions, m2_32_system, pert_pm5, kind):
+        pert = pert_pm5 if kind == "perturbed" else RationalPerturbation.zero(2)
+        for v in sweep_solutions[kind].values():
+            r = perturbed_reduce(pert, v, m2_32_system)
+            orth = check_orthogonality(m2_32_system, r.reduced)
+            assert r.reduced.order_target >= 6 and r.max_residual > 0
+            gap = abs(orth.max_residual - r.max_residual)
+            assert gap <= 2**4 * mpf(2) ** -mp.prec * r.scale
+
+
+def shifted_chebyshev(k):
+    """The integer coefficients of T_k(2x + 1), ascending."""
+    prev, cur = [1], [1, 2]
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        nxt = [2 * c for c in cur] + [0]
+        for i, c in enumerate(cur):
+            nxt[i + 1] += 4 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+class TestChebyshevClosedForm:
+    """m = 1 against its closed form: on the N-point Chebyshev (-1/2, -1/2)
+    rule of [-1, 0], Gauss exactness makes a_1 of the index (k) proportional
+    to T_{k-1}(2x + 1) for k <= N + 1."""
+
+    @pytest.fixture(scope="class")
+    def chebyshev_system(self):
+        spec = MeasureSpec(
+            kind="jacobi-density", interval=Interval(-1, 0), node_count=64, alpha=-0.5, beta=-0.5
+        )
+        return build_system(SystemSpec([spec], 256))
+
+    # one digit below 75.7, 70.3, 58.3, 45.7, 34.4 and 21.8, measured at
+    # 256 bits against the reference at 768 bits
+    @pytest.mark.parametrize(
+        "k, digits", [(4, 74.7), (8, 69.3), (16, 57.3), (24, 44.7), (32, 33.4), (40, 20.8)]
+    )
+    def test_a1_is_the_shifted_chebyshev_polynomial(self, chebyshev_system, k, digits):
+        v = solve_type1(chebyshev_system, MultiIndex((k,)))
+        assert v.precision_bits == 256 and not v.nullity_flag
+        reference = shifted_chebyshev(k - 1)
+        scale = max(abs(c) for c in reference)  # the leading coefficient is positive
+        with mp.workprec(768):
+            err = max(
+                abs(c - mpf(e) / scale) for c, e in zip(v.a[1].coeffs, reference, strict=True)
+            )
+            assert err < mpf(10) ** -digits
 
 
 def as_fraction(x):

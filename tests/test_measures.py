@@ -53,6 +53,59 @@ class TestInterval:
         assert abs(iv.distance_to(mpc(2, 1)) - 1) < TIGHT
 
 
+class TestGap:
+    # gap is the one way the package orders two intervals
+    @pytest.mark.parametrize(
+        "a, b, lo, hi",
+        [
+            ((-1, 0), (1, 3), 0, 1),  # apart
+            ((1, 3), (-1, 0), 0, 1),  # apart, right one first
+            ((-1, 0), (0, 2), 0, 0),  # one shared point
+            ((0, 2), (-1, 0), 0, 0),
+            ((-1, 1), (0, 2), 1, 0),  # overlap
+            ((-3, 3), (-1, 1), 3, -1),  # nested
+            ((-1, 1), (-3, 3), 3, -1),
+            ((0, 1), (0, 2), 1, 0),  # one left endpoint: self is the left one
+            ((0, 2), (0, 1), 2, 0),
+            ((-1, 0), (-1, 0), 0, -1),  # an interval overlaps itself
+        ],
+    )
+    def test_verdicts(self, a, b, lo, hi):
+        assert Interval(*a).gap(Interval(*b)) == (lo, hi)
+
+    @pytest.mark.parametrize(
+        "a, b", [((-1, 0), (1, 3)), ((-1, 0), (0, 2)), ((-1, 1), (0, 2)), ((-3, 3), (-1, 1))]
+    )
+    def test_verdict_does_not_depend_on_the_order(self, a, b):
+        # the sign of hi - lo, and lo == hi, are the same either way round
+        lo, hi = Interval(*a).gap(Interval(*b))
+        lo2, hi2 = Interval(*b).gap(Interval(*a))
+        assert (lo < hi, lo == hi) == (lo2 < hi2, lo2 == hi2)
+
+
+def legendre_spec(count):
+    return MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=count)
+
+
+class TestNodeCount:
+    """A density kind's node_count follows the package's one integer rule."""
+
+    def test_integral_float_builds_the_integer_rule(self):
+        spec = legendre_spec(4.0)
+        assert spec.node_count == 4 and type(spec.node_count) is int
+        got, want = realize(spec), realize(legendre_spec(4))
+        assert got.nodes == want.nodes and got.weights == want.weights
+
+    @pytest.mark.parametrize("count", [4.5, True, "4", None])
+    def test_non_integer_rejected(self, count):
+        with pytest.raises(ValueError, match=r"^node_count must be an integer, got "):
+            legendre_spec(count)
+
+    def test_below_one_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"^node_count must be >= 1$"):
+            legendre_spec(0.0)
+
+
 class TestRealize:
     def test_atoms_verbatim(self):
         spec = MeasureSpec(

@@ -1,5 +1,6 @@
 """Who owns the working precision: the 64-bit floor, SystemSpec's bits, and
-a static check that no module but `precision` changes mp.prec."""
+static checks that no module but `precision` changes mp.prec or decides
+what counts as an integer."""
 
 import ast
 from pathlib import Path
@@ -15,7 +16,7 @@ from nikishin_hp import (
     set_precision,
     working_precision,
 )
-from nikishin_hp.precision import checked_bits
+from nikishin_hp.precision import checked_bits, checked_int, is_integer
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nikishin_hp"
 FLOOR_MESSAGE = "working precision must be >= 64 bits, got 32"
@@ -77,6 +78,58 @@ class TestOneOwner:
         )
         assert precision_writes(source) == [1, 2, 3, 4, 5, 6, 7]
         assert precision_writes((PACKAGE / "precision.py").read_text())
+
+
+def integer_tests(source: str) -> list:
+    """Line numbers at which `source` calls an is_integer method: a call
+    x.is_integer() without arguments, as float's is, and not the module
+    function precision.is_integer(x)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "is_integer"
+        and not node.args
+    )
+
+
+class TestOneIntegerRule:
+    """precision.is_integer is the package's one answer to "is this an
+    integer": no other module tests a float's fractional part itself."""
+
+    def test_no_other_module_calls_is_integer_methods(self):
+        found = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.name != "precision.py":
+                lines = integer_tests(path.read_text())
+                if lines:
+                    found[path.name] = lines
+        assert found == {}
+
+    def test_the_guard_sees_each_form(self):
+        source = (
+            "x.is_integer()\n"
+            "float(v).is_integer()\n"
+            "is_integer(x)\n"
+            "precision.is_integer(x)\n"
+        )
+        assert integer_tests(source) == [1, 2]
+        assert integer_tests((PACKAGE / "precision.py").read_text())
+
+    @pytest.mark.parametrize("x", [0, 7, -3, 128.0, -2.0, 10**30])
+    def test_integers(self, x):
+        assert is_integer(x)
+        got = checked_int(x, "count")
+        assert got == x and type(got) is int
+
+    @pytest.mark.parametrize(
+        "x", [True, False, 2.5, float("inf"), float("nan"), "4", None, mp.mpf(4), 4j]
+    )
+    def test_non_integers(self, x):
+        assert not is_integer(x)
+        with pytest.raises(ValueError, match=r"^count must be an integer, got "):
+            checked_int(x, "count")
 
 
 class TestFloor:
