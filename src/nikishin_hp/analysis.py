@@ -53,14 +53,19 @@ from mpmath.libmp import fone, fzero, mpc_mul, mpf_mul, mpf_neg, mpf_pos, mpf_su
 
 from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector
 # cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
-from .measures import Interval, cauchy_eval  # noqa: F401
+from .measures import Interval, cauchy_eval, on_support  # noqa: F401
 from .nikishin import NikishinSystem, s_hat_evals
 from .precision import checked_int, noise_floor
 
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Evaluation points in a compact set off the last interval and the poles."""
+    """Evaluation points in a compact set off the last interval and the poles.
+
+    Both ways to a grid, default and an explicit list (cli), keep their
+    candidates through admissible, so one set of rules decides which
+    points a grid holds.
+    """
 
     points: tuple
 
@@ -80,11 +85,13 @@ class EvalGrid:
     ) -> "EvalGrid":
         """Circle of radius radius_factor * (outer radius of supports and poles),
         plus a short segment in the gap between the first and last intervals,
-        lifted 0.1i off the axis.  Points closer than 1/4 to a pole are dropped.
-        A radius_factor of 1 or less lets the circle reach the supports, so it
-        raises ValueError, as do a point count that is negative or not an
-        integer (an integral float is converted) and a radius of 0, which
-        puts every circle point on the atom at 0.
+        lifted 0.1i off the axis.  The points go through admissible with the
+        clearance 1/4: a point on the last interval or on an atom, or closer
+        than 1/4 to a pole, is dropped.  A radius_factor of 1 or less lets the
+        circle reach the supports, so it raises ValueError, as do a point
+        count that is negative or not an integer (an integral float is
+        converted) and a radius of 0, which puts every circle point on the
+        atom at 0.
         """
         if not mpf(radius_factor) > 1:
             raise ValueError(f"radius_factor must exceed 1, got {radius_factor}")
@@ -110,8 +117,29 @@ class EvalGrid:
                 for i in range(segment_points):
                     t = mpf("0.1") + mpf("0.8") * i / (segment_points - 1)
                     pts.append(mpc(lo + t * span, mpf("0.1")))
-        clearance = mpf("0.25")
-        return cls(z for z in pts if all(abs(z - zeta) >= clearance for zeta, _ in poles))
+        return cls.admissible(sys, pert, pts, mpf("0.25"))
+
+    @classmethod
+    def admissible(cls, sys, pert, points, clearance) -> "EvalGrid":
+        """The points, in their order, where the ratio targets can be evaluated.
+
+        A point is kept when it is off the last interval, on no generator's
+        support by measures.on_support (the test cauchy_evals raises
+        through), and both farther than 2^-P/2 and at least `clearance`
+        from every pole of pert.  None kept raises ValueError.
+        """
+        last, tol = sys.intervals[-1], noise_floor(0.5)
+        poles = [zeta for zeta, _ in pert.poles] if pert is not None else []
+        kept = [
+            z
+            for z in map(mpc, points)
+            if (z.imag or not last.contains(z.real))
+            and not any(on_support(mu, z) for mu in sys.generators)
+            and all(d > tol and d >= clearance for d in (abs(z - zeta) for zeta in poles))
+        ]
+        if not kept:
+            raise ValueError("every grid point is on the last interval, on an atom or near a pole")
+        return cls(kept)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ from .nikishin import (
     build_system,
     check_chain_identity,
     check_ratio_identity,
-    s_hat_eval,
+    refuse_sigma1_hat_zeros,
 )
 from .precision import DEFAULT_PRECISION_BITS, checked_bits, is_integer, noise_floor, working_precision
 
@@ -444,38 +444,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
+    """The run's evaluation grid, before any solve.
+
+    Explicit points go through EvalGrid.admissible with pole_eps as the
+    clearance, and the default recipe through the same filter with 1/4
+    (see EvalGrid.default).  When ratio44 runs, an explicit point where
+    sigma_1-hat vanishes is refused (nikishin.refuse_sigma1_hat_zeros);
+    those zeros are real and lie in the first interval, where the default
+    recipe puts no point.
+    """
     g = config.grid
     if "points" in g:
         pts = _validated("grid", lambda ps: [mpc(_num(p[0]), _num(p[1])) for p in ps], g["points"])
-        last = sys.intervals[-1]
-        poles = [zeta for zeta, _ in pert.poles] if pert is not None else []
-        singular = [x for mu in sys.generators for x in mu.nodes] + poles
-        tol = noise_floor(0.5)  # cauchy_eval's on-support gate
-        kept = [
-            z
-            for z in pts
-            if last.distance_to(z) > 0
-            and all(abs(z - x) > tol for x in singular)
-            and all(abs(z - zeta) >= config.pole_eps for zeta in poles)
-        ]
-        if not kept:
-            raise ValueError(
-                "every explicit grid point sits on the last interval, on an "
-                "atom or too close to a perturbation pole"
-            )
-        if "ratio44" in config.checks and sys.m > 1:
-            # the ratio identity divides by sigma_1-hat, whose zeros lie
-            # between sigma_1's atoms (at 0, by symmetry, for a rule on
-            # [-1, 1]); a point where it vanishes against its terms is refused
-            sigma1 = sys.generators[0]
-            for z in kept:
-                scale = mp.fsum(w / abs(z - x) for x, w in zip(sigma1.nodes, sigma1.weights))
-                if abs(s_hat_eval(sys, 1, 1, z)) <= tol * scale:
-                    raise ValueError(
-                        f"sigma_1-hat vanishes at grid point {mp.nstr(z, 8)}, "
-                        "where ratio44 divides by it"
-                    )
-        return EvalGrid(kept)
+        grid = EvalGrid.admissible(sys, pert, pts, config.pole_eps)
+        if "ratio44" in config.checks:
+            refuse_sigma1_hat_zeros(sys, grid.points)
+        return grid
     return _validated(
         "grid",
         lambda g: EvalGrid.default(

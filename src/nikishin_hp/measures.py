@@ -473,39 +473,43 @@ def _signed(raw, sign: int):
     return mp.make_mpf(mpf_mul_int(raw, sign, prec, rnd))
 
 
-def _support_guard(mu: AtomicMeasure, z):
-    """Raise when z lies within the noise floor tol of an atom of mu.
+def on_support(mu: AtomicMeasure, z) -> bool:
+    """Whether z, an mpf or an mpc, lies within the noise floor tol of an atom of mu.
 
-    The atoms lie in mu.support = [a, b], so the per-atom test only runs
-    when |Im z| <= 2 tol and Re z is at most 2 tol outside [a, b] (the
-    factor 2 absorbs rounding): a point outside that box is farther than
-    tol from every atom, so real comparisons rule it out before any complex
-    arithmetic.
+    This is the one on-support test: cauchy_evals raises where it holds,
+    and analysis.EvalGrid keeps a point only where it fails for every
+    generator.  The atoms lie in mu.support = [a, b], so the per-atom test
+    only runs when |Im z| <= 2 tol and Re z is at most 2 tol outside
+    [a, b] (the factor 2 absorbs rounding): a point outside that box is
+    farther than tol from every atom, so real comparisons rule it out
+    before any complex arithmetic, and the answer is that of the per-atom
+    test alone at every point.
     """
     re, im = (z.real, abs(z.imag)) if isinstance(z, mpc) else (z, 0)
     tol = noise_floor(0.5)
     gate = 2 * tol
-    if (
+    return (
         im <= gate
         and mu.support.a - re <= gate
         and re - mu.support.b <= gate
         and any(abs(z - x) <= tol for x in mu.nodes)
-    ):
-        raise ValueError("evaluation on support")
+    )
 
 
 def cauchy_evals(mus, z) -> list:
     """Cauchy transforms sign * sum_i w_i / (z - x_i) of measures on one node set, from one pass.
 
     The measures must share their nodes and support (the chains s_{a,b} of
-    one a do); each value has the bits cauchy_eval gives.  Errors on the
-    support, like cauchy_eval.
+    one a do); each value has the bits cauchy_eval gives.  Raises
+    ValueError("evaluation on support") where on_support(first measure, z)
+    holds.
     """
     z = _point(z)
     first = mus[0]
     if any(mu.nodes != first.nodes or mu.support != first.support for mu in mus[1:]):
         raise ValueError("cauchy_evals needs measures on one node set")
-    _support_guard(first, z)
+    if on_support(first, z):
+        raise ValueError("evaluation on support")
     (sums,) = _cauchy_pass(first.nodes, [mu.weights for mu in mus], z)
     return [_signed(raw, mu.sign) for raw, mu in zip(sums, mus)]
 
@@ -514,7 +518,7 @@ def cauchy_eval(mu: AtomicMeasure, z):
     """Cauchy transform sign * sum_i w_i / (z - x_i); errors on the support.
 
     "On the support" means within the noise floor of an atom (see
-    _support_guard).  The one-measure case of cauchy_evals.
+    on_support).  The one-measure case of cauchy_evals.
     """
     return cauchy_evals((mu,), z)[0]
 

@@ -350,13 +350,15 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
     chain transforms come from the system's table, and <s_{2,k}, sigma_1>
     reweights s_{2,k} by the sigma_1-hat values at sigma_2's atoms that the
     build stored when it formed s_{2,1}; the bracket's measure is not a
-    chain and is evaluated directly.
+    chain and is evaluated directly.  A point where sigma_1-hat vanishes
+    raises ValueError before the division (see refuse_sigma1_hat_zeros).
     """
     sigma1 = sys.generators[0]
     _, tau = inverse_measure(sigma1)
     points = [mpc(z) for z in points]
     # s-hat_{1,1..m} at each point, from one pass over sigma_1's atoms
     forward = [s_hat_evals(sys, 1, range(1, sys.m + 1), z) for z in points] if sys.m > 1 else []
+    refuse_sigma1_hat_zeros(sys, points)
     out = []
     for k in range(2, sys.m + 1):
         mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
@@ -371,3 +373,31 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
             scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
             out.append(Residual(residual, scale))
     return out
+
+
+def refuse_sigma1_hat_zeros(sys: NikishinSystem, points):
+    """Raise ValueError at a point where sigma_1-hat vanishes against its terms.
+
+    check_ratio_identity divides by sigma_1-hat, whose zeros lie between
+    sigma_1's atoms (at 0, by symmetry, for a rule on [-1, 1]).  A point z
+    is refused when |sigma_1-hat(z)| <= 2^-P/2 * sum_i w_i / |z - x_i|.
+    The sum is at most ||sigma_1|| / dist(z, Delta_1), so it is formed only
+    where |sigma_1-hat(z)| * dist(z, Delta_1) is at most 2 * 2^-P/2 *
+    ||sigma_1|| (the factor 2 absorbs rounding), on Delta_1 included:
+    elsewhere, as at every point of a default grid, the answer is the same
+    without it.  When m = 1 the identity has no division and nothing is
+    refused.
+    """
+    if sys.m == 1:
+        return
+    sigma1, tol = sys.generators[0], noise_floor(0.5)
+    bound = 2 * tol * sigma1.total_variation
+    for z in points:
+        value = abs(s_hat_eval(sys, 1, 1, z))
+        if value * sigma1.support.distance_to(z) > bound:
+            continue
+        scale = mp.fsum(w / abs(z - x) for x, w in zip(sigma1.nodes, sigma1.weights))
+        if value <= tol * scale:
+            raise ValueError(
+                f"sigma_1-hat vanishes at {mp.nstr(z, 8)}, where the ratio identity divides by it"
+            )

@@ -12,6 +12,7 @@ from nikishin_hp import (
     ConvergenceRow,
     EvalGrid,
     Interval,
+    MeasureSpec,
     MultiIndex,
     NikishinSystem,
     Polynomial,
@@ -25,9 +26,11 @@ from nikishin_hp import (
     noise_floor,
     pole_attraction,
     ratio_targets,
+    realize,
     sign_changes,
     solve_type1,
     solve_type1_perturbed,
+    system_from_generators,
 )
 
 
@@ -89,6 +92,102 @@ class TestEvalGrid:
         sys = NikishinSystem(tuple(gens), {})
         grid = EvalGrid.default(sys, None, circle_points=4, segment_points=3)
         assert len(grid.points) == 4 + (3 if segment else 0)
+
+
+def explicit_rule_before(sys, pert, points, pole_eps):
+    """The reference: the rule cli applied to explicit grid points before
+    EvalGrid.admissible, copied as it was.  A point is kept off the last
+    interval, farther than 2^-P/2 from every atom and pole, and at least
+    pole_eps from every pole."""
+    last = sys.intervals[-1]
+    poles = [zeta for zeta, _ in pert.poles] if pert is not None else []
+    singular = [x for mu in sys.generators for x in mu.nodes] + poles
+    tol = noise_floor(0.5)
+    return [
+        z
+        for z in points
+        if last.distance_to(z) > 0
+        and all(abs(z - x) > tol for x in singular)
+        and all(abs(z - zeta) >= pole_eps for zeta in poles)
+    ]
+
+
+def adversarial_points(sys, pert, pole_eps):
+    """Points on and just beside every rule's boundary: each atom and pole
+    moved by +-tol/2 and +-3 tol/2 along both axes (tol = 2^-P/2), points
+    at distance pole_eps from a pole and just inside it, and real points on
+    the last interval, at its ends and just beside it."""
+    tol = noise_floor(0.5)
+    shifts = [s * tol for s in (mpf(1) / 2, -mpf(1) / 2, mpf(3) / 2, -mpf(3) / 2)]
+    pts = []
+    for mu in sys.generators:
+        for x in (mu.nodes[0], mu.nodes[len(mu.nodes) // 2], mu.nodes[-1]):
+            pts += [mpc(x + d) for d in shifts] + [mpc(x, d) for d in shifts]
+    for zeta, _ in pert.poles:
+        pts += [zeta + d for d in shifts] + [zeta + mpc(0, d) for d in shifts]
+        for eps in (mpf(pole_eps), mpf(pole_eps) - tol):
+            pts += [zeta + eps, zeta - eps, zeta + mpc(0, eps)]
+    last = sys.intervals[-1]
+    for x in (last.a, (last.a + last.b) / 2, last.b):
+        pts += [mpc(x), mpc(x - tol), mpc(x + tol), mpc(x, tol)]
+    pts += [mpc(last.a - 1), mpc(last.b + 1), mpc(0, 2)]
+    return pts
+
+
+class TestAdmissible:
+    """EvalGrid.admissible, the one point filter of the default and the
+    explicit grids."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, m2_16_system):
+        # a system with atoms at both ends of its first interval, where the
+        # on-support test's box pre-test is tightest
+        ends = AtomicMeasure([-1, "-0.25", 0], [1, 2, 1], 1, Interval(-1, 0))
+        last = AtomicMeasure(["1.5", 2, "2.5"], [1, 1, 1], 1, Interval(1, 3))
+        return [m2_16_system, NikishinSystem((ends, last), {})]
+
+    @pytest.mark.parametrize("pole_eps", [0, mpf("0.25")])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_keeps_exactly_the_explicit_rule_points_in_order(self, systems, which, pole_eps):
+        sys = systems[which]
+        # a pole at 5 and one in the gap between the supports
+        pert = RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn([1], ["-0.5", 1])])
+        pts = adversarial_points(sys, pert, pole_eps)
+        want = explicit_rule_before(sys, pert, pts, pole_eps)
+        got = EvalGrid.admissible(sys, pert, pts, pole_eps).points
+        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+        # the shifts reach both sides of every rule
+        assert 0 < len(want) < len(pts)
+
+    def test_no_point_left_names_every_rule(self, m2_16_system, pert_pm5):
+        tol = noise_floor(0.5)
+        atom = m2_16_system.generators[0].nodes[3]
+        pts = [mpc(2), mpc(atom + tol / 2), mpc(5 + tol / 4)]
+        with pytest.raises(ValueError, match="last interval") as info:
+            EvalGrid.admissible(m2_16_system, pert_pm5, pts, 0)
+        assert "atom" in str(info.value) and "pole" in str(info.value)
+
+    def test_default_grid_keeps_no_point_on_the_last_interval(self):
+        # with radius_factor 1.001 the circle's radius, 1.001 times the
+        # largest atom 2.98940, put the point 2.99239 on [1, 3]; the
+        # default grid dropped nothing but points near a pole
+        with mp.workprec(128):
+            sys = system_from_generators(
+                realize(MeasureSpec("legendre-density", Interval(a, b), 16))
+                for a, b in ((-1, 0), (1, 3))
+            )
+            grid = EvalGrid.default(sys, None, mpf("1.001"), 16, 4)
+            last = sys.intervals[-1]
+            assert all(last.distance_to(z) > 0 for z in grid.points)
+            assert len(grid.points) == 16 + 4 - 1
+
+    def test_default_grid_drops_circle_points_on_an_atom(self):
+        # radius 1 + 10^-71 puts the circle points +-(1 + 10^-71), off the
+        # interval [-1, 1], within 2^-P/2 of the atoms +-1
+        mu = AtomicMeasure([-1, 1], ["0.5", "0.5"], 1, Interval(-1, 1))
+        sys = system_from_generators([mu])
+        grid = EvalGrid.default(sys, None, mpf(1) + mpf(10) ** -71, 8, 0)
+        assert [z.imag != 0 for z in grid.points] == [True] * 6
 
 
 def normalized_sup(v, grid, numerator, target, skip_below):

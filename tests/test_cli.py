@@ -1,5 +1,6 @@
 """End-to-end CLI runs: config validation, outputs, determinism, exit codes."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -10,9 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
-from nikishin_hp import Residual, cli, noise_floor
+from nikishin_hp import (
+    EvalGrid,
+    RationalFn,
+    RationalPerturbation,
+    Residual,
+    build_system,
+    cli,
+    noise_floor,
+    working_precision,
+)
 from nikishin_hp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_smoke"
@@ -974,3 +984,122 @@ class TestDependencies:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def default_recipe_before(sys, pert, radius_factor, circle_points, segment_points):
+    """The reference: EvalGrid.default's points as they were built before
+    the grids shared EvalGrid.admissible, the candidates less the points
+    within 1/4 of a pole."""
+    poles = pert.poles if pert is not None else ()
+    outer = max([sys.outer_radius] + [abs(zeta) for zeta, _ in poles])
+    radius = mpf(radius_factor) * outer
+    pts = [radius * mp.expjpi(2 * mpf(k) / circle_points) for k in range(circle_points)]
+    lo, hi = sys.intervals[0].gap(sys.intervals[-1])
+    if lo < hi and segment_points > 0:
+        span = hi - lo
+        if segment_points == 1:
+            pts.append(mpc(lo + span / 2, mpf("0.1")))
+        else:
+            for i in range(segment_points):
+                t = mpf("0.1") + mpf("0.8") * i / (segment_points - 1)
+                pts.append(mpc(lo + t * span, mpf("0.1")))
+    return [z for z in pts if all(abs(z - zeta) >= mpf("0.25") for zeta, _ in poles)]
+
+
+def _workload_config(name, seed):
+    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return lambda out: dict(workloads.make_config(name, seed), output_dir=str(out))
+
+
+def _readme_config(out):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    return dict(json.loads(block), output_dir=str(out))
+
+
+def _golden_m3_config(out):
+    # the system, perturbation and grid of test_m3_bodies_match_stored_bytes
+    cfg = golden_smoke_config(out)
+    cfg["system"] = [
+        {"kind": "legendre-density", "interval": [a, b], "node_count": 16}
+        for a, b in ((-1, 0), (1, 3), (4, 6))
+    ]
+    cfg["perturbations"] = [
+        {"num_coeffs": [1], "den_coeffs": [-8, 1]},
+        None,
+        {"num_coeffs": [1], "den_coeffs": [8, 1]},
+    ]
+    return cfg
+
+
+class TestOneGridFilter:
+    """Both grids keep their points through EvalGrid.admissible."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _workload_config(name, seed)
+            for name in ("smoke", "readme-m2", "deep-diag-m2", "identities-m4")
+            for seed in (0, 3)
+        ]
+        + [
+            _readme_config,
+            golden_smoke_config,
+            _golden_m3_config,
+            golden_class_config,
+            golden_offdiag_config,
+            golden_m3_class_config,
+        ],
+    )
+    def test_default_grids_keep_the_points_they_had(self, tmp_path, make):
+        config = cli.parse_config(make(tmp_path / "out"))
+        with working_precision(config.precision_bits):
+            sys_ = build_system(config.system)
+            pert = None
+            if config.perturbation_coeffs is not None:
+                pert = RationalPerturbation(
+                    [RationalFn(num, den) for num, den in config.perturbation_coeffs]
+                )
+            args = (
+                mpf(config.grid.get("radius_factor", 4)),
+                config.grid.get("circle_points", 64),
+                config.grid.get("segment_points", 16),
+            )
+            got = EvalGrid.default(sys_, pert, *args).points
+            want = default_recipe_before(sys_, pert, *args)
+            assert [z._mpc_ for z in got] == [mpc(z)._mpc_ for z in want]
+
+    def test_default_grid_off_the_last_interval_converges(self, tmp_path):
+        # radius_factor 1.001 put the circle point 2.99239 on [1, 3]: the
+        # run exited 0 with err_1 = 0.916, 0.841, 0.791 and delta 0.964
+        out = tmp_path / "out"
+        cfg = golden_smoke_config(out)
+        cfg.update(perturbations=[], checks=["chile", "ratio44"])
+        cfg["sweep"] = {"shape": "diagonal", "k_min": 2, "k_max": 4, "step": 1}
+        cfg["grid"] = {"radius_factor": 1.001, "circle_points": 16, "segment_points": 4}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        delta = read_body(out / "convergence.csv")[-1].split(",")
+        assert delta[0] == "delta" and mpf(delta[3]) < mpf("0.6")
+
+    def test_default_grid_on_an_atom_no_longer_fails_after_the_solve(self, tmp_path):
+        # radius 1 + 10^-71 put two circle points within 2^-128 of the atoms
+        # +-1, and the run exited 3 with "evaluation on support"
+        cfg = base_config(tmp_path / "out", sweep=[[2], [3], [4]], checks=[])
+        cfg["system"] = [
+            {"kind": "atoms", "interval": [-1, 1], "nodes": [-1, 1], "weights": ["0.5", "0.5"]}
+        ]
+        radius_factor = "1." + "0" * 70 + "1"
+        cfg["grid"] = {"radius_factor": radius_factor, "circle_points": 8, "segment_points": 0}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+
+    def test_cli_reads_no_atoms_and_no_poles(self):
+        # the grid rules live in analysis, nikishin and measures; cli only
+        # parses points and hands them on
+        tree = ast.parse(Path(cli.__file__).read_text())
+        found = [
+            (node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("nodes", "weights", "poles")
+        ]
+        assert found == []

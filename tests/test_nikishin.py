@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from nikishin_hp import nikishin
-from nikishin_hp.nikishin import chain_tail, s_hat_evals
+from nikishin_hp.nikishin import chain_tail, refuse_sigma1_hat_zeros, s_hat_evals
 from nikishin_hp import (
     AtomicMeasure,
+    EvalGrid,
     Interval,
+    MeasureSpec,
     MultiIndex,
     NikishinSystem,
     cauchy_eval,
@@ -25,6 +27,7 @@ from nikishin_hp import (
     moments,
     noise_floor,
     product_measure,
+    realize,
     s_hat_eval,
     solve_type1,
     solve_type2,
@@ -508,6 +511,58 @@ class TestRatioIdentity:
 
     def test_single_generator_gives_no_residuals(self, f1_system):
         assert check_ratio_identity(f1_system, [mpc(5, 5)]) == []
+
+
+def sigma1_hat_vanishes_before(sys, z):
+    """The reference: the rule cli applied to explicit grid points before
+    the gate moved beside the division, copied as it was."""
+    sigma1 = sys.generators[0]
+    scale = mp.fsum(w / abs(z - x) for x, w in zip(sigma1.nodes, sigma1.weights))
+    return abs(s_hat_eval(sys, 1, 1, z)) <= noise_floor(0.5) * scale
+
+
+class TestSigma1HatGate:
+    """check_ratio_identity divides by sigma_1-hat; refuse_sigma1_hat_zeros
+    refuses the points where it vanishes."""
+
+    @pytest.fixture
+    def symmetric(self):
+        # sigma_1-hat of the 8-node Legendre rule on [-1, 1] is 0 at z = 0
+        mp.prec = 128
+        return system_from_generators(
+            realize(MeasureSpec("legendre-density", Interval(a, b), 8))
+            for a, b in ((-1, 1), (2, 3))
+        )
+
+    @pytest.mark.parametrize("z", [0, mpf("1e-50"), mpc(0, "1e-60")])
+    def test_ratio_identity_refuses_a_vanishing_sigma1_hat(self, symmetric, z):
+        # these raised ZeroDivisionError at 0 and 10^-50, and "evaluation
+        # on support" at 10^-60 i, an atom of tau
+        with pytest.raises(ValueError, match="sigma_1-hat vanishes"):
+            check_ratio_identity(symmetric, [mpc(5, 1), z])
+
+    def test_gate_decides_as_the_full_term_sum(self, symmetric):
+        sys = symmetric
+        tol = noise_floor(0.5)
+        atom = sys.generators[0].nodes[2]
+        # sigma_1-hat is about z near 0, against terms of about 1 and 2^-64
+        points = [mpc(0), mpc("1e-50"), mpc("1e-25"), mpc(0, "1e-60")]
+        points += [mpc(z) for z in ("1e-15", "0.3", 5, -2)]
+        points += [mpc(0, "1e-15"), mpc("0.5", "0.1"), mpc(0, 10)]
+        points += [mpc(atom + 3 * tol / 2), mpc(atom, 3 * tol / 2), mpc(1 + tol), mpc(-1, tol)]
+        points += list(EvalGrid.default(sys, None, circle_points=16, segment_points=4).points)
+        refused = []
+        for z in points:
+            try:
+                refuse_sigma1_hat_zeros(sys, [z])
+                refused.append(False)
+            except ValueError:
+                refused.append(True)
+        assert refused == [sigma1_hat_vanishes_before(sys, z) for z in points]
+        assert refused == [True] * 4 + [False] * (len(points) - 4)
+
+    def test_one_generator_divides_by_nothing(self, f1_system):
+        refuse_sigma1_hat_zeros(f1_system, [mpc(0, "1e-60")])
 
 
 class TestTailTable:
