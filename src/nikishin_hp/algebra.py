@@ -10,9 +10,13 @@ a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
 
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
-finite and distinct), then sweeps above working precision, with seeded
+finite and distinct), then sweeps at P + max(64, 4 deg) bits, with seeded
 random restarts on stagnation, refine them, followed by conjugate
-symmetrization for real input.
+symmetrization for real input.  Each multiprecision sweep first evaluates
+p at every approximation and ends the iteration, without a step, once
+those residuals are at the floor; otherwise it steps with the same values.
+The sweeps run on raw mpmath.libmp tuples with the operations and
+roundings of mpc arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +25,26 @@ import cmath
 import random
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_pos,
+    mpc_sub,
+    mpc_zero,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .precision import noise_floor
 
@@ -289,24 +313,23 @@ def _horner(cs, x):
     return acc
 
 
-def _sweep(c, dc, z, norm, one, bits):
-    """One Aberth-Ehrlich sweep over the approximations z, updated in place.
+def _float_sweep(c, dc, z, norm):
+    """One float64 Aberth-Ehrlich sweep over the approximations z, updated in place.
 
-    Works on Python complex (one = 1.0, bits = 53) and on mpc (one = mpf(1),
-    bits = mp.prec) alike.  Returns (metric, moved): the largest scaled
-    residual |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i
-    steps, and the largest relative step.
+    Returns (metric, moved): the largest scaled residual
+    |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i steps,
+    and the largest relative step.
     """
     n = len(c) - 1
-    metric = moved = 0 * one
+    metric = moved = 0.0
     for i in range(n):
         pv = _horner(c, z[i])
-        metric = max(metric, abs(pv) / (norm * max(one, abs(z[i])) ** n))
+        metric = max(metric, abs(pv) / (norm * max(1.0, abs(z[i])) ** n))
         if pv == 0:
             continue
         dv = _horner(dc, z[i])
         if dv == 0:
-            z[i] *= 1 + (2 * one) ** (-bits // 3)
+            z[i] *= 1 + 2.0 ** (-53 // 3)
             dv = _horner(dc, z[i])
             if dv == 0:
                 continue
@@ -317,7 +340,7 @@ def _sweep(c, dc, z, norm, one, bits):
                 continue
             diff = z[i] - z[j]
             if diff == 0:
-                diff = (2 * one) ** (-bits // 2) * (1 + abs(z[i]))
+                diff = 2.0 ** (-53 // 2) * (1 + abs(z[i]))
             s += 1 / diff
         denom = 1 - newton * s
         step = newton if denom == 0 else newton / denom
@@ -350,7 +373,7 @@ def _float_start(c):
         z = [complex(w) for w in _circle_start(c)]
         floor_metric = 2.0 ** (-53 + 12 + n.bit_length())
         for _ in range(100):
-            if _sweep(cf, dc, z, norm, 1.0, 53)[0] <= floor_metric:
+            if _float_sweep(cf, dc, z, norm)[0] <= floor_metric:
                 break
     except (OverflowError, ZeroDivisionError):
         return None
@@ -364,10 +387,24 @@ def _float_start(c):
 
 
 def _aberth(c, z) -> list:
-    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0."""
+    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0.
+
+    Each sweep first takes p at every approximation (_residuals) and stops
+    the iteration, without stepping, when the largest scaled residual is at
+    the floor 2^(-P + 12 + bitlength n).  Otherwise _steps moves each z_i in
+    turn with those same values: z_i moves only at its own step, so they
+    are the values that step reads.  The iteration also stops once the
+    largest relative step is below 2^(-P + 16) with the residual below
+    2^(-P/2 - 8); after more than 20 sweeps without a 1% gain in the
+    residual it restarts from a seeded random jitter of the approximations,
+    at most 4 times.  The sweeps run on raw mpmath.libmp tuples, with the
+    operations and roundings of the mpc arithmetic.
+    """
     n = len(c) - 1
-    dc = [k * c[k] for k in range(1, n + 1)]
-    norm = max(abs(x) for x in c)
+    cs = [x._mpc_ for x in c]
+    dcs = [(k * c[k])._mpc_ for k in range(1, n + 1)]
+    norm = max(abs(x) for x in c)._mpf_
+    zs = [w._mpc_ for w in z]
     rng = random.Random(0xA8E27 ^ n)
 
     floor_metric = mpf(2) ** (-mp.prec + 12 + n.bit_length())
@@ -377,9 +414,11 @@ def _aberth(c, z) -> list:
     restarts = 0
     max_iter = 600
     for _ in range(max_iter):
-        metric, moved = _sweep(c, dc, z, norm, mpf(1), mp.prec)
+        values, metric = _residuals(cs, zs, norm)
+        metric = mp.make_mpf(metric)
         if metric <= floor_metric:
             break
+        moved = mp.make_mpf(_steps(dcs, zs, values))
         if moved <= mpf(2) ** (-mp.prec + 16) and metric <= accept_metric:
             break
         if metric < best * mpf("0.99"):
@@ -395,13 +434,97 @@ def _aberth(c, z) -> list:
             if restarts > 4:
                 break
             jitter = mpf(2) ** (-mp.prec // 4)
-            z = [
-                w * (1 + jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-                for w in z
-            ]
+            for i, w in enumerate(zs):
+                kick = 1 + jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                zs[i] = (mp.make_mpc(w) * kick)._mpc_
             best = mp.inf
             stall = 0
-    return z
+    return [mp.make_mpc(w) for w in zs]
+
+
+def _mpc_horner(cs, z):
+    """_horner on raw mpc tuples at P, with the operations and roundings of mpc_mul and mpc_add.
+
+    Adding an exact zero imaginary part is skipped: it gives back the sum
+    already rounded to P.
+    """
+    prec, rnd = mp.prec, round_nearest
+    zr, zi = z
+    re, im = mpc_pos(cs[-1], prec, rnd)
+    for cr, ci in cs[-2::-1]:
+        re, im = (
+            mpf_sub(mpf_mul(re, zr), mpf_mul(im, zi), prec, rnd),
+            mpf_add(mpf_mul(re, zi), mpf_mul(im, zr), prec, rnd),
+        )
+        re = mpf_add(re, cr, prec, rnd)
+        if ci != fzero:
+            im = mpf_add(im, ci, prec, rnd)
+    return re, im
+
+
+def _residuals(cs, zs, norm):
+    """The raw values p(z_i) and the largest |p(z_i)| / (norm max(1, |z_i|)^n)."""
+    prec, rnd = mp.prec, round_nearest
+    n = len(cs) - 1
+    values = [_mpc_horner(cs, z) for z in zs]
+    metric = fzero
+    for v, z in zip(values, zs):
+        size = mpc_abs(z, prec, rnd)
+        power = mpf_pow_int(size if mpf_gt(size, fone) else fone, n, prec, rnd)
+        r = mpf_div(mpc_abs(v, prec, rnd), mpf_mul(norm, power, prec, rnd), prec, rnd)
+        if mpf_gt(r, metric):
+            metric = r
+    return values, metric
+
+
+def _steps(dcs, zs, values):
+    """Step each z_i in turn (Gauss-Seidel) from its value p(z_i); zs is updated in place.
+
+    p' is taken at z_i, nudged by the factor 1 + 2^(-P/3) when it vanishes
+    there.  Each 1/(z_i - z_j) is formed as mpc_mpf_div(1, z_i - z_j) forms
+    it: |z_i - z_j|^2 rounded to P + 10 bits by libmp's default rounding,
+    then two divisions at P; two equal approximations take
+    1/(2^(-P/2) (1 + |z_i|)) instead.  Returns the largest relative step
+    |step| / (1 + |z_i|), raw.
+    """
+    prec, rnd = mp.prec, round_nearest
+    wide = prec + 10
+    nudge = (1 + mpf(2) ** (-prec // 3))._mpf_
+    tiny = (mpf(2) ** (-prec // 2))._mpf_
+    moved = fzero
+    for i, pv in enumerate(values):
+        if pv == mpc_zero:
+            continue
+        z = zs[i]
+        dv = _mpc_horner(dcs, z)
+        if dv == mpc_zero:
+            z = zs[i] = mpc_mul_mpf(z, nudge, prec, rnd)
+            dv = _mpc_horner(dcs, z)
+            if dv == mpc_zero:
+                continue
+        newton = mpc_div(pv, dv, prec, rnd)
+        zr, zi = z
+        sr = si = fzero
+        for j, (wr, wi) in enumerate(zs):
+            if j == i:
+                continue
+            a = mpf_sub(zr, wr, prec, rnd)
+            b = mpf_sub(zi, wi, prec, rnd)
+            if a == fzero and b == fzero:
+                stand_in = mpf_mul(tiny, mpf_add(mpc_abs(z, prec, rnd), fone, prec, rnd), prec, rnd)
+                sr = mpf_add(sr, mpf_rdiv_int(1, stand_in, prec, rnd), prec, rnd)
+                continue
+            m = mpf_add(mpf_mul(a, a), mpf_mul(b, b), wide)
+            sr = mpf_add(sr, mpf_div(a, m, prec, rnd), prec, rnd)
+            si = mpf_add(si, mpf_div(mpf_neg(b), m, prec, rnd), prec, rnd)
+        denom = mpc_sub((fone, fzero), mpc_mul(newton, (sr, si), prec, rnd), prec, rnd)
+        step = newton if denom == mpc_zero else mpc_div(newton, denom, prec, rnd)
+        z = zs[i] = mpc_sub(z, step, prec, rnd)
+        size = mpf_add(mpc_abs(z, prec, rnd), fone, prec, rnd)
+        r = mpf_div(mpc_abs(step, prec, rnd), size, prec, rnd)
+        if mpf_gt(r, moved):
+            moved = r
+    return moved
 
 
 def _symmetrize_conjugates(roots, prec) -> list:

@@ -75,4 +75,4 @@ def noise_floor(fraction: float = 0.5) -> mpf:
     fraction 0.5 is the default "numerically zero" gate; 1/3 and 1/4 are the
     progressively looser gates for product identities and junction spacing.
     """
-    return mpf(2) ** (-int(mp.prec * fraction))
+    return mp.ldexp(1, -int(mp.prec * fraction))

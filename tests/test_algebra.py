@@ -14,6 +14,7 @@ from nikishin_hp import (
     noise_floor,
     poly_roots,
 )
+from nikishin_hp.algebra import _horner
 
 
 def long_division_tail(num: Polynomial, den: Polynomial, K: int):
@@ -218,3 +219,232 @@ class TestRootStart:
         assert len(roots) == 2
         for r, e in zip(roots, [1, 2]):
             assert abs(r - e) <= mpf(2) ** (8 - mp.prec) * e
+
+
+# The mpc iteration that steps after reading each residual: the former
+# algebra._sweep and algebra._aberth, verbatim.  It evaluates p, p' and every
+# 1/(z_i - z_j) in the sweep after the one whose residuals reach the floor,
+# and is the oracle for the roots of the present iteration.
+
+
+def _sweep(c, dc, z, norm, one, bits):
+    """One Aberth-Ehrlich sweep over the approximations z, updated in place.
+
+    Works on Python complex (one = 1.0, bits = 53) and on mpc (one = mpf(1),
+    bits = mp.prec) alike.  Returns (metric, moved): the largest scaled
+    residual |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i
+    steps, and the largest relative step.
+    """
+    n = len(c) - 1
+    metric = moved = 0 * one
+    for i in range(n):
+        pv = _horner(c, z[i])
+        metric = max(metric, abs(pv) / (norm * max(one, abs(z[i])) ** n))
+        if pv == 0:
+            continue
+        dv = _horner(dc, z[i])
+        if dv == 0:
+            z[i] *= 1 + (2 * one) ** (-bits // 3)
+            dv = _horner(dc, z[i])
+            if dv == 0:
+                continue
+        newton = pv / dv
+        s = 0
+        for j in range(n):
+            if j == i:
+                continue
+            diff = z[i] - z[j]
+            if diff == 0:
+                diff = (2 * one) ** (-bits // 2) * (1 + abs(z[i]))
+            s += 1 / diff
+        denom = 1 - newton * s
+        step = newton if denom == 0 else newton / denom
+        z[i] = z[i] - step
+        moved = max(moved, abs(step) / (1 + abs(z[i])))
+    return metric, moved
+
+
+def _aberth(c, z) -> list:
+    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0."""
+    n = len(c) - 1
+    dc = [k * c[k] for k in range(1, n + 1)]
+    norm = max(abs(x) for x in c)
+    rng = random.Random(0xA8E27 ^ n)
+
+    floor_metric = mpf(2) ** (-mp.prec + 12 + n.bit_length())
+    accept_metric = mpf(2) ** (-mp.prec // 2 - 8)
+    best = mp.inf
+    stall = 0
+    restarts = 0
+    max_iter = 600
+    for _ in range(max_iter):
+        metric, moved = _sweep(c, dc, z, norm, mpf(1), mp.prec)
+        if metric <= floor_metric:
+            break
+        if moved <= mpf(2) ** (-mp.prec + 16) and metric <= accept_metric:
+            break
+        if metric < best * mpf("0.99"):
+            best = metric
+            stall = 0
+        else:
+            stall += 1
+        # stagnation: random perturbation restart
+        if stall > 20:
+            if metric <= accept_metric:
+                break
+            restarts += 1
+            if restarts > 4:
+                break
+            jitter = mpf(2) ** (-mp.prec // 4)
+            z = [
+                w * (1 + jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                for w in z
+            ]
+            best = mp.inf
+            stall = 0
+    return z
+
+
+def roots_of(p, aberth=algebra._aberth):
+    """poly_roots(p) as _mpc_ tuples, with aberth in place of algebra._aberth."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_aberth", aberth)
+        return [z._mpc_ for z in poly_roots(p)]
+
+
+def distinct_real_polynomial(degree: int) -> Polynomial:
+    """A real polynomial with distinct roots, some in conjugate pairs, from a seeded draw.
+
+    Real roots and the real and imaginary parts of the pairs are distinct
+    multiples of 1/4 in [-3, 3], so each factor z - x or z^2 - 2a z + a^2 + b^2
+    has exact coefficients.
+    """
+    rng = random.Random(100 + degree)
+    pairs = rng.randint(0, degree // 2)
+    grid = [mpf(k) / 64 for k in range(-192, 193, 16)]
+    p = Polynomial.one()
+    for x in rng.sample(grid, degree - 2 * pairs):
+        p = p * Polynomial([-x, 1])
+    for a, b in zip(rng.sample(grid, pairs), rng.sample([g for g in grid if g > 0], pairs)):
+        p = p * Polynomial([a * a + b * b, -2 * a, 1])
+    return p
+
+
+class TestSameRootsAsSteppingEverySweep:
+    """The sweep whose residuals reach the floor does not step, and the roots keep the bits
+    that stepping it gives."""
+
+    @pytest.mark.parametrize("kind", ["plain", "perturbed"])
+    def test_every_component_of_the_sweep_fixture(self, sweep_solutions, kind):
+        checked = 0
+        for v in sweep_solutions[kind].values():
+            for a in v.a:
+                p = a.trimmed()
+                if p.degree < 1:
+                    continue
+                assert roots_of(p) == roots_of(p, _aberth)
+                checked += 1
+        assert checked == 15
+
+    @pytest.mark.parametrize("degree", range(2, 15))
+    def test_distinct_real_roots_and_conjugate_pairs(self, degree):
+        p = distinct_real_polynomial(degree)
+        assert p.degree == degree
+        assert roots_of(p) == roots_of(p, _aberth)
+
+    def test_the_last_sweep_only_evaluates_p(self, sweep_solutions, monkeypatch):
+        # README fixture, k = 12, a_1: p' and the reciprocals 1/(z_i - z_j),
+        # each with its |z_i - z_j|^2 at P + 10 bits, are counted per sweep
+        p = sweep_solutions["perturbed"][12].a[1].trimmed()
+        n = p.degree
+        assert n == 11
+        sweeps = []
+        residuals, horner, add = algebra._residuals, algebra._mpc_horner, algebra.mpf_add
+
+        def counting_residuals(cs, zs, norm):
+            sweeps.append({"p": 0, "dp": 0, "reciprocals": 0})
+            return residuals(cs, zs, norm)
+
+        def counting_horner(cs, z):
+            sweeps[-1]["p" if len(cs) == n + 1 else "dp"] += 1
+            return horner(cs, z)
+
+        def counting_add(s, t, prec=0, *args):
+            if prec == mp.prec + 10:
+                sweeps[-1]["reciprocals"] += 1
+            return add(s, t, prec, *args)
+
+        monkeypatch.setattr(algebra, "_residuals", counting_residuals)
+        monkeypatch.setattr(algebra, "_mpc_horner", counting_horner)
+        monkeypatch.setattr(algebra, "mpf_add", counting_add)
+        poly_roots(p)
+        full = {"p": n, "dp": n, "reciprocals": n * (n - 1)}
+        assert sweeps == [full, full, {"p": n, "dp": 0, "reciprocals": 0}]
+
+
+def with_start(monkeypatch, start):
+    """poly_roots takes start as its float64 start."""
+    monkeypatch.setattr(algebra, "_float_start", lambda c: [mpc(w) for w in start])
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap owner.name to count its calls; returns the one-entry count list."""
+    calls = [0]
+    f = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def assert_roots_meet_the_contract(p, roots):
+    """deg p roots within the residual bound, the bits that stepping every sweep gives."""
+    assert len(roots) == p.degree
+    bound = noise_floor(0.5) * p.max_coeff()
+    for r in roots:
+        assert abs(p(r)) <= bound * max(mpf(1), abs(r)) ** p.degree
+    assert [z._mpc_ for z in roots] == roots_of(p, _aberth)
+
+
+class TestGuards:
+    """Each guard of the multiprecision steps, reached from a chosen start."""
+
+    def test_two_equal_approximations(self, monkeypatch):
+        # z_0 - z_1 is exactly 0 at the first step: 1/(2^-P/2 (1 + |z_0|))
+        # stands in for its reciprocal, formed by mpf_rdiv_int
+        p = Polynomial.from_roots([1, 2, 3])
+        with_start(monkeypatch, [1.5 + 0.5j, 1.5 + 0.5j, 4 + 0.1j])
+        stand_ins = counting(monkeypatch, algebra, "mpf_rdiv_int")
+        roots = poly_roots(p)
+        assert stand_ins[0] == 1
+        assert_roots_meet_the_contract(p, roots)
+        for r, e in zip(roots, [1, 2, 3]):
+            assert abs(r - e) < noise_floor(0.5)
+
+    def test_an_approximation_at_a_critical_point(self, monkeypatch):
+        # p = (z - 1)(z - 3) has p'(2) = 0 exactly: z_0 = 2 is nudged by
+        # the factor 1 + 2^(-P/3) before it steps
+        p = Polynomial([3, -4, 1])
+        with_start(monkeypatch, [2, 5 + 1j])
+        nudges = counting(monkeypatch, algebra, "mpc_mul_mpf")
+        roots = poly_roots(p)
+        assert nudges[0] == 1
+        assert_roots_meet_the_contract(p, roots)
+        for r, e in zip(roots, [1, 3]):
+            assert abs(r - e) < noise_floor(0.5)
+
+    def test_stagnation_restarts_from_a_jitter(self, monkeypatch):
+        # from a real start the iterates of z^2 + 1 stay real and never
+        # near +-i; after 21 sweeps without gain a seeded jitter moves them
+        # off the axis
+        p = Polynomial([1, 0, 1])
+        with_start(monkeypatch, [2, -3])
+        jitters = counting(monkeypatch, random.Random, "uniform")
+        roots = poly_roots(p)
+        assert jitters[0] > 0 and jitters[0] % (2 * p.degree) == 0
+        assert_roots_meet_the_contract(p, roots)
+        assert roots[0] == mp.conj(roots[1])
+        assert abs(roots[1] - mpc(0, 1)) < noise_floor(0.5)

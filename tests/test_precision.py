@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from nikishin_hp import (
     Interval,
@@ -16,7 +16,7 @@ from nikishin_hp import (
     set_precision,
     working_precision,
 )
-from nikishin_hp.precision import checked_bits, checked_int, is_integer
+from nikishin_hp.precision import checked_bits, checked_int, is_integer, noise_floor
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nikishin_hp"
 FLOOR_MESSAGE = "working precision must be >= 64 bits, got 32"
@@ -153,6 +153,16 @@ class TestFloor:
     def test_64_bits_accepted(self):
         assert checked_bits(64) == 64
         assert SystemSpec([legendre(-1, 0, 4)], 64).precision_bits == 64
+
+
+class TestNoiseFloor:
+    @pytest.mark.parametrize("fraction", [1 / 2, 1 / 3, 1 / 4, 1 / 8])
+    def test_same_bits_as_a_power_of_two(self, fraction):
+        # formed by a shift, the floor is the mpf that mpf(2) ** -k rounds to
+        for bits in range(64, 2049):
+            with working_precision(bits):
+                k = int(bits * fraction)
+                assert noise_floor(fraction)._mpf_ == (mpf(2) ** -k)._mpf_
 
 
 CALLERS = {

@@ -11,9 +11,13 @@ identities.json and zeros.csv (when the run writes one), their timestamp
 comment lines removed, and atoms.txt: the nodes and weights of every
 generator the config realizes, then those of the inverse measure tau of
 sigma_1, one `node weight` line per atom as mpmath `_mpf_` tuples, so an
-atom or a gap root that moves by one bit shows directly.  Two
-checkouts give the same output exactly when `diff -r OUT_A OUT_B` prints
-nothing.  The runs take about 30 s in all.
+atom or a gap root that moves by one bit shows directly.  roots.txt does
+the same for the pole-attraction census, whose zeros.csv holds only
+counts: the perturbation's poles with their multiplicities, then, for
+each a_j of each swept index that the census factors, every root that
+poly_roots gives, one `_mpc_` tuple per line.  Two checkouts give the
+same output exactly when `diff -r OUT_A OUT_B` prints nothing.  The runs
+take about 30 s in all.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 WORKLOADS = ("smoke", "readme-m2", "deep-diag-m2", "identities-m4")
@@ -69,6 +74,43 @@ def atoms_text(cli, config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def census_roots(cli):
+    """While active, the lines of roots.txt for the checkout's pole-attraction census calls.
+
+    cli.pole_attraction is wrapped, and poly_roots too during each census
+    call (pole_attraction imports it from algebra when it runs), so only
+    the census's roots are recorded.
+    """
+    from mpmath import mpc
+
+    from nikishin_hp import algebra
+
+    census, factor = cli.pole_attraction, algebra.poly_roots
+    lines = []
+
+    def recording(p):
+        roots = factor(p)
+        lines.extend(str(z._mpc_) for z in roots)
+        return roots
+
+    def pole_attraction(pert, v, j, *args):
+        if not lines:
+            lines.extend(f"pole {mpc(zeta)._mpc_} kappa {kappa}" for zeta, kappa in pert.poles)
+        lines.append(f"n {list(v.n.parts)} a_{j}")
+        algebra.poly_roots = recording
+        try:
+            return census(pert, v, j, *args)
+        finally:
+            algebra.poly_roots = factor
+
+    cli.pole_attraction = pole_attraction
+    try:
+        yield lines
+    finally:
+        cli.pole_attraction = census
+
+
 def strip_timestamps(data: bytes) -> bytes:
     return b"".join(l for l in data.splitlines(keepends=True) if not l.startswith(b"#"))
 
@@ -89,7 +131,8 @@ def main(argv=None) -> int:
                 config = dict(make_config(name, seed), output_dir=str(run_dir))
                 config_path = Path(tmp) / f"{name}-s{seed}.json"
                 config_path.write_text(json.dumps(config))
-                code = cli.main(["run", str(config_path)])
+                with census_roots(cli) as roots:
+                    code = cli.main(["run", str(config_path)])
                 status = max(status, code)
                 dest = out_dir / f"{name}-s{seed}"
                 dest.mkdir(parents=True, exist_ok=True)
@@ -98,6 +141,7 @@ def main(argv=None) -> int:
                         body = strip_timestamps((run_dir / report).read_bytes())
                         (dest / report).write_bytes(body)
                 (dest / "atoms.txt").write_text(atoms_text(cli, config))
+                (dest / "roots.txt").write_text("\n".join(roots or ["no pole census"]) + "\n")
                 print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
     return status
 
