@@ -329,7 +329,8 @@ def _float_sweep(c, dc, z, norm):
             continue
         dv = _horner(dc, z[i])
         if dv == 0:
-            z[i] *= 1 + 2.0 ** (-53 // 3)
+            # a multiple of 0 is 0: from there the nudge adds
+            z[i] = z[i] * (1 + 2.0 ** (-53 // 3)) if z[i] else 2.0 ** (-53 // 3)
             dv = _horner(dc, z[i])
             if dv == 0:
                 continue
@@ -396,9 +397,11 @@ def _aberth(c, z) -> list:
     are the values that step reads.  The iteration also stops once the
     largest relative step is below 2^(-P + 16) with the residual below
     2^(-P/2 - 8); after more than 20 sweeps without a 1% gain in the
-    residual it restarts from a seeded random jitter of the approximations,
-    at most 4 times.  The sweeps run on raw mpmath.libmp tuples, with the
-    operations and roundings of the mpc arithmetic.
+    residual it restarts from a seeded random jitter of the approximations
+    (the factor 1 + 2^(-P/4) u, |Re u|, |Im u| <= 1, or the offset
+    2^(-P/4) u for an approximation at 0), at most 4 times.  The sweeps
+    run on raw mpmath.libmp tuples, with the operations and roundings of
+    the mpc arithmetic.
     """
     n = len(c) - 1
     cs = [x._mpc_ for x in c]
@@ -435,8 +438,8 @@ def _aberth(c, z) -> list:
                 break
             jitter = mpf(2) ** (-mp.prec // 4)
             for i, w in enumerate(zs):
-                kick = 1 + jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                zs[i] = (mp.make_mpc(w) * kick)._mpc_
+                kick = jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                zs[i] = (mp.make_mpc(w) * (1 + kick) if w != mpc_zero else kick)._mpc_
             best = mp.inf
             stall = 0
     return [mp.make_mpc(w) for w in zs]
@@ -481,15 +484,17 @@ def _steps(dcs, zs, values):
     """Step each z_i in turn (Gauss-Seidel) from its value p(z_i); zs is updated in place.
 
     p' is taken at z_i, nudged by the factor 1 + 2^(-P/3) when it vanishes
-    there.  Each 1/(z_i - z_j) is formed as mpc_mpf_div(1, z_i - z_j) forms
-    it: |z_i - z_j|^2 rounded to P + 10 bits by libmp's default rounding,
+    there, or to 2^(-P/3) from z_i = 0, which no factor moves.  Each
+    1/(z_i - z_j) is formed as mpc_mpf_div(1, z_i - z_j) forms it:
+    |z_i - z_j|^2 rounded to P + 10 bits by libmp's default rounding,
     then two divisions at P; two equal approximations take
     1/(2^(-P/2) (1 + |z_i|)) instead.  Returns the largest relative step
     |step| / (1 + |z_i|), raw.
     """
     prec, rnd = mp.prec, round_nearest
     wide = prec + 10
-    nudge = (1 + mpf(2) ** (-prec // 3))._mpf_
+    shift = mpf(2) ** (-prec // 3)
+    nudge = (1 + shift)._mpf_
     tiny = (mpf(2) ** (-prec // 2))._mpf_
     moved = fzero
     for i, pv in enumerate(values):
@@ -498,7 +503,7 @@ def _steps(dcs, zs, values):
         z = zs[i]
         dv = _mpc_horner(dcs, z)
         if dv == mpc_zero:
-            z = zs[i] = mpc_mul_mpf(z, nudge, prec, rnd)
+            z = zs[i] = mpc_mul_mpf(z, nudge, prec, rnd) if z != mpc_zero else (shift._mpf_, fzero)
             dv = _mpc_horner(dcs, z)
             if dv == mpc_zero:
                 continue

@@ -32,6 +32,8 @@ Config schema (numbers may be JSON numbers or decimal strings):
     }
 
 "sweep" may also be an explicit list of multi-indices ([[4,4],[6,6]]) or [];
+an entry with n_m = 0, or with any n_j = 0 when pole_attraction runs on a
+perturbed system, is refused before the first solve.
 "grid" may be {"points": [[re, im], ...]}.  Poles and coefficient lists are
 ascending-degree.  The precision is the first of --precision-bits, the
 config's precision_bits and NIKISHIN_HP_PRECISION that is set, else the
@@ -264,6 +266,9 @@ def _parse_sweep(sweep_raw, m: int):
     for n in sweep:
         if len(n) != m:
             raise ValueError(f"multi-index {tuple(n)} does not match the {m}-generator system")
+        if n[-1] == 0:
+            # every index gets a convergence row, which divides by a_m
+            raise ValueError(f"multi-index {tuple(n)} has n_m = 0, so a_m is identically zero")
     return sweep
 
 
@@ -341,6 +346,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 pert.validate_against(sys)
                 if "pole_attraction" in config.checks:
                     validate_pole_eps(pert, config.pole_eps, sys.intervals[-1])
+                    # the census finds the roots of every a_j
+                    for n in config.sweep:
+                        if 0 in n:
+                            raise ValueError(f"pole_attraction needs every n_j >= 1, got {tuple(n)}")
             grid = _build_grid(config, sys, pert)
         except (ValueError, IndexError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -455,8 +464,13 @@ def _build_grid(config: ExperimentConfig, sys, pert) -> EvalGrid:
     """
     g = config.grid
     if "points" in g:
-        pts = _validated("grid", lambda ps: [mpc(_num(p[0]), _num(p[1])) for p in ps], g["points"])
-        grid = EvalGrid.admissible(sys, pert, pts, config.pole_eps)
+        grid = _validated(
+            "grid",
+            lambda ps: EvalGrid.admissible(
+                sys, pert, [mpc(_num(p[0]), _num(p[1])) for p in ps], config.pole_eps
+            ),
+            g["points"],
+        )
         if "ratio44" in config.checks:
             refuse_sigma1_hat_zeros(sys, grid.points)
         return grid
@@ -495,9 +509,11 @@ def _write_convergence_csv(path: Path, sys, rows):
         cells += [_fmt(e) for e in row.err]
         cells += [_fmt(row.err0), "1" if row.nullity_flag else "0", str(row.precision_bits)]
         lines.append(cells)
-    totals = [r.n.total for r in rows]
-    if len(rows) >= 3 and all(a < b for a, b in zip(totals, totals[1:])):
+    try:
         rate = estimate_rate(rows)
+    except ValueError:  # fewer than three distinct |n|: no rate
+        pass
+    else:
         cells = ["delta"] + [""] * m
         cells += [_fmt(rate.deltas.get(f"err_{j}")) for j in range(1, m)]
         cells += [_fmt(rate.deltas.get("err_0")), "", ""]

@@ -43,7 +43,7 @@ order condition by T = prod t_j turns the solution into an incomplete
 approximant of the plain system with order deficit deg T, which
 perturbed_reduce performs and verifies.  RationalPerturbation alone
 decides which roots of the t_j are poles, and perturbed_reduce alone forms
-the cofactors T/t_j.
+the cofactors T/t_j, each as the product of the other t_i.
 
 remainder_eval gives the remainders A_j of the plain system.  Both
 remainder checks, orthogonality and sign changes, read A_1 only at sigma_1's
@@ -55,6 +55,7 @@ changes among those values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -532,23 +533,23 @@ def perturbed_reduce(
 ) -> ReduceReport:
     """Multiply the perturbed order condition by T and verify the outcome.
 
-    p_0 = T a_0 + sum_j (T/t_j) v_j a_j is an exact polynomial; the vector
-    (p_0, T a_1, ..., T a_m) must satisfy the plain system's order conditions
-    through |n| - deg T, which is re-verified from fresh unperturbed tails.
+    p_0 = T a_0 + sum_j (T/t_j) v_j a_j is a polynomial: each cofactor T/t_j
+    is the product of the other components' denominators, formed as T is,
+    so no division by t_j enters (for m = 2 it is t_2 or t_1 exactly).  The
+    vector (p_0, T a_1, ..., T a_m) must satisfy the plain system's order
+    conditions through |n| - deg T, which is re-verified from fresh
+    unperturbed tails.
     """
     m = sys.m
     if v.m != m or pert.m != m:
         raise ValueError("component count mismatch")
     T, D = pert.T, pert.degree
-    tol = noise_floor(0.5) * T.max_coeff()
+    dens = [f.den for f in pert.fractions]
     p0 = T * v.a[0]
-    for f, a in zip(pert.fractions, v.a[1:]):
-        if f.is_zero:
-            continue
-        cofactor, rem = divmod(T, f.den)
-        if rem.max_coeff() > tol:
-            raise ValueError("pole cancellation failed; perturbation input corrupted")
-        p0 = p0 + cofactor * f.num * a
+    for j, (f, a) in enumerate(zip(pert.fractions, v.a[1:])):
+        if not f.is_zero:
+            cofactor = math.prod(dens[:j] + dens[j + 1 :], start=Polynomial.one())
+            p0 = p0 + cofactor * f.num * a
 
     reduced_n = MultiIndex([p + D for p in v.n])
     order_target = v.n.total - D

@@ -8,7 +8,8 @@ measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
 = ell + tau-hat for a degree-one ell.  tau's atoms, the zeros of sigma-hat
 in the gaps between sigma's atoms, come from one safeguarded Newton on the
 open gap, _newton_in_bracket, run in Python floats for the start and then
-at P+64 bits.
+at P+64 bits.  The same Newton polishes the Gauss-Jacobi nodes, each in a
+bracket around its float64 seed.
 
 Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
 tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
@@ -256,8 +257,9 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     reaches the last through realize's reflection.  Every other
     (alpha, beta) takes _newton_nodes: float64 seeds, the eigenvalues of the
     Jacobi matrix by mpmath's implicit QL (EISPACK imtql2) run on Python
-    floats, Newton-polished at prec.  On the three families the two give
-    the same P-bit nodes, for n = 1..80 at 64 to 1024 bits.
+    floats, each polished at prec by _newton_in_bracket, the gap roots'
+    Newton, in a bracket around its seed.  On the three families the two
+    give the same P-bit nodes, for n = 1..80 at 64 to 1024 bits.
 
     Weights are the Christoffel numbers 1 / sum_k p_k(x_i)^2 over the
     orthonormal polynomials below degree n, summed at prec from the prec
@@ -268,7 +270,8 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     that every earlier rule of these families had.
 
     Newton stops after applying a step s with
-    |s| <= 2^(-floor(prec/2)-8) / n^2 * (1+|x|).  Its next error would be
+    |s| <= 2^(-floor(prec/2)-8) / n^2 * (1+|x|), or raises RuntimeError
+    after 80 steps without one.  Its next error would be
     about C s^2 with C = |p_n''/2p_n'| = |sum_{j!=i} 1/(x_i-x_j)|; node gaps
     are of order 1/n^2 or wider, so C < n^4 and that error is below
     2^(-prec-16).  Under a symmetric weight (alpha == beta) every diag[k] is
@@ -318,12 +321,40 @@ _COSINE_NODES = {
 def _newton_nodes(n: int, diag, offsq, count: int) -> list:
     """The lowest count nodes of the recurrence's n-point rule, at the working precision.
 
-    Newton from the float64 eigenvalues of the Jacobi matrix; see
-    gauss_jacobi_rule.
+    _newton_in_bracket from each float64 eigenvalue of the Jacobi matrix;
+    see gauss_jacobi_rule.  A node's bracket runs from the midpoint with
+    the seed below to the midpoint with the seed above, -1 and 1 at the
+    ends, and f is +-p_n, the sign chosen so that f falls through the
+    node; negation is exact, so each step is p_n/p_n'.
     """
     seeds = [float(a) for a in diag]  # sorted eigenvalues on return
     tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
-    return [_newton_polish(x, n, diag, offsq) for x in seeds[:count]]
+    ends = [mpf(-1)] + [mpf((a + b) / 2) for a, b in zip(seeds, seeds[1:])] + [mpf(1)]
+    tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
+    nodes = []
+    for i, x0 in enumerate(seeds[:count]):
+        # the monic p_n is positive beyond its largest node and changes
+        # sign at each node: it rises through node i (ascending, from 0)
+        # when n - i is odd
+        sign = 1 if (n - i) % 2 == 0 else -1
+
+        def f_and_slope(x):
+            p_prev, p = mpf(0), mpf(1)
+            dp_prev, dp = mpf(0), mpf(0)
+            for k in range(n):
+                p_prev, p, dp_prev, dp = (
+                    p,
+                    (x - diag[k]) * p - offsq[k] * p_prev,
+                    dp,
+                    p + (x - diag[k]) * dp - offsq[k] * dp_prev,
+                )
+            return (p, dp) if sign > 0 else (-p, -dp)
+
+        x = _newton_in_bracket(f_and_slope, ends[i], ends[i + 1], mpf(x0), tol, 80)
+        if x is None:
+            raise RuntimeError("quadrature node failed to converge; raise precision")
+        nodes.append(x)
+    return nodes
 
 
 def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
@@ -369,26 +400,6 @@ def _jacobi_recurrence(n: int, alpha, beta):
                 / ((2 * kk + ab) ** 2 * (2 * kk + ab + 1) * (2 * kk + ab - 1))
             )
     return diag, offsq, mu0
-
-
-def _newton_polish(x0, n, diag, offsq):
-    x = mpf(x0)
-    tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
-    for _ in range(80):
-        p_prev, p = mpf(0), mpf(1)
-        dp_prev, dp = mpf(0), mpf(0)
-        for k in range(n):
-            p_prev, p, dp_prev, dp = (
-                p,
-                (x - diag[k]) * p - offsq[k] * p_prev,
-                dp,
-                p + (x - diag[k]) * dp - offsq[k] * dp_prev,
-            )
-        step = p / dp
-        x -= step
-        if abs(step) <= tol * (1 + abs(x)):
-            return x
-    raise RuntimeError("quadrature node failed to converge; raise precision")
 
 
 def moments(mu: AtomicMeasure, K: int) -> tuple:
@@ -635,10 +646,12 @@ def _newton_in_bracket(f_and_slope, a, b, x, tol, steps):
         else:
             b = x
         step = fx / slope
+        nxt = x - step
         # inclusive: the last, sub-ulp Newton step may land on a or b
-        if not a <= x - step <= b:
+        if not a <= nxt <= b:
             step = x - (a + b) / 2
-        x = x - step
+            nxt = x - step
+        x = nxt
         if abs(step) <= tol * (1 + abs(x)):
             return x
     return None

@@ -448,3 +448,62 @@ class TestGuards:
         assert_roots_meet_the_contract(p, roots)
         assert roots[0] == mp.conj(roots[1])
         assert abs(roots[1] - mpc(0, 1)) < noise_floor(0.5)
+
+    def test_an_approximation_at_zero_where_the_derivative_vanishes(self, monkeypatch):
+        # p = z^2 - 1 has p'(0) = 0 exactly, and no factor moves 0: z_0 is
+        # shifted to 2^(-P/3) instead, and the roots are found
+        p = Polynomial([-1, 0, 1])
+        with_start(monkeypatch, [0, 2 + 1j])
+        roots = poly_roots(p)
+        assert len(roots) == 2
+        for r, e in zip(roots, [-1, 1]):
+            assert abs(r - e) < noise_floor(0.5)
+
+    def test_restart_jitter_moves_an_approximation_at_zero(self, monkeypatch):
+        # steps that never move leave z_0 = 0 at every restart; the jitter
+        # gives it the offset 2^(-P/4) u, and the far one its factor
+        monkeypatch.setattr(algebra, "_steps", lambda dcs, zs, values: mpf(1)._mpf_)
+        c = [mpc(-1), mpc(0), mpc(1)]
+        z = algebra._aberth(c, [mpc(0), mpc(2, 1)])
+        assert z[0] != 0 and abs(z[0]) < mpf(2) ** (-mp.prec // 4 + 2)
+        assert z[1] != mpc(2, 1) and abs(z[1] - mpc(2, 1)) < mpf(2) ** (-mp.prec // 4 + 4)
+
+
+class TestFloatSweepGuards:
+    """The float64 sweep's own guards, which no circle start reaches."""
+
+    @staticmethod
+    def first_step(coeffs, z, w, s):
+        """Sweep over z; return the step of z_0 from w, with s the sum of its reciprocals.
+
+        p is read before z_0 is nudged, p' after it.
+        """
+        c = [complex(x) for x in coeffs]
+        dc = [k * c[k] for k in range(1, len(c))]
+        newton = _horner(c, z[0]) / _horner(dc, w)
+        algebra._float_sweep(c, dc, z, max(abs(x) for x in c))
+        return newton / (1 - newton * s)
+
+    def test_a_critical_point_is_nudged_by_a_factor(self):
+        # p = (z - 1)(z - 3) has p'(2) = 0: z_0 moves to 2 (1 + 2^-18) first,
+        # and steps from there
+        z = [2 + 0j, 5 + 1j]
+        nudged = (2 + 0j) * (1 + 2.0**-18)
+        step = self.first_step([3, -4, 1], z, nudged, 1 / (nudged - z[1]))
+        assert z[0] == nudged - step
+
+    def test_zero_is_shifted_where_the_derivative_vanishes(self):
+        # p = z^2 - 1: no factor moves z_0 = 0, so it goes to 2^-18 first
+        z = [0j, 2 + 1j]
+        shifted = 2.0**-18
+        step = self.first_step([-1, 0, 1], z, shifted, 1 / (shifted - z[1]))
+        assert z[0] == shifted - step
+
+    def test_two_equal_approximations(self):
+        # z_0 - z_1 is exactly 0: 1/(2^-27 (1 + |z_0|)) stands in for its
+        # reciprocal, and z_0 moves off z_1
+        w = 1.5 + 0.5j
+        z = [w, w, 4 + 0.1j]
+        s = 1 / (2.0**-27 * (1 + abs(w))) + 1 / (w - z[2])
+        step = self.first_step(Polynomial.from_roots([1, 2, 3]).coeffs, z, w, s)
+        assert z[0] == w - step != z[1]

@@ -1103,3 +1103,111 @@ class TestOneGridFilter:
             if isinstance(node, ast.Attribute) and node.attr in ("nodes", "weights", "poles")
         ]
         assert found == []
+
+    def test_an_emptied_explicit_grid_says_bad_grid(self, tmp_path, capsys):
+        # both grids report an emptied point list through the same prefix
+        cfg = base_config(tmp_path / "out", sweep=[[2, 2]], checks=["chile"])
+        cfg["grid"] = {"points": [[2.0, 0.0]]}  # on the last interval
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validate"
+        assert err["detail"].startswith("bad grid: every grid point is on the last interval")
+
+
+def rate_row(tmp_path, sweep):
+    """The delta row of a checkless 16+16-atom run at 128 bits, or None."""
+    out = tmp_path / "out"
+    cfg = dict(golden_smoke_config(out), perturbations=[], checks=[], sweep=sweep)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    rows = [r for r in read_body(out / "convergence.csv") if r.startswith("delta,")]
+    return rows[0] if rows else None
+
+
+class TestRateRow:
+    """estimate_rate alone decides whether a sweep has a delta row."""
+
+    @pytest.mark.parametrize("sweep", [[[7, 7], [5, 5], [3, 3]], [[3, 3], [7, 7], [5, 5]]])
+    def test_a_reordered_sweep_prints_the_ascending_rate(self, tmp_path, sweep):
+        # the rows of a shared system equal fresh ones bit for bit, and
+        # estimate_rate sorts them by |n|; delta(err_1) reads 0.46860
+        ascending = rate_row(tmp_path, [[3, 3], [5, 5], [7, 7]])
+        assert ascending.startswith("delta,,,4.6859545517")
+        assert rate_row(tmp_path, sweep) == ascending
+
+    def test_two_equal_totals_print_no_rate(self, tmp_path):
+        assert rate_row(tmp_path, [[3, 3], [5, 5], [4, 6]]) is None
+
+
+class TestZeroDegreeBudgets:
+    """An index whose entry makes a needed component identically zero is refused before any solve."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        calls = []
+
+        def recording_solve(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solved before the sweep was checked")
+
+        monkeypatch.setattr(cli, "solve_type1", recording_solve)
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sweep, checks, detail",
+        [
+            ([[3, 3], [3, 0]], ["chile"], "n_m = 0"),
+            ([[2, 2], [0, 3]], ["pole_attraction"], "pole_attraction needs every n_j >= 1"),
+        ],
+        ids=["last-entry", "pole-census"],
+    )
+    def test_zero_entry_exits_2_before_any_solve(self, tmp_path, capsys, solved, sweep, checks, detail):
+        # the first exited 3 with "degenerate last component" after its
+        # solves, the second with "component is identically zero"
+        pert = [{"num_coeffs": [1], "den_coeffs": [-5, 1]}, {"num_coeffs": [1], "den_coeffs": [5, 1]}]
+        cfg = base_config(tmp_path / "out", sweep=sweep, checks=checks, pert=pert)
+        prec = mp.prec
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validate" and detail in err["detail"]
+        assert solved == [] and mp.prec == prec
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "checks, pert",
+        [
+            (["chile", "orthogonality"], [{"num_coeffs": [1], "den_coeffs": [-5, 1]}, None]),
+            (["pole_attraction"], None),
+        ],
+        ids=["no-census", "no-perturbation"],
+    )
+    def test_a_zero_first_entry_runs_without_a_pole_census(self, tmp_path, checks, pert):
+        cfg = base_config(tmp_path / "out", sweep=[[0, 3], [2, 2]], checks=checks, pert=pert)
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+class TestWidelySeparatedPoles:
+    @pytest.mark.parametrize("bits, far", [(64, "1e10"), (128, "1e20"), (256, "1e40")])
+    def test_a_far_pole_gets_its_reports(self, tmp_path, bits, far):
+        # T/t_j by division left a remainder above its 2^-P/2 gate (1.71,
+        # 1.14 and 13.7 times it) and the run exited 3 with "pole
+        # cancellation failed"; the cofactors are now products, and at 64
+        # bits both remainder checks fail honestly: max_residual 8.17e8
+        # against scales 1.26e9 and 9.30e9
+        out = tmp_path / "out"
+        pert = [
+            {"num_coeffs": [1], "den_coeffs": ["-3/7", 1]},
+            {"num_coeffs": [1], "den_coeffs": [far, 1]},
+        ]
+        cfg = base_config(out, sweep=[[2, 2], [3, 3]], checks=["orthogonality"], pert=pert)
+        cfg["precision_bits"] = bits
+        cfg["grid"] = {"points": [[0.5, 2.0], [-1.0, 3.0], [5, 5], [10, -3]]}
+        assert main(["run", str(write_config(tmp_path, cfg))]) in (0, 1)
+        checks = json.loads((out / "identities.json").read_text())["checks"]
+        assert set(checks) == {"orthogonality", "reduction"}
+        if bits == 64:
+            assert not checks["orthogonality"]["pass"] and not checks["reduction"]["pass"]
+            assert checks["reduction"]["max_residual"].startswith("8.174683")

@@ -308,13 +308,58 @@ class TestGaussRuleOracle:
         assert xs[4] == 0
         assert [-x for x in xs[::-1]] == xs and ws[::-1] == ws
 
-    def test_newton_polish_that_does_not_converge_raises(self):
-        # from 1e30 a degree-16 Newton step shrinks x by 1/16 only, so 80
-        # steps end near 5.7e27
+    def test_a_node_that_does_not_converge_raises(self, monkeypatch):
+        # _newton_in_bracket gives None when 80 steps do not settle
+        steps = []
+
+        def unsettled(f_and_slope, a, b, x, tol, limit):
+            steps.append(limit)
+
+        monkeypatch.setattr(measures, "_newton_in_bracket", unsettled)
         with mp.workprec(128):
             diag, offsq, _ = measures._jacobi_recurrence(16, mpf(0), mpf(0))
             with pytest.raises(RuntimeError, match="quadrature node failed to converge"):
-                measures._newton_polish(1e30, 16, diag, offsq)
+                measures._newton_nodes(16, diag, offsq, 8)
+        assert steps == [80]
+
+
+def newton_polish(x0, n, diag, offsq):
+    """The Gauss node Newton before it took _newton_in_bracket, verbatim."""
+    x = mpf(x0)
+    tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
+    for _ in range(80):
+        p_prev, p = mpf(0), mpf(1)
+        dp_prev, dp = mpf(0), mpf(0)
+        for k in range(n):
+            p_prev, p, dp_prev, dp = (
+                p,
+                (x - diag[k]) * p - offsq[k] * p_prev,
+                dp,
+                p + (x - diag[k]) * dp - offsq[k] * dp_prev,
+            )
+        step = p / dp
+        x -= step
+        if abs(step) <= tol * (1 + abs(x)):
+            return x
+    raise RuntimeError("quadrature node failed to converge; raise precision")
+
+
+class TestBracketedNewtonNodes:
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+    def test_nodes_keep_the_bits_of_the_unbracketed_newton(self, bits):
+        # each float64 seed, polished by the former loop, gives the node
+        # _newton_nodes gives; the sweep n = 1..40, 48, 64, 80 over these
+        # five pairs at these precisions (1,075 rules) found no differing bit
+        with mp.workprec(bits):
+            for alpha, beta in ((0, 0), ("0.25", "-0.3"), ("1.5", "0.5"), ("-0.7", "-0.7"), (2, 3)):
+                for n in (1, 2, 3, 4, 7, 12, 19, 26):
+                    diag, offsq, _ = measures._jacobi_recurrence(n, mpf(alpha), mpf(beta))
+                    seeds = [float(a) for a in diag]
+                    tridiag_eigen(measures._FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
+                    with mp.workprec(mp.prec + 64):
+                        nodes = measures._newton_nodes(n, diag, offsq, n)
+                        ref = [newton_polish(x, n, diag, offsq) for x in seeds]
+                    assert mpf_bits(nodes) == mpf_bits(ref), (alpha, beta, n)
 
 
 def newton_rule(n, alpha, beta):
