@@ -151,23 +151,6 @@ class Polynomial:
         s = to_scalar(other)
         return Polynomial([c * s for c in self.coeffs])
 
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.zero(), self
-        rem = list(self.coeffs)
-        lead = other.leading()
-        dq = self.degree - other.degree
-        quo = [mpf(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            q = rem[other.degree + k] / lead
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[i + k] -= q * c
-        return Polynomial(quo), Polynomial(rem[: other.degree])
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")

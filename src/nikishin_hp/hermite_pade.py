@@ -12,21 +12,24 @@ against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
 sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (the
 achieved orders, the reduction residual, type2_residual_tail), comes from
 one helper, _laurent_coeff.  The tails of the chains s_{1,j} come from the
-system's table through nikishin.chain_tail.
+system's table through nikishin.chain_tail.  The order basis, the
+tail-convolution sums, the remainder values at sigma_1's atoms and the
+orthogonality sums run on raw mpmath.libmp tuples, with the operations
+and roundings of the mpf arithmetic they replace, so they give its bits.
 
 A sweep repeats its predecessors' order conditions, so each solve keeps the
 basis it reaches in a third table on the system, sys.bases, which only this
 module names.  The key fixes the series and the gate: (perturbation or
 None, shifts (2, D - n_j + 1, ...), mp.prec) for type I and (shifts
 (0, 1, ..., 1), mp.prec) for type II.  The value is the basis at P + 64
-bits, unrounded, with its degrees and the level L = min(orders) it reached;
-a solve whose min(orders) is at least L continues from it (_order_basis
-states the prefix rule), and each key holds one state.  chain_tail and
-laurent_expand_rational give every request the same bits on the
-coefficients both read, and the basis is rounded to P after the P + 64
-block, so a solve on a shared system equals one on a fresh system bit for
-bit, escalated attempts included: each runs at its own mp.prec, which the
-key holds.  An ascending diagonal sweep then eliminates each order
+bits, unrounded and raw, with its degrees and the level L = min(orders)
+it reached; a solve whose min(orders) is at least L continues from it
+(_order_basis states the prefix rule), and each key holds one state.
+chain_tail and laurent_expand_rational give every request the same bits
+on the coefficients both read, and the basis is rounded to P after the
+P + 64 block, so a solve on a shared system equals one on a fresh system
+bit for bit, escalated attempts included: each runs at its own mp.prec,
+which the key holds.  An ascending diagonal sweep then eliminates each order
 condition once, as its largest index alone would.
 
 One escalation driver, _escalate, serves both solvers: it doubles the
@@ -59,12 +62,27 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fone,
+    fzero,
+    from_man_exp,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pos,
+    mpf_sum,
+    round_nearest,
+)
 
 from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
 # cauchy_eval and moments are unused here; benchmark/spans.py still patches
 # hermite_pade.cauchy_eval and hermite_pade.moments
 from .measures import cauchy_eval, moments  # noqa: F401
-from .nikishin import NikishinSystem, Residual, chain_tail, s_hat_eval
+from .nikishin import NikishinSystem, Residual, chain_tail, s_hat_eval, s_hat_evals
 from .precision import MAX_PRECISION_BITS, checked_int, is_integer, noise_floor, working_precision
 
 # An order-basis residual at most ORDER_BASIS_GUARD 2^-P times the sum of its
@@ -313,6 +331,11 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
     precision; the others already meet the condition and are left alone.
     The elimination runs at P + 64 bits and the basis is rounded back to P,
     so that the rounding of the elimination stays below that of the data.
+    It runs on raw mpmath.libmp tuples, with the bits of mpf arithmetic at
+    P + 64: each term is an mpf_mul, each residual and the gate's sum of
+    moduli an mpf_sum as mp.fsum forms them, the ratio -r_i / r_piv an
+    mpf_div and each a + c b of _axpy an mpf_mul and an mpf_add, all
+    rounded to nearest at P + 64.  The series are converted once per call.
     Returns (basis, degrees): basis[i][r] lists the coefficients of
     component r of row i, and degrees[i] bounds the shifted degree of row
     i.  Each condition costs O(rows^2 K) for polynomials of degree K, so K
@@ -323,8 +346,8 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
     the calls read.  Any orders with min(orders) >= L take the conditions
     with k < L first, so the state after them does not depend on the
     orders.  stored[key] holds one such state, (L, basis, degrees), the
-    basis at P + 64 bits and unrounded; a call whose min(orders) is at least
-    L continues from it, and any other call starts from the identity.  The
+    basis at P + 64 bits, unrounded and raw; a call whose min(orders) is at
+    least L continues from it, and any other call starts from the identity.  The
     loop stores its state on reaching k = min(orders), which is its final
     state when the orders are equal.  The basis is rounded to P only after
     the P + 64 block is left: rounding it inside moves the result by one
@@ -332,14 +355,17 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
     """
     rows = len(series)
     level = min(orders)
+    prec, rnd = mp.prec, round_nearest
     if stored is not None and key in stored and stored[key][0] <= level:
         start, basis, degrees = stored[key]
     else:
         start, degrees = 0, shifts
-        basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
+        basis = [[[fone] if r == i else [] for r in range(rows)] for i in range(rows)]
     basis, degrees = list(basis), list(degrees)
-    gate = ORDER_BASIS_GUARD * mpf(2) ** -mp.prec
-    with mp.workprec(mp.prec + 64):
+    series = [[[c._mpf_ for c in f] for f in entry] for entry in series]
+    gate = from_man_exp(ORDER_BASIS_GUARD, -prec)
+    with mp.workprec(prec + 64):
+        wide = mp.prec
         # one step past the last condition, so that k = min(orders) is reached
         for k in range(start, max(orders) + 1):
             if k == level and stored is not None:
@@ -351,32 +377,37 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
                 residuals = []
                 for row in basis:
                     terms = [
-                        coeffs[l] * f[k - l]
+                        mpf_mul(coeffs[l], f[k - l], wide, rnd)
                         for coeffs, f in zip(row, column)
                         for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
                     ]
-                    acc = mp.fsum(terms)
-                    nonzero = abs(acc) > gate * mp.fsum(terms, absolute=True)
-                    residuals.append(acc if nonzero else None)
+                    acc = mpf_sum(terms, wide, rnd)
+                    bound = mpf_mul(gate, mpf_sum(terms, wide, rnd, True), wide, rnd)
+                    residuals.append(acc if mpf_gt(mpf_abs(acc), bound) else None)
                 live = [i for i, res in enumerate(residuals) if res is not None]
                 if not live:
                     continue
-                piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i])))
+                # ties go to the largest |residual|, compared exactly
+                piv = min(
+                    live, key=lambda i: (degrees[i], mp.make_mpf(mpf_neg(mpf_abs(residuals[i]))))
+                )
                 pivot = basis[piv]
                 for i in live:
                     if i != piv:
-                        c = -residuals[i] / residuals[piv]
+                        c = mpf_div(mpf_neg(residuals[i]), residuals[piv], wide, rnd)
                         basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
-                basis[piv] = [[mpf(0)] + coeffs if coeffs else coeffs for coeffs in pivot]
+                basis[piv] = [[fzero] + coeffs if coeffs else coeffs for coeffs in pivot]
                 degrees[piv] += 1
-    return [[[+c for c in coeffs] for coeffs in row] for row in basis], degrees
+    rounded = [[[mp.make_mpf(mpf_pos(c, prec, rnd)) for c in cs] for cs in row] for row in basis]
+    return rounded, degrees
 
 
 def _axpy(a, c, b):
-    """The coefficient list of a + c b."""
+    """The raw coefficient list of a + c b, each product and sum rounded to mp.prec."""
+    prec, rnd = mp.prec, round_nearest
     if len(a) < len(b):
-        a = a + [mpf(0)] * (len(b) - len(a))
-    return [x + c * y for x, y in zip(a, b)] + a[len(b) :]
+        a = a + [fzero] * (len(b) - len(a))
+    return [mpf_add(x, mpf_mul(c, y, prec, rnd), prec, rnd) for x, y in zip(a, b)] + a[len(b) :]
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +528,28 @@ def _laurent_coeff(pairs, e):
     (entry k the coefficient of z^-(k+1)), so the coefficient gathers the
     terms c[l] * tail[l - e - 1], l > e: e >= 0 reads the polynomial part,
     e = -(k+1) tail entry k.  The terms are added in order, (acc, scale)
-    being the sequential sums of the terms and of their absolute values.
+    being the sequential sums of the terms and of their absolute values,
+    each product and sum an mpf_mul or mpf_add at P on raw tuples
+    (_laurent_sums), which gives the bits of mpf arithmetic.
     """
-    acc = mpf(0)
-    scale = mpf(0)
+    acc, scale = _laurent_sums(_raw_pairs(pairs), e, mp.prec)
+    return mp.make_mpf(acc), mp.make_mpf(scale)
+
+
+def _raw_pairs(pairs):
+    """The (coeffs, tail) pairs with every entry as its raw _mpf_ tuple."""
+    return [([c._mpf_ for c in coeffs], [t._mpf_ for t in tail]) for coeffs, tail in pairs]
+
+
+def _laurent_sums(pairs, e, prec):
+    """_laurent_coeff's raw (acc, scale) from _raw_pairs(pairs), rounded to prec."""
+    rnd = round_nearest
+    acc = scale = fzero
     for coeffs, tail in pairs:
         for l in range(max(e + 1, 0), len(coeffs)):
-            term = coeffs[l] * tail[l - e - 1]
-            acc += term
-            scale += abs(term)
+            term = mpf_mul(coeffs[l], tail[l - e - 1], prec, rnd)
+            acc = mpf_add(acc, term, prec, rnd)
+            scale = mpf_add(scale, mpf_abs(term), prec, rnd)
     return acc, scale
 
 
@@ -515,10 +559,15 @@ def _achieved_order(pairs, upto, known=()):
     known holds the _laurent_coeff values already formed for the first
     indices.
     """
-    tol = noise_floor(0.5)
+    prec = mp.prec
+    tol = noise_floor(0.5)._mpf_
+    raw = _raw_pairs(pairs)
     for k in range(upto):
-        acc, scale = known[k] if k < len(known) else _laurent_coeff(pairs, -(k + 1))
-        if abs(acc) > tol * scale:
+        if k < len(known):
+            acc, scale = (x._mpf_ for x in known[k])
+        else:
+            acc, scale = _laurent_sums(raw, -(k + 1), prec)
+        if mpf_gt(mpf_abs(acc), mpf_mul(tol, scale, prec, round_nearest)):
             return k + 1
     return upto
 
@@ -658,9 +707,30 @@ def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
     to see it.  A perturbed solve is read through its T-reduced vector,
     a plain-system vector whose remainder is T A_1 and whose order target
     already drops deg T.  The transforms at the atoms are in the system's
-    table from the build, so the values add no entry to it.
+    table from the build, so the values add no entry to it.  The values
+    are formed on raw tuples with remainder_eval's operations, in its
+    order, so they are its bits.
     """
-    return [remainder_eval(sys, v, 1, x) for x in sys.generators[0].nodes]
+    prec, rnd = mp.prec, round_nearest
+    polys = [[c._mpf_ for c in a.coeffs] for a in v.a[1:]]
+    out = []
+    for x in sys.generators[0].nodes:
+        t = x._mpf_
+        acc = _raw_horner(polys[0], t, prec)
+        for cs, s in zip(polys[1:], s_hat_evals(sys, 2, range(2, v.m + 1), x)):
+            acc = mpf_add(acc, mpf_mul(_raw_horner(cs, t, prec), s._mpf_, prec, rnd), prec, rnd)
+        out.append(mp.make_mpf(acc))
+    return out
+
+
+def _raw_horner(cs, t, prec):
+    """Raw p(t) from p's raw coefficients cs, with the operations of Polynomial.__call__."""
+    if not cs:
+        return fzero
+    acc = mpf_pos(cs[-1], prec, round_nearest)
+    for a in cs[-2::-1]:
+        acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), a, prec, round_nearest)
+    return acc
 
 
 def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
@@ -670,19 +740,28 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
     vanish for nu = 0..N-2, the A_1(x_i) read from
     first_level_remainder_values.  A perturbed solve is checked through its
     T-reduced vector, whose remainder is T A_1.  Deeper remainder levels are
-    not checked.
+    not checked.  The products and sums run on raw tuples with the bits of
+    the mpf operations: val * w * sign, each power row's products at P and
+    each sum an mpf_sum at P as mp.fsum forms it.
     """
     N = v.order_target
     if N <= 1:
         return Residual(mpf(0), mpf(0))
+    prec, rnd = mp.prec, round_nearest
     sigma1 = sys.generators[0]
     vals = first_level_remainder_values(sys, v)
-    signed = [val * w * sigma1.sign for val, w in zip(vals, sigma1.weights)]
-    max_residual = mpf(0)
-    max_scale = mpf(0)
-    powers = list(signed)
+    xs = [x._mpf_ for x in sigma1.nodes]
+    powers = [
+        mpf_mul_int(mpf_mul(val._mpf_, w._mpf_, prec, rnd), sigma1.sign, prec, rnd)
+        for val, w in zip(vals, sigma1.weights)
+    ]
+    max_residual = max_scale = fzero
     for _ in range(N - 1):
-        max_residual = max(max_residual, abs(mp.fsum(powers)))
-        max_scale = max(max_scale, mp.fsum(abs(t) for t in powers))
-        powers = [t * x for t, x in zip(powers, sigma1.nodes)]
-    return Residual(max_residual, max_scale)
+        residual = mpf_abs(mpf_sum(powers, prec, rnd))
+        scale = mpf_sum(powers, prec, rnd, True)
+        if mpf_gt(residual, max_residual):
+            max_residual = residual
+        if mpf_gt(scale, max_scale):
+            max_scale = scale
+        powers = [mpf_mul(t, x, prec, rnd) for t, x in zip(powers, xs)]
+    return Residual(mp.make_mpf(max_residual), mp.make_mpf(max_scale))

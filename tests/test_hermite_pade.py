@@ -45,6 +45,7 @@ from nikishin_hp.hermite_pade import (
 )
 
 import exact_oracle
+import mpf_reference
 
 TIGHT = mpf(10) ** -70
 
@@ -470,6 +471,94 @@ class TestBasisTable:
         for k in range(8, 1, -1):
             solve(sys, MultiIndex((k, k)))
         assert len(calls) > len(swept)
+
+
+class TestRawKernels:
+    """The raw-tuple kernels give the bits of the mpf-object code they replaced.
+
+    Each case runs once with the package's kernels and once, on a fresh
+    system, with mpf_reference's _order_basis, _laurent_coeff and
+    _achieved_order patched in, and compares every vector, reduction,
+    residual tail, remainder value and orthogonality residual as `_mpf_`.
+    """
+
+    def record(self, sys, sweep, pert, checks):
+        lines = []
+        for parts in sweep:
+            n = MultiIndex(parts)
+            plain = [solve_type1(sys, n)]
+            if pert is not None:
+                v = solve_type1_perturbed(sys, pert, n)
+                rep = perturbed_reduce(pert, v, sys)
+                lines += [solved_bits(v), bits((rep.max_residual, rep.scale))]
+                plain.append(rep.reduced)
+            v2 = solve_type2(sys, n)
+            lines.append(solved_bits(v2))
+            lines += [bits(type2_residual_tail(sys, v2, j)) for j in range(1, sys.m + 1)]
+            for v in plain:
+                lines.append(solved_bits(v))
+                lines.append(bits(checks.first_level_remainder_values(sys, v)))
+                lines.append(bits(checks.check_orthogonality(sys, v)))
+        # the stored bases hold the P + 64 bits that the rounding to P hides
+        for key, (level, basis, degrees) in sys.bases.items():
+            stored = [[[getattr(c, "_mpf_", c) for c in comp] for comp in row] for row in basis]
+            lines.append((key, level, stored, degrees))
+        return lines
+
+    def against_mpf(self, monkeypatch, bits_, make_system, sweep, pert=None):
+        with working_precision(bits_):
+            raw = self.record(make_system(), sweep, pert, hermite_pade)
+            for name in ("_order_basis", "_laurent_coeff", "_achieved_order"):
+                monkeypatch.setattr(hermite_pade, name, getattr(mpf_reference, name))
+            assert raw == self.record(make_system(), sweep, pert, mpf_reference)
+        return raw
+
+    def test_m2_sweep(self, monkeypatch):
+        sweep = [(k, k) for k in range(2, 9)]
+        self.against_mpf(monkeypatch, 256, lambda: legendre_system(256, 16), sweep, pm5(256))
+
+    def test_m3_sweep(self, monkeypatch):
+        intervals = ((-1, 0), (1, 3), (4, 6))
+        sweep = [(2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 4, 4)]
+        self.against_mpf(monkeypatch, 256, lambda: legendre_system(256, 16, intervals), sweep)
+
+    def test_atomic_degree_flagged_rows(self, monkeypatch):
+        # 4 + 4 atoms: from |n| = 6 on the type I vectors are flagged
+        sweep = [(k, k) for k in range(2, 6)]
+        self.against_mpf(monkeypatch, 128, lambda: legendre_system(128, 4), sweep)
+        with working_precision(128):
+            assert solve_type1(legendre_system(128, 4), MultiIndex((5, 5))).nullity_flag
+
+    def test_escalated_2p_attempts(self, monkeypatch):
+        # as in TestBasisTable, every attempt below 2P is made to fall short,
+        # so each solve climbs to 2P and continues from the 2P bases
+        P = 128
+        for name, short in (
+            ("_solve_type1_once", {"residual_order": 0}),
+            ("_solve_type2_once", {"residual_orders": (0, 0)}),
+        ):
+            once = getattr(hermite_pade, name)
+            monkeypatch.setattr(
+                hermite_pade,
+                name,
+                lambda *args, once=once, short=short: (
+                    once(*args) if args[-1] >= 2 * P else dataclasses.replace(once(*args), **short)
+                ),
+            )
+        sweep = [(3, 3), (4, 3), (5, 5)]
+        raw = self.against_mpf(monkeypatch, P, lambda: legendre_system(P, 16), sweep, pm5(P))
+        assert {line[-1] for line in raw if isinstance(line, tuple) and len(line) == 5} == {2 * P}
+
+    def test_first_level_values_are_the_remainder_at_the_atoms(self, m2_16_system, m3_16_system, pert_pm5):
+        for sys, parts in ((m2_16_system, (5, 4)), (m3_16_system, (3, 3, 2))):
+            n = MultiIndex(parts)
+            vs = [solve_type1(sys, n), solve_type1(sys, n, 1)]
+            if sys.m == 2:
+                vs.append(perturbed_reduce(pert_pm5, solve_type1_perturbed(sys, pert_pm5, n), sys).reduced)
+            for v in vs:
+                nodes = sys.generators[0].nodes
+                expected = [remainder_eval(sys, v, 1, x) for x in nodes]
+                assert bits(first_level_remainder_values(sys, v)) == bits(expected)
 
 
 class TestTypeIPlain:

@@ -15,7 +15,13 @@ atom or a gap root that moves by one bit shows directly.  roots.txt does
 the same for the pole-attraction census, whose zeros.csv holds only
 counts: the perturbation's poles with their multiplicities, then, for
 each a_j of each swept index that the census factors, every root that
-poly_roots gives, one `_mpc_` tuple per line.  Two checkouts give the
+poly_roots gives, one `_mpc_` tuple per line.  vectors.txt does the same
+for what convergence.csv reduces to errors and identities.json to a
+maximum: one line per call of the run's solve_type1,
+solve_type1_perturbed, solve_type2, check_orthogonality and
+first_level_remainder_values, in call order, with the index and every
+coefficient, residual, scale or remainder value as an `_mpf_` tuple, so a
+coefficient that moves by one bit shows too.  Two checkouts give the
 same output exactly when `diff -r OUT_A OUT_B` prints nothing.  The runs
 take about 30 s in all.
 """
@@ -111,6 +117,57 @@ def census_roots(cli):
         cli.pole_attraction = census
 
 
+RECORDED = (
+    "solve_type1",
+    "solve_type1_perturbed",
+    "solve_type2",
+    "check_orthogonality",
+    "first_level_remainder_values",
+)
+
+
+def recorded_values(name: str, out) -> str:
+    """The `_mpf_` values of one result of the cli name `name`.
+
+    A type I vector gives a_0, ..., a_m and a type II vector Q, P_1, ...,
+    P_m, one bracketed list per polynomial.
+    """
+    if name.startswith("solve"):
+        polys = (out.q,) + out.p if hasattr(out, "q") else out.a
+        return " ".join(str([c._mpf_ for c in p.coeffs]) for p in polys)
+    if name == "check_orthogonality":
+        return f"{out.max_residual._mpf_} {out.scale._mpf_}"
+    return " ".join(str(x._mpf_) for x in out)
+
+
+@contextmanager
+def recorded_vectors(cli):
+    """While active, the lines of vectors.txt for the checkout's calls of the RECORDED names.
+
+    Each line holds the name, the index of the vector the call returned or
+    read, and recorded_values of its result.
+    """
+    real = {name: getattr(cli, name) for name in RECORDED}
+    lines = []
+
+    def recording(name):
+        def call(*args):
+            out = real[name](*args)
+            v = out if name.startswith("solve") else args[1]
+            lines.append(f"{name} n {list(v.n.parts)} {recorded_values(name, out)}")
+            return out
+
+        return call
+
+    for name in RECORDED:
+        setattr(cli, name, recording(name))
+    try:
+        yield lines
+    finally:
+        for name, f in real.items():
+            setattr(cli, name, f)
+
+
 def strip_timestamps(data: bytes) -> bytes:
     return b"".join(l for l in data.splitlines(keepends=True) if not l.startswith(b"#"))
 
@@ -131,7 +188,7 @@ def main(argv=None) -> int:
                 config = dict(make_config(name, seed), output_dir=str(run_dir))
                 config_path = Path(tmp) / f"{name}-s{seed}.json"
                 config_path.write_text(json.dumps(config))
-                with census_roots(cli) as roots:
+                with census_roots(cli) as roots, recorded_vectors(cli) as vectors:
                     code = cli.main(["run", str(config_path)])
                 status = max(status, code)
                 dest = out_dir / f"{name}-s{seed}"
@@ -142,6 +199,7 @@ def main(argv=None) -> int:
                         (dest / report).write_bytes(body)
                 (dest / "atoms.txt").write_text(atoms_text(cli, config))
                 (dest / "roots.txt").write_text("\n".join(roots or ["no pole census"]) + "\n")
+                (dest / "vectors.txt").write_text("\n".join(vectors or ["no solve"]) + "\n")
                 print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
     return status
 
