@@ -343,7 +343,7 @@ def _circle_start(c) -> list:
 
 
 def _float_start(c):
-    """The roots of c from Aberth sweeps in float64, run from the circle start.
+    """The roots of c from Aberth sweeps in float64, run from the circle start at 117 bits.
 
     Returns None when they are not finite and pairwise distinct (relative
     gap above 2^-16), as at a multiple root or when the coefficients leave
@@ -354,7 +354,10 @@ def _float_start(c):
         cf = [complex(x) for x in c]
         dc = [k * cf[k] for k in range(1, n + 1)]
         norm = max(abs(x) for x in cf)
-        z = [complex(w) for w in _circle_start(c)]
+        # float64 points need 64 guard bits, not the working precision's
+        # P + max(64, 4 deg), at which each point costs a long mp.expjpi
+        with mp.workprec(53 + 64):
+            z = [complex(w) for w in _circle_start(c)]
         floor_metric = 2.0 ** (-53 + 12 + n.bit_length())
         for _ in range(100):
             if _float_sweep(cf, dc, z, norm)[0] <= floor_metric:

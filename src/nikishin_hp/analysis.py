@@ -190,11 +190,13 @@ def convergence_row(
     """Sup-errors of a_j/a_m (1 <= j < m) and a_0/a_m, each over its target's sup.
 
     One pass over the grid evaluates a_0..a_m once per point from one power
-    row (see the module docstring) and skips the points where
-    |a_m| < 2^-P/2; every sup, of errors and of targets alike, runs over the
-    points kept.  Of each exact conjugate pair only the first point is
-    evaluated, targets included: the other's errors and targets are equal
-    bit for bit (see the module docstring), so the sups are unchanged.
+    row (see the module docstring) and skips the points where |a_m(z)| <
+    2^-P/2 sum_k |c_k z^k|, the c_k being a_m's coefficients: a gate
+    relative to the terms that cancel, so it scales with a_m.  Every sup,
+    of errors and of targets alike, runs over the points kept.  Of each
+    exact conjugate pair only the first point is evaluated, targets
+    included: the other's errors and targets are equal bit for bit (see
+    the module docstring), so the sups are unchanged.
     Normalization makes rows exactly invariant under generator rescaling
     for plain systems (the blockwise nullspace covariance cancels), while
     leaving monotonicity and rate estimates untouched.
@@ -210,9 +212,9 @@ def convergence_row(
     kept = 0
     coeffs = [[c._mpf_ for c in p.coeffs] for p in v.a]
     for z, row in zip(grid.points, targets):
-        values = _values_at(coeffs, z)
+        values, size = _values_at(coeffs, z)
         den = values[-1]
-        if abs(den) < skip_below:
+        if abs(den) < skip_below * size:
             continue
         kept += 1
         for j, t in enumerate(row):
@@ -238,13 +240,16 @@ def _one_per_conjugate_pair(grid: EvalGrid) -> EvalGrid:
     return EvalGrid(kept)
 
 
-def _values_at(coeffs, z) -> list:
-    """The values at a complex z of the real polynomials with raw coefficients coeffs, as mpc.
+def _values_at(coeffs, z):
+    """The values at a complex z of the real polynomials with raw coefficients coeffs.
 
-    The powers z^0..z^D, D the largest degree, are formed by repeated
-    multiplication rounded to P + 64 bits; each value is the exact sum of
-    the exact products c_k z^k, real and imaginary parts apart, rounded
-    once to P.
+    Returns (values, size): the values as mpc, and for the last
+    polynomial sum_k |c_k Re z^k| + |c_k Im z^k|, at P, which bounds
+    sum_k |c_k z^k| to within a factor sqrt 2.  The powers z^0..z^D, D the
+    largest degree, are formed by repeated multiplication rounded to P + 64
+    bits; each value is the exact sum of the exact products c_k z^k, real
+    and imaginary parts apart, rounded once to P, and size sums the moduli
+    of those same products.
     """
     prec, rnd = mp.prec, round_nearest
     zz = mpc(z)._mpc_
@@ -253,10 +258,11 @@ def _values_at(coeffs, z) -> list:
         powers.append(mpc_mul(powers[-1], zz, prec + 64, rnd))
     out = []
     for cs in coeffs:
-        re = mpf_sum([mpf_mul(c, p[0]) for c, p in zip(cs, powers)])
-        im = mpf_sum([mpf_mul(c, p[1]) for c, p in zip(cs, powers)])
+        re_terms = [mpf_mul(c, p[0]) for c, p in zip(cs, powers)]
+        im_terms = [mpf_mul(c, p[1]) for c, p in zip(cs, powers)]
+        re, im = mpf_sum(re_terms), mpf_sum(im_terms)
         out.append(mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))))
-    return out
+    return out, mp.make_mpf(mpf_sum(re_terms + im_terms, prec, rnd, True))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ degree.  The basis eliminates at P + 64 bits and is rounded back to P;
 eliminating at P instead costs about 3 digits at m=3 (16 Legendre atoms
 per generator, 128 bits, k = 2..4: 30.9, 22.4 and 11.8 correct digits
 against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
-sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (the
-achieved orders, the reduction residual, type2_residual_tail), comes from
-one helper, _laurent_coeff.  The tails of the chains s_{1,j} come from the
-system's table through nikishin.chain_tail.  The order basis, the
+sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (type
+II's achieved orders, the reduction residual, type2_residual_tail), comes
+from one helper, _laurent_coeff.  The tails of the chains s_{1,j} come
+from the system's table through nikishin.chain_tail.  The order basis, the
 tail-convolution sums, the remainder values at sigma_1's atoms and the
 orthogonality sums run on raw mpmath.libmp tuples, with the operations
 and roundings of the mpf arithmetic they replace, so they give its bits.
@@ -22,9 +22,10 @@ basis it reaches in a third table on the system, sys.bases, which only this
 module names.  The key fixes the series and the gate: (perturbation or
 None, shifts (2, D - n_j + 1, ...), mp.prec) for type I and (shifts
 (0, 1, ..., 1), mp.prec) for type II.  The value is the basis at P + 64
-bits, unrounded and raw, with its degrees and the level L = min(orders)
-it reached; a solve whose min(orders) is at least L continues from it
-(_order_basis states the prefix rule), and each key holds one state.
+bits, unrounded and raw, with its degrees, the level min(orders) it
+reached and its least pivot ratio; a solve whose min(orders) is at least
+that level continues from it (_order_basis states the prefix rule), and
+each key holds one state.
 chain_tail and laurent_expand_rational give every request the same bits
 on the coefficients both read, and the basis is rounded to P after the
 P + 64 block, so a solve on a shared system equals one on a fresh system
@@ -32,14 +33,21 @@ bit for bit, escalated attempts included: each runs at its own mp.prec,
 which the key holds.  An ascending diagonal sweep then eliminates each order
 condition once, as its largest index alone would.
 
-One escalation driver, _escalate, serves both solvers: it doubles the
-precision (up to 4096 bits) while the achieved vanishing order falls short of
-the target.  That is the only trigger, and the order, read against the
-2^-P/2 noise gate, rarely catches a loss of accuracy: on the m=2, 16+16-atom
-Legendre fixture at 64 bits both solvers reach their targets at every
-k = 3..8 and stay at 64 bits; the type I vector is flagged at k = 6 only,
-and at k = 7 and 8 its coefficients (unit max) differ from a 256-bit solve
-by 2.0 and 1.65.  A floor on the correct digits is an open ROADMAP item.
+One escalation driver, _escalate, serves both solvers, and its one trigger
+is the digits a vector holds, read off the order basis that gave it.  Each
+pivot the basis takes cancels its terms to |r_piv| / sum |terms|; with L =
+-log10 of the least such ratio over every condition the basis has met, a
+P-bit vector keeps about digits = P log10 2 - L correct digits (type II one
+digit fewer).  Against a 3P solve this reads 0.3 to 3.5 digits low on the
+type I rows measured, and within one digit on the type II rows.  L does not
+depend on P while the estimate is unsaturated, so a vector below
+DIGITS_FLOOR = 8 digits is solved again at P + (8 + 4 - digits) log2 10
+bits, rounded up to a multiple of 64, which meets the floor in one step.
+A pivot below the basis's gate is never taken, so digits cannot fall much
+below 2.4; at 3 or less the estimate is saturated and the bits double
+instead.  The bits stop at MAX_PRECISION_BITS = 4096, and a vector still
+below the floor there is returned with nullity_flag set.  No workload or
+golden row is below the floor (see DIGITS_FLOOR), so none escalates.
 
 The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
 order condition by T = prod t_j turns the solution into an incomplete
@@ -59,7 +67,7 @@ changes among those values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -70,6 +78,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_gt,
+    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
@@ -99,6 +108,15 @@ from .precision import MAX_PRECISION_BITS, checked_int, is_integer, noise_floor,
 #   |n| = 6..10) the vanishing residuals read at most 2^3.2 2^-P.
 # The factor 2^8 covers the rounding of sums of up to 256 terms.
 ORDER_BASIS_GUARD = 2**8
+
+# A solve escalates a vector whose digits (TypeIVector.digits) are below
+# DIGITS_FLOOR.  The least digits of any workload or golden row read 9.86
+# (type I, smoke seed 7, k = 7) and 9.94 (type II, smoke seed 6), so the
+# floor escalates none of them.  ORDER_BASIS_GUARD keeps every pivot ratio
+# above 2^8 2^-P, so digits cannot fall much below 2.4: at SATURATED_DIGITS
+# or less the estimate no longer measures the loss.
+DIGITS_FLOOR = 8
+SATURATED_DIGITS = 3
 
 
 @dataclass(frozen=True)
@@ -262,14 +280,19 @@ class TypeIVector:
     Legendre atoms, unperturbed, 256 bits), a_2(0) = 0 for M = 1..3, and
     at M = 3 the vector is z times the complete (k-1, k-1) vector, bit for
     bit but for the rounding in a_0(0).
+
+    digits estimates the correct digits of the coefficients (unit max) as
+    P log10 2 - L, P being precision_bits and L = -log10 of the least pivot
+    ratio |r_piv| / sum |terms| of the order basis (see the module
+    docstring).  The solve escalates a vector below DIGITS_FLOOR.
     """
 
     a: tuple
     n: MultiIndex
     order_target: int
-    residual_order: int
     nullity_flag: bool
     precision_bits: int
+    digits: float
 
     @property
     def m(self) -> int:
@@ -286,6 +309,10 @@ class TypeIIVector:
     when these do not span exactly one solution: when no row, or more than
     one row, has shifted degree <= N, or when the one such row has degree
     below N (at atomic degree, for instance).
+
+    digits estimates the correct digits of Q as TypeIVector.digits does,
+    less one digit: against a 3P solve the type II estimate is within one
+    digit, but not always low.
     """
 
     q: Polynomial
@@ -294,6 +321,7 @@ class TypeIIVector:
     residual_orders: tuple
     nullity_flag: bool
     precision_bits: int
+    digits: float
 
     @property
     def m(self) -> int:
@@ -336,30 +364,34 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
     moduli an mpf_sum as mp.fsum forms them, the ratio -r_i / r_piv an
     mpf_div and each a + c b of _axpy an mpf_mul and an mpf_add, all
     rounded to nearest at P + 64.  The series are converted once per call.
-    Returns (basis, degrees): basis[i][r] lists the coefficients of
-    component r of row i, and degrees[i] bounds the shifted degree of row
-    i.  Each condition costs O(rows^2 K) for polynomials of degree K, so K
+    Returns (basis, degrees, least): basis[i][r] lists the coefficients of
+    component r of row i, degrees[i] bounds the shifted degree of row i,
+    and least is the least ratio |r_piv| / sum |terms| over the pivots
+    taken (1 when there are none), each an mpf_div at 53 bits of the two
+    sums the gate forms; -log10(least) is the L of the module docstring.
+    Each condition costs O(rows^2 K) for polynomials of degree K, so K
     conditions per column cost O(K^2).
 
     With a dict `stored`, the basis carries over from one call to the next
     under `key`, which must fix the shifts, P and every series coefficient
     the calls read.  Any orders with min(orders) >= L take the conditions
     with k < L first, so the state after them does not depend on the
-    orders.  stored[key] holds one such state, (L, basis, degrees), the
-    basis at P + 64 bits, unrounded and raw; a call whose min(orders) is at
-    least L continues from it, and any other call starts from the identity.  The
-    loop stores its state on reaching k = min(orders), which is its final
-    state when the orders are equal.  The basis is rounded to P only after
-    the P + 64 block is left: rounding it inside moves the result by one
-    ulp.
+    orders.  stored[key] holds one such state, (level, basis, degrees,
+    least), the basis at P + 64 bits, unrounded and raw; a call whose
+    min(orders) is at least level continues from it, so that least stays
+    the minimum over every condition the basis has taken, and any other
+    call starts from the identity.  The loop stores its state on reaching
+    k = min(orders), which is its final state when the orders are equal.
+    The basis is rounded to P only after the P + 64 block is left: rounding
+    it inside moves the result by one ulp.
     """
     rows = len(series)
     level = min(orders)
     prec, rnd = mp.prec, round_nearest
     if stored is not None and key in stored and stored[key][0] <= level:
-        start, basis, degrees = stored[key]
+        start, basis, degrees, least = stored[key]
     else:
-        start, degrees = 0, shifts
+        start, degrees, least = 0, shifts, fone
         basis = [[[fone] if r == i else [] for r in range(rows)] for i in range(rows)]
     basis, degrees = list(basis), list(degrees)
     series = [[[c._mpf_ for c in f] for f in entry] for entry in series]
@@ -369,7 +401,7 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
         # one step past the last condition, so that k = min(orders) is reached
         for k in range(start, max(orders) + 1):
             if k == level and stored is not None:
-                stored[key] = (level, tuple(basis), tuple(degrees))
+                stored[key] = (level, tuple(basis), tuple(degrees), least)
             for j, order in enumerate(orders):
                 if k >= order:
                     continue
@@ -382,24 +414,29 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
                         for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
                     ]
                     acc = mpf_sum(terms, wide, rnd)
-                    bound = mpf_mul(gate, mpf_sum(terms, wide, rnd, True), wide, rnd)
-                    residuals.append(acc if mpf_gt(mpf_abs(acc), bound) else None)
+                    size = mpf_sum(terms, wide, rnd, True)
+                    nonzero = mpf_gt(mpf_abs(acc), mpf_mul(gate, size, wide, rnd))
+                    residuals.append((acc, size) if nonzero else None)
                 live = [i for i, res in enumerate(residuals) if res is not None]
                 if not live:
                     continue
                 # ties go to the largest |residual|, compared exactly
                 piv = min(
-                    live, key=lambda i: (degrees[i], mp.make_mpf(mpf_neg(mpf_abs(residuals[i]))))
+                    live, key=lambda i: (degrees[i], mp.make_mpf(mpf_neg(mpf_abs(residuals[i][0]))))
                 )
+                r_piv, size = residuals[piv]
+                ratio = mpf_div(mpf_abs(r_piv), size, 53, rnd)
+                if mpf_lt(ratio, least):
+                    least = ratio
                 pivot = basis[piv]
                 for i in live:
                     if i != piv:
-                        c = mpf_div(mpf_neg(residuals[i]), residuals[piv], wide, rnd)
+                        c = mpf_div(mpf_neg(residuals[i][0]), r_piv, wide, rnd)
                         basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
                 basis[piv] = [[fzero] + coeffs if coeffs else coeffs for coeffs in pivot]
                 degrees[piv] += 1
     rounded = [[[mp.make_mpf(mpf_pos(c, prec, rnd)) for c in cs] for cs in row] for row in basis]
-    return rounded, degrees
+    return rounded, degrees, mp.make_mpf(least)
 
 
 def _axpy(a, c, b):
@@ -424,7 +461,7 @@ def solve_type1(sys: NikishinSystem, n: MultiIndex, M: int = 0) -> TypeIVector:
     M = checked_int(M, "M")
     if M < 0:
         raise ValueError(f"M must be nonnegative, got {M}")
-    return _escalating_type1(sys, None, n, M)
+    return _escalate(lambda bits: _solve_type1_once(sys, None, n, M, bits))
 
 
 def solve_type1_perturbed(
@@ -432,29 +469,45 @@ def solve_type1_perturbed(
 ) -> TypeIVector:
     """Type I vector for f_j = s-hat_{1,j} + r_j, full order |n|."""
     pert.validate_against(sys)
-    return _escalating_type1(sys, pert, n, 0)
+    return _escalate(lambda bits: _solve_type1_once(sys, pert, n, 0, bits))
 
 
-def _escalate(solve_once, reached):
-    """solve_once(bits) at mp.prec, 2 mp.prec, ... until reached(result) holds.
+def _escalate(solve_once):
+    """solve_once(bits) from bits = mp.prec up, until its vector has DIGITS_FLOOR digits.
 
-    Each attempt runs at its own working precision.  The bits stop at
-    MAX_PRECISION_BITS, whose result is returned whether reached or not.
+    Each attempt runs at its own working precision, and the next one at
+    _next_bits.  The bits stop at MAX_PRECISION_BITS; a vector still below
+    the floor there is returned with nullity_flag set.
     """
     bits = mp.prec
     while True:
         with working_precision(bits):
             v = solve_once(bits)
-        if reached(v) or bits >= MAX_PRECISION_BITS:
+        if v.digits >= DIGITS_FLOOR:
             return v
-        bits = min(2 * bits, MAX_PRECISION_BITS)
+        if bits >= MAX_PRECISION_BITS:
+            return replace(v, nullity_flag=True)
+        bits = min(_next_bits(bits, v.digits), MAX_PRECISION_BITS)
 
 
-def _escalating_type1(sys, pert, n, M) -> TypeIVector:
-    return _escalate(
-        lambda bits: _solve_type1_once(sys, pert, n, M, bits),
-        lambda v: v.residual_order >= v.order_target,
-    )
+def _next_bits(bits, digits):
+    """The bits at which a vector of `digits` digits at `bits` bits meets DIGITS_FLOOR.
+
+    L = bits log10 2 - digits does not depend on the bits while the
+    estimate is unsaturated, so bits + (DIGITS_FLOOR + 4 - digits) log2 10,
+    rounded up to a multiple of 64, gives DIGITS_FLOOR + 4 digits; at
+    SATURATED_DIGITS or less L is unknown and the bits double.
+    """
+    if digits <= SATURATED_DIGITS:
+        return 2 * bits
+    step = math.ceil((DIGITS_FLOOR + 4 - digits) * math.log2(10))
+    return -(-(bits + step) // 64) * 64
+
+
+def _digits(bits, least):
+    """bits log10 2 - L, L = -log10(least) for the order basis's least pivot ratio."""
+    _, man, exp, _ = least._mpf_
+    return (bits + exp) * math.log10(2) + math.log10(man)
 
 
 def _type1_tails(sys, pert, n):
@@ -490,7 +543,7 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     ]
     shifts = (2,) + tuple(D - nj + 1 for nj in n)
     key = (pert, shifts, mp.prec)
-    basis, degrees = _order_basis(series, shifts, [total - M + D - 1], sys.bases, key)
+    basis, degrees, least = _order_basis(series, shifts, [total - M + D - 1], sys.bases, key)
     # the solutions are the combinations of x^e row_i, e <= D - d_i
     flag = total - 1 - M <= 0 or sum(max(0, D + 1 - d) for d in degrees) != M + 1
     # a_j reverses component j of the row of least shifted degree, padded to n_j
@@ -500,9 +553,8 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     pairs = list(zip(blocks, tails))
     # -PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2
     a0 = Polynomial([-_laurent_coeff(pairs, p)[0] for p in range(max(D - 1, 0))])
-    residual_order = _achieved_order(pairs, total + 4)
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
-    return TypeIVector(a, n, total - M, residual_order, flag, bits)
+    return TypeIVector(a, n, total - M, flag, bits, _digits(bits, least))
 
 
 def _normalize_blocks(blocks):
@@ -553,20 +605,13 @@ def _laurent_sums(pairs, e, prec):
     return acc, scale
 
 
-def _achieved_order(pairs, upto, known=()):
-    """First non-vanishing tail index of the remainder, plus one.
-
-    known holds the _laurent_coeff values already formed for the first
-    indices.
-    """
+def _achieved_order(pairs, upto):
+    """First tail index of the remainder above 2^-P/2 of its terms, plus one (upto if none)."""
     prec = mp.prec
     tol = noise_floor(0.5)._mpf_
     raw = _raw_pairs(pairs)
     for k in range(upto):
-        if k < len(known):
-            acc, scale = (x._mpf_ for x in known[k])
-        else:
-            acc, scale = _laurent_sums(raw, -(k + 1), prec)
+        acc, scale = _laurent_sums(raw, -(k + 1), prec)
         if mpf_gt(mpf_abs(acc), mpf_mul(tol, scale, prec, round_nearest)):
             return k + 1
     return upto
@@ -586,8 +631,8 @@ def perturbed_reduce(
     is the product of the other components' denominators, formed as T is,
     so no division by t_j enters (for m = 2 it is t_2 or t_1 exactly).  The
     vector (p_0, T a_1, ..., T a_m) must satisfy the plain system's order
-    conditions through |n| - deg T, which is re-verified from fresh
-    unperturbed tails.
+    conditions through |n| - deg T, whose residuals are read from fresh
+    unperturbed tails.  The reduced vector keeps v's flag, bits and digits.
     """
     m = sys.m
     if v.m != m or pert.m != m:
@@ -606,20 +651,13 @@ def perturbed_reduce(
     blocks = [list(p.coeffs) + [mpf(0)] * (nj - len(p.coeffs)) for p, nj in zip(products, reduced_n)]
     pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
 
-    sums = [_laurent_coeff(pairs, -(k + 1)) for k in range(max(order_target - 1, 0))]
-    max_residual = mpf(0)
-    scale = mpf(0)
-    for acc, sc in sums:
+    max_residual = scale = mpf(0)
+    for k in range(max(order_target - 1, 0)):
+        acc, sc = _laurent_coeff(pairs, -(k + 1))
         max_residual = max(max_residual, abs(acc))
         scale = max(scale, sc)
-    residual_order = _achieved_order(pairs, v.n.total + 4, sums)
     reduced = TypeIVector(
-        (p0, *products),
-        reduced_n,
-        order_target,
-        residual_order,
-        v.nullity_flag,
-        v.precision_bits,
+        (p0, *products), reduced_n, order_target, v.nullity_flag, v.precision_bits, v.digits
     )
     return ReduceReport(reduced, max_residual, scale)
 
@@ -631,10 +669,7 @@ def perturbed_reduce(
 
 def solve_type2(sys: NikishinSystem, n: MultiIndex) -> TypeIIVector:
     """Monic common denominator Q and numerators P_j, orders n_j + 1 each."""
-    return _escalate(
-        lambda bits: _solve_type2_once(sys, n, bits),
-        lambda v: all(v.residual_orders[j] >= n[j] + 1 for j in range(sys.m)),
-    )
+    return _escalate(lambda bits: _solve_type2_once(sys, n, bits))
 
 
 def _solve_type2_once(sys, n, bits) -> TypeIIVector:
@@ -649,7 +684,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     series = [tails] + [[minus_one if i == j else () for j in range(m)] for i in range(m)]
     shifts = (0,) + (1,) * m
     orders = [total + nj for nj in n]
-    basis, degrees = _order_basis(series, shifts, orders, sys.bases, (shifts, mp.prec))
+    basis, degrees, least = _order_basis(series, shifts, orders, sys.bases, (shifts, mp.prec))
     # the solutions of degree <= N are the combinations of x^e row_i, e <= N - d_i
     flag = sum(max(0, total + 1 - d) for d in degrees) != 1
     row = basis[min(range(m + 1), key=degrees.__getitem__)]
@@ -661,7 +696,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
         pairs = [(q.coeffs, tail)]
         ps.append(Polynomial([_laurent_coeff(pairs, p)[0] for p in range(total)]))
         orders.append(_achieved_order(pairs, n[j] + 4))
-    return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits)
+    return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits, _digits(bits, least) - 1)
 
 
 def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
@@ -742,7 +777,8 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
     T-reduced vector, whose remainder is T A_1.  Deeper remainder levels are
     not checked.  The products and sums run on raw tuples with the bits of
     the mpf operations: val * w * sign, each power row's products at P and
-    each sum an mpf_sum at P as mp.fsum forms it.
+    each sum an mpf_sum at P as mp.fsum forms it.  Only the N - 1 rows that
+    are summed are formed.
     """
     N = v.order_target
     if N <= 1:
@@ -756,12 +792,13 @@ def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
         for val, w in zip(vals, sigma1.weights)
     ]
     max_residual = max_scale = fzero
-    for _ in range(N - 1):
+    for nu in range(N - 1):
+        if nu:
+            powers = [mpf_mul(t, x, prec, rnd) for t, x in zip(powers, xs)]
         residual = mpf_abs(mpf_sum(powers, prec, rnd))
         scale = mpf_sum(powers, prec, rnd, True)
         if mpf_gt(residual, max_residual):
             max_residual = residual
         if mpf_gt(scale, max_scale):
             max_scale = scale
-        powers = [mpf_mul(t, x, prec, rnd) for t, x in zip(powers, xs)]
     return Residual(mp.make_mpf(max_residual), mp.make_mpf(max_scale))

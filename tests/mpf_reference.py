@@ -1,19 +1,24 @@
 """The mpf-object kernels that hermite_pade now runs on raw mpmath.libmp tuples.
 
-Each function below is the package's former code, kept verbatim but for
-the names it imports: every add, multiply, sum and rounding goes through
-an mpf object at mp.prec.  tests/test_hermite_pade.py::TestRawKernels
-patches _order_basis, _laurent_coeff and _achieved_order into
-hermite_pade, solves with them, and requires every bit of the raw
-kernels' vectors, reductions, residual tails, remainder values and
-orthogonality residuals to be the same.
+Each kernel below is the package's former code, kept verbatim but for
+the names it imports and, in _order_basis, the least pivot ratio: every
+add, multiply, sum and rounding goes through an mpf object at mp.prec.
+tests/test_hermite_pade.py::TestRawKernels patches _order_basis,
+_laurent_coeff and _achieved_order into hermite_pade, solves with them,
+and requires every bit of the raw kernels' vectors, digits, reductions,
+residual tails, remainder values and orthogonality residuals to be the
+same.
+
+achieved_order reads the order a type I vector reaches off its tails, at
+the 2^-P/2 gate of _achieved_order, for the tests that assert a type I
+order; the package reads it for type II only.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, remainder_eval
+from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, _type1_tails, remainder_eval
 from nikishin_hp.nikishin import Residual
 from nikishin_hp.precision import noise_floor
 
@@ -22,9 +27,9 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
     rows = len(series)
     level = min(orders)
     if stored is not None and key in stored and stored[key][0] <= level:
-        start, basis, degrees = stored[key]
+        start, basis, degrees, least = stored[key]
     else:
-        start, degrees = 0, shifts
+        start, degrees, least = 0, shifts, mpf(1)
         basis = [[[mpf(1)] if r == i else [] for r in range(rows)] for i in range(rows)]
     basis, degrees = list(basis), list(degrees)
     gate = ORDER_BASIS_GUARD * mpf(2) ** -mp.prec
@@ -32,7 +37,7 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
         # one step past the last condition, so that k = min(orders) is reached
         for k in range(start, max(orders) + 1):
             if k == level and stored is not None:
-                stored[key] = (level, tuple(basis), tuple(degrees))
+                stored[key] = (level, tuple(basis), tuple(degrees), least)
             for j, order in enumerate(orders):
                 if k >= order:
                     continue
@@ -45,20 +50,22 @@ def _order_basis(series, shifts, orders, stored=None, key=None):
                         for l in range(max(0, k - len(f) + 1), min(k + 1, len(coeffs)))
                     ]
                     acc = mp.fsum(terms)
-                    nonzero = abs(acc) > gate * mp.fsum(terms, absolute=True)
-                    residuals.append(acc if nonzero else None)
+                    size = mp.fsum(terms, absolute=True)
+                    residuals.append((acc, size) if abs(acc) > gate * size else None)
                 live = [i for i, res in enumerate(residuals) if res is not None]
                 if not live:
                     continue
-                piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i])))
+                piv = min(live, key=lambda i: (degrees[i], -abs(residuals[i][0])))
+                r_piv, size = residuals[piv]
+                least = min(least, mp.fdiv(abs(r_piv), size, prec=53))
                 pivot = basis[piv]
                 for i in live:
                     if i != piv:
-                        c = -residuals[i] / residuals[piv]
+                        c = -residuals[i][0] / r_piv
                         basis[i] = [_axpy(a, c, b) for a, b in zip(basis[i], pivot)]
                 basis[piv] = [[mpf(0)] + coeffs if coeffs else coeffs for coeffs in pivot]
                 degrees[piv] += 1
-    return [[[+c for c in coeffs] for coeffs in row] for row in basis], degrees
+    return [[[+c for c in coeffs] for coeffs in row] for row in basis], degrees, least
 
 
 def _axpy(a, c, b):
@@ -78,13 +85,30 @@ def _laurent_coeff(pairs, e):
     return acc, scale
 
 
-def _achieved_order(pairs, upto, known=()):
+def _achieved_order(pairs, upto):
     tol = noise_floor(0.5)
     for k in range(upto):
-        acc, scale = known[k] if k < len(known) else _laurent_coeff(pairs, -(k + 1))
+        acc, scale = _laurent_coeff(pairs, -(k + 1))
         if abs(acc) > tol * scale:
             return k + 1
     return upto
+
+
+def achieved_order(sys, v, pert=None, upto=None):
+    """The first tail index of sum_j a_j f_j above 2^-P/2 of its terms, plus one.
+
+    f_j = s-hat_{1,j} + r_j with the perturbation pert, else s-hat_{1,j};
+    the sums run at the vector's precision P over its coefficients padded
+    to n_j, and indices 0..upto-1 are read (upto = |n| + 4 by default),
+    the result being upto when none of them is above the gate.
+    """
+    with mp.workprec(v.precision_bits):
+        tails = _type1_tails(sys, pert, v.n)
+        pairs = [
+            (list(a.coeffs) + [mpf(0)] * (nj - len(a.coeffs)), tail)
+            for a, nj, tail in zip(v.a[1:], v.n, tails)
+        ]
+        return _achieved_order(pairs, v.n.total + 4 if upto is None else upto)
 
 
 def first_level_remainder_values(sys, v) -> list:

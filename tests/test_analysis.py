@@ -1,5 +1,7 @@
 """Ratio-limit errors, rate estimation, sign counting, pole attraction."""
 
+import math
+
 import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpf_neg
@@ -190,15 +192,21 @@ class TestAdmissible:
         assert [z.imag != 0 for z in grid.points] == [True] * 6
 
 
+def terms_size(p, z):
+    """sum_k |c_k z^k| for the coefficients c_k of p."""
+    return mp.fsum(abs(c * z**k) for k, c in enumerate(p.coeffs))
+
+
 def normalized_sup(v, grid, numerator, target, skip_below):
-    """Oracle: sup |a_num/a_m - target| over the points with |a_m| >= skip_below,
-    divided by the target's sup over the same points.  The polynomials are
-    evaluated by Horner at the ambient precision."""
+    """Oracle: sup |a_num/a_m - target| over the points with |a_m| >=
+    skip_below sum_k |c_k z^k| (the c_k those of a_m), divided by the
+    target's sup over the same points.  The polynomials are evaluated by
+    Horner at the ambient precision."""
     m = v.m
     err, scale = mpf(0), mpf(0)
     for z in grid.points:
         den = v.a[m](z)
-        if abs(den) < skip_below:
+        if abs(den) < skip_below * terms_size(v.a[m], z):
             continue
         t = target(z)
         scale = max(scale, abs(t))
@@ -270,9 +278,9 @@ class TestRatioError:
             tuple(p * mpf(3) for p in v.a),
             v.n,
             v.order_target,
-            v.residual_order,
             v.nullity_flag,
             v.precision_bits,
+            v.digits,
         )
         grid = EvalGrid.default(m2_16_system, None, circle_points=8, segment_points=2)
         a = convergence_row(m2_16_system, None, v, grid)
@@ -285,9 +293,9 @@ class TestRatioError:
             (v.a[0], v.a[1], Polynomial.zero()),
             v.n,
             v.order_target,
-            v.residual_order,
             v.nullity_flag,
             v.precision_bits,
+            v.digits,
         )
         grid = EvalGrid([mpc(0, 2)])
         with pytest.raises(ValueError):
@@ -356,7 +364,7 @@ class TestConvergenceRow:
             n = MultiIndex((k, k))
             v = solve_type1_perturbed(sys, pert, n) if perturbed else solve_type1(sys, n)
             a = v.a[:-1] + (v.a[-1] * Polynomial([-z0, 1]),)
-            vs.append(TypeIVector(a, v.n, v.order_target, v.residual_order, False, 256))
+            vs.append(TypeIVector(a, v.n, v.order_target, False, 256, v.digits))
 
         m = sys.m
         skip_below = noise_floor(0.5)
@@ -382,7 +390,7 @@ class TestConvergenceRow:
             err, scale, skipped = mpf(0), mpf(0), 0
             for z in grid.points:
                 den = v.a[m](z)
-                if abs(den) < skip_below:
+                if abs(den) < skip_below * terms_size(v.a[m], z):
                     skipped += 1
                     continue
                 t = targets[j](z)
@@ -460,7 +468,7 @@ class TestPoleAttraction:
         a1 = Polynomial.from_roots(a1_roots)
         a2 = Polynomial.from_roots(a2_roots)
         n = MultiIndex((len(a1_roots) + 1, len(a2_roots) + 1))
-        return TypeIVector((Polynomial.zero(), a1, a2), n, n.total, n.total, False, 256)
+        return TypeIVector((Polynomial.zero(), a1, a2), n, n.total, False, 256, math.inf)
 
     def test_no_perturbation_empty_counts(self):
         v = self.synthetic_vector([2], [2.5])
@@ -503,9 +511,9 @@ class TestPoleAttraction:
             (Polynomial.zero(), Polynomial.one(), Polynomial.zero()),
             MultiIndex((1, 1)),
             2,
-            2,
             False,
             256,
+            math.inf,
         )
         with pytest.raises(ValueError):
             pole_attraction(pert, v, 2, mpf("0.25"), Interval(1, 3))
@@ -536,9 +544,9 @@ class TestConjugatePoints:
         targets = ratio_targets(sys, pert, grid)
         lower_targets = ratio_targets(sys, pert, lower)
         for z, w, row, lower_row in zip(grid.points, lower.points, targets, lower_targets):
-            assert [u._mpc_ for u in _values_at(coeffs, w)] == [
-                conjugate_bits(u) for u in _values_at(coeffs, z)
-            ]
+            (values, size), (bar_values, bar_size) = (_values_at(coeffs, p) for p in (z, w))
+            assert [u._mpc_ for u in bar_values] == [conjugate_bits(u) for u in values]
+            assert bar_size == size
             s, s_bar = (s_hat_evals(sys, 2, (1, 2), p) for p in (z, w))
             assert [u._mpc_ for u in s_bar] == [conjugate_bits(u) for u in s]
             assert [u._mpc_ for u in lower_row] == [conjugate_bits(u) for u in row]

@@ -1211,3 +1211,44 @@ class TestWidelySeparatedPoles:
         if bits == 64:
             assert not checks["orthogonality"]["pass"] and not checks["reduction"]["pass"]
             assert checks["reduction"]["max_residual"].startswith("8.174683")
+
+
+def scaled_m3_config(out, scale, weight):
+    """m = 3 at 96 bits: 4 Chebyshev atoms on [0, 2] times `scale`, and one atom of `weight` at
+    2.0625 and one at 3.0625; the index (1, 1, 1) on the grid point -2."""
+    return {
+        "precision_bits": 96,
+        "system": [
+            {
+                "kind": "jacobi-density",
+                "interval": [0, 2],
+                "node_count": 4,
+                "alpha": -0.5,
+                "beta": -0.5,
+                "density_scale": scale,
+            },
+            {"kind": "atoms", "interval": [2, 2.5], "nodes": [2.0625], "weights": [weight]},
+            {"kind": "atoms", "interval": [3, 4], "nodes": [3.0625], "weights": [weight]},
+        ],
+        "sweep": [[1, 1, 1]],
+        "grid": {"points": [[-2, 0]]},
+        "checks": [],
+        "output_dir": str(out),
+    }
+
+
+class TestRelativeSkipGate:
+    """convergence_row skips a point where |a_m| is below 2^-P/2 of the terms it sums, not below 2^-P/2."""
+
+    def test_rescaled_generators_keep_their_row(self, tmp_path):
+        # with the scales 1e-20, 1e20, 1e20, a_3 = 1e-20 while a_2 = 1: the
+        # absolute gate skipped the one grid point, and the run exited 3
+        # with "every grid point fell on a zero of the last component"
+        bodies = []
+        for scale, weight in (("1", "1"), ("1e-20", "1e20")):
+            out = tmp_path / scale
+            path = write_config(tmp_path, scaled_m3_config(out, scale, weight), f"{scale}.json")
+            assert main(["run", str(path)]) == 0
+            bodies.append(read_body(out / "convergence.csv"))
+        assert bodies[0] == bodies[1]
+        assert bodies[0][1].startswith("3,1,1,1,1.00000000")
