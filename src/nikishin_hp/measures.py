@@ -14,17 +14,23 @@ bracket around its float64 seed.
 Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
 tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
 w / (z - x)**2 for the derivative, at a real z only) gives at the working
-precision P: the same operations with the same roundings, without the mpf
-and mpc objects.
-A real z costs one subtraction per atom and one division per atom and
-measure.  A complex z costs, per atom, a = Re z - x and m = a^2 + (Im z)^2,
-rounded to P + 10 bits as mpmath's mpc_mpf_div rounds it, then two
-divisions at P per measure.  Measures on one node set (the chains s_{a,b}
-of one a) share a and m: cauchy_evals evaluates them at a point in one
-pass, cauchy_eval is its one-measure case, and _gap_root takes mu-hat and
-its derivative at one point from one pass.  The moments come from one loop
-as well, _moment_rows, which also hands back the power row w_i x_i^k that
-continues them.
+precision P, without the mpf and mpc objects.
+A real z costs one subtraction per atom, d = z - x rounded to P (and d^2
+rounded to P for the derivative).  A complex z costs, per atom, a = Re z -
+x and m = a^2 + (Im z)^2, rounded to P + 10 bits as mpmath's mpc_mpf_div
+rounds it.  Measures on one node set (the chains s_{a,b} of one a) share
+these divisors: cauchy_evals evaluates them at a point in one pass,
+cauchy_eval is its one-measure case, and _gap_root takes mu-hat and its
+derivative at one point from one pass.  Each term then costs one integer
+division: its exact quotient, w / d or a w / m or -Im z w / m, is rounded
+once to P bits, to nearest with ties to even.  That is the value mpf_div
+returns, since mpf_div rounds correctly and the correctly rounded quotient
+is unique.  Each row of terms is summed exactly in one integer by
+mpf_sum's own rules, in atom order (a term more than 2P bits above the
+sum replaces it and one more than 2P bits below it is dropped), and
+rounded once to P, so the sum has the bits of mpf_sum at P.
+The moments come from one loop as well, _moment_rows, which also hands
+back the power row w_i x_i^k that continues them.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from typing import Optional
 
 from mpmath import fp, mp, mpc, mpf
 from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -439,13 +448,16 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     one node set) and every exponent e in exponents (1 or 2); z is an mpf
     or an mpc at P, and an mpc takes exponents (1,) only.  Returns
     sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
-    complex one.  The operations are mpmath's own: for a real z, d = z - x
-    rounded to P and, for e = 2, d**2 rounded to P, then w / d at P.  For
-    a complex z, with a = Re z - x and s = Im z, m = a^2 + s^2 is rounded
-    to P + 10 bits by libmp's default rounding, and the term is
-    (a w / m, -s w / m), each quotient rounded to P, as mpc_mpf_div forms
-    it.  m does not depend on the weights, so the measures share it.  The
-    terms are summed as mp.fsum sums them: each part by mpf_sum at P.
+    complex one.  The divisors are mpmath's own: for a real z, d = z - x
+    rounded to P and, for e = 2, d**2 rounded to P.  For a complex z, with
+    a = Re z - x and s = Im z, m = a^2 + s^2 is rounded to P + 10 bits by
+    libmp's default rounding, and the term is (a w / m, -s w / m), as
+    mpc_mpf_div forms it.  The divisors do not depend on the weights, so
+    the measures share them.  _quotient_sum forms each part of each row:
+    every term is its exact quotient rounded once to P, the correctly
+    rounded value that mpf_div returns too, and the terms are summed
+    exactly in one integer under mpf_sum's replace and drop rules, then
+    rounded once to P, so each part has the bits of mpf_sum at P.
     """
     prec, rnd = mp.prec, round_nearest
     rows = [[w._mpf_ for w in row] for row in rows]
@@ -454,25 +466,97 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
             raise ValueError("a complex point takes exponent 1 only")
         re, im = z._mpc_
         im2 = mpf_mul(im, im)
+        minus_im = mpf_neg(im)
         wide = prec + 10
-        terms = [([], []) for _ in rows]
-        for i, x in enumerate(nodes):
+        real_parts, imag_parts = [], []
+        for x in nodes:
             a = mpf_sub(re, x._mpf_, prec, rnd)
             m = mpf_add(mpf_mul(a, a), im2, wide)
-            for row, (res, ims) in zip(rows, terms):
-                w = row[i]
-                res.append(mpf_div(mpf_mul(a, w), m, prec, rnd))
-                ims.append(mpf_div(mpf_neg(mpf_mul(im, w)), m, prec, rnd))
-        return [[(mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)) for res, ims in terms]]
+            real_parts.append(_divisor(a, m))
+            imag_parts.append(_divisor(minus_im, m))
+        return [
+            [(_quotient_sum(row, real_parts, prec), _quotient_sum(row, imag_parts, prec)) for row in rows]
+        ]
     t = z._mpf_
-    parts = [[[] for _ in rows] for _ in exponents]
-    for i, x in enumerate(nodes):
+    divisors = [[] for _ in exponents]
+    for x in nodes:
         d = mpf_sub(t, x._mpf_, prec, rnd)
-        for e, terms in zip(exponents, parts):
-            divisor = d if e == 1 else mpf_pow_int(d, e, prec, rnd)
-            for row, out in zip(rows, terms):
-                out.append(mpf_div(row[i], divisor, prec, rnd))
-    return [[mpf_sum(out, prec, rnd) for out in terms] for terms in parts]
+        for e, column in zip(exponents, divisors):
+            column.append(_divisor(fone, d if e == 1 else mpf_pow_int(d, e, prec, rnd)))
+    return [[_quotient_sum(row, column, prec) for row in rows] for column in divisors]
+
+
+def _divisor(f, d) -> tuple:
+    """The atom entry of _quotient_sum for terms f w / d: (sign, f's mantissa,
+    exponent of f over d, d's mantissa, d's bit count, f, d)."""
+    fsign, fman, fexp, _ = f
+    dsign, dman, dexp, dbc = d
+    return fsign ^ dsign, fman, fexp - dexp, dman, dbc, f, d
+
+
+def _quotient_sum(row, divisors, prec):
+    """Raw mpf_sum([mpf_div(mpf_mul(f, w), d, prec) for ...], prec), w from row, f and d per atom.
+
+    Each quotient rounds the exact f w / d to P bits once: one divmod
+    gives a quotient q of P + 1 or P + 2 bits, and its bits below the
+    P-th, with the remainder as a sticky bit, round q to nearest, ties to
+    even.  mpf_div rounds its own quotient, of at least P + 4 bits, with a
+    sticky bit too; both give the correctly rounded quotient, which is
+    unique, so the bits are the same.  Trailing zeros are stripped, as
+    normalize strips them, so that each term enters the sum with the
+    exponent and bit count mpf_sum reads.  The terms, in atom order, go
+    into one running integer man * 2^exp by mpf_sum's own rules: from man
+    = exp = 0, a term more than 2P bits above the sum replaces it, one
+    more than 2P bits below it is dropped (or taken when the sum is 0),
+    and any other is added exactly.  The sum is rounded once, by
+    from_man_exp at P.  A zero term is skipped, and a term with a zero or
+    non-finite factor is mpf_div's own, which raises ZeroDivisionError on
+    a zero divisor and gives 0, an infinity or nan otherwise; the last
+    two make the sum mpf_sum's infinity or nan.
+    """
+    rnd = round_nearest
+    limit = 2 * prec
+    man = exp = 0
+    special = None
+    for (wsign, wman, wexp, wbc), (sign, fman, shift, dman, dbc, f, d) in zip(row, divisors):
+        if not (wman and fman and dman):
+            term = mpf_div(mpf_mul(f, (wsign, wman, wexp, wbc)), d, prec, rnd)
+            if term[2]:  # an infinity or nan; a zero is skipped
+                special = mpf_add(special or fzero, term, 1)
+            continue
+        num = wman * fman
+        s = prec + 1 + dbc - num.bit_length()
+        q, r = divmod(num << s, dman) if s >= 0 else divmod(num, dman << -s)
+        # q has P + k bits, k being 1 or 2: top ends in the rounding bit,
+        # and q & (k - 1) is the bit below it, if any
+        k = q.bit_length() - prec
+        top = q >> (k - 1)
+        if top & 1 and (top & 2 or r or q & (k - 1)):
+            xman = (top >> 1) + 1
+        else:
+            xman = top >> 1
+        xexp = wexp + shift - s + k
+        if not xman & 1:
+            zeros = (xman & -xman).bit_length() - 1
+            xman >>= zeros
+            xexp += zeros
+        if wsign ^ sign:
+            xman = -xman
+        delta = xexp - exp
+        if delta >= 0:
+            if delta > limit and (not man or delta - man.bit_length() > limit):
+                man, exp = xman, xexp
+            else:
+                man += xman << delta
+        elif -delta - xman.bit_length() > limit:
+            if not man:
+                man, exp = xman, xexp
+        else:
+            man = (man << -delta) + xman
+            exp = xexp
+    if special:
+        return special
+    return from_man_exp(man, exp, prec, rnd)
 
 
 def _signed(raw, sign: int):

@@ -64,7 +64,8 @@ from .measures import (
     MeasureSpec,
     _moment_rows,
     _point,
-    cauchy_eval,
+    # cauchy_eval is unused here; benchmark/spans.py still patches nikishin.cauchy_eval
+    cauchy_eval,  # noqa: F401
     cauchy_evals,
     inverse_measure,
     realize,
@@ -349,26 +350,32 @@ def check_ratio_identity(sys: NikishinSystem, points) -> list:
     per k; a single-atom sigma_1 has an empty tau and a zero bracket.  The
     chain transforms come from the system's table, and <s_{2,k}, sigma_1>
     reweights s_{2,k} by the sigma_1-hat values at sigma_2's atoms that the
-    build stored when it formed s_{2,1}; the bracket's measure is not a
-    chain and is evaluated directly.  A point where sigma_1-hat vanishes
-    raises ValueError before the division (see refuse_sigma1_hat_zeros).
+    build stored when it formed s_{2,1}.  The brackets' measures are not
+    chains; all m - 1 live on tau's atoms, so one cauchy_evals pass per
+    point evaluates them, each with the bits cauchy_eval gives.  A point
+    where sigma_1-hat vanishes raises ValueError before the division (see
+    refuse_sigma1_hat_zeros).
     """
     sigma1 = sys.generators[0]
     _, tau = inverse_measure(sigma1)
     points = [mpc(z) for z in points]
+    ks = range(2, sys.m + 1)
     # s-hat_{1,1..m} at each point, from one pass over sigma_1's atoms
-    forward = [s_hat_evals(sys, 1, range(1, sys.m + 1), z) for z in points] if sys.m > 1 else []
+    forward = [s_hat_evals(sys, 1, range(1, sys.m + 1), z) for z in points] if ks else []
     refuse_sigma1_hat_zeros(sys, points)
+    if tau is not None and ks:
+        at_sigma2 = [s_hat_eval(sys, 1, 1, x) for x in sys.generators[1].nodes]
+        outers = [product_measure(tau, _reweighted(sys.chain(2, k), at_sigma2)) for k in ks]
+        # the outer measures all live on tau's atoms: one pass per point
+        brackets = [cauchy_evals(outers, z) for z in points]
+    else:
+        brackets = [[mpc(0)] * len(ks) for _ in points]
     out = []
-    for k in range(2, sys.m + 1):
+    for i, k in enumerate(ks):
         mass_ratio = sys.chain(1, k).total_mass / sigma1.total_mass
-        outer = None
-        if tau is not None:
-            at_sigma2 = [s_hat_eval(sys, 1, 1, x) for x in sys.generators[1].nodes]
-            outer = product_measure(tau, _reweighted(sys.chain(2, k), at_sigma2))
-        for z, s in zip(points, forward):
+        for s, at_z in zip(forward, brackets):
             lhs = s[k - 1] / s[0]
-            bracket = mpc(0) if outer is None else cauchy_eval(outer, z)
+            bracket = at_z[i]
             residual = abs(lhs - mass_ratio + bracket)
             scale = max(abs(lhs), abs(mass_ratio), abs(bracket))
             out.append(Residual(residual, scale))

@@ -1,7 +1,9 @@
 """Measure realization, moments, Cauchy transforms, inverse measures."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from nikishin_hp import measures
+import mpf_reference
+from nikishin_hp import cli, measures
 from nikishin_hp.measures import cauchy_evals
 from nikishin_hp import (
     AtomicMeasure,
@@ -26,6 +29,7 @@ from nikishin_hp import (
 )
 
 TIGHT = mpf(10) ** -70
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 
 def two_atom():
@@ -640,9 +644,27 @@ def on_one_node_set(nodes, support, weight_rows, signs):
 
 
 def kernel_cases():
-    """(measures on one node set, point): both signs; real points on either
-    side of the support and in a gap between atoms; complex points off the
-    support, and with tiny |Im z| above a gap and beside an atom."""
+    """Groups of (measures on one node set, points), at the working precision P.
+
+    The first group: both signs; real points on either side of the
+    support and in a gap between atoms; complex points off the support,
+    with tiny |Im z| above a gap and beside an atom, with Re z on an atom
+    (a = 0) at a tiny Im z and at Im z = 1 (m = 1, a divisor of mantissa
+    1), and on the real axis (Im z = 0).
+
+    The second sits on the dyadic atoms -3, -1, 0, 1/2, 3/4, 7/8, whose
+    distances to z = 1 are powers of two, with power-of-two weights as far
+    as H = 2^(P+40) and L = 2^-(P+40): one-bit terms more than 2P bits
+    apart, so that mpf_sum's rules replace the sum by a far larger term
+    and drop a far smaller one.  The rules show in the sums: at z = 1 the
+    second row's terms L/4, H/2, L, 2L, 4L, 2^39 add up to just above
+    H/2 + 2^39, which is halfway between two P-bit numbers, and mpf_sum,
+    having lost the L terms, rounds that tie to even.  At z = -1/2 the
+    first row's terms at -1 and 0 cancel to exactly 0 before a far
+    smaller term, after the term at -3 was replaced.  At z = 1 + i s,
+    s = 2^-(P//2+3), the atom 0 has m = 1 + 2^-(P+6), so both parts of its
+    term round up to a power of two.
+    """
     rng = random.Random(20)
     nodes = sorted(mpf(rng.uniform(-1, 0)) for _ in range(11))
     support = Interval(-1, 0)
@@ -653,36 +675,52 @@ def kernel_cases():
     points = [
         mpf(-3), mpf("0.25"), mpf("1e-30"), mpf(-1) - mpf("1e-20"), gap,
         mpc(2, 3), mpc(-5, "-0.5"), mpc(gap, tiny), mpc(gap, -tiny), mpc(nodes[2], 4 * noise_floor(0.5)),
-        mpc(mpf("0.5"), tiny), mpc(100, 0),
+        mpc(nodes[2], 1), mpc(mpf("0.5"), tiny), mpc(100, 0), mpc(gap, 0),
     ]
-    return mus, points
+    H, L = mpf(2) ** (mp.prec + 40), mpf(2) ** -(mp.prec + 40)
+    dyadic = [-3, -1, 0, mpf("0.5"), mpf("0.75"), mpf("0.875")]
+    far_apart = [[L, H, H, L, L, L], [L, H, L, L, L, 2**36], [H, L, 1, H, L, 1]]
+    dyadic_points = [
+        mpf(1), mpf("-0.5"), mpc(1, mpf(2) ** -(mp.prec // 2 + 3)), mpc("-0.5", 0), mpc(0, 1), mpc(3, -2),
+    ]
+    return [
+        (mus, points),
+        (on_one_node_set(dyadic, Interval(-3, 1), far_apart, (1, -1, 1)), dyadic_points),
+    ]
+
+
+def fsum_raw(nodes, row, z, e):
+    """The bits of mp.fsum(w / (z - x)**e), the mpmath expression of one raw Cauchy sum."""
+    if e == 1:
+        return raw(mp.fsum(w / (z - x) for x, w in zip(nodes, row)))
+    return raw(mp.fsum(w / (z - x) ** 2 for x, w in zip(nodes, row)))
 
 
 class TestCauchyKernel:
     @pytest.mark.parametrize("bits", [64, 256, 512])
     def test_values_are_the_mpmath_expressions(self, bits):
         with mp.workprec(bits):
-            mus, points = kernel_cases()
-            for z in points:
-                many = cauchy_evals(mus, z)
-                for mu, value in zip(mus, many):
-                    expected = fsum_transform(mu, z)
-                    assert type(value) is type(expected)
-                    assert raw(value) == raw(expected) == raw(cauchy_eval(mu, z))
-                    if not isinstance(z, mpc):
-                        assert raw(measures.cauchy_derivative(mu, z)) == raw(fsum_transform(mu, z, 2))
+            for mus, points in kernel_cases():
+                for z in points:
+                    many = cauchy_evals(mus, z)
+                    for mu, value in zip(mus, many):
+                        expected = fsum_transform(mu, z)
+                        assert type(value) is type(expected)
+                        assert raw(value) == raw(expected) == raw(cauchy_eval(mu, z))
+                        if not isinstance(z, mpc):
+                            assert raw(measures.cauchy_derivative(mu, z)) == raw(fsum_transform(mu, z, 2))
 
     @pytest.mark.parametrize("bits", [64, 256, 512])
     def test_one_pass_gives_value_and_slope_at_real_points(self, bits):
         with mp.workprec(bits):
-            mus, points = kernel_cases()
-            for t in (z for z in points if not isinstance(z, mpc)):
-                (values, slopes) = measures._cauchy_pass(
-                    mus[0].nodes, [mu.weights for mu in mus], t, (1, 2)
-                )
-                for mu, v, d in zip(mus, values, slopes):
-                    assert v == raw(mp.fsum(w / (t - x) for x, w in zip(mu.nodes, mu.weights)))
-                    assert d == raw(mp.fsum(w / (t - x) ** 2 for x, w in zip(mu.nodes, mu.weights)))
+            for mus, points in kernel_cases():
+                for t in (z for z in points if not isinstance(z, mpc)):
+                    (values, slopes) = measures._cauchy_pass(
+                        mus[0].nodes, [mu.weights for mu in mus], t, (1, 2)
+                    )
+                    for mu, v, d in zip(mus, values, slopes):
+                        assert v == fsum_raw(mu.nodes, mu.weights, t, 1)
+                        assert d == fsum_raw(mu.nodes, mu.weights, t, 2)
 
     # no shrink phase: a failing example at 512 bits shrinks for minutes
     @settings(
@@ -699,46 +737,55 @@ class TestCauchyKernel:
         rows=st.integers(1, 3),
     )
     def test_property_against_the_mpmath_expressions(self, data, count, bits, rows):
+        # weights as far as 2^(P+40) apart, a zero weight in one more row,
+        # which only the raw pass takes, and points on an atom's abscissa
         with mp.workprec(bits):
             numerators = data.draw(
                 st.lists(st.integers(-2**20, 2**20), min_size=count, max_size=count, unique=True)
             )
             nodes = sorted(mpf(k) / 2**20 for k in numerators)
-            weight = st.tuples(st.integers(1, 2**30), st.integers(-40, 40))
+            weight = st.tuples(st.integers(1, 2**30), st.integers(-(bits + 40), bits + 40))
             weight_rows = [
                 [mpf(man) * mpf(2) ** e for man, e in data.draw(st.lists(weight, min_size=count, max_size=count))]
                 for _ in range(rows)
             ]
+            zeroed = list(weight_rows[0])
+            zeroed[data.draw(st.integers(0, count - 1))] = mpf(0)
             signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=rows, max_size=rows))
             mus = on_one_node_set(nodes, Interval(-1, 1), weight_rows, signs)
-            re = data.draw(st.floats(-4, 4, allow_nan=False))
-            im = data.draw(st.sampled_from([0.0, 1e-12, -1e-30, 0.5, 3.0]))
+            re = data.draw(st.one_of(st.floats(-4, 4, allow_nan=False), st.sampled_from(nodes)))
+            im = data.draw(st.sampled_from([0.0, 1e-12, -1e-30, 0.5, 1.0, 3.0]))
             z = mpc(re, im) if data.draw(st.booleans()) else mpf(re)
+            exponents = (1,) if isinstance(z, mpc) else (1, 2)
+            raw_rows = weight_rows + [zeroed]
             try:
-                expected = [fsum_transform(mu, z) for mu in mus]
-            except ZeroDivisionError:
-                return  # z on an atom
+                expected = [[fsum_raw(nodes, row, z, e) for row in raw_rows] for e in exponents]
+            except ZeroDivisionError:  # z on an atom
+                with pytest.raises(ZeroDivisionError):
+                    measures._cauchy_pass(nodes, raw_rows, z, exponents)
+                return
+            assert measures._cauchy_pass(nodes, raw_rows, z, exponents) == expected
             if any(abs(z - x) <= noise_floor(0.5) for x in nodes):
                 with pytest.raises(ValueError, match="evaluation on support"):
                     cauchy_evals(mus, z)
                 return
-            assert [raw(v) for v in cauchy_evals(mus, z)] == [raw(v) for v in expected]
+            assert [raw(v) for v in cauchy_evals(mus, z)] == [raw(fsum_transform(mu, z)) for mu in mus]
             if not isinstance(z, mpc):
                 for mu in mus:
                     assert raw(measures.cauchy_derivative(mu, z)) == raw(fsum_transform(mu, z, 2))
 
     def test_complex_points_take_exponent_one_only(self):
         # the derivative is taken at real gap roots only
-        mus, points = kernel_cases()
-        for z in (p for p in points if isinstance(p, mpc)):
-            for exponents in ((2,), (1, 2)):
+        for mus, points in kernel_cases():
+            for z in (p for p in points if isinstance(p, mpc)):
+                for exponents in ((2,), (1, 2)):
+                    with pytest.raises(ValueError, match="exponent 1 only"):
+                        measures._cauchy_pass(mus[0].nodes, [mus[0].weights], z, exponents)
                 with pytest.raises(ValueError, match="exponent 1 only"):
-                    measures._cauchy_pass(mus[0].nodes, [mus[0].weights], z, exponents)
-            with pytest.raises(ValueError, match="exponent 1 only"):
-                measures.cauchy_derivative(mus[0], z)
+                    measures.cauchy_derivative(mus[0], z)
 
     def test_on_support_guard_still_raises(self):
-        mus, _ = kernel_cases()
+        mus, _ = kernel_cases()[0]
         tol = noise_floor(0.5)
         atom = mus[0].nodes[3]
         for z in (atom, atom + tol / 2, mpc(atom, tol / 2), mpc(atom - tol / 4, -tol / 4)):
@@ -748,7 +795,7 @@ class TestCauchyKernel:
                 cauchy_evals(mus, z)
 
     def test_measures_on_other_nodes_rejected(self):
-        mus, _ = kernel_cases()
+        mus, _ = kernel_cases()[0]
         other = AtomicMeasure([mpf("-0.5")], [1], 1, Interval(-1, 0))
         with pytest.raises(ValueError, match="one node set"):
             cauchy_evals([mus[0], other], mpc(2, 1))
@@ -756,7 +803,7 @@ class TestCauchyKernel:
     @pytest.mark.parametrize("bits", [64, 256, 512])
     def test_moment_loop_continues_from_its_row(self, bits):
         with mp.workprec(bits):
-            mus, _ = kernel_cases()
+            mus, _ = kernel_cases()[0]
             for mu in mus:
                 first, row = measures._moment_rows(mu, [w._mpf_ for w in mu.weights], 7)
                 more, _ = measures._moment_rows(mu, row, 13)
@@ -767,6 +814,76 @@ class TestCauchyKernel:
                     old.append(mu.sign * mp.fsum(powers))
                     powers = [p * x for p, x in zip(powers, mu.nodes)]
                 assert [raw(c) for c in moments(mu, 19)] == [raw(c) for c in old]
+
+
+def workload_config(name, out):
+    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return dict(workloads.make_config(name, 0), output_dir=str(out))
+
+
+class TestRawCauchyPass:
+    """measures._cauchy_pass gives the bits of the pass it replaced.
+
+    mpf_reference._cauchy_pass divides each term by libmp's mpf_div and
+    sums each row by mpf_sum.  Both run on every pass a run of a
+    benchmark config makes (the gap roots' value-and-slope passes at
+    P + 64 bits and the ratio identity's brackets included), on every
+    chain s_{a,b} at every grid point, one pass per a, and on every pass
+    at the atoms of one generator over the chains of another, as the
+    build forms the products, with both exponents.
+    """
+
+    @pytest.mark.parametrize("name", ["smoke", "identities-m4"])
+    def test_every_pass_of_a_workload(self, name, tmp_path, monkeypatch):
+        kernel, built, grids, mismatches = measures._cauchy_pass, [], [], []
+        counts = {"run": 0}
+
+        def compared(nodes, rows, z, exponents=(1,)):
+            counts["run"] += 1
+            out = kernel(nodes, rows, z, exponents)
+            if out != mpf_reference._cauchy_pass(nodes, rows, z, exponents):
+                mismatches.append((z, exponents))
+            return out
+
+        def recording(into, fn):
+            def call(*args):
+                into.append(fn(*args))
+                return into[-1]
+
+            return call
+
+        monkeypatch.setattr(measures, "_cauchy_pass", compared)
+        monkeypatch.setattr(cli, "build_system", recording(built, cli.build_system))
+        monkeypatch.setattr(cli, "_build_grid", recording(grids, cli._build_grid))
+        config = cli.parse_config(workload_config(name, tmp_path / "out"))
+        assert cli.run_experiment(config).exit_code == 0
+        assert counts["run"] > 0 and not mismatches
+
+        (sys,), (grid,) = built, grids
+        with mp.workprec(config.precision_bits):
+            for a in range(1, sys.m + 1):
+                nodes = sys.generators[a - 1].nodes
+                rows = [sys.chain(a, b).weights for b in range(1, sys.m + 1)]
+                for z in grid.points:
+                    assert kernel(nodes, rows, z) == mpf_reference._cauchy_pass(nodes, rows, z)
+                for c in range(1, sys.m + 1):
+                    for x in sys.generators[c - 1].nodes if c != a else ():
+                        assert kernel(nodes, rows, x, (1, 2)) == mpf_reference._cauchy_pass(
+                            nodes, rows, x, (1, 2)
+                        )
+
+
+    def test_non_finite_inputs_give_the_reference_values(self):
+        # an infinite point or weight, or a nan, reaches mpf_div's and
+        # mpf_sum's special values, as in the pass it replaced
+        nodes = [mpf(-1), mpf(0)]
+        rows = [[mpf(1), mpf(2)], [mpf("inf"), mpf(1)], [mpf("nan"), mpf(1)]]
+        for z in (mpf("inf"), mpf("-inf"), mpc("inf", 1), mpc(2, "inf"), mpf(2), mpc(2, 1)):
+            exponents = (1,) if isinstance(z, mpc) else (1, 2)
+            expected = mpf_reference._cauchy_pass(nodes, rows, z, exponents)
+            assert measures._cauchy_pass(nodes, rows, z, exponents) == expected
 
 
 class TestInverseMeasure:

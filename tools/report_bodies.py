@@ -21,9 +21,13 @@ maximum: one line per call of the run's solve_type1,
 solve_type1_perturbed, solve_type2, check_orthogonality and
 first_level_remainder_values, in call order, with the index and every
 coefficient, residual, scale or remainder value as an `_mpf_` tuple, so a
-coefficient that moves by one bit shows too.  Two checkouts give the
-same output exactly when `diff -r OUT_A OUT_B` prints nothing.  The runs
-take about 30 s in all.
+coefficient that moves by one bit shows too.  transforms.txt does the same
+for the Cauchy transforms behind the printed residuals and errors: every
+entry of the run's transform table `s_hat` in sorted key order, one
+`key value` line with the value as an `_mpf_` or `_mpc_` tuple, then the
+sign and atoms of every chain s_{a,b} with a != b, as atoms.txt writes
+them.  Two checkouts give the same output exactly when
+`diff -r OUT_A OUT_B` prints nothing.  The runs take about 30 s in all.
 """
 
 from __future__ import annotations
@@ -141,6 +145,46 @@ def recorded_values(name: str, out) -> str:
 
 
 @contextmanager
+def built_systems(cli):
+    """While active, the list of the systems the checkout's cli.build_system returns."""
+    build, systems = cli.build_system, []
+
+    def recording(spec):
+        systems.append(build(spec))
+        return systems[-1]
+
+    cli.build_system = recording
+    try:
+        yield systems
+    finally:
+        cli.build_system = build
+
+
+def transforms_text(systems) -> str:
+    """Each system's s_hat entries in sorted key order, then its chains s_{a,b}, a != b.
+
+    A key is (a, b, point, precision), the point an `_mpf_` tuple or an
+    `_mpc_` pair; real points sort before complex ones.
+    """
+    from mpmath import mpc
+
+    def order(key):
+        a, b, point, prec = key
+        return a, b, isinstance(point[0], tuple), point, prec
+
+    lines = []
+    for system in systems:
+        for key in sorted(system.s_hat, key=order):
+            value = system.s_hat[key]
+            lines.append(f"{key} {value._mpc_ if isinstance(value, mpc) else value._mpf_}")
+        for (a, b), mu in sorted(system.chains.items()):
+            if a != b:
+                lines.append(f"chain {a} {b} sign {mu.sign}")
+                lines += [f"{x._mpf_} {w._mpf_}" for x, w in zip(mu.nodes, mu.weights)]
+    return "\n".join(lines or ["no system"]) + "\n"
+
+
+@contextmanager
 def recorded_vectors(cli):
     """While active, the lines of vectors.txt for the checkout's calls of the RECORDED names.
 
@@ -188,7 +232,11 @@ def main(argv=None) -> int:
                 config = dict(make_config(name, seed), output_dir=str(run_dir))
                 config_path = Path(tmp) / f"{name}-s{seed}.json"
                 config_path.write_text(json.dumps(config))
-                with census_roots(cli) as roots, recorded_vectors(cli) as vectors:
+                with (
+                    census_roots(cli) as roots,
+                    recorded_vectors(cli) as vectors,
+                    built_systems(cli) as systems,
+                ):
                     code = cli.main(["run", str(config_path)])
                 status = max(status, code)
                 dest = out_dir / f"{name}-s{seed}"
@@ -200,6 +248,7 @@ def main(argv=None) -> int:
                 (dest / "atoms.txt").write_text(atoms_text(cli, config))
                 (dest / "roots.txt").write_text("\n".join(roots or ["no pole census"]) + "\n")
                 (dest / "vectors.txt").write_text("\n".join(vectors or ["no solve"]) + "\n")
+                (dest / "transforms.txt").write_text(transforms_text(systems))
                 print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
     return status
 
