@@ -8,7 +8,8 @@ fails before the first solve (reading, parsing, validating, building the
 system, the perturbation and the grid) exits 2, and any failure after it
 exits 3 as numerical, both with a machine-readable JSON error on stderr.
 
-Config schema (numbers may be JSON numbers or decimal strings):
+Config schema (numbers may be JSON numbers or decimal strings, and must be
+finite):
 
     {
       "precision_bits": 256,
@@ -94,13 +95,10 @@ class ConfigError(Exception):
 
 
 def _num(x) -> mpf:
+    """A config number: a JSON number or a decimal string, finite."""
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ValueError(f"expected a number, got {x!r}")
-    return mpf(x)
-
-
-def _finite(x) -> mpf:
-    x = _num(x)
+    x = mpf(x)
     if not mp.isfinite(x):
         raise ValueError(f"expected a finite number, got {x}")
     return x
@@ -176,7 +174,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         pert_coeffs = _validated(
             "perturbations", lambda p: _parse_perturbations(p, m), raw.get("perturbations", [])
         )
-        pole_eps = _validated("pole_eps", _finite, raw.get("pole_eps", 0.25))
+        pole_eps = _validated("pole_eps", _num, raw.get("pole_eps", 0.25))
     sweep = _validated("sweep", lambda s: _parse_sweep(s, m), raw.get("sweep", []))
 
     spread_cap = raw.get("max_index_spread")

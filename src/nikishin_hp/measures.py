@@ -17,8 +17,17 @@ w / (z - x)**2 for the derivative, at a real z only) gives at the working
 precision P, without the mpf and mpc objects.
 A real z costs one subtraction per atom, d = z - x rounded to P (and d^2
 rounded to P for the derivative).  A complex z costs, per atom, a = Re z -
-x and m = a^2 + (Im z)^2, rounded to P + 10 bits as mpmath's mpc_mpf_div
-rounds it.  Measures on one node set (the chains s_{a,b} of one a) share
+x and m = a^2 + (Im z)^2, truncated to P + 10 bits as mpmath's mpc_mpf_div
+rounds it.  Each divisor is one exact integer, rounded once inline: z - x
+is formed at the smaller exponent and rounded to nearest with ties to
+even at P, d^2 is d's mantissa squared and rounded the same way, and m is
+a's mantissa squared plus (Im z)^2's, truncated.  mpf_sub, mpf_pow_int and
+mpf_add round their exact results correctly, and a correctly rounded
+value is unique, so the divisors are theirs, tuple for tuple.  They run
+themselves where an operand is 0 or non-finite, and where the operands'
+leading bits lie so far apart (more than P + 4 bits) that mpf_add may
+perturb the larger one instead of adding.
+Measures on one node set (the chains s_{a,b} of one a) share
 these divisors: cauchy_evals evaluates them at a point in one pass,
 cauchy_eval is its one-measure case, and _gap_root takes mu-hat and its
 derivative at one point from one pass.  Each term then costs one integer
@@ -31,6 +40,12 @@ sum replaces it and one more than 2P bits below it is dropped), and
 rounded once to P, so the sum has the bits of mpf_sum at P.
 The moments come from one loop as well, _moment_rows, which also hands
 back the power row w_i x_i^k that continues them.
+
+The Gauss rules' three-term recurrence, its slope's and the Christoffel
+sums run on raw tuples too, each operation the libmp call the mpf
+operator made, at the same precision and rounding, so the nodes and
+weights keep their bits; x - a_k is formed once per step and the norms
+mu0 b_1 ... b_k once per rule.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from mpmath.libmp import (
     mpf_mul_int,
     mpf_neg,
     mpf_pow_int,
+    mpf_rdiv_int,
     mpf_sub,
     mpf_sum,
     round_nearest,
@@ -270,6 +286,15 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     Newton, in a bracket around its seed.  On the three families the two
     give the same P-bit nodes, for n = 1..80 at 64 to 1024 bits.
 
+    Both recurrences, Newton's p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
+    its slope's and the Christoffel sum below, run on raw mpmath.libmp
+    tuples: each operation is the libmp call the mpf operator made
+    (mpf_sub, mpf_mul, mpf_add, mpf_div) at prec with round_nearest, so
+    the bits are those of the mpf loops.  x - a_k is formed once per step
+    for p and p', the norms mu0 b_1 ... b_k once per rule, and an a_k of
+    exactly 0 (every a_k when alpha == beta) is not subtracted, since
+    x - 0 rounded to prec is x.
+
     Weights are the Christoffel numbers 1 / sum_k p_k(x_i)^2 over the
     orthonormal polynomials below degree n, summed at prec from the prec
     nodes and rounded to P, except under (-1/2, -1/2), where every weight
@@ -340,6 +365,8 @@ def _newton_nodes(n: int, diag, offsq, count: int) -> list:
     tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
     ends = [mpf(-1)] + [mpf((a + b) / 2) for a, b in zip(seeds, seeds[1:])] + [mpf(1)]
     tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
+    prec, rnd = mp.prec, round_nearest
+    steps = _recurrence_steps(n, diag, offsq)
     nodes = []
     for i, x0 in enumerate(seeds[:count]):
         # the monic p_n is positive beyond its largest node and changes
@@ -348,16 +375,24 @@ def _newton_nodes(n: int, diag, offsq, count: int) -> list:
         sign = 1 if (n - i) % 2 == 0 else -1
 
         def f_and_slope(x):
-            p_prev, p = mpf(0), mpf(1)
-            dp_prev, dp = mpf(0), mpf(0)
-            for k in range(n):
+            x = x._mpf_
+            p_prev, p, dp_prev, dp = fzero, fone, fzero, fzero
+            for a, b in steps:
+                xa = x if a is None else mpf_sub(x, a, prec, rnd)
                 p_prev, p, dp_prev, dp = (
                     p,
-                    (x - diag[k]) * p - offsq[k] * p_prev,
+                    mpf_sub(mpf_mul(xa, p, prec, rnd), mpf_mul(b, p_prev, prec, rnd), prec, rnd),
                     dp,
-                    p + (x - diag[k]) * dp - offsq[k] * dp_prev,
+                    mpf_sub(
+                        mpf_add(p, mpf_mul(xa, dp, prec, rnd), prec, rnd),
+                        mpf_mul(b, dp_prev, prec, rnd),
+                        prec,
+                        rnd,
+                    ),
                 )
-            return (p, dp) if sign > 0 else (-p, -dp)
+            if sign < 0:
+                p, dp = mpf_neg(p, prec, rnd), mpf_neg(dp, prec, rnd)
+            return mp.make_mpf(p), mp.make_mpf(dp)
 
         x = _newton_in_bracket(f_and_slope, ends[i], ends[i + 1], mpf(x0), tol, 80)
         if x is None:
@@ -367,19 +402,39 @@ def _newton_nodes(n: int, diag, offsq, count: int) -> list:
 
 
 def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
-    """1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}, at each x of nodes."""
+    """1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}, at each x of nodes.
+
+    The orthonormal p_k(x)^2 is the monic one's square over its norm
+    mu0 b_1 ... b_k, which does not depend on x: the norms, and 1/mu0,
+    are formed once per rule, each by the operations, in the order, that
+    every node's loop would repeat.
+    """
+    prec, rnd = mp.prec, round_nearest
+    steps = _recurrence_steps(n - 1, diag, offsq)
+    norms = [mu0._mpf_]
+    for b in offsq[1:n]:
+        norms.append(mpf_mul(norms[-1], b._mpf_, prec, rnd))
+    first = mpf_rdiv_int(1, norms[0], prec, rnd)
     weights = []
     for x in nodes:
-        # orthonormal p_k(x)^2 accumulated through the monic recurrence
-        total = 1 / mu0
-        prev, cur = mpf(0), mpf(1)
-        norm = mu0
-        for k in range(1, n):
-            prev, cur = cur, (x - diag[k - 1]) * cur - offsq[k - 1] * prev
-            norm *= offsq[k]
-            total += cur * cur / norm
-        weights.append(1 / total)
+        x = x._mpf_
+        total, prev, cur = first, fzero, fone
+        for (a, b), norm in zip(steps, norms[1:]):
+            xa = x if a is None else mpf_sub(x, a, prec, rnd)
+            prev, cur = cur, mpf_sub(mpf_mul(xa, cur, prec, rnd), mpf_mul(b, prev, prec, rnd), prec, rnd)
+            total = mpf_add(total, mpf_div(mpf_mul(cur, cur, prec, rnd), norm, prec, rnd), prec, rnd)
+        weights.append(mp.make_mpf(mpf_rdiv_int(1, total, prec, rnd)))
     return weights
+
+
+def _recurrence_steps(count: int, diag, offsq) -> list:
+    """(a_k, b_k) as raw mpf for k < count, a_k None where it is 0.
+
+    x - 0 rounds x to the working precision, which leaves an x at that
+    precision as it is, so the recurrences take x itself there: every
+    a_k of a symmetric weight.
+    """
+    return [(None if a == 0 else a._mpf_, b._mpf_) for a, b in zip(diag[:count], offsq)]
 
 
 def _jacobi_recurrence(n: int, alpha, beta):
@@ -450,16 +505,21 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
     complex one.  The divisors are mpmath's own: for a real z, d = z - x
     rounded to P and, for e = 2, d**2 rounded to P.  For a complex z, with
-    a = Re z - x and s = Im z, m = a^2 + s^2 is rounded to P + 10 bits by
+    a = Re z - x and s = Im z, m = a^2 + s^2 is truncated to P + 10 bits,
     libmp's default rounding, and the term is (a w / m, -s w / m), as
-    mpc_mpf_div forms it.  The divisors do not depend on the weights, so
+    mpc_mpf_div forms it.  Each divisor is one exact integer rounded once
+    inline (_difference, _square, _norm): the correctly rounded value,
+    which mpf_sub, mpf_pow_int and mpf_add return too, since it is
+    unique; those calls themselves run only on a zero or non-finite
+    operand and on operands whose leading bits lie more than P + 4 apart.
+    The divisors do not depend on the weights, so
     the measures share them.  _quotient_sum forms each part of each row:
     every term is its exact quotient rounded once to P, the correctly
     rounded value that mpf_div returns too, and the terms are summed
     exactly in one integer under mpf_sum's replace and drop rules, then
     rounded once to P, so each part has the bits of mpf_sum at P.
     """
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
     rows = [[w._mpf_ for w in row] for row in rows]
     if isinstance(z, mpc):
         if exponents != (1,):
@@ -470,8 +530,8 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
         wide = prec + 10
         real_parts, imag_parts = [], []
         for x in nodes:
-            a = mpf_sub(re, x._mpf_, prec, rnd)
-            m = mpf_add(mpf_mul(a, a), im2, wide)
+            a = _difference(re, x._mpf_, prec)
+            m = _norm(a, im2, wide)
             real_parts.append(_divisor(a, m))
             imag_parts.append(_divisor(minus_im, m))
         return [
@@ -480,10 +540,98 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     t = z._mpf_
     divisors = [[] for _ in exponents]
     for x in nodes:
-        d = mpf_sub(t, x._mpf_, prec, rnd)
+        d = _difference(t, x._mpf_, prec)
         for e, column in zip(exponents, divisors):
-            column.append(_divisor(fone, d if e == 1 else mpf_pow_int(d, e, prec, rnd)))
+            column.append(_divisor(fone, d if e == 1 else _square(d, prec)))
     return [[_quotient_sum(row, column, prec) for row in rows] for column in divisors]
+
+
+def _difference(s, t, prec) -> tuple:
+    """Raw mpf_sub(s, t, prec, round_nearest), from one exact integer.
+
+    The exact s - t is formed at the smaller exponent and rounded to P by
+    _nearest, unless an operand is 0 or non-finite, or their leading bits
+    lie more than P + 4 apart: only there may mpf_sub perturb the larger
+    operand instead of adding, and there mpf_sub itself runs.  Elsewhere
+    mpf_sub rounds the exact difference, correctly, and the correctly
+    rounded value is unique, so the tuple is mpf_sub's.
+    """
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if sman and tman and -prec - 4 <= sexp + sbc - texp - tbc <= prec + 4:
+        if ssign:
+            sman = -sman
+        if not tsign:
+            tman = -tman
+        if sexp >= texp:
+            man, exp = (sman << (sexp - texp)) + tman, texp
+        else:
+            man, exp = sman + (tman << (texp - sexp)), sexp
+        if man > 0:
+            return _nearest(0, man, exp, prec)
+        if man:
+            return _nearest(1, -man, exp, prec)
+        return fzero
+    return mpf_sub(s, t, prec, round_nearest)
+
+
+def _square(d, prec) -> tuple:
+    """Raw mpf_pow_int(d, 2, prec, round_nearest): d's mantissa squared, rounded by _nearest."""
+    _, man, exp, _ = d
+    if man:
+        return _nearest(0, man * man, 2 * exp, prec)
+    return mpf_pow_int(d, 2, prec, round_nearest)
+
+
+def _nearest(sign, man, exp, prec) -> tuple:
+    """The raw mpf (-1)^sign man 2^exp, man > 0, rounded to P bits, to nearest with ties to even.
+
+    A mantissa that rounds up to 2^P carries to the next power of two,
+    and trailing zeros are stripped, as libmp's normalize does.
+    """
+    shift = man.bit_length() - prec
+    if shift > 0:
+        half = man >> (shift - 1)
+        if half & 1 and (half & 2 or man & ((1 << (shift - 1)) - 1)):
+            man = (half >> 1) + 1
+        else:
+            man = half >> 1
+        exp += shift
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
+def _norm(a, im2, wide) -> tuple:
+    """Raw mpf_add(mpf_mul(a, a), im2, wide): a^2 + (Im z)^2 truncated to P + 10 bits.
+
+    Truncation is libmp's default rounding.  mpf_add truncates the exact
+    sum, correctly, unless it perturbs the larger operand, which it may
+    do only when their leading bits lie more than wide + 4 apart.
+    2 (exp(a) + bc(a)) is a^2's leading bit or the one above it, so
+    mpf_add itself runs where that lies more than wide + 3 from im2's, or
+    an operand is 0 or non-finite.
+    """
+    _, aman, aexp, abc = a
+    _, iman, iexp, ibc = im2
+    if aman and iman and -wide - 3 <= 2 * (aexp + abc) - iexp - ibc <= wide + 3:
+        man, exp = aman * aman, 2 * aexp
+        if exp >= iexp:
+            man, exp = (man << (exp - iexp)) + iman, iexp
+        else:
+            man += iman << (iexp - exp)
+        shift = man.bit_length() - wide
+        if shift > 0:
+            man >>= shift
+            exp += shift
+        if not man & 1:
+            zeros = (man & -man).bit_length() - 1
+            man >>= zeros
+            exp += zeros
+        return 0, man, exp, man.bit_length()
+    return mpf_add(mpf_mul(a, a), im2, wide)
 
 
 def _divisor(f, d) -> tuple:

@@ -11,9 +11,19 @@ residual tails, remainder values and orthogonality residuals to be the
 same.
 
 _cauchy_pass is the Cauchy pass measures ran before it summed in one
-integer: a libmp mpf_div per term and one mpf_sum per row and part.
-tests/test_measures.py::TestRawCauchyPass requires every bit of
-measures._cauchy_pass to be the same.
+integer and formed its divisors from integers: a libmp mpf_sub (with
+mpf_pow_int, or mpf_mul and mpf_add) per atom, a libmp mpf_div per term
+and one mpf_sum per row and part.  tests/test_measures.py::TestRawCauchyPass
+requires every bit of measures._cauchy_pass to be the same, on every pass
+of two benchmark runs and on every case of TestCauchyKernel.kernel_cases.
+
+_newton_nodes and _christoffel_weights are the Gauss-rule recurrences
+measures ran on mpf objects, each operation at the working precision:
+p_{k+1} = (x - a_k) p_k - b_k p_{k-1} and its slope's recurrence, each
+forming x - a_k anew, and the Christoffel sum, forming the norms
+mu0 b_1 ... b_k at every node.  tests/test_measures.py::TestRawGaussKernels
+requires every node, weight and Newton iterate of the raw ones to be the
+same.
 
 achieved_order reads the order a type I vector reaches off its tails, at
 the 2^-P/2 gate of _achieved_order, for the tests that assert a type I
@@ -21,6 +31,8 @@ order; the package reads it for type II only.
 """
 
 from __future__ import annotations
+
+import math
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -33,8 +45,10 @@ from mpmath.libmp import (
     mpf_sum,
     round_nearest,
 )
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, _type1_tails, remainder_eval
+from nikishin_hp.measures import _FLOAT_QL, _newton_in_bracket
 from nikishin_hp.nikishin import Residual
 from nikishin_hp.precision import noise_floor
 
@@ -189,3 +203,49 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
             for row, out in zip(rows, terms):
                 out.append(mpf_div(row[i], divisor, prec, rnd))
     return [[mpf_sum(out, prec, rnd) for out in terms] for terms in parts]
+
+
+def _newton_nodes(n: int, diag, offsq, count: int) -> list:
+    seeds = [float(a) for a in diag]  # sorted eigenvalues on return
+    tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
+    ends = [mpf(-1)] + [mpf((a + b) / 2) for a, b in zip(seeds, seeds[1:])] + [mpf(1)]
+    tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
+    nodes = []
+    for i, x0 in enumerate(seeds[:count]):
+        # the monic p_n is positive beyond its largest node and changes
+        # sign at each node: it rises through node i (ascending, from 0)
+        # when n - i is odd
+        sign = 1 if (n - i) % 2 == 0 else -1
+
+        def f_and_slope(x):
+            p_prev, p = mpf(0), mpf(1)
+            dp_prev, dp = mpf(0), mpf(0)
+            for k in range(n):
+                p_prev, p, dp_prev, dp = (
+                    p,
+                    (x - diag[k]) * p - offsq[k] * p_prev,
+                    dp,
+                    p + (x - diag[k]) * dp - offsq[k] * dp_prev,
+                )
+            return (p, dp) if sign > 0 else (-p, -dp)
+
+        x = _newton_in_bracket(f_and_slope, ends[i], ends[i + 1], mpf(x0), tol, 80)
+        if x is None:
+            raise RuntimeError("quadrature node failed to converge; raise precision")
+        nodes.append(x)
+    return nodes
+
+
+def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
+    weights = []
+    for x in nodes:
+        # orthonormal p_k(x)^2 accumulated through the monic recurrence
+        total = 1 / mu0
+        prev, cur = mpf(0), mpf(1)
+        norm = mu0
+        for k in range(1, n):
+            prev, cur = cur, (x - diag[k - 1]) * cur - offsq[k - 1] * prev
+            norm *= offsq[k]
+            total += cur * cur / norm
+        weights.append(1 / total)
+    return weights

@@ -122,6 +122,27 @@ def body_bytes(path):
     return b"".join(l for l in path.read_bytes().splitlines(keepends=True) if not l.startswith(b"#"))
 
 
+def _atoms_first(cfg, nodes=(-0.75, -0.25), weights=(1, 1)):
+    cfg["system"][0] = {"kind": "atoms", "interval": [-1, 0], "nodes": list(nodes), "weights": list(weights)}
+
+
+# every number of a config, each set to a given value on the smoke config
+NON_FINITE_FIELDS = {
+    "interval": lambda cfg, v: cfg["system"][0].update(interval=[v, 0]),
+    "density_scale": lambda cfg, v: cfg["system"][0].update(density_scale=v),
+    "alpha": lambda cfg, v: cfg["system"][1].update(kind="jacobi-density", alpha=v, beta=0),
+    "beta": lambda cfg, v: cfg["system"][1].update(kind="jacobi-density", alpha=0, beta=v),
+    "atom node": lambda cfg, v: _atoms_first(cfg, nodes=(-0.75, v)),
+    "atom weight": lambda cfg, v: _atoms_first(cfg, weights=(1, v)),
+    "num_coeffs": lambda cfg, v: cfg["perturbations"][0].update(num_coeffs=[v]),
+    "den_coeffs": lambda cfg, v: cfg["perturbations"][0].update(den_coeffs=[v, 1]),
+    "pole_eps": lambda cfg, v: cfg.update(pole_eps=v),
+    "radius_factor": lambda cfg, v: cfg["grid"].update(radius_factor=v),
+    "grid point re": lambda cfg, v: cfg.update(grid={"points": [[v, 0], [2, 1]]}),
+    "grid point im": lambda cfg, v: cfg.update(grid={"points": [[2, v], [2, 1]]}),
+}
+
+
 class TestArgumentHandling:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -339,23 +360,30 @@ class TestArgumentHandling:
         assert solved == []
         assert not (tmp_path / "out").exists()  # no empty output directory
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
-    def test_pole_eps_that_is_not_finite_exits_2_before_any_solve(
-        self, tmp_path, capsys, monkeypatch, eps
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+    def test_a_number_that_is_not_finite_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, field, value
     ):
         solved = []
 
         def recording_solve(*args, **kwargs):
             solved.append(args)
-            raise AssertionError("solved before pole_eps was checked")
+            raise AssertionError("solved before the config was checked")
 
+        monkeypatch.setattr(cli, "solve_type1", recording_solve)
         monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
         cfg = golden_smoke_config(tmp_path / "out")
-        cfg["pole_eps"] = eps
+        NON_FINITE_FIELDS[field](cfg, value)
+        prec = mp.prec
         assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "validate" and err["detail"].startswith("bad pole_eps: ")
-        assert solved == []
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        shown = {"inf": "+inf", "-inf": "-inf", "nan": "nan"}[value]
+        assert err["error"] == "validate"
+        assert err["detail"].endswith(f"expected a finite number, got {shown}")
+        assert solved == [] and mp.prec == prec
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

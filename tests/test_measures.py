@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_add, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_down, round_nearest
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 import mpf_reference
@@ -366,6 +367,71 @@ class TestBracketedNewtonNodes:
                     assert mpf_bits(nodes) == mpf_bits(ref), (alpha, beta, n)
 
 
+# (alpha, beta) of the Gauss rules whose recurrences run on raw tuples: a_k
+# = 0 (Legendre, (1/2, 1/2)) and a_k != 0 (the generic and (-1/2, 1/2))
+RAW_GAUSS_FAMILIES = {
+    "legendre": (0, 0),
+    "jacobi": ("0.3", "0.7"),
+    "chebyshev-second": ("0.5", "0.5"),
+    "jacobi-+": ("-0.5", "0.5"),
+}
+
+
+class TestRawGaussKernels:
+    """_newton_nodes and _christoffel_weights give the bits of the mpf loops
+    they replaced, mpf_reference's, at the working precision P + 64 itself
+    (where rounding to P could hide a moved bit) and in gauss_jacobi_rule."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("family", sorted(RAW_GAUSS_FAMILIES))
+    def test_nodes_and_weights_have_the_reference_bits(self, family, bits, monkeypatch):
+        alpha, beta = (mpf(p) for p in RAW_GAUSS_FAMILIES[family])
+        sizes = (1, 2, 7, 16, 32, 33, 64)
+        with mp.workprec(bits):
+            rules = [gauss_jacobi_rule(n, alpha, beta) for n in sizes]
+            for n in sizes:
+                diag, offsq, mu0 = measures._jacobi_recurrence(n, alpha, beta)
+                with mp.workprec(bits + 64):
+                    nodes = measures._newton_nodes(n, diag, offsq, n)
+                    assert mpf_bits(nodes) == mpf_bits(mpf_reference._newton_nodes(n, diag, offsq, n)), n
+                    weights = measures._christoffel_weights(nodes, n, diag, offsq, mu0)
+                    ref = mpf_reference._christoffel_weights(nodes, n, diag, offsq, mu0)
+                    assert mpf_bits(weights) == mpf_bits(ref), n
+            monkeypatch.setattr(measures, "_newton_nodes", mpf_reference._newton_nodes)
+            monkeypatch.setattr(measures, "_christoffel_weights", mpf_reference._christoffel_weights)
+            for n, (xs, ws) in zip(sizes, rules):
+                ref_xs, ref_ws = gauss_jacobi_rule(n, alpha, beta)
+                assert (mpf_bits(xs), mpf_bits(ws)) == (mpf_bits(ref_xs), mpf_bits(ref_ws)), n
+
+    @pytest.mark.parametrize("family, n", [("jacobi", 16), ("legendre", 33)])
+    def test_every_newton_iterate_has_the_reference_bits(self, family, n, monkeypatch):
+        # each call of f_and_slope, in order: the iterate, p_n and p_n' there
+        bracketed = measures._newton_in_bracket
+
+        def iterates(kernel):
+            seen = []
+
+            def recording(f_and_slope, a, b, x, tol, steps):
+                def traced(x):
+                    fx, slope = f_and_slope(x)
+                    seen.append((x._mpf_, fx._mpf_, slope._mpf_))
+                    return fx, slope
+
+                return bracketed(traced, a, b, x, tol, steps)
+
+            for module in (measures, mpf_reference):
+                monkeypatch.setattr(module, "_newton_in_bracket", recording)
+            alpha, beta = (mpf(p) for p in RAW_GAUSS_FAMILIES[family])
+            with mp.workprec(256):
+                diag, offsq, _ = measures._jacobi_recurrence(n, alpha, beta)
+                with mp.workprec(256 + 64):
+                    kernel(n, diag, offsq, n)
+            return seen
+
+        raw = iterates(measures._newton_nodes)
+        assert len(raw) >= 3 * n and raw == iterates(mpf_reference._newton_nodes)
+
+
 def newton_rule(n, alpha, beta):
     """gauss_jacobi_rule by Newton nodes and Christoffel weights, whatever (alpha, beta)."""
     alpha, beta = mpf(alpha), mpf(beta)
@@ -664,6 +730,23 @@ def kernel_cases():
     smaller term, after the term at -3 was replaced.  At z = 1 + i s,
     s = 2^-(P//2+3), the atom 0 has m = 1 + 2^-(P+6), so both parts of its
     term round up to a power of two.
+
+    The third sits on atoms where the divisors z - x and m take their edge
+    cases.  At z = 1: the atom -2^-P gives 1 + 2^-P, P + 1 bits ending in
+    a tie, which rounds to even, down to 1; the atom -(1 - 2^-P) gives
+    2 - 2^-P, which rounds up to 2, a carry to the next power of two;
+    the atom 0 and the atom 2^-(2P+8), more than 2P bits below |z|, take
+    mpf_sub itself.  At mpc(1/3, s), Re z on an atom and s of P bits,
+    that atom's m is s^2 alone, truncated to P + 10 bits, and at mpc(1, 0)
+    every m is a^2 alone.  The last three real points have P + 64 bits,
+    as the gap roots' Newton iterates have; TestRawCauchyPass also takes
+    them at P + 64 bits over these P-bit atoms.  Taken at P, the last,
+    1 + 2^-P - 2^-(P+63), lies just below a tie, and the atom
+    -2^-(P+50) (1 + 2^-119), 120 bits long (from 128 bits up), lifts the
+    exact difference above it: mpf_sub, whose operands' leading bits lie
+    more than P + 4 apart and their exponents more than 100, perturbs the
+    point by one bit below its last instead of adding, and rounds down,
+    one unit below the correctly rounded difference.
     """
     rng = random.Random(20)
     nodes = sorted(mpf(rng.uniform(-1, 0)) for _ in range(11))
@@ -683,9 +766,18 @@ def kernel_cases():
     dyadic_points = [
         mpf(1), mpf("-0.5"), mpc(1, mpf(2) ** -(mp.prec // 2 + 3)), mpc("-0.5", 0), mpc(0, 1), mpc(3, -2),
     ]
+    ulp = mpf(2) ** -mp.prec
+    third = mpf(1) / 3
+    far = -(mpf(2) ** -(mp.prec + 50)) * (1 + mpf(2) ** -119)
+    edges = [-(1 - ulp), -ulp, far, 0, mpf(2) ** -(2 * mp.prec + 8), third]
+    edge_rows = [[1, 3, 9, mpf(1) / 7, 2, 5], [third, 1, 1, 1, mpf(2) ** 20, 1]]
+    with mp.workprec(mp.prec + 64):
+        wide_points = [mpf(1) / 7, -mpf(2) / 3, 1 + ulp - ulp * mpf(2) ** -63]
+    edge_points = [mpf(1), mpf(-2), mpc(third, mpf(2) / 3), mpc(1, 0), mpc(third, -1), *wide_points]
     return [
         (mus, points),
         (on_one_node_set(dyadic, Interval(-3, 1), far_apart, (1, -1, 1)), dyadic_points),
+        (on_one_node_set(edges, Interval(-1, "0.5"), edge_rows, (1, -1)), edge_points),
     ]
 
 
@@ -761,10 +853,12 @@ class TestCauchyKernel:
             try:
                 expected = [[fsum_raw(nodes, row, z, e) for row in raw_rows] for e in exponents]
             except ZeroDivisionError:  # z on an atom
-                with pytest.raises(ZeroDivisionError):
-                    measures._cauchy_pass(nodes, raw_rows, z, exponents)
+                for kernel in (measures._cauchy_pass, mpf_reference._cauchy_pass):
+                    with pytest.raises(ZeroDivisionError):
+                        kernel(nodes, raw_rows, z, exponents)
                 return
             assert measures._cauchy_pass(nodes, raw_rows, z, exponents) == expected
+            assert mpf_reference._cauchy_pass(nodes, raw_rows, z, exponents) == expected
             if any(abs(z - x) <= noise_floor(0.5) for x in nodes):
                 with pytest.raises(ValueError, match="evaluation on support"):
                     cauchy_evals(mus, z)
@@ -826,13 +920,15 @@ def workload_config(name, out):
 class TestRawCauchyPass:
     """measures._cauchy_pass gives the bits of the pass it replaced.
 
-    mpf_reference._cauchy_pass divides each term by libmp's mpf_div and
-    sums each row by mpf_sum.  Both run on every pass a run of a
-    benchmark config makes (the gap roots' value-and-slope passes at
+    mpf_reference._cauchy_pass forms each divisor by libmp's mpf_sub
+    (with mpf_pow_int, or mpf_mul and mpf_add), divides each term by
+    mpf_div and sums each row by mpf_sum.  Both run on every pass a run
+    of a benchmark config makes (the gap roots' value-and-slope passes at
     P + 64 bits and the ratio identity's brackets included), on every
     chain s_{a,b} at every grid point, one pass per a, and on every pass
     at the atoms of one generator over the chains of another, as the
-    build forms the products, with both exponents.
+    build forms the products, with both exponents; and on every case of
+    kernel_cases.
     """
 
     @pytest.mark.parametrize("name", ["smoke", "identities-m4"])
@@ -874,6 +970,56 @@ class TestRawCauchyPass:
                             nodes, rows, x, (1, 2)
                         )
 
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_every_kernel_case(self, bits):
+        # each point at P, and each real point also at P + 64 bits over the
+        # same P-bit atoms, as _gap_root evaluates them
+        with mp.workprec(bits):
+            groups = kernel_cases()
+        for mus, points in groups:
+            nodes, rows = mus[0].nodes, [mu.weights for mu in mus]
+            for z in points:
+                for prec in (bits,) if isinstance(z, mpc) else (bits, bits + 64):
+                    exponents = (1,) if isinstance(z, mpc) else (1, 2)
+                    with mp.workprec(prec):
+                        expected = mpf_reference._cauchy_pass(nodes, rows, z, exponents)
+                        assert measures._cauchy_pass(nodes, rows, z, exponents) == expected, (z, prec)
+
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_divisors_are_the_libmp_values(self, bits):
+        # every divisor of every kernel case is the tuple mpf_sub,
+        # mpf_pow_int and mpf_add return, perturbations included
+        with mp.workprec(bits):
+            groups = kernel_cases()
+        for mus, points in groups:
+            xs = [x._mpf_ for x in mus[0].nodes]
+            for z in points:
+                for prec in (bits,) if isinstance(z, mpc) else (bits, bits + 64):
+                    re, im = z._mpc_ if isinstance(z, mpc) else (z._mpf_, None)
+                    for x in xs:
+                        a = measures._difference(re, x, prec)
+                        assert a == mpf_sub(re, x, prec, round_nearest), (z, prec)
+                        if im is None:
+                            assert measures._square(a, prec) == mpf_pow_int(a, 2, prec, round_nearest)
+                        else:
+                            im2, wide = mpf_mul(im, im), prec + 10
+                            assert measures._norm(a, im2, wide) == mpf_add(mpf_mul(a, a), im2, wide)
+        # mpf_add perturbs a^2, of 2P bits, instead of adding a far smaller
+        # (Im z)^2, and truncates one unit below the exact sum where a^2's
+        # bits below the (P + 10)-th lie close enough under the next unit
+        with mp.workprec(bits):
+            im = (1 + mpf(1) / 3) * mpf(2) ** -((bits + 16) // 2)
+            im2, wide = mpf_mul(im._mpf_, im._mpf_), bits + 10
+            perturbed = []
+            for k in range(1, 4096):
+                a = (mpf(7) / 4 + mp.sqrt(k) * mpf(2) ** -20)._mpf_
+                sq = mpf_mul(a, a)
+                if mpf_add(sq, im2, wide) != mpf_pos(mpf_add(sq, im2), wide, round_down):
+                    perturbed.append(a)
+                    assert measures._norm(a, im2, wide) == mpf_add(sq, im2, wide)
+        # the exponents of a^2 and (Im z)^2 lie 100 or fewer bits apart at 64
+        assert bool(perturbed) == (bits > 64)
 
     def test_non_finite_inputs_give_the_reference_values(self):
         # an infinite point or weight, or a nan, reaches mpf_div's and
