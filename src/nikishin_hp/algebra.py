@@ -8,6 +8,14 @@ denominator is a pole is decided by hermite_pade.RationalPerturbation,
 which finds those roots.  The expansion of such a function at infinity is
 a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
 
+This module owns the scalar rules the other modules share: to_scalar
+coerces every point and coefficient (mpc for a complex value, mpf
+otherwise, at P); _horner is Horner's rule on mpf or mpc objects,
+_raw_horner and _mpc_horner the same rule on raw mpf and mpc tuples, with
+its roundings; and _norm forms a^2 + b^2 truncated to P + 10 bits, the
+|d|^2 of mpmath's mpc_mpf_div, for the Aberth steps here and for
+measures' Cauchy sums at a complex point.
+
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
 finite and distinct), then sweeps at P + max(64, 4 deg) bits, with seeded
@@ -40,6 +48,7 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_mul,
     mpf_neg,
+    mpf_pos,
     mpf_pow_int,
     mpf_rdiv_int,
     mpf_sub,
@@ -51,10 +60,7 @@ from .precision import noise_floor
 
 def to_scalar(x):
     """Coerce to mpf (real) or mpc (complex) at the ambient precision."""
-    if isinstance(x, mpc) or isinstance(x, complex):
-        z = mpc(x)
-        return z
-    return mpf(x)
+    return mpc(x) if isinstance(x, (complex, mpc)) else mpf(x)
 
 
 class Polynomial:
@@ -296,6 +302,16 @@ def _horner(cs, x):
     return acc
 
 
+def _raw_horner(cs, t, prec):
+    """_horner on raw mpf tuples at prec, with the operations and roundings of mpf_mul and mpf_add."""
+    if not cs:
+        return fzero
+    acc = mpf_pos(cs[-1], prec, round_nearest)
+    for a in cs[-2::-1]:
+        acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), a, prec, round_nearest)
+    return acc
+
+
 def _float_sweep(c, dc, z, norm):
     """One float64 Aberth-Ehrlich sweep over the approximations z, updated in place.
 
@@ -466,16 +482,47 @@ def _residuals(cs, zs, norm):
     return values, metric
 
 
+def _norm(a, sq, wide) -> tuple:
+    """Raw mpf_add(mpf_mul(a, a), sq, wide): a^2 + sq, sq >= 0, truncated to wide bits.
+
+    This is the |d|^2 of mpc_mpf_div, with wide = P + 10 and truncation,
+    libmp's default rounding: measures._cauchy_pass forms it with sq =
+    (Im z)^2 and _steps with sq = b^2.  mpf_add truncates the exact sum,
+    correctly, unless it perturbs the larger operand, which it may do only
+    when their leading bits lie more than wide + 4 apart.  2 (exp(a) +
+    bc(a)) is a^2's leading bit or the one above it, so mpf_add itself runs
+    where that lies more than wide + 3 from sq's, or an operand is 0 or
+    non-finite.
+    """
+    _, aman, aexp, abc = a
+    _, iman, iexp, ibc = sq
+    if aman and iman and -wide - 3 <= 2 * (aexp + abc) - iexp - ibc <= wide + 3:
+        man, exp = aman * aman, 2 * aexp
+        if exp >= iexp:
+            man, exp = (man << (exp - iexp)) + iman, iexp
+        else:
+            man += iman << (iexp - exp)
+        shift = man.bit_length() - wide
+        if shift > 0:
+            man >>= shift
+            exp += shift
+        if not man & 1:
+            zeros = (man & -man).bit_length() - 1
+            man >>= zeros
+            exp += zeros
+        return 0, man, exp, man.bit_length()
+    return mpf_add(mpf_mul(a, a), sq, wide)
+
+
 def _steps(dcs, zs, values):
     """Step each z_i in turn (Gauss-Seidel) from its value p(z_i); zs is updated in place.
 
     p' is taken at z_i, nudged by the factor 1 + 2^(-P/3) when it vanishes
     there, or to 2^(-P/3) from z_i = 0, which no factor moves.  Each
     1/(z_i - z_j) is formed as mpc_mpf_div(1, z_i - z_j) forms it:
-    |z_i - z_j|^2 rounded to P + 10 bits by libmp's default rounding,
-    then two divisions at P; two equal approximations take
-    1/(2^(-P/2) (1 + |z_i|)) instead.  Returns the largest relative step
-    |step| / (1 + |z_i|), raw.
+    |z_i - z_j|^2 truncated to P + 10 bits (_norm), then two divisions
+    at P; two equal approximations take 1/(2^(-P/2) (1 + |z_i|))
+    instead.  Returns the largest relative step |step| / (1 + |z_i|), raw.
     """
     prec, rnd = mp.prec, round_nearest
     wide = prec + 10
@@ -505,7 +552,7 @@ def _steps(dcs, zs, values):
                 stand_in = mpf_mul(tiny, mpf_add(mpc_abs(z, prec, rnd), fone, prec, rnd), prec, rnd)
                 sr = mpf_add(sr, mpf_rdiv_int(1, stand_in, prec, rnd), prec, rnd)
                 continue
-            m = mpf_add(mpf_mul(a, a), mpf_mul(b, b), wide)
+            m = _norm(a, mpf_mul(b, b), wide)
             sr = mpf_add(sr, mpf_div(a, m, prec, rnd), prec, rnd)
             si = mpf_add(si, mpf_div(mpf_neg(b), m, prec, rnd), prec, rnd)
         denom = mpc_sub((fone, fzero), mpc_mul(newton, (sr, si), prec, rnd), prec, rnd)

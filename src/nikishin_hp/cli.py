@@ -9,7 +9,7 @@ system, the perturbation and the grid) exits 2, and any failure after it
 exits 3 as numerical, both with a machine-readable JSON error on stderr.
 
 Config schema (numbers may be JSON numbers or decimal strings, and must be
-finite):
+finite; a key the parser does not read, in any section, exits 2):
 
     {
       "precision_bits": 256,
@@ -88,6 +88,18 @@ from .precision import DEFAULT_PRECISION_BITS, checked_bits, is_integer, noise_f
 
 ENV_PRECISION = "NIKISHIN_HP_PRECISION"
 KNOWN_CHECKS = ("chile", "ratio44", "orthogonality", "sign_changes", "pole_attraction", "type2")
+# the keys each section of a config may hold; any other key is a config error
+CONFIG_KEYS = (
+    "precision_bits", "system", "perturbations", "sweep", "grid", "checks",
+    "output_dir", "pole_eps", "order_deficit", "max_index_spread",
+)
+DENSITY_KEYS = ("kind", "interval", "node_count", "density_scale")
+MEASURE_KEYS = {
+    "atoms": ("kind", "interval", "nodes", "weights", "sign"),
+    "legendre-density": DENSITY_KEYS,
+    "jacobi-density": DENSITY_KEYS + ("alpha", "beta"),
+}
+GRID_KEYS = ("points", "radius_factor", "circle_points", "segment_points")
 
 
 class ConfigError(Exception):
@@ -140,6 +152,16 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _object(what: str, value, keys) -> dict:
+    """value, a JSON object whose every key is one of keys; anything else is a config error."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {what}; it takes {', '.join(keys)}")
+    return value
+
+
 def _checks(value) -> tuple:
     """A list of check names, each one of KNOWN_CHECKS."""
     if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
@@ -158,8 +180,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     into raw before it calls this).  The numbers are converted at that
     precision, which the SystemSpec carries; mp.prec is left as it was.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    _object("config root", raw, CONFIG_KEYS)
     precision = raw.get("precision_bits")
     if precision is None:
         precision = DEFAULT_PRECISION_BITS
@@ -187,9 +208,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                     f"{spread_cap}; the ratio limits assume a bounded spread"
                 )
 
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be an object")
+    grid = _object("grid", raw.get("grid", {}), GRID_KEYS)
+    if "points" in grid:  # the points or the default recipe, not both
+        _object("grid with points", grid, ("points",))
 
     # last two intervals touching undermines the bounded-gap hypothesis
     if m >= 2:
@@ -222,12 +243,16 @@ def _parse_perturbations(pert_raw, m: int) -> Optional[tuple]:
     for entry in pert_raw:
         if entry is None:  # this component is unperturbed
             entry = {"num_coeffs": [0], "den_coeffs": [1]}
+        _object("perturbation entry", entry, ("num_coeffs", "den_coeffs"))
         coeffs.append((tuple(map(_num, entry["num_coeffs"])), tuple(map(_num, entry["den_coeffs"]))))
     return tuple(coeffs)
 
 
 def _parse_measure(d: dict) -> MeasureSpec:
     kind = d["kind"]
+    if kind not in MEASURE_KEYS:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    _object(f"{kind} system entry", d, MEASURE_KEYS[kind])
     interval = Interval(_num(d["interval"][0]), _num(d["interval"][1]))
     if kind == "atoms":
         return MeasureSpec(
@@ -249,6 +274,7 @@ def _parse_measure(d: dict) -> MeasureSpec:
 
 def _parse_sweep(sweep_raw, m: int):
     if isinstance(sweep_raw, dict):
+        _object("sweep", sweep_raw, ("shape", "k_min", "k_max", "step", "m"))
         if sweep_raw.get("shape") != "diagonal":
             raise ValueError(f"unknown sweep shape {sweep_raw.get('shape')!r}")
         k_min = _integer("k_min", sweep_raw["k_min"])

@@ -11,11 +11,13 @@ per generator, 128 bits, k = 2..4: 30.9, 22.4 and 11.8 correct digits
 against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
 sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (type
 II's achieved orders, the reduction residual, type2_residual_tail), comes
-from one helper, _laurent_coeff.  The tails of the chains s_{1,j} come
-from the system's table through nikishin.chain_tail.  The order basis, the
-tail-convolution sums, the remainder values at sigma_1's atoms and the
-orthogonality sums run on raw mpmath.libmp tuples, with the operations
-and roundings of the mpf arithmetic they replace, so they give its bits.
+from one primitive, _tail_sums, the one owner of that P-bit sum.  The
+tails of the chains s_{1,j} come from the system's table through
+nikishin.chain_tail.  The order basis, the tail-convolution sums, the
+remainder values at sigma_1's atoms (by algebra._raw_horner, the raw
+Horner rule) and the orthogonality sums run on raw mpmath.libmp tuples,
+with the operations and roundings of the mpf arithmetic they replace, so
+they give its bits.
 
 A sweep repeats its predecessors' order conditions, so each solve keeps the
 basis it reaches in a third table on the system, sys.bases, which only this
@@ -87,7 +89,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .algebra import Polynomial, RationalFn, laurent_expand_rational, poly_roots
+from .algebra import Polynomial, RationalFn, _raw_horner, laurent_expand_rational, poly_roots
 # cauchy_eval and moments are unused here; benchmark/spans.py still patches
 # hermite_pade.cauchy_eval and hermite_pade.moments
 from .measures import cauchy_eval, moments  # noqa: F401
@@ -552,7 +554,7 @@ def _solve_type1_once(sys, pert, n, M, bits) -> TypeIVector:
     blocks = _normalize_blocks(blocks)
     pairs = list(zip(blocks, tails))
     # -PolynomialPart(sum_j a_j f_j); degree at most max(n_j) - 2
-    a0 = Polynomial([-_laurent_coeff(pairs, p)[0] for p in range(max(D - 1, 0))])
+    a0 = Polynomial([-acc for acc, _ in _tail_sums(pairs, range(max(D - 1, 0)))])
     a = (a0,) + tuple(Polynomial(b) for b in blocks)
     return TypeIVector(a, n, total - M, flag, bits, _digits(bits, least))
 
@@ -573,46 +575,35 @@ def _normalize_blocks(blocks):
     return blocks
 
 
-def _laurent_coeff(pairs, e):
-    """Coefficient of z^e in sum_j c_j f_j, and its scale.
+def _tail_sums(pairs, es):
+    """(coefficient of z^e in sum_j c_j f_j, its scale) for each e in es, yielded lazily.
 
     pairs holds (coeffs, tail) per component, tail being f_j's Laurent tail
     (entry k the coefficient of z^-(k+1)), so the coefficient gathers the
     terms c[l] * tail[l - e - 1], l > e: e >= 0 reads the polynomial part,
-    e = -(k+1) tail entry k.  The terms are added in order, (acc, scale)
-    being the sequential sums of the terms and of their absolute values,
-    each product and sum an mpf_mul or mpf_add at P on raw tuples
-    (_laurent_sums), which gives the bits of mpf arithmetic.
+    e = -(k+1) tail entry k.  This is the one loop that forms those terms.
+    The pairs are converted to raw tuples once per call, and the terms are
+    added in order, (acc, scale) being the sequential sums of the terms and
+    of their absolute values, each product and sum an mpf_mul or mpf_add at
+    P with round_nearest, which gives the bits of mpf arithmetic.
     """
-    acc, scale = _laurent_sums(_raw_pairs(pairs), e, mp.prec)
-    return mp.make_mpf(acc), mp.make_mpf(scale)
-
-
-def _raw_pairs(pairs):
-    """The (coeffs, tail) pairs with every entry as its raw _mpf_ tuple."""
-    return [([c._mpf_ for c in coeffs], [t._mpf_ for t in tail]) for coeffs, tail in pairs]
-
-
-def _laurent_sums(pairs, e, prec):
-    """_laurent_coeff's raw (acc, scale) from _raw_pairs(pairs), rounded to prec."""
-    rnd = round_nearest
-    acc = scale = fzero
-    for coeffs, tail in pairs:
-        for l in range(max(e + 1, 0), len(coeffs)):
-            term = mpf_mul(coeffs[l], tail[l - e - 1], prec, rnd)
-            acc = mpf_add(acc, term, prec, rnd)
-            scale = mpf_add(scale, mpf_abs(term), prec, rnd)
-    return acc, scale
+    prec, rnd = mp.prec, round_nearest
+    raw = [([c._mpf_ for c in coeffs], [t._mpf_ for t in tail]) for coeffs, tail in pairs]
+    for e in es:
+        acc = scale = fzero
+        for coeffs, tail in raw:
+            for l in range(max(e + 1, 0), len(coeffs)):
+                term = mpf_mul(coeffs[l], tail[l - e - 1], prec, rnd)
+                acc = mpf_add(acc, term, prec, rnd)
+                scale = mpf_add(scale, mpf_abs(term), prec, rnd)
+        yield mp.make_mpf(acc), mp.make_mpf(scale)
 
 
 def _achieved_order(pairs, upto):
     """First tail index of the remainder above 2^-P/2 of its terms, plus one (upto if none)."""
-    prec = mp.prec
-    tol = noise_floor(0.5)._mpf_
-    raw = _raw_pairs(pairs)
-    for k in range(upto):
-        acc, scale = _laurent_sums(raw, -(k + 1), prec)
-        if mpf_gt(mpf_abs(acc), mpf_mul(tol, scale, prec, round_nearest)):
+    tol = noise_floor(0.5)
+    for k, (acc, scale) in enumerate(_tail_sums(pairs, range(-1, -upto - 1, -1))):
+        if abs(acc) > tol * scale:
             return k + 1
     return upto
 
@@ -652,8 +643,7 @@ def perturbed_reduce(
     pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
 
     max_residual = scale = mpf(0)
-    for k in range(max(order_target - 1, 0)):
-        acc, sc = _laurent_coeff(pairs, -(k + 1))
+    for acc, sc in _tail_sums(pairs, range(-1, -order_target, -1)):
         max_residual = max(max_residual, abs(acc))
         scale = max(scale, sc)
     reduced = TypeIVector(
@@ -694,7 +684,7 @@ def _solve_type2_once(sys, n, bits) -> TypeIIVector:
     orders = []
     for j, tail in enumerate(tails):
         pairs = [(q.coeffs, tail)]
-        ps.append(Polynomial([_laurent_coeff(pairs, p)[0] for p in range(total)]))
+        ps.append(Polynomial([acc for acc, _ in _tail_sums(pairs, range(total))]))
         orders.append(_achieved_order(pairs, n[j] + 4))
     return TypeIIVector(q, tuple(ps), n, tuple(orders), flag, bits, _digits(bits, least) - 1)
 
@@ -704,7 +694,7 @@ def type2_residual_tail(sys: NikishinSystem, v: TypeIIVector, j: int):
     if not 1 <= j <= v.m:
         raise IndexError("component out of range")
     pairs = [(v.q.coeffs, _type1_tails(sys, None, v.n)[j - 1])]
-    return [_laurent_coeff(pairs, -(k + 1))[0] for k in range(v.n[j - 1] + 5)]
+    return [acc for acc, _ in _tail_sums(pairs, range(-1, -v.n[j - 1] - 6, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -756,16 +746,6 @@ def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
             acc = mpf_add(acc, mpf_mul(_raw_horner(cs, t, prec), s._mpf_, prec, rnd), prec, rnd)
         out.append(mp.make_mpf(acc))
     return out
-
-
-def _raw_horner(cs, t, prec):
-    """Raw p(t) from p's raw coefficients cs, with the operations of Polynomial.__call__."""
-    if not cs:
-        return fzero
-    acc = mpf_pos(cs[-1], prec, round_nearest)
-    for a in cs[-2::-1]:
-        acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), a, prec, round_nearest)
-    return acc
 
 
 def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:

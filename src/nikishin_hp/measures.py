@@ -15,10 +15,12 @@ Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
 tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
 w / (z - x)**2 for the derivative, at a real z only) gives at the working
 precision P, without the mpf and mpc objects.
+The point is coerced by algebra.to_scalar, the package's one scalar coercion.
 A real z costs one subtraction per atom, d = z - x rounded to P (and d^2
 rounded to P for the derivative).  A complex z costs, per atom, a = Re z -
 x and m = a^2 + (Im z)^2, truncated to P + 10 bits as mpmath's mpc_mpf_div
-rounds it.  Each divisor is one exact integer, rounded once inline: z - x
+rounds it; algebra._norm, which algebra's root finder shares, owns that
+rule.  Each divisor is one exact integer, rounded once inline: z - x
 is formed at the smaller exponent and rounded to nearest with ties to
 even at P, d^2 is d's mantissa squared and rounded the same way, and m is
 a's mantissa squared plus (Im z)^2's, truncated.  mpf_sub, mpf_pow_int and
@@ -73,7 +75,7 @@ from mpmath.libmp import (
 )
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .algebra import Polynomial
+from .algebra import Polynomial, _norm, to_scalar
 from .precision import checked_int, noise_floor
 
 VALID_KINDS = ("atoms", "legendre-density", "jacobi-density")
@@ -491,11 +493,6 @@ def _moment_rows(mu: AtomicMeasure, row, count: int):
     return tuple(out), row
 
 
-def _point(z):
-    """z as the Cauchy sums take it: mpc for a complex point, mpf otherwise, at P."""
-    return mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
-
-
 def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     """Raw mp.fsum(w / (z - x)**e for x, w in zip(nodes, row)), per exponent and row.
 
@@ -602,36 +599,6 @@ def _nearest(sign, man, exp, prec) -> tuple:
         man >>= zeros
         exp += zeros
     return sign, man, exp, man.bit_length()
-
-
-def _norm(a, im2, wide) -> tuple:
-    """Raw mpf_add(mpf_mul(a, a), im2, wide): a^2 + (Im z)^2 truncated to P + 10 bits.
-
-    Truncation is libmp's default rounding.  mpf_add truncates the exact
-    sum, correctly, unless it perturbs the larger operand, which it may
-    do only when their leading bits lie more than wide + 4 apart.
-    2 (exp(a) + bc(a)) is a^2's leading bit or the one above it, so
-    mpf_add itself runs where that lies more than wide + 3 from im2's, or
-    an operand is 0 or non-finite.
-    """
-    _, aman, aexp, abc = a
-    _, iman, iexp, ibc = im2
-    if aman and iman and -wide - 3 <= 2 * (aexp + abc) - iexp - ibc <= wide + 3:
-        man, exp = aman * aman, 2 * aexp
-        if exp >= iexp:
-            man, exp = (man << (exp - iexp)) + iman, iexp
-        else:
-            man += iman << (iexp - exp)
-        shift = man.bit_length() - wide
-        if shift > 0:
-            man >>= shift
-            exp += shift
-        if not man & 1:
-            zeros = (man & -man).bit_length() - 1
-            man >>= zeros
-            exp += zeros
-        return 0, man, exp, man.bit_length()
-    return mpf_add(mpf_mul(a, a), im2, wide)
 
 
 def _divisor(f, d) -> tuple:
@@ -747,7 +714,7 @@ def cauchy_evals(mus, z) -> list:
     ValueError("evaluation on support") where on_support(first measure, z)
     holds.
     """
-    z = _point(z)
+    z = to_scalar(z)
     first = mus[0]
     if any(mu.nodes != first.nodes or mu.support != first.support for mu in mus[1:]):
         raise ValueError("cauchy_evals needs measures on one node set")
@@ -771,7 +738,7 @@ def cauchy_derivative(mu: AtomicMeasure, z):
 
     A complex z raises ValueError.
     """
-    z = _point(z)
+    z = to_scalar(z)
     ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], z, (2,))
     return _signed(raw, -mu.sign)
 

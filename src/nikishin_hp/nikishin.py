@@ -59,11 +59,11 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
+from .algebra import to_scalar
 from .measures import (
     AtomicMeasure,
     MeasureSpec,
     _moment_rows,
-    _point,
     # cauchy_eval is unused here; benchmark/spans.py still patches nikishin.cauchy_eval
     cauchy_eval,  # noqa: F401
     cauchy_evals,
@@ -251,7 +251,7 @@ def system_from_generators(generators) -> NikishinSystem:
 
 def _key(a: int, b: int, z) -> tuple:
     """The s_hat key of s-hat_{a,b}(z): the chain, z as cauchy_eval converts it, and mp.prec."""
-    z = _point(z)
+    z = to_scalar(z)
     return (a, b, z._mpc_ if isinstance(z, mpc) else z._mpf_, mp.prec)
 
 

@@ -3,9 +3,11 @@
 Each kernel below is the package's former code, kept verbatim but for
 the names it imports and, in _order_basis, the least pivot ratio.  In
 the hermite_pade kernels every add, multiply, sum and rounding goes
-through an mpf object at mp.prec.
+through an mpf object at mp.prec.  _tail_sums yields _laurent_coeff's
+sums for each exponent, as hermite_pade._tail_sums, the one owner of the
+P-bit tail convolution, yields them from raw tuples.
 tests/test_hermite_pade.py::TestRawKernels patches _order_basis,
-_laurent_coeff and _achieved_order into hermite_pade, solves with them,
+_tail_sums and _achieved_order into hermite_pade, solves with them,
 and requires every bit of the raw kernels' vectors, digits, reductions,
 residual tails, remainder values and orthogonality residuals to be the
 same.
@@ -113,6 +115,11 @@ def _laurent_coeff(pairs, e):
             acc += term
             scale += abs(term)
     return acc, scale
+
+
+def _tail_sums(pairs, es):
+    for e in es:
+        yield _laurent_coeff(pairs, e)
 
 
 def _achieved_order(pairs, upto):

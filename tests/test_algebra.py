@@ -370,12 +370,12 @@ class TestSameRootsAsSteppingEverySweep:
 
     def test_the_last_sweep_only_evaluates_p(self, sweep_solutions, monkeypatch):
         # README fixture, k = 12, a_1: p' and the reciprocals 1/(z_i - z_j),
-        # each with its |z_i - z_j|^2 at P + 10 bits, are counted per sweep
+        # each with its |z_i - z_j|^2 from _norm, are counted per sweep
         p = sweep_solutions["perturbed"][12].a[1].trimmed()
         n = p.degree
         assert n == 11
         sweeps = []
-        residuals, horner, add = algebra._residuals, algebra._mpc_horner, algebra.mpf_add
+        residuals, horner, norm = algebra._residuals, algebra._mpc_horner, algebra._norm
 
         def counting_residuals(cs, zs, norm):
             sweeps.append({"p": 0, "dp": 0, "reciprocals": 0})
@@ -385,14 +385,14 @@ class TestSameRootsAsSteppingEverySweep:
             sweeps[-1]["p" if len(cs) == n + 1 else "dp"] += 1
             return horner(cs, z)
 
-        def counting_add(s, t, prec=0, *args):
-            if prec == mp.prec + 10:
-                sweeps[-1]["reciprocals"] += 1
-            return add(s, t, prec, *args)
+        def counting_norm(a, sq, wide):
+            assert wide == mp.prec + 10
+            sweeps[-1]["reciprocals"] += 1
+            return norm(a, sq, wide)
 
         monkeypatch.setattr(algebra, "_residuals", counting_residuals)
         monkeypatch.setattr(algebra, "_mpc_horner", counting_horner)
-        monkeypatch.setattr(algebra, "mpf_add", counting_add)
+        monkeypatch.setattr(algebra, "_norm", counting_norm)
         poly_roots(p)
         full = {"p": n, "dp": n, "reciprocals": n * (n - 1)}
         assert sweeps == [full, full, {"p": n, "dp": 0, "reciprocals": 0}]

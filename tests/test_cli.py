@@ -143,6 +143,27 @@ NON_FINITE_FIELDS = {
 }
 
 
+# one key the parser does not read per config section: (an edit of the
+# smoke config that adds it, the key); were unknown keys ignored, the
+# misspelt "check" would run the reduction check alone and exit 0
+UNKNOWN_KEYS = {
+    "top level": (lambda cfg: cfg.update(check=cfg.pop("checks")), "check"),
+    "top level circle_point": (lambda cfg: cfg.update(circle_point=16), "circle_point"),
+    "atoms entry": (lambda cfg: _atoms_first(cfg) or cfg["system"][0].update(node_count=2), "node_count"),
+    "legendre-density entry": (lambda cfg: cfg["system"][0].update(density_scal=2), "density_scal"),
+    "legendre-density alpha": (lambda cfg: cfg["system"][0].update(alpha=0), "alpha"),
+    "jacobi-density entry": (
+        lambda cfg: cfg["system"][1].update(kind="jacobi-density", alpha=0, beta=0, gamma=0),
+        "gamma",
+    ),
+    "perturbation entry": (lambda cfg: cfg["perturbations"][0].update(den_coeff=[1]), "den_coeff"),
+    "sweep": (lambda cfg: cfg["sweep"].update(stpe=1), "stpe"),
+    "grid": (lambda cfg: cfg["grid"].update(circle_point=8), "circle_point"),
+    # the points or the recipe, not both
+    "grid with points": (lambda cfg: cfg["grid"].update(points=[[2, 1]]), "radius_factor"),
+}
+
+
 class TestArgumentHandling:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -359,6 +380,31 @@ class TestArgumentHandling:
         assert err == {"error": "validate", "detail": detail}
         assert solved == []
         assert not (tmp_path / "out").exists()  # no empty output directory
+
+    @pytest.mark.parametrize("section", sorted(UNKNOWN_KEYS))
+    def test_a_key_the_parser_does_not_read_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, section
+    ):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            solved.append(args)
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli, "solve_type1", recording_solve)
+        monkeypatch.setattr(cli, "solve_type1_perturbed", recording_solve)
+        cfg = golden_smoke_config(tmp_path / "out")
+        edit, key = UNKNOWN_KEYS[section]
+        edit(cfg)
+        prec = mp.prec
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validate"
+        assert f"unknown key {key!r}" in err["detail"]
+        assert solved == [] and mp.prec == prec
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))

@@ -10,7 +10,7 @@ Jacobi and atoms with weights up to 10^+-20), simple, double and
 complex-pair poles, diagonal and explicit sweeps, default and explicit
 grids (points on the real axis included) and check subsets, of which some
 then take one mutation from a pool of malformed or borderline values
-(non-finite numbers among them, each of which exits 2).
+(non-finite numbers and misspelt keys among them, each of which exits 2).
 """
 
 import contextlib
@@ -34,18 +34,22 @@ POLES = ["5", "-5", "2.5", "-0.5", "1e3", "-7"]
 # one malformed or borderline value per key; a drawn config may take one
 MUTATIONS = {
     "precision_bits": [32, "abc", 64.5, None],
-    "sweep": [[[0, 0]], [[1]], "x", [[-1, 2]], [[3, 0]], [[0, 3]], {"shape": "diagonal", "k_min": 0, "k_max": 2}],
+    "sweep": [
+        [[0, 0]], [[1]], "x", [[-1, 2]], [[3, 0]], [[0, 3]], {"shape": "diagonal", "k_min": 0, "k_max": 2},
+        {"shape": "diagonal", "k_min": 1, "k_max": 3, "stpe": 2},
+    ],
     "pole_eps": ["nan", "inf", "-inf", -1, 0, 100],
     "checks": ["chile", ["bogus"]],
     "grid": [
         {"points": []}, {"radius_factor": 1}, {"circle_points": -1}, [], {"points": [[0, 0]]},
         {"points": [["inf", 0], [2, "nan"]]}, {"points": [["-inf", 1]]}, {"radius_factor": "inf"},
-        {"radius_factor": "nan"},
+        {"radius_factor": "nan"}, {"radius_factor": 4, "circle_point": 8}, {"points": [[2, 1]], "radius_factor": 4},
     ],
     "order_deficit": [-1, 2, 0.5],
     "perturbations": [
         [{"num_coeffs": [1], "den_coeffs": [0]}], "x", [None, None, None, None],
         [{"num_coeffs": ["inf"], "den_coeffs": [-5, 1]}], [{"num_coeffs": [1], "den_coeffs": ["nan", 1]}],
+        [{"num_coeffs": [1], "den_coeff": [-5, 1]}],
     ],
     "system": [
         [], [{"kind": "legendre-density", "interval": [1, 0], "node_count": 4}],
@@ -55,7 +59,12 @@ MUTATIONS = {
         [{"kind": "jacobi-density", "interval": [0, 1], "node_count": 4, "alpha": 0, "beta": "nan"}],
         [{"kind": "atoms", "interval": [0, 1], "nodes": [0.5, "nan"], "weights": [1, 1]}],
         [{"kind": "atoms", "interval": [0, 1], "nodes": [0.5], "weights": ["-inf"]}],
+        [{"kind": "legendre-density", "interval": [0, 1], "node_count": 4, "density_scal": 2}],
+        [{"kind": "atoms", "interval": [0, 1], "nodes": [0.5], "weights": [1], "sing": -1}],
     ],
+    # misspelt keys, which the parser does not read
+    "check": [["chile"]],
+    "circle_point": [16],
 }
 
 

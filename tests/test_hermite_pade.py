@@ -42,9 +42,9 @@ from nikishin_hp.hermite_pade import (
     SATURATED_DIGITS,
     _achieved_order,
     _escalate,
-    _laurent_coeff,
     _next_bits,
     _order_basis,
+    _tail_sums,
     _type1_tails,
 )
 
@@ -668,7 +668,7 @@ class TestRawKernels:
     """The raw-tuple kernels give the bits of the mpf-object code they replaced.
 
     Each case runs once with the package's kernels and once, on a fresh
-    system, with mpf_reference's _order_basis, _laurent_coeff and
+    system, with mpf_reference's _order_basis, _tail_sums and
     _achieved_order patched in, and compares every vector, reduction,
     residual tail, remainder value and orthogonality residual as `_mpf_`.
     """
@@ -699,7 +699,7 @@ class TestRawKernels:
     def against_mpf(self, monkeypatch, bits_, make_system, sweep, pert=None):
         with working_precision(bits_):
             raw = self.record(make_system(), sweep, pert, hermite_pade)
-            for name in ("_order_basis", "_laurent_coeff", "_achieved_order"):
+            for name in ("_order_basis", "_tail_sums", "_achieved_order"):
                 monkeypatch.setattr(hermite_pade, name, getattr(mpf_reference, name))
             assert raw == self.record(make_system(), sweep, pert, mpf_reference)
         return raw
@@ -932,9 +932,23 @@ class TestLaurentCoeff:
     def test_sum_and_scale_over_pairs(self):
         # (2 - z)(1/z - 2/z^2 + 4/z^3) + 7 (3/z + 5/z^2)
         pairs = [([mpf(2), mpf(-1)], tail(1, -2, 4)), ([mpf(7)], tail(3, 5))]
-        assert _laurent_coeff(pairs, -2) == (-4 - 4 + 35, 4 + 4 + 35)
-        assert _laurent_coeff(pairs, 0) == (-1, 1)
-        assert _laurent_coeff(pairs, 1) == (0, 0)
+        assert list(_tail_sums(pairs, (-2, 0, 1))) == [(-4 - 4 + 35, 4 + 4 + 35), (-1, 1), (0, 0)]
+
+    def test_sums_are_formed_as_they_are_read(self):
+        # _achieved_order stops at the first index above its gate, so the
+        # sums beyond it are never formed
+        drawn = []
+
+        def exponents():
+            for e in (-1, -2, -3):
+                drawn.append(e)
+                yield e
+
+        sums = _tail_sums([([mpf(1)], tail(0, 1, 0))], exponents())
+        assert next(sums) == (0, 0)
+        assert drawn == [-1]
+        assert next(sums) == (1, 1)
+        assert drawn == [-1, -2]
 
     def test_achieved_order_is_the_first_nonvanishing_index_plus_one(self):
         # the first non-vanishing coefficient sits at index 2; below upto = 3

@@ -9,11 +9,21 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpf_add, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, round_down, round_nearest
+from mpmath.libmp import (
+    fzero,
+    mpf_add,
+    mpf_mul,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_down,
+    round_nearest,
+)
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 import mpf_reference
-from nikishin_hp import cli, measures
+from nikishin_hp import algebra, cli, measures
 from nikishin_hp.measures import cauchy_evals
 from nikishin_hp import (
     AtomicMeasure,
@@ -992,6 +1002,7 @@ class TestRawCauchyPass:
         # mpf_pow_int and mpf_add return, perturbations included
         with mp.workprec(bits):
             groups = kernel_cases()
+        differences = []
         for mus, points in groups:
             xs = [x._mpf_ for x in mus[0].nodes]
             for z in points:
@@ -1004,7 +1015,18 @@ class TestRawCauchyPass:
                             assert measures._square(a, prec) == mpf_pow_int(a, 2, prec, round_nearest)
                         else:
                             im2, wide = mpf_mul(im, im), prec + 10
-                            assert measures._norm(a, im2, wide) == mpf_add(mpf_mul(a, a), im2, wide)
+                            assert algebra._norm(a, im2, wide) == mpf_add(mpf_mul(a, a), im2, wide)
+                        differences.append(a)
+        # algebra._steps forms _norm(a, mpf_mul(b, b), P + 10) from the parts
+        # a, b of z_i - z_j: b = 0, b next to a, and b so far below or
+        # above a that mpf_add itself runs; a = 0 is taken too
+        wide = bits + 10
+        for a in differences:
+            near = mpf_sub(a, mpf_shift(a, -3), bits)
+            for b in (fzero, a, near, mpf_shift(a, -bits - 20), mpf_shift(a, bits + 20)):
+                for x, y in ((a, b), (b, a)):
+                    sq = mpf_mul(y, y)
+                    assert algebra._norm(x, sq, wide) == mpf_add(mpf_mul(x, x), sq, wide), (x, y)
         # mpf_add perturbs a^2, of 2P bits, instead of adding a far smaller
         # (Im z)^2, and truncates one unit below the exact sum where a^2's
         # bits below the (P + 10)-th lie close enough under the next unit
@@ -1017,7 +1039,7 @@ class TestRawCauchyPass:
                 sq = mpf_mul(a, a)
                 if mpf_add(sq, im2, wide) != mpf_pos(mpf_add(sq, im2), wide, round_down):
                     perturbed.append(a)
-                    assert measures._norm(a, im2, wide) == mpf_add(sq, im2, wide)
+                    assert algebra._norm(a, im2, wide) == mpf_add(sq, im2, wide)
         # the exponents of a^2 and (Im z)^2 lie 100 or fewer bits apart at 64
         assert bool(perturbed) == (bits > 64)
 

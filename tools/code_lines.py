@@ -2,9 +2,12 @@
 """Count the code lines of the package, without docstrings, comments or blanks.
 
     python3 tools/code_lines.py [CHECKOUT]
+    python3 tools/code_lines.py A B
 
 Prints one `count module` line per module of CHECKOUT/src/nikishin_hp
-(CHECKOUT defaults to this repository), then the total.  A line counts
+(CHECKOUT defaults to this repository), then the total.  With two
+checkouts it prints `count_A count_B change module` per module of either,
+a module missing from one counting 0 there, then the totals.  A line counts
 when a token other than a comment or a line break lies on it; a string
 token spanning several lines counts each of them.  The lines of a
 docstring, the string that opens a module, class or function body, do not
@@ -52,14 +55,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(checkout: Path) -> dict:
+    """{module file name: code lines} for CHECKOUT/src/nikishin_hp."""
+    return {
+        path.name: code_lines(path.read_text())
+        for path in sorted((checkout / "src" / "nikishin_hp").glob("*.py"))
+    }
+
+
 def main(argv) -> int:
-    checkout = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
-    total = 0
-    for path in sorted((checkout / "src" / "nikishin_hp").glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d} {path.name}")
-    print(f"{total:6d} total")
+    checkouts = [Path(a) for a in argv[1:3]] or [Path(__file__).resolve().parent.parent]
+    tables = [counts(c) for c in checkouts]
+    names = sorted(set().union(*tables))
+    for name in names + ["total"]:
+        row = [sum(t.values()) if name == "total" else t.get(name, 0) for t in tables]
+        if len(row) == 2:
+            row.append(row[1] - row[0])
+            print(f"{row[0]:6d} {row[1]:6d} {row[2]:+6d} {name}")
+        else:
+            print(f"{row[0]:6d} {name}")
     return 0
 
 
