@@ -12,8 +12,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from mpmath import mp
-
 from nikishin_hp import cli
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -70,9 +68,7 @@ def test_the_names_no_call_reaches_are_the_known_ones(tmp_path, monkeypatch):
         monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
     smoke = load(BENCHMARK / "workloads.py", "benchmark_workloads").make_config("smoke", 0)
     assert smoke["perturbations"]
-    prec = mp.prec
     for i, cfg in enumerate((smoke, {k: v for k, v in smoke.items() if k != "perturbations"})):
         config = cli.parse_config(dict(cfg, output_dir=str(tmp_path / f"out{i}")))
         assert cli.run_experiment(config).exit_code == 0
-    assert mp.prec == prec
     assert {name for name, count in calls.items() if count == 0} == NEVER_CALLED
