@@ -144,13 +144,18 @@ class EvalGrid:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One sweep entry: target-normalized sup-errors for a solved multi-index."""
+    """One sweep entry: target-normalized sup-errors for a solved multi-index.
+
+    digits and nullity_flag are the vector's (TypeIVector.digits): the
+    digits it holds for the atoms as realized at the system's precision.
+    """
 
     n: MultiIndex
     err: tuple
     err0: mpf
     nullity_flag: bool
     precision_bits: int
+    digits: float
 
 
 def ratio_targets(
@@ -224,7 +229,7 @@ def convergence_row(
         raise RuntimeError("every grid point fell on a zero of the last component")
     floor = mpf(2) ** (-mp.prec)
     errs = [e / max(s, floor) for e, s in zip(sup_err, scale)]
-    return ConvergenceRow(v.n, tuple(errs[1:]), errs[0], v.nullity_flag, v.precision_bits)
+    return ConvergenceRow(v.n, tuple(errs[1:]), errs[0], v.nullity_flag, v.precision_bits, v.digits)
 
 
 def _one_per_conjugate_pair(grid: EvalGrid) -> EvalGrid:
@@ -267,13 +272,25 @@ def _values_at(coeffs, z):
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Least-squares geometric rates exp(slope of log err vs |n|), per column."""
+    """Least-squares geometric rates exp(slope of log err vs |n|), per column.
+
+    digits holds, per column, the least digits of the rows its rate was
+    fitted to (None where there is no rate).
+    """
 
     deltas: dict
     notes: tuple
+    digits: dict
 
 
 def estimate_rate(rows) -> RateEstimate:
+    """The rate of each error column over the rows, sorted by |n|.
+
+    A flagged row (nullity_flag) and a row whose error is exactly 0 are
+    left out of the fit, each with a note; a column with fewer than two
+    rows left has no rate.  Fewer than three rows, or two of equal |n|,
+    raise ValueError.
+    """
     rows = sorted(rows, key=lambda r: r.n.total)
     if len(rows) < 3:
         raise ValueError("rate estimation needs at least three rows")
@@ -282,27 +299,33 @@ def estimate_rate(rows) -> RateEstimate:
         raise ValueError("rows must have strictly increasing |n|")
     notes = []
     deltas = {}
+    least = {}
     m_minus_1 = len(rows[0].err)
     columns = [(f"err_{j + 1}", [r.err[j] for r in rows]) for j in range(m_minus_1)]
     columns.append(("err_0", [r.err0 for r in rows]))
     for name, errs in columns:
-        xs, ys = [], []
-        for t, e in zip(totals, errs):
+        xs, ys, fitted = [], [], []
+        for row, t, e in zip(rows, totals, errs):
+            if row.nullity_flag:
+                notes.append(f"{name}: row |n|={t} excluded (flagged)")
+                continue
             if e == 0:
                 notes.append(f"{name}: row |n|={t} excluded (exact recovery)")
                 continue
             xs.append(mpf(t))
             ys.append(mp.log(e))
+            fitted.append(row.digits)
         if len(xs) < 2:
             notes.append(f"{name}: not enough nonzero rows for a rate")
-            deltas[name] = None
+            deltas[name] = least[name] = None
             continue
+        least[name] = min(fitted)
         xbar = mp.fsum(xs) / len(xs)
         ybar = mp.fsum(ys) / len(ys)
         sxx = mp.fsum((x - xbar) ** 2 for x in xs)
         sxy = mp.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
         deltas[name] = mp.e ** (sxy / sxx)
-    return RateEstimate(deltas, tuple(notes))
+    return RateEstimate(deltas, tuple(notes), least)
 
 
 def sign_changes(values) -> int:

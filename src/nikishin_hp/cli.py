@@ -311,15 +311,33 @@ class ExperimentResult:
     cache_hits: int = 0  # always 0: each run builds a fresh system; benchmark/run.py asserts it
 
 
-def _fmt(x) -> str:
-    """Decimal scientific notation at ceil(0.3 * P) digits."""
-    digits = max(3, math.ceil(mp.prec * 0.3))
+# the significant digits of an identities.json residual or scale: residuals
+# sit at the noise level, so their leading digits still move with rounding
+RESIDUAL_DIGITS = 3
+
+
+def _fmt(x, digits=None) -> str:
+    """Decimal scientific notation at `digits` significant digits, ceil(0.3 * P) by default."""
+    if digits is None:
+        digits = max(3, math.ceil(mp.prec * 0.3))
     if x is None:
         return ""
     x = mpf(x)
     if not mp.isfinite(x):
         return "inf" if x > 0 else "-inf"
     return mp.nstr(x, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+
+
+def _error_digits(digits, flagged=False) -> int:
+    """The significant digits an error prints from a vector of `digits` digits.
+
+    max(1, min(20, floor(digits) - 2)): a printed error has about `digits`
+    correct digits, and the margin of 2 keeps its last printed digit clear
+    of the rounding noise.  A flagged vector's digits are not trusted, so
+    its errors print at most 3.
+    """
+    count = max(1, min(20, math.floor(digits) - 2))
+    return min(3, count) if flagged else count
 
 
 def _residual_entry(results, fraction, **extra) -> dict:
@@ -337,8 +355,8 @@ def _residual_entry(results, fraction, **extra) -> dict:
         if r.max_residual > tol * max(r.scale, mpf(1)):
             ok = False
     return {
-        "max_residual": _fmt(worst.max_residual),
-        "scale": _fmt(worst.scale),
+        "max_residual": _fmt(worst.max_residual, RESIDUAL_DIGITS),
+        "scale": _fmt(worst.scale, RESIDUAL_DIGITS),
         "tolerance_fraction": round(fraction, 6),
         "pass": ok,
         **extra,
@@ -519,19 +537,21 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_convergence_csv(path: Path, sys, rows):
+    """One line per row, each error at _error_digits of its vector, then the delta row.
+
+    Each delta prints at the least _error_digits of the rows its rate was
+    fitted to.
+    """
     m = sys.m
-    header = (
-        ["abs_n"]
-        + [f"n_{j}" for j in range(1, m + 1)]
-        + [f"err_{j}" for j in range(1, m)]
-        + ["err_0", "nullity_flag", "precision_used"]
-    )
+    names = [f"err_{j}" for j in range(1, m)] + ["err_0"]
+    header = ["abs_n"] + [f"n_{j}" for j in range(1, m + 1)] + names + ["digits", "flag", "precision_used"]
     lines = []
     for row in rows:
+        count = _error_digits(row.digits, row.nullity_flag)
         cells = [str(row.n.total)]
         cells += [str(p) for p in row.n]
-        cells += [_fmt(e) for e in row.err]
-        cells += [_fmt(row.err0), "1" if row.nullity_flag else "0", str(row.precision_bits)]
+        cells += [_fmt(e, count) for e in (*row.err, row.err0)]
+        cells += [f"{row.digits:.1f}", "1" if row.nullity_flag else "0", str(row.precision_bits)]
         lines.append(cells)
     try:
         rate = estimate_rate(rows)
@@ -539,8 +559,10 @@ def _write_convergence_csv(path: Path, sys, rows):
         pass
     else:
         cells = ["delta"] + [""] * m
-        cells += [_fmt(rate.deltas.get(f"err_{j}")) for j in range(1, m)]
-        cells += [_fmt(rate.deltas.get("err_0")), "", ""]
+        for name in names:
+            least = rate.digits[name]
+            cells.append("" if least is None else _fmt(rate.deltas[name], _error_digits(least)))
+        cells += ["", "", ""]
         lines.append(cells)
     _write_csv(path, header, lines)
 

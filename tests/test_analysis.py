@@ -36,12 +36,12 @@ from nikishin_hp import (
 )
 
 
-def fake_rows(errs, err0s):
+def fake_rows(errs, err0s, flags=None, digits=None):
     rows = []
-    for k, (e, e0) in enumerate(zip(errs, err0s), start=1):
-        rows.append(
-            ConvergenceRow(MultiIndex((2 * k, 2 * k)), (mpf(e),), mpf(e0), False, 256)
-        )
+    flags = flags or [False] * len(errs)
+    digits = digits or [30.0] * len(errs)
+    for k, (e, e0, flag, d) in enumerate(zip(errs, err0s, flags, digits), start=1):
+        rows.append(ConvergenceRow(MultiIndex((2 * k, 2 * k)), (mpf(e),), mpf(e0), flag, 256, d))
     return rows
 
 
@@ -432,9 +432,26 @@ class TestEstimateRate:
         assert any("excluded" in note for note in est.notes)
         assert est.deltas["err_1"] is not None
 
+    def test_flagged_rows_excluded_with_note(self):
+        # the flagged middle row would bend the line; the rate is the outer
+        # rows' 10^-1 per unit |n|, fitted at their least digits
+        rows = fake_rows(["1e-2", "1e-9", "1e-10"], ["1e-2", "1", "1e-10"], [False, True, False], [40.0, 19.3, 12.5])
+        est = estimate_rate(rows)
+        assert "err_1: row |n|=8 excluded (flagged)" in est.notes
+        assert "err_0: row |n|=8 excluded (flagged)" in est.notes
+        for name in ("err_1", "err_0"):
+            assert abs(est.deltas[name] - mpf("0.1")) < mpf("1e-30")
+            assert est.digits[name] == 12.5
+
+    def test_a_column_left_with_one_row_has_no_rate(self):
+        rows = fake_rows(["1e-2", "1e-4", "1e-6"], ["1e-2", "1e-4", "1e-6"], [True, True, False])
+        est = estimate_rate(rows)
+        assert est.deltas == {"err_1": None, "err_0": None}
+        assert est.digits == {"err_1": None, "err_0": None}
+
     def test_duplicate_totals_rejected(self):
         rows = fake_rows(["1e-2", "1e-4", "1e-6"], ["1e-2", "1e-4", "1e-6"])
-        rows[1] = ConvergenceRow(rows[0].n, rows[1].err, rows[1].err0, False, 256)
+        rows[1] = ConvergenceRow(rows[0].n, rows[1].err, rows[1].err0, False, 256, 30.0)
         with pytest.raises(ValueError):
             estimate_rate(rows)
 
