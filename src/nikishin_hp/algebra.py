@@ -13,8 +13,7 @@ coerces every point and coefficient (mpc for a complex value, mpf
 otherwise, at P); _horner is Horner's rule on mpf or mpc objects,
 _raw_horner and _mpc_horner the same rule on raw mpf and mpc tuples, with
 its roundings; and _norm forms a^2 + b^2 truncated to P + 10 bits, the
-|d|^2 of mpmath's mpc_mpf_div, for the Aberth steps here and for
-measures' Cauchy sums at a complex point.
+|d|^2 of mpmath's mpc_mpf_div, for the Aberth steps here.
 
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
@@ -486,8 +485,8 @@ def _norm(a, sq, wide) -> tuple:
     """Raw mpf_add(mpf_mul(a, a), sq, wide): a^2 + sq, sq >= 0, truncated to wide bits.
 
     This is the |d|^2 of mpc_mpf_div, with wide = P + 10 and truncation,
-    libmp's default rounding: measures._cauchy_pass forms it with sq =
-    (Im z)^2 and _steps with sq = b^2.  mpf_add truncates the exact sum,
+    libmp's default rounding; its one user is _steps, with d = a + i b and
+    sq = b^2.  mpf_add truncates the exact sum,
     correctly, unless it perturbs the larger operand, which it may do only
     when their leading bits lie more than wide + 4 apart.  2 (exp(a) +
     bc(a)) is a^2's leading bit or the one above it, so mpf_add itself runs

@@ -28,9 +28,10 @@ other coefficients anyway.
 A row evaluates one point of each exact conjugate pair of its grid: it
 drops a non-real point whose conjugate, compared as _mpc_ tuples, came
 earlier in grid.points.  The measures are real and the a_j and r_j have
-real coefficients, and mpmath rounds to nearest symmetrically, so the power
-row, the Cauchy passes, RationalFn.__call__ and the complex division all
-give at z-bar the exact conjugates of their values at z, and every |error|
+real coefficients, mpmath rounds to nearest symmetrically and the Cauchy
+pass truncates toward zero, so the power row, the Cauchy passes,
+RationalFn.__call__ and the complex division all give at z-bar the exact
+conjugates of their values at z, and every |error|
 and |target| there is its partner's, bit for bit.  The match is on values,
 not on the default grid's layout, so an explicit grid loses only true
 pairs; on the default grid, 31 of 80 points.

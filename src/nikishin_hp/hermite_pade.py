@@ -47,9 +47,11 @@ DIGITS_FLOOR = 8 digits is solved again at P + (8 + 4 - digits) log2 10
 bits, rounded up to a multiple of 64, which meets the floor in one step.
 A pivot below the basis's gate is never taken, so digits cannot fall much
 below 2.4; at 3 or less the estimate is saturated and the bits double
-instead.  The bits stop at MAX_PRECISION_BITS = 4096, and a vector still
-below the floor there is returned with nullity_flag set.  No workload or
-golden row is below the floor (see DIGITS_FLOOR), so none escalates.
+instead.  The bits stop at MAX_PRECISION_BITS = 4096, or after two
+saturated attempts in a row (at atomic degree more bits do not help), and
+a vector still below the floor there is returned with nullity_flag set.
+No workload or golden row is below the floor (see DIGITS_FLOOR), so none
+escalates.
 
 The perturbed problem approximates f_j = s-hat_{1,j} + r_j; multiplying its
 order condition by T = prod t_j turns the solution into an incomplete
@@ -478,17 +480,22 @@ def _escalate(solve_once):
     """solve_once(bits) from bits = mp.prec up, until its vector has DIGITS_FLOOR digits.
 
     Each attempt runs at its own working precision, and the next one at
-    _next_bits.  The bits stop at MAX_PRECISION_BITS; a vector still below
-    the floor there is returned with nullity_flag set.
+    _next_bits.  The climb stops at MAX_PRECISION_BITS, or after two
+    attempts in a row at or below SATURATED_DIGITS: at atomic degree the
+    basis takes pivots that vanish in exact arithmetic a few bits above
+    its gate, so the digits stay saturated at every precision.  A vector
+    still below the floor there is returned with nullity_flag set.
     """
     bits = mp.prec
+    saturated = False
     while True:
         with working_precision(bits):
             v = solve_once(bits)
         if v.digits >= DIGITS_FLOOR:
             return v
-        if bits >= MAX_PRECISION_BITS:
+        if bits >= MAX_PRECISION_BITS or (saturated and v.digits <= SATURATED_DIGITS):
             return replace(v, nullity_flag=True)
+        saturated = v.digits <= SATURATED_DIGITS
         bits = min(_next_bits(bits, v.digits), MAX_PRECISION_BITS)
 
 

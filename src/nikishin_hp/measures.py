@@ -11,40 +11,24 @@ open gap, _newton_in_bracket, run in Python floats for the start and then
 at P+64 bits.  The same Newton polishes the Gauss-Jacobi nodes, each in a
 bracket around its float64 seed.
 
-Every Cauchy sum runs through one pass, _cauchy_pass, on raw mpmath.libmp
-tuples, and gives bit for bit what sign * mp.fsum(w / (z - x) for ...) (and
-w / (z - x)**2 for the derivative, at a real z only) gives at the working
-precision P, without the mpf and mpc objects.
-The point is coerced by algebra.to_scalar, the package's one scalar coercion.
-A real z costs one subtraction per atom, d = z - x rounded to P (and d^2
-rounded to P for the derivative).  A complex z costs, per atom, a = Re z -
-x and m = a^2 + (Im z)^2, truncated to P + 10 bits as mpmath's mpc_mpf_div
-rounds it; algebra._norm, which algebra's root finder shares, owns that
-rule.  Each divisor is one exact integer, rounded once inline: z - x
-is formed at the smaller exponent and rounded to nearest with ties to
-even at P, d^2 is d's mantissa squared and rounded the same way, and m is
-a's mantissa squared plus (Im z)^2's, truncated.  mpf_sub, mpf_pow_int and
-mpf_add round their exact results correctly, and a correctly rounded
-value is unique, so the divisors are theirs, tuple for tuple.  They run
-themselves where an operand is 0 or non-finite, and where the operands'
-leading bits lie so far apart (more than P + 4 bits) that mpf_add may
-perturb the larger one instead of adding.
-Measures on one node set (the chains s_{a,b} of one a) share
-these divisors: cauchy_evals evaluates them at a point in one pass,
+Every Cauchy sum runs through one pass, _cauchy_pass, on Python integers.
+The point and the atoms become integers at their least exponent, so every
+difference z - x, its square and a^2 + (Im z)^2 (a = Re z - x) is exact;
+each atom takes one reciprocal, truncated toward zero to P + 32 bits, and
+each weight row one exact integer sum of its products, rounded once to P.
+A sum is then within 2^-(P+32) sum_i |w_i / (z - x_i)| + half an ulp of
+the exact sum over the atoms, the bound _cauchy_pass derives, and z-bar
+gives the exact conjugate of z's value.  The point is coerced by
+algebra.to_scalar, the package's one scalar coercion.
+Measures on one node set (the chains s_{a,b} of one a) share the
+reciprocals: cauchy_evals evaluates them at a point in one pass,
 cauchy_eval is its one-measure case, and _gap_root takes mu-hat and its
-derivative at one point from one pass.  Each term then costs one integer
-division: its exact quotient, w / d or a w / m or -Im z w / m, is rounded
-once to P bits, to nearest with ties to even.  That is the value mpf_div
-returns, since mpf_div rounds correctly and the correctly rounded quotient
-is unique.  Each row of terms is summed exactly in one integer by
-mpf_sum's own rules, in atom order (a term more than 2P bits above the
-sum replaces it and one more than 2P bits below it is dropped), and
-rounded once to P, so the sum has the bits of mpf_sum at P.
+derivative at one point from one pass.
 The moments come from one loop as well, _moment_rows, which also hands
 back the power row w_i x_i^k that continues them.
 
 The Gauss rules' three-term recurrence, its slope's and the Christoffel
-sums run on raw tuples too, each operation the libmp call the mpf
+sums run on raw mpmath.libmp tuples, each operation the libmp call the mpf
 operator made, at the same precision and rounding, so the nodes and
 weights keep their bits; x - a_k is formed once per step and the norms
 mu0 b_1 ... b_k once per rule.
@@ -54,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 from types import SimpleNamespace
 from typing import Optional
 
@@ -75,7 +60,7 @@ from mpmath.libmp import (
 )
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .algebra import Polynomial, _norm, to_scalar
+from .algebra import Polynomial, to_scalar
 from .precision import checked_int, noise_floor
 
 VALID_KINDS = ("atoms", "legendre-density", "jacobi-density")
@@ -493,185 +478,138 @@ def _moment_rows(mu: AtomicMeasure, row, count: int):
     return tuple(out), row
 
 
+# guard bits of the Cauchy pass's reciprocals: each term is off by less than
+# 2^-(P + CAUCHY_GUARD) of its modulus (see _cauchy_pass)
+CAUCHY_GUARD = 32
+_EXPONENT = itemgetter(2)  # of a raw mpf
+
+
 def _cauchy_pass(nodes, rows, z, exponents=(1,)):
-    """Raw mp.fsum(w / (z - x)**e for x, w in zip(nodes, row)), per exponent and row.
+    """sum_i w_i / (z - x_i)**e for each exponent e and weight row, each rounded once to P = mp.prec.
 
     One pass over the atoms serves every weight row in rows (measures on
     one node set) and every exponent e in exponents (1 or 2); z is an mpf
-    or an mpc at P, and an mpc takes exponents (1,) only.  Returns
-    sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
-    complex one.  The divisors are mpmath's own: for a real z, d = z - x
-    rounded to P and, for e = 2, d**2 rounded to P.  For a complex z, with
-    a = Re z - x and s = Im z, m = a^2 + s^2 is truncated to P + 10 bits,
-    libmp's default rounding, and the term is (a w / m, -s w / m), as
-    mpc_mpf_div forms it.  Each divisor is one exact integer rounded once
-    inline (_difference, _square, _norm): the correctly rounded value,
-    which mpf_sub, mpf_pow_int and mpf_add return too, since it is
-    unique; those calls themselves run only on a zero or non-finite
-    operand and on operands whose leading bits lie more than P + 4 apart.
-    The divisors do not depend on the weights, so
-    the measures share them.  _quotient_sum forms each part of each row:
-    every term is its exact quotient rounded once to P, the correctly
-    rounded value that mpf_div returns too, and the terms are summed
-    exactly in one integer under mpf_sum's replace and drop rules, then
-    rounded once to P, so each part has the bits of mpf_sum at P.
+    or an mpc, and an mpc takes exponents (1,) only.  Returns sums[e][r]:
+    a raw mpf for a real z and a raw (re, im) pair for a complex one.
+
+    The sums come from integers in three steps.
+    - Per point: z (its real part) and the atoms become integers at their
+      least exponent, so each D_i = z - x_i (A_i = Re z - x_i) is exact,
+      and so is M_i = A_i^2 + (Im z)^2.
+    - Per exponent: one reciprocal per atom, R_i = 2^s / q_i truncated
+      toward zero, q_i being D_i, D_i^2 or M_i, with s = P + g + the
+      largest bit length among the q_i, so that every |R_i| > 2^(P+g).
+    - Per row: the weights become integers at the row's least exponent,
+      and the exact sum of the products w_i R_i (for a complex z, of
+      w_i A_i R_i, and of w_i R_i times -Im z) is rounded once to P, to
+      nearest.
+    Error bound: truncation leaves |R_i 2^-s - 1/q_i| < 2^-s < 2^-(P+g)
+    / |q_i|, so each term, w_i / D_i**e, w_i A_i / M_i or -Im z w_i / M_i,
+    is off by less than 2^-(P+g) of its modulus; the sum adds no error,
+    and the last rounding half an ulp at P:
+        |computed - exact| < 2^-(P+g) sum_i |term_i| + ulp / 2,
+    so within (N + 1) 2^-(P+g) sum_i |term_i| + ulp / 2 for N atoms.  The
+    former pass, each term rounded to P and the terms summed exactly, was
+    bounded by 2^-P sum_i |term_i| + ulp / 2.  g is CAUCHY_GUARD.
+    Truncation toward zero and rounding to nearest are odd, the exact sums
+    do not depend on the atoms' order, and Im z enters only as the last
+    factor, so z-bar gives the exact conjugate of z's sums and -z over
+    mirrored atoms their exact negatives; analysis.convergence_row's one
+    point per conjugate pair relies on the first.
+    A zero q_i (z on an atom) raises ZeroDivisionError.  A non-finite
+    point, atom or weight takes the mpf route, _mpf_pass, whose mpf_div
+    and mpf_sum carry its infinities and nans into the sums.
     """
     prec = mp.prec
-    rows = [[w._mpf_ for w in row] for row in rows]
     if isinstance(z, mpc):
         if exponents != (1,):
             raise ValueError("a complex point takes exponent 1 only")
-        re, im = z._mpc_
-        im2 = mpf_mul(im, im)
-        minus_im = mpf_neg(im)
-        wide = prec + 10
-        real_parts, imag_parts = [], []
-        for x in nodes:
-            a = _difference(re, x._mpf_, prec)
-            m = _norm(a, im2, wide)
-            real_parts.append(_divisor(a, m))
-            imag_parts.append(_divisor(minus_im, m))
-        return [
-            [(_quotient_sum(row, real_parts, prec), _quotient_sum(row, imag_parts, prec)) for row in rows]
+        point = z._mpc_
+    else:
+        point = (z._mpf_,)
+    xs = [x._mpf_ for x in nodes]
+    raw_rows = [[w._mpf_ for w in row] for row in rows]
+    exp = min(map(_EXPONENT, (point[0], *xs)))
+    ints = _integers((point[0], *xs), exp)
+    rows = [_weight_row(row) for row in raw_rows]
+    if None in ints or any(not m and e for _, m, e, _ in point) or any(None in ws for ws, _ in rows):
+        return _mpf_pass(xs, raw_rows, point, exponents, prec)
+    bits = prec + CAUCHY_GUARD
+    re = ints[0]
+    differences = [re - x for x in ints[1:]]
+    if len(point) == 1:
+        out = []
+        for e in exponents:
+            divisors = differences if e == 1 else [d * d for d in differences]
+            s = bits + max(map(abs, divisors)).bit_length()
+            recips = _reciprocals(s, divisors)
+            shift = -s - e * exp
+            out.append([from_man_exp(sum(map(mul, ws, recips)), low + shift, prec, round_nearest) for ws, low in rows])
+        return out
+    isign, iman, iexp, _ = point[1]
+    # M_i = A_i^2 + (Im z)^2 as an integer at 2^low
+    low = min(2 * exp, 2 * iexp) if iman else 2 * exp
+    im2 = iman * iman << 2 * iexp - low if iman else 0
+    norms = [(a * a << 2 * exp - low) + im2 for a in differences]
+    s = bits + max(norms).bit_length()
+    recips = _reciprocals(s, norms)
+    real = list(map(mul, differences, recips))
+    minus_im = iman if isign else -iman
+    return [
+        [
+            (
+                from_man_exp(sum(map(mul, ws, real)), wlow + exp - s - low, prec, round_nearest),
+                from_man_exp(minus_im * sum(map(mul, ws, recips)), wlow + iexp - s - low, prec, round_nearest),
+            )
+            for ws, wlow in rows
         ]
-    t = z._mpf_
-    divisors = [[] for _ in exponents]
-    for x in nodes:
-        d = _difference(t, x._mpf_, prec)
-        for e, column in zip(exponents, divisors):
-            column.append(_divisor(fone, d if e == 1 else _square(d, prec)))
-    return [[_quotient_sum(row, column, prec) for row in rows] for column in divisors]
+    ]
 
 
-def _difference(s, t, prec) -> tuple:
-    """Raw mpf_sub(s, t, prec, round_nearest), from one exact integer.
-
-    The exact s - t is formed at the smaller exponent and rounded to P by
-    _nearest, unless an operand is 0 or non-finite, or their leading bits
-    lie more than P + 4 apart: only there may mpf_sub perturb the larger
-    operand instead of adding, and there mpf_sub itself runs.  Elsewhere
-    mpf_sub rounds the exact difference, correctly, and the correctly
-    rounded value is unique, so the tuple is mpf_sub's.
-    """
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if sman and tman and -prec - 4 <= sexp + sbc - texp - tbc <= prec + 4:
-        if ssign:
-            sman = -sman
-        if not tsign:
-            tman = -tman
-        if sexp >= texp:
-            man, exp = (sman << (sexp - texp)) + tman, texp
-        else:
-            man, exp = sman + (tman << (texp - sexp)), sexp
-        if man > 0:
-            return _nearest(0, man, exp, prec)
-        if man:
-            return _nearest(1, -man, exp, prec)
-        return fzero
-    return mpf_sub(s, t, prec, round_nearest)
+def _integers(values, exp) -> list:
+    """Raw finite mpf values as integers at 2^exp, exp at most each one's exponent; None for an infinity or nan."""
+    return [(-(m << e - exp) if s else m << e - exp) if m else (None if e else 0) for s, m, e, _ in values]
 
 
-def _square(d, prec) -> tuple:
-    """Raw mpf_pow_int(d, 2, prec, round_nearest): d's mantissa squared, rounded by _nearest."""
-    _, man, exp, _ = d
-    if man:
-        return _nearest(0, man * man, 2 * exp, prec)
-    return mpf_pow_int(d, 2, prec, round_nearest)
+def _weight_row(row) -> tuple:
+    """(the raw weights as integers at 2^low, low), low their least exponent."""
+    low = min(map(_EXPONENT, row))
+    return _integers(row, low), low
 
 
-def _nearest(sign, man, exp, prec) -> tuple:
-    """The raw mpf (-1)^sign man 2^exp, man > 0, rounded to P bits, to nearest with ties to even.
-
-    A mantissa that rounds up to 2^P carries to the next power of two,
-    and trailing zeros are stripped, as libmp's normalize does.
-    """
-    shift = man.bit_length() - prec
-    if shift > 0:
-        half = man >> (shift - 1)
-        if half & 1 and (half & 2 or man & ((1 << (shift - 1)) - 1)):
-            man = (half >> 1) + 1
-        else:
-            man = half >> 1
-        exp += shift
-    if not man & 1:
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-    return sign, man, exp, man.bit_length()
+def _reciprocals(s, divisors) -> list:
+    """2^s / q for each q of divisors, truncated toward zero; ZeroDivisionError at a zero q."""
+    one = 1 << s
+    return [one // q if q > 0 else -(one // -q) for q in divisors]
 
 
-def _divisor(f, d) -> tuple:
-    """The atom entry of _quotient_sum for terms f w / d: (sign, f's mantissa,
-    exponent of f over d, d's mantissa, d's bit count, f, d)."""
-    fsign, fman, fexp, _ = f
-    dsign, dman, dexp, dbc = d
-    return fsign ^ dsign, fman, fexp - dexp, dman, dbc, f, d
+def _mpf_pass(xs, rows, point, exponents, prec):
+    """_cauchy_pass's sums from libmp calls, for operands that are not all finite.
 
-
-def _quotient_sum(row, divisors, prec):
-    """Raw mpf_sum([mpf_div(mpf_mul(f, w), d, prec) for ...], prec), w from row, f and d per atom.
-
-    Each quotient rounds the exact f w / d to P bits once: one divmod
-    gives a quotient q of P + 1 or P + 2 bits, and its bits below the
-    P-th, with the remainder as a sticky bit, round q to nearest, ties to
-    even.  mpf_div rounds its own quotient, of at least P + 4 bits, with a
-    sticky bit too; both give the correctly rounded quotient, which is
-    unique, so the bits are the same.  Trailing zeros are stripped, as
-    normalize strips them, so that each term enters the sum with the
-    exponent and bit count mpf_sum reads.  The terms, in atom order, go
-    into one running integer man * 2^exp by mpf_sum's own rules: from man
-    = exp = 0, a term more than 2P bits above the sum replaces it, one
-    more than 2P bits below it is dropped (or taken when the sum is 0),
-    and any other is added exactly.  The sum is rounded once, by
-    from_man_exp at P.  A zero term is skipped, and a term with a zero or
-    non-finite factor is mpf_div's own, which raises ZeroDivisionError on
-    a zero divisor and gives 0, an infinity or nan otherwise; the last
-    two make the sum mpf_sum's infinity or nan.
+    Each divisor by mpf_sub (with mpf_pow_int for e = 2, or m = a^2 +
+    (Im z)^2 truncated to P + 10 bits, as mpc_mpf_div forms it), each term
+    by mpf_div and each sum by mpf_sum, at P.
     """
     rnd = round_nearest
-    limit = 2 * prec
-    man = exp = 0
-    special = None
-    for (wsign, wman, wexp, wbc), (sign, fman, shift, dman, dbc, f, d) in zip(row, divisors):
-        if not (wman and fman and dman):
-            term = mpf_div(mpf_mul(f, (wsign, wman, wexp, wbc)), d, prec, rnd)
-            if term[2]:  # an infinity or nan; a zero is skipped
-                special = mpf_add(special or fzero, term, 1)
-            continue
-        num = wman * fman
-        s = prec + 1 + dbc - num.bit_length()
-        q, r = divmod(num << s, dman) if s >= 0 else divmod(num, dman << -s)
-        # q has P + k bits, k being 1 or 2: top ends in the rounding bit,
-        # and q & (k - 1) is the bit below it, if any
-        k = q.bit_length() - prec
-        top = q >> (k - 1)
-        if top & 1 and (top & 2 or r or q & (k - 1)):
-            xman = (top >> 1) + 1
-        else:
-            xman = top >> 1
-        xexp = wexp + shift - s + k
-        if not xman & 1:
-            zeros = (xman & -xman).bit_length() - 1
-            xman >>= zeros
-            xexp += zeros
-        if wsign ^ sign:
-            xman = -xman
-        delta = xexp - exp
-        if delta >= 0:
-            if delta > limit and (not man or delta - man.bit_length() > limit):
-                man, exp = xman, xexp
-            else:
-                man += xman << delta
-        elif -delta - xman.bit_length() > limit:
-            if not man:
-                man, exp = xman, xexp
-        else:
-            man = (man << -delta) + xman
-            exp = xexp
-    if special:
-        return special
-    return from_man_exp(man, exp, prec, rnd)
+    if len(point) == 2:
+        re, im = point
+        im2, minus_im = mpf_mul(im, im), mpf_neg(im)
+        divisors = []
+        for x in xs:
+            a = mpf_sub(re, x, prec, rnd)
+            divisors.append((a, mpf_add(mpf_mul(a, a), im2, prec + 10)))
+        parts = []
+        for row in rows:
+            res = [mpf_div(mpf_mul(a, w), m, prec, rnd) for (a, m), w in zip(divisors, row)]
+            ims = [mpf_div(mpf_mul(minus_im, w), m, prec, rnd) for (_, m), w in zip(divisors, row)]
+            parts.append((mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)))
+        return [parts]
+    differences = [mpf_sub(point[0], x, prec, rnd) for x in xs]
+    out = []
+    for e in exponents:
+        divisors = differences if e == 1 else [mpf_pow_int(d, 2, prec, rnd) for d in differences]
+        out.append([mpf_sum([mpf_div(w, d, prec, rnd) for w, d in zip(row, divisors)], prec, rnd) for row in rows])
+    return out
 
 
 def _signed(raw, sign: int):

@@ -12,13 +12,6 @@ and requires every bit of the raw kernels' vectors, digits, reductions,
 residual tails, remainder values and orthogonality residuals to be the
 same.
 
-_cauchy_pass is the Cauchy pass measures ran before it summed in one
-integer and formed its divisors from integers: a libmp mpf_sub (with
-mpf_pow_int, or mpf_mul and mpf_add) per atom, a libmp mpf_div per term
-and one mpf_sum per row and part.  tests/test_measures.py::TestRawCauchyPass
-requires every bit of measures._cauchy_pass to be the same, on every pass
-of two benchmark runs and on every case of TestCauchyKernel.kernel_cases.
-
 _newton_nodes and _christoffel_weights are the Gauss-rule recurrences
 measures ran on mpf objects, each operation at the working precision:
 p_{k+1} = (x - a_k) p_k - b_k p_{k-1} and its slope's recurrence, each
@@ -36,17 +29,7 @@ from __future__ import annotations
 
 import math
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_neg,
-    mpf_pow_int,
-    mpf_sub,
-    mpf_sum,
-    round_nearest,
-)
+from mpmath import mp, mpf
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, _type1_tails, remainder_eval
@@ -167,49 +150,6 @@ def check_orthogonality(sys, v) -> Residual:
         max_scale = max(max_scale, mp.fsum(abs(t) for t in powers))
         powers = [t * x for t, x in zip(powers, sigma1.nodes)]
     return Residual(max_residual, max_scale)
-
-
-def _cauchy_pass(nodes, rows, z, exponents=(1,)):
-    """Raw mp.fsum(w / (z - x)**e for x, w in zip(nodes, row)), per exponent and row.
-
-    One pass over the atoms serves every weight row in rows (measures on
-    one node set) and every exponent e in exponents (1 or 2); z is an mpf
-    or an mpc at P, and an mpc takes exponents (1,) only.  Returns
-    sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
-    complex one.  The operations are mpmath's own: for a real z, d = z - x
-    rounded to P and, for e = 2, d**2 rounded to P, then w / d at P.  For
-    a complex z, with a = Re z - x and s = Im z, m = a^2 + s^2 is rounded
-    to P + 10 bits by libmp's default rounding, and the term is
-    (a w / m, -s w / m), each quotient rounded to P, as mpc_mpf_div forms
-    it.  m does not depend on the weights, so the measures share it.  The
-    terms are summed as mp.fsum sums them: each part by mpf_sum at P.
-    """
-    prec, rnd = mp.prec, round_nearest
-    rows = [[w._mpf_ for w in row] for row in rows]
-    if isinstance(z, mpc):
-        if exponents != (1,):
-            raise ValueError("a complex point takes exponent 1 only")
-        re, im = z._mpc_
-        im2 = mpf_mul(im, im)
-        wide = prec + 10
-        terms = [([], []) for _ in rows]
-        for i, x in enumerate(nodes):
-            a = mpf_sub(re, x._mpf_, prec, rnd)
-            m = mpf_add(mpf_mul(a, a), im2, wide)
-            for row, (res, ims) in zip(rows, terms):
-                w = row[i]
-                res.append(mpf_div(mpf_mul(a, w), m, prec, rnd))
-                ims.append(mpf_div(mpf_neg(mpf_mul(im, w)), m, prec, rnd))
-        return [[(mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)) for res, ims in terms]]
-    t = z._mpf_
-    parts = [[[] for _ in rows] for _ in exponents]
-    for i, x in enumerate(nodes):
-        d = mpf_sub(t, x._mpf_, prec, rnd)
-        for e, terms in zip(exponents, parts):
-            divisor = d if e == 1 else mpf_pow_int(d, e, prec, rnd)
-            for row, out in zip(rows, terms):
-                out.append(mpf_div(row[i], divisor, prec, rnd))
-    return [[mpf_sum(out, prec, rnd) for out in terms] for terms in parts]
 
 
 def _newton_nodes(n: int, diag, offsq, count: int) -> list:

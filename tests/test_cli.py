@@ -34,6 +34,11 @@ GOLDEN_OFFDIAG = Path(__file__).parent / "data" / "golden_offdiag"
 GOLDEN_M3_CLASS = Path(__file__).parent / "data" / "golden_m3_class"
 README = Path(__file__).resolve().parent.parent / "README.md"
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+_spec = importlib.util.spec_from_file_location(
+    "_body_digits", Path(__file__).resolve().parent.parent / "tools" / "body_digits.py"
+)
+BODY_DIGITS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BODY_DIGITS)
 
 
 def base_config(out_dir, sweep=None, checks=None, pert=None):
@@ -720,13 +725,31 @@ class TestDeterminism:
         ).read_text()
 
 
+def assert_golden(out, golden, names):
+    """convergence.csv and zeros.csv byte for byte; identities.json by tools/body_digits.py's rule.
+
+    That rule requires every field to be the stored one but each
+    max_residual and scale, which must stay within a factor 2^8 of the
+    stored value, and each max_residual within its own gate.
+    """
+    for name in names:
+        if name == "identities.json":
+            BODY_DIGITS.compare_identities(golden.name, golden / name, out / name)
+        else:
+            assert body_bytes(out / name) == (golden / name).read_bytes(), name
+
+
 class TestGoldenBodies:
-    """Each golden run's report bodies, byte for byte.
+    """Each golden run's report bodies, as assert_golden compares them.
 
     convergence.csv and identities.json were reprinted once at the digits
     each row holds (cli._error_digits, 3 for a residual or scale), from
     the values they held before; tools/body_digits.py shows every printed
-    digit the same.
+    digit the same.  The residuals and scales are compared by ratio: the
+    Cauchy pass is exact only to its error bound, and a residual at the
+    rounding level moves with the rounding (by at most a factor 2^2.54,
+    golden_m3_class's chile, when the pass moved from correctly rounded
+    terms to its error bound).
     """
 
     @pytest.fixture(autouse=True)
@@ -746,8 +769,7 @@ class TestGoldenBodies:
         out = tmp_path / "out"
         cfg = golden_smoke_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json", "zeros.csv"):
-            assert body_bytes(out / name) == (GOLDEN / name).read_bytes(), name
+        assert_golden(out, GOLDEN, ("convergence.csv", "identities.json", "zeros.csv"))
 
     def test_m3_bodies_match_stored_bytes(self, tmp_path):
         # m=3 pins k=2 and k=3 of the ratio identity and the two ratio
@@ -773,8 +795,7 @@ class TestGoldenBodies:
             "output_dir": str(out),
         }
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json"):
-            assert body_bytes(out / name) == (GOLDEN_M3 / name).read_bytes(), name
+        assert_golden(out, GOLDEN_M3, ("convergence.csv", "identities.json"))
 
     def test_readme_bodies_match_stored_bytes(self, tmp_path):
         # the README example verbatim: type I and type II up to |n| = 24 and
@@ -785,8 +806,7 @@ class TestGoldenBodies:
         (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         cfg = dict(json.loads(block), output_dir=str(out))
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json", "zeros.csv"):
-            assert body_bytes(out / name) == (GOLDEN_README / name).read_bytes(), name
+        assert_golden(out, GOLDEN_README, ("convergence.csv", "identities.json", "zeros.csv"))
 
     def test_deep_diag_bodies_match_stored_bytes(self, tmp_path):
         # the benchmark's deep-diag-m2 config at seed 0 with its sweep cut
@@ -802,8 +822,7 @@ class TestGoldenBodies:
         cfg["sweep"] = dict(cfg["sweep"], k_min=4, k_max=8, step=2)
         assert "perturbations" not in cfg
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json"):
-            assert body_bytes(out / name) == (GOLDEN_DEEP / name).read_bytes(), name
+        assert_golden(out, GOLDEN_DEEP, ("convergence.csv", "identities.json"))
 
     def test_class_bodies_match_stored_bytes(self, tmp_path):
         # the rest of the paper's class: r_1 = 1/(z^2 + 4) has the conjugate
@@ -815,8 +834,7 @@ class TestGoldenBodies:
         out = tmp_path / "out"
         cfg = golden_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json", "zeros.csv"):
-            assert body_bytes(out / name) == (GOLDEN_CLASS / name).read_bytes(), name
+        assert_golden(out, GOLDEN_CLASS, ("convergence.csv", "identities.json", "zeros.csv"))
 
     def test_offdiag_bodies_match_stored_bytes(self, tmp_path):
         # the nested indices (k+1, k), k = 2..6, at 256 bits: every check
@@ -825,8 +843,7 @@ class TestGoldenBodies:
         out = tmp_path / "out"
         cfg = golden_offdiag_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json", "zeros.csv"):
-            assert body_bytes(out / name) == (GOLDEN_OFFDIAG / name).read_bytes(), name
+        assert_golden(out, GOLDEN_OFFDIAG, ("convergence.csv", "identities.json", "zeros.csv"))
 
     def test_m3_class_bodies_match_stored_bytes(self, tmp_path):
         # m=3 with every component perturbed, r = (1/(z+3), 1/(z-3.5),
@@ -836,19 +853,58 @@ class TestGoldenBodies:
         out = tmp_path / "out"
         cfg = golden_m3_class_config(out)
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-        for name in ("convergence.csv", "identities.json", "zeros.csv"):
-            assert body_bytes(out / name) == (GOLDEN_M3_CLASS / name).read_bytes(), name
+        assert_golden(out, GOLDEN_M3_CLASS, ("convergence.csv", "identities.json", "zeros.csv"))
 
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
     def test_each_check_alone_matches_the_full_run(self, tmp_path, check):
         # a check run on its own reports what it reports beside the other
         # five: no check depends on another having run first
-        out = tmp_path / "out"
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, golden_smoke_config(full), "full.json"))]) == 0
         cfg = golden_smoke_config(out)
         assert main(["run", str(write_config(tmp_path, cfg)), "--check", check]) == 0
         got = json.loads((out / "identities.json").read_text())["checks"][check]
-        want = json.loads((GOLDEN / "identities.json").read_text())["checks"][check]
+        want = json.loads((full / "identities.json").read_text())["checks"][check]
         assert got == want
+
+
+def identities_file(path, residual, scale="2.59", passed=True):
+    entry = {"max_residual": residual, "pass": passed, "scale": scale, "tolerance_fraction": 0.5}
+    path.write_text(json.dumps({"checks": {"chile": entry}, "precision_bits": 128}))
+    return path
+
+
+class TestBodyDigitsRule:
+    """tools/body_digits.py, which assert_golden applies to identities.json."""
+
+    def test_printed_digits_match_the_longer_value(self):
+        match = BODY_DIGITS.printed_match
+        assert match("5.0193185e-3", "5.0193185264250989120389709300882808e-3") == "=8"
+        assert match("1.00e+1", "9.996") == "=3"  # rounding carries to 10
+        assert match("5.0193186e-3", "5.0193185264250989120389709300882808e-3") == "7.8"
+
+    @pytest.mark.parametrize("factor, ok", [(1, True), (2**-7.9, True), (2**7.9, True), (2**8.1, False), (2**-8.1, False)])
+    def test_residuals_and_scales_move_by_at_most_2_to_the_8(self, tmp_path, factor, ok):
+        stored = identities_file(tmp_path / "a.json", "1.18e-38")
+        for moved in (f"{1.18e-38 * factor:.3g}", None):
+            got = identities_file(tmp_path / "b.json", moved or "1.18e-38", f"{2.59 * factor:.3g}" if not moved else "2.59")
+            if ok:
+                BODY_DIGITS.compare_identities("x", stored, got)
+            else:
+                with pytest.raises(BODY_DIGITS.Mismatch, match="beyond 2\\^8"):
+                    BODY_DIGITS.compare_identities("x", stored, got)
+
+    def test_a_residual_above_its_gate_fails(self, tmp_path):
+        # the gate is 2^-64 max(scale, 1) at 128 bits: 1.40e-19 for a scale of 2.59
+        stored = identities_file(tmp_path / "a.json", "1.39e-19")
+        BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.40e-19"))
+        with pytest.raises(BODY_DIGITS.Mismatch, match="above its gate"):
+            BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.41e-19"))
+
+    def test_every_other_field_must_be_equal(self, tmp_path):
+        stored = identities_file(tmp_path / "a.json", "1.18e-38")
+        with pytest.raises(BODY_DIGITS.Mismatch, match="pass differs"):
+            BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.18e-38", passed=False))
 
 
 class TestPrecisionResolution:

@@ -259,11 +259,28 @@ class TestType1Kernel:
         # 27 conditions on 12 atoms per generator: pivots that vanish in
         # exact arithmetic pass the gate by a few bits at every precision,
         # so the digits read 2.4 to 2.5 from 256 to 4096 bits, and the
-        # vector comes back from the cap flagged
+        # vector comes back flagged from its second saturated attempt
         sys = legendre_system(256, 12)
         v = solve_type1(sys, MultiIndex((14, 14)))
-        assert v.nullity_flag and v.precision_bits == MAX_PRECISION_BITS
+        assert v.nullity_flag and v.precision_bits == 512
         assert v.digits < 3
+
+    def test_m3_type2_at_atomic_degree_stops_after_two_attempts(self, monkeypatch):
+        # the k = 7 type II solve of test_cli._golden_m3_config (16 atoms
+        # per generator, 128 bits): 21 conditions on 48 atoms, digits 1.44
+        # at 128 bits and 1.41 at 256, where it climbed to 4096 bits
+        sys = legendre_system(128, 16, M3_INTERVALS)
+        once, attempts = hermite_pade._solve_type2_once, []
+
+        def counted(*args):
+            attempts.append(args[-1])
+            return once(*args)
+
+        monkeypatch.setattr(hermite_pade, "_solve_type2_once", counted)
+        with working_precision(128):
+            v = solve_type2(sys, MultiIndex((7, 7, 7)))
+        assert attempts == [128, 256]
+        assert v.nullity_flag and v.precision_bits == 256 and v.digits <= SATURATED_DIGITS
 
     def test_guard_bits_keep_the_digits(self):
         # the m=3 fixture at 128 bits, k=3: against a 384-bit solve the
@@ -349,13 +366,24 @@ class TestEscalate:
         assert _next_bits(256, 7.99) == 320  # 256 + 14
         assert _next_bits(512, 7.0) == 576  # 512 + 17
 
-    def test_bits_cap_at_the_maximum_and_flag_the_vector(self):
+    def test_two_saturated_attempts_in_a_row_flag_the_vector(self):
         calls = []
         with working_precision(96):
             v = _escalate(recording_solve(calls, lambda bits: 2.4))
             assert mp.prec == 96
-        assert calls == [(b, b) for b in (96, 192, 384, 768, 1536, 3072, 4096)]
-        assert v == Attempt(MAX_PRECISION_BITS, 2.4, nullity_flag=True)
+        assert calls == [(96, 96), (192, 192)]
+        assert v == Attempt(192, 2.4, nullity_flag=True)
+
+    def test_bits_cap_at_the_maximum_and_flag_the_vector(self):
+        # saturated and unsaturated attempts alternate, so no two saturated
+        # ones come in a row: 2.4 doubles the bits, and 5.0 adds
+        # ceil(7 log2 10) = 24, rounded up to a multiple of 64
+        calls = []
+        with working_precision(96):
+            v = _escalate(recording_solve(calls, lambda bits: 2.4 if len(calls) % 2 else 5.0))
+            assert mp.prec == 96
+        assert calls == [(b, b) for b in (96, 192, 256, 512, 576, 1152, 1216, 2432, 2496, 4096)]
+        assert v == Attempt(MAX_PRECISION_BITS, 5.0, nullity_flag=True)
 
 
 def short_below_2p(once, short, attempts):

@@ -24,8 +24,9 @@ entry's tolerance_fraction; the line shows log2 of each ratio B/A.
 
 atoms.txt, vectors.txt, transforms.txt and roots.txt (report_bodies.py's raw
 dumps): every line must match outside its `_mpf_` tuples; the line shows how
-many values differ and the largest relative difference, in units of 2^-P, P
-being the run's precision_bits.  Every other file must be equal byte for byte.
+many values moved and the largest move, in units of 2^-P, P being the run's
+precision_bits, against the value and against the largest value of its
+line.  Every other file must be equal byte for byte.
 
 It exits 1, naming the file, when a check fails.
 """
@@ -77,7 +78,8 @@ def printed_match(a: str, b: str) -> str:
         raise Mismatch(f"{a!r} against {b!r}") from None
 
 
-def compare_convergence(name: str, a: Path, b: Path) -> list:
+def compare_convergence(name: str, a: Path, b: Path) -> tuple:
+    """(the printed lines, whether a printed digit differs) for one convergence.csv pair."""
     rows_a = list(csv.reader(io.StringIO(a.read_text())))
     rows_b = list(csv.reader(io.StringIO(b.read_text())))
     head_a = [RENAMED.get(c, c) for c in rows_a[0]]
@@ -144,26 +146,38 @@ def mpf_value(match) -> Fraction:
 
 
 def compare_raw(name: str, a: Path, b: Path, bits: int) -> str:
+    """How many values of a raw dump moved, and the largest move in units of 2^-P.
+
+    A move is measured against the value itself and against the largest
+    value of its line (a vector's coefficients, a residual with its
+    scale), which is the scale of a value at the rounding level.
+    """
     lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
     if len(lines_a) != len(lines_b):
         raise Mismatch(f"{name}/{a.name}: line counts differ")
     differ = total = 0
-    worst, where = Fraction(0), None
+    worst = {"value": (Fraction(0), None), "line": (Fraction(0), None)}
     for number, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
         if MPF.sub("#", la) != MPF.sub("#", lb):
             raise Mismatch(f"{name}/{a.name}: line {number} differs outside its values")
-        for ma, mb in zip(MPF.finditer(la), MPF.finditer(lb)):
-            total += 1
-            if ma.group() == mb.group():
+        pairs = [(mpf_value(ma), mpf_value(mb)) for ma, mb in zip(MPF.finditer(la), MPF.finditer(lb))]
+        total += len(pairs)
+        largest = max((max(abs(x), abs(y)) for x, y in pairs), default=0)
+        for x, y in pairs:
+            if x == y:
                 continue
             differ += 1
-            x, y = mpf_value(ma), mpf_value(mb)
-            rel = abs(x - y) / max(abs(x), abs(y)) * 2**bits
-            if rel > worst:
-                worst, where = rel, number
+            for key, scale in (("value", max(abs(x), abs(y))), ("line", largest)):
+                move = abs(x - y) / scale * 2**bits
+                if move > worst[key][0]:
+                    worst[key] = (move, number)
     if not differ:
         return f"{name} {a.name}: ="
-    return f"{name} {a.name}: {differ} of {total} values differ, at most {float(worst):.3g} 2^-P (line {where})"
+    (value, at), (line, line_at) = worst["value"], worst["line"]
+    return (
+        f"{name} {a.name}: {differ} of {total} values moved, at most {float(value):.3g} 2^-P of the"
+        f" value (line {at}) and {float(line):.3g} 2^-P of its line's largest (line {line_at})"
+    )
 
 
 def compare(name: str, a: Path, b: Path) -> tuple:
