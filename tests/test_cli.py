@@ -855,17 +855,23 @@ class TestGoldenBodies:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         assert_golden(out, GOLDEN_M3_CLASS, ("convergence.csv", "identities.json", "zeros.csv"))
 
+    @pytest.fixture(scope="class")
+    def full_smoke_checks(self, tmp_path_factory):
+        """The identities.json checks of one full smoke run."""
+        tmp = tmp_path_factory.mktemp("full")
+        mp.prec = 53
+        assert main(["run", str(write_config(tmp, golden_smoke_config(tmp / "out")))]) == 0
+        return json.loads((tmp / "out" / "identities.json").read_text())["checks"]
+
     @pytest.mark.parametrize("check", cli.KNOWN_CHECKS)
-    def test_each_check_alone_matches_the_full_run(self, tmp_path, check):
+    def test_each_check_alone_matches_the_full_run(self, tmp_path, check, full_smoke_checks):
         # a check run on its own reports what it reports beside the other
         # five: no check depends on another having run first
-        full, out = tmp_path / "full", tmp_path / "out"
-        assert main(["run", str(write_config(tmp_path, golden_smoke_config(full), "full.json"))]) == 0
+        out = tmp_path / "out"
         cfg = golden_smoke_config(out)
         assert main(["run", str(write_config(tmp_path, cfg)), "--check", check]) == 0
         got = json.loads((out / "identities.json").read_text())["checks"][check]
-        want = json.loads((full / "identities.json").read_text())["checks"][check]
-        assert got == want
+        assert got == full_smoke_checks[check]
 
 
 def identities_file(path, residual, scale="2.59", passed=True):

@@ -719,27 +719,27 @@ def wide_sums(nodes, rows, z, exponents=(1,)):
 
     sums[e][r] is (sum_i w_i / (z - x_i)**e, sum_i |w_i / (z - x_i)**e|)
     by mp.fsum for a real z, and for a complex z one such pair per part,
-    from a = Re z - x, m = a^2 + (Im z)^2 and the terms w a / m and
-    -Im z w / m.  Each term is within 2^-(2P+60) of its modulus, far below
-    the pass's bound.
+    from a = Re z - x, 1 / m = 1 / (a^2 + (Im z)^2) and the terms
+    w a / m and -Im z w / m.  Each term is within 2^-(2P+60) of its
+    modulus, far below the pass's bound.
     """
     with mp.workprec(2 * mp.prec + 64):
         if isinstance(z, mpc):
+            im = z.imag
+            a = [z.real - x for x in nodes]
+            inv = [1 / (d * d + im * im) for d in a]
             parts = []
             for row in rows:
-                re, im = [], []
-                for x, w in zip(nodes, row):
-                    a = z.real - x
-                    m = a * a + z.imag * z.imag
-                    re.append(w * a / m)
-                    im.append(-z.imag * w / m)
-                parts.append(tuple((mp.fsum(t), mp.fsum(t, absolute=True)) for t in (re, im)))
+                scaled = [w * q for w, q in zip(row, inv)]
+                terms = ([t * d for t, d in zip(scaled, a)], [-im * t for t in scaled])
+                parts.append(tuple((mp.fsum(t), mp.fsum(t, absolute=True)) for t in terms))
             return [parts]
         out = []
         for e in exponents:
+            inv = [1 / (z - x) ** e for x in nodes]
             part = []
             for row in rows:
-                terms = [w / (z - x) ** e for x, w in zip(nodes, row)]
+                terms = [w * q for w, q in zip(row, inv)]
                 part.append((mp.fsum(terms), mp.fsum(terms, absolute=True)))
             out.append(part)
         return out
