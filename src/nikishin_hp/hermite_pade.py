@@ -10,14 +10,13 @@ eliminating at P instead costs about 3 digits at m=3 (16 Legendre atoms
 per generator, 128 bits, k = 2..4: 30.9, 22.4 and 11.8 correct digits
 against 28.0, 18.5 and 9.3).  Every coefficient of a tail convolution
 sum_j c_j f_j, in its polynomial part (a_0, the P_j) or at infinity (type
-II's achieved orders, the reduction residual, type2_residual_tail), comes
-from one primitive, _tail_sums, the one owner of that P-bit sum.  The
+II's achieved orders, the orthogonality residual, type2_residual_tail),
+comes from one primitive, _tail_sums, the one owner of that P-bit sum.  The
 tails of the chains s_{1,j} come from the system's table through
-nikishin.chain_tail.  The order basis, the tail-convolution sums, the
-remainder values at sigma_1's atoms (by algebra._raw_horner, the raw
-Horner rule) and the orthogonality sums run on raw mpmath.libmp tuples,
-with the operations and roundings of the mpf arithmetic they replace, so
-they give its bits.
+nikishin.chain_tail.  The order basis, the tail-convolution sums and the
+remainder values at sigma_1's atoms (by algebra._raw_horner, the raw Horner
+rule) run on raw mpmath.libmp tuples, with the operations and roundings of
+the mpf arithmetic they replace, so they give its bits.
 
 A sweep repeats its predecessors' order conditions, so each solve keeps the
 basis it reaches in a third table on the system, sys.bases, which only this
@@ -61,11 +60,14 @@ decides which roots of the t_j are poles, and perturbed_reduce alone forms
 the cofactors T/t_j, each as the product of the other t_i.
 
 remainder_eval gives the remainders A_j of the plain system.  Both
-remainder checks, orthogonality and sign changes, read A_1 only at sigma_1's
-atoms, from first_level_remainder_values, and only for plain-system
-vectors: a perturbed solve is checked through its T-reduced vector.
-Orthogonality to the polynomials of degree N - 2 there forces N - 1 sign
-changes among those values.
+remainder checks read plain-system vectors only: a perturbed solve is
+checked through its T-reduced vector.  check_orthogonality reads the
+moments of A_1 against sigma_1 as the tail coefficients of sum_j a_j
+s-hat_{1,j}, judged against the sum of their |terms| before cancellation,
+and perturbed_reduce reports it for the reduced vector.  sign_changes reads
+A_1 at sigma_1's atoms, from first_level_remainder_values, which alone
+evaluates it there.  Orthogonality to the polynomials of degree N - 2 forces
+N - 1 sign changes among those values.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_lt,
     mpf_mul,
-    mpf_mul_int,
     mpf_neg,
     mpf_pos,
     mpf_sum,
@@ -334,7 +335,10 @@ class TypeIIVector:
 
 @dataclass(frozen=True)
 class ReduceReport:
-    """Outcome of the T-multiplication reduction of a perturbed solution; p_0 is reduced.a[0]."""
+    """Outcome of the T-multiplication reduction of a perturbed solution; p_0 is reduced.a[0].
+
+    max_residual and scale are check_orthogonality(sys, reduced).
+    """
 
     reduced: TypeIVector
     max_residual: mpf
@@ -629,8 +633,9 @@ def perturbed_reduce(
     is the product of the other components' denominators, formed as T is,
     so no division by t_j enters (for m = 2 it is t_2 or t_1 exactly).  The
     vector (p_0, T a_1, ..., T a_m) must satisfy the plain system's order
-    conditions through |n| - deg T, whose residuals are read from fresh
-    unperturbed tails.  The reduced vector keeps v's flag, bits and digits.
+    conditions through |n| - deg T: max_residual and scale are
+    check_orthogonality's of the reduced vector, read from fresh unperturbed
+    tails.  The reduced vector keeps v's flag, bits and digits.
     """
     m = sys.m
     if v.m != m or pert.m != m:
@@ -644,18 +649,11 @@ def perturbed_reduce(
             p0 = p0 + cofactor * f.num * a
 
     reduced_n = MultiIndex([p + D for p in v.n])
-    order_target = v.n.total - D
     products = [T * a for a in v.a[1:]]
-    blocks = [list(p.coeffs) + [mpf(0)] * (nj - len(p.coeffs)) for p, nj in zip(products, reduced_n)]
-    pairs = list(zip(blocks, _type1_tails(sys, None, reduced_n)))
-
-    max_residual = scale = mpf(0)
-    for acc, sc in _tail_sums(pairs, range(-1, -order_target, -1)):
-        max_residual = max(max_residual, abs(acc))
-        scale = max(scale, sc)
     reduced = TypeIVector(
-        (p0, *products), reduced_n, order_target, v.nullity_flag, v.precision_bits, v.digits
+        (p0, *products), reduced_n, v.n.total - D, v.nullity_flag, v.precision_bits, v.digits
     )
+    max_residual, scale = check_orthogonality(sys, reduced)
     return ReduceReport(reduced, max_residual, scale)
 
 
@@ -726,10 +724,10 @@ def remainder_eval(sys: NikishinSystem, v: TypeIVector, j: int, z):
 
 
 def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
-    """A_1(x_i) = remainder_eval(sys, v, 1, x_i) at sigma_1's atoms, in order.
+    """A_1(x_i) = remainder_eval(sys, v, 1, x_i) at sigma_1's atoms, in order, noise as 0.
 
-    These are the only values of A_1 that either remainder check reads, and
-    they alone carry its sign changes on Delta_1.  With N the vector's order
+    These are the only values of A_1 that sign_changes reads, and they
+    alone carry its sign changes on Delta_1.  With N the vector's order
     target, sum_i p(x_i) A_1(x_i) w_i vanishes for every p of degree at most
     N - 2 (check_orthogonality tests it).  Were there k <= N - 2 sign changes
     among the A_1(x_i), the polynomial p with one zero between each pair of
@@ -742,50 +740,47 @@ def first_level_remainder_values(sys: NikishinSystem, v: TypeIVector) -> list:
     table from the build, so the values add no entry to it.  The values
     are formed on raw tuples with remainder_eval's operations, in its
     order, so they are its bits.
+
+    A value at or below 2^-3P/4 of the sum of the |terms| a_k(x_i)
+    s-hat_{2,k}(x_i) that form it (s-hat_{2,1} = 1) is rounding noise and
+    is returned as an exact 0.  At atomic degree A_1 vanishes at every
+    atom, and its values read at most 2^36 2^-P of that sum (4 to 16
+    Legendre atoms per generator, m = 2 and 3, 128 and 256 bits).  A true
+    value can be far smaller than 2^-P/2 of it: on deep-diag-m2 at k = 24
+    (512 bits) the least reads 2^-264, and a gate at 2^-P/2 would drop 18
+    of the 64 values and 12 of the 47 sign changes.
     """
     prec, rnd = mp.prec, round_nearest
+    gate = noise_floor(0.75)._mpf_
     polys = [[c._mpf_ for c in a.coeffs] for a in v.a[1:]]
     out = []
     for x in sys.generators[0].nodes:
         t = x._mpf_
         acc = _raw_horner(polys[0], t, prec)
+        size = mpf_abs(acc)
         for cs, s in zip(polys[1:], s_hat_evals(sys, 2, range(2, v.m + 1), x)):
-            acc = mpf_add(acc, mpf_mul(_raw_horner(cs, t, prec), s._mpf_, prec, rnd), prec, rnd)
-        out.append(mp.make_mpf(acc))
+            term = mpf_mul(_raw_horner(cs, t, prec), s._mpf_, prec, rnd)
+            acc = mpf_add(acc, term, prec, rnd)
+            size = mpf_add(size, mpf_abs(term), prec, rnd)
+        out.append(mp.make_mpf(acc if mpf_gt(mpf_abs(acc), mpf_mul(gate, size, prec, rnd)) else fzero))
     return out
 
 
 def check_orthogonality(sys: NikishinSystem, v: TypeIVector) -> Residual:
-    """Moment orthogonality of the first-level remainder on sigma_1's atoms.
+    """Moment orthogonality of the first-level remainder, from the tails.
 
-    With N the vector's order target, the sums sum_i x_i^nu A_1(x_i) w_i sign
-    vanish for nu = 0..N-2, the A_1(x_i) read from
-    first_level_remainder_values.  A perturbed solve is checked through its
-    T-reduced vector, whose remainder is T A_1.  Deeper remainder levels are
-    not checked.  The products and sums run on raw tuples with the bits of
-    the mpf operations: val * w * sign, each power row's products at P and
-    each sum an mpf_sum at P as mp.fsum forms it.  Only the N - 1 rows that
-    are summed are formed.
+    With N the vector's order target, the tail coefficient k of sum_j a_j
+    s-hat_{1,j} is the moment sum_i x_i^k A_1(x_i) w_i sign of sigma_1, and
+    it vanishes for k = 0..N-2.  Returns the largest |coefficient| over
+    those k and the largest sum of the |terms| a_{j,l} tail_j[l + k] before
+    cancellation, both from _tail_sums; (0, 0) when N <= 1.  A perturbed
+    solve is checked through its T-reduced vector, whose remainder is T A_1
+    (perturbed_reduce reports this check).  Deeper remainder levels are not
+    checked.
     """
-    N = v.order_target
-    if N <= 1:
-        return Residual(mpf(0), mpf(0))
-    prec, rnd = mp.prec, round_nearest
-    sigma1 = sys.generators[0]
-    vals = first_level_remainder_values(sys, v)
-    xs = [x._mpf_ for x in sigma1.nodes]
-    powers = [
-        mpf_mul_int(mpf_mul(val._mpf_, w._mpf_, prec, rnd), sigma1.sign, prec, rnd)
-        for val, w in zip(vals, sigma1.weights)
-    ]
-    max_residual = max_scale = fzero
-    for nu in range(N - 1):
-        if nu:
-            powers = [mpf_mul(t, x, prec, rnd) for t, x in zip(powers, xs)]
-        residual = mpf_abs(mpf_sum(powers, prec, rnd))
-        scale = mpf_sum(powers, prec, rnd, True)
-        if mpf_gt(residual, max_residual):
-            max_residual = residual
-        if mpf_gt(scale, max_scale):
-            max_scale = scale
-    return Residual(mp.make_mpf(max_residual), mp.make_mpf(max_scale))
+    pairs = [(a.coeffs, tail) for a, tail in zip(v.a[1:], _type1_tails(sys, None, v.n))]
+    max_residual = scale = mpf(0)
+    for acc, size in _tail_sums(pairs, range(-1, -v.order_target, -1)):
+        max_residual = max(max_residual, abs(acc))
+        scale = max(scale, size)
+    return Residual(max_residual, scale)

@@ -1,7 +1,9 @@
 """The package's former kernels, the oracles of the raw ones that replaced them.
 
 Each kernel below is the package's former code, kept verbatim but for
-the names it imports and, in _order_basis, the least pivot ratio.  In
+the names it imports, in _order_basis, the least pivot ratio, and, in
+first_level_remainder_values, the rule that returns a value at or below
+2^-3P/4 of the sum of its |terms| as 0.  In
 the hermite_pade kernels every add, multiply, sum and rounding goes
 through an mpf object at mp.prec.  _tail_sums yields _laurent_coeff's
 sums for each exponent, as hermite_pade._tail_sums, the one owner of the
@@ -10,7 +12,10 @@ tests/test_hermite_pade.py::TestRawKernels patches _order_basis,
 _tail_sums and _achieved_order into hermite_pade, solves with them,
 and requires every bit of the raw kernels' vectors, digits, reductions,
 residual tails, remainder values and orthogonality residuals to be the
-same.
+same.  check_orthogonality is the former atom route, the moments
+sum_i x_i^nu A_1(x_i) w_i sign summed over sigma_1's atoms:
+tests/test_hermite_pade.py::TestCrossRoute holds the package's tail route
+to it.
 
 _newton_nodes and _christoffel_weights are the Gauss-rule recurrences
 measures ran on mpf objects, each operation at the working precision:
@@ -34,7 +39,7 @@ from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, _type1_tails, remainder_eval
 from nikishin_hp.measures import _FLOAT_QL, _newton_in_bracket
-from nikishin_hp.nikishin import Residual
+from nikishin_hp.nikishin import Residual, s_hat_eval
 from nikishin_hp.precision import noise_floor
 
 
@@ -132,7 +137,16 @@ def achieved_order(sys, v, pert=None, upto=None):
 
 
 def first_level_remainder_values(sys, v) -> list:
-    return [remainder_eval(sys, v, 1, x) for x in sys.generators[0].nodes]
+    tol = noise_floor(0.75)
+    out = []
+    for x in sys.generators[0].nodes:
+        terms = [v.a[1](x)] + [v.a[k](x) * s_hat_eval(sys, 2, k, x) for k in range(2, v.m + 1)]
+        size = mpf(0)
+        for t in terms:
+            size += abs(t)
+        value = remainder_eval(sys, v, 1, x)
+        out.append(value if abs(value) > tol * size else mpf(0))
+    return out
 
 
 def check_orthogonality(sys, v) -> Residual:
@@ -140,7 +154,7 @@ def check_orthogonality(sys, v) -> Residual:
     if N <= 1:
         return Residual(mpf(0), mpf(0))
     sigma1 = sys.generators[0]
-    vals = first_level_remainder_values(sys, v)
+    vals = [remainder_eval(sys, v, 1, x) for x in sigma1.nodes]
     signed = [val * w * sigma1.sign for val, w in zip(vals, sigma1.weights)]
     max_residual = mpf(0)
     max_scale = mpf(0)

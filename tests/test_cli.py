@@ -20,6 +20,7 @@ from nikishin_hp import (
     Residual,
     build_system,
     cli,
+    hermite_pade,
     noise_floor,
     working_precision,
 )
@@ -150,7 +151,7 @@ NON_FINITE_FIELDS = {
 
 # one key the parser does not read per config section: (an edit of the
 # smoke config that adds it, the key); were unknown keys ignored, the
-# misspelt "check" would run the reduction check alone and exit 0
+# misspelt "check" would run the orthogonality check alone and exit 0
 UNKNOWN_KEYS = {
     "top level": (lambda cfg: cfg.update(check=cfg.pop("checks")), "check"),
     "top level circle_point": (lambda cfg: cfg.update(circle_point=16), "circle_point"),
@@ -589,7 +590,7 @@ class TestEndToEnd:
         assert any("census" in line for line in zeros[1:])
         assert any("pole" in line for line in zeros[1:])
         identities = json.loads((out / "identities.json").read_text())
-        assert "reduction" in identities["checks"]  # reduction always reported with a perturbation
+        assert "orthogonality" in identities["checks"]  # always reported with a perturbation
         assert code in (0, 1)  # attraction may legitimately fail at small |n|
 
     def test_failing_check_exits_1(self, tmp_path):
@@ -637,7 +638,7 @@ class TestEndToEnd:
         for name in ("convergence.csv", "identities.json"):
             assert body_bytes(tmp_path / "null" / name) == body_bytes(tmp_path / "plain" / name), name
         identities = json.loads((tmp_path / "null" / "identities.json").read_text())
-        assert "reduction" not in identities["checks"]
+        assert set(identities["checks"]) == set(checks)
         assert not (tmp_path / "null" / "zeros.csv").exists()
 
     def test_pole_attraction_without_a_perturbation(self, tmp_path):
@@ -906,6 +907,21 @@ class TestBodyDigitsRule:
         BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.40e-19"))
         with pytest.raises(BODY_DIGITS.Mismatch, match="above its gate"):
             BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.41e-19"))
+
+    def test_a_reduction_entry_stands_for_the_orthogonality_entry(self, tmp_path):
+        # the parent's reduction entry read the tail sums that orthogonality
+        # reads now; its atom-route orthogonality entry is not compared
+        def entry(residual, scale):
+            return {"instances": 5, "max_residual": residual, "pass": True, "scale": scale, "tolerance_fraction": 0.5}
+
+        parent = {"orthogonality": entry("1.61e-58", "3.53e-31"), "reduction": entry("1.61e-58", "3.58e+1")}
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"checks": parent, "precision_bits": 256}))
+        b.write_text(json.dumps({"checks": {"orthogonality": entry("1.61e-58", "3.58e+1")}, "precision_bits": 256}))
+        assert BODY_DIGITS.compare_identities("x", a, b) == ["x identities.json orthogonality: max_residual = scale ="]
+        b.write_text(json.dumps({"checks": {"orthogonality": entry("1.61e-58", "3.53e-31")}, "precision_bits": 256}))
+        with pytest.raises(BODY_DIGITS.Mismatch, match="scale moved beyond 2\\^8"):
+            BODY_DIGITS.compare_identities("x", a, b)
 
     def test_every_other_field_must_be_equal(self, tmp_path):
         stored = identities_file(tmp_path / "a.json", "1.18e-38")
@@ -1368,8 +1384,8 @@ class TestWidelySeparatedPoles:
         # T/t_j by division left a remainder above its 2^-P/2 gate (1.71,
         # 1.14 and 13.7 times it) and the run exited 3 with "pole
         # cancellation failed"; the cofactors are now products, and at 64
-        # bits both remainder checks fail honestly: max_residual 8.17e8
-        # against scales 1.26e9 and 9.30e9
+        # bits the orthogonality check fails honestly: max_residual 8.17e8
+        # against a scale of 9.30e9
         out = tmp_path / "out"
         pert = [
             {"num_coeffs": [1], "den_coeffs": ["-3/7", 1]},
@@ -1380,10 +1396,51 @@ class TestWidelySeparatedPoles:
         cfg["grid"] = {"points": [[0.5, 2.0], [-1.0, 3.0], [5, 5], [10, -3]]}
         assert main(["run", str(write_config(tmp_path, cfg))]) in (0, 1)
         checks = json.loads((out / "identities.json").read_text())["checks"]
-        assert set(checks) == {"orthogonality", "reduction"}
+        assert set(checks) == {"orthogonality"}
         if bits == 64:
-            assert not checks["orthogonality"]["pass"] and not checks["reduction"]["pass"]
-            assert checks["reduction"]["max_residual"] == "8.17e+8"
+            assert not checks["orthogonality"]["pass"]
+            assert checks["orthogonality"]["max_residual"] == "8.17e+8"
+
+
+class TestRemainderChecks:
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_each_vector_is_evaluated_at_the_atoms_once(self, tmp_path, monkeypatch, perturbed):
+        # orthogonality reads the tail sums, so sign_changes alone reads A_1
+        # at sigma_1's atoms
+        calls = []
+        values = hermite_pade.first_level_remainder_values
+
+        def counting(sys, v):
+            calls.append(v.n)
+            return values(sys, v)
+
+        monkeypatch.setattr(cli, "first_level_remainder_values", counting)
+        monkeypatch.setattr(hermite_pade, "first_level_remainder_values", counting)
+        cfg = golden_smoke_config(tmp_path / "out")
+        cfg["checks"] = ["orthogonality", "sign_changes"]
+        if not perturbed:
+            del cfg["perturbations"]
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert len(calls) == len(set(calls)) == 3
+
+    def test_noise_at_atomic_degree_shows_no_sign_change(self, tmp_path):
+        # on 4 + 4 atoms at 128 bits A_1 is rounding noise at every atom of
+        # sigma_1 from n = (3, 3) on, whose alternations read [3, 3, 3, 3];
+        # the check still fails, as a check and not as a numerical error
+        out = tmp_path / "out"
+        cfg = base_config(out, sweep=[[k, k] for k in range(2, 6)], checks=["sign_changes"])
+        cfg["precision_bits"] = 128
+        for spec in cfg["system"]:
+            spec["node_count"] = 4
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        entry = json.loads((out / "identities.json").read_text())["checks"]["sign_changes"]
+        assert entry == {"counts": [3, 0, 0, 0], "pass": False}
+
+    def test_the_worst_instance_is_the_one_with_the_largest_ratio(self):
+        results = [Residual(mpf(2), mpf(1e40)), Residual(mpf(1e-30), mpf(1e-20)), Residual(mpf(0), mpf(0))]
+        entry = cli._residual_entry(results, 0.5)
+        assert (entry["max_residual"], entry["scale"]) == ("1.00e-30", "1.00e-20")
+        assert entry["pass"] is False  # the first fails its gate
 
 
 def scaled_m3_config(out, scale, weight):

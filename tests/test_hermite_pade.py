@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -37,6 +39,7 @@ from nikishin_hp import (
     type2_residual_tail,
     working_precision,
 )
+from nikishin_hp.cli import parse_config
 from nikishin_hp.hermite_pade import (
     DIGITS_FLOOR,
     SATURATED_DIGITS,
@@ -53,6 +56,7 @@ import mpf_reference
 from mpf_reference import achieved_order
 
 TIGHT = mpf(10) ** -70
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 
 def unit_at(x, lo, hi):
@@ -717,7 +721,8 @@ class TestRawKernels:
             for v in plain:
                 lines.append(solved_bits(v))
                 lines.append(bits(checks.first_level_remainder_values(sys, v)))
-                lines.append(bits(checks.check_orthogonality(sys, v)))
+                # the tail route, through the patched _tail_sums
+                lines.append(bits(check_orthogonality(sys, v)))
         # the stored bases hold the P + 64 bits that the rounding to P hides
         for key, (level, basis, degrees, least) in sys.bases.items():
             stored = [[[getattr(c, "_mpf_", c) for c in comp] for comp in row] for row in basis]
@@ -1131,6 +1136,20 @@ class TestTypeII:
         assert all(o >= k + 1 for o, k in zip(v.residual_orders, v.n))
 
 
+@pytest.fixture(scope="module")
+def deep_diag():
+    """The benchmark's deep-diag-m2 system at seed 0 (64 + 64 Chebyshev atoms, 512 bits) and its
+    sweep's type I vectors, k = 16, 20, 24."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = parse_config(workloads.make_config("deep-diag-m2", 0))
+    assert config.precision_bits == 512 and len(config.sweep) == 3
+    with working_precision(config.precision_bits):
+        sys = build_system(config.system)
+        return sys, [solve_type1(sys, n) for n in config.sweep]
+
+
 class TestRemainder:
     def test_boundary_is_polynomial_value(self, m2_16_system):
         v = solve_type1(m2_16_system, MultiIndex((3, 3)))
@@ -1163,6 +1182,28 @@ class TestRemainder:
         values = first_level_remainder_values(sys, v)
         assert len(sys.s_hat) == before
         assert len(values) == len(sys.generators[0].nodes)
+
+    def test_noise_values_are_zero(self):
+        # on 4 + 4 atoms at 128 bits A_1 vanishes at every atom of sigma_1
+        # from n = (3, 3) on; its values read 2^-125 to 2^-120 of their
+        # terms, and a gate relative to the largest value alone counts
+        # their alternations as 3 sign changes
+        sys = legendre_system(128, 4)
+        with working_precision(128):
+            values = first_level_remainder_values(sys, solve_type1(sys, MultiIndex((2, 2))))
+            assert all(values) and sign_changes(values) == 3
+            for k in (3, 4, 5):
+                v = solve_type1(sys, MultiIndex((k, k)))
+                assert first_level_remainder_values(sys, v) == [0] * 4
+
+    def test_values_far_below_half_the_bits_are_kept(self, deep_diag):
+        # on deep-diag-m2 at k = 24 the least value reads 2^-264 of its
+        # terms, below 2^-P/2 = 2^-256, and every sign change is needed
+        sys, vectors = deep_diag
+        v = vectors[-1]
+        with working_precision(512):
+            values = first_level_remainder_values(sys, v)
+            assert all(values) and sign_changes(values) == v.order_target - 1 == 47
 
 
 class TestOrthogonality:
@@ -1204,21 +1245,36 @@ class TestOrthogonality:
 
 
 class TestCrossRoute:
-    """Orthogonality and the reduction residual compute the same numbers by
-    two routes: sum_i x_i^nu A_1(x_i) w_i over sigma_1's atoms, and the
-    Laurent coefficients of sum_j c_j s-hat_{1,j} read from the moments, for
-    nu = 0..N-2.  On the README sweep the two maxima differ by at most
-    2^-0.8 2^-P times the reduction's scale."""
+    """check_orthogonality, the tail route, against the atom route it replaced.
+
+    The tail route reads the moments of A_1 against sigma_1 as the tail
+    coefficients of sum_j a_j s-hat_{1,j}; mpf_reference.check_orthogonality
+    sums sum_i x_i^nu A_1(x_i) w_i sign over sigma_1's atoms, nu = 0..N-2.
+    Their maxima differ by at most 2^4 2^-P times the tail route's scale,
+    on the README sweep, plain and perturbed (through the reduced vector),
+    and on the 512-bit deep-diag-m2 vectors, where they differ by at most
+    1.3 2^-P times it (6.8e-154 at a scale of 7.1, k = 20).
+    """
+
+    def assert_routes_agree(self, sys, v):
+        tail = check_orthogonality(sys, v)
+        atoms = mpf_reference.check_orthogonality(sys, v)
+        assert v.order_target >= 6 and tail.max_residual > 0
+        gap = abs(atoms.max_residual - tail.max_residual)
+        assert gap <= 2**4 * mpf(2) ** -mp.prec * tail.scale
 
     @pytest.mark.parametrize("kind", ["plain", "perturbed"])
     def test_the_two_routes_agree(self, sweep_solutions, m2_32_system, pert_pm5, kind):
-        pert = pert_pm5 if kind == "perturbed" else RationalPerturbation.zero(2)
         for v in sweep_solutions[kind].values():
-            r = perturbed_reduce(pert, v, m2_32_system)
-            orth = check_orthogonality(m2_32_system, r.reduced)
-            assert r.reduced.order_target >= 6 and r.max_residual > 0
-            gap = abs(orth.max_residual - r.max_residual)
-            assert gap <= 2**4 * mpf(2) ** -mp.prec * r.scale
+            if kind == "perturbed":
+                v = perturbed_reduce(pert_pm5, v, m2_32_system).reduced
+            self.assert_routes_agree(m2_32_system, v)
+
+    def test_the_two_routes_agree_on_the_deep_diag_vectors(self, deep_diag):
+        sys, vectors = deep_diag
+        with working_precision(512):
+            for v in vectors:
+                self.assert_routes_agree(sys, v)
 
 
 def shifted_chebyshev(k):

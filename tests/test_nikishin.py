@@ -332,9 +332,9 @@ class TestTransformTable:
         assert passes == [2]
 
     def test_remainders_at_the_first_atoms_read_the_build_time_values(self, monkeypatch):
-        # both remainder checks, orthogonality and sign changes, evaluate A_1
-        # at sigma_1's atoms, whose transforms s-hat_{2,k} the build already
-        # computed
+        # the sign changes evaluate A_1 at sigma_1's atoms, whose transforms
+        # s-hat_{2,k} the build already computed, and orthogonality reads
+        # the chain tails
         from nikishin_hp import MultiIndex, check_orthogonality, remainder_eval, solve_type1
 
         sys = system_from_generators(

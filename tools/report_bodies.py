@@ -18,8 +18,8 @@ each a_j of each swept index that the census factors, every root that
 poly_roots gives, one `_mpc_` tuple per line.  vectors.txt does the same
 for what convergence.csv reduces to errors and identities.json to a
 maximum: one line per call of the run's solve_type1,
-solve_type1_perturbed, solve_type2, check_orthogonality and
-first_level_remainder_values, in call order, with the index and every
+solve_type1_perturbed, solve_type2, perturbed_reduce, check_orthogonality
+and first_level_remainder_values, in call order, with the index and every
 coefficient, residual, scale or remainder value as an `_mpf_` tuple, so a
 coefficient that moves by one bit shows too.  transforms.txt does the same
 for the Cauchy transforms behind the printed residuals and errors: every
@@ -125,6 +125,7 @@ RECORDED = (
     "solve_type1",
     "solve_type1_perturbed",
     "solve_type2",
+    "perturbed_reduce",
     "check_orthogonality",
     "first_level_remainder_values",
 )
@@ -134,12 +135,13 @@ def recorded_values(name: str, out) -> str:
     """The `_mpf_` values of one result of the cli name `name`.
 
     A type I vector gives a_0, ..., a_m and a type II vector Q, P_1, ...,
-    P_m, one bracketed list per polynomial.
+    P_m, one bracketed list per polynomial; a reduction report, like an
+    orthogonality result, its max_residual and scale.
     """
     if name.startswith("solve"):
         polys = (out.q,) + out.p if hasattr(out, "q") else out.a
         return " ".join(str([c._mpf_ for c in p.coeffs]) for p in polys)
-    if name == "check_orthogonality":
+    if name in ("perturbed_reduce", "check_orthogonality"):
         return f"{out.max_residual._mpf_} {out.scale._mpf_}"
     return " ".join(str(x._mpf_) for x in out)
 
