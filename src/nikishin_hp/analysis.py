@@ -4,26 +4,31 @@ The solved vectors are compared against their limit targets on a compact
 evaluation grid away from the last interval and from the perturbation's
 poles: a_j/a_m tends to (-1)^(m-j) s-hat_{m,j+1} and a_0/a_m to the reversed
 transform combination carrying the perturbation.  convergence_row is the
-one way to the errors: each row builds its targets with ratio_targets, whose
+one way to the errors: each row reads its targets from ratio_targets, whose
 transforms come from the system's table (nikishin.s_hat_evals), so a sweep
 evaluates each s-hat_{m,j+1}(z) once, all m of a point in one pass over
-sigma_m's atoms, and only recombines them per row; a single pass over the
-grid per solved vector then yields all m sup-errors of its row.
+sigma_m's atoms, and combines them once per point, perturbation and
+precision into the system's table targets; a single pass over the grid
+per solved vector then yields all m sup-errors of its row.
 
-At each grid point a row builds one power row z^0..z^D, D being the
-largest degree among a_0..a_m, by repeated multiplication at P + 64 bits,
-and each a_j(z) is the exact sum of the exact products c_k z^k, rounded
-once to P: m + 1 Horner passes cost m + 1 complex multiply-adds per
-degree, the power row one complex product per degree.  The guard bits make
-each value the correctly rounded one, and so at least as close to the
-exact value as Horner's, unless the sum cancels by some 50 bits.  With the
-powers rounded to P instead, the row errors of the smoke, readme-m2 and
-deep-diag-m2 workloads (seeds 0 and 3) lay farther than Horner's from a 3P
-evaluation, by more than one ulp of the target scale, in 12 of 44
-columns; with the guard, in none.  The power row is dropped after its
-point: a table of them over the grid (80 points x 25 powers at 512 bits)
-would cost more memory than it saves time, and the next row's vector has
-other coefficients anyway.
+Each grid point has one power row z^0..z^D, formed by repeated
+multiplication at P + 64 bits and kept in the grid's table, per
+precision, as Re and Im integers at one exponent (_PowerRow); a row of
+higher degree than any before extends it.  Each a_j(z) is the exact sum
+of the exact products c_k z^k, an integer dot product of the power row
+with a_j's coefficients (integers at their least exponent), rounded once
+to P.  The guard bits make each value the correctly rounded one, and so
+at least as close to the exact value as Horner's, unless the sum cancels
+by some 50 bits.  With the powers rounded to P instead, the row errors of
+the smoke, readme-m2 and deep-diag-m2 workloads (seeds 0 and 3) lay
+farther than Horner's from a 3P evaluation, by more than one ulp of the
+target scale, in 12 of 44 columns; with the guard, in none.  So a row
+costs two dot products per component and point, and the powers and the
+targets are formed once per sweep: on deep-diag-m2 (seed 0) the table
+holds 49 points x 24 powers at 512 bits in 339 KiB, the targets 14 KiB,
+and peak RSS rose 1.7% (readme-m2: 49 x 12 powers at 256 bits, 102 KiB,
++0.5%), while experiment_s fell 9.4% there and 11.2% on readme-m2 (10
+alternating benchmark pairs of 20 s).
 
 A row evaluates one point of each exact conjugate pair of its grid: it
 drops a non-real point whose conjugate, compared as _mpc_ tuples, came
@@ -46,15 +51,16 @@ sigma_1's atoms, where orthogonality puts the sign changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, mul
 from typing import Optional
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fone, fzero, mpc_mul, mpf_mul, mpf_neg, mpf_pos, mpf_sum, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpc_mul, mpf_neg, round_nearest
 
 from .hermite_pade import MultiIndex, RationalPerturbation, TypeIVector
 # cauchy_eval is unused here; benchmark/spans.py still patches analysis.cauchy_eval
-from .measures import Interval, cauchy_eval, on_support  # noqa: F401
+from .measures import Interval, _integer_row, _integers, cauchy_eval, on_support  # noqa: F401
 from .nikishin import NikishinSystem, s_hat_evals
 from .precision import checked_int, noise_floor
 
@@ -65,13 +71,18 @@ class EvalGrid:
 
     Both ways to a grid, default and an explicit list (cli), keep their
     candidates through admissible, so one set of rules decides which
-    points a grid holds.
+    points a grid holds.  powers is the table convergence_row reads: per
+    mp.prec, the points it evaluates (one per exact conjugate pair) and
+    each one's _PowerRow.  It is not a constructor argument, and it is
+    left out of equality and repr.
     """
 
     points: tuple
+    powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __init__(self, points):
         object.__setattr__(self, "points", tuple(mpc(z) for z in points))
+        object.__setattr__(self, "powers", {})
         if not self.points:
             raise ValueError("empty evaluation grid")
 
@@ -169,21 +180,28 @@ def ratio_targets(
         (-1)^m s-hat_{m,1} - sum_{j<m} (-1)^(m-j) r_j s-hat_{m,j+1} - r_m.
     The transforms s-hat_{m,j+1} come from the system's table, so they are
     evaluated once per point however many rows ask, the missing ones of a
-    point in one pass over sigma_m's atoms.
+    point in one pass over sigma_m's atoms.  Each point's tuple is
+    combined once and kept in the system's table sys.targets, under
+    (pert, mp.prec) and the point's _mpc_ tuple, so a later call with the
+    same perturbation at the same precision reads it.
     """
     m = sys.m
+    table = sys.targets.setdefault((pert, mp.prec), {})
     out = []
     for z in grid.points:
-        s = s_hat_evals(sys, m, range(1, m + 1), z)
-        t0 = (-1) ** m * s[0]
-        if pert is not None:
-            for j in range(1, m):
-                f = pert.fractions[j - 1]
-                if not f.is_zero:
-                    t0 -= (-1) ** (m - j) * f(z) * s[j]
-            if not pert.fractions[m - 1].is_zero:
-                t0 -= pert.fractions[m - 1](z)
-        out.append((t0,) + tuple((-1) ** (m - j) * s[j] for j in range(1, m)))
+        row = table.get(z._mpc_)
+        if row is None:
+            s = s_hat_evals(sys, m, range(1, m + 1), z)
+            t0 = (-1) ** m * s[0]
+            if pert is not None:
+                for j in range(1, m):
+                    f = pert.fractions[j - 1]
+                    if not f.is_zero:
+                        t0 -= (-1) ** (m - j) * f(z) * s[j]
+                if not pert.fractions[m - 1].is_zero:
+                    t0 -= pert.fractions[m - 1](z)
+            row = table[z._mpc_] = (t0,) + tuple((-1) ** (m - j) * s[j] for j in range(1, m))
+        out.append(row)
     return tuple(out)
 
 
@@ -195,35 +213,39 @@ def convergence_row(
 ) -> ConvergenceRow:
     """Sup-errors of a_j/a_m (1 <= j < m) and a_0/a_m, each over its target's sup.
 
-    One pass over the grid evaluates a_0..a_m once per point from one power
-    row (see the module docstring) and skips the points where |a_m(z)| <
-    2^-P/2 sum_k |c_k z^k|, the c_k being a_m's coefficients: a gate
-    relative to the terms that cancel, so it scales with a_m.  Every sup,
-    of errors and of targets alike, runs over the points kept.  Of each
-    exact conjugate pair only the first point is evaluated, targets
-    included: the other's errors and targets are equal bit for bit (see
-    the module docstring), so the sups are unchanged.
+    One pass over the grid evaluates a_0..a_m once per point from the
+    point's power row (see the module docstring) and skips the points
+    where |a_m(z)| < 2^-P/2 sum_k |c_k z^k|, the c_k being a_m's
+    coefficients: a gate relative to the terms that cancel, so it scales
+    with a_m.  Every sup, of errors and of targets alike, runs over the
+    points kept.  Of each exact conjugate pair only the first point is
+    evaluated, targets included: the other's errors and targets are equal
+    bit for bit (see the module docstring), so the sups are unchanged.
     Normalization makes rows exactly invariant under generator rescaling
     for plain systems (the blockwise nullspace covariance cancels), while
     leaving monotonicity and rate estimates untouched.
     """
-    grid = _one_per_conjugate_pair(grid)
-    targets = ratio_targets(sys, pert, grid)
+    points, powers = _grid_table(grid)
+    targets = ratio_targets(sys, pert, points)
     if v.a[v.m].is_zero:
         raise ValueError("degenerate last component")
+    coeffs = [_integer_row(p.coeffs) for p in v.a]
+    if any(None in ints for ints, _ in coeffs):
+        raise ValueError("a coefficient is not finite")
+    count = max(len(ints) for ints, _ in coeffs)
     skip_below = noise_floor(0.5)
     # entry j accumulates a_j/a_m, matching the column order of the targets
     sup_err = [mpf(0)] * v.m
     scale = [mpf(0)] * v.m
     kept = 0
-    coeffs = [[c._mpf_ for c in p.coeffs] for p in v.a]
-    for z, row in zip(grid.points, targets):
-        values, size = _values_at(coeffs, z)
+    for row, t_row in zip(powers, targets):
+        row.extend(count)
+        values, size = row.values(coeffs)
         den = values[-1]
         if abs(den) < skip_below * size:
             continue
         kept += 1
-        for j, t in enumerate(row):
+        for j, t in enumerate(t_row):
             scale[j] = max(scale[j], abs(t))
             sup_err[j] = max(sup_err[j], abs(values[j] / den - t))
     if kept == 0:
@@ -231,6 +253,16 @@ def convergence_row(
     floor = mpf(2) ** (-mp.prec)
     errs = [e / max(s, floor) for e, s in zip(sup_err, scale)]
     return ConvergenceRow(v.n, tuple(errs[1:]), errs[0], v.nullity_flag, v.precision_bits, v.digits)
+
+
+def _grid_table(grid: EvalGrid):
+    """(the grid of points a row evaluates, their _PowerRow list), from grid.powers at mp.prec."""
+    prec = mp.prec
+    table = grid.powers.get(prec)
+    if table is None:
+        points = _one_per_conjugate_pair(grid)
+        table = grid.powers[prec] = (points, [_PowerRow(z) for z in points.points])
+    return table
 
 
 def _one_per_conjugate_pair(grid: EvalGrid) -> EvalGrid:
@@ -246,29 +278,68 @@ def _one_per_conjugate_pair(grid: EvalGrid) -> EvalGrid:
     return EvalGrid(kept)
 
 
-def _values_at(coeffs, z):
-    """The values at a complex z of the real polynomials with raw coefficients coeffs.
+class _PowerRow:
+    """The powers z^0, z^1, ... of one grid point, at P + 64 bits, as integers.
 
-    Returns (values, size): the values as mpc, and for the last
-    polynomial sum_k |c_k Re z^k| + |c_k Im z^k|, at P, which bounds
-    sum_k |c_k z^k| to within a factor sqrt 2.  The powers z^0..z^D, D the
-    largest degree, are formed by repeated multiplication rounded to P + 64
-    bits; each value is the exact sum of the exact products c_k z^k, real
-    and imaginary parts apart, rounded once to P, and size sums the moduli
-    of those same products.
+    Power k is (re[k] + i im[k]) 2^exp, exp being the least exponent of
+    every part formed so far, and power k + 1 is mpc_mul of power k and z
+    at P + 64 bits, rounded to nearest.  extend forms the powers a longer
+    row needs; each power is a function of the one before, so a row grown
+    in steps holds the powers a row formed at once would hold, bit for
+    bit.  A non-finite point raises ValueError.
     """
-    prec, rnd = mp.prec, round_nearest
-    zz = mpc(z)._mpc_
-    powers = [(fone, fzero)]
-    for _ in range(max(len(c) for c in coeffs) - 1):
-        powers.append(mpc_mul(powers[-1], zz, prec + 64, rnd))
-    out = []
-    for cs in coeffs:
-        re_terms = [mpf_mul(c, p[0]) for c, p in zip(cs, powers)]
-        im_terms = [mpf_mul(c, p[1]) for c, p in zip(cs, powers)]
-        re, im = mpf_sum(re_terms), mpf_sum(im_terms)
-        out.append(mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))))
-    return out, mp.make_mpf(mpf_sum(re_terms + im_terms, prec, rnd, True))
+
+    __slots__ = ("z", "exp", "re", "im")
+
+    def __init__(self, z):
+        if not mp.isfinite(z):
+            raise ValueError(f"the grid point {z} is not finite")
+        self.z, self.exp, self.re, self.im = z._mpc_, 0, [1], [0]
+
+    def extend(self, count: int) -> None:
+        """Form powers up to z^(count - 1), realigning the kept ones if a new part has a lower exponent."""
+        if count <= len(self.re):
+            return
+        prec = mp.prec + 64
+        power = (from_man_exp(self.re[-1], self.exp), from_man_exp(self.im[-1], self.exp))
+        new = []
+        for _ in range(count - len(self.re)):
+            power = mpc_mul(power, self.z, prec, round_nearest)
+            new.append(power)
+        low = min((e for pair in new for _, man, e, _ in pair if man), default=self.exp)
+        if low < self.exp:
+            shift = self.exp - low
+            self.re = [r << shift for r in self.re]
+            self.im = [i << shift for i in self.im]
+            self.exp = low
+        self.re += _integers([re for re, _ in new], self.exp)
+        self.im += _integers([im for _, im in new], self.exp)
+
+    def values(self, coeffs):
+        """The values at z of real polynomials, and a size of the last one's terms.
+
+        coeffs holds each polynomial's (integers, low) as _integer_row
+        gives them, and the row must hold at least as many powers as the
+        longest.  Returns (values, size): each value, as an mpc, is the
+        exact sum of the exact products c_k z^k, real and imaginary parts
+        apart, rounded once to P; size is sum_k |c_k| (|Re z^k| + |Im z^k|)
+        over the last polynomial, rounded once to P, which bounds
+        sum_k |c_k z^k| to within a factor sqrt 2.
+        """
+        prec, rnd = mp.prec, round_nearest
+        re, im, exp = self.re, self.im, self.exp
+        values = [
+            mp.make_mpc(
+                (
+                    from_man_exp(sum(map(mul, ints, re)), low + exp, prec, rnd),
+                    from_man_exp(sum(map(mul, ints, im)), low + exp, prec, rnd),
+                )
+            )
+            for ints, low in coeffs
+        ]
+        ints, low = coeffs[-1]
+        size = sum(map(mul, map(abs, ints), map(add, map(abs, re), map(abs, im))))
+        return values, mp.make_mpf(from_man_exp(size, low + exp, prec, rnd))
 
 
 @dataclass(frozen=True)

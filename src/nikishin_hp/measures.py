@@ -15,7 +15,9 @@ Every Cauchy sum runs through one pass, _cauchy_pass, on Python integers.
 The point and the atoms become integers at their least exponent, so every
 difference z - x, its square and a^2 + (Im z)^2 (a = Re z - x) is exact;
 each atom takes one reciprocal, truncated toward zero to P + 32 bits, and
-each weight row one exact integer sum of its products, rounded once to P.
+each weight row one exact integer sum of its products, rounded once to P;
+a measure converts its weights to integers once (weight_row) and keeps
+them.
 A sum is then within 2^-(P+32) sum_i |w_i / (z - x_i)| + half an ulp of
 the exact sum over the atoms, the bound _cauchy_pass derives, and z-bar
 gives the exact conjugate of z's value.  The point is coerced by
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter, mul
 from types import SimpleNamespace
 from typing import Optional
@@ -119,7 +122,8 @@ class AtomicMeasure:
     """Finite point-mass measure of constant sign.
 
     Weights are strictly positive; the measure's sign is the separate flag, so
-    the signed mass at node i is sign * weights[i].
+    the signed mass at node i is sign * weights[i].  weight_row, the row
+    the Cauchy pass reads, is formed on first use and kept.
     """
 
     nodes: tuple
@@ -163,6 +167,11 @@ class AtomicMeasure:
     @property
     def outer_radius(self) -> mpf:
         return max(abs(self.nodes[0]), abs(self.nodes[-1]))
+
+    @cached_property
+    def weight_row(self) -> tuple:
+        """_weight_row(self.weights), formed once per measure."""
+        return _weight_row(self.weights)
 
     def scaled(self, factor) -> "AtomicMeasure":
         """Same atoms with every weight multiplied by factor > 0."""
@@ -489,8 +498,10 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
 
     One pass over the atoms serves every weight row in rows (measures on
     one node set) and every exponent e in exponents (1 or 2); z is an mpf
-    or an mpc, and an mpc takes exponents (1,) only.  Returns sums[e][r]:
-    a raw mpf for a real z and a raw (re, im) pair for a complex one.
+    or an mpc, and an mpc takes exponents (1,) only.  Each row is a
+    _weight_row triple, as AtomicMeasure.weight_row keeps it.  Returns
+    sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
+    complex one.
 
     The sums come from integers in three steps.
     - Per point: z (its real part) and the atoms become integers at their
@@ -499,10 +510,10 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     - Per exponent: one reciprocal per atom, R_i = 2^s / q_i truncated
       toward zero, q_i being D_i, D_i^2 or M_i, with s = P + g + the
       largest bit length among the q_i, so that every |R_i| > 2^(P+g).
-    - Per row: the weights become integers at the row's least exponent,
-      and the exact sum of the products w_i R_i (for a complex z, of
-      w_i A_i R_i, and of w_i R_i times -Im z) is rounded once to P, to
-      nearest.
+    - Per row: the weights, as integers at the row's least exponent
+      (formed once per measure, not per pass), give the exact sum of the
+      products w_i R_i (for a complex z, of w_i A_i R_i, and of w_i R_i
+      times -Im z), rounded once to P, to nearest.
     Error bound: truncation leaves |R_i 2^-s - 1/q_i| < 2^-s < 2^-(P+g)
     / |q_i|, so each term, w_i / D_i**e, w_i A_i / M_i or -Im z w_i / M_i,
     is off by less than 2^-(P+g) of its modulus; the sum adds no error,
@@ -528,11 +539,10 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     else:
         point = (z._mpf_,)
     xs = [x._mpf_ for x in nodes]
-    raw_rows = [[w._mpf_ for w in row] for row in rows]
     exp = min(map(_EXPONENT, (point[0], *xs)))
     ints = _integers((point[0], *xs), exp)
-    rows = [_weight_row(row) for row in raw_rows]
-    if None in ints or any(not m and e for _, m, e, _ in point) or any(None in ws for ws, _ in rows):
+    if None in ints or any(not m and e for _, m, e, _ in point) or any(None in ws for ws, _, _ in rows):
+        raw_rows = [[w._mpf_ for w in weights] for _, _, weights in rows]
         return _mpf_pass(xs, raw_rows, point, exponents, prec)
     bits = prec + CAUCHY_GUARD
     re = ints[0]
@@ -544,7 +554,7 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
             s = bits + max(map(abs, divisors)).bit_length()
             recips = _reciprocals(s, divisors)
             shift = -s - e * exp
-            out.append([from_man_exp(sum(map(mul, ws, recips)), low + shift, prec, round_nearest) for ws, low in rows])
+            out.append([from_man_exp(sum(map(mul, ws, recips)), low + shift, prec, round_nearest) for ws, low, _ in rows])
         return out
     isign, iman, iexp, _ = point[1]
     # M_i = A_i^2 + (Im z)^2 as an integer at 2^low
@@ -561,7 +571,7 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
                 from_man_exp(sum(map(mul, ws, real)), wlow + exp - s - low, prec, round_nearest),
                 from_man_exp(minus_im * sum(map(mul, ws, recips)), wlow + iexp - s - low, prec, round_nearest),
             )
-            for ws, wlow in rows
+            for ws, wlow, _ in rows
         ]
     ]
 
@@ -571,10 +581,23 @@ def _integers(values, exp) -> list:
     return [(-(m << e - exp) if s else m << e - exp) if m else (None if e else 0) for s, m, e, _ in values]
 
 
-def _weight_row(row) -> tuple:
-    """(the raw weights as integers at 2^low, low), low their least exponent."""
-    low = min(map(_EXPONENT, row))
-    return _integers(row, low), low
+def _integer_row(values) -> tuple:
+    """(the mpf values as integers at 2^low, low), low their least exponent (0 for no values).
+
+    An infinite or nan value gives None in its place, as _integers does.
+    """
+    raw = [v._mpf_ for v in values]
+    low = min(map(_EXPONENT, raw), default=0)
+    return _integers(raw, low), low
+
+
+def _weight_row(weights) -> tuple:
+    """(integers, low, weights): the row _cauchy_pass reads, _integer_row(weights) plus the mpf weights.
+
+    The weights themselves serve the mpf route, where an integer is None.
+    """
+    weights = tuple(weights)
+    return (*_integer_row(weights), weights)
 
 
 def _reciprocals(s, divisors) -> list:
@@ -658,7 +681,7 @@ def cauchy_evals(mus, z) -> list:
         raise ValueError("cauchy_evals needs measures on one node set")
     if on_support(first, z):
         raise ValueError("evaluation on support")
-    (sums,) = _cauchy_pass(first.nodes, [mu.weights for mu in mus], z)
+    (sums,) = _cauchy_pass(first.nodes, [mu.weight_row for mu in mus], z)
     return [_signed(raw, mu.sign) for raw, mu in zip(sums, mus)]
 
 
@@ -677,7 +700,7 @@ def cauchy_derivative(mu: AtomicMeasure, z):
     A complex z raises ValueError.
     """
     z = to_scalar(z)
-    ((raw,),) = _cauchy_pass(mu.nodes, [mu.weights], z, (2,))
+    ((raw,),) = _cauchy_pass(mu.nodes, [mu.weight_row], z, (2,))
     return _signed(raw, -mu.sign)
 
 
@@ -726,7 +749,7 @@ def _gap_root(mu: AtomicMeasure, i: int) -> mpf:
 
     def f_and_slope(t):
         """mu-hat and its derivative at t, sign stripped, from one pass."""
-        (raw,), (raw2,) = _cauchy_pass(mu.nodes, [mu.weights], t, (1, 2))
+        (raw,), (raw2,) = _cauchy_pass(mu.nodes, [mu.weight_row], t, (1, 2))
         return mp.make_mpf(raw), -mp.make_mpf(raw2)
 
     start = _float_gap_root(mu, i)

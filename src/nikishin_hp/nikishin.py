@@ -49,7 +49,10 @@ The solvers read the moments of each forward chain s_{1,j} from a second
 table on the system, tails, through chain_tail (see NikishinSystem).  Like
 s_hat it lives as long as the system, and this module is the only one that
 reads or writes either table.  The third table, bases, holds the solvers'
-order bases; hermite_pade alone reads and writes it.
+order bases; hermite_pade alone reads and writes it.  The fourth, targets,
+holds the ratio targets the convergence rows compare against, one tuple
+per perturbation, point and precision; analysis.ratio_targets alone reads
+and writes it.
 """
 
 from __future__ import annotations
@@ -109,8 +112,10 @@ class NikishinSystem:
     being their count; chain_tail fills and reads it.  bases holds, per
     series and precision, the last order basis a solve reached, which the
     next solve continues (see hermite_pade); one state per key, so it does
-    not grow with a sweep.  No table is a constructor argument, and all
-    three are left out of equality and repr.
+    not grow with a sweep.  targets holds, per (perturbation, mp.prec), the
+    ratio targets of each grid point analysis.ratio_targets has combined,
+    keyed by the point's _mpc_ tuple.  No table is a constructor argument,
+    and all four are left out of equality and repr.
     """
 
     generators: tuple
@@ -118,6 +123,7 @@ class NikishinSystem:
     s_hat: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    targets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:

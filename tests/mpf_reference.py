@@ -28,13 +28,21 @@ same.
 achieved_order reads the order a type I vector reaches off its tails, at
 the 2^-P/2 gate of _achieved_order, for the tests that assert a type I
 order; the package reads it for type II only.
+
+_values_at is the evaluation analysis.convergence_row ran at each grid
+point: the powers z^0..z^D by mpc_mul at P + 64 bits, each product
+c_k z^k by an exact mpf_mul and each value by an exact mpf_sum, rounded
+once to P, with the size of the last polynomial's terms from
+mpf_sum(..., P, absolute=True).  tests/test_analysis.py::TestPowerRows
+requires analysis._PowerRow's integer evaluation to give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import fone, fzero, mpc_mul, mpf_mul, mpf_pos, mpf_sum, round_nearest
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from nikishin_hp.hermite_pade import ORDER_BASIS_GUARD, _type1_tails, remainder_eval
@@ -210,3 +218,28 @@ def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
             total += cur * cur / norm
         weights.append(1 / total)
     return weights
+
+
+def _values_at(coeffs, z):
+    """The values at a complex z of the real polynomials with raw coefficients coeffs.
+
+    Returns (values, size): the values as mpc, and for the last
+    polynomial sum_k |c_k Re z^k| + |c_k Im z^k|, at P, which bounds
+    sum_k |c_k z^k| to within a factor sqrt 2.  The powers z^0..z^D, D the
+    largest degree, are formed by repeated multiplication rounded to P + 64
+    bits; each value is the exact sum of the exact products c_k z^k, real
+    and imaginary parts apart, rounded once to P, and size sums the moduli
+    of those same products.
+    """
+    prec, rnd = mp.prec, round_nearest
+    zz = mpc(z)._mpc_
+    powers = [(fone, fzero)]
+    for _ in range(max(len(c) for c in coeffs) - 1):
+        powers.append(mpc_mul(powers[-1], zz, prec + 64, rnd))
+    out = []
+    for cs in coeffs:
+        re_terms = [mpf_mul(c, p[0]) for c, p in zip(cs, powers)]
+        im_terms = [mpf_mul(c, p[1]) for c, p in zip(cs, powers)]
+        re, im = mpf_sum(re_terms), mpf_sum(im_terms)
+        out.append(mp.make_mpc((mpf_pos(re, prec, rnd), mpf_pos(im, prec, rnd))))
+    return out, mp.make_mpf(mpf_sum(re_terms + im_terms, prec, rnd, True))

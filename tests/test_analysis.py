@@ -1,13 +1,16 @@
 """Ratio-limit errors, rate estimation, sign counting, pole attraction."""
 
 import math
+import random
 
 import pytest
+from mpf_reference import _values_at
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpf_neg
 
 from nikishin_hp import analysis
-from nikishin_hp.analysis import _one_per_conjugate_pair, _values_at
+from nikishin_hp.analysis import _one_per_conjugate_pair, _PowerRow
+from nikishin_hp.measures import _integer_row
 from nikishin_hp.nikishin import s_hat_evals
 from nikishin_hp import (
     AtomicMeasure,
@@ -541,6 +544,156 @@ def conjugate_bits(w):
     return re, mpf_neg(im)
 
 
+def integer_values(coeffs, z):
+    """_PowerRow(z).values(coeffs) on a fresh row just long enough for the longest polynomial."""
+    row = _PowerRow(z)
+    row.extend(max(len(ints) for ints, _ in coeffs))
+    return row.values(coeffs)
+
+
+class TestPowerRows:
+    """The integer evaluation of the convergence rows against the former mpf one.
+
+    mpf_reference._values_at multiplies each c_k by z^k exactly (mpf_mul)
+    and sums the products exactly (mpf_sum at precision 0) before rounding
+    once to P; _PowerRow.values forms the same exact sums as integer dot
+    products and rounds them once, so every value has the same bits.  The
+    size differs in one respect: mpf_sum(..., prec, absolute=True), which
+    formed the former size, drops terms more than 2P bits below its
+    accumulator, so the size, the exact sum rounded once, can differ from
+    it by one ulp only there, and the size feeds only the skip gate.  No
+    case here comes near a tie after such a drop, so the sizes agree too.
+    """
+
+    POINTS = [
+        mpc(3, 0),  # real, |z| > 1
+        mpc("0.3", 0),  # real, |z| < 1
+        mpc(-2, 0),
+        mpc("-0.71", 0),
+        mpc("0.25", "-0.6"),
+        mpc(7, 2),
+        mpc(0, "1.5"),
+    ]
+
+    @staticmethod
+    def vector(rng):
+        """Coefficient lists of lengths 0, 9, 1, 6 and 13, with exact zeros inside, some 2^+-40 apart."""
+        lists = []
+        for length in (0, 9, 1, 6, 13):
+            cs = [mpf(rng.uniform(-1, 1)) * mpf(2) ** rng.randint(-40, 40) for _ in range(length)]
+            for k in range(1, length - 1, 3):
+                cs[k] = mpf(0)
+            lists.append(cs)
+        return lists
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_values_and_size_are_the_former_bits(self, bits):
+        rng = random.Random(bits)
+        with mp.workprec(bits):
+            for z in self.POINTS:
+                for _ in range(3):
+                    lists = self.vector(rng)
+                    coeffs = [_integer_row(cs) for cs in lists]
+                    values, size = integer_values(coeffs, z)
+                    want, want_size = _values_at([[c._mpf_ for c in cs] for cs in lists], z)
+                    assert [u._mpc_ for u in values] == [u._mpc_ for u in want]
+                    assert size._mpf_ == want_size._mpf_
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_a_row_grown_in_steps_is_the_row_formed_at_once(self, bits):
+        # extension continues from the last power, so the integers, their
+        # exponent and the values do not depend on how the row grew
+        rng = random.Random(bits + 1)
+        with mp.workprec(bits):
+            for z in self.POINTS:
+                at_once, in_steps = _PowerRow(z), _PowerRow(z)
+                at_once.extend(25)
+                for count in (1, 3, 2, 11, 25, 7):
+                    in_steps.extend(count)
+                assert (in_steps.exp, in_steps.re, in_steps.im) == (at_once.exp, at_once.re, at_once.im)
+                coeffs = [_integer_row(cs) for cs in self.vector(rng)]
+                assert in_steps.values(coeffs) == at_once.values(coeffs)
+
+    def test_a_non_finite_point_or_coefficient_raises(self, m2_16_system):
+        with pytest.raises(ValueError, match="not finite"):
+            _PowerRow(mpc("inf", 1))
+        v = solve_type1(m2_16_system, MultiIndex((2, 2)))
+        broken = TypeIVector(
+            (Polynomial([mpf("nan")]),) + v.a[1:],
+            v.n,
+            v.order_target,
+            v.nullity_flag,
+            v.precision_bits,
+            v.digits,
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            convergence_row(m2_16_system, None, broken, EvalGrid([mpc(0, 2)]))
+
+
+def row_bits(row):
+    return [e._mpf_ for e in row.err], row.err0._mpf_
+
+
+def fresh_row(sys, pert, v, grid):
+    """convergence_row on a copy of sys and of grid whose tables are empty."""
+    return convergence_row(NikishinSystem(sys.generators, sys.chains), pert, v, EvalGrid(grid.points))
+
+
+class TestSharedTables:
+    """A row on a grid and a system that earlier rows filled is the row on empty tables, bit for bit.
+
+    The grid keeps, per precision, its points and their power rows; the
+    system keeps, per perturbation and precision, the targets of each
+    point.  Each sequence below would read a wrongly keyed entry.
+    """
+
+    @staticmethod
+    def grid(sys, pert=None):
+        return EvalGrid.default(sys, pert, circle_points=16, segment_points=4)
+
+    def test_a_descending_then_ascending_sweep(self, m2_32_system, sweep_solutions):
+        # the descending rows form the powers for k = 8 at once, the
+        # ascending ones read them and then extend them to k = 12
+        grid = self.grid(m2_32_system)
+        plain = sweep_solutions["plain"]
+        for k in (8, 6, 4, 6, 10, 12):
+            row = convergence_row(m2_32_system, None, plain[k], grid)
+            assert row_bits(row) == row_bits(fresh_row(m2_32_system, None, plain[k], grid))
+        _, powers = grid.powers[mp.prec]
+        for row in powers:
+            fresh = _PowerRow(mp.make_mpc(row.z))
+            fresh.extend(len(row.re))
+            assert (fresh.exp, fresh.re, fresh.im) == (row.exp, row.re, row.im)
+
+    def test_plain_then_perturbed_then_plain(self, m2_32_system, pert_pm5, sweep_solutions):
+        sys = NikishinSystem(m2_32_system.generators, m2_32_system.chains)
+        grid = self.grid(sys, pert_pm5)
+        v, vp = sweep_solutions["plain"][6], sweep_solutions["perturbed"][6]
+        for pert, vector in ((None, v), (pert_pm5, vp), (None, v), (pert_pm5, v)):
+            row = convergence_row(sys, pert, vector, grid)
+            assert row_bits(row) == row_bits(fresh_row(sys, pert, vector, grid))
+        assert set(sys.targets) == {(None, mp.prec), (pert_pm5, mp.prec)}
+
+    def test_two_systems_on_one_grid(self, m2_16_system, m2_32_system, sweep_solutions):
+        grid = EvalGrid([mpc(0, 3), mpc(5, 1), mpc(5, -1), mpc(-4, 2), mpc(2, "0.5")])
+        small = solve_type1(m2_16_system, MultiIndex((4, 4)))
+        big = sweep_solutions["plain"][4]
+        for sys, v in ((m2_16_system, small), (m2_32_system, big), (m2_16_system, big), (m2_32_system, small)):
+            row = convergence_row(sys, None, v, grid)
+            assert row_bits(row) == row_bits(fresh_row(sys, None, v, grid))
+
+    def test_two_precisions(self, m2_32_system, pert_pm5, sweep_solutions):
+        sys = NikishinSystem(m2_32_system.generators, m2_32_system.chains)
+        grid = self.grid(sys, pert_pm5)
+        v = sweep_solutions["perturbed"][8]
+        bits = mp.prec
+        for prec in (bits, bits + 64, bits, 2 * bits):
+            with mp.workprec(prec):
+                row = convergence_row(sys, pert_pm5, v, grid)
+                assert row_bits(row) == row_bits(fresh_row(sys, pert_pm5, v, grid))
+        assert sorted(grid.powers) == [bits, bits + 64, 2 * bits]
+
+
 class TestConjugatePoints:
     """Real measures and real coefficients, with mpmath's symmetric rounding:
     every value a row reads at z-bar is the exact conjugate of its value at z,
@@ -554,14 +707,14 @@ class TestConjugatePoints:
         # targets evaluate r_1, r_2 at complex points
         pert = pert_pm5 if perturbed else None
         v = sweep_solutions["perturbed" if perturbed else "plain"][8]
-        coeffs = [[c._mpf_ for c in p.coeffs] for p in v.a]
+        coeffs = [_integer_row(p.coeffs) for p in v.a]
         sys = NikishinSystem(m2_32_system.generators, m2_32_system.chains)
         grid = EvalGrid.default(sys, pert)
         lower = EvalGrid([mpc(z.real, -z.imag) for z in grid.points])
         targets = ratio_targets(sys, pert, grid)
         lower_targets = ratio_targets(sys, pert, lower)
         for z, w, row, lower_row in zip(grid.points, lower.points, targets, lower_targets):
-            (values, size), (bar_values, bar_size) = (_values_at(coeffs, p) for p in (z, w))
+            (values, size), (bar_values, bar_size) = (integer_values(coeffs, p) for p in (z, w))
             assert [u._mpc_ for u in bar_values] == [conjugate_bits(u) for u in values]
             assert bar_size == size
             s, s_bar = (s_hat_evals(sys, 2, (1, 2), p) for p in (z, w))
@@ -612,7 +765,8 @@ class TestConjugatePoints:
         v = solve_type1_perturbed(sys, pert, n) if perturbed else solve_type1(sys, n)
         row = convergence_row(sys, pert, v, grid)
         monkeypatch.setattr(analysis, "_one_per_conjugate_pair", lambda g: g)
-        full = convergence_row(NikishinSystem(sys.generators, sys.chains), pert, v, grid)
+        # a fresh grid: the first one keeps the points it evaluated
+        full = fresh_row(sys, pert, v, grid)
         assert ([e._mpf_ for e in row.err], row.err0._mpf_) == (
             [e._mpf_ for e in full.err],
             full.err0._mpf_,

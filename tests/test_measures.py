@@ -710,6 +710,11 @@ def raw(x):
     return x._mpc_ if isinstance(x, mpc) else x._mpf_
 
 
+def cauchy_pass(nodes, rows, z, exponents=(1,)):
+    """measures._cauchy_pass over mpf weight rows, each converted as AtomicMeasure.weight_row converts its weights."""
+    return measures._cauchy_pass(nodes, [measures._weight_row(row) for row in rows], z, exponents)
+
+
 def on_one_node_set(nodes, support, weight_rows, signs):
     return [AtomicMeasure(nodes, ws, sign, support) for ws, sign in zip(weight_rows, signs)]
 
@@ -761,8 +766,8 @@ def assert_within_bound(got, reference, count, prec):
 
 
 def assert_pass_within_bound(nodes, rows, z, exponents):
-    """_cauchy_pass(nodes, rows, z, exponents) part by part within the bound of its wide_sums."""
-    got = measures._cauchy_pass(nodes, rows, z, exponents)
+    """_cauchy_pass over the mpf rows, part by part within the bound of its wide_sums."""
+    got = cauchy_pass(nodes, rows, z, exponents)
     want = wide_sums(nodes, rows, z, exponents)
     assert len(got) == len(want) == len(exponents)
     for sums, refs in zip(got, want):
@@ -882,8 +887,8 @@ class TestCauchyKernel:
                 nodes, rows = mus[0].nodes, [mu.weights for mu in mus]
                 for t in (z for z in points if not isinstance(z, mpc)):
                     values, slopes = assert_pass_within_bound(nodes, rows, t, (1, 2))
-                    assert [values] == measures._cauchy_pass(nodes, rows, t, (1,))
-                    assert [slopes] == measures._cauchy_pass(nodes, rows, t, (2,))
+                    assert [values] == cauchy_pass(nodes, rows, t, (1,))
+                    assert [slopes] == cauchy_pass(nodes, rows, t, (2,))
 
     # no shrink phase: a failing example at 512 bits shrinks for minutes
     @settings(
@@ -923,7 +928,7 @@ class TestCauchyKernel:
             raw_rows = weight_rows + [zeroed]
             if mpc(z).imag == 0 and any(mpc(z).real == x for x in nodes):  # z on an atom
                 with pytest.raises(ZeroDivisionError):
-                    measures._cauchy_pass(nodes, raw_rows, z, exponents)
+                    cauchy_pass(nodes, raw_rows, z, exponents)
                 return
             assert_pass_within_bound(nodes, raw_rows, z, exponents)
             if any(abs(z - x) <= noise_floor(0.5) for x in nodes):
@@ -963,16 +968,16 @@ class TestCauchyKernel:
                 for z in points:
                     # negated without rounding: the last points have P + 64 bits
                     if not isinstance(z, mpc):
-                        values = measures._cauchy_pass(nodes, rows, z, (1, 2))
-                        back = measures._cauchy_pass(mirrored, flipped, mp.make_mpf(mpf_neg(z._mpf_)), (1, 2))
+                        values = cauchy_pass(nodes, rows, z, (1, 2))
+                        back = cauchy_pass(mirrored, flipped, mp.make_mpf(mpf_neg(z._mpf_)), (1, 2))
                         assert back[0] == [mpf_neg(v) for v in values[0]]
                         assert back[1] == values[1]
                         continue
-                    (values,) = measures._cauchy_pass(nodes, rows, z, (1,))
-                    (conj,) = measures._cauchy_pass(nodes, rows, mp.conj(z), (1,))
+                    (values,) = cauchy_pass(nodes, rows, z, (1,))
+                    (conj,) = cauchy_pass(nodes, rows, mp.conj(z), (1,))
                     assert conj == [(re, mpf_neg(im)) for re, im in values]
                     minus_z = mp.make_mpc(tuple(map(mpf_neg, z._mpc_)))
-                    (back,) = measures._cauchy_pass(mirrored, flipped, minus_z, (1,))
+                    (back,) = cauchy_pass(mirrored, flipped, minus_z, (1,))
                     assert back == [(mpf_neg(re), mpf_neg(im)) for re, im in values]
             for mus, points in kernel_cases():
                 for z in (p for p in points if isinstance(p, mpc)):
@@ -985,7 +990,7 @@ class TestCauchyKernel:
             with mp.workprec(bits + 64):
                 w = 3 + 3 * mpf(2) ** -bits + mpf(2) ** -(bits + 40)
             for z in (mpf(3), mpf(-3)):
-                ((value,),) = measures._cauchy_pass([mpf(0)], [[w]], z)
+                ((value,),) = cauchy_pass([mpf(0)], [[w]], z)
                 assert abs(mp.make_mpf(value)) == 1
 
     def test_an_exact_atom_raises_and_non_finite_operands_take_the_mpf_route(self):
@@ -996,17 +1001,38 @@ class TestCauchyKernel:
         rows = [[mpf(1), mpf(2)]]
         for z, exponents in ((mpf(0), (1,)), (mpf(-1), (2,)), (mpc(0, 0), (1,))):
             with pytest.raises(ZeroDivisionError):
-                measures._cauchy_pass(nodes, rows, z, exponents)
+                cauchy_pass(nodes, rows, z, exponents)
         rows += [[mpf("inf"), mpf(1)], [mpf("nan"), mpf(1)]]
         for z in (mpf("inf"), mpf("-inf"), mpc("inf", 1), mpc(2, "inf"), mpf(2), mpc(2, 1)):
             exponents = (1,) if isinstance(z, mpc) else (1, 2)
             expected = [[fsum_raw(nodes, row, z, e) for row in rows] for e in exponents]
-            assert measures._cauchy_pass(nodes, rows, z, exponents) == expected
+            assert cauchy_pass(nodes, rows, z, exponents) == expected
         node_rows = [[mpf(1), mpf(1)]]
         for bad in (mpf("inf"), mpf("nan")):
             for z in (mpf(2), mpc(2, 1)):
-                got = measures._cauchy_pass([mpf(-1), bad], node_rows, z)
+                got = cauchy_pass([mpf(-1), bad], node_rows, z)
                 assert got == [[fsum_raw([mpf(-1), bad], node_rows[0], z, 1)]]
+
+    def test_each_measure_converts_its_weights_once(self, monkeypatch):
+        # the pass reads AtomicMeasure.weight_row, formed at the first
+        # evaluation and kept, so later points convert no weight
+        mus, points = kernel_cases()[0]
+        real, converted = measures._integer_row, []
+
+        def counting(values):
+            converted.append(values)
+            return real(values)
+
+        monkeypatch.setattr(measures, "_integer_row", counting)
+        for z in points:
+            cauchy_evals(mus, z)
+            if not isinstance(z, mpc):
+                for mu in mus:
+                    measures.cauchy_derivative(mu, z)
+        assert converted == [mu.weights for mu in mus]
+        for mu in mus:
+            ints, low, weights = mu.weight_row
+            assert (ints, low) == real(mu.weights) and weights is mu.weights
 
     def test_complex_points_take_exponent_one_only(self):
         # the derivative is taken at real gap roots only
@@ -1014,7 +1040,7 @@ class TestCauchyKernel:
             for z in (p for p in points if isinstance(p, mpc)):
                 for exponents in ((2,), (1, 2)):
                     with pytest.raises(ValueError, match="exponent 1 only"):
-                        measures._cauchy_pass(mus[0].nodes, [mus[0].weights], z, exponents)
+                        measures._cauchy_pass(mus[0].nodes, [mus[0].weight_row], z, exponents)
                 with pytest.raises(ValueError, match="exponent 1 only"):
                     measures.cauchy_derivative(mus[0], z)
 
@@ -1097,7 +1123,7 @@ class TestCauchyPass:
         assert calls
         for nodes, rows, z, exponents, prec in calls:
             with mp.workprec(prec):
-                assert_pass_within_bound(nodes, rows, z, exponents)
+                assert_pass_within_bound(nodes, [weights for _, _, weights in rows], z, exponents)
 
         (sys,), (grid,) = built, grids
         with mp.workprec(config.precision_bits):

@@ -26,7 +26,11 @@ for the Cauchy transforms behind the printed residuals and errors: every
 entry of the run's transform table `s_hat` in sorted key order, one
 `key value` line with the value as an `_mpf_` or `_mpc_` tuple, then the
 sign and atoms of every chain s_{a,b} with a != b, as atoms.txt writes
-them.  Two checkouts give the same output exactly when
+them.  rows.txt does the same for the errors themselves, which
+convergence.csv prints with at most 20 significant digits: one line per
+call of the run's convergence_row, in call order, with the index, then
+every err_j and err_0 as an `_mpf_` tuple, so an error that moves by one
+bit shows.  Two checkouts give the same output exactly when
 `diff -r OUT_A OUT_B` prints nothing.  The runs take about 30 s in all.
 """
 
@@ -187,6 +191,24 @@ def transforms_text(systems) -> str:
 
 
 @contextmanager
+def recorded_rows(cli):
+    """While active, the lines of rows.txt for the checkout's convergence_row calls."""
+    real, lines = cli.convergence_row, []
+
+    def recording(*args):
+        row = real(*args)
+        errs = " ".join(str(e._mpf_) for e in row.err)
+        lines.append(f"n {list(row.n.parts)} err [{errs}] err0 {row.err0._mpf_}")
+        return row
+
+    cli.convergence_row = recording
+    try:
+        yield lines
+    finally:
+        cli.convergence_row = real
+
+
+@contextmanager
 def recorded_vectors(cli):
     """While active, the lines of vectors.txt for the checkout's calls of the RECORDED names.
 
@@ -238,6 +260,7 @@ def main(argv=None) -> int:
                     census_roots(cli) as roots,
                     recorded_vectors(cli) as vectors,
                     built_systems(cli) as systems,
+                    recorded_rows(cli) as rows,
                 ):
                     code = cli.main(["run", str(config_path)])
                 status = max(status, code)
@@ -251,6 +274,7 @@ def main(argv=None) -> int:
                 (dest / "roots.txt").write_text("\n".join(roots or ["no pole census"]) + "\n")
                 (dest / "vectors.txt").write_text("\n".join(vectors or ["no solve"]) + "\n")
                 (dest / "transforms.txt").write_text(transforms_text(systems))
+                (dest / "rows.txt").write_text("\n".join(rows or ["no row"]) + "\n")
                 print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
     return status
 
