@@ -561,8 +561,8 @@ class TestPowerRows:
     size differs in one respect: mpf_sum(..., prec, absolute=True), which
     formed the former size, drops terms more than 2P bits below its
     accumulator, so the size, the exact sum rounded once, can differ from
-    it by one ulp only there, and the size feeds only the skip gate.  No
-    case here comes near a tie after such a drop, so the sizes agree too.
+    it by one ulp only there, and the size feeds only the skip gate.  On
+    the cases here the sizes agree too.
     """
 
     POINTS = [
