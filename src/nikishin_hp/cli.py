@@ -343,13 +343,14 @@ def _error_digits(digits, flagged=False) -> int:
 def _residual_entry(results, fraction, **extra) -> dict:
     """identities.json entry gating results with .max_residual and .scale.
 
-    A result fails when max_residual > noise_floor(fraction) * max(scale, 1);
-    the entry reports the result with the largest max_residual / scale.
+    A result fails when max_residual > noise_floor(fraction) * scale, a
+    relative gate at every scale; every scale is a sum or maximum of the
+    |terms|, so a zero scale carries a zero residual, which passes.  The
+    entry reports the result with the largest max_residual / scale.
     """
     tol = noise_floor(fraction)
     results = list(results)
-    ok = all(r.max_residual <= tol * max(r.scale, mpf(1)) for r in results)
-    # every scale is a sum or maximum of the |terms|: a zero scale has a zero residual
+    ok = all(r.max_residual <= tol * r.scale for r in results)
     worst = max(results, key=lambda r: r.max_residual / r.scale if r.scale else 0, default=Residual(0, 0))
     return {
         "max_residual": _fmt(worst.max_residual, RESIDUAL_DIGITS),

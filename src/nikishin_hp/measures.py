@@ -30,10 +30,12 @@ The moments come from one loop as well, _moment_rows, which also hands
 back the power row w_i x_i^k that continues them.
 
 The Gauss rules' three-term recurrence, its slope's and the Christoffel
-sums run on raw mpmath.libmp tuples, each operation the libmp call the mpf
-operator made, at the same precision and rounding, so the nodes and
-weights keep their bits; x - a_k is formed once per step and the norms
-mu0 b_1 ... b_k once per rule.
+sums run on fixed-point integers with 32 guard bits, one floor shift per
+step, on the scaled monic polynomials q_k = 2^k p_k; _newton_nodes and
+_christoffel_weights derive their error bounds, which keep each node and
+weight far inside 2^-(P+32) of its P + 64-bit value, so that its
+rounding to P moves only where that value lies so close to a rounding
+boundary.
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ from typing import Optional
 
 from mpmath import fp, mp, mpc, mpf
 from mpmath.libmp import (
-    fone,
     from_man_exp,
-    fzero,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -57,9 +57,11 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pow_int,
     mpf_rdiv_int,
+    mpf_shift,
     mpf_sub,
     mpf_sum,
     round_nearest,
+    to_fixed,
 )
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
@@ -282,19 +284,21 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     Newton, in a bracket around its seed.  On the three families the two
     give the same P-bit nodes, for n = 1..80 at 64 to 1024 bits.
 
-    Both recurrences, Newton's p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
-    its slope's and the Christoffel sum below, run on raw mpmath.libmp
-    tuples: each operation is the libmp call the mpf operator made
-    (mpf_sub, mpf_mul, mpf_add, mpf_div) at prec with round_nearest, so
-    the bits are those of the mpf loops.  x - a_k is formed once per step
-    for p and p', the norms mu0 b_1 ... b_k once per rule, and an a_k of
-    exactly 0 (every a_k when alpha == beta) is not subtracted, since
-    x - 0 rounded to prec is x.
+    Newton's step p_n / p_n' and the Christoffel sums run on fixed-point
+    integers at 2^-(prec+32), on the scaled monic polynomials q_k = 2^k p_k
+    (_newton_nodes): one floor shift per recurrence step, not one rounding
+    per operation, so the prec-bit nodes and weights are not those of an
+    mpf loop at prec bit for bit.  _newton_nodes and _christoffel_weights
+    bound their error: on every rule the tests sweep, they add less than
+    2^-(prec+1) to a node's relative error and 2^-(prec-6) to a weight's.
+    Rounded to P, a node or weight can differ from the rounding of the
+    exact value only where that lies within such a distance of a rounding
+    boundary.
 
     Weights are the Christoffel numbers 1 / sum_k p_k(x_i)^2 over the
-    orthonormal polynomials below degree n, summed at prec from the prec
-    nodes and rounded to P, except under (-1/2, -1/2), where every weight
-    is pi/n, bit for bit the sums on every rule of that sweep.  The other two
+    orthonormal polynomials below degree n, summed from the prec nodes
+    and rounded to P, except under (-1/2, -1/2), where every weight is
+    pi/n, bit for bit the sums on every rule of that sweep.  The other two
     families keep the sums: their closed-form weights are correctly rounded
     but sit one ulp from the sums in a few atoms, and so would move atoms
     that every earlier rule of these families had.
@@ -304,12 +308,13 @@ def gauss_jacobi_rule(n: int, alpha, beta):
     after 80 steps without one.  Its next error would be
     about C s^2 with C = |p_n''/2p_n'| = |sum_{j!=i} 1/(x_i-x_j)|; node gaps
     are of order 1/n^2 or wider, so C < n^4 and that error is below
-    2^(-prec-16).  Under a symmetric weight (alpha == beta) every diag[k] is
-    exactly 0 and round-to-nearest is symmetric, so p_k(-x) = (-1)^k p_k(x)
-    exactly (and the closed forms have cos(pi - t) = -cos(t)): only the
-    lower n // 2 nodes are computed, an odd rule's middle node is exactly 0,
-    and the upper half is the lower one negated in reverse order, with
-    equal weights.
+    2^(-prec-16).  Under a symmetric weight (alpha == beta) every a_k is
+    0, so p_k(-x) = (-1)^k p_k(x), and the closed forms have
+    cos(pi - t) = -cos(t).  The kernels' floor shifts are not symmetric
+    about 0, so they never run on the upper half: only the lower n // 2
+    nodes and their weights are computed, an odd rule's middle node is
+    exactly 0, and the upper half is the lower one negated in reverse
+    order, with equal weights.
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
@@ -351,18 +356,59 @@ _COSINE_NODES = {
 def _newton_nodes(n: int, diag, offsq, count: int) -> list:
     """The lowest count nodes of the recurrence's n-point rule, at the working precision.
 
-    _newton_in_bracket from each float64 eigenvalue of the Jacobi matrix;
-    see gauss_jacobi_rule.  A node's bracket runs from the midpoint with
-    the seed below to the midpoint with the seed above, -1 and 1 at the
-    ends, and f is +-p_n, the sign chosen so that f falls through the
-    node; negation is exact, so each step is p_n/p_n'.
+    _newton_in_bracket from each float64 eigenvalue of the Jacobi matrix
+    (G. H. Golub and J. H. Welsch, Math. Comp. 23, 1969); see
+    gauss_jacobi_rule.  A node's bracket runs from the midpoint with the
+    seed below to the midpoint with the seed above, -1 and 1 at the ends,
+    and f is +-q_n, the sign chosen so that f falls through the node; each
+    step is q_n / q_n' = p_n / p_n'.
+
+    f runs the recurrence of the scaled monic q_k = 2^k p_k (W. Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004, sec.
+    1.3), which stay of moderate size on [-1, 1]:
+        q_{k+1}  = (2x - 2a_k) q_k - 4b_k q_{k-1},
+        q'_{k+1} = 2q_k + (2x - 2a_k) q'_k - 4b_k q'_{k-1},
+    on integers at 2^-S, S = prec + 32 + z, z >= 0 the zero bits that
+    lead |x| < 2^-z, so that an error in units of 2^-S is one relative to
+    |x| for a node near 0 too (near-symmetric weights have one there):
+    2a_k and 4b_k are cut toward -inf to 2^-S once per S, and each step
+    takes one floor shift by S.
+
+    The error, in units of 2^-S.  2x is exact, a prec-bit x having no bit
+    below 2^-(S+1); let q_k be the exact polynomials at x.  2a_k and 4b_k
+    are exact when they have no bit below 2^-S, as a P-bit value of size
+    2^-95 or more has: every b_k, and every a_k but one within 2^-95 of
+    0, where the cut adds less than |Q_k| to the step's error.  Otherwise
+    each step's floor adds an error in (-1, 0] to Q_{k+1}, which the
+    recurrence itself carries on:
+        Q_n - q_n = sum_{k<n} e_k u_{k,n}(x),  |e_k| < 1,
+    where u_{k,.} solves the recurrence from u_{k,k} = 0, u_{k,k+1} = 1,
+    the scaled monic associated polynomial of degree n-k-1, with its
+    zeros in (-1, 1) as well.  With M the largest |q_k| and |u_{j,k}| at
+    x (j < k <= n),
+        |Q_n - q_n| < n M,    |Q'_n - q'_n| < n M (1 + 2n M),
+    the second because 2Q_k, off by less than 2kM, forces Q' too.  Near a
+    root the second only scales Newton's step, below tol at the last one,
+    by a relative error of that size over |q_n'|.  At a node x_i, the
+    error e added to Q_{k+1} moves the root as moving a_k by
+    -e / (2q_k(x_i)) moves the eigenvalue x_i of the Jacobi matrix: by
+    that times the squared component w_i q_k(x_i)^2 R_k of its unit
+    eigenvector (w_i the weight, R_k as in _christoffel_weights).  So, to
+    first order, the root of Q_n is within
+        1/2 + 1/2 sum_{k<n} w_i |q_k(x_i)| R_k <= 1/2 + sqrt(w_i sum_{k<n} R_k) / 2
+    of x_i, by Cauchy-Schwarz with sum_k w_i q_k(x_i)^2 R_k = 1.  Over
+    n <= 80 and the (alpha, beta) of the tests, (40, 0) and (10, 30)
+    among them, the middle term stays below 2^30 (1/2 at Legendre): with
+    |x_i| >= 2^-(z+1), the root of Q_n is within 2^-(prec+1) |x_i| of
+    x_i, to which Newton's stop and the rounding to prec add their
+    2^-(prec+16) and half an ulp.
     """
     seeds = [float(a) for a in diag]  # sorted eigenvalues on return
     tridiag_eigen(_FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
     ends = [mpf(-1)] + [mpf((a + b) / 2) for a, b in zip(seeds, seeds[1:])] + [mpf(1)]
     tol = mpf(2) ** (-(mp.prec // 2) - 8) / n**2
-    prec, rnd = mp.prec, round_nearest
-    steps = _recurrence_steps(n, diag, offsq)
+    prec, coefficients = mp.prec, [(a._mpf_, b._mpf_) for a, b in zip(diag, offsq[:n])]
+    tables = {}  # S -> the integer (2a_k, 4b_k) at 2^-S
     nodes = []
     for i, x0 in enumerate(seeds[:count]):
         # the monic p_n is positive beyond its largest node and changes
@@ -372,23 +418,15 @@ def _newton_nodes(n: int, diag, offsq, count: int) -> list:
 
         def f_and_slope(x):
             x = x._mpf_
-            p_prev, p, dp_prev, dp = fzero, fone, fzero, fzero
-            for a, b in steps:
-                xa = x if a is None else mpf_sub(x, a, prec, rnd)
-                p_prev, p, dp_prev, dp = (
-                    p,
-                    mpf_sub(mpf_mul(xa, p, prec, rnd), mpf_mul(b, p_prev, prec, rnd), prec, rnd),
-                    dp,
-                    mpf_sub(
-                        mpf_add(p, mpf_mul(xa, dp, prec, rnd), prec, rnd),
-                        mpf_mul(b, dp_prev, prec, rnd),
-                        prec,
-                        rnd,
-                    ),
-                )
-            if sign < 0:
-                p, dp = mpf_neg(p, prec, rnd), mpf_neg(dp, prec, rnd)
-            return mp.make_mpf(p), mp.make_mpf(dp)
+            s = prec + 32 + max(0, -x[2] - x[3])
+            if s not in tables:
+                tables[s] = [(to_fixed(a, s + 1), to_fixed(b, s + 2)) for a, b in coefficients]
+            steps, x2 = tables[s], to_fixed(x, s + 1)
+            q_prev, q, dq_prev, dq = 0, 1 << s, 0, 0
+            for c, d in steps:
+                t = x2 - c
+                q_prev, q, dq_prev, dq = q, (t * q - d * q_prev) >> s, dq, 2 * q + ((t * dq - d * dq_prev) >> s)
+            return mp.make_mpf(from_man_exp(sign * q, -s)), mp.make_mpf(from_man_exp(sign * dq, -s))
 
         x = _newton_in_bracket(f_and_slope, ends[i], ends[i + 1], mpf(x0), tol, 80)
         if x is None:
@@ -400,37 +438,45 @@ def _newton_nodes(n: int, diag, offsq, count: int) -> list:
 def _christoffel_weights(nodes, n: int, diag, offsq, mu0) -> list:
     """1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}, at each x of nodes.
 
-    The orthonormal p_k(x)^2 is the monic one's square over its norm
-    mu0 b_1 ... b_k, which does not depend on x: the norms, and 1/mu0,
-    are formed once per rule, each by the operations, in the order, that
-    every node's loop would repeat.
+    The orthonormal p_k(x)^2 is q_k(x)^2 R_k, with _newton_nodes' scaled
+    monic q_k and R_k = 1 / (4^k mu0 b_1 ... b_k), which does not depend
+    on x (W. Gautschi, op. cit., sec. 3.1).  Each R_k is formed once per
+    rule, R_k = R_{k-1} / 4b_k rounded to S = prec + 32 bits, and kept as
+    an exact integer at 2^-T, T the largest of 0 and their negated
+    exponents, so that a small R_k (a large q_k, under a large alpha or
+    beta) keeps its bits.  At each node _newton_nodes' integer recurrence
+    gives q_1..q_{n-1} at 2^-S, the sum of q_k^2 R_k is exact, and the
+    weight is one division, rounded to prec.
+
+    The error.  Q_k - q_k is less than A_k = sum_{j<k} |u_{j,k}(x)| <= kM
+    units of 2^-S (_newton_nodes; x is cut to 2^-(S+1) only when
+    |x| < 2^-31, which moves the weight by less than |w'| 2^-(S+1)), and
+    R_k is within (k+1) 2^-S of its value, relative.  As
+    sum_k w q_k(x)^2 R_k = 1 for the weight w at x, the sum is within
+        2^-S (2 sum_{k<n} w |q_k(x)| R_k A_k + n + 1)
+    of its value, relative and to first order, and the weight within that
+    plus half an ulp at prec.  Over the rules of _newton_nodes' sweep the
+    bracket stays below 2^38 (2^9 at Legendre), so a weight is within
+    2^-(prec-6) of the Christoffel number at its node, relative.
     """
     prec, rnd = mp.prec, round_nearest
-    steps = _recurrence_steps(n - 1, diag, offsq)
-    norms = [mu0._mpf_]
+    s = prec + 32
+    ratios = [mpf_rdiv_int(1, mu0._mpf_, s, rnd)]
     for b in offsq[1:n]:
-        norms.append(mpf_mul(norms[-1], b._mpf_, prec, rnd))
-    first = mpf_rdiv_int(1, norms[0], prec, rnd)
+        ratios.append(mpf_div(ratios[-1], mpf_shift(b._mpf_, 2), s, rnd))
+    t = max(0, -min(r[2] for r in ratios))
+    ratios = [to_fixed(r, t) for r in ratios]
+    steps = [(to_fixed(a._mpf_, s + 1), to_fixed(b._mpf_, s + 2)) for a, b in zip(diag, offsq[: n - 1])]
     weights = []
     for x in nodes:
-        x = x._mpf_
-        total, prev, cur = first, fzero, fone
-        for (a, b), norm in zip(steps, norms[1:]):
-            xa = x if a is None else mpf_sub(x, a, prec, rnd)
-            prev, cur = cur, mpf_sub(mpf_mul(xa, cur, prec, rnd), mpf_mul(b, prev, prec, rnd), prec, rnd)
-            total = mpf_add(total, mpf_div(mpf_mul(cur, cur, prec, rnd), norm, prec, rnd), prec, rnd)
-        weights.append(mp.make_mpf(mpf_rdiv_int(1, total, prec, rnd)))
+        x2 = to_fixed(x._mpf_, s + 1)
+        q_prev, q = 0, 1 << s
+        total = ratios[0] << 2 * s
+        for (c, d), r in zip(steps, ratios[1:]):
+            q_prev, q = q, ((x2 - c) * q - d * q_prev) >> s
+            total += q * q * r
+        weights.append(mp.make_mpf(mpf_rdiv_int(1, from_man_exp(total, -2 * s - t), prec, rnd)))
     return weights
-
-
-def _recurrence_steps(count: int, diag, offsq) -> list:
-    """(a_k, b_k) as raw mpf for k < count, a_k None where it is 0.
-
-    x - 0 rounds x to the working precision, which leaves an x at that
-    precision as it is, so the recurrences take x itself there: every
-    a_k of a symmetric weight.
-    """
-    return [(None if a == 0 else a._mpf_, b._mpf_) for a, b in zip(diag[:count], offsq)]
 
 
 def _jacobi_recurrence(n: int, alpha, beta):

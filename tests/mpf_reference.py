@@ -1,4 +1,4 @@
-"""The package's former kernels, the oracles of the raw ones that replaced them.
+"""The package's former kernels, the oracles of the raw and fixed-point ones that replaced them.
 
 Each kernel below is the package's former code, kept verbatim but for
 the names it imports, in _order_basis, the least pivot ratio, and, in
@@ -22,8 +22,10 @@ measures ran on mpf objects, each operation at the working precision:
 p_{k+1} = (x - a_k) p_k - b_k p_{k-1} and its slope's recurrence, each
 forming x - a_k anew, and the Christoffel sum, forming the norms
 mu0 b_1 ... b_k at every node.  tests/test_measures.py::TestRawGaussKernels
-requires every node, weight and Newton iterate of the raw ones to be the
-same.
+runs them at twice the working precision and holds every node, weight
+and Newton iterate of the fixed-point kernels within the bounds those
+derive, and requires gauss_jacobi_rule's P-bit rules to keep the bits
+they have with these loops swapped in.
 
 achieved_order reads the order a type I vector reaches off its tails, at
 the 2^-P/2 gate of _achieved_order, for the tests that assert a type I

@@ -607,12 +607,24 @@ class TestEndToEnd:
         )
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
 
-    @pytest.mark.parametrize("above", [True, False])
-    def test_residual_gate_is_strict(self, tmp_path, monkeypatch, above):
-        # a residual above noise_floor(0.5) * max(scale, 1) fails the run;
-        # one equal to it passes
+    @pytest.mark.parametrize(
+        "residual, scale, above",
+        [
+            (2**64, 1, True),
+            (1, 1, False),
+            # below a scale of 1 the gate stays relative: one against
+            # max(scale, 1) would pass this residual
+            (2 * 2**-10, 2**-10, True),
+            (2**-10, 2**-10, False),
+            (0, 0, False),
+        ],
+    )
+    def test_residual_gate_is_strict(self, tmp_path, monkeypatch, residual, scale, above):
+        # a residual (in units of noise_floor(0.5)) above noise_floor(0.5) *
+        # scale fails the run; one equal to it passes, and so does a zero
+        # residual at a zero scale
         def fixed_residual(sys, j, z):
-            return Residual(mpf(1) if above else noise_floor(0.5), mpf(1))
+            return Residual(residual * noise_floor(0.5), mpf(scale))
 
         monkeypatch.setattr(cli, "check_chain_identity", fixed_residual)
         out = tmp_path / "out"
@@ -902,7 +914,7 @@ class TestBodyDigitsRule:
                     BODY_DIGITS.compare_identities("x", stored, got)
 
     def test_a_residual_above_its_gate_fails(self, tmp_path):
-        # the gate is 2^-64 max(scale, 1) at 128 bits: 1.40e-19 for a scale of 2.59
+        # the gate is 2^-64 scale at 128 bits: 1.40e-19 for a scale of 2.59
         stored = identities_file(tmp_path / "a.json", "1.39e-19")
         BODY_DIGITS.compare_identities("x", stored, identities_file(tmp_path / "b.json", "1.40e-19"))
         with pytest.raises(BODY_DIGITS.Mismatch, match="above its gate"):

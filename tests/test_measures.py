@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -359,25 +359,106 @@ def newton_polish(x0, n, diag, offsq):
     raise RuntimeError("quadrature node failed to converge; raise precision")
 
 
+def error_sums(x, n, diag, offsq):
+    """|u_{k,n}(x)| for k < n and A_k = sum_{j<k} |u_{j,k}(x)| for k <= n, in float64.
+
+    u_{j,.} solves the scaled monic recurrence of measures._newton_nodes
+    from u_{j,j} = 0, u_{j,j+1} = 1; A_k bounds the error of the kernels'
+    q_k in units of 2^-(prec+32), as _newton_nodes derives.
+    """
+    x, c, d = float(x), [2 * float(a) for a in diag[:n]], [4 * float(b) for b in offsq[:n]]
+    last, sums = [], [0.0] * (n + 1)
+    for j in range(n):
+        u_prev, u = 0.0, 1.0
+        sums[j + 1] += 1.0
+        for k in range(j + 1, n):
+            u_prev, u = u, (2 * x - c[k]) * u - d[k] * u_prev
+            sums[k + 1] += abs(u)
+        last.append(abs(u))
+    return last, sums
+
+
+def scaled_monic(x, n, diag, offsq):
+    """q_0..q_{n-1} = 2^k p_k(x) at the working precision."""
+    q_prev, q, out = mpf(0), mpf(1), []
+    for k in range(n):
+        out.append(q)
+        q_prev, q = q, (2 * x - 2 * diag[k]) * q - 4 * offsq[k] * q_prev
+    return out
+
+
+def norm_ratios(n, offsq, mu0):
+    """R_k = 1 / (4^k mu0 b_1 ... b_k) for k < n, at the working precision."""
+    out = [1 / mu0]
+    for b in offsq[1:n]:
+        out.append(out[-1] / (4 * b))
+    return out
+
+
+def node_terms(nodes, n, diag, offsq, mu0):
+    """sum_k w_i |q_k(x_i)| R_k at each node x_i, w_i its weight, at 64 bits."""
+    with mp.workprec(64):
+        weights = mpf_reference._christoffel_weights(nodes, n, diag, offsq, mu0)
+        ratios = norm_ratios(n, offsq, mu0)
+        return [
+            sum(w * abs(q) * R for q, R in zip(scaled_monic(x, n, diag, offsq), ratios))
+            for x, w in zip(nodes, weights)
+        ]
+
+
+def assert_nodes_within_the_bound(nodes, ref, n, diag, offsq, mu0):
+    """Nodes at W = mp.prec against the roots ref of a reference at 2W or more.
+
+    Per node x_i the bound of measures._newton_nodes, 1/2 + 1/2 sum_k w_i
+    |q_k(x_i)| R_k units of 2^-(W+32), taken twice for its first order,
+    plus Newton's stop, 2^-(W+16), and the rounding to W, 2^-W |x_i|.
+    """
+    unit = mpf(2) ** -(mp.prec + 32)
+    for x, r, terms in zip(nodes, ref, node_terms(ref, n, diag, offsq, mu0)):
+        bound = unit * (1 + terms) + unit * 2**16 + unit * 2**32 * abs(r)
+        assert abs(x - r) <= bound, (n, x)
+
+
+def assert_weights_within_the_bound(weights, nodes, n, diag, offsq, mu0):
+    """Weights at W = mp.prec against mpf_reference's sums at 2W, at the same nodes.
+
+    Per node the relative bound of measures._christoffel_weights,
+    2 sum_k w |q_k| R_k A_k + n + 1 units of 2^-(W+32), taken twice, plus
+    the rounding to W.
+    """
+    unit = mpf(2) ** -(mp.prec + 32)
+    with mp.workprec(2 * mp.prec):
+        ref = mpf_reference._christoffel_weights(nodes, n, diag, offsq, mu0)
+    with mp.workprec(64):
+        ratios = norm_ratios(n, offsq, mu0)
+        terms = []
+        for x, r in zip(nodes, ref):
+            _, sums = error_sums(x, n, diag, offsq)
+            terms.append(sum(2 * r * abs(q) * R * a for q, R, a in zip(scaled_monic(x, n, diag, offsq), ratios, sums)))
+    for w, r, t in zip(weights, ref, terms):
+        assert abs(w - r) <= (unit * 2 * (t + n + 1) + unit * 2**32) * r, (n, w)
+
+
 class TestBracketedNewtonNodes:
     @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
-    def test_nodes_keep_the_bits_of_the_unbracketed_newton(self, bits):
-        # each float64 seed, polished by the former loop, gives the node
-        # _newton_nodes gives; the sweep n = 1..40, 48, 64, 80 over these
-        # five pairs at these precisions (1,075 rules) found no differing bit
+    def test_nodes_are_within_the_bound_of_the_unbracketed_newton(self, bits):
+        # each float64 seed, polished by the former loop at twice the
+        # working precision, gives the root _newton_nodes' node is within
+        # the bound of
         with mp.workprec(bits):
             for alpha, beta in ((0, 0), ("0.25", "-0.3"), ("1.5", "0.5"), ("-0.7", "-0.7"), (2, 3)):
                 for n in (1, 2, 3, 4, 7, 12, 19, 26):
-                    diag, offsq, _ = measures._jacobi_recurrence(n, mpf(alpha), mpf(beta))
+                    diag, offsq, mu0 = measures._jacobi_recurrence(n, mpf(alpha), mpf(beta))
                     seeds = [float(a) for a in diag]
                     tridiag_eigen(measures._FLOAT_QL, seeds, [math.sqrt(b) for b in offsq[1:n]] + [0.0])
                     with mp.workprec(mp.prec + 64):
                         nodes = measures._newton_nodes(n, diag, offsq, n)
-                        ref = [newton_polish(x, n, diag, offsq) for x in seeds]
-                    assert mpf_bits(nodes) == mpf_bits(ref), (alpha, beta, n)
+                        with mp.workprec(2 * mp.prec):
+                            ref = [newton_polish(x, n, diag, offsq) for x in seeds]
+                        assert_nodes_within_the_bound(nodes, ref, n, diag, offsq, mu0)
 
 
-# (alpha, beta) of the Gauss rules whose recurrences run on raw tuples: a_k
+# (alpha, beta) of the Gauss rules whose recurrences run on integers: a_k
 # = 0 (Legendre, (1/2, 1/2)) and a_k != 0 (the generic and (-1/2, 1/2))
 RAW_GAUSS_FAMILIES = {
     "legendre": (0, 0),
@@ -388,58 +469,110 @@ RAW_GAUSS_FAMILIES = {
 
 
 class TestRawGaussKernels:
-    """_newton_nodes and _christoffel_weights give the bits of the mpf loops
-    they replaced, mpf_reference's, at the working precision P + 64 itself
-    (where rounding to P could hide a moved bit) and in gauss_jacobi_rule."""
+    """_newton_nodes and _christoffel_weights are within their bounds of
+    mpf_reference's loops run at twice the working precision P + 64, and
+    gauss_jacobi_rule's P-bit rules have the bits of those with the
+    reference loops swapped in."""
 
     @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
     @pytest.mark.parametrize("family", sorted(RAW_GAUSS_FAMILIES))
-    def test_nodes_and_weights_have_the_reference_bits(self, family, bits, monkeypatch):
+    def test_nodes_and_weights_are_within_the_bound(self, family, bits, monkeypatch):
         alpha, beta = (mpf(p) for p in RAW_GAUSS_FAMILIES[family])
         sizes = (1, 2, 7, 16, 32, 33, 64)
+        newton = measures._newton_in_bracket
         with mp.workprec(bits):
             rules = [gauss_jacobi_rule(n, alpha, beta) for n in sizes]
             for n in sizes:
                 diag, offsq, mu0 = measures._jacobi_recurrence(n, alpha, beta)
                 with mp.workprec(bits + 64):
                     nodes = measures._newton_nodes(n, diag, offsq, n)
-                    assert mpf_bits(nodes) == mpf_bits(mpf_reference._newton_nodes(n, diag, offsq, n)), n
+                    # the reference's Newton, in the reference's bracket,
+                    # from the node rather than the float64 seed: two steps
+                    starts = iter(nodes)
+                    with monkeypatch.context() as patch, mp.workprec(2 * mp.prec):
+                        patch.setattr(
+                            mpf_reference,
+                            "_newton_in_bracket",
+                            lambda f, a, b, x, tol, steps: newton(f, a, b, next(starts), tol, steps),
+                        )
+                        ref = mpf_reference._newton_nodes(n, diag, offsq, n)
+                    assert_nodes_within_the_bound(nodes, ref, n, diag, offsq, mu0)
                     weights = measures._christoffel_weights(nodes, n, diag, offsq, mu0)
-                    ref = mpf_reference._christoffel_weights(nodes, n, diag, offsq, mu0)
-                    assert mpf_bits(weights) == mpf_bits(ref), n
+                    assert_weights_within_the_bound(weights, nodes, n, diag, offsq, mu0)
             monkeypatch.setattr(measures, "_newton_nodes", mpf_reference._newton_nodes)
             monkeypatch.setattr(measures, "_christoffel_weights", mpf_reference._christoffel_weights)
             for n, (xs, ws) in zip(sizes, rules):
                 ref_xs, ref_ws = gauss_jacobi_rule(n, alpha, beta)
                 assert (mpf_bits(xs), mpf_bits(ws)) == (mpf_bits(ref_xs), mpf_bits(ref_ws)), n
 
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=100,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        n=st.integers(1, 40),
+        alpha=st.floats(-1, 5, exclude_min=True),
+        beta=st.floats(-1, 5, exclude_min=True),
+        bits=st.sampled_from([64, 128, 256, 512]),
+    )
+    @example(n=32, alpha=40.0, beta=0.0, bits=128)
+    @example(n=32, alpha=-0.99, beta=-0.99, bits=256)
+    @example(n=32, alpha=10.0, beta=30.0, bits=128)
+    def test_property_rules_have_the_reference_bits(self, n, alpha, beta, bits):
+        # alpha and beta are exact as binary fractions, so each rule sees
+        # the same parameters at every precision
+        with mp.workprec(bits):
+            rule = gauss_jacobi_rule(n, alpha, beta)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(measures, "_newton_nodes", mpf_reference._newton_nodes)
+                patch.setattr(measures, "_christoffel_weights", mpf_reference._christoffel_weights)
+                ref = gauss_jacobi_rule(n, alpha, beta)
+        assert [mpf_bits(part) for part in rule] == [mpf_bits(part) for part in ref]
+
     @pytest.mark.parametrize("family, n", [("jacobi", 16), ("legendre", 33)])
-    def test_every_newton_iterate_has_the_reference_bits(self, family, n, monkeypatch):
-        # each call of f_and_slope, in order: the iterate, p_n and p_n' there
+    def test_every_newton_iterate_is_within_the_bound(self, family, n, monkeypatch):
+        # each call of f_and_slope, in order: the iterate, q_n and q_n'
+        # there, against the reference's 2^n p_n and 2^n p_n' at 2W, within
+        # sum_k |u_{k,n}| and sum_k |u_{k,n}| (1 + 2 A_k) units of 2^-(W+32)
+        # (measures._newton_nodes), each taken twice
         bracketed = measures._newton_in_bracket
+        seen = []
 
-        def iterates(kernel):
-            seen = []
+        def recording(f_and_slope, a, b, x, tol, steps):
+            def traced(x):
+                fx, slope = f_and_slope(x)
+                seen[-1].append((x, fx, slope))
+                return fx, slope
 
-            def recording(f_and_slope, a, b, x, tol, steps):
-                def traced(x):
-                    fx, slope = f_and_slope(x)
-                    seen.append((x._mpf_, fx._mpf_, slope._mpf_))
-                    return fx, slope
+            seen.append([])
+            return bracketed(traced, a, b, x, tol, steps)
 
-                return bracketed(traced, a, b, x, tol, steps)
+        checked = []
 
-            for module in (measures, mpf_reference):
-                monkeypatch.setattr(module, "_newton_in_bracket", recording)
-            alpha, beta = (mpf(p) for p in RAW_GAUSS_FAMILIES[family])
-            with mp.workprec(256):
-                diag, offsq, _ = measures._jacobi_recurrence(n, alpha, beta)
-                with mp.workprec(256 + 64):
-                    kernel(n, diag, offsq, n)
-            return seen
+        def reference(f_and_slope, a, b, x, tol, steps):
+            for x, fx, slope in seen.pop(0):
+                ref_fx, ref_slope = f_and_slope(x)
+                checked.append((x, fx, slope, ref_fx * 2**n, ref_slope * 2**n))
+            return x
 
-        raw = iterates(measures._newton_nodes)
-        assert len(raw) >= 3 * n and raw == iterates(mpf_reference._newton_nodes)
+        monkeypatch.setattr(measures, "_newton_in_bracket", recording)
+        monkeypatch.setattr(mpf_reference, "_newton_in_bracket", reference)
+        alpha, beta = (mpf(p) for p in RAW_GAUSS_FAMILIES[family])
+        with mp.workprec(256):
+            diag, offsq, _ = measures._jacobi_recurrence(n, alpha, beta)
+            with mp.workprec(256 + 64):
+                measures._newton_nodes(n, diag, offsq, n)
+                with mp.workprec(2 * mp.prec):
+                    mpf_reference._newton_nodes(n, diag, offsq, n)
+        unit = mpf(2) ** -(256 + 64 + 31)
+        assert not seen and len(checked) >= 3 * n
+        for x, fx, slope, ref_fx, ref_slope in checked:
+            last, sums = error_sums(x, n, diag, offsq)
+            assert abs(fx - ref_fx) <= unit * sum(last), x
+            assert abs(slope - ref_slope) <= unit * sum(u * (1 + 2 * a) for u, a in zip(last, sums)), x
 
 
 def newton_rule(n, alpha, beta):

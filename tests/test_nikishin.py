@@ -421,7 +421,7 @@ class TestChainIdentity:
     def test_m3_all_levels_at_10i(self, m3_16_system):
         for j in range(3):
             r = check_chain_identity(m3_16_system, j, mpc(0, 10))
-            assert r.max_residual <= noise_floor(0.5) * max(r.scale, mpf(1))
+            assert r.max_residual <= noise_floor(0.5) * r.scale
 
     def test_level_out_of_range(self, m2_16_system):
         with pytest.raises(IndexError):
@@ -445,7 +445,7 @@ class TestRatioIdentity:
         sigma2 = AtomicMeasure([2, 3], [1, 2], 1, Interval(2, 4))
         sys = system_from_generators([sigma1, sigma2])
         (r,) = check_ratio_identity(sys, [mpc(5, 5)])
-        assert r.max_residual <= noise_floor(0.5) * max(r.scale, mpf(1))
+        assert r.max_residual <= noise_floor(0.5) * r.scale
 
     def test_limit_at_infinity_signed(self, m2_16_system):
         z = mpf(10) ** 9
@@ -460,7 +460,7 @@ class TestRatioIdentity:
         results = check_ratio_identity(m3_16_system, points)
         assert len(results) == 4  # k = 2, 3 at each point
         for r in results:
-            assert r.max_residual <= noise_floor(0.4) * max(r.scale, mpf(1))
+            assert r.max_residual <= noise_floor(0.4) * r.scale
 
     def test_points_match_the_per_point_formula(self, m3_16_system):
         # tau once per call and the z-independent measures once per k; every

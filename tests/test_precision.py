@@ -26,6 +26,19 @@ def legendre(a, b, n):
     return MeasureSpec(kind="legendre-density", interval=Interval(a, b), node_count=n)
 
 
+def assigned(target):
+    """The nodes an assignment to target writes: the target itself, or each
+    element of a tuple, list or starred target, but nothing a subscript's
+    slice or value reads."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from assigned(element)
+    elif isinstance(target, ast.Starred):
+        yield from assigned(target.value)
+    else:
+        yield target
+
+
 def precision_writes(source: str) -> list:
     """Line numbers at which `source` assigns mp.prec or mp.dps (also through
     setattr) or calls set_precision."""
@@ -39,7 +52,7 @@ def precision_writes(source: str) -> list:
                 and isinstance(t.value, ast.Name)
                 and t.value.id == "mp"
                 for target in targets
-                for t in ast.walk(target)
+                for t in assigned(target)
             ):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call):
@@ -75,6 +88,8 @@ class TestOneOwner:
             "setattr(mp, 'prec', 64)\n"
             "with mp.workprec(64):\n"
             "    x = mp.prec\n"
+            "table[mp.prec] = 1\n"
+            "t[mp.prec, k] += 1\n"
         )
         assert precision_writes(source) == [1, 2, 3, 4, 5, 6, 7]
         assert precision_writes((PACKAGE / "precision.py").read_text())

@@ -23,7 +23,7 @@ the reduction entry read, and the reduction entry is gone), and A's own
 `orthogonality` is then not compared.  Every field must be equal but the
 residuals and scales,
 each of which must stay within a factor 2^8 of A's and, for a residual,
-within its own gate, max_residual <= 2^-floor(P f) max(scale, 1) with f the
+within its own gate, max_residual <= 2^-floor(P f) scale with f the
 entry's tolerance_fraction; the line shows log2 of each ratio B/A.
 
 atoms.txt, vectors.txt, transforms.txt and roots.txt (report_bodies.py's raw
@@ -141,7 +141,7 @@ def compare_identities(name: str, a: Path, b: Path) -> list:
             ratios.append(f"{field} 2^{math.log2(y / x):+.2f}")
         if "max_residual" in eb:
             gate = Fraction(1, 2 ** gate_exponent(db["precision_bits"], eb["tolerance_fraction"]))
-            if Fraction(eb["max_residual"]) > gate * max(Fraction(eb["scale"]), 1):
+            if Fraction(eb["max_residual"]) > gate * Fraction(eb["scale"]):
                 raise Mismatch(f"{name}/identities.json {check}: max_residual above its gate")
         if ratios:
             lines.append(f"{name} identities.json {check}: {' '.join(ratios)}")
