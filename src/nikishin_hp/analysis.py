@@ -71,10 +71,11 @@ class EvalGrid:
 
     Both ways to a grid, default and an explicit list (cli), keep their
     candidates through admissible, so one set of rules decides which
-    points a grid holds.  powers is the table convergence_row reads: per
-    mp.prec, the points it evaluates (one per exact conjugate pair) and
-    each one's _PowerRow.  It is not a constructor argument, and it is
-    left out of equality and repr.
+    points a grid holds.  Every point is finite: an empty grid or a point
+    with an infinite or nan part raises ValueError.  powers is the table
+    convergence_row reads: per mp.prec, the points it evaluates (one per
+    exact conjugate pair) and each one's _PowerRow.  It is not a
+    constructor argument, and it is left out of equality and repr.
     """
 
     points: tuple
@@ -85,6 +86,9 @@ class EvalGrid:
         object.__setattr__(self, "powers", {})
         if not self.points:
             raise ValueError("empty evaluation grid")
+        for z in self.points:
+            if not mp.isfinite(z):
+                raise ValueError(f"the grid point {z} is not finite")
 
     @classmethod
     def default(
@@ -230,8 +234,6 @@ def convergence_row(
     if v.a[v.m].is_zero:
         raise ValueError("degenerate last component")
     coeffs = [_integer_row(p.coeffs) for p in v.a]
-    if any(None in ints for ints, _ in coeffs):
-        raise ValueError("a coefficient is not finite")
     count = max(len(ints) for ints, _ in coeffs)
     skip_below = noise_floor(0.5)
     # entry j accumulates a_j/a_m, matching the column order of the targets
@@ -286,14 +288,12 @@ class _PowerRow:
     at P + 64 bits, rounded to nearest.  extend forms the powers a longer
     row needs; each power is a function of the one before, so a row grown
     in steps holds the powers a row formed at once would hold, bit for
-    bit.  A non-finite point raises ValueError.
+    bit.
     """
 
     __slots__ = ("z", "exp", "re", "im")
 
     def __init__(self, z):
-        if not mp.isfinite(z):
-            raise ValueError(f"the grid point {z} is not finite")
         self.z, self.exp, self.re, self.im = z._mpc_, 0, [1], [0]
 
     def extend(self, count: int) -> None:

@@ -322,10 +322,7 @@ def _fmt(x, digits=None) -> str:
         digits = max(3, math.ceil(mp.prec * 0.3))
     if x is None:
         return ""
-    x = mpf(x)
-    if not mp.isfinite(x):
-        return "inf" if x > 0 else "-inf"
-    return mp.nstr(x, digits, min_fixed=1, max_fixed=0, strip_zeros=False)
+    return mp.nstr(mpf(x), digits, min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
 def _error_digits(digits, flagged=False) -> int:

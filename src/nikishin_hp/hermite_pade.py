@@ -176,7 +176,8 @@ class RationalPerturbation:
 
     poles holds the distinct zeros of T with multiplicities; components may be
     identically zero (they contribute no pole factors).  Pole sets of distinct
-    nonzero components must be disjoint.
+    nonzero components must be disjoint.  Every coefficient must be real and
+    finite, or ValueError.
 
     Every root zeta of t_j must be a pole of v_j/t_j: the fraction is
     rejected as reducible when |v_j(zeta)| <= 2^-P/4 max|coeff v_j|
@@ -197,8 +198,8 @@ class RationalPerturbation:
         if not fractions:
             raise ValueError("perturbation needs one entry per system component")
         for f in fractions:
-            if any(isinstance(c, mpc) for c in f.num.coeffs + f.den.coeffs):
-                raise ValueError("perturbation coefficients must be real")
+            if any(isinstance(c, mpc) or not mp.isfinite(c) for c in f.num.coeffs + f.den.coeffs):
+                raise ValueError("perturbation coefficients must be real and finite")
         T = Polynomial.one()
         per_component = []
         gate = noise_floor(0.25)

@@ -3,12 +3,17 @@
 Generating measures are either given atom lists or Gauss-type discretizations
 of Legendre/Jacobi densities; after realization every measure is a finite
 point-mass measure treated as exact, so every integral downstream is a finite
-sum evaluated to solver precision.  The module also constructs the inverse
-measure tau of a measure sigma, i.e. the atomic measure with 1/sigma-hat
-= ell + tau-hat for a degree-one ell.  tau's atoms, the zeros of sigma-hat
-in the gaps between sigma's atoms, come from one safeguarded Newton on the
-open gap, _newton_in_bracket, run in Python floats for the start and then
-at P+64 bits.  The same Newton polishes the Gauss-Jacobi nodes, each in a
+sum evaluated to solver precision.  Every number is finite by construction:
+Interval refuses a non-finite endpoint, AtomicMeasure a non-finite node or
+weight, and MeasureSpec a non-finite alpha, beta or density_scale, each by
+ValueError, so no kernel below carries an infinity or a nan.
+
+The module also constructs the inverse measure tau of a measure sigma,
+i.e. the atomic measure with 1/sigma-hat = ell + tau-hat for a degree-one
+ell.  tau's atoms, the zeros of sigma-hat in the gaps between sigma's
+atoms, come from one safeguarded Newton on the open gap,
+_newton_in_bracket, run in Python floats for the start and then at P+64
+bits.  The same Newton polishes the Gauss-Jacobi nodes, each in a
 bracket around its float64 seed.
 
 Every Cauchy sum runs through one pass, _cauchy_pass, on Python integers.
@@ -17,7 +22,8 @@ difference z - x, its square and a^2 + (Im z)^2 (a = Re z - x) is exact;
 each atom takes one reciprocal, truncated toward zero to P + 32 bits, and
 each weight row one exact integer sum of its products, rounded once to P;
 a measure converts its weights to integers once (weight_row) and keeps
-them.
+them.  The conversion to integers, _integers, raises ValueError on an
+infinity or a nan, so a non-finite point, either part of it, raises there.
 A sum is then within 2^-(P+32) sum_i |w_i / (z - x_i)| + half an ulp of
 the exact sum over the atoms, the bound _cauchy_pass derives, and z-bar
 gives the exact conjugate of z's value.  The point is coerced by
@@ -50,15 +56,11 @@ from typing import Optional
 from mpmath import fp, mp, mpc, mpf
 from mpmath.libmp import (
     from_man_exp,
-    mpf_add,
     mpf_div,
     mpf_mul,
     mpf_mul_int,
-    mpf_neg,
-    mpf_pow_int,
     mpf_rdiv_int,
     mpf_shift,
-    mpf_sub,
     mpf_sum,
     round_nearest,
     to_fixed,
@@ -123,9 +125,10 @@ class Interval:
 class AtomicMeasure:
     """Finite point-mass measure of constant sign.
 
-    Weights are strictly positive; the measure's sign is the separate flag, so
-    the signed mass at node i is sign * weights[i].  weight_row, the row
-    the Cauchy pass reads, is formed on first use and kept.
+    Nodes and weights are finite, and weights strictly positive; the
+    measure's sign is the separate flag, so the signed mass at node i is
+    sign * weights[i].  weight_row, the row the Cauchy pass reads, is
+    formed on first use and kept.
     """
 
     nodes: tuple
@@ -140,6 +143,8 @@ class AtomicMeasure:
             raise ValueError("measure needs at least one node")
         if len(nodes) != len(weights):
             raise ValueError("nodes and weights length mismatch")
+        if not all(map(mp.isfinite, nodes + weights)):
+            raise ValueError("nodes and weights must be finite")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be strictly positive")
         if any(nodes[i] >= nodes[i + 1] for i in range(len(nodes) - 1)):
@@ -172,8 +177,8 @@ class AtomicMeasure:
 
     @cached_property
     def weight_row(self) -> tuple:
-        """_weight_row(self.weights), formed once per measure."""
-        return _weight_row(self.weights)
+        """_integer_row(self.weights), the row _cauchy_pass reads, formed once per measure."""
+        return _integer_row(self.weights)
 
     def scaled(self, factor) -> "AtomicMeasure":
         """Same atoms with every weight multiplied by factor > 0."""
@@ -190,8 +195,10 @@ class MeasureSpec:
     kind "atoms" carries explicit node/weight lists; the density kinds are
     discretized by an n-point Gauss rule of the family at realization time,
     scaled by density_scale (whose sign becomes the measure's sign).  Their
-    node_count is an integer of at least 1 (an integral float is converted);
-    anything else raises ValueError.
+    node_count is an integer of at least 1 (an integral float is converted),
+    alpha and beta are finite and exceed -1, and density_scale is finite
+    and nonzero; anything else raises ValueError.  An atoms spec's nodes
+    and weights are checked where realize builds the AtomicMeasure.
     """
 
     kind: str
@@ -217,10 +224,11 @@ class MeasureSpec:
         if self.kind == "jacobi-density":
             if self.alpha is None or self.beta is None:
                 raise ValueError("jacobi-density requires alpha and beta")
-            if not (mpf(self.alpha) > -1 and mpf(self.beta) > -1):
-                raise ValueError("jacobi parameters must exceed -1")
-        if mpf(self.density_scale) == 0:
-            raise ValueError("density_scale must be nonzero")
+            if not all(mp.isfinite(p) and p > -1 for p in (mpf(self.alpha), mpf(self.beta))):
+                raise ValueError("jacobi parameters must be finite and > -1")
+        scale = mpf(self.density_scale)
+        if not (mp.isfinite(scale) and scale != 0):
+            raise ValueError("density_scale must be finite and nonzero")
 
 
 def realize(spec: MeasureSpec, rules: Optional[dict] = None) -> AtomicMeasure:
@@ -544,8 +552,8 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
 
     One pass over the atoms serves every weight row in rows (measures on
     one node set) and every exponent e in exponents (1 or 2); z is an mpf
-    or an mpc, and an mpc takes exponents (1,) only.  Each row is a
-    _weight_row triple, as AtomicMeasure.weight_row keeps it.  Returns
+    or an mpc, and an mpc takes exponents (1,) only.  Each row is an
+    _integer_row pair, as AtomicMeasure.weight_row keeps it.  Returns
     sums[e][r]: a raw mpf for a real z and a raw (re, im) pair for a
     complex one.
 
@@ -573,9 +581,9 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     factor, so z-bar gives the exact conjugate of z's sums and -z over
     mirrored atoms their exact negatives; analysis.convergence_row's one
     point per conjugate pair relies on the first.
-    A zero q_i (z on an atom) raises ZeroDivisionError.  A non-finite
-    point, atom or weight takes the mpf route, _mpf_pass, whose mpf_div
-    and mpf_sum carry its infinities and nans into the sums.
+    A zero q_i (z on an atom) raises ZeroDivisionError.  Both parts of z
+    and the atoms pass through _integers, so an infinite or nan one raises
+    ValueError; the weight rows were checked when they were formed.
     """
     prec = mp.prec
     if isinstance(z, mpc):
@@ -587,9 +595,6 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     xs = [x._mpf_ for x in nodes]
     exp = min(map(_EXPONENT, (point[0], *xs)))
     ints = _integers((point[0], *xs), exp)
-    if None in ints or any(not m and e for _, m, e, _ in point) or any(None in ws for ws, _, _ in rows):
-        raw_rows = [[w._mpf_ for w in weights] for _, _, weights in rows]
-        return _mpf_pass(xs, raw_rows, point, exponents, prec)
     bits = prec + CAUCHY_GUARD
     re = ints[0]
     differences = [re - x for x in ints[1:]]
@@ -600,9 +605,10 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
             s = bits + max(map(abs, divisors)).bit_length()
             recips = _reciprocals(s, divisors)
             shift = -s - e * exp
-            out.append([from_man_exp(sum(map(mul, ws, recips)), low + shift, prec, round_nearest) for ws, low, _ in rows])
+            out.append([from_man_exp(sum(map(mul, ws, recips)), low + shift, prec, round_nearest) for ws, low in rows])
         return out
-    isign, iman, iexp, _ = point[1]
+    _, iman, iexp, _ = point[1]
+    (im,) = _integers(point[1:], iexp)
     # M_i = A_i^2 + (Im z)^2 as an integer at 2^low
     low = min(2 * exp, 2 * iexp) if iman else 2 * exp
     im2 = iman * iman << 2 * iexp - low if iman else 0
@@ -610,75 +616,42 @@ def _cauchy_pass(nodes, rows, z, exponents=(1,)):
     s = bits + max(norms).bit_length()
     recips = _reciprocals(s, norms)
     real = list(map(mul, differences, recips))
-    minus_im = iman if isign else -iman
     return [
         [
             (
                 from_man_exp(sum(map(mul, ws, real)), wlow + exp - s - low, prec, round_nearest),
-                from_man_exp(minus_im * sum(map(mul, ws, recips)), wlow + iexp - s - low, prec, round_nearest),
+                from_man_exp(-im * sum(map(mul, ws, recips)), wlow + iexp - s - low, prec, round_nearest),
             )
-            for ws, wlow, _ in rows
+            for ws, wlow in rows
         ]
     ]
 
 
 def _integers(values, exp) -> list:
-    """Raw finite mpf values as integers at 2^exp, exp at most each one's exponent; None for an infinity or nan."""
-    return [(-(m << e - exp) if s else m << e - exp) if m else (None if e else 0) for s, m, e, _ in values]
+    """Raw mpf values as integers at 2^exp, exp at most each one's exponent.
+
+    The package's one check of a computed raw value: an infinity or a nan
+    (a zero mantissa with a nonzero exponent) raises ValueError.
+    """
+    if any(not m and e for _, m, e, _ in values):
+        raise ValueError("a value is not finite")
+    return [(-(m << e - exp) if s else m << e - exp) if m else 0 for s, m, e, _ in values]
 
 
 def _integer_row(values) -> tuple:
     """(the mpf values as integers at 2^low, low), low their least exponent (0 for no values).
 
-    An infinite or nan value gives None in its place, as _integers does.
+    A non-finite value raises ValueError, as _integers does.
     """
     raw = [v._mpf_ for v in values]
     low = min(map(_EXPONENT, raw), default=0)
     return _integers(raw, low), low
 
 
-def _weight_row(weights) -> tuple:
-    """(integers, low, weights): the row _cauchy_pass reads, _integer_row(weights) plus the mpf weights.
-
-    The weights themselves serve the mpf route, where an integer is None.
-    """
-    weights = tuple(weights)
-    return (*_integer_row(weights), weights)
-
-
 def _reciprocals(s, divisors) -> list:
     """2^s / q for each q of divisors, truncated toward zero; ZeroDivisionError at a zero q."""
     one = 1 << s
     return [one // q if q > 0 else -(one // -q) for q in divisors]
-
-
-def _mpf_pass(xs, rows, point, exponents, prec):
-    """_cauchy_pass's sums from libmp calls, for operands that are not all finite.
-
-    Each divisor by mpf_sub (with mpf_pow_int for e = 2, or m = a^2 +
-    (Im z)^2 truncated to P + 10 bits, as mpc_mpf_div forms it), each term
-    by mpf_div and each sum by mpf_sum, at P.
-    """
-    rnd = round_nearest
-    if len(point) == 2:
-        re, im = point
-        im2, minus_im = mpf_mul(im, im), mpf_neg(im)
-        divisors = []
-        for x in xs:
-            a = mpf_sub(re, x, prec, rnd)
-            divisors.append((a, mpf_add(mpf_mul(a, a), im2, prec + 10)))
-        parts = []
-        for row in rows:
-            res = [mpf_div(mpf_mul(a, w), m, prec, rnd) for (a, m), w in zip(divisors, row)]
-            ims = [mpf_div(mpf_mul(minus_im, w), m, prec, rnd) for (_, m), w in zip(divisors, row)]
-            parts.append((mpf_sum(res, prec, rnd), mpf_sum(ims, prec, rnd)))
-        return [parts]
-    differences = [mpf_sub(point[0], x, prec, rnd) for x in xs]
-    out = []
-    for e in exponents:
-        divisors = differences if e == 1 else [mpf_pow_int(d, 2, prec, rnd) for d in differences]
-        out.append([mpf_sum([mpf_div(w, d, prec, rnd) for w, d in zip(row, divisors)], prec, rnd) for row in rows])
-    return out
 
 
 def _signed(raw, sign: int):

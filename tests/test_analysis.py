@@ -615,8 +615,12 @@ class TestPowerRows:
                 assert in_steps.values(coeffs) == at_once.values(coeffs)
 
     def test_a_non_finite_point_or_coefficient_raises(self, m2_16_system):
+        # a grid refuses the point, and a row made from it raises at the
+        # integer conversion of its first power
         with pytest.raises(ValueError, match="not finite"):
-            _PowerRow(mpc("inf", 1))
+            EvalGrid([mpc("inf", 1)])
+        with pytest.raises(ValueError, match="not finite"):
+            _PowerRow(mpc("inf", 1)).extend(2)
         v = solve_type1(m2_16_system, MultiIndex((2, 2)))
         broken = TypeIVector(
             (Polynomial([mpf("nan")]),) + v.a[1:],

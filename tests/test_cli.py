@@ -1306,6 +1306,12 @@ class TestPrintedDigits:
     def test_error_digits(self, digits, flagged, count):
         assert cli._error_digits(digits, flagged) == count
 
+    @pytest.mark.parametrize("value, text", [("inf", "+inf"), ("-inf", "-inf"), ("nan", "nan")])
+    def test_non_finite_values_print_as_mpmath_prints_them(self, value, text):
+        # nan is neither > 0 nor < 0, and prints as itself, not as an infinity
+        assert cli._fmt(mpf(value)) == text
+        assert cli._fmt(mpf(value), 5) == text
+
     def test_a_flagged_row_prints_three_digits(self, tmp_path):
         # the m = 3 system on k = 3, 5, 7: at k = 7 the 48 atoms cannot tell
         # the order conditions apart, and the flagged row claims 19.3 digits

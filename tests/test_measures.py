@@ -10,6 +10,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
+    from_man_exp,
     fzero,
     mpf_add,
     mpf_mul,
@@ -27,8 +28,10 @@ from nikishin_hp import algebra, cli, measures
 from nikishin_hp.measures import cauchy_evals
 from nikishin_hp import (
     AtomicMeasure,
+    EvalGrid,
     Interval,
     MeasureSpec,
+    RationalPerturbation,
     SystemSpec,
     build_system,
     cauchy_eval,
@@ -100,6 +103,77 @@ class TestGap:
 
 def legendre_spec(count):
     return MeasureSpec(kind="legendre-density", interval=Interval(-1, 0), node_count=count)
+
+
+NODES = [mpf(-1), mpf("-0.5"), mpf("0.125"), mpf(1)]
+WEIGHTS = [mpf(1), mpf(2), mpf("0.5"), mpf(3)]
+POINTS = [mpc(4, 1), mpc(-3, 0), mpc(0, 2)]
+FRACTIONS = [([1], [-5, 1]), ([2, 1], [3, 0, 1])]
+
+
+def with_entry(values, i, value):
+    """values as a list, entry i (mod its length) replaced by value."""
+    values = list(values)
+    values[i % len(values)] = value
+    return values
+
+
+def spec_with(**fields):
+    return MeasureSpec(**dict(kind="jacobi-density", interval=Interval(-1, 0), node_count=4, alpha=0.5, beta=-0.25) | fields)
+
+
+def atoms_spec(nodes=NODES, weights=WEIGHTS):
+    # an atoms spec's nodes and weights are checked where realize builds the measure
+    return realize(MeasureSpec("atoms", Interval(-1, 1), nodes=tuple(nodes), weights=tuple(weights)))
+
+
+def perturbation(i, value):
+    """FRACTIONS with the i-th coefficient (mod their count), numerators and denominators in turn, replaced."""
+    slots = [(f, part, k) for f, fr in enumerate(FRACTIONS) for part in (0, 1) for k in range(len(fr[part]))]
+    f, part, k = slots[i % len(slots)]
+    fractions = [[list(p) for p in fr] for fr in FRACTIONS]
+    fractions[f][part][k] = value
+    return RationalPerturbation([tuple(fr) for fr in fractions])
+
+
+# each numeric slot of the input types: build(i, value) makes the object
+# with value in the slot, i choosing the entry of a list
+SLOTS = {
+    "Interval.a": lambda i, v: Interval(v, 1),
+    "Interval.b": lambda i, v: Interval(-1, v),
+    "MeasureSpec.alpha": lambda i, v: spec_with(alpha=v),
+    "MeasureSpec.beta": lambda i, v: spec_with(beta=v),
+    "MeasureSpec.density_scale": lambda i, v: spec_with(density_scale=v),
+    "MeasureSpec.density_scale (legendre)": lambda i, v: spec_with(kind="legendre-density", density_scale=v),
+    "MeasureSpec.node_count": lambda i, v: spec_with(node_count=v),
+    "MeasureSpec.nodes": lambda i, v: atoms_spec(nodes=with_entry(NODES, i, v)),
+    "MeasureSpec.weights": lambda i, v: atoms_spec(weights=with_entry(WEIGHTS, i, v)),
+    "AtomicMeasure.nodes": lambda i, v: AtomicMeasure(with_entry(NODES, i, v), WEIGHTS, 1, Interval(-1, 1)),
+    "AtomicMeasure.weights": lambda i, v: AtomicMeasure(NODES, with_entry(WEIGHTS, i, v), -1, Interval(-1, 1)),
+    "EvalGrid.points (real part)": lambda i, v: EvalGrid(with_entry(POINTS, i, mpc(v, 1))),
+    "EvalGrid.points (imaginary part)": lambda i, v: EvalGrid(with_entry(POINTS, i, mpc(1, v))),
+    "RationalPerturbation coefficients": perturbation,
+}
+
+
+class TestFiniteByConstruction:
+    """Every input type refuses an infinity or a nan in any numeric slot, by ValueError.
+
+    The message names the rule (finite, or an integer for node_count), so
+    that no other ValueError, such as RationalFn's degree check, passes.
+    """
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        slot=st.sampled_from(sorted(SLOTS)),
+        i=st.integers(0, 5),
+        value=st.sampled_from(["inf", "-inf", "nan"]),
+        as_float=st.booleans(),
+    )
+    def test_property_a_non_finite_number_raises(self, slot, i, value, as_float):
+        value = float(value) if as_float else mpf(value)
+        with pytest.raises(ValueError, match="finite|integer"):
+            SLOTS[slot](i, value)
 
 
 class TestNodeCount:
@@ -845,7 +919,13 @@ def raw(x):
 
 def cauchy_pass(nodes, rows, z, exponents=(1,)):
     """measures._cauchy_pass over mpf weight rows, each converted as AtomicMeasure.weight_row converts its weights."""
-    return measures._cauchy_pass(nodes, [measures._weight_row(row) for row in rows], z, exponents)
+    return measures._cauchy_pass(nodes, [measures._integer_row(row) for row in rows], z, exponents)
+
+
+def row_weights(row):
+    """The mpf weights of an _integer_row pair, exactly."""
+    ints, low = row
+    return [mp.make_mpf(from_man_exp(i, low)) for i in ints]
 
 
 def on_one_node_set(nodes, support, weight_rows, signs):
@@ -1126,25 +1206,38 @@ class TestCauchyKernel:
                 ((value,),) = cauchy_pass([mpf(0)], [[w]], z)
                 assert abs(mp.make_mpf(value)) == 1
 
-    def test_an_exact_atom_raises_and_non_finite_operands_take_the_mpf_route(self):
+    def test_an_exact_atom_raises_and_non_finite_operands_raise(self):
         # z on an atom divides by zero, for a real point and for a complex
-        # one on the real axis; an infinite or nan point, atom or weight
-        # gives what mpmath's own expression gives, bit for bit
+        # one on the real axis; an infinite or nan point (either part of
+        # it), atom or weight raises ValueError, in the pass and in the
+        # transforms
         nodes = [mpf(-1), mpf(0)]
         rows = [[mpf(1), mpf(2)]]
         for z, exponents in ((mpf(0), (1,)), (mpf(-1), (2,)), (mpc(0, 0), (1,))):
             with pytest.raises(ZeroDivisionError):
                 cauchy_pass(nodes, rows, z, exponents)
-        rows += [[mpf("inf"), mpf(1)], [mpf("nan"), mpf(1)]]
+        mu = AtomicMeasure(nodes, rows[0], 1, Interval(-1, 0))
         for z in (mpf("inf"), mpf("-inf"), mpc("inf", 1), mpc(2, "inf"), mpf(2), mpc(2, 1)):
             exponents = (1,) if isinstance(z, mpc) else (1, 2)
-            expected = [[fsum_raw(nodes, row, z, e) for row in rows] for e in exponents]
-            assert cauchy_pass(nodes, rows, z, exponents) == expected
+            for bad in ([mpf("inf"), mpf(1)], [mpf("nan"), mpf(1)]):
+                with pytest.raises(ValueError, match="not finite"):
+                    cauchy_pass(nodes, rows + [bad], z, exponents)
+            if mp.isfinite(z):
+                assert_pass_within_bound(nodes, rows, z, exponents)
+                continue
+            with pytest.raises(ValueError, match="not finite"):
+                cauchy_pass(nodes, rows, z, exponents)
+            transforms = [cauchy_eval, lambda mu, z: cauchy_evals([mu], z)]
+            if not isinstance(z, mpc):
+                transforms.append(measures.cauchy_derivative)
+            for transform in transforms:
+                with pytest.raises(ValueError, match="not finite"):
+                    transform(mu, z)
         node_rows = [[mpf(1), mpf(1)]]
         for bad in (mpf("inf"), mpf("nan")):
             for z in (mpf(2), mpc(2, 1)):
-                got = cauchy_pass([mpf(-1), bad], node_rows, z)
-                assert got == [[fsum_raw([mpf(-1), bad], node_rows[0], z, 1)]]
+                with pytest.raises(ValueError, match="not finite"):
+                    cauchy_pass([mpf(-1), bad], node_rows, z)
 
     def test_each_measure_converts_its_weights_once(self, monkeypatch):
         # the pass reads AtomicMeasure.weight_row, formed at the first
@@ -1164,8 +1257,7 @@ class TestCauchyKernel:
                     measures.cauchy_derivative(mu, z)
         assert converted == [mu.weights for mu in mus]
         for mu in mus:
-            ints, low, weights = mu.weight_row
-            assert (ints, low) == real(mu.weights) and weights is mu.weights
+            assert mu.weight_row == real(mu.weights)
 
     def test_complex_points_take_exponent_one_only(self):
         # the derivative is taken at real gap roots only
@@ -1207,11 +1299,6 @@ class TestCauchyKernel:
                     old.append(mu.sign * mp.fsum(powers))
                     powers = [p * x for p, x in zip(powers, mu.nodes)]
                 assert [raw(c) for c in moments(mu, 19)] == [raw(c) for c in old]
-
-
-def fsum_raw(nodes, row, z, e):
-    """The bits of mp.fsum(w / (z - x)**e), the mpmath expression of one Cauchy sum."""
-    return raw(mp.fsum(w / (z - x) ** e for x, w in zip(nodes, row)))
 
 
 def workload_config(name, out):
@@ -1256,7 +1343,7 @@ class TestCauchyPass:
         assert calls
         for nodes, rows, z, exponents, prec in calls:
             with mp.workprec(prec):
-                assert_pass_within_bound(nodes, [weights for _, _, weights in rows], z, exponents)
+                assert_pass_within_bound(nodes, [row_weights(row) for row in rows], z, exponents)
 
         (sys,), (grid,) = built, grids
         with mp.workprec(config.precision_bits):
