@@ -119,7 +119,9 @@ def with_entry(values, i, value):
 
 
 def spec_with(**fields):
-    return MeasureSpec(**dict(kind="jacobi-density", interval=Interval(-1, 0), node_count=4, alpha=0.5, beta=-0.25) | fields)
+    """A jacobi-density spec, with fields replacing its defaults."""
+    defaults = dict(kind="jacobi-density", interval=Interval(-1, 0), node_count=4, alpha=0.5, beta=-0.25)
+    return MeasureSpec(**defaults | fields)
 
 
 def atoms_spec(nodes=NODES, weights=WEIGHTS):
