@@ -10,20 +10,20 @@ a plain tuple, its tail: entry k is the coefficient of z^-(k+1).
 
 This module owns the scalar rules the other modules share: to_scalar
 coerces every point and coefficient (mpc for a complex value, mpf
-otherwise, at P); _horner is Horner's rule on mpf or mpc objects,
-_raw_horner and _mpc_horner the same rule on raw mpf and mpc tuples, with
-its roundings; and _norm forms a^2 + b^2 truncated to P + 10 bits, the
-|d|^2 of mpmath's mpc_mpf_div, for the Aberth steps here.
+otherwise, at P); _horner is Horner's rule on mpf, mpc or Python complex
+operands, and _raw_horner the same rule on raw mpf tuples, with its
+roundings.
 
 Root localization uses simultaneous Aberth-Ehrlich iteration: sweeps in
 float64 give the starting points (a circle when the float64 roots are not
 finite and distinct), then sweeps at P + max(64, 4 deg) bits, with seeded
 random restarts on stagnation, refine them, followed by conjugate
-symmetrization for real input.  Each multiprecision sweep first evaluates
-p at every approximation and ends the iteration, without a step, once
-those residuals are at the floor; otherwise it steps with the same values.
-The sweeps run on raw mpmath.libmp tuples with the operations and
-roundings of mpc arithmetic.
+symmetrization for real input.  One sweep (_sweep) serves both, on
+complex or mpc operands: it first evaluates p at every approximation and
+ends the iteration, without a step, once those residuals are at the floor;
+otherwise it steps with the same values.  root_disks does not refine: it
+bounds, around each float64 root, a disk that holds one root of p, which
+is all a zero count needs.
 """
 
 from __future__ import annotations
@@ -32,27 +32,7 @@ import cmath
 import random
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_abs,
-    mpc_div,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_pos,
-    mpc_sub,
-    mpc_zero,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
 
 from .precision import noise_floor
 
@@ -267,11 +247,7 @@ def poly_roots(p: Polynomial) -> list:
     if p.degree <= 0:
         raise ValueError("no roots of a constant")
     prec = mp.prec
-    coeffs = list(p.coeffs)
-    zeros_at_origin = 0
-    while coeffs[0] == 0:
-        zeros_at_origin += 1
-        coeffs.pop(0)
+    zeros_at_origin, coeffs = _split_origin(p)
     n = len(coeffs) - 1
     roots = []
     if n > 0:
@@ -293,6 +269,69 @@ def poly_roots(p: Polynomial) -> list:
     return roots
 
 
+def root_disks(p: Polynomial):
+    """Inclusion disks for the roots of p: one (centre, radius) pair per root, or None.
+
+    The centres are the float64 roots of _float_start, and None is returned
+    where it gives none.  An exact zero of p at 0 is split off, as
+    poly_roots does, as the disk of radius 0 at 0.  For the rest, of degree
+    n with coefficients c_k, the radius of the disk at z_i bounds
+    rho_i = n |W_i|, W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j)).  The
+    union of these disks holds every root, and a connected component of k
+    of them holds exactly k (D. Braess and K. P. Hadeler, Numer. Math. 21,
+    1973; C. Carstensen, Numer. Math. 59, 1991), so a disk disjoint from
+    every other holds exactly one root.
+
+    W_i is formed at w = P + 32 bits, and the radius covers its rounding.
+    Let u = 2^(1 - w), b the bit length of n and gamma_m = m u / (1 - m u)
+    <= 2 m u.  Every rounding at w errs by at most u relatively; mpc_sub
+    and mpc_mul form each part exactly and round it once, so each complex
+    step does too, and abs, two roundings, errs by at most 2u.  Horner's
+    rule with such steps errs by at most gamma_2n sum_k |c_k| |z_i|^k
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 5.1), and by gamma_(2n+1) with the rounding of coefficients
+    that carry more than w bits.  The computed sum S_i of |c_k| |z_i|^k,
+    by Horner's rule on the rounded moduli, has at most 4n + 2 roundings
+    in a term, so it is at least half the exact sum.  With v_i the
+    computed p(z_i), and as 2n + 1 < 2^(b + 1),
+    |p(z_i)| <= |v_i| + 2 gamma_(2n+1) S_i <= |v_i| + 2^(b + 4 - w) S_i,
+    and the radius adds twice that term.  The other 2n + 5 roundings (the
+    product and its modulus, |v_i|, the sum, the factor n and the
+    quotient) change the quotient by a factor within 1 +- 2^(b + 4 - w),
+    and the radius takes the factor 1 + 2^(b + 6 - w), which also covers
+    the rounding of that last product.
+    """
+    if p.degree <= 0:
+        raise ValueError("no roots of a constant")
+    zeros_at_origin, coeffs = _split_origin(p)
+    disks = [(mpc(0), mpf(0))] * zeros_at_origin
+    n = len(coeffs) - 1
+    if n == 0:
+        return disks
+    centres = _float_start([mpc(x) for x in coeffs])
+    if centres is None:
+        return None
+    b = n.bit_length()
+    with mp.workprec(mp.prec + 32):
+        w = mp.prec
+        c = [mpc(x) for x in coeffs]
+        sizes = [abs(x) for x in c]
+        for i, z in enumerate(centres):
+            d = c[-1]
+            for j, other in enumerate(centres):
+                if j != i:
+                    d *= z - other
+            value = abs(_horner(c, z)) + mpf(2) ** (b + 5 - w) * _horner(sizes, abs(z))
+            disks.append((z, n * value / abs(d) * (1 + mpf(2) ** (b + 6 - w))))
+    return disks
+
+
+def _split_origin(p: Polynomial):
+    """(the number of exact zeros of p at 0, the coefficient list of p with them divided out)."""
+    k = next(k for k, c in enumerate(p.coeffs) if c != 0)
+    return k, list(p.coeffs[k:])
+
+
 def _horner(cs, x):
     """cs[0] + cs[1] x + ... by Horner's rule; the leading coefficient is rounded first (+c)."""
     acc = +cs[-1]
@@ -309,43 +348,6 @@ def _raw_horner(cs, t, prec):
     for a in cs[-2::-1]:
         acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), a, prec, round_nearest)
     return acc
-
-
-def _float_sweep(c, dc, z, norm):
-    """One float64 Aberth-Ehrlich sweep over the approximations z, updated in place.
-
-    Returns (metric, moved): the largest scaled residual
-    |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i steps,
-    and the largest relative step.
-    """
-    n = len(c) - 1
-    metric = moved = 0.0
-    for i in range(n):
-        pv = _horner(c, z[i])
-        metric = max(metric, abs(pv) / (norm * max(1.0, abs(z[i])) ** n))
-        if pv == 0:
-            continue
-        dv = _horner(dc, z[i])
-        if dv == 0:
-            # a multiple of 0 is 0: from there the nudge adds
-            z[i] = z[i] * (1 + 2.0 ** (-53 // 3)) if z[i] else 2.0 ** (-53 // 3)
-            dv = _horner(dc, z[i])
-            if dv == 0:
-                continue
-        newton = pv / dv
-        s = 0
-        for j in range(n):
-            if j == i:
-                continue
-            diff = z[i] - z[j]
-            if diff == 0:
-                diff = 2.0 ** (-53 // 2) * (1 + abs(z[i]))
-            s += 1 / diff
-        denom = 1 - newton * s
-        step = newton if denom == 0 else newton / denom
-        z[i] = z[i] - step
-        moved = max(moved, abs(step) / (1 + abs(z[i])))
-    return metric, moved
 
 
 def _circle_start(c) -> list:
@@ -375,7 +377,9 @@ def _float_start(c):
             z = [complex(w) for w in _circle_start(c)]
         floor_metric = 2.0 ** (-53 + 12 + n.bit_length())
         for _ in range(100):
-            if _float_sweep(cf, dc, z, norm)[0] <= floor_metric:
+            # no metric is below the floor -1, so every sweep steps: the
+            # sweep that reaches floor_metric still polishes the start
+            if _sweep(cf, dc, z, norm, -1.0, 1.0, 53)[0] <= floor_metric:
                 break
     except (OverflowError, ZeroDivisionError):
         return None
@@ -388,27 +392,68 @@ def _float_start(c):
     return [mpc(w) for w in z]
 
 
-def _aberth(c, z) -> list:
-    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0.
+def _sweep(c, dc, z, norm, floor, one, bits):
+    """One Aberth-Ehrlich sweep over the approximations z, updated in place.
 
-    Each sweep first takes p at every approximation (_residuals) and stops
-    the iteration, without stepping, when the largest scaled residual is at
-    the floor 2^(-P + 12 + bitlength n).  Otherwise _steps moves each z_i in
-    turn with those same values: z_i moves only at its own step, so they
-    are the values that step reads.  The iteration also stops once the
-    largest relative step is below 2^(-P + 16) with the residual below
+    Works on Python complex (one = 1.0, bits = 53) and on mpc (one =
+    mpf(1), bits = mp.prec) alike.  It first takes p at every z_i and the
+    largest scaled residual |p(z_i)| / (||p|| max(1, |z_i|)^n); at or below
+    floor it returns (that metric, None) without a step.  Otherwise it steps
+    each z_i in turn (Gauss-Seidel) with its value p(z_i): z_i moves only at
+    its own step, so that is the value its step reads.  p' is taken at z_i,
+    nudged by the factor 1 + 2^(-bits/3) when it vanishes there, or to
+    2^(-bits/3) from z_i = 0, which no factor moves; two equal
+    approximations take 1/(2^(-bits/2) (1 + |z_i|)) for 1/(z_i - z_j).
+    Returns (metric, moved), moved the largest relative step
+    |step| / (1 + |z_i|).
+    """
+    n = len(c) - 1
+    values = [_horner(c, w) for w in z]
+    metric = 0 * one
+    for v, w in zip(values, z):
+        metric = max(metric, abs(v) / (norm * max(one, abs(w)) ** n))
+    if metric <= floor:
+        return metric, None
+    shift = (2 * one) ** (-bits // 3)
+    tiny = (2 * one) ** (-bits // 2)
+    moved = 0 * one
+    for i, pv in enumerate(values):
+        if pv == 0:
+            continue
+        dv = _horner(dc, z[i])
+        if dv == 0:
+            z[i] = z[i] * (1 + shift) if z[i] else z[i] + shift
+            dv = _horner(dc, z[i])
+            if dv == 0:
+                continue
+        newton = pv / dv
+        s = 0
+        for j in range(n):
+            if j != i:
+                diff = z[i] - z[j]
+                s += 1 / diff if diff else 1 / (tiny * (1 + abs(z[i])))
+        denom = 1 - newton * s
+        step = newton if denom == 0 else newton / denom
+        z[i] = z[i] - step
+        moved = max(moved, abs(step) / (1 + abs(z[i])))
+    return metric, moved
+
+
+def _aberth(c, z) -> list:
+    """Simultaneous Aberth-Ehrlich iteration from the start z, updated in place; c ascending mpc, c0 != 0.
+
+    The sweeps (_sweep) run at the ambient precision P and stop, without a
+    step, once the largest scaled residual is at the floor
+    2^(-P + 12 + bitlength n).  The iteration also stops once the largest
+    relative step is below 2^(-P + 16) with the residual below
     2^(-P/2 - 8); after more than 20 sweeps without a 1% gain in the
     residual it restarts from a seeded random jitter of the approximations
     (the factor 1 + 2^(-P/4) u, |Re u|, |Im u| <= 1, or the offset
-    2^(-P/4) u for an approximation at 0), at most 4 times.  The sweeps
-    run on raw mpmath.libmp tuples, with the operations and roundings of
-    the mpc arithmetic.
+    2^(-P/4) u for an approximation at 0), at most 4 times.
     """
     n = len(c) - 1
-    cs = [x._mpc_ for x in c]
-    dcs = [(k * c[k])._mpc_ for k in range(1, n + 1)]
-    norm = max(abs(x) for x in c)._mpf_
-    zs = [w._mpc_ for w in z]
+    dc = [k * c[k] for k in range(1, n + 1)]
+    norm = max(abs(x) for x in c)
     rng = random.Random(0xA8E27 ^ n)
 
     floor_metric = mpf(2) ** (-mp.prec + 12 + n.bit_length())
@@ -418,11 +463,9 @@ def _aberth(c, z) -> list:
     restarts = 0
     max_iter = 600
     for _ in range(max_iter):
-        values, metric = _residuals(cs, zs, norm)
-        metric = mp.make_mpf(metric)
-        if metric <= floor_metric:
+        metric, moved = _sweep(c, dc, z, norm, floor_metric, mpf(1), mp.prec)
+        if moved is None:
             break
-        moved = mp.make_mpf(_steps(dcs, zs, values))
         if moved <= mpf(2) ** (-mp.prec + 16) and metric <= accept_metric:
             break
         if metric < best * mpf("0.99"):
@@ -438,130 +481,12 @@ def _aberth(c, z) -> list:
             if restarts > 4:
                 break
             jitter = mpf(2) ** (-mp.prec // 4)
-            for i, w in enumerate(zs):
+            for i, w in enumerate(z):
                 kick = jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                zs[i] = (mp.make_mpc(w) * (1 + kick) if w != mpc_zero else kick)._mpc_
+                z[i] = w * (1 + kick) if w else kick
             best = mp.inf
             stall = 0
-    return [mp.make_mpc(w) for w in zs]
-
-
-def _mpc_horner(cs, z):
-    """_horner on raw mpc tuples at P, with the operations and roundings of mpc_mul and mpc_add.
-
-    Adding an exact zero imaginary part is skipped: it gives back the sum
-    already rounded to P.
-    """
-    prec, rnd = mp.prec, round_nearest
-    zr, zi = z
-    re, im = mpc_pos(cs[-1], prec, rnd)
-    for cr, ci in cs[-2::-1]:
-        re, im = (
-            mpf_sub(mpf_mul(re, zr), mpf_mul(im, zi), prec, rnd),
-            mpf_add(mpf_mul(re, zi), mpf_mul(im, zr), prec, rnd),
-        )
-        re = mpf_add(re, cr, prec, rnd)
-        if ci != fzero:
-            im = mpf_add(im, ci, prec, rnd)
-    return re, im
-
-
-def _residuals(cs, zs, norm):
-    """The raw values p(z_i) and the largest |p(z_i)| / (norm max(1, |z_i|)^n)."""
-    prec, rnd = mp.prec, round_nearest
-    n = len(cs) - 1
-    values = [_mpc_horner(cs, z) for z in zs]
-    metric = fzero
-    for v, z in zip(values, zs):
-        size = mpc_abs(z, prec, rnd)
-        power = mpf_pow_int(size if mpf_gt(size, fone) else fone, n, prec, rnd)
-        r = mpf_div(mpc_abs(v, prec, rnd), mpf_mul(norm, power, prec, rnd), prec, rnd)
-        if mpf_gt(r, metric):
-            metric = r
-    return values, metric
-
-
-def _norm(a, sq, wide) -> tuple:
-    """Raw mpf_add(mpf_mul(a, a), sq, wide): a^2 + sq, sq >= 0, truncated to wide bits.
-
-    This is the |d|^2 of mpc_mpf_div, with wide = P + 10 and truncation,
-    libmp's default rounding; its one user is _steps, with d = a + i b and
-    sq = b^2.  mpf_add truncates the exact sum,
-    correctly, unless it perturbs the larger operand, which it may do only
-    when their leading bits lie more than wide + 4 apart.  2 (exp(a) +
-    bc(a)) is a^2's leading bit or the one above it, so mpf_add itself runs
-    where that lies more than wide + 3 from sq's, or an operand is 0 or
-    non-finite.
-    """
-    _, aman, aexp, abc = a
-    _, iman, iexp, ibc = sq
-    if aman and iman and -wide - 3 <= 2 * (aexp + abc) - iexp - ibc <= wide + 3:
-        man, exp = aman * aman, 2 * aexp
-        if exp >= iexp:
-            man, exp = (man << (exp - iexp)) + iman, iexp
-        else:
-            man += iman << (iexp - exp)
-        shift = man.bit_length() - wide
-        if shift > 0:
-            man >>= shift
-            exp += shift
-        if not man & 1:
-            zeros = (man & -man).bit_length() - 1
-            man >>= zeros
-            exp += zeros
-        return 0, man, exp, man.bit_length()
-    return mpf_add(mpf_mul(a, a), sq, wide)
-
-
-def _steps(dcs, zs, values):
-    """Step each z_i in turn (Gauss-Seidel) from its value p(z_i); zs is updated in place.
-
-    p' is taken at z_i, nudged by the factor 1 + 2^(-P/3) when it vanishes
-    there, or to 2^(-P/3) from z_i = 0, which no factor moves.  Each
-    1/(z_i - z_j) is formed as mpc_mpf_div(1, z_i - z_j) forms it:
-    |z_i - z_j|^2 truncated to P + 10 bits (_norm), then two divisions
-    at P; two equal approximations take 1/(2^(-P/2) (1 + |z_i|))
-    instead.  Returns the largest relative step |step| / (1 + |z_i|), raw.
-    """
-    prec, rnd = mp.prec, round_nearest
-    wide = prec + 10
-    shift = mpf(2) ** (-prec // 3)
-    nudge = (1 + shift)._mpf_
-    tiny = (mpf(2) ** (-prec // 2))._mpf_
-    moved = fzero
-    for i, pv in enumerate(values):
-        if pv == mpc_zero:
-            continue
-        z = zs[i]
-        dv = _mpc_horner(dcs, z)
-        if dv == mpc_zero:
-            z = zs[i] = mpc_mul_mpf(z, nudge, prec, rnd) if z != mpc_zero else (shift._mpf_, fzero)
-            dv = _mpc_horner(dcs, z)
-            if dv == mpc_zero:
-                continue
-        newton = mpc_div(pv, dv, prec, rnd)
-        zr, zi = z
-        sr = si = fzero
-        for j, (wr, wi) in enumerate(zs):
-            if j == i:
-                continue
-            a = mpf_sub(zr, wr, prec, rnd)
-            b = mpf_sub(zi, wi, prec, rnd)
-            if a == fzero and b == fzero:
-                stand_in = mpf_mul(tiny, mpf_add(mpc_abs(z, prec, rnd), fone, prec, rnd), prec, rnd)
-                sr = mpf_add(sr, mpf_rdiv_int(1, stand_in, prec, rnd), prec, rnd)
-                continue
-            m = _norm(a, mpf_mul(b, b), wide)
-            sr = mpf_add(sr, mpf_div(a, m, prec, rnd), prec, rnd)
-            si = mpf_add(si, mpf_div(mpf_neg(b), m, prec, rnd), prec, rnd)
-        denom = mpc_sub((fone, fzero), mpc_mul(newton, (sr, si), prec, rnd), prec, rnd)
-        step = newton if denom == mpc_zero else mpc_div(newton, denom, prec, rnd)
-        z = zs[i] = mpc_sub(z, step, prec, rnd)
-        size = mpf_add(mpc_abs(z, prec, rnd), fone, prec, rnd)
-        r = mpf_div(mpc_abs(step, prec, rnd), size, prec, rnd)
-        if mpf_gt(r, moved):
-            moved = r
-    return moved
+    return z
 
 
 def _symmetrize_conjugates(roots, prec) -> list:

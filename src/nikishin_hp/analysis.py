@@ -42,8 +42,12 @@ not on the default grid's layout, so an explicit grid loses only true
 pairs; on the default grid, 31 of 80 points.
 
 The rows of a diagonal sweep feed a least-squares geometric rate
-estimate, and root censuses verify that each pole of multiplicity kappa
+estimate, and zero censuses verify that each pole of multiplicity kappa
 captures exactly kappa zeros of every component while stray zeros vanish.
+A census counts inclusion disks (algebra.root_disks), each of which
+holds exactly one zero once it is disjoint from the others, when every
+disk lies wholly on one side of every boundary; otherwise it counts the
+zeros that poly_roots refines.
 sign_changes counts the alternations of a list of values; the sign-change
 check gives it hermite_pade.first_level_remainder_values, the remainder at
 sigma_1's atoms, where orthogonality puts the sign changes.
@@ -419,9 +423,15 @@ def sign_changes(values) -> int:
 
 @dataclass(frozen=True)
 class PoleAttractionReport:
-    """Per-pole zero capture counts and the off-pole, off-interval stray census."""
+    """Per-pole zero capture counts and the off-pole, off-interval stray census.
 
-    counts: tuple  # (zeta, kappa, zeros within eps)
+    counts holds (zeta, kappa, zeros within eps) per pole.  strays holds
+    one point per stray zero: the centre of its inclusion disk, or the
+    zero itself where the census fell back to poly_roots.  total_roots is
+    the degree of the component's trimmed polynomial.
+    """
+
+    counts: tuple
     strays: tuple
     total_roots: int
 
@@ -452,7 +462,7 @@ def pole_attraction(
 ) -> PoleAttractionReport:
     """Count zeros of a_j inside eps-balls at the poles; census the leftovers.
 
-    Strays are roots farther than eps from every pole, outside the
+    Strays are zeros farther than eps from every pole, outside the
     eps-inflation of the last interval, and within the far radius
     4 max(|a|, |b|, 1, |poles|) of the last interval [a, b] and the poles.
     That radius reads only the last interval, with a floor of 1, so it is
@@ -461,8 +471,12 @@ def pole_attraction(
     Zeros beyond that radius belong to the point at infinity: the predicted
     limit puts kappa zeros at each pole and every other zero on the last
     interval or out at infinity, so strays should empty as |n| grows.
+
+    The count is read off the inclusion disks of algebra.root_disks when
+    they decide it (_disk_census); otherwise, when root_disks gives none or
+    they overlap or cross a boundary, off the zeros of poly_roots.
     """
-    from .algebra import poly_roots
+    from .algebra import poly_roots, root_disks
 
     if not 1 <= j <= v.m:
         raise IndexError("component out of range")
@@ -475,15 +489,59 @@ def pole_attraction(
     poly = v.a[j].trimmed()
     if poly.is_zero:
         raise ValueError("component is identically zero")
-    roots = poly_roots(poly) if poly.degree >= 1 else []
-    counts = []
-    for zeta, kappa in poles:
-        counts.append((zeta, kappa, sum(1 for r in roots if abs(r - zeta) < eps)))
-    strays = tuple(
-        r
-        for r in roots
-        if all(abs(r - zeta) >= eps for zeta, _ in poles)
-        and last_interval.distance_to(r) > eps
-        and abs(r) <= far_radius
-    )
-    return PoleAttractionReport(tuple(counts), strays, len(roots))
+    disks = root_disks(poly) if poly.degree >= 1 else []
+    census = _disk_census(disks, poles, eps, last_interval, far_radius) if disks is not None else None
+    if census is None:
+        roots = poly_roots(poly)
+        counts = tuple((zeta, kappa, sum(1 for r in roots if abs(r - zeta) < eps)) for zeta, kappa in poles)
+        strays = tuple(
+            r
+            for r in roots
+            if all(abs(r - zeta) >= eps for zeta, _ in poles)
+            and last_interval.distance_to(r) > eps
+            and abs(r) <= far_radius
+        )
+        census = counts, strays
+    return PoleAttractionReport(*census, poly.degree)
+
+
+def _disk_census(disks, poles, eps, last_interval, far_radius):
+    """(counts, strays) as pole_attraction defines them, from inclusion disks, or None.
+
+    The disks decide the census when each is disjoint from every other, so
+    that it holds exactly one zero, and lies wholly inside or wholly
+    outside each boundary: every eps-ball at a pole, the eps-inflation of
+    the last interval and the far circle.  The three distances are
+    1-Lipschitz, so a disk of radius r whose centre lies at distance d lies
+    wholly inside when d + r < the bound and wholly outside when
+    d - r > it.  Each radius is first widened by 2^(4 - P) (|centre| + far
+    radius), more than the rounding of any distance or sum formed here.
+    Otherwise None.  A stray is reported by its disk's centre.
+    """
+    unit = mpf(2) ** (4 - mp.prec)
+    disks = [(c, r + unit * (abs(c) + far_radius)) for c, r in disks]
+    for i, (c, r) in enumerate(disks):
+        if any(abs(c - w) <= r + s for w, s in disks[:i]):
+            return None
+    counts = [0] * len(poles)
+    strays = []
+    for c, r in disks:
+        near = [_inside(abs(c - zeta), r, eps) for zeta, _ in poles]
+        on_interval = _inside(last_interval.distance_to(c), r, eps)
+        within = _inside(abs(c), r, far_radius)
+        if None in near or on_interval is None or within is None:
+            return None
+        counts = [k + inside for k, inside in zip(counts, near)]
+        if within and not on_interval and not any(near):
+            strays.append(c)
+    return tuple((zeta, kappa, k) for (zeta, kappa), k in zip(poles, counts)), tuple(strays)
+
+
+def _inside(distance, radius, bound):
+    """True when a disk whose centre lies at distance from a set lies wholly within bound of it,
+    False when wholly beyond, None when it crosses."""
+    if distance + radius < bound:
+        return True
+    if distance - radius > bound:
+        return False
+    return None

@@ -237,165 +237,122 @@ class TestRootStart:
             assert abs(r - e) <= mpf(2) ** (8 - mp.prec) * e
 
 
-# The mpc iteration that steps after reading each residual: the former
-# algebra._sweep and algebra._aberth, verbatim.  It evaluates p, p' and every
-# 1/(z_i - z_j) in the sweep after the one whose residuals reach the floor,
-# and is the oracle for the roots of the present iteration.
+class TestRootDisks:
+    def test_zeros_at_the_origin_are_split_off(self):
+        # z^2 (z - 1)(z - 2): two exact disks of radius 0 at 0, then one
+        # disk about each of 1 and 2
+        p = Polynomial.from_roots([0, 0, 1, 2])
+        disks = algebra.root_disks(p)
+        assert disks[:2] == [(mpc(0), mpf(0))] * 2
+        for (c, rho), e in zip(sorted(disks[2:], key=lambda d: d[0].real), [1, 2]):
+            assert abs(c - e) <= rho < mpf(2) ** -40
+
+    def test_no_float64_start_gives_no_disks(self):
+        # the double root of test_double_root_falls_back_to_the_circle
+        assert algebra.root_disks(Polynomial.from_roots([1, 1, 3])) is None
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValueError):
+            algebra.root_disks(Polynomial([3]))
 
 
-def _sweep(c, dc, z, norm, one, bits):
-    """One Aberth-Ehrlich sweep over the approximations z, updated in place.
-
-    Works on Python complex (one = 1.0, bits = 53) and on mpc (one = mpf(1),
-    bits = mp.prec) alike.  Returns (metric, moved): the largest scaled
-    residual |p(z_i)| / (||p|| max(1, |z_i|)^n), each taken just before z_i
-    steps, and the largest relative step.
-    """
-    n = len(c) - 1
-    metric = moved = 0 * one
-    for i in range(n):
-        pv = _horner(c, z[i])
-        metric = max(metric, abs(pv) / (norm * max(one, abs(z[i])) ** n))
-        if pv == 0:
-            continue
-        dv = _horner(dc, z[i])
-        if dv == 0:
-            z[i] *= 1 + (2 * one) ** (-bits // 3)
-            dv = _horner(dc, z[i])
-            if dv == 0:
-                continue
-        newton = pv / dv
-        s = 0
-        for j in range(n):
-            if j == i:
-                continue
-            diff = z[i] - z[j]
-            if diff == 0:
-                diff = (2 * one) ** (-bits // 2) * (1 + abs(z[i]))
-            s += 1 / diff
-        denom = 1 - newton * s
-        step = newton if denom == 0 else newton / denom
-        z[i] = z[i] - step
-        moved = max(moved, abs(step) / (1 + abs(z[i])))
-    return metric, moved
-
-
-def _aberth(c, z) -> list:
-    """Simultaneous Aberth-Ehrlich iteration from the start z; c ascending mpc, c0 != 0."""
-    n = len(c) - 1
-    dc = [k * c[k] for k in range(1, n + 1)]
-    norm = max(abs(x) for x in c)
-    rng = random.Random(0xA8E27 ^ n)
-
-    floor_metric = mpf(2) ** (-mp.prec + 12 + n.bit_length())
-    accept_metric = mpf(2) ** (-mp.prec // 2 - 8)
-    best = mp.inf
-    stall = 0
-    restarts = 0
-    max_iter = 600
-    for _ in range(max_iter):
-        metric, moved = _sweep(c, dc, z, norm, mpf(1), mp.prec)
-        if metric <= floor_metric:
-            break
-        if moved <= mpf(2) ** (-mp.prec + 16) and metric <= accept_metric:
-            break
-        if metric < best * mpf("0.99"):
-            best = metric
-            stall = 0
-        else:
-            stall += 1
-        # stagnation: random perturbation restart
-        if stall > 20:
-            if metric <= accept_metric:
-                break
-            restarts += 1
-            if restarts > 4:
-                break
-            jitter = mpf(2) ** (-mp.prec // 4)
-            z = [
-                w * (1 + jitter * mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-                for w in z
-            ]
-            best = mp.inf
-            stall = 0
-    return z
-
-
-def roots_of(p, aberth=algebra._aberth):
-    """poly_roots(p) as _mpc_ tuples, with aberth in place of algebra._aberth."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_aberth", aberth)
-        return [z._mpc_ for z in poly_roots(p)]
-
-
-def distinct_real_polynomial(degree: int) -> Polynomial:
-    """A real polynomial with distinct roots, some in conjugate pairs, from a seeded draw.
+def distinct_real_polynomial(degree: int):
+    """A real polynomial with distinct roots, some in conjugate pairs, from a seeded draw, and its roots.
 
     Real roots and the real and imaginary parts of the pairs are distinct
     multiples of 1/4 in [-3, 3], so each factor z - x or z^2 - 2a z + a^2 + b^2
-    has exact coefficients.
+    has exact coefficients, and the roots lie at least 1/4 apart.
     """
     rng = random.Random(100 + degree)
     pairs = rng.randint(0, degree // 2)
     grid = [mpf(k) / 64 for k in range(-192, 193, 16)]
     p = Polynomial.one()
+    roots = []
     for x in rng.sample(grid, degree - 2 * pairs):
         p = p * Polynomial([-x, 1])
+        roots.append(mpc(x))
     for a, b in zip(rng.sample(grid, pairs), rng.sample([g for g in grid if g > 0], pairs)):
         p = p * Polynomial([a * a + b * b, -2 * a, 1])
-    return p
+        roots += [mpc(a, b), mpc(a, -b)]
+    return p, roots
 
 
-class TestSameRootsAsSteppingEverySweep:
-    """The sweep whose residuals reach the floor does not step, and the roots keep the bits
-    that stepping it gives."""
+def assert_roots_meet_the_contract(p, roots):
+    """deg p roots within the residual bound, and the conjugate of each non-real root among them."""
+    assert len(roots) == p.degree
+    bound = noise_floor(0.5) * p.max_coeff()
+    for r in roots:
+        assert abs(p(r)) <= bound * max(mpf(1), abs(r)) ** p.degree
+    keys = [z._mpc_ for z in roots]
+    assert sorted(keys) == sorted(mp.conj(z)._mpc_ for z in roots)
+
+
+class TestSweepFixtureRoots:
+    """The roots of the sweep fixture and of seeded polynomials with known roots."""
 
     @pytest.mark.parametrize("kind", ["plain", "perturbed"])
     def test_every_component_of_the_sweep_fixture(self, sweep_solutions, kind):
+        # each root meets the contract and lies in an inclusion disk, and
+        # each disk disjoint from the others holds exactly one root
         checked = 0
         for v in sweep_solutions[kind].values():
             for a in v.a:
                 p = a.trimmed()
                 if p.degree < 1:
                     continue
-                assert roots_of(p) == roots_of(p, _aberth)
+                roots = poly_roots(p)
+                assert_roots_meet_the_contract(p, roots)
+                disks = algebra.root_disks(p)
+                assert disks is not None and len(disks) == p.degree
+                for r in roots:
+                    assert any(abs(r - c) <= rho for c, rho in disks)
+                for i, (c, rho) in enumerate(disks):
+                    if all(abs(c - w) > rho + s for k, (w, s) in enumerate(disks) if k != i):
+                        assert sum(1 for r in roots if abs(r - c) <= rho) == 1
                 checked += 1
         assert checked == 15
 
     @pytest.mark.parametrize("degree", range(2, 15))
     def test_distinct_real_roots_and_conjugate_pairs(self, degree):
-        p = distinct_real_polynomial(degree)
+        p, exact = distinct_real_polynomial(degree)
         assert p.degree == degree
-        assert roots_of(p) == roots_of(p, _aberth)
+        roots = poly_roots(p)
+        assert_roots_meet_the_contract(p, roots)
+        # the exact roots lie 1/4 or more apart, so this matches them one to one
+        for e in exact:
+            assert min(abs(r - e) for r in roots) < noise_floor(0.5)
 
     def test_the_last_sweep_only_evaluates_p(self, sweep_solutions, monkeypatch):
-        # README fixture, k = 12, a_1: p' and the reciprocals 1/(z_i - z_j),
-        # each with its |z_i - z_j|^2 from _norm, are counted per sweep
+        # README fixture, k = 12, a_1: the evaluations of p and of p' are
+        # counted per multiprecision sweep; the sweep whose residuals reach
+        # the floor takes no p', so it does not step
         p = sweep_solutions["perturbed"][12].a[1].trimmed()
         n = p.degree
         assert n == 11
         sweeps = []
-        residuals, horner, norm = algebra._residuals, algebra._mpc_horner, algebra._norm
+        active = [False]
+        sweep, horner = algebra._sweep, algebra._horner
 
-        def counting_residuals(cs, zs, norm):
-            sweeps.append({"p": 0, "dp": 0, "reciprocals": 0})
-            return residuals(cs, zs, norm)
+        def counting_sweep(c, dc, z, norm, floor, one, bits):
+            active[0] = isinstance(one, mpf)  # the float64 start's sweeps are not counted
+            if active[0]:
+                assert bits == mp.prec
+                sweeps.append({"p": 0, "dp": 0})
+            try:
+                return sweep(c, dc, z, norm, floor, one, bits)
+            finally:
+                active[0] = False
 
-        def counting_horner(cs, z):
-            sweeps[-1]["p" if len(cs) == n + 1 else "dp"] += 1
-            return horner(cs, z)
+        def counting_horner(cs, x):
+            if active[0]:
+                sweeps[-1]["p" if len(cs) == n + 1 else "dp"] += 1
+            return horner(cs, x)
 
-        def counting_norm(a, sq, wide):
-            assert wide == mp.prec + 10
-            sweeps[-1]["reciprocals"] += 1
-            return norm(a, sq, wide)
-
-        monkeypatch.setattr(algebra, "_residuals", counting_residuals)
-        monkeypatch.setattr(algebra, "_mpc_horner", counting_horner)
-        monkeypatch.setattr(algebra, "_norm", counting_norm)
+        monkeypatch.setattr(algebra, "_sweep", counting_sweep)
+        monkeypatch.setattr(algebra, "_horner", counting_horner)
         poly_roots(p)
-        full = {"p": n, "dp": n, "reciprocals": n * (n - 1)}
-        assert sweeps == [full, full, {"p": n, "dp": 0, "reciprocals": 0}]
+        full = {"p": n, "dp": n}
+        assert sweeps == [full, full, {"p": n, "dp": 0}]
 
 
 def with_start(monkeypatch, start):
@@ -403,51 +360,27 @@ def with_start(monkeypatch, start):
     monkeypatch.setattr(algebra, "_float_start", lambda c: [mpc(w) for w in start])
 
 
-def counting(monkeypatch, owner, name):
-    """Wrap owner.name to count its calls; returns the one-entry count list."""
-    calls = [0]
-    f = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return f(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
-def assert_roots_meet_the_contract(p, roots):
-    """deg p roots within the residual bound, the bits that stepping every sweep gives."""
-    assert len(roots) == p.degree
-    bound = noise_floor(0.5) * p.max_coeff()
-    for r in roots:
-        assert abs(p(r)) <= bound * max(mpf(1), abs(r)) ** p.degree
-    assert [z._mpc_ for z in roots] == roots_of(p, _aberth)
-
-
 class TestGuards:
-    """Each guard of the multiprecision steps, reached from a chosen start."""
+    """Each guard of the multiprecision iteration, reached from a chosen start.
+
+    TestSweepGuards checks each guard's arithmetic on the first sweep from
+    these starts; here the roots that follow meet the contract.
+    """
 
     def test_two_equal_approximations(self, monkeypatch):
-        # z_0 - z_1 is exactly 0 at the first step: 1/(2^-P/2 (1 + |z_0|))
-        # stands in for its reciprocal, formed by mpf_rdiv_int
+        # z_0 - z_1 is exactly 0 at the first step
         p = Polynomial.from_roots([1, 2, 3])
         with_start(monkeypatch, [1.5 + 0.5j, 1.5 + 0.5j, 4 + 0.1j])
-        stand_ins = counting(monkeypatch, algebra, "mpf_rdiv_int")
         roots = poly_roots(p)
-        assert stand_ins[0] == 1
         assert_roots_meet_the_contract(p, roots)
         for r, e in zip(roots, [1, 2, 3]):
             assert abs(r - e) < noise_floor(0.5)
 
     def test_an_approximation_at_a_critical_point(self, monkeypatch):
-        # p = (z - 1)(z - 3) has p'(2) = 0 exactly: z_0 = 2 is nudged by
-        # the factor 1 + 2^(-P/3) before it steps
+        # p = (z - 1)(z - 3) has p'(2) = 0 exactly
         p = Polynomial([3, -4, 1])
         with_start(monkeypatch, [2, 5 + 1j])
-        nudges = counting(monkeypatch, algebra, "mpc_mul_mpf")
         roots = poly_roots(p)
-        assert nudges[0] == 1
         assert_roots_meet_the_contract(p, roots)
         for r, e in zip(roots, [1, 3]):
             assert abs(r - e) < noise_floor(0.5)
@@ -458,7 +391,14 @@ class TestGuards:
         # off the axis
         p = Polynomial([1, 0, 1])
         with_start(monkeypatch, [2, -3])
-        jitters = counting(monkeypatch, random.Random, "uniform")
+        jitters = [0]
+        uniform = random.Random.uniform
+
+        def counting_uniform(self, a, b):
+            jitters[0] += 1
+            return uniform(self, a, b)
+
+        monkeypatch.setattr(random.Random, "uniform", counting_uniform)
         roots = poly_roots(p)
         assert jitters[0] > 0 and jitters[0] % (2 * p.degree) == 0
         assert_roots_meet_the_contract(p, roots)
@@ -466,60 +406,80 @@ class TestGuards:
         assert abs(roots[1] - mpc(0, 1)) < noise_floor(0.5)
 
     def test_an_approximation_at_zero_where_the_derivative_vanishes(self, monkeypatch):
-        # p = z^2 - 1 has p'(0) = 0 exactly, and no factor moves 0: z_0 is
-        # shifted to 2^(-P/3) instead, and the roots are found
+        # p = z^2 - 1 has p'(0) = 0 exactly, and no factor moves 0
         p = Polynomial([-1, 0, 1])
         with_start(monkeypatch, [0, 2 + 1j])
         roots = poly_roots(p)
-        assert len(roots) == 2
+        assert_roots_meet_the_contract(p, roots)
         for r, e in zip(roots, [-1, 1]):
             assert abs(r - e) < noise_floor(0.5)
 
     def test_restart_jitter_moves_an_approximation_at_zero(self, monkeypatch):
-        # steps that never move leave z_0 = 0 at every restart; the jitter
+        # sweeps that never move leave z_0 = 0 at every restart; the jitter
         # gives it the offset 2^(-P/4) u, and the far one its factor
-        monkeypatch.setattr(algebra, "_steps", lambda dcs, zs, values: mpf(1)._mpf_)
+        monkeypatch.setattr(algebra, "_sweep", lambda c, dc, z, norm, floor, one, bits: (mpf(1), mpf(1)))
         c = [mpc(-1), mpc(0), mpc(1)]
         z = algebra._aberth(c, [mpc(0), mpc(2, 1)])
         assert z[0] != 0 and abs(z[0]) < mpf(2) ** (-mp.prec // 4 + 2)
         assert z[1] != mpc(2, 1) and abs(z[1] - mpc(2, 1)) < mpf(2) ** (-mp.prec // 4 + 4)
 
 
-class TestFloatSweepGuards:
-    """The float64 sweep's own guards, which no circle start reaches."""
+@pytest.mark.parametrize("kind", ["float", "mpc"])
+class TestSweepGuards:
+    """The sweep's guards, on Python complex (bits = 53) and on mpc (bits = P) operands.
+
+    Each test forms the first step of z_0 by hand, from the same operations
+    in the same order, and the sweep must give that step exactly.
+    """
 
     @staticmethod
-    def first_step(coeffs, z, w, s):
+    def unit(kind):
+        """(one, bits) of the operands."""
+        return (1.0, 53) if kind == "float" else (mpf(1), mp.prec)
+
+    def operands(self, kind, values):
+        one, _ = self.unit(kind)
+        return [one * complex(x) for x in values]
+
+    def first_step(self, kind, coeffs, z, w, s):
         """Sweep over z; return the step of z_0 from w, with s the sum of its reciprocals.
 
-        p is read before z_0 is nudged, p' after it.
+        p is read before z_0 is nudged, p' after it.  A floor of -1 lets
+        the sweep step whatever its residuals.
         """
-        c = [complex(x) for x in coeffs]
+        one, bits = self.unit(kind)
+        c = self.operands(kind, coeffs)
         dc = [k * c[k] for k in range(1, len(c))]
         newton = _horner(c, z[0]) / _horner(dc, w)
-        algebra._float_sweep(c, dc, z, max(abs(x) for x in c))
+        algebra._sweep(c, dc, z, max(abs(x) for x in c), -1, one, bits)
         return newton / (1 - newton * s)
 
-    def test_a_critical_point_is_nudged_by_a_factor(self):
-        # p = (z - 1)(z - 3) has p'(2) = 0: z_0 moves to 2 (1 + 2^-18) first,
-        # and steps from there
-        z = [2 + 0j, 5 + 1j]
-        nudged = (2 + 0j) * (1 + 2.0**-18)
-        step = self.first_step([3, -4, 1], z, nudged, 1 / (nudged - z[1]))
+    def test_a_critical_point_is_nudged_by_a_factor(self, kind):
+        # p = (z - 1)(z - 3) has p'(2) = 0: z_0 moves to 2 (1 + 2^(-bits/3))
+        # first, and steps from there
+        one, bits = self.unit(kind)
+        z = self.operands(kind, [2, 5 + 1j])
+        nudged = z[0] * (1 + (2 * one) ** (-bits // 3))
+        assert nudged != z[0]
+        step = self.first_step(kind, [3, -4, 1], z, nudged, 1 / (nudged - z[1]))
         assert z[0] == nudged - step
 
-    def test_zero_is_shifted_where_the_derivative_vanishes(self):
-        # p = z^2 - 1: no factor moves z_0 = 0, so it goes to 2^-18 first
-        z = [0j, 2 + 1j]
-        shifted = 2.0**-18
-        step = self.first_step([-1, 0, 1], z, shifted, 1 / (shifted - z[1]))
+    def test_zero_is_shifted_where_the_derivative_vanishes(self, kind):
+        # p = z^2 - 1: no factor moves z_0 = 0, so it goes to 2^(-bits/3) first
+        one, bits = self.unit(kind)
+        z = self.operands(kind, [0, 2 + 1j])
+        shifted = z[0] + (2 * one) ** (-bits // 3)
+        step = self.first_step(kind, [-1, 0, 1], z, shifted, 1 / (shifted - z[1]))
         assert z[0] == shifted - step
 
-    def test_two_equal_approximations(self):
-        # z_0 - z_1 is exactly 0: 1/(2^-27 (1 + |z_0|)) stands in for its
-        # reciprocal, and z_0 moves off z_1
-        w = 1.5 + 0.5j
-        z = [w, w, 4 + 0.1j]
-        s = 1 / (2.0**-27 * (1 + abs(w))) + 1 / (w - z[2])
-        step = self.first_step(Polynomial.from_roots([1, 2, 3]).coeffs, z, w, s)
+    def test_two_equal_approximations(self, kind):
+        # z_0 - z_1 is exactly 0: 1/(2^(-bits/2) (1 + |z_0|)) stands in for
+        # its reciprocal, and z_0 moves off z_1
+        one, bits = self.unit(kind)
+        z = self.operands(kind, [1.5 + 0.5j, 1.5 + 0.5j, 4 + 0.1j])
+        w = z[0]
+        s = 0
+        s += 1 / ((2 * one) ** (-bits // 2) * (1 + abs(w)))
+        s += 1 / (w - z[2])
+        step = self.first_step(kind, Polynomial.from_roots([1, 2, 3]).coeffs, z, w, s)
         assert z[0] == w - step != z[1]

@@ -8,7 +8,7 @@ from mpf_reference import _values_at
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpf_neg
 
-from nikishin_hp import analysis
+from nikishin_hp import algebra, analysis
 from nikishin_hp.analysis import _one_per_conjugate_pair, _PowerRow
 from nikishin_hp.measures import _integer_row
 from nikishin_hp.nikishin import s_hat_evals
@@ -30,6 +30,7 @@ from nikishin_hp import (
     first_level_remainder_values,
     noise_floor,
     pole_attraction,
+    poly_roots,
     ratio_targets,
     realize,
     sign_changes,
@@ -537,6 +538,146 @@ class TestPoleAttraction:
         )
         with pytest.raises(ValueError):
             pole_attraction(pert, v, 2, mpf("0.25"), Interval(1, 3))
+
+
+def points_census(pert, poly, eps, last_interval, far_radius):
+    """The counts and the stray count from the zeros of poly_roots, by the census's point rule."""
+    roots = poly_roots(poly)
+    counts = [sum(1 for r in roots if abs(r - zeta) < eps) for zeta, _ in pert.poles]
+    strays = [
+        r
+        for r in roots
+        if all(abs(r - zeta) >= eps for zeta, _ in pert.poles)
+        and last_interval.distance_to(r) > eps
+        and abs(r) <= far_radius
+    ]
+    return counts, len(strays)
+
+
+def counting_poly_roots(monkeypatch):
+    """Count the calls of algebra.poly_roots, the census's fallback; returns the one-entry count list."""
+    calls = [0]
+    real = algebra.poly_roots
+
+    def counting(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(algebra, "poly_roots", counting)
+    return calls
+
+
+class TestDiskCensus:
+    """pole_attraction's two routes: the inclusion disks, or poly_roots where they do not decide.
+
+    The route shows in the calls of algebra.poly_roots, which
+    pole_attraction looks up when it runs.
+    """
+
+    EPS = mpf(1) / 4
+    LAST = Interval(1, 3)
+
+    @staticmethod
+    def census(monkeypatch, pert, a1_roots):
+        """(the report for a_1 = prod (z - root), a_2 = z - 2; the poly_roots calls it made).
+
+        The report's counts must be those of the zeros from poly_roots.
+        """
+        a1 = Polynomial.from_roots(a1_roots)
+        n = MultiIndex((a1.degree + 1, 2))
+        v = TypeIVector((Polynomial.zero(), a1, Polynomial([-2, 1])), n, n.total, False, 256, math.inf)
+        calls = counting_poly_roots(monkeypatch)
+        rep = pole_attraction(pert, v, 1, TestDiskCensus.EPS, TestDiskCensus.LAST)
+        assert rep.total_roots == a1.degree
+        far_radius = 4 * max(max(abs(zeta) for zeta, _ in pert.poles), 3)
+        expected = points_census(pert, a1, TestDiskCensus.EPS, TestDiskCensus.LAST, far_radius)
+        assert ([count for _, _, count in rep.counts], len(rep.strays)) == expected
+        return rep, calls[0]
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_a_zero_2_to_the_minus_40_off_an_eps_ball(self, monkeypatch, side):
+        # the zero 5.25 + side 2^-40 lies just outside (side 1) or just
+        # inside (side -1) the ball of radius 1/4 at the pole 5; the other
+        # zero, 2, lies on the last interval
+        pert = RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn.zero()])
+        zero = 5 + self.EPS + side * mpf(2) ** -40
+        rep, calls = self.census(monkeypatch, pert, [zero, 2])
+        assert calls in (0, 1)
+        inside = side < 0
+        assert rep.counts[0][2] == int(inside)
+        assert len(rep.strays) == int(not inside)
+
+    def test_a_disk_across_an_eps_ball_takes_the_fallback(self, monkeypatch):
+        # the same outside zero, from a float64 start 5 10^-4 off it: its
+        # disk, of radius about 10^-3, crosses the ball's boundary
+        pert = RationalPerturbation([RationalFn([1], [-5, 1]), RationalFn.zero()])
+        zero = 5 + self.EPS + mpf(2) ** -40
+        monkeypatch.setattr(algebra, "_float_start", lambda c: [mpc("5.2505"), mpc(2)])
+        (centre, radius), _ = algebra.root_disks(Polynomial.from_roots([zero, 2]))
+        assert abs(centre - 5) - radius < self.EPS < abs(centre - 5) + radius
+        rep, calls = self.census(monkeypatch, pert, [zero, 2])
+        assert calls == 1
+        assert rep.counts[0][2] == 0 and len(rep.strays) == 1
+
+    def test_a_double_zero_at_a_double_pole_takes_the_fallback(self, monkeypatch):
+        # r_1 = 1/(z - 5)^2 has the pole 5 with kappa = 2; a_1 has the
+        # double zero 5.0625, where _float_start gives no start
+        pert = RationalPerturbation([RationalFn([1], [25, -10, 1]), RationalFn.zero()])
+        assert [kappa for _, kappa in pert.poles] == [2]
+        roots = [mpf("5.0625"), mpf("5.0625"), 2]
+        p = Polynomial.from_roots(roots)
+        assert algebra._float_start([mpc(c) for c in p.coeffs]) is None
+        assert algebra.root_disks(p) is None
+        rep, calls = self.census(monkeypatch, pert, roots)
+        assert calls == 1
+        assert rep.counts[0][1:] == (2, 2)
+        assert rep.strays == ()
+
+    def test_overlapping_disks_take_the_fallback(self, monkeypatch):
+        # Wilkinson's polynomial of degree 15: its float64 roots are
+        # distinct, but their errors give disks that overlap
+        pert = RationalPerturbation([RationalFn([1], [-20, 1]), RationalFn.zero()])
+        roots = list(range(1, 16))
+        disks = algebra.root_disks(Polynomial.from_roots(roots))
+        assert disks is not None
+        assert any(abs(c - w) <= r + s for i, (c, r) in enumerate(disks) for w, s in disks[:i])
+        rep, calls = self.census(monkeypatch, pert, roots)
+        assert calls == 1
+        assert rep.counts[0][2] == 0
+        assert len(rep.strays) == 12  # 4, ..., 15
+
+    def test_the_disks_decide_the_sweep_fixture(self, monkeypatch, sweep_solutions, pert_pm5):
+        # every census of the README fixture, k = 4..12, is read off the disks
+        calls = counting_poly_roots(monkeypatch)
+        for v in sweep_solutions["perturbed"].values():
+            for j in (1, 2):
+                rep = pole_attraction(pert_pm5, v, j, self.EPS, self.LAST)
+                expected = points_census(pert_pm5, v.a[j].trimmed(), self.EPS, self.LAST, 20)
+                assert ([count for _, _, count in rep.counts], len(rep.strays)) == expected
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("degree", range(2, 15))
+    def test_every_zero_lies_in_a_disk(self, degree):
+        # seeded real and complex coefficients; the zeros from poly_roots
+        # at 3P stand for the exact ones
+        rng = random.Random(7 * degree)
+        coeffs = [rng.uniform(-3, 3) for _ in range(degree)] + [1]
+        if degree % 2:
+            coeffs = [complex(c, rng.uniform(-1, 1)) for c in coeffs]
+        p = Polynomial(coeffs)
+        disks = algebra.root_disks(p)
+        assert disks is not None and len(disks) == degree
+        with mp.workprec(3 * mp.prec):
+            roots = poly_roots(p)
+        for r in roots:
+            assert any(abs(r - c) <= rho for c, rho in disks)
+        isolated = 0
+        for i, (c, rho) in enumerate(disks):
+            if all(abs(c - w) > rho + s for k, (w, s) in enumerate(disks) if k != i):
+                isolated += 1
+                assert sum(1 for r in roots if abs(r - c) <= rho) == 1
+        assert isolated == degree
+
 
 
 def conjugate_bits(w):

@@ -9,18 +9,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_shift,
-    mpf_sub,
-    round_down,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp, mpf_neg
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 import mpf_reference
@@ -1371,52 +1360,6 @@ class TestCauchyPass:
                     exponents = (1,) if isinstance(z, mpc) else (1, 2)
                     with mp.workprec(prec):
                         assert_pass_within_bound(nodes, rows, z, exponents)
-
-
-class TestNormRule:
-    """algebra._norm, the Aberth steps' |z_i - z_j|^2, is mpc_mpf_div's a^2 + b^2 at P + 10 bits."""
-
-    @pytest.mark.parametrize("bits", [64, 256, 512])
-    def test_norm_is_the_libmp_value(self, bits):
-        # a from every difference of a kernel case's point and atom; b = 0,
-        # b next to a, and b so far below or above a that mpf_add itself
-        # runs, and a = 0 too
-        with mp.workprec(bits):
-            groups = kernel_cases()
-        differences = []
-        for mus, points in groups:
-            xs = [x._mpf_ for x in mus[0].nodes]
-            for z in points:
-                for prec in (bits,) if isinstance(z, mpc) else (bits, bits + 64):
-                    re, im = z._mpc_ if isinstance(z, mpc) else (z._mpf_, None)
-                    for x in xs:
-                        a = mpf_sub(re, x, prec, round_nearest)
-                        if im is not None:
-                            im2, wide = mpf_mul(im, im), prec + 10
-                            assert algebra._norm(a, im2, wide) == mpf_add(mpf_mul(a, a), im2, wide)
-                        differences.append(a)
-        wide = bits + 10
-        for a in differences:
-            near = mpf_sub(a, mpf_shift(a, -3), bits)
-            for b in (fzero, a, near, mpf_shift(a, -bits - 20), mpf_shift(a, bits + 20)):
-                for x, y in ((a, b), (b, a)):
-                    sq = mpf_mul(y, y)
-                    assert algebra._norm(x, sq, wide) == mpf_add(mpf_mul(x, x), sq, wide), (x, y)
-        # mpf_add perturbs a^2, of 2P bits, instead of adding a far smaller
-        # b^2, and truncates one unit below the exact sum where a^2's bits
-        # below the (P + 10)-th lie close enough under the next unit
-        with mp.workprec(bits):
-            im = (1 + mpf(1) / 3) * mpf(2) ** -((bits + 16) // 2)
-            im2, wide = mpf_mul(im._mpf_, im._mpf_), bits + 10
-            perturbed = []
-            for k in range(1, 4096):
-                a = (mpf(7) / 4 + mp.sqrt(k) * mpf(2) ** -20)._mpf_
-                sq = mpf_mul(a, a)
-                if mpf_add(sq, im2, wide) != mpf_pos(mpf_add(sq, im2), wide, round_down):
-                    perturbed.append(a)
-                    assert algebra._norm(a, im2, wide) == mpf_add(sq, im2, wide)
-        # the exponents of a^2 and b^2 lie 100 or fewer bits apart at 64
-        assert bool(perturbed) == (bits > 64)
 
 
 class TestInverseMeasure:

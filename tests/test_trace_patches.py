@@ -19,8 +19,10 @@ SPANS = BENCHMARK / "spans.py"
 
 # the patched names that no call reaches: their modules import them only
 # for the patch, or, for measures.inverse_measure, no caller looks it up
-# in measures any more
+# in measures any more; algebra.poly_roots is the census's fallback, which
+# the smoke census never takes (its inclusion disks decide every count)
 NEVER_CALLED = {
+    "algebra.poly_roots",
     "analysis.cauchy_eval",
     "cli.moments",
     "hermite_pade.cauchy_eval",

@@ -14,8 +14,13 @@ sigma_1, one `node weight` line per atom as mpmath `_mpf_` tuples, so an
 atom or a gap root that moves by one bit shows directly.  roots.txt does
 the same for the pole-attraction census, whose zeros.csv holds only
 counts: the perturbation's poles with their multiplicities, then, for
-each a_j of each swept index that the census factors, every root that
-poly_roots gives, one `_mpc_` tuple per line.  vectors.txt does the same
+each a_j of each swept index that the census takes, every inclusion disk
+that root_disks gives, one `disk centre radius` line with the centre's
+`_mpc_` and the radius's `_mpf_` tuple (or `no disks`), then, where the
+census falls back to poly_roots, every root that it gives, one `_mpc_`
+tuple per line.  Each run's line on stderr says how many census calls fell
+back; a checkout without root_disks records only roots, and every call
+counts.  vectors.txt does the same
 for what convergence.csv reduces to errors and identities.json to a
 maximum: one line per call of the run's solve_type1,
 solve_type1_perturbed, solve_type2, perturbed_reduce, check_orthogonality
@@ -90,37 +95,54 @@ def atoms_text(cli, config: dict) -> str:
 
 @contextmanager
 def census_roots(cli):
-    """While active, the lines of roots.txt for the checkout's pole-attraction census calls.
+    """While active, the lines of roots.txt for the checkout's pole-attraction census calls, and the fallback count.
 
-    cli.pole_attraction is wrapped, and poly_roots too during each census
-    call (pole_attraction imports it from algebra when it runs), so only
-    the census's roots are recorded.
+    cli.pole_attraction is wrapped, and root_disks and poly_roots too
+    during each census call (pole_attraction imports them from algebra
+    when it runs), so only the census's disks and roots are recorded.
+    Yields (lines, fallbacks): fallbacks[0] counts the calls of
+    poly_roots, at most one per census call; a checkout without root_disks
+    has no other route.
     """
     from mpmath import mpc
 
     from nikishin_hp import algebra
 
     census, factor = cli.pole_attraction, algebra.poly_roots
-    lines = []
+    disks = getattr(algebra, "root_disks", None)
+    lines, fallbacks = [], [0]
 
     def recording(p):
         roots = factor(p)
+        fallbacks[0] += 1
         lines.extend(str(z._mpc_) for z in roots)
         return roots
+
+    def recording_disks(p):
+        found = disks(p)
+        if found is None:
+            lines.append("no disks")
+        else:
+            lines.extend(f"disk {c._mpc_} {r._mpf_}" for c, r in found)
+        return found
 
     def pole_attraction(pert, v, j, *args):
         if not lines:
             lines.extend(f"pole {mpc(zeta)._mpc_} kappa {kappa}" for zeta, kappa in pert.poles)
         lines.append(f"n {list(v.n.parts)} a_{j}")
         algebra.poly_roots = recording
+        if disks is not None:
+            algebra.root_disks = recording_disks
         try:
             return census(pert, v, j, *args)
         finally:
             algebra.poly_roots = factor
+            if disks is not None:
+                algebra.root_disks = disks
 
     cli.pole_attraction = pole_attraction
     try:
-        yield lines
+        yield lines, fallbacks
     finally:
         cli.pole_attraction = census
 
@@ -257,7 +279,7 @@ def main(argv=None) -> int:
                 config_path = Path(tmp) / f"{name}-s{seed}.json"
                 config_path.write_text(json.dumps(config))
                 with (
-                    census_roots(cli) as roots,
+                    census_roots(cli) as (roots, fallbacks),
                     recorded_vectors(cli) as vectors,
                     built_systems(cli) as systems,
                     recorded_rows(cli) as rows,
@@ -275,7 +297,7 @@ def main(argv=None) -> int:
                 (dest / "vectors.txt").write_text("\n".join(vectors or ["no solve"]) + "\n")
                 (dest / "transforms.txt").write_text(transforms_text(systems))
                 (dest / "rows.txt").write_text("\n".join(rows or ["no row"]) + "\n")
-                print(f"{name} seed {seed}: exit {code}", file=sys.stderr)
+                print(f"{name} seed {seed}: exit {code}, {fallbacks[0]} census calls fell back", file=sys.stderr)
     return status
 
 
